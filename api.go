@@ -256,8 +256,9 @@ type OptimizeOptions struct {
 	// Seed makes runs reproducible. Results are identical at any
 	// Parallelism for the same Seed.
 	Seed int64
-	// Parallelism bounds the worker pool exploring scaling combinations:
-	// 0 selects GOMAXPROCS, 1 runs sequentially.
+	// Parallelism bounds the worker pool exploring scaling combinations,
+	// and the number of combinations the Ranked and WarmHints seeding
+	// passes probe at once: 0 selects GOMAXPROCS, 1 runs sequentially.
 	Parallelism int
 	// Progress, when non-nil, is called once per resolved scaling
 	// combination, in enumeration order. It runs on the optimizing
@@ -273,11 +274,11 @@ type OptimizeOptions struct {
 	SampleBudget int
 	// Ranked makes StrategyBranchAndBound locate its first feasible
 	// incumbent by walking combinations in ascending nominal power before
-	// the deterministic stream starts, so dominance pruning is active from
-	// the first combination. The chosen design is unchanged (still
-	// byte-identical to exhaustive); only wall-clock and the
-	// pruned/skipped split differ. Requires StrategyBranchAndBound;
-	// ignored by OptimizePareto.
+	// the deterministic stream starts, probing Parallelism of them at a
+	// time, so dominance pruning is active from the first combination.
+	// The chosen design is unchanged (still byte-identical to exhaustive);
+	// only wall-clock and the pruned/skipped split differ. Requires
+	// StrategyBranchAndBound; ignored by OptimizePareto.
 	Ranked bool
 	// Objectives selects the objective components of the Pareto
 	// exploration's dominance tests (OptimizePareto); 0 selects all three

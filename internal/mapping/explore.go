@@ -688,24 +688,42 @@ func newComboSource(p *arch.Platform, cfg Config, strategy Strategy) (*comboSour
 	return &comboSource{size: space.Count(), next: it.Next}, nil
 }
 
+// seedIncumbent runs the scalar fold's incumbent-seeding pass, when the
+// configuration asks for one: the ranked walk under Config.Ranked, else the
+// re-validation of Config.WarmHints. ok reports a nominal power to seed the
+// fold with. Either pass only probes through this run's own cache, so
+// seeding is sound: the Design stays byte-identical to a cold, unseeded
+// run, and only the Pruned/Skipped split of Progress may differ.
+func seedIncumbent(ctx context.Context, g *taskgraph.Graph, p *arch.Platform, cfg Config) (nominal float64, ok bool, err error) {
+	if !cfg.Ranked && len(cfg.WarmHints) == 0 {
+		return 0, false, nil
+	}
+	if tel := cfg.Telemetry; tel != nil {
+		start := tel.now()
+		defer func() { tel.addRanked(tel.now() - start) }()
+	}
+	if cfg.Ranked {
+		return seedRankedIncumbent(ctx, g, p, cfg)
+	}
+	return seedWarmIncumbent(ctx, g, p, cfg)
+}
+
 // seedRankedIncumbent is the ranked pass of Config.Ranked: it walks the
 // combination space in ascending nominal power (vscale.RankedFrontier over
 // the per-level f·V² terms), cursor-prunes bound-infeasible combinations,
-// and probes the rest until the first probe-feasible combination — whose
-// nominal power is, by the walk order, the minimum nominal of any
-// probe-feasible combination. That value pre-seeds the branch-and-bound
+// and probes the rest, a wave of Config.Parallelism at a time, until a wave
+// holds a probe-feasible combination. The wave's lowest-ranked feasible
+// candidate is the walk's first, so its nominal power is, by the walk order,
+// the minimum nominal of any probe-feasible combination — the serial walk's
+// answer at any Parallelism. That value pre-seeds the branch-and-bound
 // dominance threshold, so the lexicographic stream skips beyond-band
 // combinations from its very first position instead of waiting for the
 // incumbent to stream by. Probe verdicts land in cfg.Probe (keyed by the
 // stable combination index), so the main stream reuses every probe this
-// pass ran. ok is false when nothing probe-feasible exists; the stream then
-// runs unseeded and the usual degenerate fallback applies.
+// pass ran, the at most Parallelism−1 probed past the answer included. ok
+// is false when nothing probe-feasible exists; the stream then runs
+// unseeded and the usual degenerate fallback applies.
 func seedRankedIncumbent(ctx context.Context, g *taskgraph.Graph, p *arch.Platform, cfg Config) (nominal float64, ok bool, err error) {
-	tel := cfg.Telemetry
-	if tel != nil {
-		start := tel.now()
-		defer func() { tel.addRanked(tel.now() - start) }()
-	}
 	space, err := vscale.PlatformSpace(p)
 	if err != nil {
 		return 0, false, err
@@ -731,130 +749,226 @@ func seedRankedIncumbent(ctx context.Context, g *taskgraph.Graph, p *arch.Platfo
 	if err != nil {
 		return 0, false, fmt.Errorf("mapping: ranked incumbent seeding: %w", err)
 	}
-	bounds := boundsFor(g, p, cfg)
-	cursor := bounds.Cursor()
-	eval, releaseEval, err := acquireEvaluator(g, p, cfg)
-	if err != nil {
+	next := func() (int, []int, bool) {
+		combo, more := fr.Next()
+		return combo.Index, combo.Scaling, more
+	}
+	settle := func(wave []seedCandidate) (bool, error) {
+		for _, c := range wave {
+			if c.err != nil {
+				return true, c.err
+			}
+			if c.feasible {
+				nominal, ok = c.nominal, true
+				return true, nil
+			}
+		}
+		return false, nil
+	}
+	if err := probeSeedWaves(ctx, g, p, cfg, space.Count(), next, settle); err != nil {
 		return 0, false, err
 	}
-	defer releaseEval()
-	if tel != nil {
-		// Pooled evaluators carry counters across borrowers; attribute only
-		// this pass's delta.
-		base := eval.Stats()
-		defer func() { tel.addEvalStats(eval.Stats().Sub(base)) }()
-	}
-	mc := &MapContext{Graph: g, Platform: p, Eval: eval, scratch: newComboScratch(g.N(), cores)}
-	for {
-		combo, more := fr.Next()
-		if !more {
-			return 0, false, nil
-		}
-		if err := ctx.Err(); err != nil {
-			return 0, false, err
-		}
-		if _, err := cursor.Advance(combo.Scaling); err != nil {
-			return 0, false, err
-		}
-		if cfg.DeadlineSec > 0 && cursor.TMLowerBound() > cfg.DeadlineSec*(1+1e-9) {
-			continue // provably infeasible; the stream will bound-prune it too
-		}
-		if err := eval.Bind(combo.Scaling); err != nil {
-			return 0, false, err
-		}
-		mc.Ctx = ctx
-		mc.Scaling = eval.Scaling()
-		mc.Seed = comboSeed(cfg.Seed, combo.Index)
-		var t0 int64
-		if tel != nil {
-			t0 = tel.now()
-		}
-		_, feasible, hit, err := cfg.Probe.feasibleAtScaling(mc, combo.Index, cfg)
-		if tel != nil {
-			tel.observeProbe(tel.now()-t0, hit)
-		}
-		if err != nil {
-			return 0, false, err
-		}
-		if feasible {
-			return cursor.NominalPower(), true, nil
-		}
-	}
+	return nominal, ok, nil
 }
 
 // seedWarmIncumbent validates Config.WarmHints against the CURRENT problem
 // and returns the minimum probe-feasible nominal power among them. Hints are
 // just candidate combination indices (typically a fingerprint-matching prior
 // run's winner); each is re-probed under this run's deadline through the
-// shared probe cache before it may seed anything, so a hint from a different
+// shared probe cache before it may seed anything (in waves of
+// Config.Parallelism, as in the ranked pass), so a hint from a different
 // deadline — or a garbage hint — can never unsoundly skip work: only the
 // verdicts of this run's own probe are trusted, satisfying scalarFold.seed's
 // realizability contract. Out-of-range hints are ignored.
 func seedWarmIncumbent(ctx context.Context, g *taskgraph.Graph, p *arch.Platform, cfg Config) (nominal float64, ok bool, err error) {
-	tel := cfg.Telemetry
-	if tel != nil {
-		start := tel.now()
-		defer func() { tel.addRanked(tel.now() - start) }()
-	}
 	space, err := vscale.PlatformSpace(p)
 	if err != nil {
 		return 0, false, err
 	}
 	count := space.Count()
-	bounds := boundsFor(g, p, cfg)
-	cursor := bounds.Cursor()
-	eval, releaseEval, err := acquireEvaluator(g, p, cfg)
-	if err != nil {
-		return 0, false, err
-	}
-	defer releaseEval()
-	if tel != nil {
-		base := eval.Stats()
-		defer func() { tel.addEvalStats(eval.Stats().Sub(base)) }()
-	}
-	mc := &MapContext{Graph: g, Platform: p, Eval: eval, scratch: newComboScratch(g.N(), p.Cores())}
-	best, seeded := 0.0, false
-	for _, hint := range cfg.WarmHints {
-		if hint < 0 || hint >= count {
-			continue
-		}
-		if err := ctx.Err(); err != nil {
-			return 0, false, err
-		}
-		scaling, err := space.Unrank(hint)
-		if err != nil {
-			continue
-		}
-		if _, err := cursor.Advance(scaling); err != nil {
-			return 0, false, err
-		}
-		if cfg.DeadlineSec > 0 && cursor.TMLowerBound() > cfg.DeadlineSec*(1+1e-9) {
-			continue // provably infeasible under the new deadline
-		}
-		if err := eval.Bind(scaling); err != nil {
-			return 0, false, err
-		}
-		mc.Ctx = ctx
-		mc.Scaling = eval.Scaling()
-		mc.Seed = comboSeed(cfg.Seed, hint)
-		var t0 int64
-		if tel != nil {
-			t0 = tel.now()
-		}
-		_, feasible, hit, err := cfg.Probe.feasibleAtScaling(mc, hint, cfg)
-		if tel != nil {
-			tel.observeProbe(tel.now()-t0, hit)
-		}
-		if err != nil {
-			return 0, false, err
-		}
-		if feasible {
-			if n := cursor.NominalPower(); !seeded || n < best {
-				best, seeded = n, true
+	hints := cfg.WarmHints
+	next := func() (int, []int, bool) {
+		for len(hints) > 0 {
+			hint := hints[0]
+			hints = hints[1:]
+			if hint < 0 || hint >= count {
+				continue
+			}
+			if scaling, err := space.Unrank(hint); err == nil {
+				return hint, scaling, true
 			}
 		}
+		return 0, nil, false
 	}
-	return best, seeded, nil
+	settle := func(wave []seedCandidate) (bool, error) {
+		for _, c := range wave {
+			if c.err != nil {
+				return true, c.err
+			}
+			if c.feasible && (!ok || c.nominal < nominal) {
+				nominal, ok = c.nominal, true
+			}
+		}
+		return false, nil
+	}
+	if err := probeSeedWaves(ctx, g, p, cfg, len(cfg.WarmHints), next, settle); err != nil {
+		return 0, false, err
+	}
+	return nominal, ok, nil
+}
+
+// seedCandidate is one combination an incumbent-seeding pass probes: its
+// stable enumeration index, its scaling vector, the nominal power the pass's
+// bounds cursor gave it and, once its wave has run, the probe's verdict.
+type seedCandidate struct {
+	idx      int
+	scaling  []int
+	nominal  float64
+	feasible bool
+	err      error
+}
+
+// probeSeedWaves runs the feasibility probes of an incumbent-seeding pass in
+// waves. next yields the pass's combinations in order, and reports false
+// once the walk is exhausted; the calling goroutine advances the walk and
+// the bounds cursor and drops bound-infeasible combinations, exactly as the
+// stream's dispatcher would prune them. Each wave of up to
+// Config.Parallelism surviving candidates (0 selects GOMAXPROCS; never more
+// than limit) is probed concurrently, one goroutine per candidate, candidate
+// i on worker i, and settle then inspects the finished wave in candidate
+// order and reports whether the pass is done. At Parallelism 1 a wave is one
+// candidate, so the probe sequence is exactly the serial walk's.
+//
+// A wave never cancels a probe: through the ProbeCache a verdict is a pure
+// function of (combination, seed, deadline), so a probe past the pass's
+// answer only adds a cache entry. Waves rather than a free-running pool keep
+// the work deterministic at a given Parallelism: the pass probes the serial
+// walk's candidates plus the unused tail of its last wave. Cancelling ctx
+// stops every climb and leaves its cache entry resumable. Each probe is
+// recorded as a "rank" WorkerSpan on its worker's telemetry row.
+func probeSeedWaves(ctx context.Context, g *taskgraph.Graph, p *arch.Platform, cfg Config, limit int,
+	next func() (idx int, scaling []int, ok bool), settle func(wave []seedCandidate) (bool, error)) error {
+	workers := cfg.Parallelism
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = max(min(workers, limit), 1)
+	tel := cfg.Telemetry
+	if tel != nil {
+		// Rows must exist before any worker records on its own.
+		tel.growWorkers(workers)
+	}
+	// Worker w is built by the first goroutine that probes on row w, so each
+	// evaluator is allocated on its own goroutine; later waves reuse it.
+	probers := make([]*comboWorker, workers)
+	defer func() {
+		for _, wk := range probers {
+			if wk != nil {
+				wk.close(tel)
+			}
+		}
+	}()
+
+	cursor := boundsFor(g, p, cfg).Cursor()
+	wave := make([]seedCandidate, workers)
+	var wg sync.WaitGroup
+	for {
+		n := 0
+		for n < workers {
+			idx, scaling, more := next()
+			if !more {
+				break
+			}
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			if _, err := cursor.Advance(scaling); err != nil {
+				return err
+			}
+			if cfg.DeadlineSec > 0 && cursor.TMLowerBound() > cfg.DeadlineSec*(1+1e-9) {
+				continue // provably infeasible; the stream will bound-prune it too
+			}
+			wave[n] = seedCandidate{idx: idx, scaling: scaling, nominal: cursor.NominalPower()}
+			n++
+		}
+		if n == 0 {
+			return nil
+		}
+		for w := range n {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				c := &wave[w]
+				if probers[w] == nil {
+					if probers[w], c.err = newComboWorker(g, p, cfg); c.err != nil {
+						return
+					}
+				}
+				probers[w].seedProbe(ctx, w, c, cfg)
+			}()
+		}
+		wg.Wait()
+		if done, err := settle(wave[:n]); done || err != nil || n < workers {
+			return err
+		}
+	}
+}
+
+// comboWorker is one engine worker's private state: an evaluator (pooled
+// through Config.Reuse when set) and a MapContext with its probe scratch,
+// reused across every combination the worker handles. Build it on the
+// goroutine that runs it: built back to back on one goroutine, workers end
+// up side by side in memory and then false-share the schedulers' small
+// per-core buffers.
+type comboWorker struct {
+	mc      *MapContext
+	release func()
+	base    metrics.EvalStats // evaluator counters at acquisition
+}
+
+func newComboWorker(g *taskgraph.Graph, p *arch.Platform, cfg Config) (*comboWorker, error) {
+	eval, release, err := acquireEvaluator(g, p, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return &comboWorker{
+		mc:      &MapContext{Graph: g, Platform: p, Eval: eval, scratch: newComboScratch(g.N(), p.Cores())},
+		release: release,
+		base:    eval.Stats(),
+	}, nil
+}
+
+// close returns the worker's evaluator. Pooled evaluators carry counters
+// across borrowers, so only this worker's delta goes to telemetry.
+func (wk *comboWorker) close(tel *Telemetry) {
+	if tel != nil {
+		tel.addEvalStats(wk.mc.Eval.Stats().Sub(wk.base))
+	}
+	wk.release()
+}
+
+// seedProbe runs the shared feasibility probe on a seed-pass candidate and
+// records the verdict in it; row is the worker's telemetry row.
+func (wk *comboWorker) seedProbe(ctx context.Context, row int, c *seedCandidate, cfg Config) {
+	mc := wk.mc
+	if c.err = mc.Eval.Bind(c.scaling); c.err != nil {
+		return
+	}
+	mc.Ctx = ctx
+	mc.Scaling = mc.Eval.Scaling()
+	mc.Seed = comboSeed(cfg.Seed, c.idx)
+	tel := cfg.Telemetry
+	var t0 int64
+	if tel != nil {
+		t0 = tel.now()
+	}
+	var hit bool
+	_, c.feasible, hit, c.err = cfg.Probe.feasibleAtScaling(mc, c.idx, cfg)
+	if tel != nil {
+		t1 := tel.now()
+		tel.observeProbe(t1-t0, hit)
+		tel.workerSpan(row, t0, t1, c.idx, "rank")
+	}
 }
 
 // warmGhostFold validates Config.WarmFrontier and folds the surviving points
@@ -916,30 +1030,12 @@ func exploreStream(ctx context.Context, g *taskgraph.Graph, p *arch.Platform,
 				cfg.Probe = NewProbeCache()
 			}
 		}
-		switch {
-		case cfg.Ranked:
-			nominal, seeded, err := seedRankedIncumbent(ctx, g, p, cfg)
-			if err != nil {
-				return nil, nil, 0, err
-			}
-			if seeded {
-				fold.seed(nominal)
-			}
-		case len(cfg.WarmHints) > 0:
-			// Warm-start: re-validate prior winners under this problem's
-			// constraints and seed the dominance threshold from the best
-			// survivor, so BnB prunes from the first combination. Every
-			// hint is probed through this run's own cache, so seeding is
-			// exactly as sound as the ranked pass — the Design is
-			// byte-identical to a cold run; only the Pruned/Skipped split
-			// of Progress may differ (as with Config.Ranked).
-			nominal, seeded, err := seedWarmIncumbent(ctx, g, p, cfg)
-			if err != nil {
-				return nil, nil, 0, err
-			}
-			if seeded {
-				fold.seed(nominal)
-			}
+		nominal, seeded, err := seedIncumbent(ctx, g, p, cfg)
+		if err != nil {
+			return nil, nil, 0, err
+		}
+		if seeded {
+			fold.seed(nominal)
 		}
 	}
 	perScaling, prunedCount, err = exploreCore(ctx, g, p, mapper, cfg, fold, coreOptions{
@@ -1073,18 +1169,9 @@ func exploreCore(ctx context.Context, g *taskgraph.Graph, p *arch.Platform,
 		producers.Add(1)
 		go func(w int) {
 			defer producers.Done()
-			eval, releaseEval, evErr := acquireEvaluator(g, p, cfg)
-			var mc *MapContext
+			wk, evErr := newComboWorker(g, p, cfg)
 			if evErr == nil {
-				defer releaseEval()
-				mc = &MapContext{Graph: g, Platform: p, Eval: eval,
-					scratch: newComboScratch(g.N(), cores)}
-				if tel != nil {
-					// Pooled evaluators carry counters across borrowers;
-					// attribute only this worker's delta.
-					base := eval.Stats()
-					defer func() { tel.addEvalStats(eval.Stats().Sub(base)) }()
-				}
+				defer wk.close(tel)
 			}
 			for o := range jobs {
 				if evErr != nil {
@@ -1105,7 +1192,7 @@ func exploreCore(ctx context.Context, g *taskgraph.Graph, p *arch.Platform,
 				if tel != nil {
 					spanStart = tel.now()
 				}
-				o.design, o.probed, o.probeKnown, o.skipCand, o.err = exploreCombo(jctx, mc, mapper, o.scaling, o.idx, cfg, probe, fold)
+				o.design, o.probed, o.probeKnown, o.skipCand, o.err = exploreCombo(jctx, wk.mc, mapper, o.scaling, o.idx, cfg, probe, fold)
 				if opts.prune {
 					fold.unregister(o.pos)
 				}

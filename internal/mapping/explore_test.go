@@ -5,6 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -158,6 +161,91 @@ func TestExploreCancellation(t *testing.T) {
 			t.Errorf("parallelism %d: cancellation took %v, want prompt return", par, elapsed)
 		}
 	}
+
+	// Ranked: cancelled during the seed pass's probe waves, the call
+	// returns promptly, no prober outlives it, and the partly climbed cache
+	// entries resume to the cold run's Design.
+	rg, rp, rc := rankedWorkload16(t, false)
+	coldBest, _, err := Explore(rg, rp, SEAMapper(rc), rc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, par := range []int{1, 4} {
+		c := rc
+		c.Parallelism = par
+		c.Probe = NewProbeCache()
+		tel := NewTelemetry()
+		c.Telemetry = tel
+		// The probe's climb polls the context once per move, so the
+		// 1000th poll falls inside the ranked pass's first probes.
+		ctx := newTripCtx(1000)
+		_, _, err := ExploreContext(ctx, rg, rp, SEAMapper(c), c)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("ranked parallelism %d: err = %v, want context.Canceled", par, err)
+		}
+		if elapsed := ctx.sinceTrip(); elapsed > 5*time.Second {
+			t.Errorf("ranked parallelism %d: cancellation took %v, want prompt return", par, elapsed)
+		}
+		if passes := tel.Stats().Passes; passes != 0 {
+			t.Errorf("ranked parallelism %d: cancellation landed after the seed pass (%d stream passes)", par, passes)
+		}
+		// A prober runs its deferred wg.Done before it returns, so it may
+		// still be on a stack for a moment after the call; poll briefly.
+		stacks := make([]byte, 1<<20)
+		for deadline := time.Now().Add(time.Second); ; time.Sleep(10 * time.Millisecond) {
+			s := string(stacks[:runtime.Stack(stacks, true)])
+			if !strings.Contains(s, "probeSeedWaves") {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Errorf("ranked parallelism %d: a prober outlived the cancelled call:\n%s", par, s)
+				break
+			}
+		}
+		c.Telemetry = nil
+		best, _, err := Explore(rg, rp, SEAMapper(c), c)
+		if err != nil {
+			t.Fatalf("ranked parallelism %d: rerun: %v", par, err)
+		}
+		if got, want := designFingerprint(best), designFingerprint(coldBest); got != want {
+			t.Errorf("ranked parallelism %d: rerun on the cancelled cache diverged:\n  cold:  %s\n  rerun: %s", par, want, got)
+		}
+	}
+}
+
+// tripCtx is a context that reports cancellation from its n-th Err call on,
+// so a test can cancel at a fixed point of the engine's work on any host.
+type tripCtx struct {
+	context.Context
+	left atomic.Int64
+	once sync.Once
+	done chan struct{}
+	trip time.Time
+}
+
+func newTripCtx(n int64) *tripCtx {
+	c := &tripCtx{Context: context.Background(), done: make(chan struct{})}
+	c.left.Store(n)
+	return c
+}
+
+func (c *tripCtx) Done() <-chan struct{} { return c.done }
+
+func (c *tripCtx) Err() error {
+	if c.left.Add(-1) > 0 {
+		return nil
+	}
+	c.once.Do(func() {
+		c.trip = time.Now()
+		close(c.done)
+	})
+	return context.Canceled
+}
+
+// sinceTrip is the time since the context reported cancellation.
+func (c *tripCtx) sinceTrip() time.Duration {
+	c.once.Do(func() {}) // orders the read after the trip's write
+	return time.Since(c.trip)
 }
 
 // TestExplorePreCancelled: a context cancelled before the call returns

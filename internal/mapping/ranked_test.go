@@ -1,6 +1,8 @@
 package mapping
 
 import (
+	"context"
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -8,24 +10,28 @@ import (
 	"seadopt/internal/taskgraph"
 )
 
-// plat64 builds the flagship-shaped heterogeneous platform: 56 two-level
-// efficiency cores plus 8 four-level performance cores (9405 combinations).
-func plat64(t *testing.T) *arch.Platform {
+// flagshipPlat builds a flagship-shaped heterogeneous platform: two-level
+// efficiency cores followed by perf four-level performance cores.
+func flagshipPlat(t *testing.T, cores, perf int, opts ...arch.Option) *arch.Platform {
 	t.Helper()
 	types := []arch.ProcType{
 		{Name: "eff", Levels: arch.ARM7Levels2()},
 		{Name: "perf", Levels: arch.ARM7Levels4()},
 	}
-	coreTypes := make([]int, 64)
-	for i := 56; i < 64; i++ {
+	coreTypes := make([]int, cores)
+	for i := cores - perf; i < cores; i++ {
 		coreTypes[i] = 1
 	}
-	p, err := arch.NewHeterogeneousPlatform(types, coreTypes)
+	p, err := arch.NewHeterogeneousPlatform(types, coreTypes, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return p
 }
+
+// plat64 is the flagship platform: 56 two-level efficiency cores plus 8
+// four-level performance cores (9405 combinations).
+func plat64(t *testing.T) *arch.Platform { return flagshipPlat(t, 64, 8) }
 
 // graph64 is a reduced-budget stand-in for the flagship benchmark workload:
 // the same §V generator and 64-core-wide layers, fewer tasks so the
@@ -43,7 +49,8 @@ func graph64(t *testing.T) (*taskgraph.Graph, float64) {
 // returns a byte-identical best Design to StrategyExhaustive (and hence to
 // unseeded branch-and-bound) at Parallelism 1, 4 and GOMAXPROCS — while
 // skipping at least as many combinations as it evaluates the moment the
-// space is prunable.
+// space is prunable. -short skips the 64-core case, far too slow to repeat
+// under the race detector.
 func TestRankedMatchesExhaustive(t *testing.T) {
 	g64, dl64 := graph64(t)
 	workloads := []struct {
@@ -61,6 +68,9 @@ func TestRankedMatchesExhaustive(t *testing.T) {
 	}
 	parallelisms := []int{1, 4, runtime.GOMAXPROCS(0)}
 	for _, wl := range workloads {
+		if testing.Short() && wl.name == "hetero64" {
+			continue
+		}
 		base := cfg(wl.deadline, wl.iters)
 		base.SearchMoves = wl.moves
 		base.DiscardPerScaling = true
@@ -104,8 +114,12 @@ func TestRankedMatchesExhaustive(t *testing.T) {
 
 // TestRankedSkipsAtLeastAsMuch: seeding the incumbent from the ranked pass
 // can only lower the dominance threshold earlier, so the seeded run must
-// map no more combinations than the unseeded one.
+// map no more combinations than the unseeded one. It runs on the 64-core
+// platform, so -short skips it.
 func TestRankedSkipsAtLeastAsMuch(t *testing.T) {
+	if testing.Short() {
+		t.Skip("64-core workload")
+	}
 	g, dl := graph64(t)
 	p := plat64(t)
 	base := cfg(dl, 1)
@@ -138,6 +152,123 @@ func TestRankedSkipsAtLeastAsMuch(t *testing.T) {
 	if rankedEval+rankedAvoid != plainEval+plainAvoid {
 		t.Errorf("event counts diverged: ranked %d, unseeded %d",
 			rankedEval+rankedAvoid, plainEval+plainAvoid)
+	}
+}
+
+// rankedWorkload16 is a 20-task §V graph on the 16-core flagship shape (14
+// two-level plus 2 four-level cores, 150 combinations), ideal or behind the
+// XY mesh, with the deadline at 1.2× the makespan the mapper reaches with
+// every core at its fastest level. The graph seeds put the ranked walk's
+// first probe-feasible combination after at least four infeasible probes,
+// second in its wave of two.
+func rankedWorkload16(t *testing.T, mesh bool) (*taskgraph.Graph, *arch.Platform, Config) {
+	t.Helper()
+	seed := int64(11)
+	var opts []arch.Option
+	if mesh {
+		seed = 9
+		opts = append(opts, arch.WithInterconnect(testMeshFabric))
+	}
+	p := flagshipPlat(t, 16, 2, opts...)
+	rc := taskgraph.DefaultRandomConfig(20)
+	rc.MaxWidth = 16
+	g := taskgraph.MustRandom(rc, seed)
+	c := cfg(0, 1)
+	c.SearchMoves = 60
+	_, fastest, err := MapOnce(context.Background(), g, p, p.MaxPowerScaling(), SEAMapper(c), c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.DeadlineSec = fastest.TMSeconds * 1.2
+	c.Ranked = true
+	c.DiscardPerScaling = true
+	return g, p, c
+}
+
+// TestRankedParallelMatchesSequential is the sequential oracle of the
+// ranked pass's probe waves. On the 16-core flagship shape, ideal and behind
+// an XY mesh, the Design, the whole Progress stream (the Pruned/Skipped
+// split included) and the seeded nominal power (the index −1 bound event)
+// are identical at Parallelism 1, 2, 4 and GOMAXPROCS. The serial walk's
+// first feasible probe sits second in its wave of two, so a wave must settle
+// on a candidate other than its first. A parallel pass probes the serial
+// walk's candidates plus the unused tail of its last wave, so the probe
+// cache misses exactly that tail more than the serial pass.
+func TestRankedParallelMatchesSequential(t *testing.T) {
+	type run struct {
+		design    string
+		progress  []string
+		seeded    string // nominal power of the index −1 bound event
+		rankSpans int
+		misses    int64
+	}
+	for _, mesh := range []bool{false, true} {
+		g, p, base := rankedWorkload16(t, mesh)
+		runAt := func(par int) run {
+			c := base
+			c.Parallelism = par
+			tel := NewTelemetry()
+			c.Telemetry = tel
+			var r run
+			c.Progress = func(pr Progress) { r.progress = append(r.progress, progressFingerprint(pr)) }
+			best, _, err := Explore(g, p, SEAMapper(c), c)
+			if err != nil {
+				t.Fatalf("mesh=%v par=%d: %v", mesh, par, err)
+			}
+			r.design = designFingerprint(best)
+			st := tel.Stats()
+			for _, ev := range st.Events {
+				if ev.Kind == EventBound && ev.Index == -1 {
+					r.seeded = fmt.Sprintf("%x", ev.NominalW)
+				}
+			}
+			for _, ws := range st.Workers {
+				for _, sp := range ws.Spans {
+					if sp.Kind == "rank" {
+						r.rankSpans++
+					}
+				}
+			}
+			r.misses = st.ProbeCache.Misses
+			return r
+		}
+
+		seq := runAt(1)
+		// The serial walk stops at its first feasible probe, the k-th.
+		k := seq.rankSpans
+		if seq.seeded == "" {
+			t.Fatalf("mesh=%v: the ranked pass seeded nothing", mesh)
+		}
+		if k < 5 || (k-1)%2 == 0 {
+			t.Fatalf("mesh=%v: the first feasible probe is the %d-th; the workload must put it after at least 4 infeasible ones, second in a wave of two", mesh, k)
+		}
+		for _, par := range []int{2, 4, runtime.GOMAXPROCS(0)} {
+			got := runAt(par)
+			if got.design != seq.design {
+				t.Errorf("mesh=%v par=%d: design diverged:\n  serial: %s\n  waves:  %s", mesh, par, seq.design, got.design)
+			}
+			if got.seeded != seq.seeded {
+				t.Errorf("mesh=%v par=%d: seeded nominal %s, serial %s", mesh, par, got.seeded, seq.seeded)
+			}
+			if len(got.progress) != len(seq.progress) {
+				t.Fatalf("mesh=%v par=%d: %d progress events, serial %d", mesh, par, len(got.progress), len(seq.progress))
+			}
+			for i := range seq.progress {
+				if got.progress[i] != seq.progress[i] {
+					t.Errorf("mesh=%v par=%d: progress[%d] diverged:\n  serial: %s\n  waves:  %s",
+						mesh, par, i, seq.progress[i], got.progress[i])
+					break
+				}
+			}
+			probes := (k + par - 1) / par * par
+			if got.rankSpans != probes {
+				t.Errorf("mesh=%v par=%d: %d seed probes, want %d (%d serial, in waves of %d)", mesh, par, got.rankSpans, probes, k, par)
+			}
+			if want := seq.misses + int64(probes-k); got.misses != want {
+				t.Errorf("mesh=%v par=%d: %d probe cache misses, want %d (serial %d + a %d-probe wave tail)",
+					mesh, par, got.misses, want, seq.misses, probes-k)
+			}
+		}
 	}
 }
 

@@ -873,22 +873,13 @@ func exploreShardedStream(ctx context.Context, g *taskgraph.Graph, p *arch.Platf
 	fold := newScalarFold(prune)
 	board := NewFactBoard()
 	if prune && cfg.Strategy.withDefault() == StrategyBranchAndBound {
-		seedFn := (func(context.Context, *taskgraph.Graph, *arch.Platform, Config) (float64, bool, error))(nil)
-		switch {
-		case cfg.Ranked:
-			seedFn = seedRankedIncumbent
-		case len(cfg.WarmHints) > 0:
-			seedFn = seedWarmIncumbent
+		nominal, seeded, err := seedIncumbent(ctx, g, p, cfg)
+		if err != nil {
+			return nil, nil, 0, err
 		}
-		if seedFn != nil {
-			nominal, seeded, err := seedFn(ctx, g, p, cfg)
-			if err != nil {
-				return nil, nil, 0, err
-			}
-			if seeded {
-				fold.seed(nominal)
-				board.Publish(Fact{Pos: -1, Nominal: nominal})
-			}
+		if seeded {
+			fold.seed(nominal)
+			board.Publish(Fact{Pos: -1, Nominal: nominal})
 		}
 	}
 	total := ranges[len(ranges)-1].Hi

@@ -53,7 +53,9 @@ type ExploreEvent struct {
 
 // WorkerSpan is one combination a worker processed: Kind is "map" when the
 // mapper ran, "skip" when the combination resolved without it (probe-proved
-// irrelevant or cancelled as dominated mid-flight).
+// irrelevant or cancelled as dominated mid-flight), and "rank" for a
+// feasibility probe of the incumbent-seeding pass (Config.Ranked or
+// Config.WarmHints), which runs on the same worker rows before the stream.
 type WorkerSpan struct {
 	StartNanos  int64  `json:"start_ns"`
 	EndNanos    int64  `json:"end_ns"`
@@ -62,8 +64,9 @@ type WorkerSpan struct {
 }
 
 // WorkerStats aggregates one worker's activity. BusyNanos sums the span
-// durations (including spans beyond the recording cap); idle time is the
-// run wall clock minus BusyNanos.
+// durations and Combinations counts the spans, of every kind and including
+// spans beyond the recording cap; idle time is the run wall clock minus
+// BusyNanos.
 type WorkerStats struct {
 	Worker       int          `json:"worker"`
 	BusyNanos    int64        `json:"busy_ns"`
@@ -75,12 +78,14 @@ type WorkerStats struct {
 // PhaseStats is the per-component busy-clock breakdown of an exploration.
 // The phases are independent clocks, not disjoint wall segments: probe and
 // mapper time accrue concurrently on every worker, while bounds, ranked
-// seed, enumeration and fold are single-goroutine. Their sum therefore
+// seed, enumeration and fold are timed on one goroutine. Their sum therefore
 // exceeds the wall clock whenever Parallelism > 1.
 type PhaseStats struct {
 	// BoundsNanos is the admissible-bound precompute (metrics.NewBounds).
 	BoundsNanos int64 `json:"bounds_ns"`
-	// RankedSeedNanos is the Config.Ranked ascending-nominal incumbent pass.
+	// RankedSeedNanos is the wall time of the incumbent-seeding pass: the
+	// Config.Ranked ascending-nominal walk or the Config.WarmHints check.
+	// Its probes run on the worker rows and also accrue to ProbeNanos.
 	RankedSeedNanos int64 `json:"ranked_seed_ns"`
 	// EnumerationNanos is the dispatcher's walk of the combination source:
 	// cursor advances, bound pruning and dispatch-skip tests.
@@ -216,8 +221,14 @@ func (t *Telemetry) beginPass(strategy Strategy, parallelism, workers int) {
 	t.strategy = strategy
 	t.parallelism = parallelism
 	t.passes++
-	if len(t.workers) < workers {
-		grown := make([]workerTel, workers)
+	t.growWorkers(workers)
+}
+
+// growWorkers makes sure worker rows 0..n-1 exist; called on the exploring
+// goroutine before any goroutine that records on them starts.
+func (t *Telemetry) growWorkers(n int) {
+	if len(t.workers) < n {
+		grown := make([]workerTel, n)
 		copy(grown, t.workers)
 		t.workers = grown
 	}

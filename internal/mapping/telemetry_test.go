@@ -117,10 +117,11 @@ func TestTelemetryAccounting(t *testing.T) {
 	g := taskgraph.MPEG2()
 	p := plat(4)
 
-	statsAt := func(par int) *ExploreStats {
+	statsAt := func(par int, ranked bool) *ExploreStats {
 		c := cfg(taskgraph.MPEG2Deadline, taskgraph.MPEG2Frames)
 		c.SearchMoves = 300
 		c.Parallelism = par
+		c.Ranked = ranked
 		tel := NewTelemetry()
 		c.Telemetry = tel
 		if _, _, err := Explore(g, p, SEAMapper(c), c); err != nil {
@@ -129,7 +130,7 @@ func TestTelemetryAccounting(t *testing.T) {
 		return tel.Stats()
 	}
 
-	seq := statsAt(1)
+	seq := statsAt(1, false)
 	if seq.Passes < 1 {
 		t.Fatalf("Passes = %d, want >= 1", seq.Passes)
 	}
@@ -173,7 +174,7 @@ func TestTelemetryAccounting(t *testing.T) {
 		t.Error("evaluator stats empty: expected merged per-worker EvalStats")
 	}
 
-	par := statsAt(4)
+	par := statsAt(4, false)
 	// Fold-time verdict counters are deterministic; MapperRuns/MapperSpared
 	// are worker-side and legitimately vary with dispatch timing (a
 	// combination can be dispatched before the skip that would spare it).
@@ -182,15 +183,40 @@ func TestTelemetryAccounting(t *testing.T) {
 		t.Errorf("deterministic combo counters diverged across parallelism:\n  seq: %+v\n  par: %+v",
 			seq.Combos, par.Combos)
 	}
-	var parCombos int64
-	for _, ws := range par.Workers {
-		parCombos += ws.Combinations
+	// streamSpans counts the "map" and "skip" spans, and rankRows the
+	// worker rows carrying the ranked pass's "rank" spans.
+	spans := func(st *ExploreStats) (streamSpans int64, rankRows int) {
+		for _, ws := range st.Workers {
+			rank := false
+			for _, sp := range ws.Spans {
+				if sp.Kind == "rank" {
+					rank = true
+				} else {
+					streamSpans++
+				}
+			}
+			if rank {
+				rankRows++
+			}
+		}
+		return streamSpans, rankRows
 	}
 	// Workers only see dispatched combinations (the dispatcher resolves
 	// pruned/skipped ones itself), and every mapper run rode a worker span.
-	if parCombos > par.Combos.Total || parCombos < par.Combos.MapperRuns {
+	if parCombos, _ := spans(par); parCombos > par.Combos.Total || parCombos < par.Combos.MapperRuns {
 		t.Errorf("worker combination sum %d outside [MapperRuns %d, Total %d]",
 			parCombos, par.Combos.MapperRuns, par.Combos.Total)
+	}
+	// The ranked pass probes in waves across the worker rows, ahead of a
+	// stream whose spans keep the same bounds.
+	ranked := statsAt(4, true)
+	streamSpans, rankRows := spans(ranked)
+	if rankRows < 2 {
+		t.Errorf("ranked pass recorded \"rank\" spans on %d worker rows at parallelism 4, want several", rankRows)
+	}
+	if streamSpans > ranked.Combos.Total || streamSpans < ranked.Combos.MapperRuns {
+		t.Errorf("ranked run: %d map/skip spans outside [MapperRuns %d, Total %d]",
+			streamSpans, ranked.Combos.MapperRuns, ranked.Combos.Total)
 	}
 	// Incumbent events are decided on the fold goroutine: identical streams.
 	kinds := func(st *ExploreStats) string {
