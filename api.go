@@ -307,8 +307,9 @@ type OptimizeOptions struct {
 	WarmFrontier []WarmPoint
 	// Reuse shares probe verdicts, the bounds precompute and pooled
 	// evaluators across optimizations of the same workload (see
-	// ExploreReuse). Nil disables sharing. Results are byte-identical with
-	// or without it.
+	// ExploreReuse). Nil gives each call a private bundle, shared only by
+	// that call's own passes. Results are byte-identical with or without
+	// it.
 	Reuse *ExploreReuse
 }
 

@@ -54,7 +54,7 @@ func Fig10(cfg Config) (*Fig10Result, error) {
 			SearchMoves: cfg.SearchMoves,
 			Seed:        cfg.Seed + int64(cores),
 			Parallelism: cfg.Parallelism,
-			Probe:       mapping.NewProbeCache(),
+			Reuse:       mapping.NewReuse(),
 			Strategy:    mapping.StrategyExhaustive, // paper tables stay exhaustive
 		}
 		best4, _, err := mapping.Explore(g, p, mapping.SEAMapper(mcfg), mcfg)

@@ -94,7 +94,7 @@ func TableII(cfg Config) (*TableIIResult, error) {
 		return nil, err
 	}
 	mcfg := mpeg2MappingConfig(cfg)
-	mcfg.Probe = mapping.NewProbeCache()
+	mcfg.Reuse = mapping.NewReuse()
 	res := &TableIIResult{}
 	for _, exp := range expMappers(cfg, mcfg) {
 		best, _, err := mapping.Explore(g, p, exp.fn, mcfg)

@@ -114,46 +114,11 @@ func Explore(g *taskgraph.Graph, p *arch.Platform, mapper MapperFunc, cfg Config
 // and returns ctx.Err().
 func ExploreContext(ctx context.Context, g *taskgraph.Graph, p *arch.Platform,
 	mapper MapperFunc, cfg Config) (best *Design, perScaling []*Design, err error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
-		return nil, nil, err
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if cfg.Probe == nil {
-		// Materialize the per-call probe cache here rather than inside the
-		// stream, so the all-infeasible fallback pass below reuses every
-		// probe verdict the first pass computed. A Reuse bundle supplies its
-		// shared cache instead.
-		if cfg.Reuse != nil {
-			cfg.Probe = cfg.Reuse.Probe()
-		} else {
-			cfg.Probe = NewProbeCache()
-		}
-	}
-	strategy := cfg.Strategy.withDefault()
-	best, perScaling, pruned, err := exploreStream(ctx, g, p, mapper, cfg, strategy != StrategyExhaustive)
+	ctx, cfg, err = setup(ctx, cfg, false)
 	if err != nil {
 		return nil, nil, err
 	}
-	if pruned > 0 && (best == nil || !best.Eval.MeetsDeadline) {
-		// Degenerate case: nothing feasible was found and bound-pruned
-		// combinations were never mapped, so the exhaustive "least
-		// infeasible" verdict (minimum nominal power among the designs the
-		// mapper actually produced) may live inside the pruned set. Re-run
-		// the same visit sequence without pruning — deterministically — so
-		// the returned Design matches StrategyExhaustive byte for byte.
-		// Progress was already emitted by the first pass and is not
-		// replayed.
-		silent := cfg
-		silent.Progress = nil
-		best, perScaling, _, err = exploreStream(ctx, g, p, mapper, silent, false)
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	return best, perScaling, nil
+	return exploreScalar(ctx, g, p, mapper, cfg, exploreCore)
 }
 
 // ExplorePareto runs the multi-objective design loop with background
@@ -187,75 +152,130 @@ func ExplorePareto(g *taskgraph.Graph, p *arch.Platform, mapper MapperFunc, cfg 
 // frontier, so callers always receive at least one design.
 func ExploreParetoContext(ctx context.Context, g *taskgraph.Graph, p *arch.Platform,
 	mapper MapperFunc, cfg Config) ([]*Design, error) {
+	ctx, cfg, err := setup(ctx, cfg, true)
+	if err != nil {
+		return nil, err
+	}
+	return explorePareto(ctx, g, p, mapper, cfg, exploreCore)
+}
+
+// setup normalizes an entry point's Config: defaults, the Pareto fold's
+// default objectives, validation, and a private Reuse bundle when the caller
+// shares none, so every pass of the call — seed, stream and fallback —
+// shares one probe cache, bounds precompute and evaluator pool.
+func setup(ctx context.Context, cfg Config, frontier bool) (context.Context, Config, error) {
 	cfg = cfg.withDefaults()
-	if cfg.Objectives == 0 {
+	if frontier && cfg.Objectives == 0 {
 		cfg.Objectives = pareto.DefaultObjectives
 	}
 	if err := cfg.Validate(); err != nil {
-		return nil, err
+		return nil, cfg, err
 	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if cfg.Probe == nil {
-		if cfg.Reuse != nil {
-			cfg.Probe = cfg.Reuse.Probe()
-		} else {
-			cfg.Probe = NewProbeCache()
-		}
+	if cfg.Reuse == nil {
+		cfg.Reuse = NewReuse()
 	}
-	// The frontier owns per-combination Designs; never retain the full
-	// per-combination list on top of it.
-	cfg.DiscardPerScaling = true
+	return ctx, cfg, nil
+}
 
-	fold, err := newParetoFold(cfg)
-	if err != nil {
-		return nil, err
-	}
-	prune := cfg.Strategy.withDefault() != StrategyExhaustive
-	if prune && len(cfg.WarmFrontier) > 0 && cfg.Strategy.withDefault() == StrategyBranchAndBound {
-		ghosts, err := warmGhostFold(g, p, cfg)
+// passFunc runs one pass of the enumeration through fold: exploreCore over
+// the whole combination source on this node, or a sharded pass (the shards,
+// then the replay of their records). exploreCore is the local pass.
+type passFunc func(ctx context.Context, g *taskgraph.Graph, p *arch.Platform, mapper MapperFunc,
+	cfg Config, fold streamFold, opts coreOptions) (perScaling []*Design, prunedCount int, err error)
+
+// exploreScalar is the scalar driver behind ExploreContext and
+// ExploreSharded: it seeds the fold's dominance threshold under
+// branch-and-bound (Ranked or WarmHints), runs one pass, and takes the
+// all-infeasible fallback when nothing feasible was found.
+func exploreScalar(ctx context.Context, g *taskgraph.Graph, p *arch.Platform,
+	mapper MapperFunc, cfg Config, run passFunc) (best *Design, perScaling []*Design, err error) {
+	strategy := cfg.Strategy.withDefault()
+	prune := strategy != StrategyExhaustive
+	fold := newScalarFold(prune, cfg.Telemetry)
+	if prune && strategy == StrategyBranchAndBound {
+		nominal, seeded, err := seedIncumbent(ctx, g, p, cfg)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		fold.ghosts = ghosts
+		if seeded {
+			fold.seed(nominal)
+		}
 	}
-	// T_M lower bounds feed both deadline pruning and the frontier's
-	// bound-dominance test, so the Pareto core computes them under every
-	// strategy (the exhaustive reference ignores them).
-	_, prunedCount, err := exploreCore(ctx, g, p, mapper, cfg, fold, coreOptions{
-		computeBounds: true,
+	perScaling, prunedCount, err := run(ctx, g, p, mapper, cfg, fold, coreOptions{
+		computeBounds: prune && cfg.DeadlineSec > 0,
 		prune:         prune,
 	})
 	if err != nil {
+		return nil, nil, err
+	}
+	if prunedCount > 0 && (fold.best == nil || !fold.best.Eval.MeetsDeadline) {
+		return leastInfeasible(ctx, g, p, mapper, cfg, run)
+	}
+	return fold.best, perScaling, nil
+}
+
+// explorePareto is the Pareto driver behind ExploreParetoContext and
+// ExploreShardedPareto: it runs one pass through the frontier fold and,
+// when no deadline-feasible design exists, returns the scalar degenerate
+// verdict as a single-entry frontier.
+func explorePareto(ctx context.Context, g *taskgraph.Graph, p *arch.Platform,
+	mapper MapperFunc, cfg Config, run passFunc) ([]*Design, error) {
+	// The frontier owns per-combination Designs; never retain the full
+	// per-combination list on top of it.
+	cfg.DiscardPerScaling = true
+	prune := cfg.Strategy.withDefault() != StrategyExhaustive
+	fold, err := newParetoFold(g, p, cfg, prune)
+	if err != nil {
 		return nil, err
 	}
-	frontier := fold.frontier()
-	if len(frontier) == 0 {
-		// No deadline-feasible design exists (bound-pruned combinations are
-		// provably infeasible, so they cannot change that); degenerate to
-		// the scalar "least infeasible" verdict. When every combination was
-		// resolved — no skip can fire against an empty frontier — the
-		// embedded scalar fold already walked the identical acceptance
-		// sequence; only a pass with bound-pruned gaps must be re-run. Warm
-		// ghosts CAN skip against an empty realized frontier, so a
-		// ghost-seeded run always takes the exhaustive re-run (in practice
-		// unreachable: ghosts exist only when the warm source found a
-		// feasible frontier at this deadline, which this run then refinds).
-		if prunedCount == 0 && fold.ghosts == nil {
-			return []*Design{fold.scalar.best}, nil
-		}
-		silent := cfg
-		silent.Progress = nil
-		silent.DiscardPerScaling = true
-		silent.Ranked = false
-		best, _, _, err := exploreStream(ctx, g, p, mapper, silent, false)
-		if err != nil {
-			return nil, err
-		}
-		return []*Design{best}, nil
+	// T_M lower bounds feed both deadline pruning and the frontier's
+	// bound-dominance test, so the Pareto fold takes them under every
+	// strategy (the exhaustive reference ignores them).
+	_, prunedCount, err := run(ctx, g, p, mapper, cfg, fold, coreOptions{computeBounds: true, prune: prune})
+	if err != nil {
+		return nil, err
 	}
-	return frontier, nil
+	if frontier := fold.frontier(); len(frontier) > 0 {
+		return frontier, nil
+	}
+	// No deadline-feasible design exists (bound-pruned combinations are
+	// provably infeasible, so they cannot change that). When every
+	// combination was resolved — no skip can fire against an empty frontier
+	// — the embedded scalar fold already walked the exhaustive acceptance
+	// sequence. Warm ghosts CAN skip against an empty realized frontier, so
+	// a ghost-seeded run always takes the fallback (in practice unreachable:
+	// ghosts exist only when the warm source found a feasible frontier at
+	// this deadline, which this run then refinds).
+	if prunedCount == 0 && fold.ghosts.Size() == 0 {
+		return []*Design{fold.scalar.best}, nil
+	}
+	best, _, err := leastInfeasible(ctx, g, p, mapper, cfg, run)
+	if err != nil {
+		return nil, err
+	}
+	return []*Design{best}, nil
+}
+
+// leastInfeasible is the degenerate all-infeasible verdict of both drivers.
+// Nothing feasible was found and bound-pruned combinations were never
+// mapped, so the exhaustive "least infeasible" verdict (minimum nominal
+// power among the designs the mapper actually produced) may live inside the
+// pruned set. It re-runs the same visit sequence without pruning —
+// deterministically — so the returned Design matches StrategyExhaustive
+// byte for byte. Progress was already emitted by the first pass and is not
+// replayed.
+func leastInfeasible(ctx context.Context, g *taskgraph.Graph, p *arch.Platform,
+	mapper MapperFunc, cfg Config, run passFunc) (best *Design, perScaling []*Design, err error) {
+	cfg.Progress = nil
+	fold := newScalarFold(false, cfg.Telemetry)
+	perScaling, _, err = run(ctx, g, p, mapper, cfg, fold, coreOptions{})
+	if err != nil {
+		return nil, nil, err
+	}
+	return fold.best, perScaling, nil
 }
 
 // errDominated is the cancellation cause of in-flight mapper work made
@@ -269,10 +289,9 @@ type outcome struct {
 	idx        int   // stable Fig. 5 enumeration index
 	scaling    []int // slab-pooled; released by the reduction
 	nominal    float64
-	tmLB       float64 // admissible T_M lower bound (valid when hasLB)
-	hasLB      bool
-	pruned     bool // bound-proved infeasible; mapper never ran
-	skipCand   bool // mapper skipped/cancelled as irrelevant (fold confirms)
+	tmLB       float64 // admissible T_M lower bound (zero unless computed)
+	pruned     bool    // bound-proved infeasible; mapper never ran
+	skipCand   bool    // mapper skipped/cancelled as irrelevant (fold confirms)
 	design     *Design
 	probed     bool // probe verdict: a feasible mapping exists at this scaling
 	probeKnown bool // the probe actually ran (false for dispatch-time skips)
@@ -284,6 +303,12 @@ type outcome struct {
 // implement it. dispatchSkip, register and unregister may be called from the
 // dispatcher and worker goroutines concurrently; confirmSkip, fold and
 // annotate run only on the fold goroutine, in visit order.
+//
+// Every external bound reaches a fold through its own monotone state — the
+// scalar incumbent board, the Pareto ghost frontier — whether it comes from
+// the ranked/warm seed, the warm frontier, or a shard's facts from earlier
+// positions. dispatchSkip and confirmSkip read that same state, so every
+// dispatch-time skip stays reproducible at fold time.
 type streamFold interface {
 	// dispatchSkip is the opportunistic pre-mapper dominance test. It must
 	// be monotone with respect to the fold's published state: once true for
@@ -311,16 +336,17 @@ type streamFold interface {
 	annotate(ev *Progress)
 }
 
-// incumbentBoard publishes the scalar reduction's monotone dominance
-// threshold to the dispatcher and workers, and tracks in-flight work so
-// newly dominated combinations are cancelled promptly. The board holds the
-// *minimum* nominal power of any probed-feasible design the fold has
-// accepted — strictly monotone non-increasing, even when the fold's current
-// incumbent drifts within the nominal-power tolerance band to a numerically
-// higher value on a Γ tie-break. That monotonicity is what makes every
-// opportunistic dispatch-time skip reproducible by the authoritative
-// fold-time rule: a combination dominated against an older (larger-or-
-// equal) threshold is dominated against every later one.
+// incumbentBoard holds the scalar reduction's monotone dominance threshold,
+// read by the dispatcher, the workers and the fold alike, and tracks
+// in-flight work so newly dominated combinations are cancelled promptly. The
+// board holds the *minimum* nominal power of any probed-feasible design the
+// fold has accepted, seeded or learned from an earlier shard — strictly
+// monotone non-increasing, even when the fold's current incumbent drifts
+// within the nominal-power tolerance band to a numerically higher value on a
+// Γ tie-break. That monotonicity is what makes every opportunistic
+// dispatch-time skip reproducible by the fold-time rule: a combination
+// dominated against an older (larger-or-equal) threshold is dominated
+// against every later one.
 type incumbentBoard struct {
 	mu       sync.Mutex
 	probed   bool
@@ -353,24 +379,31 @@ func (b *incumbentBoard) shouldSkip(nominal float64) bool {
 	return b.probed && dominatedNominal(nominal, b.nominal)
 }
 
-// hasProbed reports whether any probed-feasible design has been published
-// (folded or ranked-seeded). Monotone: once true, always true.
+// hasProbed reports whether any probed-feasible nominal has been published
+// (folded, seeded or learned from a fact). Monotone: once true, always true.
 func (b *incumbentBoard) hasProbed() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.probed
 }
 
-// publish lowers the dominance threshold after the fold accepts a
-// probed-feasible design and cancels newly dominated in-flight work (the
-// early exit: outstanding higher-position combinations that can no longer
-// win stop burning mapper budget). A nominal above the current threshold
-// (a within-tolerance Γ tie-break winner) leaves the threshold untouched.
-func (b *incumbentBoard) publish(nominal float64) {
+// threshold returns the dominance threshold, and whether one stands.
+func (b *incumbentBoard) threshold() (nominal float64, probed bool) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.nominal, b.probed
+}
+
+// publish lowers the dominance threshold to a probed-feasible nominal and
+// cancels newly dominated in-flight work (the early exit: outstanding
+// higher-position combinations that can no longer win stop burning mapper
+// budget). It reports whether the threshold moved: a nominal at or above it
+// (a within-tolerance Γ tie-break winner) leaves it untouched.
+func (b *incumbentBoard) publish(nominal float64) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.probed && nominal >= b.nominal {
-		return
+		return false
 	}
 	b.probed = true
 	b.nominal = nominal
@@ -380,6 +413,7 @@ func (b *incumbentBoard) publish(nominal float64) {
 			delete(b.inflight, pos)
 		}
 	}
+	return true
 }
 
 // registerUnlessSkipped atomically consults the incumbent and, when the
@@ -410,20 +444,18 @@ type scalarFold struct {
 	prune bool
 	board *incumbentBoard
 	tel   *Telemetry // incumbent/bound event sink; nil when detached
+	// facts, when set, receives every tightening of the board as a Fact at
+	// global position lo+pos (a shard's fold; see listen).
+	facts *FactBoard
+	lo    int
 
 	best        *Design
 	bestNominal float64 // the incumbent's own nominal (acceptance rule)
-	domNominal  float64 // min nominal of any accepted probed design (dominance rule)
 	bestProbed  bool
-	// seeded reports that domNominal was pre-published by the ranked
-	// incumbent pass: a probed-feasible nominal the lexicographic stream is
-	// guaranteed to fold eventually, so dominance skips against it are as
-	// sound as against a folded incumbent.
-	seeded bool
 }
 
-func newScalarFold(prune bool) *scalarFold {
-	return &scalarFold{prune: prune, board: newIncumbentBoard()}
+func newScalarFold(prune bool, tel *Telemetry) *scalarFold {
+	return &scalarFold{prune: prune, board: newIncumbentBoard(), tel: tel}
 }
 
 // seed pre-publishes a realizable probed-feasible nominal as the dominance
@@ -432,14 +464,25 @@ func newScalarFold(prune bool) *scalarFold {
 // first hit), so every beyond-band skip it causes discards a provably
 // non-winning combination.
 func (s *scalarFold) seed(nominal float64) {
-	s.seeded = true
-	s.domNominal = nominal
-	if s.prune {
-		s.board.publish(nominal)
-	}
+	s.board.publish(nominal)
 	if s.tel != nil {
 		s.tel.event(EventBound, -1, -1, nominal, 0)
 	}
+}
+
+// listen makes s a shard's fold over a range starting at global position
+// lo: its tightenings go to facts, and every scalar fact derived before lo
+// lowers the board exactly as a folded incumbent would. Such a position
+// precedes every position of the range, so the dominance argument is the
+// one for a seeded incumbent. Facts from the range itself or later are
+// ignored.
+func (s *scalarFold) listen(facts *FactBoard, lo int) {
+	s.facts, s.lo = facts, lo
+	facts.Subscribe(func(f Fact) {
+		if !f.Pareto && f.Pos < lo {
+			s.board.publish(f.Nominal)
+		}
+	})
 }
 
 func (s *scalarFold) dispatchSkip(o *outcome) bool {
@@ -460,26 +503,24 @@ func (s *scalarFold) unregister(pos int) {
 }
 
 // mapperSkippable: once any probed-feasible incumbent stands (folded or
-// ranked-seeded), a probe-infeasible combination can never displace it —
-// the acceptance walk prefers probed designs outright — so its mapper run
-// is irrelevant to the scalar verdict. The board's probed flag is monotone,
-// so confirmSkip reproduces every worker-time verdict.
+// seeded), a probe-infeasible combination can never displace it — the
+// acceptance walk prefers probed designs outright — so its mapper run is
+// irrelevant to the scalar verdict. The board's probed flag is monotone, so
+// confirmSkip reproduces every worker-time verdict.
 func (s *scalarFold) mapperSkippable() bool {
 	return s.prune && s.board.hasProbed()
 }
 
-// confirmSkip applies the authoritative branch-and-bound verdict on the
-// deterministic fold state alone. The dominance threshold is domNominal —
-// monotone non-increasing, exactly mirroring the board — not the
+// confirmSkip applies the authoritative branch-and-bound verdict. The
+// dominance threshold is the board's — monotone non-increasing — not the
 // incumbent's own nominal, which can drift upward within the tolerance band
-// on Γ tie-breaks. The second branch mirrors mapperSkippable: with a probed
-// incumbent standing, a probe-infeasible combination is irrelevant whether
-// or not its mapper happened to run.
+// on Γ tie-breaks. Without facts only the fold goroutine writes the board,
+// so the verdict is a pure function of the fold state. The second branch
+// mirrors mapperSkippable: with a probed incumbent standing, a
+// probe-infeasible combination is irrelevant whether or not its mapper
+// happened to run.
 func (s *scalarFold) confirmSkip(o *outcome) bool {
-	if !s.prune || !(s.bestProbed || s.seeded) {
-		return false
-	}
-	return dominatedNominal(o.nominal, s.domNominal) || (o.probeKnown && !o.probed)
+	return s.dispatchSkip(o) || (o.probeKnown && !o.probed && s.mapperSkippable())
 }
 
 func (s *scalarFold) fold(o *outcome) {
@@ -492,24 +533,21 @@ func (s *scalarFold) fold(o *outcome) {
 	default:
 		better = betterDesign(o.design.Eval, o.nominal, s.best.Eval, s.bestNominal)
 	}
-	if better {
-		s.best = o.design
-		s.bestNominal = o.nominal
-		tightened := false
-		if o.probed && (!(s.bestProbed || s.seeded) || o.nominal < s.domNominal) {
-			s.domNominal = o.nominal
-			tightened = true
+	if !better {
+		return
+	}
+	s.best = o.design
+	s.bestNominal = o.nominal
+	s.bestProbed = o.probed
+	tightened := o.probed && s.board.publish(o.nominal)
+	if s.tel != nil {
+		s.tel.event(EventIncumbent, o.pos, o.idx, o.nominal, 0)
+		if tightened {
+			s.tel.event(EventBound, o.pos, o.idx, o.nominal, 0)
 		}
-		s.bestProbed = o.probed
-		if s.prune && s.bestProbed {
-			s.board.publish(s.domNominal)
-		}
-		if s.tel != nil {
-			s.tel.event(EventIncumbent, o.pos, o.idx, o.nominal, 0)
-			if tightened {
-				s.tel.event(EventBound, o.pos, o.idx, s.domNominal, 0)
-			}
-		}
+	}
+	if tightened && s.facts != nil {
+		s.facts.Publish(Fact{Pos: s.lo + o.pos, Nominal: o.nominal})
 	}
 }
 
@@ -518,11 +556,12 @@ func (s *scalarFold) annotate(ev *Progress) { ev.Best = s.best }
 // paretoFold folds feasible resolved combinations into a streaming
 // non-dominated frontier over the configured objectives. Dominance skipping
 // tests a combination's admissible objective lower bound — exact nominal
-// power, the metrics.Bounds T_M lower bound, zero Γ — against the frontier:
-// a strictly dominated bound proves the realized vector is dominated too,
-// and pareto.Fold's eviction discipline keeps the verdict monotone, so
-// dispatch-time skips are always reproducible at fold time. The mutex makes
-// the dispatcher's opportunistic reads safe against fold-goroutine writes.
+// power, the metrics.Bounds T_M lower bound, zero Γ — against the frontier
+// and the ghost frontier: a strictly dominated bound proves the realized
+// vector is dominated too, and pareto.Fold's eviction discipline keeps the
+// verdict monotone, so dispatch-time skips are always reproducible at fold
+// time. The mutex makes the dispatcher's opportunistic reads safe against
+// fold-goroutine and fact writes.
 type paretoFold struct {
 	objectives  pareto.Objectives
 	deadlineSec float64
@@ -533,57 +572,105 @@ type paretoFold struct {
 	scalar *scalarFold
 
 	tel *Telemetry // admission event sink; nil when detached
+	// facts, when set, receives every admission as a Pareto Fact at global
+	// position lo+pos (a shard's fold; see listen).
+	facts *FactBoard
+	lo    int
 
-	// ghosts is the warm-start frontier: realized objective vectors of a
-	// prior fingerprint-matching run over identical mapper inputs (deadline,
-	// seed, SER, budgets), differing at most in active objectives. Each
-	// ghost's vector is exactly what this run will realize at that
-	// combination, so a bound strictly dominated by a ghost is as provably
-	// irrelevant as one dominated by a folded member. Immutable after
-	// construction, hence monotone, hence reproducible at fold time. Nil
-	// when not warm-started.
-	ghosts *pareto.Fold[struct{}]
-
-	mu       sync.RWMutex
+	mu sync.RWMutex
+	// ghosts holds realized objective vectors this run is known to reach or
+	// be dominated by: the warm-start frontier (a prior fingerprint-matching
+	// run over identical mapper inputs — deadline, seed, SER, budgets —
+	// differing at most in active objectives, so each ghost is exactly what
+	// this run realizes at that combination) and, in a shard, admissions
+	// from positions before its range. A bound strictly dominated by a
+	// ghost is as provably irrelevant as one dominated by a folded member.
+	// Points are only ever offered, and pareto.Fold evicts a point only for
+	// one that dominates it, so the test stays monotone.
+	ghosts   *pareto.Fold[struct{}]
 	fold_    *pareto.Fold[*Design]
 	admitted bool // whether annotate's outcome joined the frontier
 }
 
-func newParetoFold(cfg Config) (*paretoFold, error) {
+// newParetoFold builds the frontier fold and, under pruning
+// branch-and-bound, its warm-start ghosts: Config.WarmFrontier re-validated
+// against this run. Each ghost's power is recomputed as the combination's
+// nominal power by this engine's own cursor — never taken from the caller —
+// and points whose makespan misses this run's deadline are dropped (they
+// cannot be members of any frontier this run produces).
+func newParetoFold(g *taskgraph.Graph, p *arch.Platform, cfg Config, prune bool) (*paretoFold, error) {
 	f, err := pareto.NewFold[*Design](cfg.Objectives)
+	if err != nil {
+		return nil, err
+	}
+	ghosts, err := pareto.NewFold[struct{}](cfg.Objectives)
 	if err != nil {
 		return nil, err
 	}
 	// The embedded scalar fold tracks only the degenerate all-infeasible
 	// verdict; it stays detached from telemetry so its internal acceptance
 	// walk does not masquerade as incumbent events in a Pareto run.
-	return &paretoFold{
+	pf := &paretoFold{
 		objectives:  cfg.Objectives,
 		deadlineSec: cfg.DeadlineSec,
-		scalar:      newScalarFold(false),
-		fold_:       f,
+		scalar:      newScalarFold(false, nil),
 		tel:         cfg.Telemetry,
-	}, nil
-}
-
-// bound is the combination's admissible objective lower bound: no mapping at
-// this scaling can realize a vector below it in any component.
-func (p *paretoFold) bound(o *outcome) pareto.Vector {
-	lb := pareto.Vector{Power: o.nominal}
-	if o.hasLB {
-		lb.Makespan = o.tmLB
+		ghosts:      ghosts,
+		fold_:       f,
 	}
-	return lb // Γ lower bound is zero
+	if !prune || len(cfg.WarmFrontier) == 0 || cfg.Strategy.withDefault() != StrategyBranchAndBound {
+		return pf, nil
+	}
+	space, err := vscale.PlatformSpace(p)
+	if err != nil {
+		return nil, err
+	}
+	cursor := cfg.Reuse.boundsFor(g, p, cfg.Iterations).Cursor()
+	for _, wp := range cfg.WarmFrontier {
+		if wp.Combination < 0 || wp.Combination >= space.Count() {
+			continue
+		}
+		if cfg.DeadlineSec > 0 && wp.Makespan > cfg.DeadlineSec {
+			continue
+		}
+		scaling, err := space.Unrank(wp.Combination)
+		if err != nil {
+			continue
+		}
+		if _, err := cursor.Advance(scaling); err != nil {
+			return nil, err
+		}
+		ghosts.Offer(pareto.Vector{Power: cursor.NominalPower(), Makespan: wp.Makespan, Gamma: wp.Gamma},
+			wp.Combination, struct{}{})
+	}
+	return pf, nil
 }
 
+// listen makes p a shard's fold over a range starting at global position
+// lo: its admissions go to facts, and every Pareto fact derived before lo
+// joins the ghost frontier — a realized vector at a position preceding the
+// range dominates exactly as a folded member would. Facts from the range
+// itself or later are ignored.
+func (p *paretoFold) listen(facts *FactBoard, lo int) {
+	p.facts, p.lo = facts, lo
+	facts.Subscribe(func(f Fact) {
+		if f.Pareto && f.Pos < lo {
+			p.mu.Lock()
+			p.ghosts.Offer(pareto.Vector{Power: f.Nominal, Makespan: f.Makespan, Gamma: f.Gamma},
+				f.Pos, struct{}{})
+			p.mu.Unlock()
+		}
+	})
+}
+
+// dispatchSkip tests the combination's admissible objective lower bound: no
+// mapping at this scaling can realize a vector below it in any component
+// (the Γ lower bound is zero).
 func (p *paretoFold) dispatchSkip(o *outcome) bool {
-	lb := p.bound(o)
-	if p.ghosts != nil && p.ghosts.DominatedBound(lb) {
-		return true
-	}
+	lb := pareto.Vector{Power: o.nominal, Makespan: o.tmLB}
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	return p.fold_.DominatedBound(lb)
+	return p.ghosts.DominatedBound(lb) || p.fold_.DominatedBound(lb)
 }
 
 // register: the Pareto fold has no in-flight cancellation — a frontier
@@ -600,15 +687,7 @@ func (p *paretoFold) unregister(int) {}
 // so a probe-infeasible combination's mapper run still matters here.
 func (p *paretoFold) mapperSkippable() bool { return false }
 
-func (p *paretoFold) confirmSkip(o *outcome) bool {
-	lb := p.bound(o)
-	if p.ghosts != nil && p.ghosts.DominatedBound(lb) {
-		return true
-	}
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return p.fold_.DominatedBound(lb)
-}
+func (p *paretoFold) confirmSkip(o *outcome) bool { return p.dispatchSkip(o) }
 
 func (p *paretoFold) fold(o *outcome) {
 	p.scalar.fold(o)
@@ -622,8 +701,15 @@ func (p *paretoFold) fold(o *outcome) {
 	p.admitted = p.fold_.Offer(v, o.idx, o.design)
 	size := p.fold_.Size()
 	p.mu.Unlock()
-	if p.admitted && p.tel != nil {
+	if !p.admitted {
+		return
+	}
+	if p.tel != nil {
 		p.tel.event(EventAdmitted, o.pos, o.idx, o.nominal, size)
+	}
+	if p.facts != nil {
+		p.facts.Publish(Fact{Pos: p.lo + o.pos, Pareto: true,
+			Nominal: o.nominal, Makespan: ev.TMSeconds, Gamma: ev.Gamma})
 	}
 }
 
@@ -718,11 +804,11 @@ func seedIncumbent(ctx context.Context, g *taskgraph.Graph, p *arch.Platform, cf
 // answer at any Parallelism. That value pre-seeds the branch-and-bound
 // dominance threshold, so the lexicographic stream skips beyond-band
 // combinations from its very first position instead of waiting for the
-// incumbent to stream by. Probe verdicts land in cfg.Probe (keyed by the
-// stable combination index), so the main stream reuses every probe this
-// pass ran, the at most Parallelism−1 probed past the answer included. ok
-// is false when nothing probe-feasible exists; the stream then runs
-// unseeded and the usual degenerate fallback applies.
+// incumbent to stream by. Probe verdicts land in the Reuse bundle's probe
+// cache (keyed by the stable combination index), so the main stream reuses
+// every probe this pass ran, the at most Parallelism−1 probed past the
+// answer included. ok is false when nothing probe-feasible exists; the
+// stream then runs unseeded and the usual degenerate fallback applies.
 func seedRankedIncumbent(ctx context.Context, g *taskgraph.Graph, p *arch.Platform, cfg Config) (nominal float64, ok bool, err error) {
 	space, err := vscale.PlatformSpace(p)
 	if err != nil {
@@ -869,7 +955,7 @@ func probeSeedWaves(ctx context.Context, g *taskgraph.Graph, p *arch.Platform, c
 		}
 	}()
 
-	cursor := boundsFor(g, p, cfg).Cursor()
+	cursor := cfg.Reuse.boundsFor(g, p, cfg.Iterations).Cursor()
 	wave := make([]seedCandidate, workers)
 	var wg sync.WaitGroup
 	for {
@@ -914,8 +1000,8 @@ func probeSeedWaves(ctx context.Context, g *taskgraph.Graph, p *arch.Platform, c
 	}
 }
 
-// comboWorker is one engine worker's private state: an evaluator (pooled
-// through Config.Reuse when set) and a MapContext with its probe scratch,
+// comboWorker is one engine worker's private state: an evaluator borrowed
+// from the Reuse bundle's pool and a MapContext with its probe scratch,
 // reused across every combination the worker handles. Build it on the
 // goroutine that runs it: built back to back on one goroutine, workers end
 // up side by side in memory and then false-share the schedulers' small
@@ -927,19 +1013,19 @@ type comboWorker struct {
 }
 
 func newComboWorker(g *taskgraph.Graph, p *arch.Platform, cfg Config) (*comboWorker, error) {
-	eval, release, err := acquireEvaluator(g, p, cfg)
+	eval, err := cfg.Reuse.evaluator(g, p, cfg)
 	if err != nil {
 		return nil, err
 	}
 	return &comboWorker{
 		mc:      &MapContext{Graph: g, Platform: p, Eval: eval, scratch: newComboScratch(g.N(), p.Cores())},
-		release: release,
+		release: func() { cfg.Reuse.release(eval, cfg) },
 		base:    eval.Stats(),
 	}, nil
 }
 
-// close returns the worker's evaluator. Pooled evaluators carry counters
-// across borrowers, so only this worker's delta goes to telemetry.
+// close returns the worker's evaluator to the pool. Pooled evaluators carry
+// counters across borrowers, so only this worker's delta goes to telemetry.
 func (wk *comboWorker) close(tel *Telemetry) {
 	if tel != nil {
 		tel.addEvalStats(wk.mc.Eval.Stats().Sub(wk.base))
@@ -963,89 +1049,12 @@ func (wk *comboWorker) seedProbe(ctx context.Context, row int, c *seedCandidate,
 		t0 = tel.now()
 	}
 	var hit bool
-	_, c.feasible, hit, c.err = cfg.Probe.feasibleAtScaling(mc, c.idx, cfg)
+	_, c.feasible, hit, c.err = cfg.Reuse.probe.feasibleAtScaling(mc, c.idx, cfg)
 	if tel != nil {
 		t1 := tel.now()
 		tel.observeProbe(t1-t0, hit)
 		tel.workerSpan(row, t0, t1, c.idx, "rank")
 	}
-}
-
-// warmGhostFold validates Config.WarmFrontier and folds the surviving points
-// into an immutable ghost frontier for the Pareto fold's dominance tests.
-// Each ghost's power is recomputed as the combination's nominal power by
-// this engine's own cursor — never taken from the caller — and points whose
-// makespan misses this run's deadline are dropped (they cannot be members
-// of any frontier this run produces). Returns nil when nothing survives.
-func warmGhostFold(g *taskgraph.Graph, p *arch.Platform, cfg Config) (*pareto.Fold[struct{}], error) {
-	space, err := vscale.PlatformSpace(p)
-	if err != nil {
-		return nil, err
-	}
-	count := space.Count()
-	bounds := boundsFor(g, p, cfg)
-	cursor := bounds.Cursor()
-	gf, err := pareto.NewFold[struct{}](cfg.Objectives)
-	if err != nil {
-		return nil, err
-	}
-	added := false
-	for _, wp := range cfg.WarmFrontier {
-		if wp.Combination < 0 || wp.Combination >= count {
-			continue
-		}
-		if cfg.DeadlineSec > 0 && wp.Makespan > cfg.DeadlineSec {
-			continue
-		}
-		scaling, err := space.Unrank(wp.Combination)
-		if err != nil {
-			continue
-		}
-		if _, err := cursor.Advance(scaling); err != nil {
-			return nil, err
-		}
-		gf.Offer(pareto.Vector{Power: cursor.NominalPower(), Makespan: wp.Makespan, Gamma: wp.Gamma},
-			wp.Combination, struct{}{})
-		added = true
-	}
-	if !added {
-		return nil, nil
-	}
-	return gf, nil
-}
-
-// exploreStream is the scalar entry to the streaming work loop: it plugs the
-// single-best fold into the shared core and returns the chosen design plus
-// the number of bound-pruned combinations so the caller can decide whether
-// the all-infeasible fallback is needed.
-func exploreStream(ctx context.Context, g *taskgraph.Graph, p *arch.Platform,
-	mapper MapperFunc, cfg Config, prune bool) (best *Design, perScaling []*Design, prunedCount int, err error) {
-	fold := newScalarFold(prune)
-	fold.tel = cfg.Telemetry
-	if prune && cfg.Strategy.withDefault() == StrategyBranchAndBound {
-		if cfg.Probe == nil {
-			if cfg.Reuse != nil {
-				cfg.Probe = cfg.Reuse.Probe()
-			} else {
-				cfg.Probe = NewProbeCache()
-			}
-		}
-		nominal, seeded, err := seedIncumbent(ctx, g, p, cfg)
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		if seeded {
-			fold.seed(nominal)
-		}
-	}
-	perScaling, prunedCount, err = exploreCore(ctx, g, p, mapper, cfg, fold, coreOptions{
-		computeBounds: prune && cfg.DeadlineSec > 0,
-		prune:         prune,
-	})
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	return fold.best, perScaling, prunedCount, nil
 }
 
 // coreOptions tunes the shared streaming core.
@@ -1061,6 +1070,9 @@ type coreOptions struct {
 	// source — the shard worker uses it to restrict the walk to a
 	// contiguous rank range while keeping every stable enumeration index.
 	source *comboSource
+	// records, when non-nil, receives one ShardRecord per visit position
+	// (nil for bound-pruned positions): the shard worker's record stream.
+	records []*ShardRecord
 }
 
 // exploreCore is the streaming work loop shared by every strategy and fold:
@@ -1106,10 +1118,6 @@ func exploreCore(ctx context.Context, g *taskgraph.Graph, p *arch.Platform,
 	if window > total {
 		window = total
 	}
-	probe := cfg.Probe
-	if probe == nil {
-		probe = NewProbeCache()
-	}
 	cores := p.Cores()
 	tel := cfg.Telemetry
 	var t0 int64
@@ -1117,8 +1125,7 @@ func exploreCore(ctx context.Context, g *taskgraph.Graph, p *arch.Platform,
 		tel.beginPass(strategy, workers, workers)
 		t0 = tel.now()
 	}
-	bounds := boundsFor(g, p, cfg)
-	cursor := bounds.Cursor()
+	cursor := cfg.Reuse.boundsFor(g, p, cfg.Iterations).Cursor()
 	if tel != nil {
 		tel.addBounds(tel.now() - t0)
 	}
@@ -1173,6 +1180,7 @@ func exploreCore(ctx context.Context, g *taskgraph.Graph, p *arch.Platform,
 			if evErr == nil {
 				defer wk.close(tel)
 			}
+			skippable := fold.mapperSkippable
 			for o := range jobs {
 				if evErr != nil {
 					o.err = evErr
@@ -1192,7 +1200,7 @@ func exploreCore(ctx context.Context, g *taskgraph.Graph, p *arch.Platform,
 				if tel != nil {
 					spanStart = tel.now()
 				}
-				o.design, o.probed, o.probeKnown, o.skipCand, o.err = exploreCombo(jctx, wk.mc, mapper, o.scaling, o.idx, cfg, probe, fold)
+				o.design, o.probed, o.probeKnown, o.skipCand, o.err = exploreCombo(jctx, wk.mc, mapper, o.scaling, o.idx, cfg, skippable)
 				if opts.prune {
 					fold.unregister(o.pos)
 				}
@@ -1260,7 +1268,6 @@ func exploreCore(ctx context.Context, g *taskgraph.Graph, p *arch.Platform,
 			o.nominal = cursor.NominalPower()
 			if opts.computeBounds {
 				o.tmLB = cursor.TMLowerBound()
-				o.hasLB = true
 				// Prune only beyond a safety band: the bound is exact
 				// mathematics but inexact floats.
 				if opts.prune && cfg.DeadlineSec > 0 && o.tmLB > cfg.DeadlineSec*(1+1e-9) {
@@ -1299,16 +1306,13 @@ func exploreCore(ctx context.Context, g *taskgraph.Graph, p *arch.Platform,
 	// as soon as their prefix is complete, so the acceptance walk, the
 	// pruned/skipped verdicts and the Progress stream never depend on
 	// worker timing. pending is a by-value reorder ring of at most window
-	// entries; ev is the one Progress event reused across every callback.
+	// entries.
 	pending := make([]outcome, window)
 	havePending := make([]bool, window)
 	next := 0
 	var firstErr error
 	firstErrPos := total
-	var ev Progress
-	if !cfg.DiscardPerScaling {
-		perScaling = make([]*Design, 0, total)
-	}
+	red := newReduction(cfg, fold, total, opts.records)
 	for o := range results {
 		if o.err != nil {
 			// Keep the lowest-positioned real failure as the verdict
@@ -1335,10 +1339,7 @@ func exploreCore(ctx context.Context, g *taskgraph.Graph, p *arch.Platform,
 
 			// Authoritative branch-and-bound verdict, decided on the
 			// deterministic fold state alone.
-			skipped := false
-			if opts.prune && !d.pruned && fold.confirmSkip(d) {
-				skipped = true
-			}
+			skipped := opts.prune && !d.pruned && fold.confirmSkip(d)
 			if d.skipCand && !skipped && !d.pruned {
 				// A dispatch-time skip the fold cannot reproduce would
 				// break determinism; by the fold's monotonicity this is
@@ -1350,50 +1351,7 @@ func exploreCore(ctx context.Context, g *taskgraph.Graph, p *arch.Platform,
 				}
 				break
 			}
-
-			switch {
-			case d.pruned:
-				prunedCount++
-				if tel != nil {
-					tel.comboVerdict(EventPruned, next, d.idx, d.nominal)
-				}
-				if !cfg.DiscardPerScaling {
-					perScaling = append(perScaling, nil)
-				}
-				if cfg.Progress != nil {
-					ev = Progress{Index: next, Total: total, Combination: d.idx,
-						Scaling: d.scaling, Pruned: true}
-					fold.annotate(&ev)
-					cfg.Progress(ev)
-				}
-			case skipped:
-				if tel != nil {
-					tel.comboVerdict(EventSkipped, next, d.idx, d.nominal)
-				}
-				if !cfg.DiscardPerScaling {
-					perScaling = append(perScaling, nil)
-				}
-				if cfg.Progress != nil {
-					ev = Progress{Index: next, Total: total, Combination: d.idx,
-						Scaling: d.scaling, Skipped: true}
-					fold.annotate(&ev)
-					cfg.Progress(ev)
-				}
-			default:
-				if tel != nil {
-					tel.comboVerdict("", next, d.idx, d.nominal)
-				}
-				if !cfg.DiscardPerScaling {
-					perScaling = append(perScaling, d.design)
-				}
-				fold.fold(d)
-				if cfg.Progress != nil {
-					ev = Progress{Index: next, Total: total, Combination: d.idx,
-						Scaling: d.design.Scaling, Design: d.design}
-					fold.annotate(&ev)
-					cfg.Progress(ev)
-				}
-			}
+			red.resolve(next, d, skipped)
 			putSlab(d.scaling)
 			d.scaling = nil
 			d.design = nil
@@ -1415,7 +1373,77 @@ func exploreCore(ctx context.Context, g *taskgraph.Graph, p *arch.Platform,
 		// parent-context error; treat it as cancellation.
 		return nil, 0, context.Canceled
 	}
-	return perScaling, prunedCount, nil
+	return red.perScaling, red.pruned, nil
+}
+
+// reduction is the per-position bookkeeping of the ordered reduction,
+// shared by exploreCore and the shard replay. Every resolved position
+// appends to perScaling, counts toward the pruned total, records its
+// telemetry verdict and, in a shard, its ShardRecord, folds when neither
+// pruned nor skipped, and reaches the Progress callback through the one
+// event reused across every callback (hence the borrowed-event contract on
+// Progress).
+type reduction struct {
+	fold       streamFold
+	progress   func(Progress)
+	tel        *Telemetry
+	total      int
+	keep       bool           // retain perScaling
+	records    []*ShardRecord // nil unless a shard records its verdicts
+	perScaling []*Design
+	pruned     int
+	ev         Progress
+}
+
+func newReduction(cfg Config, fold streamFold, total int, records []*ShardRecord) *reduction {
+	r := &reduction{fold: fold, progress: cfg.Progress, tel: cfg.Telemetry, total: total,
+		keep: !cfg.DiscardPerScaling, records: records}
+	if r.keep {
+		r.perScaling = make([]*Design, 0, total)
+	}
+	return r
+}
+
+// resolve applies the verdict of the outcome at visit position pos:
+// pruned (o.pruned), skipped, or folded. A skipped position whose mapper
+// ran keeps its mapping in the shard record, so a coordinator whose
+// tolerance band disagrees re-evaluates it instead of re-mapping.
+func (r *reduction) resolve(pos int, o *outcome, skipped bool) {
+	kind := ""
+	var d *Design
+	switch {
+	case o.pruned:
+		kind = EventPruned
+		r.pruned++
+	case skipped:
+		kind = EventSkipped
+	default:
+		d = o.design
+	}
+	if r.tel != nil {
+		r.tel.comboVerdict(kind, pos, o.idx, o.nominal)
+	}
+	if r.keep {
+		r.perScaling = append(r.perScaling, d)
+	}
+	if r.records != nil && !o.pruned {
+		rec := &ShardRecord{Idx: o.idx, Skipped: skipped, Probed: o.probed, ProbeKnown: o.probeKnown}
+		if o.design != nil {
+			rec.Mapping = append([]int(nil), o.design.Mapping...)
+		}
+		r.records[pos] = rec
+	}
+	scaling := o.scaling
+	if d != nil {
+		r.fold.fold(o)
+		scaling = d.Scaling
+	}
+	if r.progress != nil {
+		r.ev = Progress{Index: pos, Total: r.total, Combination: o.idx, Scaling: scaling,
+			Pruned: o.pruned, Skipped: skipped, Design: d}
+		r.fold.annotate(&r.ev)
+		r.progress(r.ev)
+	}
 }
 
 // exploreCombo runs one scaling combination on a worker's reused MapContext:
@@ -1425,14 +1453,14 @@ func exploreCore(ctx context.Context, g *taskgraph.Graph, p *arch.Platform,
 //
 // The probe runs first: besides fixing step 1's mapper-independent
 // feasibility verdict, a probe-infeasible result can prove the whole mapper
-// run irrelevant — when fold.mapperSkippable() holds, a probe-infeasible
-// combination can never influence the fold, so the mapper is skipped and
-// the combination resolves as a skip candidate (skipped true, design nil).
+// run irrelevant — when skippable (the fold's mapperSkippable; nil for
+// never) holds, a probe-infeasible combination can never influence the
+// fold, so the mapper is skipped and the combination resolves as a skip
+// candidate (skipped true, design nil).
 // The probe itself is cached by combination index, so reordering it ahead
 // of the mapper changes no verdict, only how often the mapper runs.
 func exploreCombo(ctx context.Context, mc *MapContext, mapper MapperFunc,
-	scaling []int, idx int, cfg Config, probe *ProbeCache,
-	fold streamFold) (d *Design, probed, probeKnown, skipped bool, err error) {
+	scaling []int, idx int, cfg Config, skippable func() bool) (d *Design, probed, probeKnown, skipped bool, err error) {
 	if err := ctx.Err(); err != nil {
 		return nil, false, false, false, err
 	}
@@ -1453,14 +1481,14 @@ func exploreCombo(ctx context.Context, mc *MapContext, mapper MapperFunc,
 	if tel != nil {
 		t0 = tel.now()
 	}
-	probeEv, probedFeasible, probeHit, err := probe.feasibleAtScaling(mc, idx, cfg)
+	probeEv, probedFeasible, probeHit, err := cfg.Reuse.probe.feasibleAtScaling(mc, idx, cfg)
 	if tel != nil {
 		tel.observeProbe(tel.now()-t0, probeHit)
 	}
 	if err != nil {
 		return nil, false, false, false, err
 	}
-	if !probedFeasible && fold.mapperSkippable() {
+	if !probedFeasible && skippable != nil && skippable() {
 		if tel != nil {
 			tel.mapperSpared()
 		}

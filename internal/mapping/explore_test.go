@@ -173,7 +173,7 @@ func TestExploreCancellation(t *testing.T) {
 	for _, par := range []int{1, 4} {
 		c := rc
 		c.Parallelism = par
-		c.Probe = NewProbeCache()
+		c.Reuse = NewReuse()
 		tel := NewTelemetry()
 		c.Telemetry = tel
 		// The probe's climb polls the context once per move, so the
@@ -298,12 +298,12 @@ func TestProbeCacheShared(t *testing.T) {
 	c := cfg(taskgraph.MPEG2Deadline, taskgraph.MPEG2Frames)
 	c.SearchMoves = 60
 	c.Strategy = StrategyExhaustive // probe must run at every scaling
-	c.Probe = NewProbeCache()
+	c.Reuse = NewReuse()
 	best1, _, err := Explore(g, p, SEAMapper(c), c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cached := c.Probe.Len()
+	cached := c.Reuse.Probe().Len()
 	if cached != 15 {
 		t.Fatalf("probe cache holds %d scalings after one explore, want 15", cached)
 	}
@@ -311,8 +311,8 @@ func TestProbeCacheShared(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Probe.Len() != cached {
-		t.Errorf("second explore grew the probe cache to %d entries", c.Probe.Len())
+	if c.Reuse.Probe().Len() != cached {
+		t.Errorf("second explore grew the probe cache to %d entries", c.Reuse.Probe().Len())
 	}
 	if designFingerprint(best1) != designFingerprint(best2) {
 		t.Errorf("shared probe cache changed the result:\n  1st: %s\n  2nd: %s",

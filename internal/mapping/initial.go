@@ -53,10 +53,6 @@ type Config struct {
 	// combination, in visit order. Callbacks run on the exploring
 	// goroutine; keep them fast.
 	Progress func(Progress)
-	// Probe optionally shares a feasibility-probe cache across Explore
-	// calls over the same workload (see ProbeCache). Nil gives each call
-	// a private cache.
-	Probe *ProbeCache
 	// Strategy selects how Explore walks the scaling enumeration: "" or
 	// StrategyBranchAndBound (default, provably the same answer as
 	// exhaustive), StrategyExhaustive (map every combination), or
@@ -87,10 +83,11 @@ type Config struct {
 	// that only need the best design (the facade, the service) set it.
 	DiscardPerScaling bool
 	// Reuse shares bounds precompute, probe cache and pooled evaluators
-	// across explorations of the same workload (a sweep's points, or
-	// fingerprint-matching service jobs). Nil disables sharing. See Reuse
-	// for the sharing contract. Results are byte-identical with or without
-	// it.
+	// across explorations of the same workload (a sweep's points, the four
+	// experiments of Table II, or fingerprint-matching service jobs). Nil
+	// gives each call a private bundle, shared only by that call's own
+	// passes. See Reuse for the sharing contract. Results are
+	// byte-identical with or without it.
 	Reuse *Reuse
 	// WarmHints offers prior winners' combination indices as warm-start
 	// incumbent candidates to StrategyBranchAndBound's scalar fold. Each

@@ -40,6 +40,8 @@ const ProbeMoves = 400
 // platform content, Config.Seed and Config.Iterations; DeadlineSec and SER
 // may vary freely between calls (per-(deadline, SER) evaluations are
 // memoized per entry). Do not share one across different workloads.
+// Explorations reach a cache through Config.Reuse; with Reuse nil, each
+// call probes through a private bundle's cache.
 type ProbeCache struct {
 	mu      sync.Mutex
 	entries map[int]*probeEntry
@@ -388,34 +390,4 @@ func (r *Reuse) release(e *metrics.Evaluator, cfg Config) {
 		r.pool = append(r.pool, e)
 	}
 	r.mu.Unlock()
-}
-
-// acquireEvaluator hands exploration code an evaluator for cfg — pooled via
-// cfg.Reuse when present, freshly built otherwise — plus a release func.
-// Pooled evaluators carry cumulative work counters across borrowers, so the
-// caller must attribute only the counter delta since acquisition to its own
-// telemetry.
-func acquireEvaluator(g *taskgraph.Graph, p *arch.Platform, cfg Config) (*metrics.Evaluator, func(), error) {
-	if cfg.Reuse != nil {
-		e, err := cfg.Reuse.evaluator(g, p, cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		return e, func() { cfg.Reuse.release(e, cfg) }, nil
-	}
-	e, err := metrics.NewEvaluator(g, p, cfg.SER,
-		metrics.Options{Iterations: cfg.Iterations, DeadlineSec: cfg.DeadlineSec})
-	if err != nil {
-		return nil, nil, err
-	}
-	return e, func() {}, nil
-}
-
-// boundsFor returns the Bounds precompute for cfg — shared via cfg.Reuse
-// when present, freshly built otherwise.
-func boundsFor(g *taskgraph.Graph, p *arch.Platform, cfg Config) *metrics.Bounds {
-	if cfg.Reuse != nil {
-		return cfg.Reuse.boundsFor(g, p, cfg.Iterations)
-	}
-	return metrics.NewBounds(g, p, cfg.Iterations)
 }

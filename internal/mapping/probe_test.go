@@ -194,8 +194,8 @@ func TestProbeCacheConcurrentSharingNoDuplicateWork(t *testing.T) {
 	loose := mk(taskgraph.MPEG2Deadline * 1.5)
 	tight := mk(taskgraph.MPEG2Deadline * 0.8)
 
-	runOne := func(c Config, probe *ProbeCache) (string, metrics.EvalStats) {
-		c.Probe = probe
+	runOne := func(c Config, reuse *Reuse) (string, metrics.EvalStats) {
+		c.Reuse = reuse
 		c.Telemetry = NewTelemetry()
 		best, _, err := Explore(g, p, SEAMapper(c), c)
 		if err != nil {
@@ -206,16 +206,16 @@ func TestProbeCacheConcurrentSharingNoDuplicateWork(t *testing.T) {
 
 	// Reference: each deadline cold and solo, plus the probe work of one
 	// cold run at the tighter deadline (the deepest climb any entry needs).
-	soloLoose, _ := runOne(loose, NewProbeCache())
-	soloTight, coldStats := runOne(tight, NewProbeCache())
+	soloLoose, _ := runOne(loose, NewReuse())
+	soloTight, coldStats := runOne(tight, NewReuse())
 
-	shared := NewProbeCache()
+	shared := NewReuse()
 	cfgs := [2]Config{loose, tight}
 	tels := [2]*Telemetry{NewTelemetry(), NewTelemetry()}
 	fps := [2]string{}
 	var wg sync.WaitGroup
 	for i := range cfgs {
-		cfgs[i].Probe = shared
+		cfgs[i].Reuse = shared
 		cfgs[i].Telemetry = tels[i]
 		wg.Add(1)
 		go func(i int) {
@@ -247,7 +247,7 @@ func TestProbeCacheConcurrentSharingNoDuplicateWork(t *testing.T) {
 	}
 
 	// Every combination has exactly one cached trajectory between the runs.
-	if want := 15; shared.Len() != want {
-		t.Errorf("shared cache holds %d trajectories, want %d", shared.Len(), want)
+	if want := 15; shared.Probe().Len() != want {
+		t.Errorf("shared cache holds %d trajectories, want %d", shared.Probe().Len(), want)
 	}
 }

@@ -5,10 +5,11 @@ package mapping
 // The combination space is a totally ordered enumeration with O(1)
 // Rank/Unrank (vscale.Space), so it partitions into contiguous [Lo,Hi)
 // shards that peer workers explore independently. Each worker runs the
-// ordinary streaming core restricted to its range and returns a compact
-// per-combination record stream (skip verdicts plus realized mappings);
-// the coordinator then REPLAYS the exact single-node fold in global rank
-// order, treating the records as an accelerator, not an authority:
+// ordinary streaming core restricted to its range, with the ordinary scalar
+// or Pareto fold, and returns a compact per-combination record stream (skip
+// verdicts plus realized mappings); the coordinator then REPLAYS the exact
+// single-node fold in global rank order, treating the records as an
+// accelerator, not an authority:
 //
 //   - prune verdicts are recomputed from the coordinator's own bound
 //     cursor (a pure function of the combination);
@@ -25,9 +26,9 @@ package mapping
 // cross-shard bound facts can only save work, never change the answer.
 //
 // While shards run, bound tightenings travel between them as Facts on a
-// FactBoard: a shard that accepts a probed-feasible incumbent (scalar) or
-// admits a frontier member (Pareto) publishes the fact, and every shard
-// prunes against facts derived at global positions BEFORE its own range —
+// FactBoard: a shard's fold publishes every probed-feasible incumbent that
+// lowers its threshold (scalar) and every frontier admission (Pareto), and
+// takes in the facts derived at global positions BEFORE its own range —
 // those positions precede every position of the shard, so the dominance
 // argument is the same as against a locally folded incumbent.
 
@@ -35,12 +36,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"sync"
-	"sync/atomic"
 
 	"seadopt/internal/arch"
-	"seadopt/internal/pareto"
 	"seadopt/internal/sched"
 	"seadopt/internal/taskgraph"
 	"seadopt/internal/vscale"
@@ -207,8 +205,8 @@ type ShardResult struct {
 type ShardRunner func(ctx context.Context, req ShardRequest, board *FactBoard) (*ShardResult, error)
 
 // InProcRunner returns a ShardRunner executing shards embedded in the
-// calling process over the given workload; cfg's probe cache (materialize
-// it first) is shared with the coordinator.
+// calling process over the given workload; cfg's Reuse bundle, when set, is
+// shared with the coordinator (the sharded entry points always set one).
 func InProcRunner(g *taskgraph.Graph, p *arch.Platform, mapper MapperFunc, cfg Config) ShardRunner {
 	return func(ctx context.Context, req ShardRequest, board *FactBoard) (*ShardResult, error) {
 		return ExploreShard(ctx, g, p, mapper, cfg, req, board)
@@ -238,244 +236,32 @@ func rangeComboSource(space *vscale.Space, lo, hi int) (*comboSource, error) {
 	}, nil
 }
 
-// shardScalarFold wraps the scalar fold with the cross-shard dominance
-// threshold: facts from positions before the shard act exactly like a
-// pre-seeded incumbent. The external threshold is a monotone-decreasing
-// atomic consulted identically at dispatch, register and fold time, so
-// every opportunistic skip stays reproducible by confirmSkip.
-type shardScalarFold struct {
-	inner *scalarFold
-	lo    int
-	board *FactBoard
-	prune bool
-
-	extBits   atomic.Uint64 // Float64bits of the external threshold
-	extSeeded atomic.Bool
-}
-
-func newShardScalarFold(inner *scalarFold, lo int, board *FactBoard, prune bool) *shardScalarFold {
-	s := &shardScalarFold{inner: inner, lo: lo, board: board, prune: prune}
-	s.extBits.Store(math.Float64bits(math.Inf(1)))
-	if board != nil && prune {
-		board.Subscribe(s.applyFact)
-	}
-	return s
-}
-
-func (s *shardScalarFold) applyFact(f Fact) {
-	if f.Pareto || f.Pos >= s.lo {
-		return
-	}
-	for {
-		old := s.extBits.Load()
-		if math.Float64frombits(old) <= f.Nominal {
-			break
-		}
-		if s.extBits.CompareAndSwap(old, math.Float64bits(f.Nominal)) {
-			break
-		}
-	}
-	s.extSeeded.Store(true)
-}
-
-func (s *shardScalarFold) extDominated(nominal float64) bool {
-	return s.prune && s.extSeeded.Load() &&
-		dominatedNominal(nominal, math.Float64frombits(s.extBits.Load()))
-}
-
-func (s *shardScalarFold) dispatchSkip(o *outcome) bool {
-	return s.extDominated(o.nominal) || s.inner.dispatchSkip(o)
-}
-
-func (s *shardScalarFold) register(o *outcome, cancel context.CancelCauseFunc) bool {
-	if s.extDominated(o.nominal) {
-		return false
-	}
-	return s.inner.register(o, cancel)
-}
-
-func (s *shardScalarFold) unregister(pos int) { s.inner.unregister(pos) }
-
-func (s *shardScalarFold) mapperSkippable() bool {
-	return (s.prune && s.extSeeded.Load()) || s.inner.mapperSkippable()
-}
-
-func (s *shardScalarFold) confirmSkip(o *outcome) bool {
-	if s.extDominated(o.nominal) {
-		return true
-	}
-	// Mirror scalarFold's probe-infeasible rule under an external probed
-	// incumbent the inner fold may not know about.
-	if s.prune && s.extSeeded.Load() && o.probeKnown && !o.probed {
-		return true
-	}
-	return s.inner.confirmSkip(o)
-}
-
-func (s *shardScalarFold) fold(o *outcome) {
-	before := s.inner.domNominal
-	had := s.inner.bestProbed || s.inner.seeded
-	s.inner.fold(o)
-	if s.board == nil || !o.probed {
-		return
-	}
-	if now := s.inner.bestProbed || s.inner.seeded; now && (!had || s.inner.domNominal < before) {
-		s.board.Publish(Fact{Pos: s.lo + o.pos, Nominal: s.inner.domNominal})
-	}
-}
-
-func (s *shardScalarFold) annotate(ev *Progress) { s.inner.annotate(ev) }
-
-// shardParetoFold wraps the Pareto fold with an external ghost frontier
-// built from admission facts of positions before the shard. Points are
-// only ever added, so DominatedBound stays monotone and every
-// opportunistic skip is reproducible at fold time.
-type shardParetoFold struct {
-	inner *paretoFold
-	lo    int
-	board *FactBoard
-	prune bool
-
-	mu   sync.RWMutex
-	ext  *pareto.Fold[struct{}]
-	seen map[Fact]struct{}
-}
-
-func newShardParetoFold(inner *paretoFold, lo int, objectives pareto.Objectives, board *FactBoard, prune bool) (*shardParetoFold, error) {
-	ext, err := pareto.NewFold[struct{}](objectives)
-	if err != nil {
-		return nil, err
-	}
-	s := &shardParetoFold{inner: inner, lo: lo, board: board, prune: prune,
-		ext: ext, seen: make(map[Fact]struct{})}
-	if board != nil && prune {
-		board.Subscribe(s.applyFact)
-	}
-	return s, nil
-}
-
-func (s *shardParetoFold) applyFact(f Fact) {
-	if !f.Pareto || f.Pos >= s.lo {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, dup := s.seen[f]; dup {
-		return
-	}
-	s.seen[f] = struct{}{}
-	s.ext.Offer(pareto.Vector{Power: f.Nominal, Makespan: f.Makespan, Gamma: f.Gamma},
-		f.Pos, struct{}{})
-}
-
-func (s *shardParetoFold) extDominated(lb pareto.Vector) bool {
-	if !s.prune {
-		return false
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.ext.DominatedBound(lb)
-}
-
-func (s *shardParetoFold) dispatchSkip(o *outcome) bool {
-	return s.extDominated(s.inner.bound(o)) || s.inner.dispatchSkip(o)
-}
-
-func (s *shardParetoFold) register(o *outcome, _ context.CancelCauseFunc) bool {
-	return !s.dispatchSkip(o)
-}
-
-func (s *shardParetoFold) unregister(int) {}
-
-func (s *shardParetoFold) mapperSkippable() bool { return s.inner.mapperSkippable() }
-
-func (s *shardParetoFold) confirmSkip(o *outcome) bool {
-	return s.extDominated(s.inner.bound(o)) || s.inner.confirmSkip(o)
-}
-
-func (s *shardParetoFold) fold(o *outcome) {
-	s.inner.fold(o)
-	if s.board == nil || !s.inner.admitted {
-		return
-	}
-	e := o.design.Eval
-	s.board.Publish(Fact{Pos: s.lo + o.pos, Pareto: true,
-		Nominal: o.nominal, Makespan: e.TMSeconds, Gamma: e.Gamma})
-}
-
-func (s *shardParetoFold) annotate(ev *Progress) { s.inner.annotate(ev) }
-
-// recordingFold decorates a shard's fold to capture the per-combination
-// record stream the coordinator replays. Bound-pruned positions never
-// reach the fold, leaving their record nil.
-type recordingFold struct {
-	inner   streamFold
-	records []*ShardRecord
-}
-
-func (r *recordingFold) dispatchSkip(o *outcome) bool { return r.inner.dispatchSkip(o) }
-func (r *recordingFold) register(o *outcome, cancel context.CancelCauseFunc) bool {
-	return r.inner.register(o, cancel)
-}
-func (r *recordingFold) unregister(pos int)    { r.inner.unregister(pos) }
-func (r *recordingFold) mapperSkippable() bool { return r.inner.mapperSkippable() }
-
-func (r *recordingFold) confirmSkip(o *outcome) bool {
-	if !r.inner.confirmSkip(o) {
-		return false
-	}
-	rec := &ShardRecord{Idx: o.idx, Skipped: true, Probed: o.probed, ProbeKnown: o.probeKnown}
-	if o.design != nil {
-		// A dominance-skipped combination that did run the mapper: keep
-		// the mapping so a coordinator that disagrees (the tolerance band
-		// can differ by one incumbent) re-evaluates instead of re-mapping.
-		rec.Mapping = append([]int(nil), o.design.Mapping...)
-	}
-	r.records[o.pos] = rec
-	return true
-}
-
-func (r *recordingFold) fold(o *outcome) {
-	r.records[o.pos] = &ShardRecord{Idx: o.idx, Probed: o.probed, ProbeKnown: o.probeKnown,
-		Mapping: append([]int(nil), o.design.Mapping...)}
-	r.inner.fold(o)
-}
-
-func (r *recordingFold) annotate(ev *Progress) { r.inner.annotate(ev) }
+// errSampledShard rejects the one strategy without a contiguous
+// enumeration to partition.
+var errSampledShard = errors.New("mapping: sharded exploration requires a contiguous enumeration strategy")
 
 // ExploreShard is the worker side of the distributed exploration: it runs
-// the ordinary streaming core over req.Range with the shard fold wrapper,
-// publishing bound tightenings to (and pruning against) board, and
-// returns the record stream for the coordinator's replay. Progress,
-// telemetry, warm hints and ranked seeding are coordinator concerns and
-// are forced off here.
+// the ordinary streaming core over req.Range with the scalar or Pareto fold,
+// publishing the fold's bound tightenings to board and pruning against the
+// facts there derived before the range, and returns the record stream for
+// the coordinator's replay. req.InitialFacts are published to board first;
+// a nil board gives the shard a private one. Progress, telemetry, warm
+// hints and ranked seeding are coordinator concerns and are forced off
+// here.
 func ExploreShard(ctx context.Context, g *taskgraph.Graph, p *arch.Platform,
 	mapper MapperFunc, cfg Config, req ShardRequest, board *FactBoard) (*ShardResult, error) {
-	cfg = cfg.withDefaults()
-	if req.Pareto && cfg.Objectives == 0 {
-		cfg.Objectives = pareto.DefaultObjectives
-	}
 	cfg.Progress = nil
 	cfg.Telemetry = nil
 	cfg.DiscardPerScaling = true
 	cfg.Ranked = false
 	cfg.WarmHints = nil
-	if err := cfg.Validate(); err != nil {
+	ctx, cfg, err := setup(ctx, cfg, req.Pareto)
+	if err != nil {
 		return nil, err
-	}
-	if ctx == nil {
-		ctx = context.Background()
 	}
 	strategy := cfg.Strategy.withDefault()
 	if strategy == StrategySampled {
-		return nil, fmt.Errorf("mapping: sharded exploration requires a contiguous enumeration strategy")
-	}
-	if cfg.Probe == nil {
-		if cfg.Reuse != nil {
-			cfg.Probe = cfg.Reuse.Probe()
-		} else {
-			cfg.Probe = NewProbeCache()
-		}
+		return nil, errSampledShard
 	}
 	space, err := vscale.PlatformSpace(p)
 	if err != nil {
@@ -490,42 +276,31 @@ func ExploreShard(ctx context.Context, g *taskgraph.Graph, p *arch.Platform,
 	if err != nil {
 		return nil, err
 	}
+	if board == nil {
+		board = NewFactBoard()
+	}
 	prune := !req.NoPrune && strategy != StrategyExhaustive
-
-	rec := &recordingFold{records: make([]*ShardRecord, hi-lo)}
-	var opts coreOptions
+	opts := coreOptions{prune: prune, source: src, records: make([]*ShardRecord, hi-lo)}
+	var fold streamFold
 	if req.Pareto {
-		pf, err := newParetoFold(cfg)
+		pf, err := newParetoFold(g, p, cfg, prune)
 		if err != nil {
 			return nil, err
 		}
-		if prune && len(cfg.WarmFrontier) > 0 && strategy == StrategyBranchAndBound {
-			ghosts, err := warmGhostFold(g, p, cfg)
-			if err != nil {
-				return nil, err
-			}
-			pf.ghosts = ghosts
-		}
-		sw, err := newShardParetoFold(pf, lo, cfg.Objectives, board, prune)
-		if err != nil {
-			return nil, err
-		}
-		rec.inner = sw
-		opts = coreOptions{computeBounds: true, prune: prune, source: src}
+		pf.listen(board, lo)
+		fold, opts.computeBounds = pf, true
 	} else {
-		sw := newShardScalarFold(newScalarFold(prune), lo, board, prune)
-		rec.inner = sw
-		opts = coreOptions{computeBounds: prune && cfg.DeadlineSec > 0, prune: prune, source: src}
+		sf := newScalarFold(prune, nil)
+		sf.listen(board, lo)
+		fold, opts.computeBounds = sf, prune && cfg.DeadlineSec > 0
 	}
-	if board != nil {
-		for _, f := range req.InitialFacts {
-			board.Publish(f)
-		}
+	for _, f := range req.InitialFacts {
+		board.Publish(f)
 	}
-	if _, _, err := exploreCore(ctx, g, p, mapper, cfg, rec, opts); err != nil {
+	if _, _, err := exploreCore(ctx, g, p, mapper, cfg, fold, opts); err != nil {
 		return nil, err
 	}
-	return &ShardResult{Range: req.Range, Records: rec.records}, nil
+	return &ShardResult{Range: req.Range, Records: opts.records}, nil
 }
 
 // runShards fans base out over the ranges, one runner per range, and
@@ -599,23 +374,11 @@ func runShards(ctx context.Context, base ShardRequest, ranges []ShardRange,
 
 func errorsIsCanceled(err error) bool { return errors.Is(err, context.Canceled) }
 
-// noSkipFold is the inert fold the coordinator's recompute path hands to
-// exploreCombo: it never authorizes a mapper skip, so a recomputed design
-// is exactly what a pruning-free single-node worker would produce.
-type noSkipFold struct{}
-
-func (noSkipFold) dispatchSkip(*outcome) bool                      { return false }
-func (noSkipFold) register(*outcome, context.CancelCauseFunc) bool { return true }
-func (noSkipFold) unregister(int)                                  {}
-func (noSkipFold) mapperSkippable() bool                           { return false }
-func (noSkipFold) confirmSkip(*outcome) bool                       { return false }
-func (noSkipFold) fold(*outcome)                                   {}
-func (noSkipFold) annotate(*Progress)                              {}
-
 // realizeDesign materializes the design of a position the authoritative
 // replay wants to fold: re-evaluate the recorded mapping when the shard
 // shipped one (bit-identical to the worker's evaluation of the same
-// mapping), otherwise recompute the combination outright.
+// mapping), otherwise recompute the combination outright, never skipping
+// the mapper, exactly as a pruning-free single-node worker would.
 func realizeDesign(ctx context.Context, mc *MapContext, mapper MapperFunc,
 	scaling []int, idx int, cfg Config, rec *ShardRecord) (*Design, bool, error) {
 	if rec != nil && rec.Mapping != nil {
@@ -633,39 +396,31 @@ func realizeDesign(ctx context.Context, mc *MapContext, mapper MapperFunc,
 		}
 		return d, rec.Probed, nil
 	}
-	d, probed, _, skipped, err := exploreCombo(ctx, mc, mapper, scaling, idx, cfg, cfg.Probe, noSkipFold{})
+	d, probed, _, _, err := exploreCombo(ctx, mc, mapper, scaling, idx, cfg, nil)
 	if err != nil {
 		return nil, false, err
-	}
-	if skipped || d == nil {
-		return nil, false, fmt.Errorf("mapping: internal error: recompute of combination %d produced no design", idx)
 	}
 	return d, probed, nil
 }
 
-// replayScalar is the coordinator's authoritative merge: the single-node
-// scalar fold replayed in global rank order over the shard records.
-func replayScalar(ctx context.Context, g *taskgraph.Graph, p *arch.Platform,
-	mapper MapperFunc, cfg Config, fold *scalarFold, records []*ShardRecord,
-	prune bool) (perScaling []*Design, prunedCount int, err error) {
+// replay is the coordinator's authoritative merge: the single-node fold —
+// scalar or Pareto — replayed in global rank order over the shard records,
+// with exploreCore's deadline pruning and fold-time skip rule.
+func replay(ctx context.Context, g *taskgraph.Graph, p *arch.Platform, mapper MapperFunc,
+	cfg Config, fold streamFold, records []*ShardRecord, opts coreOptions) (perScaling []*Design, prunedCount int, err error) {
 	space, err := vscale.PlatformSpace(p)
 	if err != nil {
 		return nil, 0, err
 	}
-	total := space.Count()
 	it := space.Iter()
-	cursor := boundsFor(g, p, cfg).Cursor()
-	eval, releaseEval, err := acquireEvaluator(g, p, cfg)
+	cursor := cfg.Reuse.boundsFor(g, p, cfg.Iterations).Cursor()
+	wk, err := newComboWorker(g, p, cfg)
 	if err != nil {
 		return nil, 0, err
 	}
-	defer releaseEval()
-	mc := &MapContext{Graph: g, Platform: p, Eval: eval, scratch: newComboScratch(g.N(), p.Cores())}
-	computeBounds := prune && cfg.DeadlineSec > 0
-	if !cfg.DiscardPerScaling {
-		perScaling = make([]*Design, 0, total)
-	}
-	var ev Progress
+	defer wk.close(nil)
+	mc := wk.mc
+	red := newReduction(cfg, fold, space.Count(), nil)
 	for pos := 0; ; pos++ {
 		scaling, idx, more := it.Next()
 		if !more {
@@ -680,180 +435,67 @@ func replayScalar(ctx context.Context, g *taskgraph.Graph, p *arch.Platform,
 			return nil, 0, err
 		}
 		o := outcome{pos: pos, idx: idx, scaling: scaling, nominal: cursor.NominalPower()}
-		if computeBounds {
+		if opts.computeBounds {
 			o.tmLB = cursor.TMLowerBound()
-			o.hasLB = true
-			if o.tmLB > cfg.DeadlineSec*(1+1e-9) {
-				prunedCount++
-				if !cfg.DiscardPerScaling {
-					perScaling = append(perScaling, nil)
-				}
-				if cfg.Progress != nil {
-					ev = Progress{Index: pos, Total: total, Combination: idx,
-						Scaling: scaling, Pruned: true}
-					fold.annotate(&ev)
-					cfg.Progress(ev)
-				}
-				continue
-			}
-		}
-		rec := records[idx]
-		if rec != nil {
-			o.probed, o.probeKnown = rec.Probed, rec.ProbeKnown
+			o.pruned = opts.prune && cfg.DeadlineSec > 0 && o.tmLB > cfg.DeadlineSec*(1+1e-9)
 		}
 		skipped := false
-		if prune {
-			skipped = fold.confirmSkip(&o)
-			if !skipped && !o.probeKnown && (fold.bestProbed || fold.seeded) {
+		if !o.pruned {
+			rec := records[idx]
+			if rec != nil {
+				o.probed, o.probeKnown = rec.Probed, rec.ProbeKnown
+			}
+			skipped = opts.prune && fold.confirmSkip(&o)
+			if opts.prune && !skipped && !o.probeKnown && fold.mapperSkippable() {
 				// The record is a dispatch-time skip that never probed, but
 				// the coordinator's dominance band disagrees — decide with
 				// the probe, exactly as the single-node worker would have.
-				if err := eval.Bind(scaling); err != nil {
+				if err := mc.Eval.Bind(scaling); err != nil {
 					return nil, 0, err
 				}
 				mc.Ctx = ctx
-				mc.Scaling = eval.Scaling()
+				mc.Scaling = mc.Eval.Scaling()
 				mc.Seed = comboSeed(cfg.Seed, idx)
-				_, feasible, _, perr := cfg.Probe.feasibleAtScaling(mc, idx, cfg)
-				if perr != nil {
-					return nil, 0, perr
+				_, feasible, _, err := cfg.Reuse.probe.feasibleAtScaling(mc, idx, cfg)
+				if err != nil {
+					return nil, 0, err
 				}
 				o.probed, o.probeKnown = feasible, true
 				skipped = fold.confirmSkip(&o)
 			}
-		}
-		if skipped {
-			if !cfg.DiscardPerScaling {
-				perScaling = append(perScaling, nil)
+			if !skipped {
+				if o.design, o.probed, err = realizeDesign(ctx, mc, mapper, scaling, idx, cfg, rec); err != nil {
+					return nil, 0, err
+				}
+				o.probeKnown = true
 			}
-			if cfg.Progress != nil {
-				ev = Progress{Index: pos, Total: total, Combination: idx,
-					Scaling: scaling, Skipped: true}
-				fold.annotate(&ev)
-				cfg.Progress(ev)
-			}
-			continue
 		}
-		d, probed, err := realizeDesign(ctx, mc, mapper, scaling, idx, cfg, rec)
-		if err != nil {
-			return nil, 0, err
-		}
-		o.design, o.probed, o.probeKnown = d, probed, true
-		if !cfg.DiscardPerScaling {
-			perScaling = append(perScaling, d)
-		}
-		fold.fold(&o)
-		if cfg.Progress != nil {
-			ev = Progress{Index: pos, Total: total, Combination: idx,
-				Scaling: d.Scaling, Design: d}
-			fold.annotate(&ev)
-			cfg.Progress(ev)
-		}
+		red.resolve(pos, &o, skipped)
 	}
-	return perScaling, prunedCount, nil
+	return red.perScaling, red.pruned, nil
 }
 
-// replayPareto replays the single-node Pareto fold (deadline pruning,
-// frontier bound-dominance skips, embedded scalar walk) over the shard
-// records in global rank order.
-func replayPareto(ctx context.Context, g *taskgraph.Graph, p *arch.Platform,
-	mapper MapperFunc, cfg Config, fold *paretoFold, records []*ShardRecord,
-	prune bool) (prunedCount int, err error) {
-	space, err := vscale.PlatformSpace(p)
-	if err != nil {
-		return 0, err
-	}
-	total := space.Count()
-	it := space.Iter()
-	cursor := boundsFor(g, p, cfg).Cursor()
-	eval, releaseEval, err := acquireEvaluator(g, p, cfg)
-	if err != nil {
-		return 0, err
-	}
-	defer releaseEval()
-	mc := &MapContext{Graph: g, Platform: p, Eval: eval, scratch: newComboScratch(g.N(), p.Cores())}
-	var ev Progress
-	for pos := 0; ; pos++ {
-		scaling, idx, more := it.Next()
-		if !more {
-			break
-		}
-		if pos&0xff == 0 {
-			if err := ctx.Err(); err != nil {
-				return 0, err
-			}
-		}
-		if _, err := cursor.Advance(scaling); err != nil {
-			return 0, err
-		}
-		o := outcome{pos: pos, idx: idx, scaling: scaling, nominal: cursor.NominalPower()}
-		o.tmLB = cursor.TMLowerBound()
-		o.hasLB = true
-		if prune && cfg.DeadlineSec > 0 && o.tmLB > cfg.DeadlineSec*(1+1e-9) {
-			prunedCount++
-			if cfg.Progress != nil {
-				ev = Progress{Index: pos, Total: total, Combination: idx,
-					Scaling: scaling, Pruned: true}
-				fold.annotate(&ev)
-				cfg.Progress(ev)
-			}
-			continue
-		}
-		rec := records[idx]
-		if rec != nil {
-			o.probed, o.probeKnown = rec.Probed, rec.ProbeKnown
-		}
-		if prune && fold.confirmSkip(&o) {
-			if cfg.Progress != nil {
-				ev = Progress{Index: pos, Total: total, Combination: idx,
-					Scaling: scaling, Skipped: true}
-				fold.annotate(&ev)
-				cfg.Progress(ev)
-			}
-			continue
-		}
-		d, probed, err := realizeDesign(ctx, mc, mapper, scaling, idx, cfg, rec)
-		if err != nil {
-			return 0, err
-		}
-		o.design, o.probed, o.probeKnown = d, probed, true
-		fold.fold(&o)
-		if cfg.Progress != nil {
-			ev = Progress{Index: pos, Total: total, Combination: idx,
-				Scaling: d.Scaling, Design: d}
-			fold.annotate(&ev)
-			cfg.Progress(ev)
-		}
-	}
-	return prunedCount, nil
-}
-
-// prepareSharded normalizes a coordinator Config and resolves the shard
-// plan: one contiguous range per runner, nil runner entries replaced by
-// embedded in-process execution sharing the coordinator's probe cache.
-func prepareSharded(g *taskgraph.Graph, p *arch.Platform, mapper MapperFunc,
-	cfg Config, runners []ShardRunner) (Config, []ShardRange, []ShardRunner, error) {
+// shardedPass returns the pass of a sharded exploration: one contiguous
+// range per runner (nil runners run embedded in this process, sharing the
+// coordinator's Reuse bundle), each pass fanning the ranges out over a
+// fresh fact board and merging the records through the authoritative
+// replay. The scalar fold's standing threshold — the ranked/warm seed, the
+// only bound known before position 0 — reaches the shards as a Pos -1
+// fact.
+func shardedPass(g *taskgraph.Graph, p *arch.Platform, mapper MapperFunc,
+	cfg Config, runners []ShardRunner) (passFunc, error) {
 	if len(runners) == 0 {
-		return cfg, nil, nil, fmt.Errorf("mapping: sharded exploration needs at least one shard runner")
-	}
-	if err := cfg.Validate(); err != nil {
-		return cfg, nil, nil, err
+		return nil, fmt.Errorf("mapping: sharded exploration needs at least one shard runner")
 	}
 	if cfg.Strategy.withDefault() == StrategySampled {
-		return cfg, nil, nil, fmt.Errorf("mapping: sharded exploration requires a contiguous enumeration strategy")
-	}
-	if cfg.Probe == nil {
-		if cfg.Reuse != nil {
-			cfg.Probe = cfg.Reuse.Probe()
-		} else {
-			cfg.Probe = NewProbeCache()
-		}
+		return nil, errSampledShard
 	}
 	space, err := vscale.PlatformSpace(p)
 	if err != nil {
-		return cfg, nil, nil, err
+		return nil, err
 	}
-	ranges := ShardRanges(space.Count(), len(runners))
+	total := space.Count()
+	ranges := ShardRanges(total, len(runners))
 	resolved := make([]ShardRunner, len(runners))
 	for i, r := range runners {
 		if r == nil {
@@ -861,37 +503,24 @@ func prepareSharded(g *taskgraph.Graph, p *arch.Platform, mapper MapperFunc,
 		}
 		resolved[i] = r
 	}
-	return cfg, ranges, resolved, nil
-}
-
-// exploreShardedStream mirrors exploreStream over shards: seed the
-// coordinator fold (broadcasting the seed as a fact), fan the ranges out,
-// then replay-merge authoritatively.
-func exploreShardedStream(ctx context.Context, g *taskgraph.Graph, p *arch.Platform,
-	mapper MapperFunc, cfg Config, ranges []ShardRange, runners []ShardRunner,
-	prune bool) (best *Design, perScaling []*Design, prunedCount int, err error) {
-	fold := newScalarFold(prune)
-	board := NewFactBoard()
-	if prune && cfg.Strategy.withDefault() == StrategyBranchAndBound {
-		nominal, seeded, err := seedIncumbent(ctx, g, p, cfg)
+	return func(ctx context.Context, g *taskgraph.Graph, p *arch.Platform, mapper MapperFunc,
+		cfg Config, fold streamFold, opts coreOptions) ([]*Design, int, error) {
+		board := NewFactBoard()
+		req := ShardRequest{NoPrune: !opts.prune}
+		switch f := fold.(type) {
+		case *paretoFold:
+			req.Pareto = true
+		case *scalarFold:
+			if nominal, seeded := f.board.threshold(); seeded {
+				board.Publish(Fact{Pos: -1, Nominal: nominal})
+			}
+		}
+		records, err := runShards(ctx, req, ranges, resolved, board, total)
 		if err != nil {
-			return nil, nil, 0, err
+			return nil, 0, err
 		}
-		if seeded {
-			fold.seed(nominal)
-			board.Publish(Fact{Pos: -1, Nominal: nominal})
-		}
-	}
-	total := ranges[len(ranges)-1].Hi
-	records, err := runShards(ctx, ShardRequest{NoPrune: !prune}, ranges, runners, board, total)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	perScaling, prunedCount, err = replayScalar(ctx, g, p, mapper, cfg, fold, records, prune)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	return fold.best, perScaling, prunedCount, nil
+		return replay(ctx, g, p, mapper, cfg, fold, records, opts)
+	}, nil
 }
 
 // ExploreSharded is the distributed counterpart of ExploreContext: the
@@ -903,31 +532,16 @@ func exploreShardedStream(ctx context.Context, g *taskgraph.Graph, p *arch.Platf
 // runner entries run their shard embedded in this process.
 func ExploreSharded(ctx context.Context, g *taskgraph.Graph, p *arch.Platform,
 	mapper MapperFunc, cfg Config, runners []ShardRunner) (best *Design, perScaling []*Design, err error) {
-	cfg = cfg.withDefaults()
 	cfg.Telemetry = nil
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	cfg, ranges, resolved, err := prepareSharded(g, p, mapper, cfg, runners)
+	ctx, cfg, err = setup(ctx, cfg, false)
 	if err != nil {
 		return nil, nil, err
 	}
-	prune := cfg.Strategy.withDefault() != StrategyExhaustive
-	best, perScaling, prunedCount, err := exploreShardedStream(ctx, g, p, mapper, cfg, ranges, resolved, prune)
+	run, err := shardedPass(g, p, mapper, cfg, runners)
 	if err != nil {
 		return nil, nil, err
 	}
-	if prunedCount > 0 && (best == nil || !best.Eval.MeetsDeadline) {
-		// Degenerate all-infeasible verdict: mirror ExploreContext's silent
-		// exhaustive fallback, sharded.
-		silent := cfg
-		silent.Progress = nil
-		best, perScaling, _, err = exploreShardedStream(ctx, g, p, mapper, silent, ranges, resolved, false)
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	return best, perScaling, nil
+	return exploreScalar(ctx, g, p, mapper, cfg, run)
 }
 
 // ExploreShardedPareto is the distributed counterpart of
@@ -935,58 +549,14 @@ func ExploreSharded(ctx context.Context, g *taskgraph.Graph, p *arch.Platform,
 // returned frontier and Progress stream.
 func ExploreShardedPareto(ctx context.Context, g *taskgraph.Graph, p *arch.Platform,
 	mapper MapperFunc, cfg Config, runners []ShardRunner) ([]*Design, error) {
-	cfg = cfg.withDefaults()
 	cfg.Telemetry = nil
-	if cfg.Objectives == 0 {
-		cfg.Objectives = pareto.DefaultObjectives
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	cfg.DiscardPerScaling = true
-	cfg, ranges, resolved, err := prepareSharded(g, p, mapper, cfg, runners)
+	ctx, cfg, err := setup(ctx, cfg, true)
 	if err != nil {
 		return nil, err
 	}
-	fold, err := newParetoFold(cfg)
+	run, err := shardedPass(g, p, mapper, cfg, runners)
 	if err != nil {
 		return nil, err
 	}
-	prune := cfg.Strategy.withDefault() != StrategyExhaustive
-	if prune && len(cfg.WarmFrontier) > 0 && cfg.Strategy.withDefault() == StrategyBranchAndBound {
-		ghosts, err := warmGhostFold(g, p, cfg)
-		if err != nil {
-			return nil, err
-		}
-		fold.ghosts = ghosts
-	}
-	board := NewFactBoard()
-	total := ranges[len(ranges)-1].Hi
-	records, err := runShards(ctx, ShardRequest{NoPrune: !prune, Pareto: true}, ranges, resolved, board, total)
-	if err != nil {
-		return nil, err
-	}
-	prunedCount, err := replayPareto(ctx, g, p, mapper, cfg, fold, records, prune)
-	if err != nil {
-		return nil, err
-	}
-	frontier := fold.frontier()
-	if len(frontier) == 0 {
-		// Mirror ExploreParetoContext's degenerate path: the scalar "least
-		// infeasible" verdict, from the embedded walk when it is complete,
-		// otherwise from a silent exhaustive sharded pass.
-		if prunedCount == 0 && fold.ghosts == nil {
-			return []*Design{fold.scalar.best}, nil
-		}
-		silent := cfg
-		silent.Progress = nil
-		silent.DiscardPerScaling = true
-		silent.Ranked = false
-		best, _, _, err := exploreShardedStream(ctx, g, p, mapper, silent, ranges, resolved, false)
-		if err != nil {
-			return nil, err
-		}
-		return []*Design{best}, nil
-	}
-	return frontier, nil
+	return explorePareto(ctx, g, p, mapper, cfg, run)
 }

@@ -3,10 +3,15 @@ package mapping
 import (
 	"context"
 	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 
 	"seadopt/internal/arch"
+	"seadopt/internal/metrics"
+	"seadopt/internal/pareto"
 	"seadopt/internal/taskgraph"
+	"seadopt/internal/vscale"
 )
 
 // shardEventFingerprint renders every field of a Progress event (Best
@@ -302,4 +307,243 @@ func TestFactBoard(t *testing.T) {
 	if len(facts) != 0 || next != 2 {
 		t.Fatalf("Since(2) = %v, %d", facts, next)
 	}
+}
+
+// shardVerdicts projects a shard result onto its timing-independent part:
+// each position's verdict, plus the probe hints and mapping of folded
+// positions. A skipped record's hints depend on whether its mapper ran
+// before the incumbent reached the worker, so they are left out.
+func shardVerdicts(res *ShardResult) []ShardRecord {
+	out := make([]ShardRecord, len(res.Records))
+	for i, r := range res.Records {
+		switch {
+		case r == nil:
+			out[i] = ShardRecord{Idx: -1}
+		case r.Skipped:
+			out[i] = ShardRecord{Idx: r.Idx, Skipped: true}
+		default:
+			out[i] = *r
+		}
+	}
+	return out
+}
+
+// shardSkips counts the skipped records of a shard result and, of those,
+// the ones carrying a Mapping (the mapper ran before the skip was decided).
+func shardSkips(res *ShardResult) (skipped, mapped int) {
+	for _, r := range res.Records {
+		if r != nil && r.Skipped {
+			skipped++
+			if r.Mapping != nil {
+				mapped++
+			}
+		}
+	}
+	return skipped, mapped
+}
+
+// TestExploreShardAppliesOnlyEarlierFacts pins the shard-side fact rule the
+// coordinator's byte-identity cannot see: the replay is authoritative, so a
+// shard that ignored facts, or applied one derived inside its own range,
+// would still merge to identical bytes and only do different work. On the
+// upper half of the §V 20-task, 3-core space, a fact from a position before
+// the range must add skips, and a fact at the range's first position must
+// change no verdict.
+func TestExploreShardAppliesOnlyEarlierFacts(t *testing.T) {
+	g := taskgraph.MustRandom(taskgraph.DefaultRandomConfig(20), 3)
+	p := plat(3)
+	base := cfg(taskgraph.RandomDeadline(20), 1)
+	base.SearchMoves = 200
+	base.Parallelism = 1
+
+	best, _, err := Explore(g, p, SEAMapper(base), base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cursor := metrics.NewBounds(g, p, base.Iterations).Cursor()
+	if _, err := cursor.Advance(best.Scaling); err != nil {
+		t.Fatal(err)
+	}
+	nominal := cursor.NominalPower()
+	space, err := vscale.PlatformSpace(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := space.Count()
+	lo := total / 2
+	rng := ShardRange{Lo: lo, Hi: total}
+
+	for _, leg := range []struct {
+		name           string
+		pareto         bool
+		earlier, inner Fact
+	}{
+		{"scalar", false, Fact{Pos: lo - 1, Nominal: nominal}, Fact{Pos: lo, Nominal: nominal}},
+		{"pareto", true, Fact{Pos: -1, Pareto: true, Nominal: nominal}, Fact{Pos: lo, Pareto: true, Nominal: nominal}},
+	} {
+		t.Run(leg.name, func(t *testing.T) {
+			c := base
+			if leg.pareto {
+				c.Objectives = pareto.ObjPower
+			}
+			run := func(facts ...Fact) *ShardResult {
+				t.Helper()
+				req := ShardRequest{Range: rng, Pareto: leg.pareto, InitialFacts: facts}
+				res, err := ExploreShard(context.Background(), g, p, SEAMapper(c), c, req, NewFactBoard())
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+			free := run()
+			freeSkips, _ := shardSkips(free)
+
+			earlier := run(leg.earlier)
+			earlierSkips, earlierMapped := shardSkips(earlier)
+			if earlierSkips <= freeSkips {
+				t.Errorf("fact at position %d: %d skipped records, want more than the fact-free %d",
+					leg.earlier.Pos, earlierSkips, freeSkips)
+			}
+			if !leg.pareto && earlierMapped != 0 {
+				t.Errorf("fact at position %d: %d skipped records carry a Mapping, want 0 (the threshold stands from the first position)",
+					leg.earlier.Pos, earlierMapped)
+			}
+
+			inner := run(leg.inner)
+			if !reflect.DeepEqual(shardVerdicts(inner), shardVerdicts(free)) {
+				innerSkips, _ := shardSkips(inner)
+				t.Errorf("fact at the range's own position %d changed the records (%d skipped, fact-free %d)",
+					leg.inner.Pos, innerSkips, freeSkips)
+			}
+			t.Logf("skipped: fact-free %d, earlier fact %d", freeSkips, earlierSkips)
+		})
+	}
+}
+
+// TestShardedWarmStartMatchesSingleNode extends sharded ≡ single-node to
+// warm-started runs, the inputs the service shards for fingerprint-matching
+// jobs: scalar WarmHints and Pareto WarmFrontier ghosts taken from a cold
+// single-node run. The Design or frontier and the whole Progress stream
+// must equal the warm single-node run at shard counts 1/2/4 and
+// Parallelism 1/4. The Pareto leg runs power-only on the input of
+// TestParetoBnBPrunesAndSkips, where the ghosts add skips.
+func TestShardedWarmStartMatchesSingleNode(t *testing.T) {
+	t.Run("scalar", func(t *testing.T) {
+		for _, w := range shardWorkloads(t) {
+			t.Run(w.name, func(t *testing.T) {
+				base := cfg(w.deadline, w.iters)
+				base.SearchMoves = 200
+				cold, _, err := Explore(w.g, w.p, SEAMapper(base), base)
+				if err != nil {
+					t.Fatal(err)
+				}
+				space, err := vscale.PlatformSpace(w.p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rank, err := space.Rank(cold.Scaling)
+				if err != nil {
+					t.Fatal(err)
+				}
+				base.WarmHints = []int{rank}
+
+				var want capturedRun
+				cw := base
+				captureProgress(&cw, &want.events)
+				warm, _, err := Explore(w.g, w.p, SEAMapper(cw), cw)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want.best = designFingerprint(warm)
+				if want.best != designFingerprint(cold) {
+					t.Fatalf("warm single-node Design diverged from cold:\n  cold: %s\n  warm: %s",
+						designFingerprint(cold), want.best)
+				}
+				for _, shards := range []int{1, 2, 4} {
+					for _, par := range []int{1, 4} {
+						c := base
+						c.Parallelism = par
+						var got capturedRun
+						captureProgress(&c, &got.events)
+						best, _, err := ExploreSharded(context.Background(), w.g, w.p, SEAMapper(c), c,
+							make([]ShardRunner, shards))
+						if err != nil {
+							t.Fatalf("shards=%d par=%d: %v", shards, par, err)
+						}
+						got.best = designFingerprint(best)
+						assertRunsEqual(t, fmt.Sprintf("shards=%d par=%d", shards, par), want, got)
+					}
+				}
+			})
+		}
+	})
+
+	t.Run("pareto", func(t *testing.T) {
+		g := taskgraph.MustRandom(taskgraph.DefaultRandomConfig(30), 8)
+		p := plat(3)
+		base := cfg(taskgraph.RandomDeadline(30)*0.5, 1)
+		base.SearchMoves = 120
+		base.Objectives = pareto.ObjPower
+
+		skips := func(events []string) int {
+			n := 0
+			for _, e := range events {
+				if strings.Contains(e, "skipped=true") {
+					n++
+				}
+			}
+			return n
+		}
+		var coldEvents []string
+		cc := base
+		captureProgress(&cc, &coldEvents)
+		cold, err := ExplorePareto(g, p, SEAMapper(cc), cc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		space, err := vscale.PlatformSpace(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range cold {
+			rank, err := space.Rank(d.Scaling)
+			if err != nil {
+				t.Fatal(err)
+			}
+			base.WarmFrontier = append(base.WarmFrontier,
+				WarmPoint{Combination: rank, Makespan: d.Eval.TMSeconds, Gamma: d.Eval.Gamma})
+		}
+
+		var want capturedRun
+		cw := base
+		captureProgress(&cw, &want.events)
+		warm, err := ExplorePareto(g, p, SEAMapper(cw), cw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.frontier = strings.Split(frontierFingerprint(warm), " | ")
+		if frontierFingerprint(warm) != frontierFingerprint(cold) {
+			t.Fatalf("warm single-node frontier diverged from cold:\n  cold: %s\n  warm: %s",
+				frontierFingerprint(cold), frontierFingerprint(warm))
+		}
+		if skips(want.events) <= skips(coldEvents) {
+			t.Fatalf("warm ghosts skipped %d combinations, cold %d: the ghosts never engaged",
+				skips(want.events), skips(coldEvents))
+		}
+		for _, shards := range []int{1, 2, 4} {
+			for _, par := range []int{1, 4} {
+				c := base
+				c.Parallelism = par
+				var got capturedRun
+				captureProgress(&c, &got.events)
+				frontier, err := ExploreShardedPareto(context.Background(), g, p, SEAMapper(c), c,
+					make([]ShardRunner, shards))
+				if err != nil {
+					t.Fatalf("shards=%d par=%d: %v", shards, par, err)
+				}
+				got.frontier = strings.Split(frontierFingerprint(frontier), " | ")
+				assertRunsEqual(t, fmt.Sprintf("shards=%d par=%d", shards, par), want, got)
+			}
+		}
+	})
 }

@@ -936,10 +936,12 @@ func (s *Server) worker() {
 			}
 		}
 		wait := started.Sub(f.enqueued).Seconds()
+		// Read under the lock: Submit appends coalesced jobs to f.jobs.
+		jobs := len(f.jobs)
 		s.mu.Unlock()
 		s.queueWaitHist.Observe(wait)
 		s.cfg.Logger.Info("flight started",
-			"key", f.key, "jobs", len(f.jobs), "queue_wait_sec", wait)
+			"key", f.key, "jobs", jobs, "queue_wait_sec", wait)
 		s.run(f)
 	}
 }

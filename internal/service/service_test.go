@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"log/slog"
 	"strings"
 	"sync"
 	"testing"
@@ -475,5 +476,49 @@ func TestMetricsRendering(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("metrics output missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// gateHandler is a slog.Handler that holds the "flight started" record until
+// release is closed. It signals nothing back: a signal from the worker would
+// order the worker's earlier reads before the test's next step and hide the
+// race the test looks for.
+type gateHandler struct{ release chan struct{} }
+
+func (h gateHandler) Enabled(context.Context, slog.Level) bool { return true }
+func (h gateHandler) WithAttrs([]slog.Attr) slog.Handler       { return h }
+func (h gateHandler) WithGroup(string) slog.Handler            { return h }
+func (h gateHandler) Handle(_ context.Context, r slog.Record) error {
+	if r.Message == "flight started" {
+		<-h.release
+	}
+	return nil
+}
+
+// TestFlightStartLogVersusCoalescedSubmit: a worker that has just started a
+// flight must not read the flight's job list unlocked while Submit coalesces
+// a new job onto it. The worker is held inside its "flight started" log
+// call, so it takes no lock between that read and the coalescing Submit;
+// the race detector then reports any unlocked read.
+func TestFlightStartLogVersusCoalescedSubmit(t *testing.T) {
+	gate := gateHandler{release: make(chan struct{})}
+	s := newTestServer(t, Config{Workers: 1, Logger: slog.New(gate)})
+	a, err := s.Submit(mpeg2Problem(t, 2010), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, s, a.ID, StateRunning)
+	b, err := s.Submit(mpeg2Problem(t, 2010), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	close(gate.release)
+	if !b.Coalesced {
+		t.Fatalf("second submission was not coalesced onto the running flight: %+v", b)
+	}
+	ra := waitState(t, s, a.ID, StateDone)
+	rb := waitState(t, s, b.ID, StateDone)
+	if !bytes.Equal(ra.Result, rb.Result) {
+		t.Fatal("coalesced job returned different bytes")
 	}
 }
