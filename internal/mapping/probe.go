@@ -271,19 +271,26 @@ func (en *probeEntry) seed(mc *MapContext, sc *comboScratch, cfg Config) error {
 
 // step advances the climb by one move, exactly mirroring the cold probe's
 // acceptance walk (accept when the candidate's makespan does not exceed the
-// running minimum; record strict improvements as minima).
+// running minimum; record strict improvements as minima). The move only
+// needs the neighbour's T_M relative to the running minimum, so it is
+// scheduled with the minimum as cutoff: a neighbour whose T_M provably
+// exceeds it is rejected without finishing its schedule, exactly as a
+// fully scheduled worse neighbour would be.
 func (en *probeEntry) step(mc *MapContext, sc *comboScratch) error {
 	cores := mc.Platform.Cores()
 	neighbor := search.NeighborInto(en.rng, en.spare, en.cur, cores, sc.loads)
-	ntm, _, err := mc.Eval.Makespan(neighbor)
+	ntm, exceeded, err := mc.Eval.MakespanWithin(neighbor, en.curTM)
 	if err != nil {
 		return err
 	}
-	if ntm < en.curTM {
+	switch {
+	case exceeded:
+		// T_M > curTM: rejected.
+	case ntm < en.curTM:
 		en.minima = append(en.minima, probeMin{tm: ntm, m: neighbor.Clone()})
 		en.cur, en.spare = neighbor, en.cur
 		en.curTM = ntm
-	} else if ntm == en.curTM {
+	default: // ntm == curTM: sideways move
 		en.cur, en.spare = neighbor, en.cur
 	}
 	en.moves++

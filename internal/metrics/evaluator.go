@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"seadopt/internal/arch"
@@ -338,21 +339,44 @@ func (e *Evaluator) EvaluateDelta(prev, next []int) (*Evaluation, error) {
 // TMSeconds/MeetsDeadline an Evaluate of the same mapping would produce —
 // same scheduler, same arithmetic — at roughly the cost of the schedule
 // alone, which is what feasibility probes that discard everything but the
-// verdict want. Like Evaluate, it reuses (and therefore invalidates) the
-// scheduler's borrowed buffers: a subsequent EvaluateDelta is an error
-// until the next full Evaluate.
+// verdict want. It is MakespanWithin with no cutoff. Like Evaluate, it
+// reuses (and therefore invalidates) the scheduler's borrowed buffers: a
+// subsequent EvaluateDelta is an error until the next full Evaluate.
 func (e *Evaluator) Makespan(m sched.Mapping) (tmSeconds float64, meetsDeadline bool, err error) {
+	tm, _, err := e.MakespanWithin(m, math.Inf(1))
+	if err != nil {
+		return 0, false, err
+	}
+	return tm, e.opt.DeadlineSec <= 0 || tm <= e.opt.DeadlineSec, nil
+}
+
+// MakespanWithin is Makespan for callers that only need to compare T_M
+// against cutoff, such as a hill climb against its running minimum.
+// exceeded reports exactly T_M > cutoff; when it is false, tmSeconds is
+// bit-identical to Evaluate's TMSeconds, and when it is true, tmSeconds is
+// only a lower bound above cutoff.
+//
+// With Iterations ≤ 1, T_M is the plain makespan, so the schedule skips the
+// eq. (7) busy-cycle billing and stops as soon as the makespan provably
+// exceeds cutoff (sched.Scheduler.MakespanWithin). With Iterations > 1 the
+// pipelined T_M needs the bottleneck core's billed busy time, so the full
+// schedule runs and cutoff only sets exceeded. Every call counts in
+// EvalStats.Makespans.
+func (e *Evaluator) MakespanWithin(m sched.Mapping, cutoff float64) (tmSeconds float64, exceeded bool, err error) {
 	if !e.bound {
 		return 0, false, fmt.Errorf("metrics: Makespan called before Bind")
 	}
 	e.stats.Makespans++
 	e.haveEval = false
+	if e.opt.Iterations <= 1 {
+		return e.sch.MakespanWithin(m, cutoff)
+	}
 	s, err := e.sch.Schedule(m)
 	if err != nil {
 		return 0, false, err
 	}
 	tm := s.PipelinedMakespanSeconds(e.opt.Iterations)
-	return tm, e.opt.DeadlineSec <= 0 || tm <= e.opt.DeadlineSec, nil
+	return tm, tm > cutoff, nil
 }
 
 // evaluate is the shared implementation of Evaluate and EvaluateDelta's

@@ -1,6 +1,8 @@
 package metrics
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -137,46 +139,89 @@ func TestZeroSERModel(t *testing.T) {
 // TestMakespanMatchesEvaluate: the makespan-only fast path must reproduce
 // Evaluate's TMSeconds and deadline verdict bit-for-bit — the feasibility
 // probe's hill climb runs on it and its accept/reject sequence must not
-// change — and, having clobbered the scheduler's buffers without refreshing
-// the metrics pipeline, it must invalidate EvaluateDelta.
+// change — at one iteration (where it skips the eq. (7) billing) and at
+// several (where the pipelined T_M needs it), on the ideal fabric and a
+// contended mesh. Its cutoff form must agree with Evaluate on which side
+// of the cutoff T_M falls: exceeded only when TMSeconds > cutoff (and, at
+// one iteration, exactly then), and otherwise the bit-identical T_M. Every
+// call counts as one Makespan. Having clobbered the scheduler's buffers
+// without refreshing the metrics pipeline, it must invalidate
+// EvaluateDelta.
 func TestMakespanMatchesEvaluate(t *testing.T) {
 	graphs := []*taskgraph.Graph{
 		taskgraph.MPEG2(),
 		taskgraph.Fig8(),
 		taskgraph.MustRandom(taskgraph.DefaultRandomConfig(40), 7),
 	}
+	platforms := []*arch.Platform{
+		arch.MustNewPlatform(4, arch.ARM7Levels3()),
+		arch.MustNewPlatform(4, arch.ARM7Levels3(), arch.WithInterconnect(arch.Interconnect{
+			Topology: arch.TopologyMesh, BandwidthBps: 4e9, HopLatencySec: 1e-4,
+		})),
+	}
 	rng := rand.New(rand.NewSource(4242))
-	for _, g := range graphs {
-		p := arch.MustNewPlatform(4, arch.ARM7Levels3())
-		opt := Options{Iterations: 3, DeadlineSec: 0.002}
-		ref, err := NewEvaluator(g, p, ser(), opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fast, err := NewEvaluator(g, p, ser(), opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, scaling := range [][]int{{1, 1, 1, 1}, {2, 2, 3, 2}, {3, 3, 3, 3}} {
-			if err := ref.Bind(scaling); err != nil {
-				t.Fatal(err)
-			}
-			if err := fast.Bind(scaling); err != nil {
-				t.Fatal(err)
-			}
-			for trial := 0; trial < 25; trial++ {
-				m := sched.RandomMapping(rng, g.N(), 4)
-				want, err := ref.Evaluate(m)
+	for _, iters := range []int{1, 3} {
+		for _, g := range graphs {
+			for pi, p := range platforms {
+				opt := Options{Iterations: iters, DeadlineSec: 0.002}
+				ref, err := NewEvaluator(g, p, ser(), opt)
 				if err != nil {
 					t.Fatal(err)
 				}
-				tm, meets, err := fast.Makespan(m)
+				fast, err := NewEvaluator(g, p, ser(), opt)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if tm != want.TMSeconds || meets != want.MeetsDeadline {
-					t.Fatalf("%s scaling %v: Makespan (%v, %v) != Evaluate (%v, %v)",
-						g.Name(), scaling, tm, meets, want.TMSeconds, want.MeetsDeadline)
+				calls := int64(0)
+				for _, scaling := range [][]int{{1, 1, 1, 1}, {2, 2, 3, 2}, {3, 3, 3, 3}} {
+					if err := ref.Bind(scaling); err != nil {
+						t.Fatal(err)
+					}
+					if err := fast.Bind(scaling); err != nil {
+						t.Fatal(err)
+					}
+					for trial := 0; trial < 25; trial++ {
+						m := sched.RandomMapping(rng, g.N(), 4)
+						want, err := ref.Evaluate(m)
+						if err != nil {
+							t.Fatal(err)
+						}
+						where := fmt.Sprintf("%s platform %d iterations %d scaling %v mapping %v", g.Name(), pi, iters, scaling, m)
+						tm, meets, err := fast.Makespan(m)
+						if err != nil {
+							t.Fatal(err)
+						}
+						calls++
+						if tm != want.TMSeconds || meets != want.MeetsDeadline {
+							t.Fatalf("%s: Makespan (%v, %v) != Evaluate (%v, %v)",
+								where, tm, meets, want.TMSeconds, want.MeetsDeadline)
+						}
+						wantTM := want.TMSeconds
+						for _, cutoff := range []float64{
+							wantTM,
+							math.Nextafter(wantTM, math.Inf(-1)),
+							math.Nextafter(wantTM, math.Inf(1)),
+							wantTM / 2,
+							math.Inf(1),
+						} {
+							tm, exceeded, err := fast.MakespanWithin(m, cutoff)
+							if err != nil {
+								t.Fatal(err)
+							}
+							calls++
+							switch {
+							case exceeded && !(wantTM > cutoff):
+								t.Fatalf("%s: cutoff %v exceeded, but Evaluate's T_M is %v", where, cutoff, wantTM)
+							case !exceeded && math.Float64bits(tm) != math.Float64bits(wantTM):
+								t.Fatalf("%s: cutoff %v gave T_M %v, Evaluate %v", where, cutoff, tm, wantTM)
+							case iters == 1 && exceeded != (wantTM > cutoff):
+								t.Fatalf("%s: cutoff %v exceeded = %v with Evaluate's T_M %v", where, cutoff, exceeded, wantTM)
+							}
+						}
+					}
+				}
+				if got := fast.Stats().Makespans; got != calls {
+					t.Fatalf("%s platform %d iterations %d: %d Makespans counted for %d calls", g.Name(), pi, iters, got, calls)
 				}
 			}
 		}

@@ -2,24 +2,30 @@ package sched
 
 import (
 	"fmt"
+	"math"
 
 	"seadopt/internal/arch"
 	"seadopt/internal/taskgraph"
 )
 
-// agendaEvent is one entry of the scheduler's time-ordered agenda: either a
-// task completion or a cross-core token arrival.
+// agendaEvent is one entry of the scheduler's time-ordered agenda: a task
+// completion, or a task becoming ready once its last input is delivered.
+// A task gets at most one ready event, not one event per incoming edge: a
+// completion settles each successor's input at once and keeps, per task,
+// the key its latest input is delivered under (see Schedule).
 type agendaEvent struct {
 	at     float64
 	seq    int
-	isStop bool             // task completion (vs token arrival)
-	task   taskgraph.TaskID // completing task or token target
+	isStop bool             // task completion (vs task ready)
+	task   taskgraph.TaskID // completing or ready task
 }
 
 // agendaLess is the agenda's strict total order: earliest timestamp first,
 // insertion sequence breaking ties. seq is unique, so the minimum is unique
 // and any correct priority queue yields the same event order — the agenda
 // heap below pops events in exactly the sequence a linear min-scan would.
+// The same order ranks a task's inputs: the one that completes them is the
+// maximum.
 func agendaLess(a, b agendaEvent) bool {
 	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
@@ -46,10 +52,12 @@ type Scheduler struct {
 	freq    []float64
 
 	// Scratch reused across Schedule calls. agenda is a binary min-heap
-	// ordered by agendaLess. linkBusy tracks, per directed fabric link,
-	// when the last reserved transfer drains; linkPath is the routing
-	// scratch.
+	// ordered by agendaLess. inputs holds, per task, the ready event keyed
+	// by its latest input delivered so far. linkBusy tracks, per directed
+	// fabric link, when the last reserved transfer drains; linkPath is the
+	// routing scratch.
 	remainingPreds []int
+	inputs         []agendaEvent
 	agenda         []agendaEvent
 	batch          []agendaEvent
 	pools          [][]taskgraph.TaskID
@@ -75,6 +83,7 @@ func NewScheduler(g *taskgraph.Graph, p *arch.Platform) *Scheduler {
 		scaling:        make([]int, cores),
 		freq:           make([]float64, cores),
 		remainingPreds: make([]int, n),
+		inputs:         make([]agendaEvent, n),
 		pools:          make([][]taskgraph.TaskID, cores),
 		coreBusy:       make([]bool, cores),
 		touched:        make([]bool, cores),
@@ -183,12 +192,69 @@ func (s *Scheduler) Scaling() []int { return s.scaling }
 // Schedule list-schedules mapping m at the bound scaling, using exactly the
 // dispatch policy of ListSchedule (highest b-level first, TaskID tie break).
 // The result is borrowed; see the type comment.
+//
+// The simulation pops the agenda one timestamp at a time: the events at the
+// earliest pending time form a batch, processed in seq order, and only then
+// do the cores the batch touched dispatch, so a completion and a ready
+// event at the same time see each other.
+//
+// A completion settles its successors' inputs at once instead of pushing
+// an arrival event per cross-core edge. Per successor it decrements the
+// count of missing inputs and records the key the input is delivered
+// under: the completion's own (now, seq) for a same-core or zero-cycle
+// edge, and (arrival, seq) for a cross-core transfer. The transfer's seq is
+// drawn from the agenda counter as if the transfer were pushed, so the
+// counter advances once per transfer and every event that is pushed carries
+// the seq it has in the token-per-edge reference scheduler the tests hold
+// this one to. The input that completes a task is its maximum key, known
+// once the count reaches zero:
+//
+//   - the completion's own key: the task is ready now;
+//   - (now, seq) with seq below the counter's value when the batch was
+//     popped: the reference pops that arrival later in the current batch,
+//     so the ready event is inserted into the batch at its seq position.
+//     On the heap it would pop in the next batch at the same time, and a
+//     core touched in this batch would dispatch without the task;
+//   - any other key: one ready event under that key goes on the heap.
+//
+// Every pushed event keeps the reference's key, batch and position, so the
+// dispatch sequence is the reference's, and with it every Slot, the
+// makespan, CommDelaySeconds and the fabric's link reservations, which are
+// issued at completions in completion order. The reference's other arrival
+// events only decrement a count.
 func (s *Scheduler) Schedule(m Mapping) (*Schedule, error) {
-	if err := m.Validate(s.g, s.p.Cores()); err != nil {
+	if _, err := s.run(m, math.Inf(1), true); err != nil {
 		return nil, err
 	}
+	return &s.out, nil
+}
+
+// MakespanWithin list-schedules m like Schedule but computes only the
+// single-iteration makespan: it skips the eq. (7) busy-cycle billing and
+// the CommDelaySeconds sum, and it stops as soon as the next batch lies
+// after cutoff, since every pending event ends at or after its timestamp
+// and the makespan is then provably above cutoff. exceeded reports exactly
+// makespan > cutoff. When it is false, makespan is bit-identical to
+// Schedule's MakespanSeconds; when it is true, makespan is only a lower
+// bound above cutoff. Like Schedule, it invalidates any borrowed Schedule.
+func (s *Scheduler) MakespanWithin(m Mapping, cutoff float64) (makespan float64, exceeded bool, err error) {
+	exceeded, err = s.run(m, cutoff, false)
+	if err != nil {
+		return 0, false, err
+	}
+	return s.out.makespan, exceeded, nil
+}
+
+// run is the one simulation loop behind Schedule and MakespanWithin. It
+// stops once the next batch lies after cutoff (reporting exceeded, with
+// s.out.makespan set to that batch's time) and, with full set, also sums
+// CommDelaySeconds and bills eq. (7) busy cycles.
+func (s *Scheduler) run(m Mapping, cutoff float64, full bool) (exceeded bool, err error) {
+	if err := m.Validate(s.g, s.p.Cores()); err != nil {
+		return false, err
+	}
 	if s.freq[0] == 0 {
-		return nil, fmt.Errorf("sched: Schedule called before Bind")
+		return false, fmt.Errorf("sched: Schedule called before Bind")
 	}
 	g, n, cores := s.g, s.g.N(), s.p.Cores()
 
@@ -209,15 +275,11 @@ func (s *Scheduler) Schedule(m Mapping) (*Schedule, error) {
 	}
 	for t := 0; t < n; t++ {
 		s.remainingPreds[t] = len(g.Preds(taskgraph.TaskID(t)))
+		s.inputs[t] = agendaEvent{seq: -1, task: taskgraph.TaskID(t)}
 	}
 	s.agenda = s.agenda[:0]
 
 	seq := 0
-	push := func(at float64, isStop bool, task taskgraph.TaskID) {
-		s.heapPush(agendaEvent{at, seq, isStop, task})
-		seq++
-	}
-
 	scheduledCount := 0
 	dispatch := func(core int, now float64) {
 		if s.coreBusy[core] || len(s.pools[core]) == 0 {
@@ -236,7 +298,8 @@ func (s *Scheduler) Schedule(m Mapping) (*Schedule, error) {
 		sc.Slots[t] = Slot{Task: t, Core: core, StartSec: now, EndSec: now + dur}
 		s.coreBusy[core] = true
 		scheduledCount++
-		push(now+dur, true, t)
+		s.heapPush(agendaEvent{now + dur, seq, true, t})
+		seq++
 	}
 
 	// Seed: root tasks are data-ready at time zero.
@@ -255,60 +318,84 @@ func (s *Scheduler) Schedule(m Mapping) (*Schedule, error) {
 			s.touchedList = append(s.touchedList, core)
 		}
 	}
+	ready := func(t taskgraph.TaskID) {
+		s.pools[m[t]] = append(s.pools[m[t]], t)
+		touch(m[t])
+	}
 
 	for len(s.agenda) > 0 {
-		// Batch all events at the same timestamp before dispatching so a
-		// completion and a token arrival at time t see each other. Heap pops
-		// arrive in (at, seq) order, so the batch is seq-ascending within
-		// the timestamp — the same order the old linear min-scan produced.
+		// Heap pops arrive in (at, seq) order, so the batch is seq-ascending
+		// within the timestamp.
 		now := s.agenda[0].at
+		if now > cutoff {
+			sc.makespan = now
+			return true, nil
+		}
 		s.batch = s.batch[:0]
 		for len(s.agenda) > 0 && s.agenda[0].at == now {
 			s.batch = append(s.batch, s.heapPop())
 		}
+		popSeq := seq
 		s.touchedList = s.touchedList[:0]
-		for _, e := range s.batch {
-			if e.isStop {
-				t := e.task
-				core := m[t]
-				s.coreBusy[core] = false
-				touch(core)
-				if now > sc.makespan {
-					sc.makespan = now
-				}
-				for _, edge := range g.Succs(t) {
-					if m[edge.To] == core || edge.Cycles == 0 {
-						s.remainingPreds[edge.To]--
-						if s.remainingPreds[edge.To] == 0 {
-							s.pools[m[edge.To]] = append(s.pools[m[edge.To]], edge.To)
-							touch(m[edge.To])
-						}
-						continue
-					}
+		// Indexed loop: a completion may insert a ready event further on.
+		for i := 0; i < len(s.batch); i++ {
+			e := s.batch[i]
+			if !e.isStop {
+				ready(e.task)
+				continue
+			}
+			core := m[e.task]
+			s.coreBusy[core] = false
+			touch(core)
+			if now > sc.makespan {
+				sc.makespan = now
+			}
+			for _, edge := range g.Succs(e.task) {
+				to := edge.To
+				in := agendaEvent{now, e.seq, false, to}
+				if dst := m[to]; dst != core && edge.Cycles != 0 {
 					if s.icn != nil {
-						// Cross-core token rides the shared fabric: reserve
-						// the route's links and deliver at the (possibly
+						// The transfer rides the shared fabric: reserve the
+						// route's links and deliver at the (possibly
 						// contended) arrival time.
-						arrive := s.transferArrival(core, m[edge.To], edge.Cycles, now)
-						sc.commDelaySec += arrive - now
-						push(arrive, false, edge.To)
-						continue
+						in.at = s.transferArrival(core, dst, edge.Cycles, now)
+						if full {
+							sc.commDelaySec += in.at - now
+						}
+					} else {
+						// Ideal dedicated link: the transfer costs its cycle
+						// count at the slower endpoint's clock.
+						fSlow := s.freq[core]
+						if fd := s.freq[dst]; fd < fSlow {
+							fSlow = fd
+						}
+						if full {
+							sc.commDelaySec += float64(edge.Cycles) / fSlow
+						}
+						in.at = now + float64(edge.Cycles)/fSlow
 					}
-					// Ideal dedicated link: the token costs its cycle count
-					// at the slower endpoint's clock.
-					fSlow := s.freq[core]
-					if fd := s.freq[m[edge.To]]; fd < fSlow {
-						fSlow = fd
-					}
-					sc.commDelaySec += float64(edge.Cycles) / fSlow
-					push(now+float64(edge.Cycles)/fSlow, false, edge.To)
+					in.seq = seq
+					seq++
 				}
-			} else {
-				t := e.task
-				s.remainingPreds[t]--
-				if s.remainingPreds[t] == 0 {
-					s.pools[m[t]] = append(s.pools[m[t]], t)
-					touch(m[t])
+				if agendaLess(s.inputs[to], in) {
+					s.inputs[to] = in
+				}
+				if s.remainingPreds[to]--; s.remainingPreds[to] > 0 {
+					continue
+				}
+				switch last := s.inputs[to]; {
+				case last.seq == e.seq: // this completion's own key
+					ready(to)
+				case last.at == now && last.seq < popSeq: // due later in this batch
+					j := i + 1
+					for j < len(s.batch) && s.batch[j].seq < last.seq {
+						j++
+					}
+					s.batch = append(s.batch, agendaEvent{})
+					copy(s.batch[j+1:], s.batch[j:])
+					s.batch[j] = last
+				default:
+					s.heapPush(last)
 				}
 			}
 		}
@@ -318,7 +405,10 @@ func (s *Scheduler) Schedule(m Mapping) (*Schedule, error) {
 		}
 	}
 	if scheduledCount != n {
-		return nil, fmt.Errorf("sched: graph %q not schedulable (%d of %d tasks ran)", g.Name(), scheduledCount, n)
+		return false, fmt.Errorf("sched: graph %q not schedulable (%d of %d tasks ran)", g.Name(), scheduledCount, n)
+	}
+	if !full {
+		return false, nil
 	}
 
 	// Eq. (7): per-core busy cycles = task cycles + dependency cycles of
@@ -337,7 +427,7 @@ func (s *Scheduler) Schedule(m Mapping) (*Schedule, error) {
 	for c := range sc.busySec {
 		sc.busySec[c] = float64(sc.busyCycles[c]) / s.freq[c]
 	}
-	return sc, nil
+	return false, nil
 }
 
 // heapPush inserts an event into the agenda min-heap. Hand-rolled rather
