@@ -524,6 +524,8 @@ func printExploreStats(w io.Writer, st *seadopt.ExploreStats) {
 	fmt.Fprintf(w, "  probe cache: %d hits / %d misses (%.0f%% hit rate)  delta evals: %d patched / %d rescheduled\n",
 		st.ProbeCache.Hits, st.ProbeCache.Misses, 100*st.ProbeCache.HitRate(),
 		st.Eval.DeltaPatched, st.Eval.DeltaRescheduled)
+	fmt.Fprintf(w, "  makespan calls: %d (%d tasks dispatched)  evaluations: %d\n",
+		st.Eval.Makespans, st.Eval.MakespanDispatches, st.Eval.Evaluations)
 	for _, ws := range st.Workers {
 		fmt.Fprintf(w, "  worker %d: %d combinations, %.1f ms busy\n",
 			ws.Worker, ws.Combinations, ms(ws.BusyNanos))

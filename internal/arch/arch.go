@@ -141,6 +141,13 @@ const DefaultCL = 47e-12 // farads
 // against Table II Γ magnitudes and held fixed (see EXPERIMENTS.md).
 const DefaultBaselineBits = ARM7DataCacheBits + ARM7InstrCacheBits + 40*1024 // 64 kbit
 
+// MaxCores caps a platform's core count: 16× the 64-core flagship, the
+// largest platform the engine is exercised on. Every scheduler and
+// simulator holds O(cores) state per platform (and a mesh O(cores) links),
+// so the cap bounds what an untrusted platform spec can make the process
+// allocate.
+const MaxCores = 1024
+
 // ProcType is one processor type of a (possibly heterogeneous) MPSoC: a
 // named DVS level table. Two cores of the same type — or of distinct types
 // with byte-identical tables — are interchangeable for the task mapper.
@@ -226,8 +233,8 @@ func WithInterconnect(ic Interconnect) Option { return func(p *Platform) { p.icn
 // sharing one DVS table. Levels must be sorted fastest-first and use
 // consecutive S starting at 1.
 func NewPlatform(cores int, levels []Level, opts ...Option) (*Platform, error) {
-	if cores < 1 {
-		return nil, fmt.Errorf("arch: need at least 1 core, got %d", cores)
+	if err := checkCores(cores); err != nil {
+		return nil, err
 	}
 	return NewHeterogeneousPlatform(
 		[]ProcType{{Name: "core", Levels: levels}}, make([]int, cores), opts...)
@@ -242,8 +249,8 @@ func NewHeterogeneousPlatform(types []ProcType, coreTypes []int, opts ...Option)
 	if len(types) == 0 {
 		return nil, fmt.Errorf("arch: no processor types given")
 	}
-	if len(coreTypes) < 1 {
-		return nil, fmt.Errorf("arch: need at least 1 core, got %d", len(coreTypes))
+	if err := checkCores(len(coreTypes)); err != nil {
+		return nil, err
 	}
 	cp := make([]ProcType, len(types))
 	for i, t := range types {
@@ -307,6 +314,14 @@ func NewHeterogeneousPlatform(types []ProcType, coreTypes []int, opts ...Option)
 		p.icn = ic
 	}
 	return p, nil
+}
+
+// checkCores rejects a core count outside [1, MaxCores].
+func checkCores(cores int) error {
+	if cores < 1 || cores > MaxCores {
+		return fmt.Errorf("arch: need 1 to %d cores, got %d", MaxCores, cores)
+	}
+	return nil
 }
 
 // MustNewPlatform is NewPlatform but panics on error; for fixtures.

@@ -3,6 +3,7 @@ package arch
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Topology names the shape of the on-chip interconnect.
@@ -63,6 +64,9 @@ type Interconnect struct {
 	// covering all cores. Routers exist at every grid slot, so XY routing
 	// is well-defined even when the last row is partially populated.
 	meshHeight int
+	// rowRecip is ⌈2³²/MeshWidth⌉, derived with meshHeight, so Route finds
+	// a core's row without a hardware division (see row).
+	rowRecip uint64
 }
 
 // Validate checks the raw (pre-normalization) interconnect parameters.
@@ -106,7 +110,13 @@ func (ic *Interconnect) normalized(cores int) (*Interconnect, error) {
 		if out.MeshWidth == 0 {
 			out.MeshWidth = int(math.Ceil(math.Sqrt(float64(cores))))
 		}
+		// A grid wider than the core count is a single row whose extra
+		// routers no core reaches; refusing it keeps NumLinks O(cores).
+		if out.MeshWidth > cores {
+			return nil, fmt.Errorf("arch: interconnect: mesh width %d exceeds the %d cores", out.MeshWidth, cores)
+		}
 		out.meshHeight = (cores + out.MeshWidth - 1) / out.MeshWidth
+		out.rowRecip = (1<<32 + uint64(out.MeshWidth) - 1) / uint64(out.MeshWidth)
 	}
 	return &out, nil
 }
@@ -121,21 +131,17 @@ func (ic *Interconnect) NumLinks() int {
 	return 4 * ic.MeshWidth * ic.meshHeight
 }
 
-// Hops returns the number of links a transfer from core a to core b
-// crosses: 1 on a bus, the XY Manhattan distance on a mesh (minimum 1,
-// since even co-located routers cross one local link — but the scheduler
-// never routes same-core edges, so a ≠ b in practice).
+// Hops returns the number of links a transfer from core a to core b of the
+// platform crosses: 1 on a bus, the XY Manhattan distance on a mesh
+// (minimum 1, since even co-located routers cross one local link — but the
+// scheduler never routes same-core edges, so a ≠ b in practice).
 func (ic *Interconnect) Hops(a, b int) int {
 	if ic.Topology == TopologyBus {
 		return 1
 	}
-	ax, ay := a%ic.MeshWidth, a/ic.MeshWidth
-	bx, by := b%ic.MeshWidth, b/ic.MeshWidth
-	h := abs(ax-bx) + abs(ay-by)
-	if h < 1 {
-		h = 1
-	}
-	return h
+	w := ic.MeshWidth
+	ay, by := ic.row(a), ic.row(b)
+	return max(1, abs(a-ay*w-(b-by*w))+abs(ay-by))
 }
 
 // PathLinks appends the directed link ids a transfer from core a to core b
@@ -172,6 +178,100 @@ func (ic *Interconnect) PathLinks(a, b int, buf []int) []int {
 		buf = append(buf, 4*(ay*w+ax)+0)
 	}
 	return buf
+}
+
+// row returns the mesh row of core c: ⌊c·⌈2³²/w⌉/2³²⌋ = ⌊c/w⌋ exactly
+// whenever c·w < 2³², which MaxCores guarantees for a platform's fabric.
+func (ic *Interconnect) row(c int) int { return int(uint64(c) * ic.rowRecip >> 32) }
+
+// route returns the links a transfer from core a to core b of the
+// platform reserves, in crossing order, as two arithmetic runs: n0 links
+// from first0 in steps of step0, then the other hops−n0 links from first1
+// in steps of step1. An XY route is its horizontal run followed by its
+// vertical run; a bus route is its one link. These are the ids PathLinks
+// lists, found without a division or a branch on the direction.
+func (ic *Interconnect) route(a, b int) (first0, step0, first1, step1, n0, hops int) {
+	if ic.Topology == TopologyBus {
+		return 0, 0, 0, 0, 1, 1
+	}
+	w := ic.MeshWidth
+	ay, by := ic.row(a), ic.row(b)
+	ax, bx := a-ay*w, b-by*w
+	// sx is -1 for a westward run and 0 otherwise; sy likewise northward.
+	dx, dy := bx-ax, by-ay
+	sx, sy := dx>>(bits.UintSize-1), dy>>(bits.UintSize-1)
+	nx := (dx ^ sx) - sx
+	n0, hops = nx, nx+(dy^sy)-sy
+	if hops == 0 {
+		// Same router: the local link east of it, as in PathLinks.
+		n0, hops = 1, 1
+	}
+	// Directions: 0 east, 1 west along row ay; 2 south, 3 north along
+	// column bx.
+	return 4*(ay*w+ax) - sx, 4 + 8*sx, 4*(ay*w+bx) + 2 - sy, (4 + 8*sy) * w, n0, hops
+}
+
+// Route is the path Reserve walks for a transfer, for inspection: see
+// Interconnect.Route.
+type Route struct {
+	first0, step0, first1, step1, n0, hops int
+}
+
+// Route returns the path Reserve walks for a transfer from core a to core
+// b of the platform: the link ids PathLinks lists, held arithmetically.
+func (ic *Interconnect) Route(a, b int) Route {
+	var r Route
+	r.first0, r.step0, r.first1, r.step1, r.n0, r.hops = ic.route(a, b)
+	return r
+}
+
+// Hops returns the number of links on the route.
+func (r Route) Hops() int { return r.hops }
+
+// Link returns the route's i-th link id, 0 ≤ i < Hops().
+func (r Route) Link(i int) int {
+	if i < r.n0 {
+		return r.first0 + i*r.step0
+	}
+	return r.first1 + (i-r.n0)*r.step1
+}
+
+// Reserve applies the fabric's cut-through channel reservation to a
+// transfer from core a to core b issued at now, and returns its arrival
+// time. The transfer starts once every link on its route is free of
+// earlier traffic by the time its head word gets there (link i is entered
+// i·hop after the start), then holds each link for the serialization time
+// ser, so busy[l], the time link l drains, moves to its new drain time.
+// Uncontended the arrival is now + hops·hop + ser; contention only delays
+// the start. Callers issue transfers in a deterministic order, which fixes
+// who queues behind whom.
+//
+// It is the one reservation rule of the list scheduler (T = seconds as
+// float64) and the simulator (T = integer femtoseconds).
+func Reserve[T ~float64 | ~int64](ic *Interconnect, busy []T, a, b int, now, hop, ser T) T {
+	first0, step0, first1, step1, n0, hops := ic.route(a, b)
+	start := now
+	l, step := first0, step0
+	var i T
+	for k := 0; k < hops; k++ {
+		if k == n0 {
+			l, step = first1, step1
+		}
+		start = max(start, busy[l]-i*hop)
+		l += step
+		i++
+	}
+	l, step = first0, step0
+	i = 0
+	for k := 0; k < hops; k++ {
+		if k == n0 {
+			l, step = first1, step1
+		}
+		busy[l] = start + i*hop + ser
+		l += step
+		i++
+	}
+	return start + i*hop + ser
 }
 
 // MessageBits converts an edge's communication cycle count into message

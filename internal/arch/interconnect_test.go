@@ -150,3 +150,125 @@ func TestInterconnectTiming(t *testing.T) {
 		t.Fatalf("MinTransferSeconds = %v, want %v", min, minWant)
 	}
 }
+
+// TestRouteMatchesPathLinks holds the arithmetic route to the explicit XY
+// walk of PathLinks for every core pair, on a bus and on meshes with full
+// and partial last rows (and the default width).
+func TestRouteMatchesPathLinks(t *testing.T) {
+	fabrics := []struct {
+		cores int
+		ic    Interconnect
+	}{
+		{5, Interconnect{Topology: TopologyBus, BandwidthBps: 1e9}},
+		{1, Interconnect{Topology: TopologyMesh, BandwidthBps: 1e9}},
+		{6, Interconnect{Topology: TopologyMesh, BandwidthBps: 1e9, MeshWidth: 3}},
+		{7, Interconnect{Topology: TopologyMesh, BandwidthBps: 1e9, MeshWidth: 3}},
+		{10, Interconnect{Topology: TopologyMesh, BandwidthBps: 1e9, MeshWidth: 4}},
+		{11, Interconnect{Topology: TopologyMesh, BandwidthBps: 1e9}},
+		{5, Interconnect{Topology: TopologyMesh, BandwidthBps: 1e9, MeshWidth: 5}},
+		{5, Interconnect{Topology: TopologyMesh, BandwidthBps: 1e9, MeshWidth: 1}},
+	}
+	for _, f := range fabrics {
+		p, err := NewPlatform(f.cores, ARM7Levels3(), WithInterconnect(f.ic))
+		if err != nil {
+			t.Fatalf("%d cores on %+v: %v", f.cores, f.ic, err)
+		}
+		ic := p.Interconnect()
+		for a := 0; a < f.cores; a++ {
+			for b := 0; b < f.cores; b++ {
+				want := ic.PathLinks(a, b, nil)
+				r := ic.Route(a, b)
+				got := make([]int, r.Hops())
+				for i := range got {
+					got[i] = r.Link(i)
+				}
+				if len(got) != len(want) || len(got) != ic.Hops(a, b) {
+					t.Fatalf("%d cores, width %d: Route(%d,%d) = %v, PathLinks %v, Hops %d", f.cores, ic.MeshWidth, a, b, got, want, ic.Hops(a, b))
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("%d cores, width %d: Route(%d,%d) = %v, PathLinks %v", f.cores, ic.MeshWidth, a, b, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestReserve checks the reservation rule on both time types against the
+// rule spelled out over PathLinks: the start waits for every link at its
+// hop offset, every link then drains at its offset plus the serialization
+// time, and the transfer arrives after all hops.
+func TestReserve(t *testing.T) {
+	ic := meshPlatform(t, 7, 3).Interconnect()
+	busyF := make([]float64, ic.NumLinks())
+	refF := make([]float64, ic.NumLinks())
+	busyI := make([]int64, ic.NumLinks())
+	refI := make([]int64, ic.NumLinks())
+	now := 0
+	for a := 0; a < 7; a++ {
+		for b := 6; b >= 0; b-- {
+			now += (a * b) % 3
+			path := ic.PathLinks(a, b, nil)
+			start := float64(now)
+			for i, l := range path {
+				start = max(start, refF[l]-float64(i)*0.5)
+			}
+			for i, l := range path {
+				refF[l] = start + float64(i)*0.5 + 2
+			}
+			wantF := start + float64(len(path))*0.5 + 2
+			if got := Reserve(ic, busyF, a, b, float64(now), 0.5, 2); got != wantF {
+				t.Fatalf("float Reserve %d→%d = %v, want %v", a, b, got, wantF)
+			}
+			startI := int64(now)
+			for i, l := range path {
+				startI = max(startI, refI[l]-int64(i)*5)
+			}
+			for i, l := range path {
+				refI[l] = startI + int64(i)*5 + 20
+			}
+			wantI := startI + int64(len(path))*5 + 20
+			if got := Reserve(ic, busyI, a, b, int64(now), 5, 20); got != wantI {
+				t.Fatalf("int Reserve %d→%d = %v, want %v", a, b, got, wantI)
+			}
+		}
+	}
+	for l := range refF {
+		if busyF[l] != refF[l] || busyI[l] != refI[l] {
+			t.Fatalf("link %d drains at %v / %v, want %v / %v", l, busyF[l], busyI[l], refF[l], refI[l])
+		}
+	}
+}
+
+// TestPlatformSizeLimits: core counts past MaxCores and meshes wider than
+// the core count are refused.
+func TestPlatformSizeLimits(t *testing.T) {
+	if _, err := NewPlatform(MaxCores, ARM7Levels2()); err != nil {
+		t.Fatalf("%d cores refused: %v", MaxCores, err)
+	}
+	if _, err := NewPlatform(MaxCores+1, ARM7Levels2()); err == nil {
+		t.Errorf("%d cores accepted", MaxCores+1)
+	}
+	if _, err := NewPlatform(4194304, ARM7Levels2()); err == nil {
+		t.Error("4194304 cores accepted")
+	}
+	arm7 := ProcType{Name: "arm7", Levels: ARM7Levels3()}
+	if _, err := NewHeterogeneousPlatform([]ProcType{arm7}, make([]int, MaxCores+1)); err == nil {
+		t.Errorf("%d heterogeneous cores accepted", MaxCores+1)
+	}
+	mesh := func(cores, width int) error {
+		_, err := NewPlatform(cores, ARM7Levels3(), WithInterconnect(Interconnect{
+			Topology: TopologyMesh, BandwidthBps: 1e9, MeshWidth: width,
+		}))
+		return err
+	}
+	if err := mesh(4, 4); err != nil {
+		t.Errorf("mesh as wide as the core count refused: %v", err)
+	}
+	for _, width := range []int{5, 1000000000} {
+		if err := mesh(4, width); err == nil || !strings.Contains(err.Error(), "mesh width") {
+			t.Errorf("4 cores on a %d-wide mesh: err = %v, want a mesh width error", width, err)
+		}
+	}
+}

@@ -1,8 +1,11 @@
 package ingest
 
 import (
+	"os"
+	"path/filepath"
 	"testing"
 
+	"seadopt/internal/arch"
 	"seadopt/internal/taskgraph"
 )
 
@@ -98,6 +101,59 @@ func FuzzDetect(f *testing.F) {
 		g, err := ParseBytes(format, []byte(doc))
 		if err == nil {
 			checkParsed(t, g)
+		}
+	})
+}
+
+// FuzzParsePlatformSpec asserts the platform spec contract: an accepted
+// spec builds a platform of 1 to arch.MaxCores cores whose every DVS level
+// is valid and whose fabric, if any, routes every core pair over exactly
+// Hops links, each a real link of the fabric.
+func FuzzParsePlatformSpec(f *testing.F) {
+	for _, fixture := range []string{"mixed.json", "noc.json"} {
+		data, err := os.ReadFile(filepath.Join("..", "..", "cmd", "seadopt", "testdata", fixture))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Add([]byte(heteroSpec))
+	f.Add([]byte(`{"types":[{"name":"a","freqs_mhz":[200,100]}],"cores":[{"type":"a","count":7}],
+	  "interconnect":{"topology":"mesh","bandwidth_bits_per_sec":1e9,"mesh_width":3}}`))
+	for _, spec := range oversizedSpecs {
+		f.Add([]byte(spec))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := ParsePlatformSpec(data)
+		if err != nil {
+			return
+		}
+		cores := p.Cores()
+		if cores < 1 || cores > arch.MaxCores {
+			t.Fatalf("accepted a platform of %d cores, limit %d", cores, arch.MaxCores)
+		}
+		for c := 0; c < cores; c++ {
+			if err := (arch.ProcType{Levels: p.Levels(c)}).Validate(); err != nil {
+				t.Fatalf("core %d has an invalid level table: %v", c, err)
+			}
+		}
+		ic := p.Interconnect()
+		if ic == nil {
+			return
+		}
+		links := ic.NumLinks()
+		for a := 0; a < cores; a++ {
+			for b := 0; b < cores; b++ {
+				r := ic.Route(a, b)
+				if r.Hops() != ic.Hops(a, b) {
+					t.Fatalf("route %d→%d has %d links, Hops %d", a, b, r.Hops(), ic.Hops(a, b))
+				}
+				for i := 0; i < r.Hops(); i++ {
+					if l := r.Link(i); l < 0 || l >= links {
+						t.Fatalf("route %d→%d crosses link %d outside [0,%d)", a, b, l, links)
+					}
+				}
+			}
 		}
 	})
 }

@@ -106,6 +106,14 @@ type CoreSpec struct {
 	Count *int `json:"count,omitempty"`
 }
 
+// count resolves the entry's core count (absent means 1).
+func (cs CoreSpec) count() int {
+	if cs.Count == nil {
+		return 1
+	}
+	return *cs.Count
+}
+
 // ParsePlatformSpec decodes and validates a JSON platform spec, returning
 // the built platform. Errors name the offending element so a spec author
 // can fix the document without reading this source.
@@ -157,22 +165,27 @@ func (spec *PlatformSpec) Build() (*arch.Platform, error) {
 	if len(spec.Cores) == 0 {
 		return nil, fmt.Errorf("ingest: platform spec declares no cores; add a \"cores\" list referencing the declared types")
 	}
-	var coreTypes []int
+	// Resolve and sum the counts before expanding them, so an oversized
+	// spec is refused without building its core list.
+	total := 0
 	for i, cs := range spec.Cores {
-		ti, ok := index[cs.Type]
-		if !ok {
+		if _, ok := index[cs.Type]; !ok {
 			return nil, fmt.Errorf("ingest: platform spec: cores entry %d references unknown processor type %q (declared: %s)",
 				i, cs.Type, strings.Join(names, ", "))
 		}
-		count := 1
-		if cs.Count != nil {
-			count = *cs.Count
-		}
+		count := cs.count()
 		if count < 1 {
 			return nil, fmt.Errorf("ingest: platform spec: cores entry %d instantiates zero cores (count %d); counts must be ≥ 1", i, count)
 		}
-		for c := 0; c < count; c++ {
-			coreTypes = append(coreTypes, ti)
+		if count > arch.MaxCores-total {
+			return nil, fmt.Errorf("ingest: platform spec: cores entry %d brings the core count past the limit of %d", i, arch.MaxCores)
+		}
+		total += count
+	}
+	coreTypes := make([]int, 0, total)
+	for _, cs := range spec.Cores {
+		for c := 0; c < cs.count(); c++ {
+			coreTypes = append(coreTypes, index[cs.Type])
 		}
 	}
 	var opts []arch.Option

@@ -1,6 +1,8 @@
 package ingest
 
 import (
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -177,6 +179,41 @@ func TestPlatformSpecErrors(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// oversizedSpecs are short specs describing platforms far larger than
+// their bytes: four million cores, and four cores on a billion-column mesh
+// (four billion links).
+var oversizedSpecs = []string{
+	`{"name":"wide","types":[{"name":"arm7","freqs_mhz":[200,100,66.67]}],"cores":[{"type":"arm7","count":4194304}]}`,
+	`{"types":[{"name":"arm7","freqs_mhz":[200,100,66.67]}],"cores":[{"type":"arm7","count":4}],
+	  "interconnect":{"topology":"mesh","bandwidth_bits_per_sec":4e9,"hop_latency_sec":1e-4,"mesh_width":1000000000}}`,
+}
+
+// TestPlatformSpecSizeLimits: a spec past arch.MaxCores cores, in one entry
+// or summed over several (overflowing int included), or with a mesh wider
+// than its core count, is refused before its core list is built.
+func TestPlatformSpecSizeLimits(t *testing.T) {
+	specs := append([]string{
+		`{"types":[{"name":"a","freqs_mhz":[200]}],"cores":[{"type":"a","count":600},{"type":"a","count":600}]}`,
+		`{"types":[{"name":"a","freqs_mhz":[200]}],"cores":[{"type":"a","count":9223372036854775807},{"type":"a","count":9223372036854775807}]}`,
+	}, oversizedSpecs...)
+	for _, spec := range specs {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		p, err := ParsePlatformSpec([]byte(spec))
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("accepted a %d-core platform:\n%s", p.Cores(), spec)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Errorf("refusing the spec allocated %d bytes:\n%s", grew, spec)
+		}
+	}
+	max := fmt.Sprintf(`{"types":[{"name":"a","freqs_mhz":[200]}],"cores":[{"type":"a","count":%d},{"type":"a"}]}`, arch.MaxCores-1)
+	if p, err := ParsePlatformSpec([]byte(max)); err != nil || p.Cores() != arch.MaxCores {
+		t.Errorf("a %d-core spec: %v", arch.MaxCores, err)
 	}
 }
 

@@ -77,6 +77,10 @@ type EvalStats struct {
 	Evaluations int64 `json:"evaluations"`
 	// Makespans counts makespan-only evaluations (the probe fast path).
 	Makespans int64 `json:"makespans"`
+	// MakespanDispatches counts the tasks those evaluations dispatched:
+	// every task of a call that ran to the end, fewer of one that stopped
+	// once its makespan provably passed the caller's cutoff.
+	MakespanDispatches int64 `json:"makespan_dispatches"`
 	// BindsFull counts first-time scaling binds (O(cores) λ derivation).
 	BindsFull int64 `json:"binds_full"`
 	// BindsDelta counts incremental rebinds (O(changed) λ derivation).
@@ -91,6 +95,7 @@ type EvalStats struct {
 func (s *EvalStats) Merge(other EvalStats) {
 	s.Evaluations += other.Evaluations
 	s.Makespans += other.Makespans
+	s.MakespanDispatches += other.MakespanDispatches
 	s.BindsFull += other.BindsFull
 	s.BindsDelta += other.BindsDelta
 	s.DeltaPatched += other.DeltaPatched
@@ -102,12 +107,13 @@ func (s *EvalStats) Merge(other EvalStats) {
 // borrower attributes only its own delta to telemetry.
 func (s EvalStats) Sub(base EvalStats) EvalStats {
 	return EvalStats{
-		Evaluations:      s.Evaluations - base.Evaluations,
-		Makespans:        s.Makespans - base.Makespans,
-		BindsFull:        s.BindsFull - base.BindsFull,
-		BindsDelta:       s.BindsDelta - base.BindsDelta,
-		DeltaPatched:     s.DeltaPatched - base.DeltaPatched,
-		DeltaRescheduled: s.DeltaRescheduled - base.DeltaRescheduled,
+		Evaluations:        s.Evaluations - base.Evaluations,
+		Makespans:          s.Makespans - base.Makespans,
+		MakespanDispatches: s.MakespanDispatches - base.MakespanDispatches,
+		BindsFull:          s.BindsFull - base.BindsFull,
+		BindsDelta:         s.BindsDelta - base.BindsDelta,
+		DeltaPatched:       s.DeltaPatched - base.DeltaPatched,
+		DeltaRescheduled:   s.DeltaRescheduled - base.DeltaRescheduled,
 	}
 }
 
@@ -354,14 +360,15 @@ func (e *Evaluator) Makespan(m sched.Mapping) (tmSeconds float64, meetsDeadline 
 // against cutoff, such as a hill climb against its running minimum.
 // exceeded reports exactly T_M > cutoff; when it is false, tmSeconds is
 // bit-identical to Evaluate's TMSeconds, and when it is true, tmSeconds is
-// only a lower bound above cutoff.
+// only a value above cutoff, at most T_M·(1+1e-9).
 //
 // With Iterations ≤ 1, T_M is the plain makespan, so the schedule skips the
 // eq. (7) busy-cycle billing and stops as soon as the makespan provably
 // exceeds cutoff (sched.Scheduler.MakespanWithin). With Iterations > 1 the
 // pipelined T_M needs the bottleneck core's billed busy time, so the full
 // schedule runs and cutoff only sets exceeded. Every call counts in
-// EvalStats.Makespans.
+// EvalStats.Makespans, and the tasks it dispatched in
+// EvalStats.MakespanDispatches.
 func (e *Evaluator) MakespanWithin(m sched.Mapping, cutoff float64) (tmSeconds float64, exceeded bool, err error) {
 	if !e.bound {
 		return 0, false, fmt.Errorf("metrics: Makespan called before Bind")
@@ -369,14 +376,19 @@ func (e *Evaluator) MakespanWithin(m sched.Mapping, cutoff float64) (tmSeconds f
 	e.stats.Makespans++
 	e.haveEval = false
 	if e.opt.Iterations <= 1 {
-		return e.sch.MakespanWithin(m, cutoff)
+		tmSeconds, exceeded, err = e.sch.MakespanWithin(m, cutoff)
+	} else {
+		var s *sched.Schedule
+		if s, err = e.sch.Schedule(m); err == nil {
+			tmSeconds = s.PipelinedMakespanSeconds(e.opt.Iterations)
+			exceeded = tmSeconds > cutoff
+		}
 	}
-	s, err := e.sch.Schedule(m)
 	if err != nil {
 		return 0, false, err
 	}
-	tm := s.PipelinedMakespanSeconds(e.opt.Iterations)
-	return tm, tm > cutoff, nil
+	e.stats.MakespanDispatches += int64(e.sch.Dispatched())
+	return tmSeconds, exceeded, nil
 }
 
 // evaluate is the shared implementation of Evaluate and EvaluateDelta's

@@ -204,11 +204,17 @@ func TestMakespanMatchesEvaluate(t *testing.T) {
 							wantTM / 2,
 							math.Inf(1),
 						} {
+							before := fast.Stats().MakespanDispatches
 							tm, exceeded, err := fast.MakespanWithin(m, cutoff)
 							if err != nil {
 								t.Fatal(err)
 							}
 							calls++
+							// A call that ran to the end dispatched every
+							// task; one that stopped early, at least one.
+							if d := fast.Stats().MakespanDispatches - before; d > int64(g.N()) || d < 1 || (!exceeded && d != int64(g.N())) {
+								t.Fatalf("%s: cutoff %v (exceeded %v) counted %d dispatches of %d tasks", where, cutoff, exceeded, d, g.N())
+							}
 							switch {
 							case exceeded && !(wantTM > cutoff):
 								t.Fatalf("%s: cutoff %v exceeded, but Evaluate's T_M is %v", where, cutoff, wantTM)

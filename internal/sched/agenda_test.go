@@ -71,8 +71,9 @@ func coarseCopy(g *taskgraph.Graph, rng *rand.Rand) *taskgraph.Graph {
 // token-per-edge reference (built for the same graph and platform) and fails
 // unless they agree bit for bit: every Slot, the makespan, the summed
 // transfer delay, each core's busy cycles and seconds, and the error on
-// invalid input. sch's makespan-only form must agree at cutoffs on both
-// sides of the makespan. It reports whether two tasks start at the same
+// invalid input. sch's makespan-only form, whose early exit stops at a
+// dispatch, must agree with the reference makespan at every task end time
+// and just below it. It reports whether two tasks start at the same
 // non-zero time, i.e. whether the schedule exercised a shared batch.
 func matchTokenAgenda(t testing.TB, sch *Scheduler, ref *tokenScheduler, scaling []int, m Mapping) (coincident bool) {
 	t.Helper()
@@ -125,13 +126,24 @@ func matchTokenAgenda(t testing.TB, sch *Scheduler, ref *tokenScheduler, scaling
 		}
 		starts[s.StartSec] = true
 	}
-	// The makespan-only form, at the makespan and just below it: exact
-	// within the cutoff, exceeded past it.
+	// The makespan-only form, at every distinct task end time and just
+	// below each: exceeded exactly when the makespan passes the cutoff,
+	// bit-exact within it, and past it a value in (cutoff, makespan] up to
+	// the early exit's 1e-9 relative tolerance.
 	ms := want.MakespanSeconds()
-	for _, cutoff := range []float64{ms, math.Nextafter(ms, math.Inf(-1))} {
-		tm, exceeded, err := sch.MakespanWithin(m, cutoff)
-		if err != nil || exceeded != (ms > cutoff) || (!exceeded && !bitsEq(tm, ms)) {
-			t.Fatalf("%s: MakespanWithin(cutoff %v) = %v, %v, %v; reference makespan %v", what(), cutoff, tm, exceeded, err, ms)
+	seen := make(map[float64]bool, len(want.Slots))
+	for _, s := range want.Slots {
+		if seen[s.EndSec] {
+			continue
+		}
+		seen[s.EndSec] = true
+		for _, cutoff := range []float64{s.EndSec, math.Nextafter(s.EndSec, math.Inf(-1))} {
+			tm, exceeded, err := sch.MakespanWithin(m, cutoff)
+			if err != nil || exceeded != (ms > cutoff) ||
+				(!exceeded && !bitsEq(tm, ms)) ||
+				(exceeded && !(cutoff < tm && tm <= ms*(1+1e-9))) {
+				t.Fatalf("%s: MakespanWithin(cutoff %v) = %v, %v, %v; reference makespan %v", what(), cutoff, tm, exceeded, err, ms)
+			}
 		}
 	}
 	return coincident

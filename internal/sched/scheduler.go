@@ -1,8 +1,10 @@
 package sched
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"seadopt/internal/arch"
 	"seadopt/internal/taskgraph"
@@ -45,17 +47,35 @@ func agendaLess(a, b agendaEvent) bool {
 type Scheduler struct {
 	g   *taskgraph.Graph
 	p   *arch.Platform
-	bl  []int64            // b-level priorities, graph-constant
 	icn *arch.Interconnect // nil = ideal point-to-point links
+
+	// Graph-constant data, flattened once. Task t's outgoing edges are
+	// entries succOff[t] to succOff[t+1] of succTo and succCycles; succSer
+	// holds each edge's serialization time on the fabric (nil without
+	// one). rank is each task's dispatch priority: 0 for the highest
+	// b-level, TaskID breaking ties. topo is a topological order.
+	cycles     []int64
+	preds      []int
+	rank       []int
+	topo       []taskgraph.TaskID
+	succOff    []int
+	succTo     []taskgraph.TaskID
+	succCycles []int64
+	succSer    []float64
 
 	scaling []int
 	freq    []float64
+	period  []float64 // 1/freq, for mappedTails
 
-	// Scratch reused across Schedule calls. agenda is a binary min-heap
-	// ordered by agendaLess. inputs holds, per task, the ready event keyed
-	// by its latest input delivered so far. linkBusy tracks, per directed
-	// fabric link, when the last reserved transfer drains; linkPath is the
-	// routing scratch.
+	// Scratch reused across Schedule calls. dur is each task's duration on
+	// its mapped core and tail the longest mapped path after it (computed
+	// only under a finite cutoff). agenda is a binary min-heap ordered by
+	// agendaLess. inputs holds, per task, the ready event keyed by its
+	// latest input delivered so far. linkBusy tracks, per directed fabric
+	// link, when the last reserved transfer drains. dispatched counts the
+	// tasks the last call dispatched.
+	dur            []float64
+	tail           []float64
 	remainingPreds []int
 	inputs         []agendaEvent
 	agenda         []agendaEvent
@@ -65,7 +85,7 @@ type Scheduler struct {
 	touched        []bool
 	touchedList    []int
 	linkBusy       []float64
-	linkPath       []int
+	dispatched     int
 
 	out Schedule
 }
@@ -75,22 +95,66 @@ type Scheduler struct {
 func NewScheduler(g *taskgraph.Graph, p *arch.Platform) *Scheduler {
 	n := g.N()
 	cores := p.Cores()
+	edges := 0
+	for t := 0; t < n; t++ {
+		edges += len(g.Succs(taskgraph.TaskID(t)))
+	}
+	// Arrays of one element type share a backing allocation: one-shot
+	// callers (ListSchedule, metrics.Evaluate) build a Scheduler per call.
+	ints := make([]int, 4*n+1)
+	i64 := make([]int64, n+edges)
+	f64 := make([]float64, 2*cores+2*n)
 	s := &Scheduler{
 		g:              g,
 		p:              p,
-		bl:             g.BLevels(),
 		icn:            p.Interconnect(),
+		cycles:         i64[:n],
+		preds:          ints[:n],
+		rank:           ints[n : 2*n],
+		topo:           g.TopoOrder(),
+		succOff:        ints[2*n : 3*n+1],
+		succTo:         make([]taskgraph.TaskID, 0, edges),
+		succCycles:     i64[n:n],
 		scaling:        make([]int, cores),
-		freq:           make([]float64, cores),
-		remainingPreds: make([]int, n),
+		freq:           f64[:cores],
+		period:         f64[cores : 2*cores],
+		dur:            f64[2*cores : 2*cores+n],
+		tail:           f64[2*cores+n:],
+		remainingPreds: ints[3*n+1:],
 		inputs:         make([]agendaEvent, n),
 		pools:          make([][]taskgraph.TaskID, cores),
 		coreBusy:       make([]bool, cores),
 		touched:        make([]bool, cores),
 		touchedList:    make([]int, 0, cores),
 	}
+	byRank := make([]taskgraph.TaskID, n)
+	for t := 0; t < n; t++ {
+		id := taskgraph.TaskID(t)
+		s.cycles[t] = g.Task(id).Cycles
+		s.preds[t] = len(g.Preds(id))
+		for _, e := range g.Succs(id) {
+			s.succTo = append(s.succTo, e.To)
+			s.succCycles = append(s.succCycles, e.Cycles)
+		}
+		s.succOff[t+1] = len(s.succTo)
+		byRank[t] = id
+	}
+	bl := g.BLevels()
+	slices.SortFunc(byRank, func(a, b taskgraph.TaskID) int {
+		if c := cmp.Compare(bl[b], bl[a]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	for r, t := range byRank {
+		s.rank[t] = r
+	}
 	if s.icn != nil {
 		s.linkBusy = make([]float64, s.icn.NumLinks())
+		s.succSer = make([]float64, len(s.succCycles))
+		for k, c := range s.succCycles {
+			s.succSer[k] = s.icn.MessageBits(c) / s.icn.BandwidthBps
+		}
 	}
 	s.out = Schedule{
 		Graph:      g,
@@ -103,33 +167,6 @@ func NewScheduler(g *taskgraph.Graph, p *arch.Platform) *Scheduler {
 		icn:        s.icn,
 	}
 	return s
-}
-
-// transferArrival reserves the fabric links of a src→dst transfer of the
-// given communication cycles issued at now, and returns its arrival time.
-// Cut-through channel reservation: the transfer starts once every link on
-// its path is free of earlier traffic by the time its head word gets there
-// (link i is entered i hop-latencies after the start), then holds each
-// link for the serialization time bits/bandwidth. Uncontended this is
-// exactly hops·HopLatencySec + bits/BandwidthBps; contention only delays
-// the start. Transfers are issued while draining agenda events in strict
-// (time, seq) order, so reservation order — and therefore who queues
-// behind whom — is deterministic.
-func (s *Scheduler) transferArrival(src, dst int, cycles int64, now float64) float64 {
-	ic := s.icn
-	ser := ic.MessageBits(cycles) / ic.BandwidthBps
-	lat := ic.HopLatencySec
-	s.linkPath = ic.PathLinks(src, dst, s.linkPath[:0])
-	start := now
-	for i, l := range s.linkPath {
-		if t := s.linkBusy[l] - float64(i)*lat; t > start {
-			start = t
-		}
-	}
-	for i, l := range s.linkPath {
-		s.linkBusy[l] = start + float64(i)*lat + ser
-	}
-	return start + float64(len(s.linkPath))*lat + ser
 }
 
 // Graph returns the pinned task graph.
@@ -147,6 +184,7 @@ func (s *Scheduler) Bind(scaling []int) error {
 	copy(s.scaling, scaling)
 	for i, lv := range s.scaling {
 		s.freq[i] = s.p.MustCoreLevel(i, lv).FreqHz()
+		s.period[i] = 1 / s.freq[i]
 	}
 	return nil
 }
@@ -180,6 +218,7 @@ func (s *Scheduler) BindDelta(next []int, changed []int) ([]int, error) {
 		}
 		s.scaling[c] = v
 		s.freq[c] = s.p.MustCoreLevel(c, v).FreqHz()
+		s.period[c] = 1 / s.freq[c]
 		changed = append(changed, c)
 	}
 	return changed, nil
@@ -231,12 +270,19 @@ func (s *Scheduler) Schedule(m Mapping) (*Schedule, error) {
 
 // MakespanWithin list-schedules m like Schedule but computes only the
 // single-iteration makespan: it skips the eq. (7) busy-cycle billing and
-// the CommDelaySeconds sum, and it stops as soon as the next batch lies
-// after cutoff, since every pending event ends at or after its timestamp
-// and the makespan is then provably above cutoff. exceeded reports exactly
-// makespan > cutoff. When it is false, makespan is bit-identical to
-// Schedule's MakespanSeconds; when it is true, makespan is only a lower
-// bound above cutoff. Like Schedule, it invalidates any borrowed Schedule.
+// the CommDelaySeconds sum, and it stops as soon as the makespan provably
+// exceeds cutoff. exceeded reports exactly makespan > cutoff. When it is
+// false, makespan is bit-identical to Schedule's MakespanSeconds; when it
+// is true, makespan lies in (cutoff, MakespanSeconds·(1+1e-9)]. Like
+// Schedule, it invalidates any borrowed Schedule.
+//
+// Three tests stop the run. The next batch lies after cutoff: every pending
+// event ends at or after its timestamp. Or, with a finite cutoff, a task is
+// dispatched whose end plus its mapped tail (see mappedTails) passes cutoff,
+// or a fabric transfer delivers a task's input so late that the arrival
+// plus the task's duration and tail does. Those two allow a 1e-9 relative
+// tolerance, far above the rounding of either side, so they fire only once
+// makespan > cutoff is proven.
 func (s *Scheduler) MakespanWithin(m Mapping, cutoff float64) (makespan float64, exceeded bool, err error) {
 	exceeded, err = s.run(m, cutoff, false)
 	if err != nil {
@@ -245,10 +291,46 @@ func (s *Scheduler) MakespanWithin(m Mapping, cutoff float64) (makespan float64,
 	return s.out.makespan, exceeded, nil
 }
 
+// Dispatched returns the number of tasks the last Schedule or
+// MakespanWithin call dispatched: all of them unless it stopped early.
+func (s *Scheduler) Dispatched() int { return s.dispatched }
+
+// mappedTails sets tail[t], for every task t, to the longest path after t
+// under mapping m: per successor, its duration on its mapped core plus,
+// across cores, the edge's ideal-link cost (cycles at the slower clock) or
+// its uncontended fabric cost hops·HopLatencySec + bits/bandwidth
+// (contention only adds to it). So no schedule of m finishes before
+// start + dur[t] + tail[t] for any task t dispatched at start, up to
+// rounding: the sums here associate differently from the schedule's and
+// the ideal-link cost multiplies by the period where the schedule divides
+// by the frequency, each a few ulps. dur must be set.
+func (s *Scheduler) mappedTails(m Mapping) {
+	for i := len(s.topo) - 1; i >= 0; i-- {
+		t := s.topo[i]
+		c := m[t]
+		longest := 0.0
+		for k := s.succOff[t]; k < s.succOff[t+1]; k++ {
+			to := s.succTo[k]
+			v := s.dur[to] + s.tail[to]
+			if d := m[to]; d != c && s.succCycles[k] != 0 {
+				if s.icn != nil {
+					v += float64(s.icn.Hops(c, d))*s.icn.HopLatencySec + s.succSer[k]
+				} else {
+					v += float64(s.succCycles[k]) * max(s.period[c], s.period[d])
+				}
+			}
+			if v > longest {
+				longest = v
+			}
+		}
+		s.tail[t] = longest
+	}
+}
+
 // run is the one simulation loop behind Schedule and MakespanWithin. It
-// stops once the next batch lies after cutoff (reporting exceeded, with
-// s.out.makespan set to that batch's time) and, with full set, also sums
-// CommDelaySeconds and bills eq. (7) busy cycles.
+// stops once the makespan provably exceeds cutoff (reporting exceeded, with
+// s.out.makespan set to the lower bound that proved it) and, with full set,
+// also sums CommDelaySeconds and bills eq. (7) busy cycles.
 func (s *Scheduler) run(m Mapping, cutoff float64, full bool) (exceeded bool, err error) {
 	if err := m.Validate(s.g, s.p.Cores()); err != nil {
 		return false, err
@@ -256,16 +338,14 @@ func (s *Scheduler) run(m Mapping, cutoff float64, full bool) (exceeded bool, er
 	if s.freq[0] == 0 {
 		return false, fmt.Errorf("sched: Schedule called before Bind")
 	}
-	g, n, cores := s.g, s.g.N(), s.p.Cores()
+	n, cores := s.g.N(), s.p.Cores()
 
 	// Reset output and scratch state.
 	sc := &s.out
 	copy(sc.Mapping, m)
 	sc.makespan = 0
 	sc.commDelaySec = 0
-	for i := range s.linkBusy {
-		s.linkBusy[i] = 0
-	}
+	clear(s.linkBusy)
 	for c := 0; c < cores; c++ {
 		sc.busyCycles[c] = 0
 		sc.busySec[c] = 0
@@ -273,33 +353,47 @@ func (s *Scheduler) run(m Mapping, cutoff float64, full bool) (exceeded bool, er
 		s.coreBusy[c] = false
 		s.touched[c] = false
 	}
+	copy(s.remainingPreds, s.preds)
 	for t := 0; t < n; t++ {
-		s.remainingPreds[t] = len(g.Preds(taskgraph.TaskID(t)))
 		s.inputs[t] = agendaEvent{seq: -1, task: taskgraph.TaskID(t)}
+		s.dur[t] = float64(s.cycles[t]) / s.freq[m[t]]
 	}
 	s.agenda = s.agenda[:0]
+	s.dispatched = 0
+	bounded := cutoff < math.Inf(1)
+	limit := cutoff + 1e-9*math.Abs(cutoff)
+	if bounded {
+		s.mappedTails(m)
+	}
 
+	// dispatch starts the highest-priority ready task of an idle core and
+	// reports whether its mapped tail proves the makespan above cutoff.
 	seq := 0
-	scheduledCount := 0
-	dispatch := func(core int, now float64) {
-		if s.coreBusy[core] || len(s.pools[core]) == 0 {
-			return
+	dispatch := func(core int, now float64) (stop bool) {
+		pool := s.pools[core]
+		if s.coreBusy[core] || len(pool) == 0 {
+			return false
 		}
 		best := 0
-		for i := 1; i < len(s.pools[core]); i++ {
-			a, b := s.pools[core][i], s.pools[core][best]
-			if s.bl[a] > s.bl[b] || (s.bl[a] == s.bl[b] && a < b) {
+		for i := 1; i < len(pool); i++ {
+			if s.rank[pool[i]] < s.rank[pool[best]] {
 				best = i
 			}
 		}
-		t := s.pools[core][best]
-		s.pools[core] = append(s.pools[core][:best], s.pools[core][best+1:]...)
-		dur := float64(g.Task(t).Cycles) / s.freq[core]
-		sc.Slots[t] = Slot{Task: t, Core: core, StartSec: now, EndSec: now + dur}
+		t := pool[best]
+		pool[best] = pool[len(pool)-1]
+		s.pools[core] = pool[:len(pool)-1]
+		end := now + s.dur[t]
+		sc.Slots[t] = Slot{Task: t, Core: core, StartSec: now, EndSec: end}
 		s.coreBusy[core] = true
-		scheduledCount++
-		s.heapPush(agendaEvent{now + dur, seq, true, t})
+		s.dispatched++
+		if bounded && end+s.tail[t] > limit {
+			sc.makespan = end + s.tail[t]
+			return true
+		}
+		s.heapPush(agendaEvent{end, seq, true, t})
 		seq++
+		return false
 	}
 
 	// Seed: root tasks are data-ready at time zero.
@@ -309,7 +403,9 @@ func (s *Scheduler) run(m Mapping, cutoff float64, full bool) (exceeded bool, er
 		}
 	}
 	for c := range s.pools {
-		dispatch(c, 0)
+		if dispatch(c, 0) {
+			return true, nil
+		}
 	}
 
 	touch := func(core int) {
@@ -350,17 +446,24 @@ func (s *Scheduler) run(m Mapping, cutoff float64, full bool) (exceeded bool, er
 			if now > sc.makespan {
 				sc.makespan = now
 			}
-			for _, edge := range g.Succs(e.task) {
-				to := edge.To
+			for k := s.succOff[e.task]; k < s.succOff[e.task+1]; k++ {
+				to := s.succTo[k]
 				in := agendaEvent{now, e.seq, false, to}
-				if dst := m[to]; dst != core && edge.Cycles != 0 {
+				if dst := m[to]; dst != core && s.succCycles[k] != 0 {
 					if s.icn != nil {
 						// The transfer rides the shared fabric: reserve the
 						// route's links and deliver at the (possibly
 						// contended) arrival time.
-						in.at = s.transferArrival(core, dst, edge.Cycles, now)
+						in.at = arch.Reserve(s.icn, s.linkBusy, core, dst, now, s.icn.HopLatencySec, s.succSer[k])
 						if full {
 							sc.commDelaySec += in.at - now
+						}
+						// to cannot start before this input arrives, and
+						// contention may have delayed it past the
+						// uncontended cost mappedTails assumed.
+						if lb := in.at + s.dur[to] + s.tail[to]; bounded && lb > limit {
+							sc.makespan = lb
+							return true, nil
 						}
 					} else {
 						// Ideal dedicated link: the transfer costs its cycle
@@ -369,10 +472,11 @@ func (s *Scheduler) run(m Mapping, cutoff float64, full bool) (exceeded bool, er
 						if fd := s.freq[dst]; fd < fSlow {
 							fSlow = fd
 						}
+						delay := float64(s.succCycles[k]) / fSlow
 						if full {
-							sc.commDelaySec += float64(edge.Cycles) / fSlow
+							sc.commDelaySec += delay
 						}
-						in.at = now + float64(edge.Cycles)/fSlow
+						in.at = now + delay
 					}
 					in.seq = seq
 					seq++
@@ -400,12 +504,14 @@ func (s *Scheduler) run(m Mapping, cutoff float64, full bool) (exceeded bool, er
 			}
 		}
 		for _, c := range s.touchedList {
-			dispatch(c, now)
 			s.touched[c] = false
+			if dispatch(c, now) {
+				return true, nil
+			}
 		}
 	}
-	if scheduledCount != n {
-		return false, fmt.Errorf("sched: graph %q not schedulable (%d of %d tasks ran)", g.Name(), scheduledCount, n)
+	if s.dispatched != n {
+		return false, fmt.Errorf("sched: graph %q not schedulable (%d of %d tasks ran)", s.g.Name(), s.dispatched, n)
 	}
 	if !full {
 		return false, nil
@@ -416,11 +522,11 @@ func (s *Scheduler) run(m Mapping, cutoff float64, full bool) (exceeded bool, er
 	// the link, the consumer receives; DESIGN.md §5).
 	for t := 0; t < n; t++ {
 		core := m[t]
-		sc.busyCycles[core] += g.Task(taskgraph.TaskID(t)).Cycles
-		for _, e := range g.Succs(taskgraph.TaskID(t)) {
-			if m[e.To] != core {
-				sc.busyCycles[core] += e.Cycles
-				sc.busyCycles[m[e.To]] += e.Cycles
+		sc.busyCycles[core] += s.cycles[t]
+		for k := s.succOff[t]; k < s.succOff[t+1]; k++ {
+			if to := m[s.succTo[k]]; to != core {
+				sc.busyCycles[core] += s.succCycles[k]
+				sc.busyCycles[to] += s.succCycles[k]
 			}
 		}
 	}
@@ -433,41 +539,45 @@ func (s *Scheduler) run(m Mapping, cutoff float64, full bool) (exceeded bool, er
 // heapPush inserts an event into the agenda min-heap. Hand-rolled rather
 // than container/heap: the interface indirection and per-op allocations of
 // the stdlib adapter are measurable at this call frequency, and the agenda
-// is the scheduler's innermost data structure.
+// is the scheduler's innermost data structure. Both sifts move a hole
+// instead of swapping, which leaves the same array as swapping would.
 func (s *Scheduler) heapPush(e agendaEvent) {
 	s.agenda = append(s.agenda, e)
 	i := len(s.agenda) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !agendaLess(s.agenda[i], s.agenda[parent]) {
+		if !agendaLess(e, s.agenda[parent]) {
 			break
 		}
-		s.agenda[i], s.agenda[parent] = s.agenda[parent], s.agenda[i]
+		s.agenda[i] = s.agenda[parent]
 		i = parent
 	}
+	s.agenda[i] = e
 }
 
 // heapPop removes and returns the agenda's (at, seq)-minimum event.
 func (s *Scheduler) heapPop() agendaEvent {
 	top := s.agenda[0]
 	last := len(s.agenda) - 1
-	s.agenda[0] = s.agenda[last]
+	e := s.agenda[last]
 	s.agenda = s.agenda[:last]
 	i := 0
 	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < last && agendaLess(s.agenda[l], s.agenda[small]) {
-			small = l
-		}
-		if r < last && agendaLess(s.agenda[r], s.agenda[small]) {
-			small = r
-		}
-		if small == i {
+		small := 2*i + 1
+		if small >= last {
 			break
 		}
-		s.agenda[i], s.agenda[small] = s.agenda[small], s.agenda[i]
+		if r := small + 1; r < last && agendaLess(s.agenda[r], s.agenda[small]) {
+			small = r
+		}
+		if !agendaLess(s.agenda[small], e) {
+			break
+		}
+		s.agenda[i] = s.agenda[small]
 		i = small
+	}
+	if last > 0 {
+		s.agenda[i] = e
 	}
 	return top
 }

@@ -418,6 +418,13 @@ func TestHTTPValidation(t *testing.T) {
 		{"bad platform", "/v1/jobs", "application/json",
 			`{"format":"json","graph":{"name":"g","registers":[],"tasks":[{"name":"a","cycles":1,"registers":[]}],"edges":[]},
 			  "platform":{"levels":7}}`, http.StatusBadRequest},
+		{"oversized platform shorthand", "/v1/jobs", "application/json",
+			`{"format":"json","graph":{"name":"g","registers":[],"tasks":[{"name":"a","cycles":1,"registers":[]}],"edges":[]},
+			  "platform":{"cores":4194304}}`, http.StatusBadRequest},
+		{"oversized platform spec", "/v1/jobs", "application/json",
+			`{"format":"json","graph":{"name":"g","registers":[],"tasks":[{"name":"a","cycles":1,"registers":[]}],"edges":[]},
+			  "platform":{"types":[{"name":"a","freqs_mhz":[200]}],"cores":[{"type":"a","count":4194304}]}}`, http.StatusBadRequest},
+		{"oversized raw-body platform", "/v1/jobs?format=dot&cores=4194304", "text/plain", "digraph g { a -> b; }", http.StatusBadRequest},
 		{"raw without format", "/v1/jobs", "text/plain", "???", http.StatusBadRequest},
 	}
 	for _, tc := range cases {

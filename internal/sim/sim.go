@@ -139,13 +139,12 @@ func Run(g *taskgraph.Graph, p *arch.Platform, m sched.Mapping, scaling []int, c
 
 	bl := g.BLevels()
 
-	// Interconnect state: per-link clear times for the cut-through
-	// reservation model, mirroring sched.Scheduler.transferArrival in
-	// integer femtoseconds.
+	// Interconnect state: per-link drain times for arch.Reserve, the
+	// cut-through reservation rule the list scheduler applies in seconds,
+	// here in integer femtoseconds.
 	icn := p.Interconnect()
 	var (
 		linkBusy []desim.Time
-		pathBuf  []int
 		hopFs    desim.Time
 	)
 	if icn != nil {
@@ -212,21 +211,10 @@ func Run(g *taskgraph.Graph, p *arch.Platform, m sched.Mapping, scaling []int, c
 			}
 			tgt := target
 			if icn != nil {
-				// Reserve the XY/bus path: the transfer starts when every
-				// link is clear of earlier traffic at its stagger offset,
-				// then holds each link for the serialization time.
+				// Reserve the XY/bus route and deliver at the (possibly
+				// contended) arrival time.
 				serFs := desim.FromSeconds(icn.MessageBits(commCycles) / icn.BandwidthBps)
-				pathBuf = icn.PathLinks(core, res.Mapping[e.To], pathBuf[:0])
-				start := k.Now()
-				for i, l := range pathBuf {
-					if t := linkBusy[l] - desim.Time(i)*hopFs; t > start {
-						start = t
-					}
-				}
-				for i, l := range pathBuf {
-					linkBusy[l] = start + desim.Time(i)*hopFs + serFs
-				}
-				arrive := start + desim.Time(len(pathBuf))*hopFs + serFs
+				arrive := arch.Reserve(icn, linkBusy, core, res.Mapping[e.To], k.Now(), hopFs, serFs)
 				// After from inside an event cannot fail: delay >= 0, fn != nil.
 				_ = k.After(arrive-k.Now(), func() { release(tgt) })
 				continue
