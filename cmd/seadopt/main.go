@@ -24,6 +24,7 @@ import (
 
 	"seadopt"
 	"seadopt/internal/buildinfo"
+	"seadopt/internal/ingest"
 	"seadopt/internal/trace"
 )
 
@@ -361,9 +362,7 @@ func runSweep(sys *seadopt.System, graphName, platformDesc string, opts seadopt.
 			return 1, err
 		}
 		var doc sweepSpecDoc
-		dec := json.NewDecoder(strings.NewReader(string(data)))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&doc); err != nil {
+		if err := ingest.DecodeStrict(data, &doc); err != nil {
 			return 1, fmt.Errorf("parsing sweep spec %s: %w", p.specFile, err)
 		}
 		deadlines = doc.Deadlines

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -15,16 +16,20 @@ import (
 )
 
 // TestDaemonMetricsExposition is the observability integration check: boot
-// a real daemon with JSON logging, run one job through it, then validate
-// the full /metrics scrape with the strict exposition parser and fetch the
-// job's stats and worker-timeline trace. CI runs this step race-enabled.
+// a real daemon with JSON logging and a durable store, run one job through
+// it, then validate the full /metrics scrape with the strict exposition
+// parser, check that a cache hit grows the journal by under 1 KiB, and
+// fetch the job's stats and worker-timeline trace. CI runs this step
+// race-enabled.
 func TestDaemonMetricsExposition(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	addrCh := make(chan string, 1)
 	done := make(chan error, 1)
+	store := t.TempDir()
 	go func() {
 		done <- run(ctx,
-			[]string{"-addr", "127.0.0.1:0", "-workers", "1", "-log-format", "json", "-drain-timeout", "30s"},
+			[]string{"-addr", "127.0.0.1:0", "-workers", "1", "-log-format", "json", "-drain-timeout", "30s",
+				"-store", store},
 			func(addr string) { addrCh <- addr })
 	}()
 	var base string
@@ -119,25 +124,41 @@ func TestDaemonMetricsExposition(t *testing.T) {
 	}
 
 	// The full scrape must be valid Prometheus text format, with the three
-	// latency histograms and the build-info series present.
-	mresp, err := http.Get(base + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	scrape, _ := io.ReadAll(mresp.Body)
-	mresp.Body.Close()
-	if err := service.LintMetrics(scrape); err != nil {
-		t.Fatalf("/metrics fails exposition lint: %v", err)
-	}
+	// latency histograms, the journal series and the build-info series
+	// present.
+	scrape := scrapeMetrics(t, base)
 	for _, want := range []string{
 		"# TYPE seadoptd_job_queue_wait_seconds histogram",
 		"# TYPE seadoptd_engine_exec_seconds histogram",
 		"# TYPE seadoptd_http_request_duration_seconds histogram",
+		"# TYPE seadoptd_store_appends_total counter",
+		"# TYPE seadoptd_store_bytes_total counter",
+		"# TYPE seadoptd_store_recovery_seconds gauge",
 		"seadoptd_build_info{",
 	} {
 		if !strings.Contains(string(scrape), want) {
 			t.Errorf("/metrics missing %q", want)
 		}
+	}
+
+	// A cache hit is journaled by key: one small record.
+	hresp, err := http.Post(base+"/v1/jobs", "application/json", bytes.NewReader(env))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hit struct {
+		CacheHit bool `json:"cache_hit"`
+	}
+	err = json.NewDecoder(hresp.Body).Decode(&hit)
+	hresp.Body.Close()
+	if err != nil || !hit.CacheHit {
+		t.Fatalf("resubmission: cache hit %v, error %v", hit.CacheHit, err)
+	}
+	after := scrapeMetrics(t, base)
+	appends := metricValue(t, after, "seadoptd_store_appends_total") - metricValue(t, scrape, "seadoptd_store_appends_total")
+	grew := metricValue(t, after, "seadoptd_store_bytes_total") - metricValue(t, scrape, "seadoptd_store_bytes_total")
+	if appends != 1 || grew <= 0 || grew >= 1024 {
+		t.Errorf("cache hit appended %v records of %v bytes; want one record under 1 KiB", appends, grew)
 	}
 
 	// Per-job engine stats and the perfetto trace are served.
@@ -191,4 +212,34 @@ func TestDaemonMetricsExposition(t *testing.T) {
 	if want := len(stats.EngineStats.Workers) + 1; len(rows) != want {
 		t.Errorf("trace has %d named rows, want %d (one per engine worker + events)", len(rows), want)
 	}
+}
+
+// scrapeMetrics fetches /metrics and requires it to pass the exposition
+// lint.
+func scrapeMetrics(t *testing.T, base string) []byte {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	scrape, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err := service.LintMetrics(scrape); err != nil {
+		t.Fatalf("/metrics fails exposition lint: %v", err)
+	}
+	return scrape
+}
+
+// metricValue returns the value of the unlabeled series name in scrape.
+func metricValue(t *testing.T, scrape []byte, name string) float64 {
+	t.Helper()
+	line := firstMatching(scrape, name)
+	if line == "" {
+		t.Fatalf("/metrics has no %s series", name)
+	}
+	v, err := strconv.ParseFloat(strings.TrimPrefix(line, name+" "), 64)
+	if err != nil {
+		t.Fatalf("%s: %v", line, err)
+	}
+	return v
 }

@@ -308,11 +308,12 @@ func firstMatching(body []byte, prefix string) string {
 }
 
 // TestCrashRecoveryDaemon is the durability acceptance test as real
-// processes: a daemon with a -store directory finishes one job and is
-// running another when it is SIGKILLed; the restarted daemon (same store)
-// still serves the finished job's exact bytes, answers an identical
-// resubmission from the recovered cache, and has re-enqueued the
-// interrupted job under its original ID.
+// processes: a daemon with a -store directory finishes one job, answers its
+// resubmission from cache, and is running another job when it is
+// SIGKILLed; the restarted daemon (same store) still serves the finished
+// job's and the cache hit's exact bytes, answers an identical resubmission
+// from the recovered cache, and has re-enqueued the interrupted job under
+// its original ID.
 func TestCrashRecoveryDaemon(t *testing.T) {
 	dir := t.TempDir()
 	d1 := spawnDaemon(t, "-addr", "127.0.0.1:0", "-workers", "1",
@@ -321,6 +322,11 @@ func TestCrashRecoveryDaemon(t *testing.T) {
 	fast := mpeg2Env(t, nil)
 	fj := submitEnvelope(t, d1.base, fast)
 	finished := waitJobState(t, d1.base, fj.ID, "done")
+	// A cache hit, journaled by its key rather than its problem.
+	hit := submitEnvelope(t, d1.base, fast)
+	if !hit.CacheHit || hit.State != "done" {
+		t.Fatalf("resubmission before the crash: state %s, cacheHit %v", hit.State, hit.CacheHit)
+	}
 
 	// A long job to be mid-flight at the kill: a 60-task graph with a large
 	// local-search budget.
@@ -357,6 +363,12 @@ func TestCrashRecoveryDaemon(t *testing.T) {
 	}
 	if !bytes.Equal(rec.Result, finished.Result) {
 		t.Fatalf("recovered result bytes changed:\n%s\nvs\n%s", rec.Result, finished.Result)
+	}
+	// So did the cache hit, served from the finished job's result record.
+	hrec := getJobView(t, d2.base, hit.ID)
+	if hrec.State != "done" || !hrec.CacheHit || !bytes.Equal(hrec.Result, finished.Result) {
+		t.Fatalf("recovered cache hit %s: state %s, cacheHit %v, bytes equal %v",
+			hit.ID, hrec.State, hrec.CacheHit, bytes.Equal(hrec.Result, finished.Result))
 	}
 	// An identical resubmission is served from the recovered cache.
 	again := submitEnvelope(t, d2.base, fast)

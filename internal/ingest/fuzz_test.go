@@ -118,6 +118,7 @@ func FuzzParsePlatformSpec(f *testing.F) {
 		f.Add(data)
 	}
 	f.Add([]byte(heteroSpec))
+	f.Add([]byte(heteroSpec + "garbage"))
 	f.Add([]byte(`{"types":[{"name":"a","freqs_mhz":[200,100]}],"cores":[{"type":"a","count":7}],
 	  "interconnect":{"topology":"mesh","bandwidth_bits_per_sec":1e9,"mesh_width":3}}`))
 	for _, spec := range oversizedSpecs {

@@ -44,6 +44,7 @@ package ingest
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"strings"
@@ -141,6 +142,21 @@ func ParseBytes(f Format, data []byte) (*taskgraph.Graph, error) {
 		return nil, err
 	}
 	return g, nil
+}
+
+// DecodeStrict decodes data, one JSON document, into v. It refuses unknown
+// object fields and anything but whitespace after the document, which
+// json.Decoder.Decode alone would silently ignore.
+func DecodeStrict(data []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return fmt.Errorf("unexpected data after the JSON document at offset %d", dec.InputOffset())
+	}
+	return nil
 }
 
 // ValidateGraph enforces the ingestion contract on top of the structural

@@ -173,3 +173,23 @@ func TestValidateGraphAcceptsNativeWorkloads(t *testing.T) {
 		}
 	}
 }
+
+// TestDecodeStrict: one JSON document, optionally followed by whitespace,
+// decodes; unknown fields and any trailing value or byte are refused.
+func TestDecodeStrict(t *testing.T) {
+	type doc struct {
+		A int `json:"a"`
+	}
+	for _, in := range []string{`{"a":1}`, "{\"a\":1}\n", " {\"a\":1} \t\r\n "} {
+		var d doc
+		if err := DecodeStrict([]byte(in), &d); err != nil || d.A != 1 {
+			t.Errorf("DecodeStrict(%q) = %+v, %v; want {A:1}", in, d, err)
+		}
+	}
+	for _, in := range []string{`{"a":1}garbage`, `{"a":1}{"a":2}`, `{"a":1}}`, `{"a":1} 7`, `{"b":1}`, ``} {
+		var d doc
+		if err := DecodeStrict([]byte(in), &d); err == nil {
+			t.Errorf("DecodeStrict(%q) accepted", in)
+		}
+	}
+}

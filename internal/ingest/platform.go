@@ -1,7 +1,6 @@
 package ingest
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"strings"
@@ -118,10 +117,8 @@ func (cs CoreSpec) count() int {
 // the built platform. Errors name the offending element so a spec author
 // can fix the document without reading this source.
 func ParsePlatformSpec(data []byte) (*arch.Platform, error) {
-	dec := json.NewDecoder(strings.NewReader(string(data)))
-	dec.DisallowUnknownFields()
 	var spec PlatformSpec
-	if err := dec.Decode(&spec); err != nil {
+	if err := DecodeStrict(data, &spec); err != nil {
 		return nil, fmt.Errorf("ingest: decoding platform spec: %w", err)
 	}
 	return spec.Build()

@@ -157,6 +157,11 @@ func TestPlatformSpecErrors(t *testing.T) {
 			want: []string{"decoding platform spec"},
 		},
 		{
+			name: "trailing data",
+			spec: `{"types": [{"name": "a", "freqs_mhz": [200]}], "cores": [{"type": "a"}]} {"cores": []}`,
+			want: []string{"decoding platform spec", "after the JSON document"},
+		},
+		{
 			name: "negative cl",
 			spec: `{"types": [{"name": "a", "freqs_mhz": [200]}], "cores": [{"type": "a"}], "cl": -1}`,
 			want: []string{"C_L"},

@@ -1,10 +1,12 @@
 package ingest
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"strconv"
 
 	"seadopt/internal/arch"
 	"seadopt/internal/faults"
@@ -295,8 +297,9 @@ func (p *Problem) keyVersion() int {
 
 // canonicalProblem is the stable wire form the ProblemKey hashes. Field
 // order is fixed; every field is value-typed or deterministically ordered
-// (the graph encoding orders registers by inventory insertion, tasks by ID
-// and edges by source task).
+// (the graph encoding orders registers by ID, tasks by ID and edges by
+// (from, to)). Graph is filled only when decoding: CanonicalEncoding
+// marshals it null and splices the graph document in (spliceGraph).
 type canonicalProblem struct {
 	V        int               `json:"v"`
 	Graph    json.RawMessage   `json:"graph"`
@@ -392,7 +395,6 @@ func (p *Problem) CanonicalEncoding() ([]byte, error) {
 	}
 	cp := canonicalProblem{
 		V:        p.keyVersion(),
-		Graph:    gj,
 		Platform: canonicalizePlatform(p.Platform),
 		Options:  p.Options.normalize(),
 	}
@@ -402,7 +404,28 @@ func (p *Problem) CanonicalEncoding() ([]byte, error) {
 		}
 		cp.SweepPlatforms = append(cp.SweepPlatforms, canonicalizePlatform(sp))
 	}
-	return json.Marshal(cp)
+	env, err := json.Marshal(cp)
+	if err != nil {
+		return nil, err
+	}
+	return spliceGraph(env, cp.V, gj)
+}
+
+// spliceGraph writes the graph document gj into env, an envelope that
+// json.Marshal rendered with a null graph right after its "v" field. The
+// result is the bytes json.Marshal produces with gj as a json.RawMessage,
+// without that path's validate-and-compact pass over the graph: gj comes
+// from Graph.MarshalJSON, which is already compact and HTML-escaped.
+func spliceGraph(env []byte, v int, gj []byte) ([]byte, error) {
+	head := `{"v":` + strconv.Itoa(v) + `,"graph":`
+	if !bytes.HasPrefix(env, []byte(head+"null")) {
+		return nil, fmt.Errorf("ingest: canonical envelope does not open with %snull", head)
+	}
+	rest := env[len(head)+len("null"):]
+	out := make([]byte, 0, len(head)+len(gj)+len(rest))
+	out = append(out, head...)
+	out = append(out, gj...)
+	return append(out, rest...), nil
 }
 
 // Key returns the content-addressed identity of the problem: a SHA-256 over
@@ -430,7 +453,8 @@ func EncodingKey(enc []byte) string {
 // canonicalFingerprint is the workload-only slice of the canonical problem:
 // graph and platform, no options. Its own version tag moves independently of
 // problemKeyVersion, since it only gates warm-start and probe reuse, never
-// result-cache identity.
+// result-cache identity. Graph stays null; Fingerprint splices the graph
+// document in.
 type canonicalFingerprint struct {
 	V        int               `json:"v"`
 	Graph    json.RawMessage   `json:"graph"`
@@ -455,11 +479,14 @@ func (p *Problem) Fingerprint() (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("ingest: encoding graph for fingerprint: %w", err)
 	}
-	enc, err := json.Marshal(canonicalFingerprint{
+	env, err := json.Marshal(canonicalFingerprint{
 		V:        fingerprintVersion,
-		Graph:    gj,
 		Platform: canonicalizePlatform(p.Platform),
 	})
+	if err != nil {
+		return "", err
+	}
+	enc, err := spliceGraph(env, fingerprintVersion, gj)
 	if err != nil {
 		return "", err
 	}

@@ -15,6 +15,9 @@ type cacheEntry struct {
 	summary string
 	total   int // scaling combinations explored
 	stats   *seadopt.ExploreStats
+	// journaled is set once the durable store holds a done result record
+	// for key, so a hit on this entry can be journaled by key alone.
+	journaled bool
 }
 
 // lruCache is a fixed-capacity LRU over finished results. It is not

@@ -87,10 +87,8 @@ func buildOnePlatform(raw json.RawMessage) (*arch.Platform, error) {
 	if probe.Types != nil {
 		return ingest.ParsePlatformSpec(raw)
 	}
-	dec := json.NewDecoder(strings.NewReader(string(raw)))
-	dec.DisallowUnknownFields()
 	var short platformShorthand
-	if err := dec.Decode(&short); err != nil {
+	if err := ingest.DecodeStrict(raw, &short); err != nil {
 		return nil, fmt.Errorf("decoding platform: %w (want {\"cores\",\"levels\"} or a full spec with \"types\")", err)
 	}
 	return short.build()
@@ -295,9 +293,7 @@ func decodeSubmit(r *http.Request, body []byte) (*submitRequest, error) {
 	rawMode := r.URL.Query().Get("format") != ""
 	if !rawMode && (strings.Contains(ct, "json") || (ct == "" && len(body) > 0 && body[0] == '{')) {
 		var req submitRequest
-		dec := json.NewDecoder(strings.NewReader(string(body)))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
+		if err := ingest.DecodeStrict(body, &req); err != nil {
 			return nil, fmt.Errorf("decoding job envelope: %w (raw-body submissions need ?format=)", err)
 		}
 		if len(req.Graph) == 0 {

@@ -401,6 +401,7 @@ func TestHTTPRawJSONWithFormatParam(t *testing.T) {
 
 func TestHTTPValidation(t *testing.T) {
 	_, ts := newHTTPServer(t, Config{Workers: 1})
+	const oneTask = `{"format":"json","graph":{"name":"g","registers":[],"tasks":[{"name":"a","cycles":1,"registers":[]}],"edges":[]}}`
 	cases := []struct {
 		name string
 		url  string
@@ -426,6 +427,10 @@ func TestHTTPValidation(t *testing.T) {
 			  "platform":{"types":[{"name":"a","freqs_mhz":[200]}],"cores":[{"type":"a","count":4194304}]}}`, http.StatusBadRequest},
 		{"oversized raw-body platform", "/v1/jobs?format=dot&cores=4194304", "text/plain", "digraph g { a -> b; }", http.StatusBadRequest},
 		{"raw without format", "/v1/jobs", "text/plain", "???", http.StatusBadRequest},
+		{"trailing garbage", "/v1/jobs", "application/json", oneTask + "garbage", http.StatusBadRequest},
+		{"two envelopes", "/v1/jobs", "application/json", oneTask + oneTask, http.StatusBadRequest},
+		{"extra brace", "/v1/jobs", "application/json", oneTask + "}", http.StatusBadRequest},
+		{"trailing newline", "/v1/jobs", "application/json", oneTask + "\n", http.StatusAccepted},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -50,6 +50,11 @@ func renderMetrics(w io.Writer, m Metrics) {
 	counter("seadoptd_warm_starts_total", "Engine executions seeded from a fingerprint-matching prior result.", m.WarmStarts)
 	counter("seadoptd_sharded_executions_total", "Engine executions fanned out over distributed shards.", m.ShardedExecutions)
 	counter("seadoptd_shards_served_total", "Shard ranges executed on behalf of a remote coordinator.", m.ShardsServed)
+	counter("seadoptd_store_appends_total", "Records appended and fsynced to the durable job journal.", m.StoreAppends)
+	counter("seadoptd_store_bytes_total", "Bytes appended to the durable job journal.", m.StoreBytes)
+	fmt.Fprintf(w, "# HELP seadoptd_store_recovery_seconds Duration of the boot's journal replay and recovery.\n"+
+		"# TYPE seadoptd_store_recovery_seconds gauge\nseadoptd_store_recovery_seconds %s\n",
+		formatFloat(m.StoreRecoverySec))
 
 	fmt.Fprintf(w, "# HELP seadoptd_rejected_total Submissions rejected by admission control, by reason.\n"+
 		"# TYPE seadoptd_rejected_total counter\n")

@@ -407,11 +407,11 @@ type Server struct {
 	reuses *reuseRegistry
 	warm   *warmRegistry
 
-	// Durable job store (nil when StoreDir is empty); recovering is set
-	// while the journal replays so replayed operations are not
-	// re-journaled.
-	store      *jobStore
-	recovering bool
+	// Durable job store (nil when StoreDir is empty). recoverySec is how
+	// long the boot's journal replay and recovery took; it is written
+	// before any other goroutine sees the server.
+	store       *jobStore
+	recoverySec float64
 
 	// Admission control (nil when RateLimit is 0).
 	limiter *rateLimiter
@@ -458,6 +458,20 @@ func New(cfg Config) *Server {
 // queued or running when a previous process died are re-enqueued under
 // their original IDs before any worker runs.
 func NewServer(cfg Config) (*Server, error) {
+	s, err := newServer(cfg)
+	if err != nil {
+		return nil, err
+	}
+	for w := 0; w < s.cfg.Workers; w++ {
+		s.wg.Add(1)
+		go s.worker()
+	}
+	return s, nil
+}
+
+// newServer is NewServer without the worker pool: the server state with
+// the journal, if any, replayed into it.
+func newServer(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
@@ -478,6 +492,7 @@ func NewServer(cfg Config) (*Server, error) {
 		s.limiter = newRateLimiter(cfg.RateLimit, float64(cfg.RateBurst), cfg.Now)
 	}
 	if cfg.StoreDir != "" {
+		start := time.Now()
 		store, recs, err := openJobStore(cfg.StoreDir)
 		if err != nil {
 			cancel()
@@ -485,10 +500,7 @@ func NewServer(cfg Config) (*Server, error) {
 		}
 		s.store = store
 		s.recover(recs)
-	}
-	for w := 0; w < cfg.Workers; w++ {
-		s.wg.Add(1)
-		go s.worker()
+		s.recoverySec = time.Since(start).Seconds()
 	}
 	return s, nil
 }
@@ -520,7 +532,9 @@ func (s *Server) recover(recs []storeRecord) {
 				maxSeq = seq
 			}
 		case "result":
-			if jr, ok := jobs[rec.ID]; ok {
+			// Only a terminal outcome finishes a job; anything else is not
+			// a record this server writes.
+			if jr, ok := jobs[rec.ID]; ok && rec.State.Terminal() {
 				jr.result = rec
 			}
 		case "cancel":
@@ -535,19 +549,21 @@ func (s *Server) recover(recs []storeRecord) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.recovering = true
-	defer func() { s.recovering = false }()
 	s.jobSeq = maxSeq
 	// First pass: reinstall finished results into the cache, so re-enqueued
-	// and future submissions over the same key serve the stored bytes.
+	// and future submissions over the same key serve the stored bytes, and
+	// index them by key for the cache hits journaled by key alone.
+	done := make(map[string]*storeRecord)
 	for _, id := range order {
 		jr := jobs[id]
 		if jr.result != nil && jr.result.State == StateDone {
+			done[jr.result.Key] = jr.result
 			s.cache.Add(&cacheEntry{
-				key:     jr.result.Key,
-				result:  jr.result.Result,
-				summary: jr.result.Summary,
-				total:   jr.result.Total,
+				key:       jr.result.Key,
+				result:    jr.result.Result,
+				summary:   jr.result.Summary,
+				total:     jr.result.Total,
+				journaled: true,
 			})
 		}
 	}
@@ -575,6 +591,22 @@ func (s *Server) recover(recs []storeRecord) {
 			j.total = jr.result.Total
 			j.errMsg = jr.result.Error
 			j.finished = jr.result.At
+			s.terminal++
+			terminal++
+		case jr.rec.State == StateDone:
+			// A cache hit journaled by key: its bytes are the done result
+			// the journal holds for that key.
+			j.finished = j.submitted
+			if r, ok := done[j.key]; ok {
+				j.state = StateDone
+				j.cacheHit = true
+				j.result = r.Result
+				j.summary = r.Summary
+				j.total = r.Total
+			} else {
+				j.state = StateFailed
+				j.errMsg = "recovery: no done result journaled for key " + j.key
+			}
 			s.terminal++
 			terminal++
 		default:
@@ -659,8 +691,8 @@ func (s *Server) Submit(p *ingest.Problem, priority int) (JobStatus, error) {
 		p = &copied
 	}
 	// Hash outside the lock; the graph encoding dominates the cost. The
-	// encoding itself is kept: it is what the durable store journals and
-	// what the distributed shard protocol ships to peers.
+	// encoding itself is kept for the durable store, which journals it
+	// with every job but a cache hit on a journaled result.
 	enc, err := p.CanonicalEncoding()
 	if err != nil {
 		return JobStatus{}, err
@@ -689,12 +721,19 @@ func (s *Server) Submit(p *ingest.Problem, priority int) (JobStatus, error) {
 	if s.store != nil {
 		// Durability before acknowledgement: the job record must be synced
 		// to disk before the submission is accepted anywhere in memory. A
-		// failed append releases the ID and rejects the submission.
-		err := s.store.Append(storeRecord{
+		// failed append releases the ID and rejects the submission. A hit
+		// whose result record is journaled is recorded done, by key; any
+		// other job carries its problem so recovery can re-run it.
+		rec := storeRecord{
 			Kind: "job", ID: j.id, Key: key, Graph: j.graph,
-			Priority: priority, Problem: enc, At: j.submitted,
-		})
-		if err != nil {
+			Priority: priority, At: j.submitted,
+		}
+		if hit && e.journaled {
+			rec.State = StateDone
+		} else {
+			rec.Problem = enc
+		}
+		if err := s.store.Append(rec); err != nil {
 			s.jobSeq--
 			return JobStatus{}, err
 		}
@@ -958,6 +997,7 @@ func (s *Server) run(f *flight) {
 	if cur, ok := s.flights[f.key]; ok && cur == f {
 		delete(s.flights, f.key)
 	}
+	var entry *cacheEntry
 	if err == nil {
 		total := 0
 		f.logMu.Lock()
@@ -965,7 +1005,8 @@ func (s *Server) run(f *flight) {
 			total = f.events[n-1].Total
 		}
 		f.logMu.Unlock()
-		s.cache.Add(&cacheEntry{key: f.key, result: result, summary: summary, total: total, stats: stats})
+		entry = &cacheEntry{key: f.key, result: result, summary: summary, total: total, stats: stats}
+		s.cache.Add(entry)
 	}
 	now := s.cfg.Now()
 	finished := 0
@@ -1006,6 +1047,8 @@ func (s *Server) run(f *flight) {
 			})
 			if aerr != nil {
 				s.cfg.Logger.Warn("store append failed", "kind", "result", "job", j.id, "error", aerr.Error())
+			} else if entry != nil {
+				entry.journaled = true
 			}
 		}
 		s.terminal++
@@ -1356,6 +1399,9 @@ type Metrics struct {
 	WarmStarts           int64            `json:"warm_starts"`
 	ShardedExecutions    int64            `json:"sharded_executions"`
 	ShardsServed         int64            `json:"shards_served"`
+	StoreAppends         int64            `json:"store_appends"`
+	StoreBytes           int64            `json:"store_bytes"`
+	StoreRecoverySec     float64          `json:"store_recovery_sec"`
 	Rejected             map[string]int64 `json:"rejected"`
 	Jobs                 map[State]int64  `json:"jobs"`
 
@@ -1407,7 +1453,12 @@ func (s *Server) Metrics() Metrics {
 			rejectQueueFull:       s.rejectedQueue.Load(),
 			rejectRateLimit:       s.rejectedRate.Load(),
 		},
-		Jobs: make(map[State]int64),
+		StoreRecoverySec: s.recoverySec,
+		Jobs:             make(map[State]int64),
+	}
+	if s.store != nil {
+		m.StoreAppends = s.store.appends.Load()
+		m.StoreBytes = s.store.bytes.Load()
 	}
 	for _, j := range s.jobs {
 		m.Jobs[j.state]++

@@ -58,7 +58,7 @@ func newTestServer(t *testing.T, cfg Config) *Server {
 
 // waitState polls until the job reaches a terminal state (or the wanted
 // one) and returns the snapshot.
-func waitState(t *testing.T, s *Server, id string, want State) JobStatus {
+func waitState(t testing.TB, s *Server, id string, want State) JobStatus {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Minute)
 	for {

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"seadopt"
@@ -37,7 +38,9 @@ type storeWarmPoint struct {
 
 // storeRecord is one journal line. Kind selects which fields are meaningful:
 //
-//	job      ID, Key, Priority, Problem (canonical encoding), At
+//	job      ID, Key, Graph, Priority, At, and either Problem (canonical
+//	         encoding) or, for a cache hit served from a journaled result,
+//	         State done (recovery reads the bytes from the key's result)
 //	result   ID, Key, State (done/failed/canceled), Result, Summary, Total, Error, At
 //	cancel   ID, At
 //	hint     Key (warm registry key), Rank
@@ -60,11 +63,16 @@ type storeRecord struct {
 }
 
 // jobStore owns the journal file handle. Appends are serialized by its own
-// mutex (never the Server's — fsync latency must not stall job scheduling
-// beyond the appending operation itself).
+// mutex. Submit, Cancel and run also hold the Server's mutex across their
+// appends, fsync included: journal order must be the order in which jobs
+// were accepted and finished, since recovery rebuilds the job order and the
+// ID sequence from it. Warm-start hint and frontier appends run outside it.
 type jobStore struct {
 	mu sync.Mutex
 	f  *os.File
+
+	appends atomic.Int64 // records appended and synced
+	bytes   atomic.Int64 // bytes those records took, newlines included
 }
 
 // openJobStore opens (creating as needed) the journal under dir and replays
@@ -133,6 +141,8 @@ func (st *jobStore) Append(rec storeRecord) error {
 	if err := st.f.Sync(); err != nil {
 		return fmt.Errorf("service: syncing store journal: %w", err)
 	}
+	st.appends.Add(1)
+	st.bytes.Add(int64(len(data) + 1))
 	return nil
 }
 

@@ -1,9 +1,12 @@
 package taskgraph
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"seadopt/internal/registers"
@@ -63,38 +66,90 @@ type jsonEdge struct {
 // identically — which is what content-addressed caching keys rely on. Task
 // numbering is semantic (TaskIDs are positional), so task order is the one
 // dimension identity is sensitive to.
+//
+// The bytes are exactly those json.Marshal produces for the jsonGraph form
+// (compact and HTML-escaped; reference_test.go holds that encoder as the
+// oracle), so callers may splice them into a larger document verbatim.
 func (g *Graph) MarshalJSON() ([]byte, error) {
-	jg := jsonGraph{
-		Name:      g.name,
-		Registers: make([]jsonRegister, 0, g.inventory.Len()),
-		Tasks:     make([]jsonTask, 0, len(g.tasks)),
-		Edges:     make([]jsonEdge, 0),
-	}
 	regIDs := g.inventory.IDs()
 	sort.Strings(regIDs)
-	for _, id := range regIDs {
-		r, _ := g.inventory.Get(id)
-		jg.Registers = append(jg.Registers, jsonRegister{ID: r.ID, Bits: r.Bits})
+	// Size the buffer from the element counts so it is allocated once.
+	size := 64 + 40*len(regIDs)
+	for i, t := range g.tasks {
+		size += 48 + 16*t.Registers.Len() + 40*len(g.succ[i])
 	}
-	for _, t := range g.tasks {
-		regs := t.Registers.IDs()
-		if regs == nil {
-			regs = []string{}
+	buf := make([]byte, 0, size)
+	buf = append(buf, `{"name":`...)
+	buf = appendJSONString(buf, g.name)
+	buf = append(buf, `,"registers":[`...)
+	for i, id := range regIDs {
+		if i > 0 {
+			buf = append(buf, ',')
 		}
-		jg.Tasks = append(jg.Tasks, jsonTask{Name: t.Name, Cycles: t.Cycles, Registers: regs})
+		buf = append(buf, `{"id":`...)
+		buf = appendJSONString(buf, id)
+		buf = append(buf, `,"bits":`...)
+		buf = strconv.AppendInt(buf, g.inventory.Bits(id), 10)
+		buf = append(buf, '}')
 	}
+	buf = append(buf, `],"tasks":[`...)
+	for i, t := range g.tasks {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		buf = append(buf, `{"name":`...)
+		buf = appendJSONString(buf, t.Name)
+		buf = append(buf, `,"cycles":`...)
+		buf = strconv.AppendInt(buf, t.Cycles, 10)
+		buf = append(buf, `,"registers":[`...)
+		for k, id := range t.Registers.IDs() {
+			if k > 0 {
+				buf = append(buf, ',')
+			}
+			buf = appendJSONString(buf, id)
+		}
+		buf = append(buf, "]}"...)
+	}
+	buf = append(buf, `],"edges":[`...)
+	// Sources are visited in ID order, so sorting each successor list by
+	// destination yields the (from, to) order.
+	var out []Edge
+	first := true
 	for _, es := range g.succ {
-		for _, e := range es {
-			jg.Edges = append(jg.Edges, jsonEdge{From: int(e.From), To: int(e.To), Cycles: e.Cycles})
+		out = append(out[:0], es...)
+		slices.SortFunc(out, func(a, b Edge) int { return cmp.Compare(a.To, b.To) })
+		for _, e := range out {
+			if !first {
+				buf = append(buf, ',')
+			}
+			first = false
+			buf = append(buf, `{"from":`...)
+			buf = strconv.AppendInt(buf, int64(e.From), 10)
+			buf = append(buf, `,"to":`...)
+			buf = strconv.AppendInt(buf, int64(e.To), 10)
+			buf = append(buf, `,"cycles":`...)
+			buf = strconv.AppendInt(buf, e.Cycles, 10)
+			buf = append(buf, '}')
 		}
 	}
-	sort.Slice(jg.Edges, func(i, j int) bool {
-		if jg.Edges[i].From != jg.Edges[j].From {
-			return jg.Edges[i].From < jg.Edges[j].From
+	return append(buf, "]}"...), nil
+}
+
+// appendJSONString appends s as encoding/json writes a string. Printable
+// ASCII other than the quote, the backslash and the HTML-escaped <, > and &
+// is copied verbatim; any other string is delegated to json.Marshal, whose
+// escaping (HTML characters, control bytes, U+2028/U+2029, invalid UTF-8)
+// is the reference.
+func appendJSONString(buf []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always marshals
+			return append(buf, q...)
 		}
-		return jg.Edges[i].To < jg.Edges[j].To
-	})
-	return json.Marshal(jg)
+	}
+	buf = append(buf, '"')
+	buf = append(buf, s...)
+	return append(buf, '"')
 }
 
 // FromJSON reconstructs a Graph from the output of MarshalJSON. The result
