@@ -536,6 +536,29 @@ func (s *System) ScalingRank(scaling []int) (int, error) {
 	return sp.Rank(scaling)
 }
 
+// WarmPoints converts a realized frontier into WarmPoint seeds for later
+// Pareto runs over the same workload and deadline (OptimizeOptions.
+// WarmFrontier). Members that miss their deadline — the degenerate
+// best-effort frontier — are not sound dominance ghosts and are left out.
+func (s *System) WarmPoints(frontier []*Design) []WarmPoint {
+	sp, err := vscale.PlatformSpace(s.Platform)
+	if err != nil {
+		return nil
+	}
+	var pts []WarmPoint
+	for _, d := range frontier {
+		if !d.Eval.MeetsDeadline {
+			continue
+		}
+		rank, err := sp.Rank(d.Scaling)
+		if err != nil {
+			continue
+		}
+		pts = append(pts, WarmPoint{Combination: rank, Makespan: d.Eval.TMSeconds, Gamma: d.Eval.Gamma})
+	}
+	return pts
+}
+
 // SweepPoint is one problem variant of a batch sweep: a deadline plus the
 // reduction to run at it (scalar minimum-power, or a Pareto frontier over
 // Objectives).
@@ -634,14 +657,6 @@ func (s *System) OptimizeSweepContext(ctx context.Context, points []SweepPoint, 
 	}
 
 	bnb := base.Strategy == "" || base.Strategy == StrategyBranchAndBound
-	var space *vscale.Space
-	if !o.NoWarmStart {
-		var err error
-		space, err = vscale.PlatformSpace(s.Platform)
-		if err != nil {
-			return nil, err
-		}
-	}
 	// ghostsAt chains Pareto warm-start within the sweep: the frontier of
 	// an earlier Pareto point seeds the dominance ghosts of later Pareto
 	// points at the SAME deadline (identical mapper inputs, possibly
@@ -680,17 +695,7 @@ func (s *System) OptimizeSweepContext(ctx context.Context, points []SweepPoint, 
 			}
 			results[i].Frontier = out
 			if !o.NoWarmStart {
-				for _, d := range frontier {
-					if pt.DeadlineSec > 0 && !d.Eval.MeetsDeadline {
-						continue // degenerate verdict; not a frontier member
-					}
-					rank, err := space.Rank(d.Scaling)
-					if err != nil {
-						continue
-					}
-					ghostsAt[pt.DeadlineSec] = append(ghostsAt[pt.DeadlineSec],
-						WarmPoint{Combination: rank, Makespan: d.Eval.TMSeconds, Gamma: d.Eval.Gamma})
-				}
+				ghostsAt[pt.DeadlineSec] = append(ghostsAt[pt.DeadlineSec], s.WarmPoints(out)...)
 			}
 		} else {
 			if !o.NoWarmStart && bnb {

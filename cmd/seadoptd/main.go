@@ -78,7 +78,6 @@ func run(ctx context.Context, args []string, ready func(addr string)) error {
 		platformFile = fs.String("platform", "", "JSON platform-spec file applied to jobs that don't name a platform (heterogeneous MPSoCs supported; default 4 ARM7 cores × Table I)")
 		paretoMode   = fs.Bool("pareto", false, "default jobs that don't set a mode to pareto (serve frontiers instead of single designs)")
 		objectives   = fs.String("objectives", "", "default pareto objectives for jobs that don't set them: comma-separated subset of power,makespan,gamma")
-		warmStart    = fs.Bool("warm-start", true, "seed new jobs from fingerprint-matching prior results and warm-start sweep points (same result bytes; only the pruned/skipped progress split differs)")
 		drainTimeout = fs.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight jobs")
 		pprofOn      = fs.Bool("pprof", false, "expose net/http/pprof profiling endpoints under /debug/pprof/ (off by default; enable only on trusted networks)")
 		storeDir     = fs.String("store", "", "directory for the durable job store; submitted jobs, results and warm-start seeds survive a crash-and-restart against the same directory (empty = in-memory only)")
@@ -144,7 +143,6 @@ func run(ctx context.Context, args []string, ready func(addr string)) error {
 		DefaultMode:       defaultMode,
 		DefaultObjectives: *objectives,
 		DefaultPlatform:   defaultPlatform,
-		DisableWarmStart:  !*warmStart,
 		StoreDir:          *storeDir,
 		Peers:             peers,
 		Shards:            *shards,

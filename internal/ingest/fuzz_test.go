@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
@@ -155,6 +156,60 @@ func FuzzParsePlatformSpec(f *testing.F) {
 					}
 				}
 			}
+		}
+	})
+}
+
+// FuzzDecodeProblem feeds arbitrary bytes to DecodeProblem, which journal
+// recovery and the shard endpoint run on bytes from outside the process:
+// no input panics, and an accepted input is canonical — it re-encodes to
+// itself and its Key is the input's EncodingKey.
+func FuzzDecodeProblem(f *testing.F) {
+	mesh, err := ParsePlatformSpec([]byte(nocSpec))
+	if err != nil {
+		f.Fatal(err)
+	}
+	het, err := ParsePlatformSpec([]byte(heteroSpec))
+	if err != nil {
+		f.Fatal(err)
+	}
+	v5 := testProblem(f)
+	v5.Platform = mesh
+	sweep := testProblem(f)
+	sweep.Options.Mode = ModeSweep
+	sweep.Options.DeadlineSec = 0
+	sweep.Options.SweepDeadlines = []float64{0.2, 0.3}
+	sweep.Options.SweepPointMode = ModePareto
+	sweep.Options.SweepObjectiveSets = []string{"power,gamma", ""}
+	sweep.SweepPlatforms = []*arch.Platform{het, mesh}
+	pareto := testProblem(f)
+	pareto.Options.Mode = ModePareto
+	pareto.Options.Objectives = "gamma,power"
+	for _, p := range []*Problem{testProblem(f), v5, sweep, pareto} {
+		enc, err := p.CanonicalEncoding()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(enc)
+	}
+	f.Fuzz(func(t *testing.T, enc []byte) {
+		p, err := DecodeProblem(enc)
+		if err != nil {
+			return
+		}
+		re, err := p.CanonicalEncoding()
+		if err != nil {
+			t.Fatalf("accepted problem does not re-encode: %v", err)
+		}
+		if !bytes.Equal(re, enc) {
+			t.Fatalf("accepted problem re-encodes differently:\n in: %s\nout: %s", enc, re)
+		}
+		key, err := p.Key()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := EncodingKey(enc); key != want {
+			t.Fatalf("key %s, want the input's %s", key, want)
 		}
 	})
 }

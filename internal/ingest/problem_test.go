@@ -9,7 +9,7 @@ import (
 	"seadopt/internal/taskgraph"
 )
 
-func testProblem(t *testing.T) *Problem {
+func testProblem(t testing.TB) *Problem {
 	t.Helper()
 	p, err := arch.NewPlatform(4, arch.ARM7Levels3())
 	if err != nil {

@@ -110,7 +110,7 @@ var (
 // to peers round-robin. The returned cleanup tears down the fact-exchange
 // session and must be called once the sharded run returns.
 func (s *Server) shardRunnersFor(f *flight, sys *seadopt.System, opts seadopt.OptimizeOptions,
-	strategy seadopt.ExploreStrategy, mode string) ([]seadopt.ShardRunner, func()) {
+	mode string) ([]seadopt.ShardRunner, func()) {
 	n := s.cfg.Shards
 	if n == 0 {
 		n = len(s.cfg.Peers) + 1
@@ -123,7 +123,7 @@ func (s *Server) shardRunnersFor(f *flight, sys *seadopt.System, opts seadopt.Op
 	// walks. Everything else (sweeps, baselines, sampled portfolios) runs
 	// single-node.
 	if mode == ingest.ModeSweep || f.problem.Options.Baseline != "" ||
-		strategy == seadopt.StrategySampled {
+		opts.Strategy == seadopt.StrategySampled {
 		return nil, nil
 	}
 	enc, err := f.problem.CanonicalEncoding()
@@ -220,7 +220,7 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	opts, err := s.shardOptions(p)
+	opts, err := s.engineOptions(p)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
@@ -240,36 +240,6 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, shardCallResponse{Result: res})
-}
-
-// shardOptions builds the engine options for a shard of the given problem.
-// It mirrors execute()'s option construction for the distributable job
-// shapes and shares this server's probe-reuse registry, so repeated shards
-// of the same workload reuse probe trajectories.
-func (s *Server) shardOptions(p *ingest.Problem) (seadopt.OptimizeOptions, error) {
-	o := p.Options
-	strategy, err := seadopt.ParseExploreStrategy(o.Strategy)
-	if err != nil {
-		return seadopt.OptimizeOptions{}, err
-	}
-	objectives, err := seadopt.ParseParetoObjectives(o.Objectives)
-	if err != nil {
-		return seadopt.OptimizeOptions{}, err
-	}
-	opts := seadopt.OptimizeOptions{
-		SER:              o.SER,
-		DeadlineSec:      o.DeadlineSec,
-		StreamIterations: o.StreamIterations,
-		SearchMoves:      o.SearchMoves,
-		Seed:             o.Seed,
-		Strategy:         strategy,
-		Objectives:       objectives,
-		Parallelism:      s.cfg.EngineParallelism,
-	}
-	if pk, kerr := p.ProbeKey(); kerr == nil {
-		opts.Reuse = s.reuses.Get(pk)
-	}
-	return opts, nil
 }
 
 // pollExchange runs the worker-side fact sync: every poll it pushes the

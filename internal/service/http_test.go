@@ -453,6 +453,23 @@ func TestHTTPValidation(t *testing.T) {
 			t.Fatalf("unknown job GET: %d", resp.StatusCode)
 		}
 	}
+	t.Run("graph over the task cap", func(t *testing.T) {
+		var chain strings.Builder
+		chain.WriteString("digraph chain {")
+		for i := 0; i < taskgraph.MaxTasks; i++ {
+			fmt.Fprintf(&chain, " t%d -> t%d;", i, i+1)
+		}
+		chain.WriteString(" }")
+		resp, err := http.Post(ts.URL+"/v1/jobs?format=dot&cores=2&levels=2", "text/plain", strings.NewReader(chain.String()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, _ := io.ReadAll(resp.Body)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(raw), fmt.Sprintf("cap of %d", taskgraph.MaxTasks)) {
+			t.Fatalf("status %d, want 400 naming the task cap: %s", resp.StatusCode, raw)
+		}
+	})
 }
 
 func TestHTTPHealthAndList(t *testing.T) {

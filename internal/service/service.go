@@ -118,15 +118,6 @@ type Config struct {
 	// heterogeneous) by default. Nil selects 4 ARM7 cores × Table I.
 	// Submissions that do name a platform are unaffected.
 	DefaultPlatform *arch.Platform
-	// DisableWarmStart turns off cross-job result seeding: submissions no
-	// longer inherit incumbent hints or frontier ghosts from
-	// fingerprint-matching prior results, and sweep jobs run every point
-	// cold. Warm starts never change result bytes — only the
-	// pruned/skipped split of the progress stream — so this exists for
-	// byte-exact progress reproduction and A/B measurement, not
-	// correctness. The verdict-preserving probe/bounds/evaluator reuse
-	// layer stays on either way.
-	DisableWarmStart bool
 	// StoreDir, when non-empty, enables the durable job store: every
 	// accepted submission, terminal outcome and warm-start seed is
 	// appended (and fsynced) to an append-only journal under this
@@ -252,10 +243,7 @@ type Job struct {
 	cacheHit  bool
 	coalesced bool
 	errMsg    string
-	result    []byte
-	summary   string
-	total     int // exploration size, for flight-less (cache-hit) jobs
-	stats     *seadopt.ExploreStats
+	entry     *cacheEntry // a done job's result, shared with the cache
 	submitted time.Time
 	started   time.Time // when the job's flight was dequeued (zero while queued)
 	finished  time.Time
@@ -338,6 +326,17 @@ func (f *flight) notify() {
 	f.logMu.Unlock()
 }
 
+// progress returns how many progress events the flight has logged and the
+// exploration size the latest one reports.
+func (f *flight) progress() (completed, total int) {
+	f.logMu.Lock()
+	defer f.logMu.Unlock()
+	if n := len(f.events); n > 0 {
+		return n, f.events[n-1].Total
+	}
+	return 0, 0
+}
+
 // flightQueue is a priority heap: higher priority first, FIFO within a
 // priority (by submission sequence).
 type flightQueue []*flight
@@ -381,7 +380,7 @@ type Server struct {
 	jobOrder  []string
 	flights   map[string]*flight
 	queue     flightQueue
-	cache     *lruCache
+	cache     *lru[*cacheEntry]
 	jobSeq    int64
 	flightSeq int64
 	terminal  int // jobs currently retained in a terminal state
@@ -480,7 +479,7 @@ func newServer(cfg Config) (*Server, error) {
 		cancel:        cancel,
 		jobs:          make(map[string]*Job),
 		flights:       make(map[string]*flight),
-		cache:         newLRUCache(cfg.CacheEntries),
+		cache:         newLRU[*cacheEntry](cfg.CacheEntries),
 		reuses:        newReuseRegistry(32),
 		warm:          newWarmRegistry(128),
 		queueWaitHist: newHistogram(latencyBuckets()),
@@ -515,6 +514,7 @@ func (s *Server) recover(recs []storeRecord) {
 		rec      *storeRecord
 		result   *storeRecord
 		canceled *storeRecord
+		entry    *cacheEntry // rebuilt from a done result record
 	}
 	jobs := make(map[string]*jobRec)
 	var order []string
@@ -550,21 +550,17 @@ func (s *Server) recover(recs []storeRecord) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.jobSeq = maxSeq
-	// First pass: reinstall finished results into the cache, so re-enqueued
-	// and future submissions over the same key serve the stored bytes, and
-	// index them by key for the cache hits journaled by key alone.
-	done := make(map[string]*storeRecord)
+	// First pass: rebuild every done result record into a cache entry and
+	// reinstall it, so re-enqueued and future submissions over the same key
+	// serve the stored bytes, and index the entries by key for the cache
+	// hits journaled by key alone.
+	done := make(map[string]*cacheEntry)
 	for _, id := range order {
-		jr := jobs[id]
-		if jr.result != nil && jr.result.State == StateDone {
-			done[jr.result.Key] = jr.result
-			s.cache.Add(&cacheEntry{
-				key:       jr.result.Key,
-				result:    jr.result.Result,
-				summary:   jr.result.Summary,
-				total:     jr.result.Total,
-				journaled: true,
-			})
+		if r := jobs[id].result; r != nil && r.State == StateDone {
+			e := &cacheEntry{result: r.Result, summary: r.Summary, total: r.Total, journaled: true}
+			jobs[id].entry = e
+			done[r.Key] = e
+			s.cache.Add(r.Key, e)
 		}
 	}
 	requeued, terminal := 0, 0
@@ -582,88 +578,34 @@ func (s *Server) recover(recs []storeRecord) {
 			j.state = StateCanceled
 			j.finished = jr.canceled.At
 			j.detached.Store(true)
-			s.terminal++
-			terminal++
 		case jr.result != nil:
 			j.state = jr.result.State
-			j.result = jr.result.Result
-			j.summary = jr.result.Summary
-			j.total = jr.result.Total
+			j.entry = jr.entry
 			j.errMsg = jr.result.Error
 			j.finished = jr.result.At
-			s.terminal++
-			terminal++
 		case jr.rec.State == StateDone:
 			// A cache hit journaled by key: its bytes are the done result
 			// the journal holds for that key.
-			j.finished = j.submitted
-			if r, ok := done[j.key]; ok {
-				j.state = StateDone
-				j.cacheHit = true
-				j.result = r.Result
-				j.summary = r.Summary
-				j.total = r.Total
+			if e, ok := done[j.key]; ok {
+				j.finishHit(e)
 			} else {
-				j.state = StateFailed
-				j.errMsg = "recovery: no done result journaled for key " + j.key
+				j.fail("recovery: no done result journaled for key " + j.key)
 			}
-			s.terminal++
-			terminal++
 		default:
-			// Accepted but unfinished at the crash: decode and re-enqueue.
+			// Accepted but unfinished at the crash: decode and re-admit.
 			p, err := ingest.DecodeProblem(jr.rec.Problem)
 			if err != nil {
-				j.state = StateFailed
-				j.errMsg = "recovery: " + err.Error()
-				j.finished = j.submitted
-				s.terminal++
-				terminal++
-				break
-			}
-			if e, hit := s.cache.Get(j.key); hit {
-				// An identical problem finished before the crash.
-				j.state = StateDone
-				j.cacheHit = true
-				j.result = e.result
-				j.summary = e.summary
-				j.total = e.total
-				j.finished = j.submitted
-				s.terminal++
-				terminal++
-				break
-			}
-			if f, ok := s.flights[j.key]; ok {
-				j.state = StateQueued
-				j.coalesced = true
-				j.flight = f
-				f.refs++
-				f.jobs = append(f.jobs, j)
-				if j.priority > f.prio {
-					f.prio = j.priority
-					heap.Fix(&s.queue, f.index)
-				}
+				j.fail("recovery: " + err.Error())
+			} else if e, hit := s.cache.Get(j.key); hit {
+				j.finishHit(e) // an identical problem finished before the crash
+			} else {
+				s.admitLocked(j, p)
 				requeued++
-				break
 			}
-			fctx, fcancel := context.WithCancel(s.ctx)
-			s.flightSeq++
-			f := &flight{
-				key:      j.key,
-				problem:  p,
-				seq:      s.flightSeq,
-				prio:     j.priority,
-				refs:     1,
-				jobs:     []*Job{j},
-				enqueued: j.submitted,
-				ctx:      fctx,
-				cancel:   fcancel,
-			}
-			f.logCond = sync.NewCond(&f.logMu)
-			j.state = StateQueued
-			j.flight = f
-			s.flights[j.key] = f
-			heap.Push(&s.queue, f)
-			requeued++
+		}
+		if j.state.Terminal() {
+			s.terminal++
+			terminal++
 		}
 		s.jobs[id] = j
 		s.jobOrder = append(s.jobOrder, id)
@@ -674,6 +616,63 @@ func (s *Server) recover(recs []storeRecord) {
 			"dir", s.cfg.StoreDir, "jobs", len(order),
 			"requeued", requeued, "terminal", terminal)
 	}
+}
+
+// finishHit completes a job from a cached result.
+func (j *Job) finishHit(e *cacheEntry) {
+	j.state = StateDone
+	j.cacheHit = true
+	j.entry = e
+	j.finished = j.submitted
+}
+
+// fail ends a job that can never run.
+func (j *Job) fail(msg string) {
+	j.state = StateFailed
+	j.errMsg = msg
+	j.finished = j.submitted
+}
+
+// admitLocked attaches j to the flight already computing its key —
+// dragging a queued flight up to j's priority — or queues a new flight for
+// p. The caller holds s.mu.
+func (s *Server) admitLocked(j *Job, p *ingest.Problem) {
+	if f, ok := s.flights[j.key]; ok {
+		j.coalesced = true
+		j.flight = f
+		f.refs++
+		f.jobs = append(f.jobs, j)
+		if f.running {
+			j.state = StateRunning
+			j.started = s.cfg.Now()
+		} else {
+			j.state = StateQueued
+			if j.priority > f.prio {
+				f.prio = j.priority
+				heap.Fix(&s.queue, f.index)
+			}
+		}
+		return
+	}
+	ctx, cancel := context.WithCancel(s.ctx)
+	s.flightSeq++
+	f := &flight{
+		key:      j.key,
+		problem:  p,
+		seq:      s.flightSeq,
+		prio:     j.priority,
+		refs:     1,
+		jobs:     []*Job{j},
+		enqueued: j.submitted,
+		ctx:      ctx,
+		cancel:   cancel,
+	}
+	f.logCond = sync.NewCond(&f.logMu)
+	j.state = StateQueued
+	j.flight = f
+	s.flights[j.key] = f
+	heap.Push(&s.queue, f)
+	s.cond.Signal()
 }
 
 // Submit enqueues an optimization problem and returns the job's initial
@@ -704,8 +703,7 @@ func (s *Server) Submit(p *ingest.Problem, priority int) (JobStatus, error) {
 		return JobStatus{}, ErrDraining
 	}
 	e, hit := s.cache.Get(key)
-	inflight, coalescing := s.flights[key]
-	if !hit && !coalescing && len(s.queue) >= s.cfg.QueueDepth {
+	if _, coalescing := s.flights[key]; !hit && !coalescing && len(s.queue) >= s.cfg.QueueDepth {
 		// Reject before anything is recorded: rejected traffic must not
 		// move the submitted/miss counters or leave a job record behind.
 		return JobStatus{}, ErrQueueFull
@@ -741,70 +739,21 @@ func (s *Server) Submit(p *ingest.Problem, priority int) (JobStatus, error) {
 	s.jobs[j.id] = j
 	s.jobOrder = append(s.jobOrder, j.id)
 	s.submitted.Add(1)
-
 	if hit {
 		s.cacheHits.Add(1)
-		j.state = StateDone
-		j.cacheHit = true
-		j.result = e.result
-		j.summary = e.summary
-		j.total = e.total
-		j.stats = e.stats
-		j.finished = j.submitted
+		j.finishHit(e)
 		s.terminal++
 		s.pruneLocked()
-		s.cfg.Logger.Info("job submitted",
-			"job", j.id, "key", key, "graph", j.graph, "priority", priority,
-			"state", j.state, "cache_hit", true)
-		return s.statusLocked(j), nil
-	}
-	s.cacheMisses.Add(1)
-
-	if f := inflight; coalescing {
-		s.coalesced.Add(1)
-		j.coalesced = true
-		j.flight = f
-		f.refs++
-		f.jobs = append(f.jobs, j)
-		s.cfg.Logger.Info("job submitted",
-			"job", j.id, "key", key, "graph", j.graph, "priority", priority,
-			"state", StateQueued, "coalesced", true)
-		if f.running {
-			j.state = StateRunning
-			j.started = s.cfg.Now()
-		} else {
-			j.state = StateQueued
-			// A high-priority submission drags its shared flight forward.
-			if priority > f.prio {
-				f.prio = priority
-				heap.Fix(&s.queue, f.index)
-			}
+	} else {
+		s.cacheMisses.Add(1)
+		s.admitLocked(j, p)
+		if j.coalesced {
+			s.coalesced.Add(1)
 		}
-		return s.statusLocked(j), nil
 	}
-
-	fctx, fcancel := context.WithCancel(s.ctx)
-	s.flightSeq++
-	f := &flight{
-		key:      key,
-		problem:  p,
-		seq:      s.flightSeq,
-		prio:     priority,
-		refs:     1,
-		jobs:     []*Job{j},
-		enqueued: j.submitted,
-		ctx:      fctx,
-		cancel:   fcancel,
-	}
-	f.logCond = sync.NewCond(&f.logMu)
-	j.state = StateQueued
-	j.flight = f
-	s.flights[key] = f
-	heap.Push(&s.queue, f)
-	s.cond.Signal()
 	s.cfg.Logger.Info("job submitted",
 		"job", j.id, "key", key, "graph", j.graph, "priority", priority,
-		"state", StateQueued)
+		"state", j.state, "cache_hit", j.cacheHit, "coalesced", j.coalesced)
 	return s.statusLocked(j), nil
 }
 
@@ -988,83 +937,56 @@ func (s *Server) worker() {
 // run executes a flight and fans its outcome out to every attached job.
 func (s *Server) run(f *flight) {
 	execStart := s.cfg.Now()
-	result, summary, stats, err := s.execute(f)
+	e, err := s.execute(f)
 	execSec := s.cfg.Now().Sub(execStart).Seconds()
 	s.execHist.Observe(execSec)
+	state, errMsg := StateDone, ""
+	switch {
+	case err == nil:
+		_, e.total = f.progress()
+	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+		state, errMsg = StateCanceled, "canceled"
+	default:
+		state, errMsg = StateFailed, err.Error()
+	}
+	// Every job the flight finishes gets the same result record but its ID.
+	// A lost record only costs a deterministic re-run after the next crash,
+	// so a failed append warns rather than failing the job.
+	rec := storeRecord{Kind: "result", Key: f.key, State: state, Error: errMsg}
+	if e != nil {
+		rec.Result, rec.Summary, rec.Total = e.result, e.summary, e.total
+	}
 	s.mu.Lock()
 	// Retire only our own entry: a cancellation may already have
 	// unpublished this flight and let a fresh one claim the key.
 	if cur, ok := s.flights[f.key]; ok && cur == f {
 		delete(s.flights, f.key)
 	}
-	var entry *cacheEntry
-	if err == nil {
-		total := 0
-		f.logMu.Lock()
-		if n := len(f.events); n > 0 {
-			total = f.events[n-1].Total
-		}
-		f.logMu.Unlock()
-		entry = &cacheEntry{key: f.key, result: result, summary: summary, total: total, stats: stats}
-		s.cache.Add(entry)
-	}
-	now := s.cfg.Now()
+	rec.At = s.cfg.Now()
 	finished := 0
 	for _, j := range f.jobs {
 		if j.state != StateRunning {
 			continue // individually canceled while we ran
 		}
-		j.finished = now
-		switch {
-		case err == nil:
-			j.state = StateDone
-			j.result = result
-			j.summary = summary
-			j.stats = stats
-		case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-			j.state = StateCanceled
-			j.errMsg = "canceled"
-		default:
-			j.state = StateFailed
-			j.errMsg = err.Error()
-		}
+		j.state, j.errMsg, j.entry, j.finished = state, errMsg, e, rec.At
 		if s.store != nil {
-			// A lost result record only costs a deterministic re-run after
-			// the next crash, so a failed append warns rather than failing
-			// the job.
-			total := 0
-			if j.state == StateDone {
-				f.logMu.Lock()
-				if n := len(f.events); n > 0 {
-					total = f.events[n-1].Total
-				}
-				f.logMu.Unlock()
-			}
-			aerr := s.store.Append(storeRecord{
-				Kind: "result", ID: j.id, Key: f.key, State: j.state,
-				Result: j.result, Summary: j.summary, Total: total,
-				Error: j.errMsg, At: now,
-			})
-			if aerr != nil {
+			rec.ID = j.id
+			if aerr := s.store.Append(rec); aerr != nil {
 				s.cfg.Logger.Warn("store append failed", "kind", "result", "job", j.id, "error", aerr.Error())
-			} else if entry != nil {
-				entry.journaled = true
+			} else if e != nil {
+				e.journaled = true
 			}
 		}
 		s.terminal++
 		finished++
 	}
+	if e != nil {
+		s.cache.Add(f.key, e)
+	}
 	s.pruneLocked()
 	s.mu.Unlock()
 	f.close()
-	outcome := "done"
-	switch {
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		outcome = "canceled"
-	case err != nil:
-		outcome = "failed"
-	}
-	logArgs := []any{"key", f.key, "outcome", outcome, "jobs", finished, "exec_sec", execSec}
+	logArgs := []any{"key", f.key, "outcome", string(state), "jobs", finished, "exec_sec", execSec}
 	if err != nil {
 		logArgs = append(logArgs, "error", err.Error())
 	}
@@ -1073,52 +995,33 @@ func (s *Server) run(f *flight) {
 
 // execute runs the engine for a flight. This is the only place the service
 // calls into the optimizer; the engine-execution counter around it is what
-// the single-flight and cache tests assert on.
-func (s *Server) execute(f *flight) (result []byte, summary string, stats *seadopt.ExploreStats, err error) {
+// the single-flight and cache tests assert on. The returned entry lacks
+// only the exploration size, which run reads off the progress log.
+func (s *Server) execute(f *flight) (*cacheEntry, error) {
 	if hook := s.hookExecute; hook != nil {
 		hook(f)
 	}
-	o := f.problem.Options
+	p, o := f.problem, f.problem.Options
 	mode, err := ingest.ParseMode(o.Mode)
 	if err != nil {
-		return nil, "", nil, err
+		return nil, err
 	}
+	opts, err := s.engineOptions(p)
+	if err != nil {
+		return nil, err
+	}
+	opts.Stats = new(seadopt.ExploreStats)
 	if mode == ingest.ModeSweep {
-		return s.executeSweep(f)
+		return s.executeSweep(f, opts)
 	}
-	sys, err := seadopt.NewSystem(f.problem.Graph, f.problem.Platform)
+	e := &cacheEntry{stats: opts.Stats}
+	sys, err := seadopt.NewSystem(p.Graph, p.Platform)
 	if err != nil {
-		return nil, "", nil, err
+		return nil, err
 	}
-	strategy, err := seadopt.ParseExploreStrategy(o.Strategy)
-	if err != nil {
-		return nil, "", nil, err
-	}
-	objectives, err := seadopt.ParseParetoObjectives(o.Objectives)
-	if err != nil {
-		return nil, "", nil, err
-	}
-	stats = new(seadopt.ExploreStats)
 	prunedSoFar := 0 // engine Progress callbacks are serialized in order
-	opts := seadopt.OptimizeOptions{
-		Stats:            stats,
-		SER:              o.SER,
-		DeadlineSec:      o.DeadlineSec,
-		StreamIterations: o.StreamIterations,
-		SearchMoves:      o.SearchMoves,
-		Seed:             o.Seed,
-		Strategy:         strategy,
-		SampleBudget:     o.SampleBudget,
-		Objectives:       objectives,
-		Parallelism:      s.cfg.EngineParallelism,
-		Progress: func(p seadopt.ExploreProgress) {
-			s.mirrorProgress(f, 0, &prunedSoFar, p)
-		},
-	}
-	// Share the verdict-preserving reuse layer (probe trajectories, bounds,
-	// pooled evaluators) across every job over the same probe universe.
-	if pk, kerr := f.problem.ProbeKey(); kerr == nil {
-		opts.Reuse = s.reuses.Get(pk)
+	opts.Progress = func(ev seadopt.ExploreProgress) {
+		s.mirrorProgress(f, 0, &prunedSoFar, ev)
 	}
 	// Distributed execution: when peers (or an explicit shard count) are
 	// configured and the job shape is distributable, fan the enumeration out
@@ -1126,31 +1029,22 @@ func (s *Server) execute(f *flight) (result []byte, summary string, stats *seado
 	// telemetry is per-process, so sharded flights carry no stats snapshot
 	// (their /stats endpoint answers 409) — the result and progress bytes
 	// are still identical to a single-node run.
-	runners, shardCleanup := s.shardRunnersFor(f, sys, opts, strategy, mode)
+	runners, shardCleanup := s.shardRunnersFor(f, sys, opts, mode)
 	if runners != nil {
 		defer shardCleanup()
-		stats = nil
-		opts.Stats = nil
+		e.stats, opts.Stats = nil, nil
 	}
 	// Warm-start from a fingerprint-matching prior result whose deadline or
 	// objectives differed. Seeds are re-validated against this run's
 	// constraints by the engine, so the result bytes are identical to a
 	// cold run — only pruning gets ahead of itself.
-	bnb := strategy == seadopt.StrategyBranchAndBound
-	warmable := !s.cfg.DisableWarmStart && o.Baseline == ""
-	var fp string
-	if warmable {
-		v, ferr := f.problem.Fingerprint()
-		if ferr != nil {
-			warmable = false
-		}
-		fp = v
-	}
+	fp, warmable := warmFingerprint(p)
+	seeded := warmable && opts.Strategy == seadopt.StrategyBranchAndBound
 	s.engineExecs.Add(1)
 	if mode == ingest.ModePareto {
-		if warmable && bnb {
-			if ghosts := s.warm.Frontier(warmParetoKey(fp, o)); len(ghosts) > 0 {
-				opts.WarmFrontier = ghosts
+		key := warmParetoKey(fp, o)
+		if seeded {
+			if opts.WarmFrontier = s.warm.Frontier(key); len(opts.WarmFrontier) > 0 {
 				s.warmStarts.Add(1)
 			}
 		}
@@ -1162,21 +1056,23 @@ func (s *Server) execute(f *flight) (result []byte, summary string, stats *seado
 			frontier, err = sys.OptimizeParetoContext(f.ctx, opts)
 		}
 		if err != nil {
-			return nil, "", nil, err
+			return nil, err
 		}
 		if warmable {
-			s.recordFrontier(warmParetoKey(fp, o), frontierWarmPoints(sys, o.DeadlineSec, frontier))
+			s.recordFrontier(key, sys, frontier)
 		}
 		s.frontierSize.Store(int64(len(frontier)))
-		result, summary, err = marshalFrontier(frontier, objectives)
-		return result, summary, stats, err
+		if e.result, e.summary, err = marshalFrontier(frontier, opts.Objectives); err != nil {
+			return nil, err
+		}
+		return e, nil
 	}
+	key := warmScalarKey(fp, o)
 	var d *seadopt.Design
 	switch o.Baseline {
 	case "":
-		if warmable && bnb {
-			if hints := s.warm.Hints(warmScalarKey(fp, o)); len(hints) > 0 {
-				opts.WarmHints = hints
+		if seeded {
+			if opts.WarmHints = s.warm.Hints(key); len(opts.WarmHints) > 0 {
 				s.warmStarts.Add(1)
 			}
 		}
@@ -1192,21 +1088,53 @@ func (s *Server) execute(f *flight) (result []byte, summary string, stats *seado
 	case "regtime":
 		d, err = sys.OptimizeBaselineContext(f.ctx, seadopt.MinimizeRegTime, opts)
 	default:
-		return nil, "", nil, fmt.Errorf("service: unknown baseline %q", o.Baseline)
+		return nil, fmt.Errorf("service: unknown baseline %q", o.Baseline)
 	}
 	if err != nil {
-		return nil, "", nil, err
+		return nil, err
 	}
-	if warmable && (o.DeadlineSec <= 0 || d.Eval.MeetsDeadline) {
-		if rank, rerr := sys.ScalingRank(d.Scaling); rerr == nil {
-			s.recordHint(warmScalarKey(fp, o), rank)
+	if warmable {
+		s.recordHint(key, sys, d)
+	}
+	if e.result, err = json.Marshal(d); err != nil {
+		return nil, err
+	}
+	e.summary = d.Summary()
+	return e, nil
+}
+
+// engineOptions translates a problem's options into the engine's: the one
+// place the service parses strategy and objectives. Every job but a sweep
+// shares the verdict-preserving reuse layer (probe trajectories, bounds,
+// pooled evaluators) with the other jobs over its probe universe; a sweep
+// keeps a private bundle per platform.
+func (s *Server) engineOptions(p *ingest.Problem) (seadopt.OptimizeOptions, error) {
+	o := p.Options
+	strategy, err := seadopt.ParseExploreStrategy(o.Strategy)
+	if err != nil {
+		return seadopt.OptimizeOptions{}, err
+	}
+	objectives, err := seadopt.ParseParetoObjectives(o.Objectives)
+	if err != nil {
+		return seadopt.OptimizeOptions{}, err
+	}
+	opts := seadopt.OptimizeOptions{
+		SER:              o.SER,
+		DeadlineSec:      o.DeadlineSec,
+		StreamIterations: o.StreamIterations,
+		SearchMoves:      o.SearchMoves,
+		Seed:             o.Seed,
+		Strategy:         strategy,
+		SampleBudget:     o.SampleBudget,
+		Objectives:       objectives,
+		Parallelism:      s.cfg.EngineParallelism,
+	}
+	if mode, _ := ingest.ParseMode(o.Mode); mode != ingest.ModeSweep {
+		if pk, err := p.ProbeKey(); err == nil {
+			opts.Reuse = s.reuses.Get(pk)
 		}
 	}
-	result, err = json.Marshal(d)
-	if err != nil {
-		return nil, "", nil, err
-	}
-	return result, d.Summary(), stats, nil
+	return opts, nil
 }
 
 // mirrorProgress folds one engine progress callback into the flight's event
@@ -1241,49 +1169,6 @@ func (s *Server) mirrorProgress(f *flight, point int, prunedSoFar *int, p seadop
 		ev.BestGamma = p.Best.Eval.Gamma
 	}
 	f.append(ev)
-}
-
-// recordHint records a scalar warm-start winner and journals it, so the
-// warm registry survives a restart.
-func (s *Server) recordHint(key string, rank int) {
-	s.warm.RecordHint(key, rank)
-	if s.store != nil {
-		if err := s.store.Append(storeRecord{Kind: "hint", Key: key, Rank: rank}); err != nil {
-			s.cfg.Logger.Warn("store append failed", "kind", "hint", "error", err.Error())
-		}
-	}
-}
-
-// recordFrontier records a Pareto warm-start frontier and journals it.
-func (s *Server) recordFrontier(key string, points []seadopt.WarmPoint) {
-	if len(points) == 0 {
-		return
-	}
-	s.warm.RecordFrontier(key, points)
-	if s.store != nil {
-		if err := s.store.Append(storeRecord{Kind: "frontier", Key: key, Points: toStorePoints(points)}); err != nil {
-			s.cfg.Logger.Warn("store append failed", "kind", "frontier", "error", err.Error())
-		}
-	}
-}
-
-// frontierWarmPoints converts a realized frontier into WarmPoint seeds for
-// later Pareto runs over the same workload and deadline. Degenerate
-// best-effort members that miss the deadline are excluded — they are not
-// sound dominance ghosts.
-func frontierWarmPoints(sys *seadopt.System, deadline float64, frontier []*seadopt.Design) []seadopt.WarmPoint {
-	pts := make([]seadopt.WarmPoint, 0, len(frontier))
-	for _, d := range frontier {
-		if deadline > 0 && !d.Eval.MeetsDeadline {
-			continue
-		}
-		rank, err := sys.ScalingRank(d.Scaling)
-		if err != nil {
-			continue
-		}
-		pts = append(pts, seadopt.WarmPoint{Combination: rank, Makespan: d.Eval.TMSeconds, Gamma: d.Eval.Gamma})
-	}
-	return pts
 }
 
 // marshalFrontier renders a Pareto frontier result: a wrapper object
@@ -1347,7 +1232,6 @@ func (s *Server) statusLocked(j *Job) JobStatus {
 		CacheHit:    j.cacheHit,
 		Coalesced:   j.coalesced,
 		Error:       j.errMsg,
-		Summary:     j.summary,
 		SubmittedAt: j.submitted,
 		FinishedAt:  j.finished,
 	}
@@ -1359,21 +1243,15 @@ func (s *Server) statusLocked(j *Job) JobStatus {
 		}
 		st.RunSec = end.Sub(j.started).Seconds()
 	}
-	if j.state == StateDone {
-		st.Result = j.result
-		st.Stats = j.stats
+	if e := j.entry; e != nil {
+		st.Summary, st.Result, st.Stats = e.summary, e.result, e.stats
 	}
-	if f := j.flight; f != nil {
-		f.logMu.Lock()
-		st.Completed = len(f.events)
-		if n := len(f.events); n > 0 {
-			st.Total = f.events[n-1].Total
-		}
-		f.logMu.Unlock()
-	} else if j.total > 0 {
+	if j.flight != nil {
+		st.Completed, st.Total = j.flight.progress()
+	} else if e := j.entry; e != nil {
 		// No flight to count from: a cache hit or a job recovered from the
 		// durable store carries its finished enumeration size directly.
-		st.Completed, st.Total = j.total, j.total
+		st.Completed, st.Total = e.total, e.total
 	}
 	return st
 }

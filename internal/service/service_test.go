@@ -2,9 +2,11 @@ package service
 
 import (
 	"bytes"
+	"container/heap"
 	"context"
 	"errors"
 	"log/slog"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -380,6 +382,46 @@ func TestPriorityOrdersQueue(t *testing.T) {
 	if hi.FinishedAt.After(md.FinishedAt) || md.FinishedAt.After(lo.FinishedAt) {
 		t.Fatalf("priority order violated: high %v, mid %v, low %v",
 			hi.FinishedAt, md.FinishedAt, lo.FinishedAt)
+	}
+}
+
+// queueOrder pops every queued flight in the order a worker would take
+// them and returns their keys. Only for servers without workers.
+func queueOrder(s *Server) []string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var keys []string
+	for len(s.queue) > 0 {
+		keys = append(keys, heap.Pop(&s.queue).(*flight).key)
+	}
+	return keys
+}
+
+// TestCoalescedSubmitRaisesPriority: a priority-5 duplicate of a queued
+// priority-0 job drags that job's flight ahead of a priority-0 flight
+// queued before it.
+func TestCoalescedSubmitRaisesPriority(t *testing.T) {
+	s, err := newServer(Config{}) // no worker pool: flights stay queued
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close(context.Background())
+	var keys []string
+	for _, sub := range []struct {
+		seed     int64
+		priority int
+	}{{1, 0}, {2, 0}, {2, 5}} {
+		st, err := s.Submit(mpeg2Problem(t, sub.seed), sub.priority)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, st.Key)
+		if st.Coalesced != (sub.priority == 5) {
+			t.Fatalf("submission %d coalesced %v", len(keys), st.Coalesced)
+		}
+	}
+	if got, want := queueOrder(s), []string{keys[1], keys[0]}; !slices.Equal(got, want) {
+		t.Fatalf("queue order %v, want the raised flight first: %v", got, want)
 	}
 }
 

@@ -2,8 +2,10 @@ package service
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -93,7 +95,9 @@ func openJobStore(dir string) (*jobStore, []storeRecord, error) {
 	return &jobStore{f: f}, recs, nil
 }
 
-// replayJournal reads every decodable record in order. Decoding stops at
+// replayJournal reads every decodable record in order, whatever its
+// length: replay holds every record in memory anyway, so a line cap would
+// bound nothing and only make long records unrecoverable. Decoding stops at
 // the first malformed line, which is the torn tail of an interrupted
 // append — everything before it was fsynced whole.
 func replayJournal(path string) ([]storeRecord, error) {
@@ -106,21 +110,22 @@ func replayJournal(path string) ([]storeRecord, error) {
 	}
 	defer f.Close()
 	var recs []storeRecord
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 64<<20)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
+	r := bufio.NewReaderSize(f, 64<<10)
+	for {
+		line, rerr := r.ReadBytes('\n')
+		if rerr != nil && rerr != io.EOF {
+			return nil, fmt.Errorf("service: reading store journal: %w", rerr)
 		}
-		var rec storeRecord
-		if err := json.Unmarshal(line, &rec); err != nil {
-			break // torn tail from an interrupted append
+		if line = bytes.TrimSpace(line); len(line) > 0 {
+			var rec storeRecord
+			if err := json.Unmarshal(line, &rec); err != nil {
+				break // torn tail from an interrupted append
+			}
+			recs = append(recs, rec)
 		}
-		recs = append(recs, rec)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("service: reading store journal: %w", err)
+		if rerr == io.EOF {
+			break
+		}
 	}
 	return recs, nil
 }

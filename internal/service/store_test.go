@@ -5,8 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -295,6 +297,116 @@ func TestStoreByKeyHitWithoutResultFails(t *testing.T) {
 	}
 }
 
+// TestStoreOversizedGraphFails: a journaled job whose graph is over a size
+// cap (a journal written by an older build) recovers as failed naming the
+// cap instead of reaching an evaluator.
+func TestStoreOversizedGraphFails(t *testing.T) {
+	enc, err := fig8Problem(1, "").CanonicalEncoding()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]json.RawMessage
+	if err := json.Unmarshal(enc, &doc); err != nil {
+		t.Fatal(err)
+	}
+	var g strings.Builder
+	g.WriteString(`{"name":"chain","registers":[],"tasks":[`)
+	for i := 0; i <= taskgraph.MaxTasks; i++ {
+		if i > 0 {
+			g.WriteByte(',')
+		}
+		fmt.Fprintf(&g, `{"name":"t%d","cycles":1,"registers":[]}`, i)
+	}
+	g.WriteString(`],"edges":[]}`)
+	doc["graph"] = json.RawMessage(g.String())
+	big, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	writeJournal(t, dir, storeRecord{
+		Kind: "job", ID: "j-000001", Key: ingest.EncodingKey(big), Graph: "chain",
+		Problem: big, At: time.Unix(1_700_000_000, 0),
+	})
+	s := newStoreServer(t, dir, Config{Workers: 1})
+	got, err := s.Job("j-000001")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("cap of %d", taskgraph.MaxTasks); got.State != StateFailed || !strings.Contains(got.Error, want) {
+		t.Fatalf("oversized job recovered as %s (error %q); want failed naming the %s", got.State, got.Error, want)
+	}
+}
+
+// TestStoreReplaysLongRecords: a journal record over 64 MiB replays like
+// any other, and so does the finished job after it.
+func TestStoreReplaysLongRecords(t *testing.T) {
+	dir := t.TempDir()
+	s1 := newStoreServer(t, dir, Config{Workers: 1})
+	var want []JobStatus
+	for _, seed := range []int64{1, 2} {
+		st, err := s1.Submit(fig8Problem(seed, ""), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, waitState(t, s1, st.ID, StateDone))
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if err := s1.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	// Pad the first job's result record past 64 MiB with whitespace inside
+	// its JSON object, streaming so the test never holds the line.
+	path := filepath.Join(dir, storeJournalName)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	padded := false
+	for _, line := range bytes.SplitAfter(data, []byte("\n")) {
+		var rec storeRecord
+		if !padded && json.Unmarshal(line, &rec) == nil && rec.Kind == "result" && rec.ID == want[0].ID {
+			padded = true
+			if _, err := f.Write(line[:1]); err != nil {
+				t.Fatal(err)
+			}
+			pad := bytes.Repeat([]byte(" "), 1<<20)
+			for i := 0; i <= 64; i++ {
+				if _, err := f.Write(pad); err != nil {
+					t.Fatal(err)
+				}
+			}
+			line = line[1:]
+		}
+		if _, err := f.Write(line); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !padded {
+		t.Fatalf("journal holds no result record for %s", want[0].ID)
+	}
+
+	s2 := newStoreServer(t, dir, Config{Workers: 1})
+	for _, w := range want {
+		got, err := s2.Job(w.ID)
+		if err != nil {
+			t.Fatalf("recovery lost job %s: %v", w.ID, err)
+		}
+		if got.State != StateDone || !bytes.Equal(got.Result, w.Result) {
+			t.Fatalf("job %s recovered as %s (bytes equal %v)", w.ID, got.State, bytes.Equal(got.Result, w.Result))
+		}
+	}
+}
+
 // TestStoreRecoversUnfinishedJobs simulates a SIGKILL between acceptance
 // and completion: the journal holds an accepted job with no terminal
 // record. The restarted server must re-enqueue it under its original ID and
@@ -379,6 +491,42 @@ func TestStoreCoalescesRecoveredDuplicates(t *testing.T) {
 	}
 	if execs := s.Metrics().EngineExecutions; execs != 1 {
 		t.Fatalf("recovered duplicates ran the engine %d times, want 1", execs)
+	}
+}
+
+// TestStoreRecoveredDuplicateRaisesPriority: recovery coalesces an
+// unfinished priority-5 job onto its key's queued priority-0 flight and
+// drags that flight ahead of a priority-0 flight recovered before it.
+func TestStoreRecoveredDuplicateRaisesPriority(t *testing.T) {
+	dir := t.TempDir()
+	var keys []string
+	var recs []storeRecord
+	for i, sub := range []struct {
+		seed     int64
+		priority int
+	}{{1, 0}, {2, 0}, {2, 5}} {
+		p := mpeg2Problem(t, sub.seed)
+		enc, err := p.CanonicalEncoding()
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, ingest.EncodingKey(enc))
+		recs = append(recs, storeRecord{
+			Kind: "job", ID: fmt.Sprintf("j-%06d", i+1), Key: keys[i], Graph: p.Graph.Name(),
+			Priority: sub.priority, Problem: enc, At: time.Unix(1_700_000_000, 0),
+		})
+	}
+	writeJournal(t, dir, recs...)
+	s, err := newServer(Config{StoreDir: dir}) // no worker pool: flights stay queued
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close(context.Background())
+	if st, err := s.Job("j-000003"); err != nil || !st.Coalesced || st.State != StateQueued {
+		t.Fatalf("recovered duplicate: %+v, %v; want queued and coalesced", st, err)
+	}
+	if got, want := queueOrder(s), []string{keys[1], keys[0]}; !slices.Equal(got, want) {
+		t.Fatalf("queue order %v, want the raised flight first: %v", got, want)
 	}
 }
 

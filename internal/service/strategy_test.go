@@ -3,8 +3,12 @@ package service
 import (
 	"bytes"
 	"context"
+	"reflect"
 	"strings"
 	"testing"
+
+	"seadopt"
+	"seadopt/internal/ingest"
 )
 
 // TestStrategyInProblemIdentity: the strategy job option participates in
@@ -166,5 +170,52 @@ func TestInvalidStrategyRejected(t *testing.T) {
 	p.Options.Strategy = "greedy"
 	if _, err := s.Submit(p, 0); err == nil {
 		t.Fatal("unknown strategy accepted")
+	}
+}
+
+// TestEngineOptions: every problem option the engine reads reaches the
+// engine's options, and every job but a sweep shares the server's reuse
+// bundle for its probe universe.
+func TestEngineOptions(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1, EngineParallelism: 3})
+	all := seadopt.ObjectivePower | seadopt.ObjectiveMakespan | seadopt.ObjectiveGamma
+	cases := []struct {
+		name  string
+		opts  ingest.Options
+		want  seadopt.OptimizeOptions
+		reuse bool
+	}{
+		{"scalar", ingest.Options{SER: 2e-9, DeadlineSec: 12.5, StreamIterations: 7, SearchMoves: 99, Seed: 42, Strategy: "exhaustive"},
+			seadopt.OptimizeOptions{SER: 2e-9, DeadlineSec: 12.5, StreamIterations: 7, SearchMoves: 99, Seed: 42,
+				Strategy: seadopt.StrategyExhaustive, Objectives: all, Parallelism: 3}, true},
+		{"sampled", ingest.Options{Strategy: "sampled", SampleBudget: 17},
+			seadopt.OptimizeOptions{Strategy: seadopt.StrategySampled, SampleBudget: 17, Objectives: all, Parallelism: 3}, true},
+		{"pareto", ingest.Options{Mode: "pareto", Objectives: "gamma,power"},
+			seadopt.OptimizeOptions{Strategy: seadopt.StrategyBranchAndBound,
+				Objectives: seadopt.ObjectivePower | seadopt.ObjectiveGamma, Parallelism: 3}, true},
+		{"sweep", ingest.Options{Mode: "sweep", SweepDeadlines: []float64{10, 12}, Seed: 5},
+			seadopt.OptimizeOptions{Seed: 5, Strategy: seadopt.StrategyBranchAndBound, Objectives: all, Parallelism: 3}, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p := mpeg2Problem(t, 1)
+			p.Options = tc.opts
+			got, err := s.engineOptions(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if (got.Reuse != nil) != tc.reuse {
+				t.Fatalf("shared reuse bundle %v, want %v", got.Reuse != nil, tc.reuse)
+			}
+			got.Reuse = nil
+			if !reflect.DeepEqual(got, tc.want) {
+				t.Fatalf("engine options\n got %+v\nwant %+v", got, tc.want)
+			}
+		})
+	}
+	p := mpeg2Problem(t, 1)
+	p.Options.Strategy = "greedy"
+	if _, err := s.engineOptions(p); err == nil {
+		t.Fatal("unknown strategy translated without an error")
 	}
 }

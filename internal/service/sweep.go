@@ -33,20 +33,17 @@ type sweepPointJSON struct {
 // order over the shared progress log, each event tagged with its 1-based
 // point; the aggregate result carries every point's design or frontier.
 // Every point's payload is byte-identical to what an equivalent single-point
-// submission would produce.
-func (s *Server) executeSweep(f *flight) (result []byte, summary string, stats *seadopt.ExploreStats, err error) {
+// submission would produce. opts are the flight's engine options; they carry
+// no shared reuse bundle, so each platform's batch allocates its own.
+func (s *Server) executeSweep(f *flight, opts seadopt.OptimizeOptions) (*cacheEntry, error) {
 	o := f.problem.Options
-	strategy, err := seadopt.ParseExploreStrategy(o.Strategy)
-	if err != nil {
-		return nil, "", nil, err
-	}
 	pointMode, err := ingest.ParseMode(o.SweepPointMode)
 	if err != nil || pointMode == ingest.ModeSweep {
-		return nil, "", nil, fmt.Errorf("service: sweep point mode %q (want scalar or pareto)", o.SweepPointMode)
+		return nil, fmt.Errorf("service: sweep point mode %q (want scalar or pareto)", o.SweepPointMode)
 	}
 	pareto := pointMode == ingest.ModePareto
 	if len(o.SweepDeadlines) == 0 {
-		return nil, "", nil, fmt.Errorf("service: sweep submission has no deadlines")
+		return nil, fmt.Errorf("service: sweep submission has no deadlines")
 	}
 	objSets := o.SweepObjectiveSets
 	if !pareto {
@@ -57,12 +54,12 @@ func (s *Server) executeSweep(f *flight) (result []byte, summary string, stats *
 	parsedSets := make([]seadopt.ParetoObjectives, len(objSets))
 	for i, set := range objSets {
 		if parsedSets[i], err = seadopt.ParseParetoObjectives(set); err != nil {
-			return nil, "", nil, err
+			return nil, err
 		}
 	}
 	platforms := append([]*arch.Platform{f.problem.Platform}, f.problem.SweepPlatforms...)
 
-	stats = new(seadopt.ExploreStats)
+	e := &cacheEntry{stats: opts.Stats}
 	prunedSoFar := 0 // cumulative across points; callbacks are serialized
 	var payloadPoints []sweepPointJSON
 	var sb strings.Builder
@@ -70,7 +67,7 @@ func (s *Server) executeSweep(f *flight) (result []byte, summary string, stats *
 	for pi, plat := range platforms {
 		sys, err := seadopt.NewSystem(f.problem.Graph, plat)
 		if err != nil {
-			return nil, "", nil, err
+			return nil, err
 		}
 		var points []seadopt.SweepPoint
 		for _, d := range o.SweepDeadlines {
@@ -84,17 +81,9 @@ func (s *Server) executeSweep(f *flight) (result []byte, summary string, stats *
 		}
 		base := globalPoint
 		sopts := seadopt.SweepOptions{
-			Options: seadopt.OptimizeOptions{
-				Stats:            stats, // the last platform's sweep-wide aggregate wins
-				SER:              o.SER,
-				StreamIterations: o.StreamIterations,
-				SearchMoves:      o.SearchMoves,
-				Seed:             o.Seed,
-				Strategy:         strategy,
-				SampleBudget:     o.SampleBudget,
-				Parallelism:      s.cfg.EngineParallelism,
-			},
-			NoWarmStart: s.cfg.DisableWarmStart,
+			// Stats receives each platform's sweep-wide aggregate; the last
+			// one wins.
+			Options: opts,
 			PointProgress: func(point int, p seadopt.ExploreProgress) {
 				s.mirrorProgress(f, base+point+1, &prunedSoFar, p)
 			},
@@ -102,7 +91,7 @@ func (s *Server) executeSweep(f *flight) (result []byte, summary string, stats *
 		s.engineExecs.Add(1)
 		res, err := sys.OptimizeSweepContext(f.ctx, points, sopts)
 		if err != nil {
-			return nil, "", nil, err
+			return nil, err
 		}
 		s.sweepPoints.Add(int64(len(res)))
 		// Register every point's winner in the cross-job warm registry under
@@ -110,21 +99,16 @@ func (s *Server) executeSweep(f *flight) (result []byte, summary string, stats *
 		// of the same workload — on the primary or any sweep platform —
 		// warm-starts from the sweep's results exactly as it would from a
 		// prior single-point job.
-		if !s.cfg.DisableWarmStart && o.Baseline == "" {
-			pp := *f.problem
-			pp.Platform = plat
-			if fp, ferr := pp.Fingerprint(); ferr == nil {
-				for _, r := range res {
-					if r.Spec.Pareto {
-						po := o
-						po.DeadlineSec = r.Spec.DeadlineSec
-						s.recordFrontier(warmParetoKey(fp, po),
-							frontierWarmPoints(sys, r.Spec.DeadlineSec, r.Frontier))
-					} else if r.Spec.DeadlineSec <= 0 || r.Design.Eval.MeetsDeadline {
-						if rank, rerr := sys.ScalingRank(r.Design.Scaling); rerr == nil {
-							s.recordHint(warmScalarKey(fp, o), rank)
-						}
-					}
+		pp := *f.problem
+		pp.Platform = plat
+		if fp, ok := warmFingerprint(&pp); ok {
+			for _, r := range res {
+				if r.Spec.Pareto {
+					po := o
+					po.DeadlineSec = r.Spec.DeadlineSec
+					s.recordFrontier(warmParetoKey(fp, po), sys, r.Frontier)
+				} else {
+					s.recordHint(warmScalarKey(fp, o), sys, r.Design)
 				}
 			}
 		}
@@ -156,14 +140,14 @@ func (s *Server) executeSweep(f *flight) (result []byte, summary string, stats *
 		Size      int              `json:"size"`
 		Points    []sweepPointJSON `json:"points"`
 	}{Mode: ingest.ModeSweep, PointMode: pointMode, Platforms: len(platforms), Size: len(payloadPoints), Points: payloadPoints}
-	result, err = json.Marshal(payload)
-	if err != nil {
-		return nil, "", nil, err
+	if e.result, err = json.Marshal(payload); err != nil {
+		return nil, err
 	}
 	header := fmt.Sprintf("sweep: %d point(s) = %d platform(s) × %d deadline(s)",
 		len(payloadPoints), len(platforms), len(o.SweepDeadlines))
 	if pareto {
 		header += fmt.Sprintf(" × %d objective set(s)", len(parsedSets))
 	}
-	return result, header + "\n" + sb.String(), stats, nil
+	e.summary = header + "\n" + sb.String()
+	return e, nil
 }

@@ -208,36 +208,35 @@ func TestSweepHTTPEndToEnd(t *testing.T) {
 	}
 }
 
+// runJobs submits problems one after another to a fresh server, each after
+// the previous one finished, and returns the last result and the metrics.
+func runJobs(t *testing.T, problems ...*ingest.Problem) ([]byte, Metrics) {
+	t.Helper()
+	s := newTestServer(t, Config{Workers: 1})
+	var last []byte
+	for _, p := range problems {
+		st, err := s.Submit(p, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		last = waitState(t, s, st.ID, StateDone).Result
+	}
+	return last, s.Metrics()
+}
+
 // TestWarmStartAcrossJobs submits two jobs that differ only in deadline:
 // the second must be seeded from the first (WarmStarts metric) while
-// serving exactly the bytes a warm-start-disabled server computes cold.
+// serving exactly the bytes a fresh server computes cold.
 func TestWarmStartAcrossJobs(t *testing.T) {
-	run := func(cfg Config) (first, second []byte, m Metrics) {
-		s := newTestServer(t, cfg)
-		a := mpeg2Problem(t, 2010)
-		st, err := s.Submit(a, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		first = waitState(t, s, st.ID, StateDone).Result
-
-		b := mpeg2Problem(t, 2010)
-		b.Options.DeadlineSec = taskgraph.MPEG2Deadline * 1.25
-		st, err = s.Submit(b, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		second = waitState(t, s, st.ID, StateDone).Result
-		return first, second, s.Metrics()
-	}
-
-	_, warmSecond, warmMetrics := run(Config{Workers: 1})
+	second := mpeg2Problem(t, 2010)
+	second.Options.DeadlineSec = taskgraph.MPEG2Deadline * 1.25
+	warmSecond, warmMetrics := runJobs(t, mpeg2Problem(t, 2010), second)
 	if warmMetrics.WarmStarts < 1 {
 		t.Errorf("WarmStarts = %d after a fingerprint-matching resubmission, want >= 1", warmMetrics.WarmStarts)
 	}
-	_, coldSecond, coldMetrics := run(Config{Workers: 1, DisableWarmStart: true})
+	coldSecond, coldMetrics := runJobs(t, second)
 	if coldMetrics.WarmStarts != 0 {
-		t.Errorf("WarmStarts = %d on a warm-start-disabled server, want 0", coldMetrics.WarmStarts)
+		t.Errorf("WarmStarts = %d on a server that saw no prior job, want 0", coldMetrics.WarmStarts)
 	}
 	if !bytes.Equal(warmSecond, coldSecond) {
 		t.Errorf("warm-started result differs from cold result:\n  warm: %s\n  cold: %s", warmSecond, coldSecond)
@@ -246,30 +245,17 @@ func TestWarmStartAcrossJobs(t *testing.T) {
 
 // TestWarmStartFromSweep: a mode=sweep job's winners land in the cross-job
 // warm registry, so a later single-point submission of the same workload
-// warm-starts from the sweep — serving exactly the bytes a
-// warm-start-disabled server computes cold.
+// warm-starts from the sweep — serving exactly the bytes a fresh server
+// computes cold.
 func TestWarmStartFromSweep(t *testing.T) {
 	d := taskgraph.MPEG2Deadline
-	run := func(cfg Config) ([]byte, Metrics) {
-		s := newTestServer(t, cfg)
-		st, err := s.Submit(sweepProblem(t, []float64{d * 1.2, d}), 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		waitState(t, s, st.ID, StateDone)
-		st, err = s.Submit(mpeg2Problem(t, 2010), 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return waitState(t, s, st.ID, StateDone).Result, s.Metrics()
-	}
-	warm, wm := run(Config{Workers: 1})
+	warm, wm := runJobs(t, sweepProblem(t, []float64{d * 1.2, d}), mpeg2Problem(t, 2010))
 	if wm.WarmStarts < 1 {
 		t.Errorf("WarmStarts = %d after a sweep over the same workload, want >= 1", wm.WarmStarts)
 	}
-	cold, cm := run(Config{Workers: 1, DisableWarmStart: true})
+	cold, cm := runJobs(t, mpeg2Problem(t, 2010))
 	if cm.WarmStarts != 0 {
-		t.Errorf("WarmStarts = %d on a warm-start-disabled server, want 0", cm.WarmStarts)
+		t.Errorf("WarmStarts = %d on a server that saw no prior job, want 0", cm.WarmStarts)
 	}
 	if !bytes.Equal(warm, cold) {
 		t.Errorf("sweep-warm-started result differs from cold result:\n  warm: %s\n  cold: %s", warm, cold)

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"container/list"
 	"math"
 	"strconv"
 	"strings"
@@ -72,39 +71,27 @@ func warmParetoKey(fingerprint string, o ingest.Options) string {
 const maxWarmHints = 8
 
 type warmEntry struct {
-	key    string
 	hints  []int
 	points []seadopt.WarmPoint
 }
 
 // warmRegistry is a goroutine-safe LRU of warm-start seeds.
 type warmRegistry struct {
-	mu  sync.Mutex
-	cap int
-	ll  *list.List // front = most recently used; values are *warmEntry
-	m   map[string]*list.Element
+	mu      sync.Mutex
+	entries *lru[*warmEntry]
 }
 
 func newWarmRegistry(capacity int) *warmRegistry {
-	return &warmRegistry{cap: capacity, ll: list.New(), m: make(map[string]*list.Element)}
+	return &warmRegistry{entries: newLRU[*warmEntry](capacity)}
 }
 
-// touch returns (creating if create is set) the entry for key, promoted to
+// entry returns key's entry, created on first use and promoted to
 // most-recently-used. The caller holds r.mu.
-func (r *warmRegistry) touch(key string, create bool) *warmEntry {
-	if el, ok := r.m[key]; ok {
-		r.ll.MoveToFront(el)
-		return el.Value.(*warmEntry)
-	}
-	if !create {
-		return nil
-	}
-	e := &warmEntry{key: key}
-	r.m[key] = r.ll.PushFront(e)
-	for r.ll.Len() > r.cap {
-		oldest := r.ll.Back()
-		r.ll.Remove(oldest)
-		delete(r.m, oldest.Value.(*warmEntry).key)
+func (r *warmRegistry) entry(key string) *warmEntry {
+	e, ok := r.entries.Get(key)
+	if !ok {
+		e = new(warmEntry)
+		r.entries.Add(key, e)
 	}
 	return e
 }
@@ -113,11 +100,10 @@ func (r *warmRegistry) touch(key string, create bool) *warmEntry {
 func (r *warmRegistry) Hints(key string) []int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	e := r.touch(key, false)
-	if e == nil || len(e.hints) == 0 {
-		return nil
+	if e, ok := r.entries.Get(key); ok {
+		return append([]int(nil), e.hints...)
 	}
-	return append([]int(nil), e.hints...)
+	return nil
 }
 
 // RecordHint prepends a scalar winner rank to key's hint list (deduplicated,
@@ -125,7 +111,7 @@ func (r *warmRegistry) Hints(key string) []int {
 func (r *warmRegistry) RecordHint(key string, rank int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	e := r.touch(key, true)
+	e := r.entry(key)
 	hints := make([]int, 0, len(e.hints)+1)
 	hints = append(hints, rank)
 	for _, h := range e.hints {
@@ -140,11 +126,10 @@ func (r *warmRegistry) RecordHint(key string, rank int) {
 func (r *warmRegistry) Frontier(key string) []seadopt.WarmPoint {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	e := r.touch(key, false)
-	if e == nil || len(e.points) == 0 {
-		return nil
+	if e, ok := r.entries.Get(key); ok {
+		return append([]seadopt.WarmPoint(nil), e.points...)
 	}
-	return append([]seadopt.WarmPoint(nil), e.points...)
+	return nil
 }
 
 // RecordFrontier replaces key's frontier seed with the latest realized one.
@@ -154,43 +139,75 @@ func (r *warmRegistry) RecordFrontier(key string, points []seadopt.WarmPoint) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	e := r.touch(key, true)
-	e.points = append([]seadopt.WarmPoint(nil), points...)
-}
-
-type reuseEntry struct {
-	key    string
-	bundle *seadopt.ExploreReuse
+	r.entry(key).points = append([]seadopt.WarmPoint(nil), points...)
 }
 
 // reuseRegistry is a goroutine-safe LRU of engine reuse bundles keyed by
 // ProbeKey. Evicting an entry only detaches it from future jobs; flights
 // already holding the bundle keep using it safely.
 type reuseRegistry struct {
-	mu  sync.Mutex
-	cap int
-	ll  *list.List // front = most recently used; values are *reuseEntry
-	m   map[string]*list.Element
+	mu      sync.Mutex
+	bundles *lru[*seadopt.ExploreReuse]
 }
 
 func newReuseRegistry(capacity int) *reuseRegistry {
-	return &reuseRegistry{cap: capacity, ll: list.New(), m: make(map[string]*list.Element)}
+	return &reuseRegistry{bundles: newLRU[*seadopt.ExploreReuse](capacity)}
 }
 
 // Get returns the shared reuse bundle for key, creating it on first use.
 func (r *reuseRegistry) Get(key string) *seadopt.ExploreReuse {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if el, ok := r.m[key]; ok {
-		r.ll.MoveToFront(el)
-		return el.Value.(*reuseEntry).bundle
+	b, ok := r.bundles.Get(key)
+	if !ok {
+		b = seadopt.NewExploreReuse()
+		r.bundles.Add(key, b)
 	}
-	e := &reuseEntry{key: key, bundle: seadopt.NewExploreReuse()}
-	r.m[key] = r.ll.PushFront(e)
-	for r.ll.Len() > r.cap {
-		oldest := r.ll.Back()
-		r.ll.Remove(oldest)
-		delete(r.m, oldest.Value.(*reuseEntry).key)
+	return b
+}
+
+// warmFingerprint returns the fingerprint a problem's warm-start seeds are
+// keyed by, and whether the problem may seed or be seeded at all: the
+// baselines' annealing mappers realize other designs than the paper's
+// mapper, so their results stay out of the registry.
+func warmFingerprint(p *ingest.Problem) (string, bool) {
+	if p.Options.Baseline != "" {
+		return "", false
 	}
-	return e.bundle
+	fp, err := p.Fingerprint()
+	return fp, err == nil
+}
+
+// recordHint records a scalar winner as a warm-start hint and journals it,
+// so the warm registry survives a restart. Only a design that meets its
+// deadline (always true without one) seeds later runs.
+func (s *Server) recordHint(key string, sys *seadopt.System, d *seadopt.Design) {
+	if !d.Eval.MeetsDeadline {
+		return
+	}
+	rank, err := sys.ScalingRank(d.Scaling)
+	if err != nil {
+		return
+	}
+	s.warm.RecordHint(key, rank)
+	if s.store != nil {
+		if err := s.store.Append(storeRecord{Kind: "hint", Key: key, Rank: rank}); err != nil {
+			s.cfg.Logger.Warn("store append failed", "kind", "hint", "error", err.Error())
+		}
+	}
+}
+
+// recordFrontier records a Pareto frontier's deadline-meeting members as
+// warm-start ghosts and journals them.
+func (s *Server) recordFrontier(key string, sys *seadopt.System, frontier []*seadopt.Design) {
+	points := sys.WarmPoints(frontier)
+	if len(points) == 0 {
+		return
+	}
+	s.warm.RecordFrontier(key, points)
+	if s.store != nil {
+		if err := s.store.Append(storeRecord{Kind: "frontier", Key: key, Points: toStorePoints(points)}); err != nil {
+			s.cfg.Logger.Warn("store append failed", "kind", "frontier", "error", err.Error())
+		}
+	}
 }

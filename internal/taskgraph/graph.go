@@ -54,6 +54,17 @@ type Graph struct {
 	topo []TaskID // one valid topological order
 }
 
+// Graph size caps. Each evaluator packs every task's register footprint
+// into a bitmask over the inventory — tasks × ⌈registers/64⌉ words — so the
+// caps keep those masks within 32 MiB and bound what an untrusted graph can
+// make the process allocate. The largest graph the engine is exercised on
+// has 120 tasks.
+const (
+	MaxTasks     = 4096
+	MaxEdges     = 65536
+	MaxRegisters = 65536
+)
+
 // Builder assembles a Graph incrementally and validates it on Build.
 type Builder struct {
 	name      string
@@ -111,14 +122,21 @@ func (b *Builder) AddEdge(from, to TaskID, cycles int64) {
 	b.edges = append(b.edges, Edge{From: from, To: to, Cycles: cycles})
 }
 
-// Build validates the accumulated tasks and edges (well-formed, no duplicate
-// edges, acyclic) and returns the finished Graph.
+// Build validates the accumulated tasks and edges (well-formed, within the
+// size caps, no duplicate edges, acyclic) and returns the finished Graph.
 func (b *Builder) Build() (*Graph, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
-	if len(b.tasks) == 0 {
+	switch {
+	case len(b.tasks) == 0:
 		return nil, fmt.Errorf("taskgraph: graph %q has no tasks", b.name)
+	case len(b.tasks) > MaxTasks:
+		return nil, fmt.Errorf("taskgraph: graph %q has %d tasks, over the cap of %d", b.name, len(b.tasks), MaxTasks)
+	case len(b.edges) > MaxEdges:
+		return nil, fmt.Errorf("taskgraph: graph %q has %d edges, over the cap of %d", b.name, len(b.edges), MaxEdges)
+	case b.inventory.Len() > MaxRegisters:
+		return nil, fmt.Errorf("taskgraph: graph %q has %d registers, over the cap of %d", b.name, b.inventory.Len(), MaxRegisters)
 	}
 	g := &Graph{
 		name:      b.name,

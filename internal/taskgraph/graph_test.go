@@ -1,6 +1,8 @@
 package taskgraph
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"seadopt/internal/registers"
@@ -129,6 +131,60 @@ func TestBuilderErrors(t *testing.T) {
 		if _, err := tc.build(); err == nil {
 			t.Errorf("%s: Build succeeded, want error", tc.name)
 		}
+	}
+}
+
+// TestBuilderSizeCaps: a graph at each size cap builds, and one task, edge
+// or register over it is refused with an error naming the cap.
+func TestBuilderSizeCaps(t *testing.T) {
+	// build makes a graph of tasks tasks over regs registers. From 513
+	// tasks on, each of the first 256 tasks feeds each of the next 256
+	// (256·256 = MaxEdges edges), and extraEdge adds one edge 0 -> 512.
+	build := func(tasks, regs int, extraEdge bool) error {
+		inv := registers.NewInventory()
+		for i := 0; i < regs; i++ {
+			inv.MustAdd(fmt.Sprintf("r%d", i), 1)
+		}
+		b := NewBuilder("caps", inv)
+		for i := 0; i < tasks; i++ {
+			b.AddTask(fmt.Sprintf("t%d", i), 1)
+		}
+		if tasks >= 513 {
+			for from := 0; from < 256; from++ {
+				for to := 256; to < 512; to++ {
+					b.AddEdge(TaskID(from), TaskID(to), 1)
+				}
+			}
+			if extraEdge {
+				b.AddEdge(0, 512, 1)
+			}
+		}
+		_, err := b.Build()
+		return err
+	}
+	cases := []struct {
+		name             string
+		tasks, registers int
+		extraEdge        bool
+		wantErr          string
+	}{
+		{"tasks at cap", MaxTasks, 0, false, ""},
+		{"tasks over cap", MaxTasks + 1, 0, false, fmt.Sprint(MaxTasks)},
+		{"edges at cap", 513, 0, false, ""},
+		{"edges over cap", 513, 0, true, fmt.Sprint(MaxEdges)},
+		{"registers at cap", 1, MaxRegisters, false, ""},
+		{"registers over cap", 1, MaxRegisters + 1, false, fmt.Sprint(MaxRegisters)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			err := build(tc.tasks, tc.registers, tc.extraEdge)
+			switch {
+			case tc.wantErr == "" && err != nil:
+				t.Fatalf("refused: %v", err)
+			case tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), "cap of "+tc.wantErr)):
+				t.Fatalf("error %v, want one naming the cap of %s", err, tc.wantErr)
+			}
+		})
 	}
 }
 
