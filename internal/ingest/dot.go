@@ -27,13 +27,25 @@ type dotNode struct {
 // (the form Graph.DOT renders), communication cost from an edge's `cycles`
 // attribute or a numeric label. See the package comment for the defaults
 // when neither is present.
+//
+// Tokens are scanned as the parser asks for them, and the parser refuses a
+// digraph as soon as it has met more nodes or edges than a task graph may
+// hold, so refusing an oversized document allocates no more than parsing
+// a graph at the caps. A malformed token anywhere in the document is the
+// error reported, ahead of anything the parser concluded.
 func parseDOT(data []byte) (*taskgraph.Graph, error) {
-	toks, err := dotTokenize(string(data))
-	if err != nil {
-		return nil, err
+	p := &dotParser{src: string(data)}
+	g, err := p.parse()
+	for p.scan() != "" {
+		// Look for a malformed token in the rest of the document.
 	}
-	p := &dotParser{toks: toks}
+	if p.err != nil {
+		return nil, p.err
+	}
+	return g, err
+}
 
+func (p *dotParser) parse() (*taskgraph.Graph, error) {
 	// Header: [strict] digraph [name] {
 	if p.peek() == "strict" {
 		p.next()
@@ -76,6 +88,14 @@ func parseDOT(data []byte) (*taskgraph.Graph, error) {
 	}
 
 	for {
+		// Refuse an oversized graph between statements; a statement adds
+		// at most MaxEdges+1 nodes and edges (see the chain below).
+		switch {
+		case len(order) > taskgraph.MaxTasks:
+			return nil, fmt.Errorf("ingest: dot: %w", overCap(graphName, "tasks", taskgraph.MaxTasks))
+		case len(edges) > taskgraph.MaxEdges:
+			return nil, fmt.Errorf("ingest: dot: %w", overCap(graphName, "edges", taskgraph.MaxEdges))
+		}
 		tok := p.peek()
 		switch tok {
 		case "":
@@ -115,10 +135,14 @@ func parseDOT(data []byte) (*taskgraph.Graph, error) {
 			case "", ";", "}", "[":
 				return nil, fmt.Errorf("ingest: dot: edge from %q has no target node", chain[len(chain)-1])
 			}
+			if len(chain) > taskgraph.MaxEdges {
+				return nil, fmt.Errorf("ingest: dot: %w", overCap(graphName, "edges", taskgraph.MaxEdges))
+			}
 			chain = append(chain, nid)
 		}
 		var attrs map[string]string
 		if p.peek() == "[" {
+			var err error
 			if attrs, err = p.attrList(); err != nil {
 				return nil, err
 			}
@@ -254,24 +278,26 @@ func (n *dotNode) apply(attrs map[string]string) error {
 	return nil
 }
 
-// dotParser walks the token stream.
+// dotParser scans and parses DOT source. It scans one token ahead of the
+// parser: peek scans the next token, next consumes it.
 type dotParser struct {
-	toks []string
-	pos  int
+	src     string
+	pos     int    // the first byte of src not yet scanned
+	tok     string // the scanned, unconsumed token ("" at the end)
+	scanned bool   // tok holds the next token
+	err     error  // the first malformed token; the input ends there
 }
 
 func (p *dotParser) peek() string {
-	if p.pos >= len(p.toks) {
-		return ""
+	if !p.scanned {
+		p.tok, p.scanned = p.scan(), true
 	}
-	return p.toks[p.pos]
+	return p.tok
 }
 
 func (p *dotParser) next() string {
 	t := p.peek()
-	if t != "" {
-		p.pos++
-	}
+	p.scanned = false
 	return t
 }
 
@@ -303,31 +329,33 @@ func (p *dotParser) attrList() (map[string]string, error) {
 	}
 }
 
-// dotTokenize splits DOT source into identifiers, quoted strings (kept
-// quoted so consumers can distinguish them) and punctuation, dropping //,
-// /* */ and # comments.
-func dotTokenize(src string) ([]string, error) {
-	var toks []string
-	i := 0
-	for i < len(src) {
+// scan returns the next token of the source: an identifier, a quoted
+// string (kept quoted so consumers can distinguish them) or punctuation,
+// skipping whitespace and //, /* */ and # comments. It returns "" at the
+// end of the input, and from a malformed token on, whose error it records.
+func (p *dotParser) scan() string {
+	src := p.src
+	for p.err == nil && p.pos < len(src) {
+		i := p.pos
 		c := src[i]
 		switch {
 		case c == ' ' || c == '\t' || c == '\r' || c == '\n':
-			i++
+			p.pos++
 		case c == '#':
-			for i < len(src) && src[i] != '\n' {
-				i++
+			for p.pos < len(src) && src[p.pos] != '\n' {
+				p.pos++
 			}
 		case c == '/' && i+1 < len(src) && src[i+1] == '/':
-			for i < len(src) && src[i] != '\n' {
-				i++
+			for p.pos < len(src) && src[p.pos] != '\n' {
+				p.pos++
 			}
 		case c == '/' && i+1 < len(src) && src[i+1] == '*':
 			end := strings.Index(src[i+2:], "*/")
 			if end < 0 {
-				return nil, fmt.Errorf("ingest: dot: unterminated /* comment")
+				p.err = fmt.Errorf("ingest: dot: unterminated /* comment")
+				return ""
 			}
-			i += 2 + end + 2
+			p.pos = i + 2 + end + 2
 		case c == '"':
 			j := i + 1
 			for j < len(src) {
@@ -341,18 +369,20 @@ func dotTokenize(src string) ([]string, error) {
 				j++
 			}
 			if j >= len(src) {
-				return nil, fmt.Errorf("ingest: dot: unterminated string literal")
+				p.err = fmt.Errorf("ingest: dot: unterminated string literal")
+				return ""
 			}
-			toks = append(toks, src[i:j+1])
-			i = j + 1
+			p.pos = j + 1
+			return src[i : j+1]
 		case c == '-' && i+1 < len(src) && src[i+1] == '>':
-			toks = append(toks, "->")
-			i += 2
+			p.pos += 2
+			return "->"
 		case c == '-' && i+1 < len(src) && src[i+1] == '-':
-			return nil, fmt.Errorf("ingest: dot: undirected edge '--' is not a task dependency; use '->'")
+			p.err = fmt.Errorf("ingest: dot: undirected edge '--' is not a task dependency; use '->'")
+			return ""
 		case strings.ContainsRune("{}[]=;,", rune(c)):
-			toks = append(toks, string(c))
-			i++
+			p.pos++
+			return src[i : i+1]
 		default:
 			j := i
 			for j < len(src) && !strings.ContainsRune(" \t\r\n{}[]=;,\"#", rune(src[j])) &&
@@ -361,13 +391,14 @@ func dotTokenize(src string) ([]string, error) {
 				j++
 			}
 			if j == i {
-				return nil, fmt.Errorf("ingest: dot: unexpected character %q", c)
+				p.err = fmt.Errorf("ingest: dot: unexpected character %q", c)
+				return ""
 			}
-			toks = append(toks, src[i:j])
-			i = j
+			p.pos = j
+			return src[i:j]
 		}
 	}
-	return toks, nil
+	return ""
 }
 
 // dotUnquote strips the quotes of a quoted token and resolves \" and \\

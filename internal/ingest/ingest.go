@@ -90,19 +90,25 @@ func ParseFormat(s string) (Format, error) {
 
 // Detect sniffs the format of a task-graph document: '{' opens the JSON
 // encoding, '@' opens a TGFF section, and a digraph keyword opens DOT.
-// It returns an error when no format matches.
+// It returns an error when no format matches. It examines the leading
+// lines in place, so sniffing a large document allocates nothing.
 func Detect(data []byte) (Format, error) {
-	for _, line := range bytes.Split(data, []byte("\n")) {
-		t := strings.TrimSpace(string(line))
-		if t == "" || strings.HasPrefix(t, "#") || strings.HasPrefix(t, "//") {
-			continue
+	for len(data) > 0 {
+		line := data
+		if i := bytes.IndexByte(data, '\n'); i >= 0 {
+			line, data = data[:i], data[i+1:]
+		} else {
+			data = nil
 		}
+		t := bytes.TrimSpace(line)
 		switch {
-		case strings.HasPrefix(t, "{"):
+		case len(t) == 0, t[0] == '#', bytes.HasPrefix(t, []byte("//")):
+			continue
+		case t[0] == '{':
 			return FormatJSON, nil
-		case strings.HasPrefix(t, "@"):
+		case t[0] == '@':
 			return FormatTGFF, nil
-		case strings.HasPrefix(t, "digraph"), strings.HasPrefix(t, "strict"), strings.HasPrefix(t, "graph"):
+		case bytes.HasPrefix(t, []byte("digraph")), bytes.HasPrefix(t, []byte("strict")), bytes.HasPrefix(t, []byte("graph")):
 			return FormatDOT, nil
 		default:
 			return "", fmt.Errorf("ingest: cannot detect task-graph format from leading line %q", t)
@@ -142,6 +148,13 @@ func ParseBytes(f Format, data []byte) (*taskgraph.Graph, error) {
 		return nil, err
 	}
 	return g, nil
+}
+
+// overCap is the error of a DOT or TGFF parser that has met more of what
+// (tasks or edges) than a task graph may hold. The parser stops there, so
+// unlike taskgraph.Builder it cannot name the count.
+func overCap(graph, what string, limit int) error {
+	return fmt.Errorf("graph %q has more %s than the cap of %d", graph, what, limit)
 }
 
 // DecodeStrict decodes data, one JSON document, into v. It refuses unknown

@@ -28,7 +28,9 @@ type tgffArc struct {
 // other scalar attributes are ignored — deadlines arrive with the job, not
 // the graph), plus the optional @WCET/@COMMUN/@REGISTERS two-column
 // attribute tables mapping a TYPE to cycles / cycles / bits. Unknown
-// sections (@PE, @HYPERPERIOD, ...) are skipped whole.
+// sections (@PE, @HYPERPERIOD, ...) are skipped whole. Lines are read in
+// place, and a block with more TASK or ARC statements than a task graph
+// may hold is refused at the first one over the cap.
 func parseTGFF(data []byte) (*taskgraph.Graph, error) {
 	var (
 		tasks      []tgffTask
@@ -51,8 +53,14 @@ func parseTGFF(data []byte) (*taskgraph.Graph, error) {
 	}
 	var activeTable *map[int]int64
 
-	for ln, raw := range strings.Split(string(data), "\n") {
-		line := raw
+	rest := string(data)
+	for lineNo := 1; rest != ""; lineNo++ {
+		line := rest
+		if i := strings.IndexByte(rest, '\n'); i >= 0 {
+			line, rest = rest[:i], rest[i+1:]
+		} else {
+			rest = ""
+		}
 		if i := strings.IndexByte(line, '#'); i >= 0 {
 			line = line[:i]
 		}
@@ -60,7 +68,6 @@ func parseTGFF(data []byte) (*taskgraph.Graph, error) {
 		if line == "" {
 			continue
 		}
-		lineNo := ln + 1
 
 		if strings.HasPrefix(line, "@") {
 			if section != "" {
@@ -116,12 +123,18 @@ func parseTGFF(data []byte) (*taskgraph.Graph, error) {
 				if err != nil {
 					return nil, fmt.Errorf("ingest: tgff line %d: %w", lineNo, err)
 				}
+				if len(tasks) == taskgraph.MaxTasks {
+					return nil, fmt.Errorf("ingest: tgff line %d: %w", lineNo, overCap(graphName, "tasks", taskgraph.MaxTasks))
+				}
 				tasks = append(tasks, tgffTask{name: name, typ: typ, line: lineNo})
 			case "ARC":
 				// ARC <name> FROM <task> TO <task> TYPE <n>
 				arc, err := tgffArcStmt(fields[1:])
 				if err != nil {
 					return nil, fmt.Errorf("ingest: tgff line %d: %w", lineNo, err)
+				}
+				if len(arcs) == taskgraph.MaxEdges {
+					return nil, fmt.Errorf("ingest: tgff line %d: %w", lineNo, overCap(graphName, "edges", taskgraph.MaxEdges))
 				}
 				arc.line = lineNo
 				arcs = append(arcs, arc)

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -12,6 +13,8 @@ import (
 	"seadopt/internal/arch"
 	"seadopt/internal/buildinfo"
 	"seadopt/internal/ingest"
+	"seadopt/internal/jsonscan"
+	"seadopt/internal/taskgraph"
 	"seadopt/internal/trace"
 )
 
@@ -211,17 +214,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	req, err := decodeSubmit(r, body)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	graphDoc, format, err := req.graphDocument()
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	g, err := ingest.ParseBytes(format, graphDoc)
+	req, g, err := decodeSubmit(r, body)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
@@ -284,24 +277,102 @@ func (s *Server) readBody(r *http.Request) ([]byte, error) {
 
 // decodeSubmit accepts either the JSON envelope (application/json or a body
 // opening with '{' that decodes as one) or a raw task-graph document with
-// the job parameters in the query string (?format=dot&cores=4&...). An
-// explicit ?format= always selects raw-body mode, whatever the
-// Content-Type — a canonical-JSON graph POSTed with ?format=json must not
-// be mistaken for an envelope.
-func decodeSubmit(r *http.Request, body []byte) (*submitRequest, error) {
+// the job parameters in the query string (?format=dot&cores=4&...), and
+// returns the request with its parsed, validated graph. An explicit
+// ?format= always selects raw-body mode, whatever the Content-Type — a
+// canonical-JSON graph POSTed with ?format=json must not be mistaken for an
+// envelope.
+//
+// An envelope is first offered to decodeEnvelope, which reads an inline
+// graph object in place, in one pass. Any envelope that path declines, and
+// every raw body, takes the general path: encoding/json copies the graph
+// out and ingest.ParseBytes parses the copy. decodeEnvelope returns only
+// successes, so every error comes from the general path.
+func decodeSubmit(r *http.Request, body []byte) (*submitRequest, *taskgraph.Graph, error) {
 	ct := r.Header.Get("Content-Type")
 	rawMode := r.URL.Query().Get("format") != ""
+	var req *submitRequest
 	if !rawMode && (strings.Contains(ct, "json") || (ct == "" && len(body) > 0 && body[0] == '{')) {
-		var req submitRequest
-		if err := ingest.DecodeStrict(body, &req); err != nil {
-			return nil, fmt.Errorf("decoding job envelope: %w (raw-body submissions need ?format=)", err)
+		if fast, g := decodeEnvelope(body); fast != nil {
+			return fast, g, nil
+		}
+		req = new(submitRequest)
+		if err := ingest.DecodeStrict(body, req); err != nil {
+			return nil, nil, fmt.Errorf("decoding job envelope: %w (raw-body submissions need ?format=)", err)
 		}
 		if len(req.Graph) == 0 {
-			return nil, fmt.Errorf("job envelope is missing the graph field")
+			return nil, nil, fmt.Errorf("job envelope is missing the graph field")
 		}
-		return &req, nil
+	} else {
+		var err error
+		if req, err = decodeRawBody(r, body); err != nil {
+			return nil, nil, err
+		}
 	}
-	// Raw-body mode: the body is the graph document itself.
+	doc, format, err := req.graphDocument()
+	if err != nil {
+		return nil, nil, err
+	}
+	g, err := ingest.ParseBytes(format, doc)
+	if err != nil {
+		return nil, nil, err
+	}
+	return req, g, nil
+}
+
+// decodeEnvelope is decodeSubmit's one-pass path for a JSON envelope. It
+// walks the top-level object once, skipping the values of other members,
+// and reads the member spelled exactly "graph" in place with
+// taskgraph.ReadJSON. It then splices {} over the graph's bytes and
+// decodes the rest, a few hundred bytes, with ingest.DecodeStrict, so
+// unknown fields, key case folding, the options, platform and priority and
+// trailing data stay encoding/json's decisions. It applies graphDocument's
+// format rule for an object graph and ingest.ValidateGraph last.
+//
+// It declines, returning nil, when a top-level key has a backslash or a
+// non-ASCII byte, when a key other than "graph" equals "graph" ignoring
+// case, when "graph" appears twice or is not an object the graph reader
+// takes, and when any later step fails.
+func decodeEnvelope(body []byte) (*submitRequest, *taskgraph.Graph) {
+	s := jsonscan.New(body)
+	var g *taskgraph.Graph
+	start, end := 0, 0
+	for more := s.Object(); more; more = s.More('}') {
+		switch key := s.Key(); {
+		case string(key) == "graph" && g == nil:
+			s.SkipSpace()
+			start = s.Offset()
+			if g = taskgraph.ReadJSON(&s); g == nil {
+				return nil, nil
+			}
+			end = s.Offset()
+		case bytes.EqualFold(key, []byte("graph")):
+			return nil, nil
+		default:
+			s.Skip()
+		}
+	}
+	if !s.OK() || g == nil {
+		return nil, nil
+	}
+	rest := make([]byte, 0, len(body)-(end-start)+2)
+	rest = append(append(append(rest, body[:start]...), "{}"...), body[end:]...)
+	var req submitRequest
+	if ingest.DecodeStrict(rest, &req) != nil || string(req.Graph) != "{}" {
+		return nil, nil
+	}
+	if req.Format != "" && req.Format != "auto" && req.Format != "json" {
+		return nil, nil
+	}
+	if ingest.ValidateGraph(g) != nil {
+		return nil, nil
+	}
+	return &req, g
+}
+
+// decodeRawBody decodes a raw-body submission: the body is the graph
+// document, and the query string carries the job parameters.
+func decodeRawBody(r *http.Request, body []byte) (*submitRequest, error) {
 	q := r.URL.Query()
 	req := &submitRequest{Format: q.Get("format")}
 	data, err := json.Marshal(string(body))

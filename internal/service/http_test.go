@@ -34,7 +34,7 @@ func newHTTPServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 }
 
 // mpeg2Envelope is the JSON job envelope the README walkthrough submits.
-func mpeg2Envelope(t *testing.T) []byte {
+func mpeg2Envelope(t testing.TB) []byte {
 	t.Helper()
 	gj, err := taskgraph.MPEG2().MarshalJSON()
 	if err != nil {
@@ -399,40 +399,45 @@ func TestHTTPRawJSONWithFormatParam(t *testing.T) {
 	}
 }
 
-func TestHTTPValidation(t *testing.T) {
-	_, ts := newHTTPServer(t, Config{Workers: 1})
-	const oneTask = `{"format":"json","graph":{"name":"g","registers":[],"tasks":[{"name":"a","cycles":1,"registers":[]}],"edges":[]}}`
-	cases := []struct {
-		name string
-		url  string
-		ct   string
-		body string
-		want int
-	}{
-		{"empty body", "/v1/jobs", "application/json", "", http.StatusBadRequest},
-		{"bad envelope", "/v1/jobs", "application/json", `{"format":"json"}`, http.StatusBadRequest},
-		{"unknown field", "/v1/jobs", "application/json", `{"grpah":{}}`, http.StatusBadRequest},
-		{"cyclic graph", "/v1/jobs", "application/json",
-			`{"format":"json","graph":{"name":"c","registers":[],
+// oneTask is the smallest valid job envelope.
+const oneTask = `{"format":"json","graph":{"name":"g","registers":[],"tasks":[{"name":"a","cycles":1,"registers":[]}],"edges":[]}}`
+
+// httpValidationCases are TestHTTPValidation's submissions and the status
+// each must get.
+var httpValidationCases = []struct {
+	name string
+	url  string
+	ct   string
+	body string
+	want int
+}{
+	{"empty body", "/v1/jobs", "application/json", "", http.StatusBadRequest},
+	{"bad envelope", "/v1/jobs", "application/json", `{"format":"json"}`, http.StatusBadRequest},
+	{"unknown field", "/v1/jobs", "application/json", `{"grpah":{}}`, http.StatusBadRequest},
+	{"cyclic graph", "/v1/jobs", "application/json",
+		`{"format":"json","graph":{"name":"c","registers":[],
 			  "tasks":[{"name":"a","cycles":1,"registers":[]},{"name":"b","cycles":1,"registers":[]}],
 			  "edges":[{"from":0,"to":1,"cycles":0},{"from":1,"to":0,"cycles":0}]}}`, http.StatusBadRequest},
-		{"bad platform", "/v1/jobs", "application/json",
-			`{"format":"json","graph":{"name":"g","registers":[],"tasks":[{"name":"a","cycles":1,"registers":[]}],"edges":[]},
+	{"bad platform", "/v1/jobs", "application/json",
+		`{"format":"json","graph":{"name":"g","registers":[],"tasks":[{"name":"a","cycles":1,"registers":[]}],"edges":[]},
 			  "platform":{"levels":7}}`, http.StatusBadRequest},
-		{"oversized platform shorthand", "/v1/jobs", "application/json",
-			`{"format":"json","graph":{"name":"g","registers":[],"tasks":[{"name":"a","cycles":1,"registers":[]}],"edges":[]},
+	{"oversized platform shorthand", "/v1/jobs", "application/json",
+		`{"format":"json","graph":{"name":"g","registers":[],"tasks":[{"name":"a","cycles":1,"registers":[]}],"edges":[]},
 			  "platform":{"cores":4194304}}`, http.StatusBadRequest},
-		{"oversized platform spec", "/v1/jobs", "application/json",
-			`{"format":"json","graph":{"name":"g","registers":[],"tasks":[{"name":"a","cycles":1,"registers":[]}],"edges":[]},
+	{"oversized platform spec", "/v1/jobs", "application/json",
+		`{"format":"json","graph":{"name":"g","registers":[],"tasks":[{"name":"a","cycles":1,"registers":[]}],"edges":[]},
 			  "platform":{"types":[{"name":"a","freqs_mhz":[200]}],"cores":[{"type":"a","count":4194304}]}}`, http.StatusBadRequest},
-		{"oversized raw-body platform", "/v1/jobs?format=dot&cores=4194304", "text/plain", "digraph g { a -> b; }", http.StatusBadRequest},
-		{"raw without format", "/v1/jobs", "text/plain", "???", http.StatusBadRequest},
-		{"trailing garbage", "/v1/jobs", "application/json", oneTask + "garbage", http.StatusBadRequest},
-		{"two envelopes", "/v1/jobs", "application/json", oneTask + oneTask, http.StatusBadRequest},
-		{"extra brace", "/v1/jobs", "application/json", oneTask + "}", http.StatusBadRequest},
-		{"trailing newline", "/v1/jobs", "application/json", oneTask + "\n", http.StatusAccepted},
-	}
-	for _, tc := range cases {
+	{"oversized raw-body platform", "/v1/jobs?format=dot&cores=4194304", "text/plain", "digraph g { a -> b; }", http.StatusBadRequest},
+	{"raw without format", "/v1/jobs", "text/plain", "???", http.StatusBadRequest},
+	{"trailing garbage", "/v1/jobs", "application/json", oneTask + "garbage", http.StatusBadRequest},
+	{"two envelopes", "/v1/jobs", "application/json", oneTask + oneTask, http.StatusBadRequest},
+	{"extra brace", "/v1/jobs", "application/json", oneTask + "}", http.StatusBadRequest},
+	{"trailing newline", "/v1/jobs", "application/json", oneTask + "\n", http.StatusAccepted},
+}
+
+func TestHTTPValidation(t *testing.T) {
+	_, ts := newHTTPServer(t, Config{Workers: 1})
+	for _, tc := range httpValidationCases {
 		t.Run(tc.name, func(t *testing.T) {
 			resp, err := http.Post(ts.URL+tc.url, tc.ct, strings.NewReader(tc.body))
 			if err != nil {

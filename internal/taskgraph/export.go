@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"strings"
 
+	"seadopt/internal/jsonscan"
 	"seadopt/internal/registers"
 )
 
@@ -156,9 +157,48 @@ func appendJSONString(buf []byte, s string) []byte {
 // passes the full Builder validation (well-formed costs, no duplicate or
 // dangling edges, acyclic), and re-marshaling it reproduces the canonical
 // form of the input byte-for-byte.
+//
+// A direct reader decodes, in one pass, the documents MarshalJSON and the
+// service's clients write: insignificant whitespace; the keys of the
+// jsonGraph form, spelled exactly, each at most once per object and in any
+// order; strings of printable ASCII without a backslash; and integers that
+// fit their fields. Any other input (null, escapes, non-ASCII bytes,
+// unknown, case-variant or duplicate keys, fractions, exponents, overflow,
+// trailing data) is decoded by json.Unmarshal. Both fill the same
+// jsonGraph, which build turns into the Graph, so which decoder runs
+// changes no result and no error.
 func FromJSON(data []byte) (*Graph, error) {
 	var jg jsonGraph
-	if err := json.Unmarshal(data, &jg); err != nil {
+	if s := jsonscan.New(data); !jg.read(&s) || !s.End() {
+		jg = jsonGraph{}
+		if err := json.Unmarshal(data, &jg); err != nil {
+			return nil, fmt.Errorf("taskgraph: decoding graph JSON: %w", err)
+		}
+	}
+	return jg.build()
+}
+
+// ReadJSON decodes the graph object at the cursor of s with FromJSON's
+// direct reader alone and builds it. It returns nil, with s failed, when
+// the object is outside the reader's subset or does not build; the caller
+// then decodes its whole input with encoding/json.
+func ReadJSON(s *jsonscan.Scanner) *Graph {
+	var jg jsonGraph
+	if !jg.read(s) {
+		return nil
+	}
+	g, err := jg.build()
+	if err != nil {
+		s.Fail()
+		return nil
+	}
+	return g
+}
+
+// build makes the Graph that a decoded document describes. The size caps
+// are checked on the decoded counts before anything is built from them.
+func (jg *jsonGraph) build() (*Graph, error) {
+	if err := checkCaps(jg.Name, len(jg.Tasks), len(jg.Edges), len(jg.Registers)); err != nil {
 		return nil, fmt.Errorf("taskgraph: decoding graph JSON: %w", err)
 	}
 	inv := registers.NewInventory()
@@ -185,6 +225,106 @@ func FromJSON(data []byte) (*Graph, error) {
 		return nil, fmt.Errorf("taskgraph: decoding graph JSON: %w", err)
 	}
 	return g, nil
+}
+
+// read fills jg from the graph object at the cursor of s and reports
+// whether the object was in the direct reader's subset (see FromJSON). An
+// absent key leaves its zero value and [] an empty, non-nil slice, as
+// encoding/json does.
+func (jg *jsonGraph) read(s *jsonscan.Scanner) bool {
+	var seen uint8
+	for more := s.Object(); more; more = s.More('}') {
+		switch field(s, &seen, "name", "registers", "tasks", "edges") {
+		case 0:
+			jg.Name = string(s.Text())
+		case 1:
+			jg.Registers = readRegisters(s)
+		case 2:
+			jg.Tasks = readTasks(s)
+		case 3:
+			jg.Edges = readEdges(s)
+		}
+	}
+	return s.OK()
+}
+
+func readRegisters(s *jsonscan.Scanner) []jsonRegister {
+	regs := make([]jsonRegister, 0, 64)
+	for more := s.Array(); more; more = s.More(']') {
+		var r jsonRegister
+		var seen uint8
+		for more := s.Object(); more; more = s.More('}') {
+			switch field(s, &seen, "id", "bits") {
+			case 0:
+				r.ID = string(s.Text())
+			case 1:
+				r.Bits = s.Int(64)
+			}
+		}
+		regs = append(regs, r)
+	}
+	return regs
+}
+
+// readTasks reads the tasks array. The tasks' register references share
+// one backing array.
+func readTasks(s *jsonscan.Scanner) []jsonTask {
+	tasks := make([]jsonTask, 0, 64)
+	refs := make([]string, 0, 256)
+	for more := s.Array(); more; more = s.More(']') {
+		var t jsonTask
+		var seen uint8
+		for more := s.Object(); more; more = s.More('}') {
+			switch field(s, &seen, "name", "cycles", "registers") {
+			case 0:
+				t.Name = string(s.Text())
+			case 1:
+				t.Cycles = s.Int(64)
+			case 2:
+				start := len(refs)
+				for more := s.Array(); more; more = s.More(']') {
+					refs = append(refs, string(s.Text()))
+				}
+				t.Registers = refs[start:len(refs):len(refs)]
+			}
+		}
+		tasks = append(tasks, t)
+	}
+	return tasks
+}
+
+func readEdges(s *jsonscan.Scanner) []jsonEdge {
+	edges := make([]jsonEdge, 0, 64)
+	for more := s.Array(); more; more = s.More(']') {
+		var e jsonEdge
+		var seen uint8
+		for more := s.Object(); more; more = s.More('}') {
+			switch field(s, &seen, "from", "to", "cycles") {
+			case 0:
+				e.From = int(s.Int(strconv.IntSize))
+			case 1:
+				e.To = int(s.Int(strconv.IntSize))
+			case 2:
+				e.Cycles = s.Int(64)
+			}
+		}
+		edges = append(edges, e)
+	}
+	return edges
+}
+
+// field reads an object member's key and returns its index in keys. A key
+// not in keys, or one already in seen (a bit per index), fails the scan.
+func field(s *jsonscan.Scanner, seen *uint8, keys ...string) int {
+	key := s.Key()
+	for i, k := range keys {
+		if string(key) == k && *seen&(1<<i) == 0 {
+			*seen |= 1 << i
+			return i
+		}
+	}
+	s.Fail()
+	return -1
 }
 
 // UnmarshalJSON lets a Graph deserialize in place (json.Unmarshal into

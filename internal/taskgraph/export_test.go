@@ -157,3 +157,19 @@ func TestFromJSONRejects(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkFromJSON decodes the canonical document of a 120-task §V graph,
+// the size of the service_hot workload's graphs.
+func BenchmarkFromJSON(b *testing.B) {
+	doc, err := MustRandom(DefaultRandomConfig(120), 1).MarshalJSON()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(doc)))
+	b.ReportAllocs()
+	for range b.N {
+		if _, err := FromJSON(doc); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -18,7 +18,6 @@ package taskgraph
 
 import (
 	"fmt"
-	"sort"
 
 	"seadopt/internal/registers"
 )
@@ -128,15 +127,11 @@ func (b *Builder) Build() (*Graph, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
-	switch {
-	case len(b.tasks) == 0:
+	if len(b.tasks) == 0 {
 		return nil, fmt.Errorf("taskgraph: graph %q has no tasks", b.name)
-	case len(b.tasks) > MaxTasks:
-		return nil, fmt.Errorf("taskgraph: graph %q has %d tasks, over the cap of %d", b.name, len(b.tasks), MaxTasks)
-	case len(b.edges) > MaxEdges:
-		return nil, fmt.Errorf("taskgraph: graph %q has %d edges, over the cap of %d", b.name, len(b.edges), MaxEdges)
-	case b.inventory.Len() > MaxRegisters:
-		return nil, fmt.Errorf("taskgraph: graph %q has %d registers, over the cap of %d", b.name, b.inventory.Len(), MaxRegisters)
+	}
+	if err := checkCaps(b.name, len(b.tasks), len(b.edges), b.inventory.Len()); err != nil {
+		return nil, err
 	}
 	g := &Graph{
 		name:      b.name,
@@ -163,6 +158,20 @@ func (b *Builder) Build() (*Graph, error) {
 	return g, nil
 }
 
+// checkCaps refuses a graph with more tasks, edges or registers than the
+// size caps allow.
+func checkCaps(name string, tasks, edges, regs int) error {
+	switch {
+	case tasks > MaxTasks:
+		return fmt.Errorf("taskgraph: graph %q has %d tasks, over the cap of %d", name, tasks, MaxTasks)
+	case edges > MaxEdges:
+		return fmt.Errorf("taskgraph: graph %q has %d edges, over the cap of %d", name, edges, MaxEdges)
+	case regs > MaxRegisters:
+		return fmt.Errorf("taskgraph: graph %q has %d registers, over the cap of %d", name, regs, MaxRegisters)
+	}
+	return nil
+}
+
 // MustBuild is Build but panics on error; for static fixtures.
 func (b *Builder) MustBuild() *Graph {
 	g, err := b.Build()
@@ -173,7 +182,8 @@ func (b *Builder) MustBuild() *Graph {
 }
 
 // computeTopo returns a topological order (Kahn's algorithm with a
-// deterministic smallest-ID-first tie break) or an error if cyclic.
+// deterministic smallest-ID-first tie break) or an error if cyclic. The
+// ready tasks wait in a binary min-heap on their IDs.
 func (g *Graph) computeTopo() ([]TaskID, error) {
 	indeg := make([]int, len(g.tasks))
 	for _, edges := range g.succ {
@@ -181,22 +191,20 @@ func (g *Graph) computeTopo() ([]TaskID, error) {
 			indeg[e.To]++
 		}
 	}
-	var ready []TaskID
+	var ready idHeap
 	for id := range g.tasks {
 		if indeg[id] == 0 {
-			ready = append(ready, TaskID(id))
+			ready = append(ready, TaskID(id)) // ascending, so already a heap
 		}
 	}
 	order := make([]TaskID, 0, len(g.tasks))
 	for len(ready) > 0 {
-		sort.Slice(ready, func(i, j int) bool { return ready[i] < ready[j] })
-		t := ready[0]
-		ready = ready[1:]
+		t := ready.pop()
 		order = append(order, t)
 		for _, e := range g.succ[t] {
 			indeg[e.To]--
 			if indeg[e.To] == 0 {
-				ready = append(ready, e.To)
+				ready.push(e.To)
 			}
 		}
 	}
@@ -204,6 +212,45 @@ func (g *Graph) computeTopo() ([]TaskID, error) {
 		return nil, fmt.Errorf("taskgraph: graph %q contains a cycle", g.name)
 	}
 	return order, nil
+}
+
+// idHeap is a binary min-heap of task IDs.
+type idHeap []TaskID
+
+func (h *idHeap) push(id TaskID) {
+	*h = append(*h, id)
+	q := *h
+	for i := len(q) - 1; i > 0; {
+		p := (i - 1) / 2
+		if q[p] <= q[i] {
+			break
+		}
+		q[p], q[i] = q[i], q[p]
+		i = p
+	}
+}
+
+func (h *idHeap) pop() TaskID {
+	q := *h
+	top, n := q[0], len(q)-1
+	q[0] = q[n]
+	q = q[:n]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && q[c+1] < q[c] {
+			c++
+		}
+		if q[i] <= q[c] {
+			break
+		}
+		q[i], q[c] = q[c], q[i]
+		i = c
+	}
+	*h = q
+	return top
 }
 
 // Name returns the graph's name.
