@@ -378,8 +378,33 @@ func canonicalizePlatform(p *arch.Platform) canonicalPlatform {
 
 // CanonicalEncoding returns the stable byte encoding of the problem that
 // Key hashes. Two problems with equal encodings produce identical designs.
+// It is DocumentEncoding over the graph's canonical document.
 func (p *Problem) CanonicalEncoding() ([]byte, error) {
-	if p.Graph == nil || p.Platform == nil {
+	if p.Graph == nil {
+		return nil, fmt.Errorf("ingest: problem needs both a graph and a platform")
+	}
+	gj, err := p.Graph.MarshalJSON()
+	if err != nil {
+		return nil, fmt.Errorf("ingest: encoding graph for problem key: %w", err)
+	}
+	return p.DocumentEncoding(gj)
+}
+
+// DocumentEncoding returns the canonical encoding of the problem with the
+// graph document gj, spliced in verbatim, in place of p.Graph, which it
+// does not read. It is the one canonical encoder: CanonicalEncoding passes
+// the graph's MarshalJSON output, and the service passes a submitted graph
+// document as sent, to look its key up before building the graph.
+//
+// When gj is one JSON value as jsonscan's Skip delimits it, the key equals
+// the key of a problem Q only if gj is Q.Graph.MarshalJSON() byte for byte
+// and the platforms and normalized options are equal (SHA-256 collisions
+// aside): both encodings open with {"v":N,"graph":, and in both the graph
+// member is one bracket-balanced value, whose end its own bytes fix. gj is
+// not otherwise checked; a document that is not canonical yields an
+// encoding that no problem with a graph has.
+func (p *Problem) DocumentEncoding(gj []byte) ([]byte, error) {
+	if p.Platform == nil {
 		return nil, fmt.Errorf("ingest: problem needs both a graph and a platform")
 	}
 	if err := p.Options.Validate(); err != nil {
@@ -388,10 +413,6 @@ func (p *Problem) CanonicalEncoding() ([]byte, error) {
 	mode, _ := ParseMode(p.Options.Mode)
 	if len(p.SweepPlatforms) > 0 && mode != ModeSweep {
 		return nil, fmt.Errorf("ingest: sweep platforms need mode=sweep")
-	}
-	gj, err := p.Graph.MarshalJSON()
-	if err != nil {
-		return nil, fmt.Errorf("ingest: encoding graph for problem key: %w", err)
 	}
 	cp := canonicalProblem{
 		V:        p.keyVersion(),
@@ -412,10 +433,11 @@ func (p *Problem) CanonicalEncoding() ([]byte, error) {
 }
 
 // spliceGraph writes the graph document gj into env, an envelope that
-// json.Marshal rendered with a null graph right after its "v" field. The
-// result is the bytes json.Marshal produces with gj as a json.RawMessage,
-// without that path's validate-and-compact pass over the graph: gj comes
-// from Graph.MarshalJSON, which is already compact and HTML-escaped.
+// json.Marshal rendered with a null graph right after its "v" field. For a
+// compact, HTML-escaped gj, as Graph.MarshalJSON writes, the result is the
+// bytes json.Marshal produces with gj as a json.RawMessage, without that
+// path's validate-and-compact pass over the graph. Any other gj is spliced
+// as it is (see DocumentEncoding).
 func spliceGraph(env []byte, v int, gj []byte) ([]byte, error) {
 	head := `{"v":` + strconv.Itoa(v) + `,"graph":`
 	if !bytes.HasPrefix(env, []byte(head+"null")) {

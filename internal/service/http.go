@@ -5,10 +5,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"seadopt/internal/arch"
 	"seadopt/internal/buildinfo"
@@ -40,6 +40,9 @@ type submitRequest struct {
 	Options ingest.Options `json:"options"`
 	// Priority orders the queue; higher runs first. Default 0.
 	Priority int `json:"priority"`
+	// raw is a raw-body submission's document as sent (see
+	// decodeRawBody); nil for an envelope, whose graph is Graph.
+	raw []byte
 }
 
 // platformShorthand is the homogeneous {"cores", "levels"} ARM7 form.
@@ -111,6 +114,20 @@ func (req *submitRequest) buildSweepPlatforms() ([]*arch.Platform, error) {
 		out[i] = p
 	}
 	return out, nil
+}
+
+// problem builds the request's platforms into the Problem it submits, all
+// but the graph.
+func (req *submitRequest) problem(fallback *arch.Platform) (*ingest.Problem, error) {
+	platform, err := req.buildPlatform(fallback)
+	if err != nil {
+		return nil, err
+	}
+	sweepPlatforms, err := req.buildSweepPlatforms()
+	if err != nil {
+		return nil, err
+	}
+	return &ingest.Problem{Platform: platform, SweepPlatforms: sweepPlatforms, Options: req.Options}, nil
 }
 
 // Handler returns the service's HTTP API:
@@ -214,88 +231,185 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	req, g, err := decodeSubmit(r, body)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	platform, err := req.buildPlatform(s.cfg.DefaultPlatform)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	sweepPlatforms, err := req.buildSweepPlatforms()
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	st, err := s.Submit(&ingest.Problem{Graph: g, Platform: platform, SweepPlatforms: sweepPlatforms, Options: req.Options}, req.Priority)
-	if err != nil {
-		switch {
-		case errors.Is(err, ErrDraining):
-			s.rejectedDraining.Add(1)
-			s.cfg.Logger.Warn("submission rejected", "reason", rejectDraining)
-			httpError(w, http.StatusServiceUnavailable, err)
-		case errors.Is(err, ErrQueueFull):
-			// Backpressure, not a client fault: the queue will drain, so
-			// 503 + Retry-After tells well-behaved clients to come back.
-			s.rejectedQueue.Add(1)
-			w.Header().Set("Retry-After", "1")
-			s.cfg.Logger.Warn("submission rejected",
-				"reason", rejectQueueFull, "queue_depth", s.cfg.QueueDepth)
-			httpError(w, http.StatusServiceUnavailable, err)
-		default:
-			httpError(w, http.StatusBadRequest, err)
-		}
-		return
-	}
-	w.Header().Set("Location", "/v1/jobs/"+st.ID)
-	code := http.StatusAccepted
-	if st.State == StateDone {
-		code = http.StatusOK // served from the result cache
-	}
-	writeJSON(w, code, st)
+	st, err := s.submitBody(r, body)
+	s.answerSubmit(w, st, err)
 }
+
+// answerSubmit writes a submission's answer: the job's status, 200 when
+// the result cache answered it and 202 otherwise, or the error. Draining
+// and a full queue answer 503; every other error is the client's, 400.
+func (s *Server) answerSubmit(w http.ResponseWriter, st JobStatus, err error) {
+	switch {
+	case errors.Is(err, ErrDraining):
+		s.rejectedDraining.Add(1)
+		s.cfg.Logger.Warn("submission rejected", "reason", rejectDraining)
+		httpError(w, http.StatusServiceUnavailable, err)
+	case errors.Is(err, ErrQueueFull):
+		// Backpressure, not a client fault: the queue will drain, so
+		// 503 + Retry-After tells well-behaved clients to come back.
+		s.rejectedQueue.Add(1)
+		w.Header().Set("Retry-After", "1")
+		s.cfg.Logger.Warn("submission rejected",
+			"reason", rejectQueueFull, "queue_depth", s.cfg.QueueDepth)
+		httpError(w, http.StatusServiceUnavailable, err)
+	case err != nil:
+		httpError(w, http.StatusBadRequest, err)
+	default:
+		w.Header().Set("Location", "/v1/jobs/"+st.ID)
+		code := http.StatusAccepted
+		if st.State == StateDone {
+			code = http.StatusOK // served from the result cache
+		}
+		writeJSON(w, code, st)
+	}
+}
+
+// maxBodyPresize caps the buffer readBody reserves from a submission's
+// Content-Length, so a client cannot make the server reserve memory for a
+// body it never sends. A longer body grows the buffer as it arrives.
+const maxBodyPresize = 1 << 20
 
 // readBody caps submissions at Config.MaxBodyBytes (16 MiB by default); a
 // task graph bigger than that is a mistake, not a workload. Oversized
-// bodies surface the *http.MaxBytesError so the caller can answer 413.
+// bodies surface the *http.MaxBytesError so the caller can answer 413. The
+// buffer is sized from Content-Length, up to maxBodyPresize, with the
+// bytes.MinRead of slack that lets the final read see EOF without growing.
 func (s *Server) readBody(r *http.Request) ([]byte, error) {
-	body, err := io.ReadAll(http.MaxBytesReader(nil, r.Body, s.cfg.MaxBodyBytes))
-	if err != nil {
+	size := int64(0)
+	if r.ContentLength > 0 {
+		size = min(r.ContentLength, maxBodyPresize)
+	}
+	buf := bytes.NewBuffer(make([]byte, 0, size+bytes.MinRead))
+	if _, err := buf.ReadFrom(http.MaxBytesReader(nil, r.Body, s.cfg.MaxBodyBytes)); err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
 			return nil, mbe
 		}
 		return nil, fmt.Errorf("reading request body: %w", err)
 	}
-	if len(body) == 0 {
+	if buf.Len() == 0 {
 		return nil, fmt.Errorf("empty request body; POST a job envelope or a task-graph document")
 	}
-	return body, nil
+	return buf.Bytes(), nil
 }
 
-// decodeSubmit accepts either the JSON envelope (application/json or a body
-// opening with '{' that decodes as one) or a raw task-graph document with
-// the job parameters in the query string (?format=dot&cores=4&...), and
-// returns the request with its parsed, validated graph. An explicit
-// ?format= always selects raw-body mode, whatever the Content-Type — a
-// canonical-JSON graph POSTed with ?format=json must not be mistaken for an
-// envelope.
-//
-// An envelope is first offered to decodeEnvelope, which reads an inline
-// graph object in place, in one pass. Any envelope that path declines, and
-// every raw body, takes the general path: encoding/json copies the graph
-// out and ingest.ParseBytes parses the copy. decodeEnvelope returns only
-// successes, so every error comes from the general path.
-func decodeSubmit(r *http.Request, body []byte) (*submitRequest, *taskgraph.Graph, error) {
-	ct := r.Header.Get("Content-Type")
-	rawMode := r.URL.Query().Get("format") != ""
-	var req *submitRequest
-	if !rawMode && (strings.Contains(ct, "json") || (ct == "" && len(body) > 0 && body[0] == '{')) {
-		if fast, g := decodeEnvelope(body); fast != nil {
-			return fast, g, nil
+// submitBody submits the job a POST /v1/jobs body describes. An envelope
+// that decodeEnvelope walks is first offered to submitByDocument, which
+// answers a cache hit from the graph document as sent. When it does not
+// answer, the document is read in place (readGraph). Every envelope the
+// walk or the reader declines, and every raw body, takes decodeSubmit's
+// general path. All three end in Submit.
+func (s *Server) submitBody(r *http.Request, body []byte) (JobStatus, error) {
+	envelope := isEnvelope(r, body)
+	if envelope {
+		if req, doc := decodeEnvelope(body); req != nil {
+			// A platform error waits until the graph has been read: the
+			// general path reports a graph error first.
+			p, perr := req.problem(s.cfg.DefaultPlatform)
+			if perr == nil {
+				if st, err := s.submitByDocument(p, doc, req.Priority); !errors.Is(err, errDeclined) {
+					return st, err
+				}
+			}
+			if g := readGraph(doc); g != nil {
+				if perr != nil {
+					return JobStatus{}, perr
+				}
+				p.Graph = g
+				return s.Submit(p, req.Priority)
+			}
 		}
+	}
+	req, g, err := decodeSubmit(r, body, envelope)
+	if err != nil {
+		return JobStatus{}, err
+	}
+	p, err := req.problem(s.cfg.DefaultPlatform)
+	if err != nil {
+		return JobStatus{}, err
+	}
+	p.Graph = g
+	return s.Submit(p, req.Priority)
+}
+
+// submitByDocument answers a walked envelope whose problem the result
+// cache holds without reading, building, validating or re-marshaling its
+// graph. The key is ingest's DocumentEncoding over the graph document as
+// sent, after the server's defaults; the job records the document's first
+// member, "name", which a canonical document holds as a plain string.
+//
+// A hit is the answer the build path gives. The key equals a cached key
+// only if the document is G.MarshalJSON() byte for byte for the graph G
+// behind that key, with equal platforms and options (see
+// ingest.Problem.DocumentEncoding). Submit admitted G only if G validates
+// and its names are valid UTF-8 (checkGraph), so readGraph builds from
+// that document a graph with G's names and structure: it validates,
+// re-marshals to the same bytes and so has the same key and name, and
+// Submit serves the same hit. Every other outcome (a name that is not a
+// plain string, a platform or option error, a miss, draining) returns
+// errDeclined with nothing recorded, and the build path runs on the
+// original bytes. Once the key hits, this path owns the outcome, a failed
+// journal append included.
+func (s *Server) submitByDocument(p *ingest.Problem, doc []byte, priority int) (JobStatus, error) {
+	name, ok := documentName(doc)
+	if !ok {
+		return JobStatus{}, errDeclined
+	}
+	defaulted := *p
+	defaulted.Options, _ = s.applyDefaults(p.Options)
+	enc, err := defaulted.DocumentEncoding(doc)
+	if err != nil {
+		return JobStatus{}, errDeclined
+	}
+	return s.admit(nil, ingest.EncodingKey(enc), enc, name, priority)
+}
+
+// documentName returns the graph name of a canonical graph document: its
+// first member, "name", when that is a string jsonscan reads in place
+// (printable ASCII, no escapes).
+func documentName(doc []byte) (string, bool) {
+	s := jsonscan.New(doc)
+	if !s.Object() || string(s.Key()) != "name" {
+		return "", false
+	}
+	name := s.Text()
+	return string(name), s.OK()
+}
+
+// readGraph reads a walked envelope's graph document with
+// taskgraph.ReadJSON and validates it. It returns nil when the reader
+// declines the document or the graph fails, and the general path then
+// decides.
+func readGraph(doc []byte) *taskgraph.Graph {
+	s := jsonscan.New(doc)
+	g := taskgraph.ReadJSON(&s)
+	if g == nil || !s.End() || ingest.ValidateGraph(g) != nil {
+		return nil
+	}
+	return g
+}
+
+// isEnvelope reports whether a submission is a JSON envelope rather than a
+// raw task-graph document with the job parameters in the query string
+// (?format=dot&cores=4&...): a JSON Content-Type, or none and a body
+// opening with '{'. An explicit ?format= always selects raw-body mode,
+// whatever the Content-Type: a canonical-JSON graph POSTed with
+// ?format=json must not be mistaken for an envelope.
+func isEnvelope(r *http.Request, body []byte) bool {
+	if r.URL.Query().Get("format") != "" {
+		return false
+	}
+	ct := r.Header.Get("Content-Type")
+	return strings.Contains(ct, "json") || (ct == "" && len(body) > 0 && body[0] == '{')
+}
+
+// decodeSubmit is the general decoder of a submission, for every envelope
+// the one-pass path declines and every raw body: encoding/json decodes an
+// envelope and copies its graph out, decodeRawBody decodes a raw body, and
+// ingest.ParseBytes parses and validates the graph document.
+func decodeSubmit(r *http.Request, body []byte, envelope bool) (*submitRequest, *taskgraph.Graph, error) {
+	var req *submitRequest
+	if envelope {
 		req = new(submitRequest)
 		if err := ingest.DecodeStrict(body, req); err != nil {
 			return nil, nil, fmt.Errorf("decoding job envelope: %w (raw-body submissions need ?format=)", err)
@@ -320,31 +434,28 @@ func decodeSubmit(r *http.Request, body []byte) (*submitRequest, *taskgraph.Grap
 	return req, g, nil
 }
 
-// decodeEnvelope is decodeSubmit's one-pass path for a JSON envelope. It
-// walks the top-level object once, skipping the values of other members,
-// and reads the member spelled exactly "graph" in place with
-// taskgraph.ReadJSON. It then splices {} over the graph's bytes and
-// decodes the rest, a few hundred bytes, with ingest.DecodeStrict, so
-// unknown fields, key case folding, the options, platform and priority and
-// trailing data stay encoding/json's decisions. It applies graphDocument's
-// format rule for an object graph and ingest.ValidateGraph last.
+// decodeEnvelope walks a JSON envelope once, skipping the value of every
+// member, and returns the request without its graph and the graph
+// member's bytes as sent. It splices {} over the graph and decodes the
+// rest, a few hundred bytes, with ingest.DecodeStrict, so unknown fields,
+// key case folding, the options, platform and priority and trailing data
+// stay encoding/json's decisions, and it applies graphDocument's format
+// rule for an object graph. It does not read the graph: submitBody first
+// looks the document up in the result cache.
 //
 // It declines, returning nil, when a top-level key has a backslash or a
 // non-ASCII byte, when a key other than "graph" equals "graph" ignoring
-// case, when "graph" appears twice or is not an object the graph reader
-// takes, and when any later step fails.
-func decodeEnvelope(body []byte) (*submitRequest, *taskgraph.Graph) {
+// case, when "graph" appears twice or is not an object, and when any later
+// step fails.
+func decodeEnvelope(body []byte) (*submitRequest, []byte) {
 	s := jsonscan.New(body)
-	var g *taskgraph.Graph
-	start, end := 0, 0
+	start, end := -1, 0
 	for more := s.Object(); more; more = s.More('}') {
 		switch key := s.Key(); {
-		case string(key) == "graph" && g == nil:
+		case string(key) == "graph" && start < 0:
 			s.SkipSpace()
 			start = s.Offset()
-			if g = taskgraph.ReadJSON(&s); g == nil {
-				return nil, nil
-			}
+			s.Skip()
 			end = s.Offset()
 		case bytes.EqualFold(key, []byte("graph")):
 			return nil, nil
@@ -352,7 +463,7 @@ func decodeEnvelope(body []byte) (*submitRequest, *taskgraph.Graph) {
 			s.Skip()
 		}
 	}
-	if !s.OK() || g == nil {
+	if !s.OK() || start < 0 || body[start] != '{' {
 		return nil, nil
 	}
 	rest := make([]byte, 0, len(body)-(end-start)+2)
@@ -364,22 +475,14 @@ func decodeEnvelope(body []byte) (*submitRequest, *taskgraph.Graph) {
 	if req.Format != "" && req.Format != "auto" && req.Format != "json" {
 		return nil, nil
 	}
-	if ingest.ValidateGraph(g) != nil {
-		return nil, nil
-	}
-	return &req, g
+	return &req, body[start:end]
 }
 
 // decodeRawBody decodes a raw-body submission: the body is the graph
 // document, and the query string carries the job parameters.
 func decodeRawBody(r *http.Request, body []byte) (*submitRequest, error) {
 	q := r.URL.Query()
-	req := &submitRequest{Format: q.Get("format")}
-	data, err := json.Marshal(string(body))
-	if err != nil {
-		return nil, err
-	}
-	req.Graph = data
+	req := &submitRequest{Format: q.Get("format"), raw: body}
 	intq := func(name string, dst *int) error {
 		if v := q.Get(name); v != "" {
 			n, err := strconv.Atoi(v)
@@ -452,12 +555,15 @@ func decodeRawBody(r *http.Request, body []byte) (*submitRequest, error) {
 	return req, nil
 }
 
-// graphDocument resolves the envelope's graph field to document bytes and a
-// format: a JSON string is a text document in any format, an object is the
+// graphDocument resolves the submission's graph to document bytes and a
+// format. A raw body is the document (see coerceUTF8). In an envelope, a
+// JSON string is a text document in any format, an object is the
 // canonical JSON graph.
 func (req *submitRequest) graphDocument() ([]byte, ingest.Format, error) {
 	doc := []byte(req.Graph)
-	if len(doc) > 0 && doc[0] == '"' {
+	if req.raw != nil {
+		doc = coerceUTF8(req.raw)
+	} else if len(doc) > 0 && doc[0] == '"' {
 		var text string
 		if err := json.Unmarshal(doc, &text); err != nil {
 			return nil, "", fmt.Errorf("decoding graph string: %w", err)
@@ -478,6 +584,31 @@ func (req *submitRequest) graphDocument() ([]byte, ingest.Format, error) {
 		return nil, "", err
 	}
 	return doc, f, nil
+}
+
+// coerceUTF8 returns a raw body as the parsers see it: valid UTF-8 as it
+// is, and otherwise a copy with each byte that does not start a valid
+// UTF-8 sequence replaced by U+FFFD. That is what a JSON string round trip
+// does (json.Marshal, then json.Unmarshal), so a raw body decodes as the
+// same document sent in an envelope's graph string would, and no graph a
+// parser builds from it has a name that is not valid UTF-8 (which Submit
+// refuses). bytes.ToValidUTF8 would replace a run of such bytes at once,
+// merging names that differ in the run's length.
+func coerceUTF8(b []byte) []byte {
+	if utf8.Valid(b) {
+		return b
+	}
+	out := make([]byte, 0, len(b)+len(b)/2)
+	for len(b) > 0 {
+		r, size := utf8.DecodeRune(b)
+		if r == utf8.RuneError && size == 1 {
+			out = utf8.AppendRune(out, utf8.RuneError)
+		} else {
+			out = append(out, b[:size]...)
+		}
+		b = b[size:]
+	}
+	return out
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {

@@ -36,6 +36,7 @@ func renderMetrics(w io.Writer, m Metrics) {
 	gauge("seadoptd_cache_entries", "Results held by the LRU cache.", int64(m.CacheEntries))
 	gauge("seadoptd_cache_capacity", "Configured cache capacity.", int64(m.CacheCapacity))
 	counter("seadoptd_cache_hits_total", "Jobs answered from the result cache.", m.CacheHits)
+	counter("seadoptd_cache_hits_by_document_total", "Cache hits answered from the submitted graph document, without building the graph.", m.CacheHitsByDocument)
 	counter("seadoptd_cache_misses_total", "Submissions that missed the result cache.", m.CacheMisses)
 	counter("seadoptd_coalesced_total", "Jobs coalesced onto an in-flight identical problem.", m.Coalesced)
 	counter("seadoptd_engine_executions_total", "Underlying optimizer executions.", m.EngineExecutions)

@@ -45,11 +45,13 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 
 	"seadopt"
 	"seadopt/internal/arch"
 	"seadopt/internal/buildinfo"
 	"seadopt/internal/ingest"
+	"seadopt/internal/taskgraph"
 )
 
 // State is a job lifecycle state.
@@ -421,6 +423,7 @@ type Server struct {
 	shardSeq  atomic.Int64
 
 	cacheHits    atomic.Int64
+	docHits      atomic.Int64 // cache hits answered by document (submitByDocument)
 	cacheMisses  atomic.Int64
 	coalesced    atomic.Int64
 	engineExecs  atomic.Int64
@@ -680,6 +683,17 @@ func (s *Server) admitLocked(j *Job, p *ingest.Problem) {
 // onto an in-flight computation, queued otherwise. Submissions that leave
 // the strategy option empty inherit the server's default strategy before
 // hashing, so their cache identity records the walk that will run.
+//
+// Submit refuses a graph that ingest.ValidateGraph rejects or whose graph,
+// task or register names are not valid UTF-8. Every key in the cache thus
+// belongs to a graph G that FromJSON(G.MarshalJSON()) rebuilds with G's
+// names and structure, so the HTTP path's decoder would accept G's
+// canonical document, and the answer submitByDocument gives it from the
+// key alone is the answer that decoder's path gives. Without the guard, an
+// in-process submission of a disconnected graph, or of two task names
+// apart only in an invalid byte (MarshalJSON writes each invalid byte as
+// U+FFFD), would let a POST of its canonical bytes hit by document instead
+// of being refused.
 func (s *Server) Submit(p *ingest.Problem, priority int) (JobStatus, error) {
 	if defaulted, changed := s.applyDefaults(p.Options); changed {
 		// Work on a copy: the caller's Problem keeps its empty-option
@@ -696,13 +710,58 @@ func (s *Server) Submit(p *ingest.Problem, priority int) (JobStatus, error) {
 	if err != nil {
 		return JobStatus{}, err
 	}
-	key := ingest.EncodingKey(enc)
+	if err := checkGraph(p.Graph); err != nil {
+		return JobStatus{}, err
+	}
+	return s.admit(p, ingest.EncodingKey(enc), enc, p.Graph.Name(), priority)
+}
+
+// checkGraph is Submit's guard: ingest.ValidateGraph, and valid UTF-8 in
+// the graph's name and every task and register name.
+func checkGraph(g *taskgraph.Graph) error {
+	if err := ingest.ValidateGraph(g); err != nil {
+		return err
+	}
+	if !utf8.ValidString(g.Name()) {
+		return fmt.Errorf("service: graph name %q is not valid UTF-8", g.Name())
+	}
+	for _, t := range g.Tasks() {
+		if !utf8.ValidString(t.Name) {
+			return fmt.Errorf("service: task name %q is not valid UTF-8", t.Name)
+		}
+	}
+	for _, id := range g.Inventory().IDs() {
+		if !utf8.ValidString(id) {
+			return fmt.Errorf("service: register name %q is not valid UTF-8", id)
+		}
+	}
+	return nil
+}
+
+// errDeclined is admit's answer to a by-document submission it does not
+// take: the server is draining or the cache misses. It changed nothing.
+var errDeclined = errors.New("service: submission not answered by document")
+
+// admit is the one admission section, under s.mu: the draining check, the
+// cache lookup, the queue bound, the job record and its journal record,
+// the counters and the log line. key and enc are the problem's key and
+// canonical encoding, graph the name the job records. p is the problem a
+// miss queues. A nil p marks a submission answered by document
+// (submitByDocument): admit takes it only on a cache hit, and otherwise
+// returns errDeclined with nothing recorded.
+func (s *Server) admit(p *ingest.Problem, key string, enc []byte, graph string, priority int) (JobStatus, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining {
+		if p == nil {
+			return JobStatus{}, errDeclined
+		}
 		return JobStatus{}, ErrDraining
 	}
 	e, hit := s.cache.Get(key)
+	if !hit && p == nil {
+		return JobStatus{}, errDeclined
+	}
 	if _, coalescing := s.flights[key]; !hit && !coalescing && len(s.queue) >= s.cfg.QueueDepth {
 		// Reject before anything is recorded: rejected traffic must not
 		// move the submitted/miss counters or leave a job record behind.
@@ -712,7 +771,7 @@ func (s *Server) Submit(p *ingest.Problem, priority int) (JobStatus, error) {
 	j := &Job{
 		id:        fmt.Sprintf("j-%06d", s.jobSeq),
 		key:       key,
-		graph:     p.Graph.Name(),
+		graph:     graph,
 		priority:  priority,
 		submitted: s.cfg.Now(),
 	}
@@ -741,6 +800,9 @@ func (s *Server) Submit(p *ingest.Problem, priority int) (JobStatus, error) {
 	s.submitted.Add(1)
 	if hit {
 		s.cacheHits.Add(1)
+		if p == nil {
+			s.docHits.Add(1)
+		}
 		j.finishHit(e)
 		s.terminal++
 		s.pruneLocked()
@@ -1264,6 +1326,7 @@ type Metrics struct {
 	CacheEntries         int              `json:"cache_entries"`
 	CacheCapacity        int              `json:"cache_capacity"`
 	CacheHits            int64            `json:"cache_hits"`
+	CacheHitsByDocument  int64            `json:"cache_hits_by_document"`
 	CacheMisses          int64            `json:"cache_misses"`
 	CacheEvictions       int64            `json:"cache_evictions"`
 	Coalesced            int64            `json:"coalesced"`
@@ -1312,6 +1375,7 @@ func (s *Server) Metrics() Metrics {
 		CacheEntries:         s.cache.Len(),
 		CacheCapacity:        s.cfg.CacheEntries,
 		CacheHits:            s.cacheHits.Load(),
+		CacheHitsByDocument:  s.docHits.Load(),
 		CacheMisses:          s.cacheMisses.Load(),
 		CacheEvictions:       s.cache.Evictions(),
 		Coalesced:            s.coalesced.Load(),
