@@ -257,8 +257,8 @@ type OptimizeOptions struct {
 	// Parallelism for the same Seed.
 	Seed int64
 	// Parallelism bounds the worker pool exploring scaling combinations,
-	// and the number of combinations the Ranked and WarmHints seeding
-	// passes probe at once: 0 selects GOMAXPROCS, 1 runs sequentially.
+	// and the number of combinations the Ranked seeding pass probes at
+	// once: 0 selects GOMAXPROCS, 1 runs sequentially.
 	Parallelism int
 	// Progress, when non-nil, is called once per resolved scaling
 	// combination, in enumeration order. It runs on the optimizing
@@ -290,16 +290,6 @@ type OptimizeOptions struct {
 	// spans. Telemetry is observe-only — the chosen Design/frontier is
 	// byte-identical with Stats set or nil.
 	Stats *ExploreStats
-	// WarmHints warm-starts the scalar branch-and-bound from prior results
-	// over the same graph and platform: each hint is a candidate
-	// combination index (e.g. a fingerprint-matching earlier run's winner)
-	// that is re-validated by this run's own feasibility probe under THIS
-	// run's deadline before it may seed the dominance incumbent. The
-	// chosen Design is byte-identical to a cold run — stale hints can only
-	// cost a probe, never change the answer; like Ranked, only the
-	// pruned/skipped split of Progress may differ. Ignored when Ranked is
-	// set, under non-BnB strategies, and by OptimizePareto.
-	WarmHints []int
 	// WarmFrontier warm-starts OptimizePareto's frontier-dominance pruning
 	// with a prior run's frontier over the same problem whose options
 	// differed at most in Objectives. The returned frontier is
@@ -352,7 +342,6 @@ func (o OptimizeOptions) mappingConfig() mapping.Config {
 		Objectives:        o.Objectives,
 		DiscardPerScaling: true,
 		Reuse:             o.Reuse,
-		WarmHints:         o.WarmHints,
 		WarmFrontier:      o.WarmFrontier,
 	}
 }
@@ -525,17 +514,6 @@ func (s *System) OptimizeShardedParetoContext(ctx context.Context, opts Optimize
 	return out, nil
 }
 
-// ScalingRank returns the enumeration rank of a per-core DVS scaling
-// vector in this system's platform space — the Combination index carried
-// by Progress events and consumed by WarmHints and WarmPoint seeds.
-func (s *System) ScalingRank(scaling []int) (int, error) {
-	sp, err := vscale.PlatformSpace(s.Platform)
-	if err != nil {
-		return 0, err
-	}
-	return sp.Rank(scaling)
-}
-
 // WarmPoints converts a realized frontier into WarmPoint seeds for later
 // Pareto runs over the same workload and deadline (OptimizeOptions.
 // WarmFrontier). Members that miss their deadline — the degenerate
@@ -671,7 +649,6 @@ func (s *System) OptimizeSweepContext(ctx context.Context, points []SweepPoint, 
 		}
 		popt := base
 		popt.DeadlineSec = pt.DeadlineSec
-		popt.WarmHints = nil
 		popt.WarmFrontier = nil
 		cfg := popt.mappingConfig()
 		cfg.Telemetry = tel

@@ -188,7 +188,7 @@ type passFunc func(ctx context.Context, g *taskgraph.Graph, p *arch.Platform, ma
 
 // exploreScalar is the scalar driver behind ExploreContext and
 // ExploreSharded: it seeds the fold's dominance threshold under
-// branch-and-bound (Ranked or WarmHints), runs one pass, and takes the
+// branch-and-bound (Ranked), runs one pass, and takes the
 // all-infeasible fallback when nothing feasible was found.
 func exploreScalar(ctx context.Context, g *taskgraph.Graph, p *arch.Platform,
 	mapper MapperFunc, cfg Config, run passFunc) (best *Design, perScaling []*Design, err error) {
@@ -774,24 +774,20 @@ func newComboSource(p *arch.Platform, cfg Config, strategy Strategy) (*comboSour
 	return &comboSource{size: space.Count(), next: it.Next}, nil
 }
 
-// seedIncumbent runs the scalar fold's incumbent-seeding pass, when the
-// configuration asks for one: the ranked walk under Config.Ranked, else the
-// re-validation of Config.WarmHints. ok reports a nominal power to seed the
-// fold with. Either pass only probes through this run's own cache, so
+// seedIncumbent runs the scalar fold's incumbent-seeding pass, the ranked
+// walk, when Config.Ranked asks for it. ok reports a nominal power to seed
+// the fold with. The pass only trusts this run's own probe verdicts, so
 // seeding is sound: the Design stays byte-identical to a cold, unseeded
 // run, and only the Pruned/Skipped split of Progress may differ.
 func seedIncumbent(ctx context.Context, g *taskgraph.Graph, p *arch.Platform, cfg Config) (nominal float64, ok bool, err error) {
-	if !cfg.Ranked && len(cfg.WarmHints) == 0 {
+	if !cfg.Ranked {
 		return 0, false, nil
 	}
 	if tel := cfg.Telemetry; tel != nil {
 		start := tel.now()
 		defer func() { tel.addRanked(tel.now() - start) }()
 	}
-	if cfg.Ranked {
-		return seedRankedIncumbent(ctx, g, p, cfg)
-	}
-	return seedWarmIncumbent(ctx, g, p, cfg)
+	return seedRankedIncumbent(ctx, g, p, cfg)
 }
 
 // seedRankedIncumbent is the ranked pass of Config.Ranked: it walks the
@@ -852,52 +848,6 @@ func seedRankedIncumbent(ctx context.Context, g *taskgraph.Graph, p *arch.Platfo
 		return false, nil
 	}
 	if err := probeSeedWaves(ctx, g, p, cfg, space.Count(), next, settle); err != nil {
-		return 0, false, err
-	}
-	return nominal, ok, nil
-}
-
-// seedWarmIncumbent validates Config.WarmHints against the CURRENT problem
-// and returns the minimum probe-feasible nominal power among them. Hints are
-// just candidate combination indices (typically a fingerprint-matching prior
-// run's winner); each is re-probed under this run's deadline through the
-// shared probe cache before it may seed anything (in waves of
-// Config.Parallelism, as in the ranked pass), so a hint from a different
-// deadline — or a garbage hint — can never unsoundly skip work: only the
-// verdicts of this run's own probe are trusted, satisfying scalarFold.seed's
-// realizability contract. Out-of-range hints are ignored.
-func seedWarmIncumbent(ctx context.Context, g *taskgraph.Graph, p *arch.Platform, cfg Config) (nominal float64, ok bool, err error) {
-	space, err := vscale.PlatformSpace(p)
-	if err != nil {
-		return 0, false, err
-	}
-	count := space.Count()
-	hints := cfg.WarmHints
-	next := func() (int, []int, bool) {
-		for len(hints) > 0 {
-			hint := hints[0]
-			hints = hints[1:]
-			if hint < 0 || hint >= count {
-				continue
-			}
-			if scaling, err := space.Unrank(hint); err == nil {
-				return hint, scaling, true
-			}
-		}
-		return 0, nil, false
-	}
-	settle := func(wave []seedCandidate) (bool, error) {
-		for _, c := range wave {
-			if c.err != nil {
-				return true, c.err
-			}
-			if c.feasible && (!ok || c.nominal < nominal) {
-				nominal, ok = c.nominal, true
-			}
-		}
-		return false, nil
-	}
-	if err := probeSeedWaves(ctx, g, p, cfg, len(cfg.WarmHints), next, settle); err != nil {
 		return 0, false, err
 	}
 	return nominal, ok, nil

@@ -45,8 +45,8 @@ type Config struct {
 	Seed int64
 	// Parallelism bounds the Explore worker pool: each worker maps one
 	// scaling combination at a time on its own reusable evaluator, and the
-	// incumbent-seeding pass (Ranked, WarmHints) probes in waves of this
-	// many combinations. 0 selects GOMAXPROCS; 1 runs sequentially.
+	// incumbent-seeding pass (Ranked) probes in waves of this many
+	// combinations. 0 selects GOMAXPROCS; 1 runs sequentially.
 	// Results are identical at any setting.
 	Parallelism int
 	// Progress, when non-nil, receives one callback per resolved scaling
@@ -89,15 +89,6 @@ type Config struct {
 	// passes. See Reuse for the sharing contract. Results are
 	// byte-identical with or without it.
 	Reuse *Reuse
-	// WarmHints offers prior winners' combination indices as warm-start
-	// incumbent candidates to StrategyBranchAndBound's scalar fold. Each
-	// hint is re-validated by this run's own probe under this run's
-	// deadline before it may seed the dominance threshold, so stale or
-	// bogus hints cost a probe but never change the chosen Design — like
-	// Ranked, only the Pruned/Skipped split of Progress can differ from a
-	// cold run. Ignored when Ranked is set, under other strategies, and by
-	// the Pareto fold.
-	WarmHints []int
 	// WarmFrontier offers a prior fingerprint-matching Pareto run's
 	// frontier as warm-start dominance ghosts to ExploreParetoContext under
 	// StrategyBranchAndBound. Sound only when that run used identical

@@ -245,16 +245,14 @@ var errSampledShard = errors.New("mapping: sharded exploration requires a contig
 // publishing the fold's bound tightenings to board and pruning against the
 // facts there derived before the range, and returns the record stream for
 // the coordinator's replay. req.InitialFacts are published to board first;
-// a nil board gives the shard a private one. Progress, telemetry, warm
-// hints and ranked seeding are coordinator concerns and are forced off
-// here.
+// a nil board gives the shard a private one. Progress, telemetry and
+// ranked seeding are coordinator concerns and are forced off here.
 func ExploreShard(ctx context.Context, g *taskgraph.Graph, p *arch.Platform,
 	mapper MapperFunc, cfg Config, req ShardRequest, board *FactBoard) (*ShardResult, error) {
 	cfg.Progress = nil
 	cfg.Telemetry = nil
 	cfg.DiscardPerScaling = true
 	cfg.Ranked = false
-	cfg.WarmHints = nil
 	ctx, cfg, err := setup(ctx, cfg, req.Pareto)
 	if err != nil {
 		return nil, err

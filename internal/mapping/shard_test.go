@@ -422,30 +422,24 @@ func TestExploreShardAppliesOnlyEarlierFacts(t *testing.T) {
 
 // TestShardedWarmStartMatchesSingleNode extends sharded ≡ single-node to
 // warm-started runs, the inputs the service shards for fingerprint-matching
-// jobs: scalar WarmHints and Pareto WarmFrontier ghosts taken from a cold
-// single-node run. The Design or frontier and the whole Progress stream
-// must equal the warm single-node run at shard counts 1/2/4 and
-// Parallelism 1/4. The Pareto leg runs power-only on the input of
-// TestParetoBnBPrunesAndSkips, where the ghosts add skips.
+// jobs: a scalar ranked walk over the reuse bundle a cold single-node run
+// primed, and Pareto WarmFrontier ghosts taken from a cold single-node run.
+// The Design or frontier and the whole Progress stream must equal the warm
+// single-node run at shard counts 1/2/4 and Parallelism 1/4. The Pareto leg
+// runs power-only on the input of TestParetoBnBPrunesAndSkips, where the
+// ghosts add skips.
 func TestShardedWarmStartMatchesSingleNode(t *testing.T) {
 	t.Run("scalar", func(t *testing.T) {
 		for _, w := range shardWorkloads(t) {
 			t.Run(w.name, func(t *testing.T) {
 				base := cfg(w.deadline, w.iters)
 				base.SearchMoves = 200
+				base.Reuse = NewReuse()
 				cold, _, err := Explore(w.g, w.p, SEAMapper(base), base)
 				if err != nil {
 					t.Fatal(err)
 				}
-				space, err := vscale.PlatformSpace(w.p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				rank, err := space.Rank(cold.Scaling)
-				if err != nil {
-					t.Fatal(err)
-				}
-				base.WarmHints = []int{rank}
+				base.Ranked = true
 
 				var want capturedRun
 				cw := base

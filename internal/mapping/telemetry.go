@@ -54,8 +54,8 @@ type ExploreEvent struct {
 // WorkerSpan is one combination a worker processed: Kind is "map" when the
 // mapper ran, "skip" when the combination resolved without it (probe-proved
 // irrelevant or cancelled as dominated mid-flight), and "rank" for a
-// feasibility probe of the incumbent-seeding pass (Config.Ranked or
-// Config.WarmHints), which runs on the same worker rows before the stream.
+// feasibility probe of the incumbent-seeding pass (Config.Ranked), which
+// runs on the same worker rows before the stream.
 type WorkerSpan struct {
 	StartNanos  int64  `json:"start_ns"`
 	EndNanos    int64  `json:"end_ns"`
@@ -83,9 +83,9 @@ type WorkerStats struct {
 type PhaseStats struct {
 	// BoundsNanos is the admissible-bound precompute (metrics.NewBounds).
 	BoundsNanos int64 `json:"bounds_ns"`
-	// RankedSeedNanos is the wall time of the incumbent-seeding pass: the
-	// Config.Ranked ascending-nominal walk or the Config.WarmHints check.
-	// Its probes run on the worker rows and also accrue to ProbeNanos.
+	// RankedSeedNanos is the wall time of the incumbent-seeding pass, the
+	// Config.Ranked ascending-nominal walk. Its probes run on the worker
+	// rows and also accrue to ProbeNanos.
 	RankedSeedNanos int64 `json:"ranked_seed_ns"`
 	// EnumerationNanos is the dispatcher's walk of the combination source:
 	// cursor advances, bound pruning and dispatch-skip tests.

@@ -36,9 +36,15 @@ type Inventory struct {
 	order []string // insertion order, for deterministic iteration
 }
 
-// NewInventory returns an empty inventory.
-func NewInventory() *Inventory {
-	return &Inventory{regs: make(map[string]Register)}
+// NewInventory returns an empty inventory. A caller that knows how many
+// registers it will add passes that count as sizeHint, so adding them
+// grows neither the map nor the insertion order.
+func NewInventory(sizeHint ...int) *Inventory {
+	n := 0
+	if len(sizeHint) > 0 {
+		n = sizeHint[0]
+	}
+	return &Inventory{regs: make(map[string]Register, n), order: make([]string, 0, n)}
 }
 
 // Add registers a resource. It reports an error for duplicate IDs, empty IDs

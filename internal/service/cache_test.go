@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"slices"
 	"testing"
+
+	"seadopt"
 )
 
 func entry(i int) *cacheEntry {
@@ -60,22 +62,25 @@ func TestLRUCacheDisabled(t *testing.T) {
 }
 
 // TestWarmRegistryEviction: at capacity the next new key evicts the least
-// recently used one, and reading a key's hints marks it used.
+// recently used one, and reading a key's frontier marks it used.
 func TestWarmRegistryEviction(t *testing.T) {
+	point := func(c int) []seadopt.WarmPoint {
+		return []seadopt.WarmPoint{{Combination: c, Makespan: float64(c), Gamma: 1}}
+	}
 	r := newWarmRegistry(2)
-	r.RecordHint("a", 1)
-	r.RecordHint("b", 2)
-	if got := r.Hints("a"); !slices.Equal(got, []int{1}) {
-		t.Fatalf("hints for a = %v, want [1]", got)
+	r.RecordFrontier("a", point(1))
+	r.RecordFrontier("b", point(2))
+	if got := r.Frontier("a"); !slices.Equal(got, point(1)) {
+		t.Fatalf("frontier for a = %v, want %v", got, point(1))
 	}
 	// a was just read, so b is the least recently used key.
-	r.RecordHint("c", 3)
-	if got := r.Hints("b"); got != nil {
-		t.Fatalf("least recently used key b survived with hints %v", got)
+	r.RecordFrontier("c", point(3))
+	if got := r.Frontier("b"); got != nil {
+		t.Fatalf("least recently used key b survived with frontier %v", got)
 	}
-	for key, want := range map[string][]int{"a": {1}, "c": {3}} {
-		if got := r.Hints(key); !slices.Equal(got, want) {
-			t.Fatalf("hints for %s = %v, want %v", key, got, want)
+	for key, want := range map[string][]seadopt.WarmPoint{"a": point(1), "c": point(3)} {
+		if got := r.Frontier(key); !slices.Equal(got, want) {
+			t.Fatalf("frontier for %s = %v, want %v", key, got, want)
 		}
 	}
 }

@@ -166,7 +166,7 @@ func (s *Server) peerRunner(peer, token string, enc []byte,
 			exchange = strings.TrimRight(s.cfg.AdvertiseURL, "/") + "/internal/v1/exchange"
 		}
 		// Seed the worker with everything the board holds already (the
-		// coordinator's ranked/warm incumbent fact in particular), so even
+		// coordinator's ranked incumbent fact in particular), so even
 		// an exchange-less worker prunes against it.
 		req.InitialFacts, _ = board.Since(0)
 		body, err := json.Marshal(shardCallRequest{Problem: enc, Req: req, Exchange: exchange, Token: token})

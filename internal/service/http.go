@@ -296,9 +296,10 @@ func (s *Server) readBody(r *http.Request) ([]byte, error) {
 // submitBody submits the job a POST /v1/jobs body describes. An envelope
 // that decodeEnvelope walks is first offered to submitByDocument, which
 // answers a cache hit from the graph document as sent. When it does not
-// answer, the document is read in place (readGraph). Every envelope the
-// walk or the reader declines, and every raw body, takes decodeSubmit's
-// general path. All three end in Submit.
+// answer, the document is read in place (readGraph) and submitted with the
+// key submitByDocument computed. Every envelope the walk or the reader
+// declines, and every raw body, takes decodeSubmit's general path. All
+// three end in Submit's admission.
 func (s *Server) submitBody(r *http.Request, body []byte) (JobStatus, error) {
 	envelope := isEnvelope(r, body)
 	if envelope {
@@ -306,8 +307,9 @@ func (s *Server) submitBody(r *http.Request, body []byte) (JobStatus, error) {
 			// A platform error waits until the graph has been read: the
 			// general path reports a graph error first.
 			p, perr := req.problem(s.cfg.DefaultPlatform)
+			sent := &sentDocument{doc: doc}
 			if perr == nil {
-				if st, err := s.submitByDocument(p, doc, req.Priority); !errors.Is(err, errDeclined) {
+				if st, err := s.submitByDocument(p, sent, req.Priority); !errors.Is(err, errDeclined) {
 					return st, err
 				}
 			}
@@ -316,7 +318,7 @@ func (s *Server) submitBody(r *http.Request, body []byte) (JobStatus, error) {
 					return JobStatus{}, perr
 				}
 				p.Graph = g
-				return s.Submit(p, req.Priority)
+				return s.submit(p, sent, req.Priority)
 			}
 		}
 	}
@@ -349,19 +351,50 @@ func (s *Server) submitBody(r *http.Request, body []byte) (JobStatus, error) {
 // plain string, a platform or option error, a miss, draining) returns
 // errDeclined with nothing recorded, and the build path runs on the
 // original bytes. Once the key hits, this path owns the outcome, a failed
-// journal append included.
-func (s *Server) submitByDocument(p *ingest.Problem, doc []byte, priority int) (JobStatus, error) {
-	name, ok := documentName(doc)
+// journal append included. A miss leaves the key and encoding in sent for
+// the build path.
+func (s *Server) submitByDocument(p *ingest.Problem, sent *sentDocument, priority int) (JobStatus, error) {
+	name, ok := documentName(sent.doc)
 	if !ok {
 		return JobStatus{}, errDeclined
 	}
 	defaulted := *p
 	defaulted.Options, _ = s.applyDefaults(p.Options)
-	enc, err := defaulted.DocumentEncoding(doc)
+	enc, err := defaulted.DocumentEncoding(sent.doc)
 	if err != nil {
 		return JobStatus{}, errDeclined
 	}
-	return s.admit(nil, ingest.EncodingKey(enc), enc, name, priority)
+	sent.enc, sent.key = enc, ingest.EncodingKey(enc)
+	return s.admit(nil, sent.key, enc, name, priority)
+}
+
+// sentDocument is a walked envelope's graph document as sent and, once
+// submitByDocument has computed them, the canonical encoding of the
+// submission's problem over that document and its key.
+type sentDocument struct {
+	doc []byte
+	enc []byte // nil until computed
+	key string
+}
+
+// encoding returns p's key and canonical encoding. When p's graph
+// marshals to the sent document byte for byte and its encoding was
+// computed, those are the sent ones: CanonicalEncoding is DocumentEncoding
+// over MarshalJSON's output, under the same defaulted options. Otherwise
+// the encoding is computed from the marshaled graph.
+func (sent *sentDocument) encoding(p *ingest.Problem) (string, []byte, error) {
+	gj, err := p.Graph.MarshalJSON()
+	if err != nil {
+		return "", nil, err
+	}
+	if sent.enc != nil && bytes.Equal(gj, sent.doc) {
+		return sent.key, sent.enc, nil
+	}
+	enc, err := p.DocumentEncoding(gj)
+	if err != nil {
+		return "", nil, err
+	}
+	return ingest.EncodingKey(enc), enc, nil
 }
 
 // documentName returns the graph name of a canonical graph document: its

@@ -121,7 +121,7 @@ type Config struct {
 	// Submissions that do name a platform are unaffected.
 	DefaultPlatform *arch.Platform
 	// StoreDir, when non-empty, enables the durable job store: every
-	// accepted submission, terminal outcome and warm-start seed is
+	// accepted submission, terminal outcome and Pareto warm-start seed is
 	// appended (and fsynced) to an append-only journal under this
 	// directory before it is acknowledged, and a restarting daemon
 	// replays the journal — finished results are served byte-identically
@@ -404,7 +404,7 @@ type Server struct {
 	hookExecute func(*flight)
 
 	// Cross-job acceleration registries: shared engine reuse bundles by
-	// ProbeKey, warm-start seeds by problem Fingerprint.
+	// ProbeKey, Pareto warm-start seeds by problem Fingerprint.
 	reuses *reuseRegistry
 	warm   *warmRegistry
 
@@ -433,7 +433,7 @@ type Server struct {
 	paretoJobs   atomic.Int64 // pareto-mode engine executions
 	frontierSize atomic.Int64 // frontier size of the latest finished pareto job
 	sweepPoints  atomic.Int64 // sweep points evaluated by batch jobs
-	warmStarts   atomic.Int64 // engine executions seeded from a prior result
+	warmStarts   atomic.Int64 // Pareto executions seeded from a prior frontier
 	shardedExecs atomic.Int64 // engine executions fanned out over shards
 	shardsServed atomic.Int64 // shard requests this server executed for peers
 
@@ -544,8 +544,6 @@ func (s *Server) recover(recs []storeRecord) {
 			if jr, ok := jobs[rec.ID]; ok {
 				jr.canceled = rec
 			}
-		case "hint":
-			s.warm.RecordHint(rec.Key, rec.Rank)
 		case "frontier":
 			s.warm.RecordFrontier(rec.Key, fromStorePoints(rec.Points))
 		}
@@ -695,6 +693,14 @@ func (s *Server) admitLocked(j *Job, p *ingest.Problem) {
 // U+FFFD), would let a POST of its canonical bytes hit by document instead
 // of being refused.
 func (s *Server) Submit(p *ingest.Problem, priority int) (JobStatus, error) {
+	return s.submit(p, nil, priority)
+}
+
+// submit is Submit. A non-nil sent is the document readGraph read, and so
+// validated, p.Graph from: its key is reused when the graph marshals back
+// to it (sentDocument.encoding), and of checkGraph only the names' UTF-8 is
+// left to check.
+func (s *Server) submit(p *ingest.Problem, sent *sentDocument, priority int) (JobStatus, error) {
 	if defaulted, changed := s.applyDefaults(p.Options); changed {
 		// Work on a copy: the caller's Problem keeps its empty-option
 		// markers, so resubmitting it elsewhere still means "that server's
@@ -706,22 +712,36 @@ func (s *Server) Submit(p *ingest.Problem, priority int) (JobStatus, error) {
 	// Hash outside the lock; the graph encoding dominates the cost. The
 	// encoding itself is kept for the durable store, which journals it
 	// with every job but a cache hit on a journaled result.
-	enc, err := p.CanonicalEncoding()
+	var key string
+	var enc []byte
+	var err error
+	check := checkGraph
+	if sent != nil {
+		key, enc, err = sent.encoding(p)
+		check = checkNames
+	} else if enc, err = p.CanonicalEncoding(); err == nil {
+		key = ingest.EncodingKey(enc)
+	}
 	if err != nil {
 		return JobStatus{}, err
 	}
-	if err := checkGraph(p.Graph); err != nil {
+	if err := check(p.Graph); err != nil {
 		return JobStatus{}, err
 	}
-	return s.admit(p, ingest.EncodingKey(enc), enc, p.Graph.Name(), priority)
+	return s.admit(p, key, enc, p.Graph.Name(), priority)
 }
 
-// checkGraph is Submit's guard: ingest.ValidateGraph, and valid UTF-8 in
-// the graph's name and every task and register name.
+// checkGraph is Submit's guard: ingest.ValidateGraph, and checkNames.
 func checkGraph(g *taskgraph.Graph) error {
 	if err := ingest.ValidateGraph(g); err != nil {
 		return err
 	}
+	return checkNames(g)
+}
+
+// checkNames requires valid UTF-8 in the graph's name and every task and
+// register name.
+func checkNames(g *taskgraph.Graph) error {
 	if !utf8.ValidString(g.Name()) {
 		return fmt.Errorf("service: graph name %q is not valid UTF-8", g.Name())
 	}
@@ -1096,16 +1116,15 @@ func (s *Server) execute(f *flight) (*cacheEntry, error) {
 		defer shardCleanup()
 		e.stats, opts.Stats = nil, nil
 	}
-	// Warm-start from a fingerprint-matching prior result whose deadline or
-	// objectives differed. Seeds are re-validated against this run's
-	// constraints by the engine, so the result bytes are identical to a
-	// cold run — only pruning gets ahead of itself.
-	fp, warmable := warmFingerprint(p)
-	seeded := warmable && opts.Strategy == seadopt.StrategyBranchAndBound
 	s.engineExecs.Add(1)
 	if mode == ingest.ModePareto {
+		// Warm-start from a fingerprint-matching prior frontier at this
+		// deadline whose objectives differed. The engine re-validates the
+		// ghosts against this run, so the result bytes are identical to a
+		// cold run — only pruning gets ahead of itself.
+		fp, warmable := warmFingerprint(p)
 		key := warmParetoKey(fp, o)
-		if seeded {
+		if warmable && opts.Strategy == seadopt.StrategyBranchAndBound {
 			if opts.WarmFrontier = s.warm.Frontier(key); len(opts.WarmFrontier) > 0 {
 				s.warmStarts.Add(1)
 			}
@@ -1129,15 +1148,9 @@ func (s *Server) execute(f *flight) (*cacheEntry, error) {
 		}
 		return e, nil
 	}
-	key := warmScalarKey(fp, o)
 	var d *seadopt.Design
 	switch o.Baseline {
 	case "":
-		if seeded {
-			if opts.WarmHints = s.warm.Hints(key); len(opts.WarmHints) > 0 {
-				s.warmStarts.Add(1)
-			}
-		}
 		if runners != nil {
 			d, err = sys.OptimizeShardedContext(f.ctx, opts, runners)
 		} else {
@@ -1155,9 +1168,6 @@ func (s *Server) execute(f *flight) (*cacheEntry, error) {
 	if err != nil {
 		return nil, err
 	}
-	if warmable {
-		s.recordHint(key, sys, d)
-	}
 	if e.result, err = json.Marshal(d); err != nil {
 		return nil, err
 	}
@@ -1166,10 +1176,18 @@ func (s *Server) execute(f *flight) (*cacheEntry, error) {
 }
 
 // engineOptions translates a problem's options into the engine's: the one
-// place the service parses strategy and objectives. Every job but a sweep
-// shares the verdict-preserving reuse layer (probe trajectories, bounds,
-// pooled evaluators) with the other jobs over its probe universe; a sweep
-// keeps a private bundle per platform.
+// place the service parses strategy and objectives. Every job shares the
+// verdict-preserving reuse layer (probe trajectories, bounds, pooled
+// evaluators) with the other jobs over its probe universe; a sweep takes
+// the bundle of each of its platforms in executeSweep.
+//
+// A scalar branch-and-bound job without a baseline walks ranked: the
+// engine first walks scalings in ascending nominal power until one is
+// probe-feasible, and that nominal prunes the stream from its first
+// combination. The Design is byte-identical to an exhaustive walk; only
+// the pruned/skipped split of the progress stream differs from the plain
+// walk. Earlier jobs over the same probe universe left their probe
+// verdicts in the shared bundle, so the walk re-probes none of them.
 func (s *Server) engineOptions(p *ingest.Problem) (seadopt.OptimizeOptions, error) {
 	o := p.Options
 	strategy, err := seadopt.ParseExploreStrategy(o.Strategy)
@@ -1191,7 +1209,11 @@ func (s *Server) engineOptions(p *ingest.Problem) (seadopt.OptimizeOptions, erro
 		Objectives:       objectives,
 		Parallelism:      s.cfg.EngineParallelism,
 	}
-	if mode, _ := ingest.ParseMode(o.Mode); mode != ingest.ModeSweep {
+	mode, _ := ingest.ParseMode(o.Mode)
+	if mode == ingest.ModeScalar {
+		opts.Ranked = strategy == seadopt.StrategyBranchAndBound && o.Baseline == ""
+	}
+	if mode != ingest.ModeSweep {
 		if pk, err := p.ProbeKey(); err == nil {
 			opts.Reuse = s.reuses.Get(pk)
 		}

@@ -17,11 +17,11 @@ import (
 
 // This file is the service's durability layer: an append-only JSONL journal
 // under Config.StoreDir that records every accepted submission, every
-// terminal outcome and every warm-start seed. Each append is fsynced before
-// the triggering operation acknowledges, so a daemon that is SIGKILLed and
-// restarted against the same directory loses no accepted job: finished
-// results (and their exact bytes) are served from the journal, and jobs
-// that were queued or running at the kill are re-enqueued under their
+// terminal outcome and every Pareto warm-start seed. Each append is fsynced
+// before the triggering operation acknowledges, so a daemon that is
+// SIGKILLed and restarted against the same directory loses no accepted job:
+// finished results (and their exact bytes) are served from the journal, and
+// jobs that were queued or running at the kill are re-enqueued under their
 // original IDs and re-run — deterministically to the same bytes.
 //
 // The journal is a log, not a database: recovery replays it from the top,
@@ -45,8 +45,11 @@ type storeWarmPoint struct {
 //	         State done (recovery reads the bytes from the key's result)
 //	result   ID, Key, State (done/failed/canceled), Result, Summary, Total, Error, At
 //	cancel   ID, At
-//	hint     Key (warm registry key), Rank
 //	frontier Key (warm registry key), Points
+//
+// Journals written before scalar jobs walked ranked also hold "hint"
+// records (a scalar winner's combination rank); recovery skips them like
+// any other kind it does not know.
 type storeRecord struct {
 	Kind     string           `json:"kind"`
 	ID       string           `json:"id,omitempty"`
@@ -60,7 +63,6 @@ type storeRecord struct {
 	Summary  string           `json:"summary,omitempty"`
 	Total    int              `json:"total,omitempty"`
 	Error    string           `json:"error,omitempty"`
-	Rank     int              `json:"rank,omitempty"`
 	Points   []storeWarmPoint `json:"points,omitempty"`
 }
 
@@ -68,7 +70,7 @@ type storeRecord struct {
 // mutex. Submit, Cancel and run also hold the Server's mutex across their
 // appends, fsync included: journal order must be the order in which jobs
 // were accepted and finished, since recovery rebuilds the job order and the
-// ID sequence from it. Warm-start hint and frontier appends run outside it.
+// ID sequence from it. Warm-start frontier appends run outside it.
 type jobStore struct {
 	mu sync.Mutex
 	f  *os.File

@@ -88,16 +88,6 @@ func TestStoreRecoversFinishedJobs(t *testing.T) {
 		t.Fatalf("recovered server ran the engine %d times for known results", execs)
 	}
 
-	// The scalar warm-start hint journaled by the first run survives too.
-	p := mpeg2Problem(t, 2010)
-	fp, err := p.Fingerprint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hints := s2.warm.Hints(warmScalarKey(fp, p.Options)); len(hints) == 0 {
-		t.Fatal("warm-start hints did not survive the restart")
-	}
-
 	// The hit was journaled by key: a done record without its problem.
 	if err := s2.Close(ctx); err != nil {
 		t.Fatal(err)
@@ -148,6 +138,112 @@ func journalRecord(t *testing.T, dir, id string) storeRecord {
 	}
 	t.Fatalf("journal holds no job record for %s", id)
 	return storeRecord{}
+}
+
+// legacyJournalPath holds a journal written before scalar jobs walked
+// ranked: Fig. 8 jobs (seed 2) at the paper's deadline and at 1.25× it,
+// a cache hit of the first journaled by key, and the "hint" record (a
+// scalar winner's combination rank) that each scalar result was journaled
+// with.
+var legacyJournalPath = filepath.Join("testdata", "legacy_journal.jsonl")
+
+// TestStoreReplaysLegacyJournal boots a server on a legacy journal:
+// recovery restores its jobs and cache entries and skips its "hint"
+// records, a resubmission is answered from the recovered cache with the
+// bytes a fresh server computes, and the next scalar job journals no hint.
+func TestStoreReplaysLegacyJournal(t *testing.T) {
+	legacy, err := os.ReadFile(legacyJournalPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := replayJournal(legacyJournalPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	results := make(map[string]storeRecord)
+	hints := 0
+	for _, rec := range recs {
+		switch rec.Kind {
+		case "result":
+			results[rec.ID] = rec
+		case "hint":
+			hints++
+		}
+	}
+	if hints == 0 || len(results) != 2 {
+		t.Fatalf("legacy journal holds %d hint and %d result records, want some and 2", hints, len(results))
+	}
+
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, storeJournalName), legacy, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := newStoreServer(t, dir, Config{Workers: 1})
+	// Each job and the job whose result record holds its bytes; j-000002
+	// is the by-key hit.
+	for id, from := range map[string]string{"j-000001": "j-000001", "j-000002": "j-000001", "j-000003": "j-000003"} {
+		got, err := s.Job(id)
+		if err != nil {
+			t.Fatalf("recovery lost job %s: %v", id, err)
+		}
+		if got.State != StateDone || got.CacheHit != (id != from) || !bytes.Equal(got.Result, results[from].Result) {
+			t.Fatalf("job %s recovered as %s (cache hit %v, bytes equal %v)",
+				id, got.State, got.CacheHit, bytes.Equal(got.Result, results[from].Result))
+		}
+	}
+
+	// The recovered cache answers both problems; a fresh server computes
+	// the same bytes.
+	for _, scale := range []float64{1, 1.25} {
+		p := fig8Problem(2, "")
+		p.Options.DeadlineSec *= scale
+		st, err := s.Submit(p, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !st.CacheHit {
+			t.Fatalf("deadline ×%g: resubmission after recovery missed the cache", scale)
+		}
+		fresh := runJobs(t, p).Result
+		if !bytes.Equal(st.Result, fresh) {
+			t.Fatalf("deadline ×%g: recovered bytes differ from a fresh run:\n%s\nvs\n%s", scale, st.Result, fresh)
+		}
+	}
+	if execs := s.Metrics().EngineExecutions; execs != 0 {
+		t.Fatalf("recovered server ran the engine %d times for journaled results", execs)
+	}
+
+	// A new scalar job appends its job and result records, and no hint.
+	p := fig8Problem(2, "")
+	p.Options.DeadlineSec *= 1.5
+	st, err := s.Submit(p, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, s, st.ID, StateDone)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if err := s.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+	journal, err := os.ReadFile(filepath.Join(dir, storeJournalName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(journal, legacy) {
+		t.Fatal("recovery rewrote the legacy journal")
+	}
+	var kinds []string
+	for _, line := range bytes.Split(bytes.TrimSpace(journal[len(legacy):]), []byte("\n")) {
+		var rec storeRecord
+		if err := json.Unmarshal(line, &rec); err != nil {
+			t.Fatal(err)
+		}
+		kinds = append(kinds, rec.Kind)
+	}
+	if want := []string{"job", "job", "job", "result"}; !slices.Equal(kinds, want) {
+		t.Fatalf("records appended after recovery: %v, want %v", kinds, want)
+	}
 }
 
 // writeJournal appends recs to a fresh journal under dir.
@@ -621,7 +717,7 @@ func realJournal(f *testing.F) []byte {
 			kinds[rec.Kind] = true
 		}
 	}
-	for _, kind := range []string{"job", "by-key hit", "result", "cancel", "hint", "frontier"} {
+	for _, kind := range []string{"job", "by-key hit", "result", "cancel", "frontier"} {
 		if !kinds[kind] {
 			f.Fatalf("seed journal has no %s record:\n%s", kind, data)
 		}
@@ -637,6 +733,11 @@ func FuzzReplayJournal(f *testing.F) {
 	journal := realJournal(f)
 	f.Add(journal)
 	f.Add(append(append([]byte(nil), journal...), `{"kind":"result","id":"j-0000`...))
+	legacy, err := os.ReadFile(legacyJournalPath) // holds "hint" records
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(legacy)
 	// One directory for every input: a fresh randomly named one per input
 	// would vary the paths, and so the coverage, from run to run.
 	dir := filepath.Join(f.TempDir(), "store")

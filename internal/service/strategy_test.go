@@ -3,12 +3,16 @@ package service
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"seadopt"
+	"seadopt/internal/arch"
 	"seadopt/internal/ingest"
+	"seadopt/internal/taskgraph"
 )
 
 // TestStrategyInProblemIdentity: the strategy job option participates in
@@ -57,6 +61,76 @@ func TestStrategyInProblemIdentity(t *testing.T) {
 	f3 := waitState(t, s, st3.ID, StateDone)
 	if !bytes.Equal(f3.Result, f1.Result) {
 		t.Fatalf("exhaustive and branch-and-bound designs differ:\n%s\nvs\n%s", f3.Result, f1.Result)
+	}
+}
+
+// TestScalarJobsMatchExhaustive: a scalar branch-and-bound job, which walks
+// ranked, serves the bytes of an exhaustive job on a fresh server: cold,
+// warm at a looser and a tighter deadline on the same server, journaled
+// and then run anew after a restart on the same store, and sharded. The
+// workloads are MPEG-2 on 4×3 cores and, without -short, two §V 40-task
+// graphs on 16×3 cores at half the §V deadline.
+func TestScalarJobsMatchExhaustive(t *testing.T) {
+	type workload struct {
+		name    string
+		problem func(deadlineScale float64) *ingest.Problem
+	}
+	workloads := []workload{{"mpeg2", func(scale float64) *ingest.Problem {
+		p := mpeg2Problem(t, 2010)
+		p.Options.DeadlineSec *= scale
+		return p
+	}}}
+	if !testing.Short() {
+		platform := arch.MustNewPlatform(16, arch.ARM7Levels3())
+		deadline := taskgraph.RandomDeadline(40) / 2
+		for seed := int64(1); len(workloads) < 3; seed++ {
+			g := taskgraph.MustRandom(taskgraph.DefaultRandomConfig(40), seed)
+			if ingest.ValidateGraph(g) != nil {
+				continue
+			}
+			workloads = append(workloads, workload{fmt.Sprintf("random-%d", seed), func(scale float64) *ingest.Problem {
+				return &ingest.Problem{Graph: g, Platform: platform,
+					Options: ingest.Options{DeadlineSec: deadline * scale, SearchMoves: 200, Seed: 1}}
+			}})
+		}
+	}
+	for _, w := range workloads {
+		t.Run(w.name, func(t *testing.T) {
+			exhaustive := make(map[float64][]byte)
+			check := func(label string, s *Server, scale float64) {
+				t.Helper()
+				want, ok := exhaustive[scale]
+				if !ok {
+					p := w.problem(scale)
+					p.Options.Strategy = "exhaustive"
+					want = runJobs(t, p).Result
+					exhaustive[scale] = want
+				}
+				st, err := s.Submit(w.problem(scale), 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := waitState(t, s, st.ID, StateDone).Result; !bytes.Equal(got, want) {
+					t.Fatalf("%s: branch-and-bound result differs from exhaustive:\n%s\nvs\n%s", label, got, want)
+				}
+			}
+			dir := t.TempDir()
+			s := newStoreServer(t, dir, Config{Workers: 1})
+			check("cold", s, 1)
+			check("warm ×1.05", s, 1.05)
+			check("warm ×0.95", s, 0.95)
+			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+			defer cancel()
+			if err := s.Close(ctx); err != nil {
+				t.Fatal(err)
+			}
+			restarted := newStoreServer(t, dir, Config{Workers: 1})
+			check("journaled, after a restart", restarted, 1)
+			check("×1.1 after a restart", restarted, 1.1)
+			sharded := newTestServer(t, Config{Workers: 1, Shards: 2})
+			check("sharded", sharded, 1)
+			check("sharded, warm ×1.05", sharded, 1.05)
+		})
 	}
 }
 
@@ -174,8 +248,9 @@ func TestInvalidStrategyRejected(t *testing.T) {
 }
 
 // TestEngineOptions: every problem option the engine reads reaches the
-// engine's options, and every job but a sweep shares the server's reuse
-// bundle for its probe universe.
+// engine's options, every job but a sweep shares the server's reuse bundle
+// for its probe universe, and a scalar branch-and-bound job without a
+// baseline walks ranked.
 func TestEngineOptions(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1, EngineParallelism: 3})
 	all := seadopt.ObjectivePower | seadopt.ObjectiveMakespan | seadopt.ObjectiveGamma
@@ -195,6 +270,14 @@ func TestEngineOptions(t *testing.T) {
 				Objectives: seadopt.ObjectivePower | seadopt.ObjectiveGamma, Parallelism: 3}, true},
 		{"sweep", ingest.Options{Mode: "sweep", SweepDeadlines: []float64{10, 12}, Seed: 5},
 			seadopt.OptimizeOptions{Seed: 5, Strategy: seadopt.StrategyBranchAndBound, Objectives: all, Parallelism: 3}, false},
+		// Scalar branch-and-bound walks ranked; a baseline or another
+		// strategy keeps its own walk.
+		{"bnb", ingest.Options{},
+			seadopt.OptimizeOptions{Strategy: seadopt.StrategyBranchAndBound, Ranked: true, Objectives: all, Parallelism: 3}, true},
+		{"baseline", ingest.Options{Baseline: "reg"},
+			seadopt.OptimizeOptions{Strategy: seadopt.StrategyBranchAndBound, Objectives: all, Parallelism: 3}, true},
+		{"exhaustive", ingest.Options{Strategy: "exhaustive"},
+			seadopt.OptimizeOptions{Strategy: seadopt.StrategyExhaustive, Objectives: all, Parallelism: 3}, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

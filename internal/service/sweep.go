@@ -33,8 +33,14 @@ type sweepPointJSON struct {
 // order over the shared progress log, each event tagged with its 1-based
 // point; the aggregate result carries every point's design or frontier.
 // Every point's payload is byte-identical to what an equivalent single-point
-// submission would produce. opts are the flight's engine options; they carry
-// no shared reuse bundle, so each platform's batch allocates its own.
+// submission would produce. opts are the flight's engine options. Each
+// platform's batch runs over the server's reuse bundle for the probe key of
+// the problem on that platform, the bundle single-point jobs over the same
+// workload share, so a sweep and those jobs never probe a combination
+// twice. OptimizeSweep declares the sweep's tightest deadline as the
+// bundle's probe horizon (ProbeCache.EnsureHorizon), and the horizon only
+// tightens: a later first probe through the bundle may climb deeper than
+// its own deadline needs, which costs time but never changes a verdict.
 func (s *Server) executeSweep(f *flight, opts seadopt.OptimizeOptions) (*cacheEntry, error) {
 	o := f.problem.Options
 	pointMode, err := ingest.ParseMode(o.SweepPointMode)
@@ -79,11 +85,17 @@ func (s *Server) executeSweep(f *flight, opts seadopt.OptimizeOptions) (*cacheEn
 				points = append(points, seadopt.SweepPoint{DeadlineSec: d})
 			}
 		}
+		pp := *f.problem
+		pp.Platform = plat
+		popts := opts
+		if pk, err := pp.ProbeKey(); err == nil {
+			popts.Reuse = s.reuses.Get(pk)
+		}
 		base := globalPoint
 		sopts := seadopt.SweepOptions{
 			// Stats receives each platform's sweep-wide aggregate; the last
 			// one wins.
-			Options: opts,
+			Options: popts,
 			PointProgress: func(point int, p seadopt.ExploreProgress) {
 				s.mirrorProgress(f, base+point+1, &prunedSoFar, p)
 			},
@@ -94,22 +106,16 @@ func (s *Server) executeSweep(f *flight, opts seadopt.OptimizeOptions) (*cacheEn
 			return nil, err
 		}
 		s.sweepPoints.Add(int64(len(res)))
-		// Register every point's winner in the cross-job warm registry under
-		// this platform's own fingerprint, so a later single-point submission
-		// of the same workload — on the primary or any sweep platform —
-		// warm-starts from the sweep's results exactly as it would from a
+		// Register every Pareto point's frontier in the cross-job warm
+		// registry under this platform's own fingerprint, so a later Pareto
+		// submission of the same workload and deadline — on the primary or
+		// any sweep platform — warm-starts from it exactly as it would from a
 		// prior single-point job.
-		pp := *f.problem
-		pp.Platform = plat
-		if fp, ok := warmFingerprint(&pp); ok {
+		if fp, ok := warmFingerprint(&pp); pareto && ok {
 			for _, r := range res {
-				if r.Spec.Pareto {
-					po := o
-					po.DeadlineSec = r.Spec.DeadlineSec
-					s.recordFrontier(warmParetoKey(fp, po), sys, r.Frontier)
-				} else {
-					s.recordHint(warmScalarKey(fp, o), sys, r.Design)
-				}
+				po := o
+				po.DeadlineSec = r.Spec.DeadlineSec
+				s.recordFrontier(warmParetoKey(fp, po), sys, r.Frontier)
 			}
 		}
 		for j, r := range res {

@@ -209,56 +209,67 @@ func TestSweepHTTPEndToEnd(t *testing.T) {
 }
 
 // runJobs submits problems one after another to a fresh server, each after
-// the previous one finished, and returns the last result and the metrics.
-func runJobs(t *testing.T, problems ...*ingest.Problem) ([]byte, Metrics) {
+// the previous one finished, and returns the last job's final status.
+func runJobs(t *testing.T, problems ...*ingest.Problem) JobStatus {
 	t.Helper()
 	s := newTestServer(t, Config{Workers: 1})
-	var last []byte
+	var last JobStatus
 	for _, p := range problems {
 		st, err := s.Submit(p, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		last = waitState(t, s, st.ID, StateDone).Result
+		last = waitState(t, s, st.ID, StateDone)
 	}
-	return last, s.Metrics()
+	return last
+}
+
+// probeMisses is the number of feasibility probes a finished job computed
+// rather than read from the shared probe cache.
+func probeMisses(t *testing.T, st JobStatus) int64 {
+	t.Helper()
+	if st.Stats == nil {
+		t.Fatalf("job %s carries no engine stats", st.ID)
+	}
+	return st.Stats.ProbeCache.Misses
 }
 
 // TestWarmStartAcrossJobs submits two jobs that differ only in deadline:
-// the second must be seeded from the first (WarmStarts metric) while
-// serving exactly the bytes a fresh server computes cold.
+// the second must find every probe it needs in the reuse bundle the first
+// left behind, while serving exactly the bytes a fresh server computes
+// cold.
 func TestWarmStartAcrossJobs(t *testing.T) {
 	second := mpeg2Problem(t, 2010)
 	second.Options.DeadlineSec = taskgraph.MPEG2Deadline * 1.25
-	warmSecond, warmMetrics := runJobs(t, mpeg2Problem(t, 2010), second)
-	if warmMetrics.WarmStarts < 1 {
-		t.Errorf("WarmStarts = %d after a fingerprint-matching resubmission, want >= 1", warmMetrics.WarmStarts)
+	warm := runJobs(t, mpeg2Problem(t, 2010), second)
+	if n := probeMisses(t, warm); n != 0 {
+		t.Errorf("the follow-up job computed %d probes, want all from the first job's bundle", n)
 	}
-	coldSecond, coldMetrics := runJobs(t, second)
-	if coldMetrics.WarmStarts != 0 {
-		t.Errorf("WarmStarts = %d on a server that saw no prior job, want 0", coldMetrics.WarmStarts)
+	cold := runJobs(t, second)
+	if n := probeMisses(t, cold); n == 0 {
+		t.Error("a cold job computed no probe")
 	}
-	if !bytes.Equal(warmSecond, coldSecond) {
-		t.Errorf("warm-started result differs from cold result:\n  warm: %s\n  cold: %s", warmSecond, coldSecond)
+	if !bytes.Equal(warm.Result, cold.Result) {
+		t.Errorf("warm-started result differs from cold result:\n  warm: %s\n  cold: %s", warm.Result, cold.Result)
 	}
 }
 
-// TestWarmStartFromSweep: a mode=sweep job's winners land in the cross-job
-// warm registry, so a later single-point submission of the same workload
-// warm-starts from the sweep — serving exactly the bytes a fresh server
+// TestWarmStartFromSweep: a mode=sweep job probes through the server's
+// shared reuse bundle, so a later single-point submission of the same
+// workload computes no probe — serving exactly the bytes a fresh server
 // computes cold.
 func TestWarmStartFromSweep(t *testing.T) {
 	d := taskgraph.MPEG2Deadline
-	warm, wm := runJobs(t, sweepProblem(t, []float64{d * 1.2, d}), mpeg2Problem(t, 2010))
-	if wm.WarmStarts < 1 {
-		t.Errorf("WarmStarts = %d after a sweep over the same workload, want >= 1", wm.WarmStarts)
+	warm := runJobs(t, sweepProblem(t, []float64{d * 1.2, d}), mpeg2Problem(t, 2010))
+	if n := probeMisses(t, warm); n != 0 {
+		t.Errorf("the job after a sweep over the same workload computed %d probes, want 0", n)
 	}
-	cold, cm := runJobs(t, mpeg2Problem(t, 2010))
-	if cm.WarmStarts != 0 {
-		t.Errorf("WarmStarts = %d on a server that saw no prior job, want 0", cm.WarmStarts)
+	cold := runJobs(t, mpeg2Problem(t, 2010))
+	if n := probeMisses(t, cold); n == 0 {
+		t.Error("a cold job computed no probe")
 	}
-	if !bytes.Equal(warm, cold) {
-		t.Errorf("sweep-warm-started result differs from cold result:\n  warm: %s\n  cold: %s", warm, cold)
+	if !bytes.Equal(warm.Result, cold.Result) {
+		t.Errorf("sweep-warm-started result differs from cold result:\n  warm: %s\n  cold: %s", warm.Result, cold.Result)
 	}
 }
 

@@ -201,7 +201,7 @@ func (jg *jsonGraph) build() (*Graph, error) {
 	if err := checkCaps(jg.Name, len(jg.Tasks), len(jg.Edges), len(jg.Registers)); err != nil {
 		return nil, fmt.Errorf("taskgraph: decoding graph JSON: %w", err)
 	}
-	inv := registers.NewInventory()
+	inv := registers.NewInventory(len(jg.Registers))
 	for _, r := range jg.Registers {
 		if err := inv.Add(r.ID, r.Bits); err != nil {
 			return nil, fmt.Errorf("taskgraph: decoding graph JSON: %w", err)
