@@ -491,8 +491,6 @@ const fingerprintVersion = 1
 // application under different optimization options; the service's
 // warm-start registry keys on it, so a prior result can seed a
 // fingerprint-matching submission whose deadline or objectives differ.
-// Together with OptionKey it splits Key: two problems are the same problem
-// iff fingerprint AND option key (and sweep platform list) match.
 func (p *Problem) Fingerprint() (string, error) {
 	if p.Graph == nil || p.Platform == nil {
 		return "", fmt.Errorf("ingest: problem needs both a graph and a platform")
@@ -514,20 +512,6 @@ func (p *Problem) Fingerprint() (string, error) {
 	}
 	sum := sha256.Sum256(enc)
 	return "fp-sha256:" + hex.EncodeToString(sum[:]), nil
-}
-
-// OptionKey is the content identity of the normalized options alone, in the
-// form "opt-sha256:<hex>". See Fingerprint.
-func (o Options) OptionKey() (string, error) {
-	if err := o.Validate(); err != nil {
-		return "", err
-	}
-	enc, err := json.Marshal(o.normalize())
-	if err != nil {
-		return "", err
-	}
-	sum := sha256.Sum256(enc)
-	return "opt-sha256:" + hex.EncodeToString(sum[:]), nil
 }
 
 // ProbeKey identifies the problem's probe-trajectory universe: the

@@ -195,8 +195,8 @@ func exploreScalar(ctx context.Context, g *taskgraph.Graph, p *arch.Platform,
 	strategy := cfg.Strategy.withDefault()
 	prune := strategy != StrategyExhaustive
 	fold := newScalarFold(prune, cfg.Telemetry)
-	if prune && strategy == StrategyBranchAndBound {
-		nominal, seeded, err := seedIncumbent(ctx, g, p, cfg)
+	if prune && strategy == StrategyBranchAndBound && cfg.Ranked {
+		nominal, seeded, err := probeSeedWaves(ctx, g, p, cfg)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -306,7 +306,7 @@ type outcome struct {
 //
 // Every external bound reaches a fold through its own monotone state — the
 // scalar incumbent board, the Pareto ghost frontier — whether it comes from
-// the ranked/warm seed, the warm frontier, or a shard's facts from earlier
+// the ranked seed, the warm frontier, or a shard's facts from earlier
 // positions. dispatchSkip and confirmSkip read that same state, so every
 // dispatch-time skip stays reproducible at fold time.
 type streamFold interface {
@@ -774,38 +774,43 @@ func newComboSource(p *arch.Platform, cfg Config, strategy Strategy) (*comboSour
 	return &comboSource{size: space.Count(), next: it.Next}, nil
 }
 
-// seedIncumbent runs the scalar fold's incumbent-seeding pass, the ranked
-// walk, when Config.Ranked asks for it. ok reports a nominal power to seed
-// the fold with. The pass only trusts this run's own probe verdicts, so
-// seeding is sound: the Design stays byte-identical to a cold, unseeded
-// run, and only the Pruned/Skipped split of Progress may differ.
-func seedIncumbent(ctx context.Context, g *taskgraph.Graph, p *arch.Platform, cfg Config) (nominal float64, ok bool, err error) {
-	if !cfg.Ranked {
-		return 0, false, nil
-	}
-	if tel := cfg.Telemetry; tel != nil {
+// probeSeedWaves is the ranked pass of Config.Ranked, the scalar fold's
+// incumbent-seeding pass. It walks the combination space in ascending
+// nominal power (vscale.RankedFrontier over the per-level f·V² terms); the
+// calling goroutine advances the walk and the bounds cursor and drops
+// bound-infeasible combinations, exactly as the stream's dispatcher would
+// prune them. Each wave of up to Config.Parallelism surviving candidates (0
+// selects GOMAXPROCS; never more than the space holds) is probed
+// concurrently, one goroutine per candidate, candidate i on worker i, until
+// a wave holds a probe-feasible combination. At Parallelism 1 a wave is one
+// candidate, so the probe sequence is exactly the serial walk's.
+//
+// The wave's lowest-ranked feasible candidate is the walk's first, so its
+// nominal power is, by the walk order, the minimum nominal of any
+// probe-feasible combination — the serial walk's answer at any Parallelism.
+// That value pre-seeds the branch-and-bound dominance threshold, so the
+// lexicographic stream skips beyond-band combinations from its very first
+// position instead of waiting for the incumbent to stream by. The pass only
+// trusts this run's own probe verdicts, so seeding is sound: the Design
+// stays byte-identical to a cold, unseeded run, and only the Pruned/Skipped
+// split of Progress may differ. ok is false when nothing probe-feasible
+// exists; the stream then runs unseeded and the usual degenerate fallback
+// applies.
+//
+// A wave never cancels a probe: through the ProbeCache a verdict is a pure
+// function of (combination, seed, deadline), so a probe past the pass's
+// answer only adds a cache entry, which the main stream reuses. Waves
+// rather than a free-running pool keep the work deterministic at a given
+// Parallelism: the pass probes the serial walk's candidates plus the unused
+// tail of its last wave. Cancelling ctx stops every climb and leaves its
+// cache entry resumable. Each probe is recorded as a "rank" WorkerSpan on
+// its worker's telemetry row.
+func probeSeedWaves(ctx context.Context, g *taskgraph.Graph, p *arch.Platform, cfg Config) (nominal float64, ok bool, err error) {
+	tel := cfg.Telemetry
+	if tel != nil {
 		start := tel.now()
 		defer func() { tel.addRanked(tel.now() - start) }()
 	}
-	return seedRankedIncumbent(ctx, g, p, cfg)
-}
-
-// seedRankedIncumbent is the ranked pass of Config.Ranked: it walks the
-// combination space in ascending nominal power (vscale.RankedFrontier over
-// the per-level f·V² terms), cursor-prunes bound-infeasible combinations,
-// and probes the rest, a wave of Config.Parallelism at a time, until a wave
-// holds a probe-feasible combination. The wave's lowest-ranked feasible
-// candidate is the walk's first, so its nominal power is, by the walk order,
-// the minimum nominal of any probe-feasible combination — the serial walk's
-// answer at any Parallelism. That value pre-seeds the branch-and-bound
-// dominance threshold, so the lexicographic stream skips beyond-band
-// combinations from its very first position instead of waiting for the
-// incumbent to stream by. Probe verdicts land in the Reuse bundle's probe
-// cache (keyed by the stable combination index), so the main stream reuses
-// every probe this pass ran, the at most Parallelism−1 probed past the
-// answer included. ok is false when nothing probe-feasible exists; the
-// stream then runs unseeded and the usual degenerate fallback applies.
-func seedRankedIncumbent(ctx context.Context, g *taskgraph.Graph, p *arch.Platform, cfg Config) (nominal float64, ok bool, err error) {
 	space, err := vscale.PlatformSpace(p)
 	if err != nil {
 		return 0, false, err
@@ -831,65 +836,12 @@ func seedRankedIncumbent(ctx context.Context, g *taskgraph.Graph, p *arch.Platfo
 	if err != nil {
 		return 0, false, fmt.Errorf("mapping: ranked incumbent seeding: %w", err)
 	}
-	next := func() (int, []int, bool) {
-		combo, more := fr.Next()
-		return combo.Index, combo.Scaling, more
-	}
-	settle := func(wave []seedCandidate) (bool, error) {
-		for _, c := range wave {
-			if c.err != nil {
-				return true, c.err
-			}
-			if c.feasible {
-				nominal, ok = c.nominal, true
-				return true, nil
-			}
-		}
-		return false, nil
-	}
-	if err := probeSeedWaves(ctx, g, p, cfg, space.Count(), next, settle); err != nil {
-		return 0, false, err
-	}
-	return nominal, ok, nil
-}
 
-// seedCandidate is one combination an incumbent-seeding pass probes: its
-// stable enumeration index, its scaling vector, the nominal power the pass's
-// bounds cursor gave it and, once its wave has run, the probe's verdict.
-type seedCandidate struct {
-	idx      int
-	scaling  []int
-	nominal  float64
-	feasible bool
-	err      error
-}
-
-// probeSeedWaves runs the feasibility probes of an incumbent-seeding pass in
-// waves. next yields the pass's combinations in order, and reports false
-// once the walk is exhausted; the calling goroutine advances the walk and
-// the bounds cursor and drops bound-infeasible combinations, exactly as the
-// stream's dispatcher would prune them. Each wave of up to
-// Config.Parallelism surviving candidates (0 selects GOMAXPROCS; never more
-// than limit) is probed concurrently, one goroutine per candidate, candidate
-// i on worker i, and settle then inspects the finished wave in candidate
-// order and reports whether the pass is done. At Parallelism 1 a wave is one
-// candidate, so the probe sequence is exactly the serial walk's.
-//
-// A wave never cancels a probe: through the ProbeCache a verdict is a pure
-// function of (combination, seed, deadline), so a probe past the pass's
-// answer only adds a cache entry. Waves rather than a free-running pool keep
-// the work deterministic at a given Parallelism: the pass probes the serial
-// walk's candidates plus the unused tail of its last wave. Cancelling ctx
-// stops every climb and leaves its cache entry resumable. Each probe is
-// recorded as a "rank" WorkerSpan on its worker's telemetry row.
-func probeSeedWaves(ctx context.Context, g *taskgraph.Graph, p *arch.Platform, cfg Config, limit int,
-	next func() (idx int, scaling []int, ok bool), settle func(wave []seedCandidate) (bool, error)) error {
 	workers := cfg.Parallelism
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	workers = max(min(workers, limit), 1)
-	tel := cfg.Telemetry
+	workers = max(min(workers, space.Count()), 1)
 	if tel != nil {
 		// Rows must exist before any worker records on its own.
 		tel.growWorkers(workers)
@@ -905,30 +857,40 @@ func probeSeedWaves(ctx context.Context, g *taskgraph.Graph, p *arch.Platform, c
 		}
 	}()
 
+	// A candidate is one combination of a wave: its stable enumeration
+	// index, its scaling vector, the nominal power the bounds cursor gave it
+	// and, once the wave has run, the probe's verdict.
+	type candidate struct {
+		idx      int
+		scaling  []int
+		nominal  float64
+		feasible bool
+		err      error
+	}
 	cursor := cfg.Reuse.boundsFor(g, p, cfg.Iterations).Cursor()
-	wave := make([]seedCandidate, workers)
+	wave := make([]candidate, workers)
 	var wg sync.WaitGroup
 	for {
 		n := 0
 		for n < workers {
-			idx, scaling, more := next()
+			combo, more := fr.Next()
 			if !more {
 				break
 			}
 			if err := ctx.Err(); err != nil {
-				return err
+				return 0, false, err
 			}
-			if _, err := cursor.Advance(scaling); err != nil {
-				return err
+			if _, err := cursor.Advance(combo.Scaling); err != nil {
+				return 0, false, err
 			}
 			if cfg.DeadlineSec > 0 && cursor.TMLowerBound() > cfg.DeadlineSec*(1+1e-9) {
 				continue // provably infeasible; the stream will bound-prune it too
 			}
-			wave[n] = seedCandidate{idx: idx, scaling: scaling, nominal: cursor.NominalPower()}
+			wave[n] = candidate{idx: combo.Index, scaling: combo.Scaling, nominal: cursor.NominalPower()}
 			n++
 		}
 		if n == 0 {
-			return nil
+			return 0, false, nil
 		}
 		for w := range n {
 			wg.Add(1)
@@ -940,12 +902,34 @@ func probeSeedWaves(ctx context.Context, g *taskgraph.Graph, p *arch.Platform, c
 						return
 					}
 				}
-				probers[w].seedProbe(ctx, w, c, cfg)
+				mc := probers[w].mc
+				if c.err = mc.bind(ctx, c.scaling, c.idx, cfg.Seed); c.err != nil {
+					return
+				}
+				var t0 int64
+				if tel != nil {
+					t0 = tel.now()
+				}
+				var hit bool
+				_, c.feasible, hit, c.err = cfg.Reuse.probe.feasibleAtScaling(mc, c.idx, cfg)
+				if tel != nil {
+					t1 := tel.now()
+					tel.observeProbe(t1-t0, hit)
+					tel.workerSpan(w, t0, t1, c.idx, "rank")
+				}
 			}()
 		}
 		wg.Wait()
-		if done, err := settle(wave[:n]); done || err != nil || n < workers {
-			return err
+		for _, c := range wave[:n] {
+			if c.err != nil {
+				return 0, false, c.err
+			}
+			if c.feasible {
+				return c.nominal, true, nil
+			}
+		}
+		if n < workers {
+			return 0, false, nil
 		}
 	}
 }
@@ -981,30 +965,6 @@ func (wk *comboWorker) close(tel *Telemetry) {
 		tel.addEvalStats(wk.mc.Eval.Stats().Sub(wk.base))
 	}
 	wk.release()
-}
-
-// seedProbe runs the shared feasibility probe on a seed-pass candidate and
-// records the verdict in it; row is the worker's telemetry row.
-func (wk *comboWorker) seedProbe(ctx context.Context, row int, c *seedCandidate, cfg Config) {
-	mc := wk.mc
-	if c.err = mc.Eval.Bind(c.scaling); c.err != nil {
-		return
-	}
-	mc.Ctx = ctx
-	mc.Scaling = mc.Eval.Scaling()
-	mc.Seed = comboSeed(cfg.Seed, c.idx)
-	tel := cfg.Telemetry
-	var t0 int64
-	if tel != nil {
-		t0 = tel.now()
-	}
-	var hit bool
-	_, c.feasible, hit, c.err = cfg.Reuse.probe.feasibleAtScaling(mc, c.idx, cfg)
-	if tel != nil {
-		t1 := tel.now()
-		tel.observeProbe(t1-t0, hit)
-		tel.workerSpan(row, t0, t1, c.idx, "rank")
-	}
 }
 
 // coreOptions tunes the shared streaming core.
@@ -1398,8 +1358,8 @@ func (r *reduction) resolve(pos int, o *outcome, skipped bool) {
 
 // exploreCombo runs one scaling combination on a worker's reused MapContext:
 // the shared feasibility probe, the mapper and the deadline assessment. The
-// context's per-combination fields (Ctx, Scaling, Seed) are rebound here;
-// mappers must not retain mc or its fields past their call.
+// context's per-combination fields (Ctx, Scaling, Seed) are rebound here by
+// MapContext.bind; mappers must not retain mc or its fields past their call.
 //
 // The probe runs first: besides fixing step 1's mapper-independent
 // feasibility verdict, a probe-infeasible result can prove the whole mapper
@@ -1414,12 +1374,9 @@ func exploreCombo(ctx context.Context, mc *MapContext, mapper MapperFunc,
 	if err := ctx.Err(); err != nil {
 		return nil, false, false, false, err
 	}
-	if err := mc.Eval.Bind(scaling); err != nil {
+	if err := mc.bind(ctx, scaling, idx, cfg.Seed); err != nil {
 		return nil, false, false, false, err
 	}
-	mc.Ctx = ctx
-	mc.Scaling = mc.Eval.Scaling()
-	mc.Seed = comboSeed(cfg.Seed, idx)
 	// Step 1's feasibility decision is mapper-independent: a common
 	// deadline probe decides which scalings are candidates, so every
 	// experiment (Exp:1-4) selects its design from the same scaling
@@ -1463,6 +1420,21 @@ func exploreCombo(ctx context.Context, mc *MapContext, mapper MapperFunc,
 	probed = probedFeasible && ev.MeetsDeadline
 	d = &Design{Scaling: append([]int(nil), scaling...), Mapping: m, Eval: ev}
 	return d, probed, true, false, nil
+}
+
+// bind points mc at combination idx: it binds the evaluator to scaling and
+// sets Ctx, Scaling and the combination's stream seed, comboSeed(seed, idx).
+// Every engine path that probes or maps a combination binds through here,
+// so the ranked pass, the stream and the replay probe a combination under
+// one seed.
+func (mc *MapContext) bind(ctx context.Context, scaling []int, idx int, seed int64) error {
+	if err := mc.Eval.Bind(scaling); err != nil {
+		return err
+	}
+	mc.Ctx = ctx
+	mc.Scaling = mc.Eval.Scaling()
+	mc.Seed = comboSeed(seed, idx)
+	return nil
 }
 
 // comboSeed derives the stream seed of combination i from the master seed

@@ -326,8 +326,6 @@ type Reuse struct {
 	probe *ProbeCache
 
 	mu          sync.Mutex
-	g           *taskgraph.Graph
-	p           *arch.Platform
 	bounds      *metrics.Bounds
 	boundsIters int
 	pool        []*metrics.Evaluator
@@ -355,7 +353,6 @@ func (r *Reuse) boundsFor(g *taskgraph.Graph, p *arch.Platform, iterations int) 
 	if r.bounds == nil || r.boundsIters != iterations {
 		r.bounds = metrics.NewBounds(g, p, iterations)
 		r.boundsIters = iterations
-		r.g, r.p = g, p
 	}
 	return r.bounds
 }

@@ -448,12 +448,9 @@ func replay(ctx context.Context, g *taskgraph.Graph, p *arch.Platform, mapper Ma
 				// The record is a dispatch-time skip that never probed, but
 				// the coordinator's dominance band disagrees — decide with
 				// the probe, exactly as the single-node worker would have.
-				if err := mc.Eval.Bind(scaling); err != nil {
+				if err := mc.bind(ctx, scaling, idx, cfg.Seed); err != nil {
 					return nil, 0, err
 				}
-				mc.Ctx = ctx
-				mc.Scaling = mc.Eval.Scaling()
-				mc.Seed = comboSeed(cfg.Seed, idx)
 				_, feasible, _, err := cfg.Reuse.probe.feasibleAtScaling(mc, idx, cfg)
 				if err != nil {
 					return nil, 0, err
@@ -477,9 +474,8 @@ func replay(ctx context.Context, g *taskgraph.Graph, p *arch.Platform, mapper Ma
 // range per runner (nil runners run embedded in this process, sharing the
 // coordinator's Reuse bundle), each pass fanning the ranges out over a
 // fresh fact board and merging the records through the authoritative
-// replay. The scalar fold's standing threshold — the ranked/warm seed, the
-// only bound known before position 0 — reaches the shards as a Pos -1
-// fact.
+// replay. The scalar fold's standing threshold — the ranked seed, the only
+// bound known before position 0 — reaches the shards as a Pos -1 fact.
 func shardedPass(g *taskgraph.Graph, p *arch.Platform, mapper MapperFunc,
 	cfg Config, runners []ShardRunner) (passFunc, error) {
 	if len(runners) == 0 {

@@ -117,16 +117,6 @@ func (s EvalStats) Sub(base EvalStats) EvalStats {
 	}
 }
 
-// DeltaBindRate is the fraction of Bind calls served by the O(changed)
-// delta path (0 when no binds happened).
-func (s EvalStats) DeltaBindRate() float64 {
-	total := s.BindsFull + s.BindsDelta
-	if total == 0 {
-		return 0
-	}
-	return float64(s.BindsDelta) / float64(total)
-}
-
 // Stats snapshots the evaluator's work counters.
 func (e *Evaluator) Stats() EvalStats { return e.stats }
 

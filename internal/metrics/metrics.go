@@ -89,58 +89,6 @@ func Evaluate(g *taskgraph.Graph, p *arch.Platform, m sched.Mapping, scaling []i
 	return e.Evaluate(m)
 }
 
-// EvaluateSchedule evaluates an already-built schedule.
-func EvaluateSchedule(s *sched.Schedule, p *arch.Platform, ser faults.SERModel, opt Options) (*Evaluation, error) {
-	if err := ser.Validate(); err != nil {
-		return nil, err
-	}
-	if opt.Iterations < 1 {
-		opt.Iterations = 1
-	}
-	g := s.Graph
-	cores := p.Cores()
-	coreTasks := s.Mapping.CoreTasks(cores)
-
-	ev := &Evaluation{
-		Schedule:    s,
-		PerCore:     make([]CoreMetrics, cores),
-		MakespanSec: s.MakespanSeconds(),
-		DeadlineSec: opt.DeadlineSec,
-	}
-	ev.TMSeconds = s.PipelinedMakespanSeconds(opt.Iterations)
-	nominalHz := p.NominalHz()
-	ev.TMCycles = ev.TMSeconds * nominalHz
-
-	util := s.Utilization(opt.Iterations)
-	inv := g.Inventory()
-	for c := 0; c < cores; c++ {
-		cm := &ev.PerCore[c]
-		cm.Core = c
-		cm.BusyCycles = s.BusyCycles(c)
-		cm.BusySec = s.BusySeconds(c)
-		cm.Utilization = util[c]
-		level := p.MustCoreLevel(c, s.Scaling[c])
-		cm.LambdaPerSec = ser.RatePerSec(level.Vdd)
-		cm.Lambda = ser.RatePerCycle(level.Vdd, level.FreqHz())
-		if len(coreTasks[c]) > 0 {
-			cm.RegBits = inv.SetBits(g.UnionRegisters(coreTasks[c]))
-			cm.BaselineBits = p.BaselineBits()
-			cm.ExposureSec = ev.TMSeconds
-		}
-		cm.Gamma = float64(cm.RegBits+cm.BaselineBits) * cm.ExposureSec * cm.LambdaPerSec
-		ev.TotalRegBits += cm.RegBits
-		ev.Gamma += cm.Gamma
-	}
-
-	pw, err := p.DynamicPower(s.Scaling, util)
-	if err != nil {
-		return nil, err
-	}
-	ev.PowerW = pw
-	ev.MeetsDeadline = opt.DeadlineSec <= 0 || ev.TMSeconds <= opt.DeadlineSec
-	return ev, nil
-}
-
 // AggregateTM implements the paper's eq. (6) estimate of the multiprocessor
 // execution time in seconds: total busy cycles divided by the aggregate
 // effective frequency Σ_i α_i·f_i. It is reported for comparison with the

@@ -24,15 +24,15 @@ var rejectReasons = []string{rejectDraining, rejectPayloadTooLarge, rejectQueueF
 // rateLimiter is a per-client token bucket over the server's injected
 // clock: each client key holds up to burst tokens, refilled at rate tokens
 // per second; a submission spends one. It is deliberately approximate
-// across clients (a shared map under one mutex — submissions are not a hot
-// path) but exact per client, so tests with a fake clock can assert the
+// across clients (one client table under one mutex — submissions are not a
+// hot path) but exact per client, so tests with a fake clock can assert the
 // precise breach point.
 type rateLimiter struct {
 	mu    sync.Mutex
 	rate  float64
 	burst float64
 	now   func() time.Time
-	m     map[string]*bucket
+	m     *lru[*bucket]
 }
 
 type bucket struct {
@@ -40,13 +40,14 @@ type bucket struct {
 	last   time.Time
 }
 
-// rateLimiterMaxClients caps the bucket map; beyond it, full (idle) buckets
-// are swept so an attacker rotating client IDs cannot grow memory without
-// bound.
+// rateLimiterMaxClients is a hard cap on the client table. The client
+// picks its own X-Client-Id, so the table is an LRU: a burst of new ids
+// evicts the least recently seen clients in O(1) each, and a forgotten
+// client returns with a full bucket.
 const rateLimiterMaxClients = 8192
 
 func newRateLimiter(rate, burst float64, now func() time.Time) *rateLimiter {
-	return &rateLimiter{rate: rate, burst: burst, now: now, m: make(map[string]*bucket)}
+	return &rateLimiter{rate: rate, burst: burst, now: now, m: newLRU[*bucket](rateLimiterMaxClients)}
 }
 
 // allow spends one token from key's bucket. When the bucket is empty it
@@ -56,13 +57,10 @@ func (l *rateLimiter) allow(key string) (bool, time.Duration) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	now := l.now()
-	b, ok := l.m[key]
+	b, ok := l.m.Get(key)
 	if !ok {
-		if len(l.m) >= rateLimiterMaxClients {
-			l.sweepLocked(now)
-		}
 		b = &bucket{tokens: l.burst, last: now}
-		l.m[key] = b
+		l.m.Add(key, b)
 	}
 	if dt := now.Sub(b.last).Seconds(); dt > 0 {
 		b.tokens = math.Min(l.burst, b.tokens+dt*l.rate)
@@ -74,20 +72,6 @@ func (l *rateLimiter) allow(key string) (bool, time.Duration) {
 	}
 	wait := (1 - b.tokens) / l.rate
 	return false, time.Duration(wait * float64(time.Second))
-}
-
-// sweepLocked drops buckets that have refilled to full — clients idle long
-// enough that forgetting them changes nothing.
-func (l *rateLimiter) sweepLocked(now time.Time) {
-	for key, b := range l.m {
-		tokens := b.tokens
-		if dt := now.Sub(b.last).Seconds(); dt > 0 {
-			tokens = math.Min(l.burst, tokens+dt*l.rate)
-		}
-		if tokens >= l.burst {
-			delete(l.m, key)
-		}
-	}
 }
 
 // clientKey identifies the submitting client for rate limiting: an explicit

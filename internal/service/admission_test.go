@@ -160,7 +160,7 @@ func TestRejectionMetricsLint(t *testing.T) {
 }
 
 // TestRateLimiterBuckets covers the limiter in isolation: burst semantics,
-// refill over time and the bounded-map sweep.
+// refill over time and the bounded client table.
 func TestRateLimiterBuckets(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(1_700_000_000, 0)}
 	l := newRateLimiter(2, 2, clk.Now)
@@ -181,8 +181,8 @@ func TestRateLimiterBuckets(t *testing.T) {
 		t.Fatal("request after advertised wait denied")
 	}
 
-	// The client map stays bounded: once every bucket has idled back to
-	// full, the insert that would exceed the cap sweeps them all out.
+	// The client table stays bounded: an insert past the cap evicts the
+	// least recently seen client.
 	for i := 0; i < rateLimiterMaxClients; i++ {
 		l.allow(fmt.Sprintf("client-%d", i))
 	}
@@ -191,10 +191,35 @@ func TestRateLimiterBuckets(t *testing.T) {
 		l.allow(fmt.Sprintf("late-%d", i))
 	}
 	l.mu.Lock()
-	n := len(l.m)
+	n := l.m.Len()
 	l.mu.Unlock()
 	if n > rateLimiterMaxClients {
 		t.Fatalf("limiter holds %d buckets, cap %d", n, rateLimiterMaxClients)
+	}
+}
+
+// TestRateLimiterCapsClientBurst: a burst of distinct client ids at one
+// clock instant, none of whose buckets has refilled, stays within the cap,
+// and the clients it evicted come back with a full bucket.
+func TestRateLimiterCapsClientBurst(t *testing.T) {
+	clk := &fakeClock{t: time.Unix(1_700_000_000, 0)}
+	l := newRateLimiter(1, 1, clk.Now)
+	for i := 0; i < 3*rateLimiterMaxClients; i++ {
+		if ok, _ := l.allow(fmt.Sprintf("burst-%d", i)); !ok {
+			t.Fatalf("first request of client %d denied", i)
+		}
+	}
+	l.mu.Lock()
+	n := l.m.Len()
+	l.mu.Unlock()
+	if n > rateLimiterMaxClients {
+		t.Fatalf("limiter holds %d buckets after a burst of %d ids, cap %d", n, 3*rateLimiterMaxClients, rateLimiterMaxClients)
+	}
+	if ok, _ := l.allow(fmt.Sprintf("burst-%d", 3*rateLimiterMaxClients-1)); ok {
+		t.Error("the most recent client's empty bucket allowed a second request")
+	}
+	if ok, _ := l.allow("burst-0"); !ok {
+		t.Error("an evicted client did not come back with a full bucket")
 	}
 }
 

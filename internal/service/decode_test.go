@@ -253,3 +253,20 @@ func TestRawBodyChainAllocation(t *testing.T) {
 		t.Logf("refusing the %d-byte chain allocated %.1f MB", chain.Len(), float64(alloc)/(1<<20))
 	}
 }
+
+// TestRawBodyQueryErrorOrder: with several malformed query parameters, the
+// error names the first in decodeRawBody's fixed order on every decode.
+func TestRawBodyQueryErrorOrder(t *testing.T) {
+	for _, tc := range []struct{ query, want string }{
+		{"format=dot&cores=x&levels=y&seed=z", "cores"},
+		{"format=dot&ser=x&deadline_sec=y", "ser"},
+	} {
+		r := httptest.NewRequest(http.MethodPost, "/v1/jobs?"+tc.query, nil)
+		for i := 0; i < 100; i++ {
+			_, err := decodeRawBody(r, []byte("digraph g { a -> b; }"))
+			if err == nil || !strings.HasPrefix(err.Error(), "query param "+tc.want+"=") {
+				t.Fatalf("?%s, decode %d: error %v, want one naming %s", tc.query, i, err, tc.want)
+			}
+		}
+	}
+}

@@ -296,10 +296,9 @@ func (s *Server) readBody(r *http.Request) ([]byte, error) {
 // submitBody submits the job a POST /v1/jobs body describes. An envelope
 // that decodeEnvelope walks is first offered to submitByDocument, which
 // answers a cache hit from the graph document as sent. When it does not
-// answer, the document is read in place (readGraph) and submitted with the
-// key submitByDocument computed. Every envelope the walk or the reader
-// declines, and every raw body, takes decodeSubmit's general path. All
-// three end in Submit's admission.
+// answer, the document is read in place (readGraph). Every envelope the
+// walk or the reader declines, and every raw body, takes decodeSubmit's
+// general path. All three end in Submit's admission.
 func (s *Server) submitBody(r *http.Request, body []byte) (JobStatus, error) {
 	envelope := isEnvelope(r, body)
 	if envelope {
@@ -307,9 +306,8 @@ func (s *Server) submitBody(r *http.Request, body []byte) (JobStatus, error) {
 			// A platform error waits until the graph has been read: the
 			// general path reports a graph error first.
 			p, perr := req.problem(s.cfg.DefaultPlatform)
-			sent := &sentDocument{doc: doc}
 			if perr == nil {
-				if st, err := s.submitByDocument(p, sent, req.Priority); !errors.Is(err, errDeclined) {
+				if st, err := s.submitByDocument(p, doc, req.Priority); !errors.Is(err, errDeclined) {
 					return st, err
 				}
 			}
@@ -318,7 +316,7 @@ func (s *Server) submitBody(r *http.Request, body []byte) (JobStatus, error) {
 					return JobStatus{}, perr
 				}
 				p.Graph = g
-				return s.submit(p, sent, req.Priority)
+				return s.Submit(p, req.Priority)
 			}
 		}
 	}
@@ -351,50 +349,21 @@ func (s *Server) submitBody(r *http.Request, body []byte) (JobStatus, error) {
 // plain string, a platform or option error, a miss, draining) returns
 // errDeclined with nothing recorded, and the build path runs on the
 // original bytes. Once the key hits, this path owns the outcome, a failed
-// journal append included. A miss leaves the key and encoding in sent for
-// the build path.
-func (s *Server) submitByDocument(p *ingest.Problem, sent *sentDocument, priority int) (JobStatus, error) {
-	name, ok := documentName(sent.doc)
+// journal append included. A miss keeps nothing: the build path hashes the
+// graph it built and runs all of checkGraph, so every admitted graph passes
+// the one guard this argument rests on.
+func (s *Server) submitByDocument(p *ingest.Problem, doc []byte, priority int) (JobStatus, error) {
+	name, ok := documentName(doc)
 	if !ok {
 		return JobStatus{}, errDeclined
 	}
 	defaulted := *p
 	defaulted.Options, _ = s.applyDefaults(p.Options)
-	enc, err := defaulted.DocumentEncoding(sent.doc)
+	enc, err := defaulted.DocumentEncoding(doc)
 	if err != nil {
 		return JobStatus{}, errDeclined
 	}
-	sent.enc, sent.key = enc, ingest.EncodingKey(enc)
-	return s.admit(nil, sent.key, enc, name, priority)
-}
-
-// sentDocument is a walked envelope's graph document as sent and, once
-// submitByDocument has computed them, the canonical encoding of the
-// submission's problem over that document and its key.
-type sentDocument struct {
-	doc []byte
-	enc []byte // nil until computed
-	key string
-}
-
-// encoding returns p's key and canonical encoding. When p's graph
-// marshals to the sent document byte for byte and its encoding was
-// computed, those are the sent ones: CanonicalEncoding is DocumentEncoding
-// over MarshalJSON's output, under the same defaulted options. Otherwise
-// the encoding is computed from the marshaled graph.
-func (sent *sentDocument) encoding(p *ingest.Problem) (string, []byte, error) {
-	gj, err := p.Graph.MarshalJSON()
-	if err != nil {
-		return "", nil, err
-	}
-	if sent.enc != nil && bytes.Equal(gj, sent.doc) {
-		return sent.key, sent.enc, nil
-	}
-	enc, err := p.DocumentEncoding(gj)
-	if err != nil {
-		return "", nil, err
-	}
-	return ingest.EncodingKey(enc), enc, nil
+	return s.admit(nil, ingest.EncodingKey(enc), enc, name, priority)
 }
 
 // documentName returns the graph name of a canonical graph document: its
@@ -410,13 +379,12 @@ func documentName(doc []byte) (string, bool) {
 }
 
 // readGraph reads a walked envelope's graph document with
-// taskgraph.ReadJSON and validates it. It returns nil when the reader
-// declines the document or the graph fails, and the general path then
-// decides.
+// taskgraph.FromJSON and validates it, as the general path parses a JSON
+// graph. It returns nil when the graph fails, and the general path then
+// reports why.
 func readGraph(doc []byte) *taskgraph.Graph {
-	s := jsonscan.New(doc)
-	g := taskgraph.ReadJSON(&s)
-	if g == nil || !s.End() || ingest.ValidateGraph(g) != nil {
+	g, err := taskgraph.FromJSON(doc)
+	if err != nil || ingest.ValidateGraph(g) != nil {
 		return nil
 	}
 	return g
@@ -526,16 +494,21 @@ func decodeRawBody(r *http.Request, body []byte) (*submitRequest, error) {
 		}
 		return nil
 	}
+	// The parameters are checked in a fixed order, so a query with several
+	// malformed ones always names the same one.
 	var short platformShorthand
-	for name, dst := range map[string]*int{
-		"cores":             &short.Cores,
-		"levels":            &short.Levels,
-		"stream_iterations": &req.Options.StreamIterations,
-		"search_moves":      &req.Options.SearchMoves,
-		"sample_budget":     &req.Options.SampleBudget,
-		"priority":          &req.Priority,
+	for _, param := range []struct {
+		name string
+		dst  *int
+	}{
+		{"cores", &short.Cores},
+		{"levels", &short.Levels},
+		{"stream_iterations", &req.Options.StreamIterations},
+		{"search_moves", &req.Options.SearchMoves},
+		{"sample_budget", &req.Options.SampleBudget},
+		{"priority", &req.Priority},
 	} {
-		if err := intq(name, dst); err != nil {
+		if err := intq(param.name, param.dst); err != nil {
 			return nil, err
 		}
 	}
@@ -553,16 +526,19 @@ func decodeRawBody(r *http.Request, body []byte) (*submitRequest, error) {
 		}
 		req.Options.Seed = n
 	}
-	for name, dst := range map[string]*float64{
-		"ser":          &req.Options.SER,
-		"deadline_sec": &req.Options.DeadlineSec,
+	for _, param := range []struct {
+		name string
+		dst  *float64
+	}{
+		{"ser", &req.Options.SER},
+		{"deadline_sec", &req.Options.DeadlineSec},
 	} {
-		if v := q.Get(name); v != "" {
+		if v := q.Get(param.name); v != "" {
 			x, err := strconv.ParseFloat(v, 64)
 			if err != nil {
-				return nil, fmt.Errorf("query param %s=%q is not a number", name, v)
+				return nil, fmt.Errorf("query param %s=%q is not a number", param.name, v)
 			}
-			*dst = x
+			*param.dst = x
 		}
 	}
 	req.Options.Baseline = q.Get("baseline")

@@ -693,14 +693,6 @@ func (s *Server) admitLocked(j *Job, p *ingest.Problem) {
 // U+FFFD), would let a POST of its canonical bytes hit by document instead
 // of being refused.
 func (s *Server) Submit(p *ingest.Problem, priority int) (JobStatus, error) {
-	return s.submit(p, nil, priority)
-}
-
-// submit is Submit. A non-nil sent is the document readGraph read, and so
-// validated, p.Graph from: its key is reused when the graph marshals back
-// to it (sentDocument.encoding), and of checkGraph only the names' UTF-8 is
-// left to check.
-func (s *Server) submit(p *ingest.Problem, sent *sentDocument, priority int) (JobStatus, error) {
 	if defaulted, changed := s.applyDefaults(p.Options); changed {
 		// Work on a copy: the caller's Problem keeps its empty-option
 		// markers, so resubmitting it elsewhere still means "that server's
@@ -712,36 +704,22 @@ func (s *Server) submit(p *ingest.Problem, sent *sentDocument, priority int) (Jo
 	// Hash outside the lock; the graph encoding dominates the cost. The
 	// encoding itself is kept for the durable store, which journals it
 	// with every job but a cache hit on a journaled result.
-	var key string
-	var enc []byte
-	var err error
-	check := checkGraph
-	if sent != nil {
-		key, enc, err = sent.encoding(p)
-		check = checkNames
-	} else if enc, err = p.CanonicalEncoding(); err == nil {
-		key = ingest.EncodingKey(enc)
-	}
+	enc, err := p.CanonicalEncoding()
 	if err != nil {
 		return JobStatus{}, err
 	}
-	if err := check(p.Graph); err != nil {
+	if err := checkGraph(p.Graph); err != nil {
 		return JobStatus{}, err
 	}
-	return s.admit(p, key, enc, p.Graph.Name(), priority)
+	return s.admit(p, ingest.EncodingKey(enc), enc, p.Graph.Name(), priority)
 }
 
-// checkGraph is Submit's guard: ingest.ValidateGraph, and checkNames.
+// checkGraph is Submit's guard: ingest.ValidateGraph, and valid UTF-8 in
+// the graph's name and every task and register name.
 func checkGraph(g *taskgraph.Graph) error {
 	if err := ingest.ValidateGraph(g); err != nil {
 		return err
 	}
-	return checkNames(g)
-}
-
-// checkNames requires valid UTF-8 in the graph's name and every task and
-// register name.
-func checkNames(g *taskgraph.Graph) error {
 	if !utf8.ValidString(g.Name()) {
 		return fmt.Errorf("service: graph name %q is not valid UTF-8", g.Name())
 	}

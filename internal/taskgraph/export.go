@@ -178,23 +178,6 @@ func FromJSON(data []byte) (*Graph, error) {
 	return jg.build()
 }
 
-// ReadJSON decodes the graph object at the cursor of s with FromJSON's
-// direct reader alone and builds it. It returns nil, with s failed, when
-// the object is outside the reader's subset or does not build; the caller
-// then decodes its whole input with encoding/json.
-func ReadJSON(s *jsonscan.Scanner) *Graph {
-	var jg jsonGraph
-	if !jg.read(s) {
-		return nil
-	}
-	g, err := jg.build()
-	if err != nil {
-		s.Fail()
-		return nil
-	}
-	return g
-}
-
 // build makes the Graph that a decoded document describes. The size caps
 // are checked on the decoded counts before anything is built from them.
 func (jg *jsonGraph) build() (*Graph, error) {

@@ -49,6 +49,10 @@ func TestUnrankMatchesEnumeration(t *testing.T) {
 	for _, tc := range []struct{ cores, levels int }{
 		{1, 1}, {1, 4}, {4, 1}, {4, 3}, {3, 4}, {5, 3}, {2, 6}, {6, 2},
 	} {
+		sp, err := UniformSpace(tc.cores, tc.levels)
+		if err != nil {
+			t.Fatal(err)
+		}
 		all, err := All(tc.cores, tc.levels)
 		if err != nil {
 			t.Fatal(err)
@@ -57,14 +61,14 @@ func TestUnrankMatchesEnumeration(t *testing.T) {
 			t.Fatalf("%d×%d: All yields %d, Count says %d", tc.cores, tc.levels, len(all), Count(tc.cores, tc.levels))
 		}
 		for i, want := range all {
-			got, err := Unrank(tc.cores, tc.levels, i)
+			got, err := sp.Unrank(i)
 			if err != nil {
 				t.Fatalf("%d×%d Unrank(%d): %v", tc.cores, tc.levels, i, err)
 			}
 			if fmt.Sprint(got) != fmt.Sprint(want) {
 				t.Fatalf("%d×%d Unrank(%d) = %v, enumeration has %v", tc.cores, tc.levels, i, got, want)
 			}
-			r, err := Rank(want, tc.levels)
+			r, err := sp.Rank(want)
 			if err != nil {
 				t.Fatalf("%d×%d Rank(%v): %v", tc.cores, tc.levels, want, err)
 			}
@@ -73,13 +77,21 @@ func TestUnrankMatchesEnumeration(t *testing.T) {
 			}
 		}
 	}
-	if _, err := Unrank(4, 3, 15); err == nil {
+	sp, err := UniformSpace(4, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sp.Unrank(15); err == nil {
 		t.Error("Unrank accepted an out-of-range rank")
 	}
-	if _, err := Unrank(4, 3, -1); err == nil {
+	if _, err := sp.Unrank(-1); err == nil {
 		t.Error("Unrank accepted a negative rank")
 	}
-	if _, err := Rank([]int{4, 1}, 3); err == nil {
+	sp, err = UniformSpace(2, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sp.Rank([]int{4, 1}); err == nil {
 		t.Error("Rank accepted a vector above the level table")
 	}
 }
@@ -87,10 +99,11 @@ func TestUnrankMatchesEnumeration(t *testing.T) {
 // TestFrontierStreamsEnumeration: the streaming frontier yields exactly the
 // Fig. 5 sequence with identity indices, without materializing it.
 func TestFrontierStreamsEnumeration(t *testing.T) {
-	f, err := NewFrontier(4, 3)
+	sp, err := UniformSpace(4, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
+	f := sp.Frontier()
 	all, _ := All(4, 3)
 	if f.Size() != len(all) {
 		t.Fatalf("Size() = %d, want %d", f.Size(), len(all))
@@ -119,8 +132,12 @@ func TestFrontierStreamsEnumeration(t *testing.T) {
 // budget, deterministic per seed, degrading to the full enumeration when
 // the budget covers the space.
 func TestSampledFrontier(t *testing.T) {
+	sp, err := UniformSpace(6, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
 	draw := func(seed int64, budget int) []Combo {
-		f, err := NewSampledFrontier(6, 4, budget, seed)
+		f, err := sp.SampledFrontier(budget, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,7 +169,7 @@ func TestSampledFrontier(t *testing.T) {
 			t.Fatalf("duplicate sample index %d", c.Index)
 		}
 		seen[c.Index] = true
-		want, _ := Unrank(6, 4, c.Index)
+		want, _ := sp.Unrank(c.Index)
 		if fmt.Sprint(c.Scaling) != fmt.Sprint(want) {
 			t.Fatalf("sample combo %d scaling %v, want %v", c.Index, c.Scaling, want)
 		}
@@ -192,7 +209,15 @@ func TestRankedFrontierMatchesAllByPower(t *testing.T) {
 		for i, l := range p.Levels(0) {
 			weights[i] = l.FreqHz() * l.Vdd * l.Vdd
 		}
-		f, err := NewRankedFrontier(tc.cores, weights)
+		sp, err := UniformSpace(tc.cores, tc.levels)
+		if err != nil {
+			t.Fatal(err)
+		}
+		columns := make([][]float64, tc.cores)
+		for c := range columns {
+			columns[c] = weights
+		}
+		f, err := sp.RankedFrontier(columns)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -204,7 +229,7 @@ func TestRankedFrontierMatchesAllByPower(t *testing.T) {
 			if fmt.Sprint(c.Scaling) != fmt.Sprint(want[i]) {
 				t.Fatalf("%d×%d ranked[%d] = %v, want %v", tc.cores, tc.levels, i, c.Scaling, want[i])
 			}
-			if r, _ := Rank(c.Scaling, tc.levels); r != c.Index {
+			if r, _ := sp.Rank(c.Scaling); r != c.Index {
 				t.Fatalf("%d×%d ranked[%d] carries index %d, Rank says %d", tc.cores, tc.levels, i, c.Index, r)
 			}
 		}

@@ -20,9 +20,9 @@ import (
 // The enumeration order is descending lexicographic over the valid vectors,
 // starting from the all-slowest vector (every core at its own last level).
 // For a homogeneous platform (one class, uniform caps) this is bit-identical
-// to the legacy Fig. 5 enumeration of All/NextScaling/Unrank/Rank — the
-// package tests prove it — so every stable combination index, mapper seed
-// and cache key is preserved.
+// to the Fig. 5 enumeration NextScaling walks — the package tests hold it to
+// the Enumerator's All — so every stable combination index, mapper seed and
+// cache key is preserved.
 type Space struct {
 	caps  []int // per-core level count
 	class []int // per-core symmetry class id (dense, first-occurrence order)
@@ -193,8 +193,8 @@ func (sp *Space) Valid(s []int) bool {
 // The transition rule generalizes Fig. 5(a): find the right-most core whose
 // coefficient exceeds 1, decrement it, and reset every core to its right to
 // the largest coefficient its table and its class's non-increasing
-// constraint admit. On a uniform space this is exactly the legacy
-// NextScaling rule.
+// constraint admit. On a uniform space this is exactly the NextScaling
+// rule.
 func (sp *Space) Next(prev []int) (next []int, ok bool) {
 	if !sp.Valid(prev) {
 		return nil, false
@@ -333,11 +333,11 @@ func (sp *Space) suffixCount(i int, h []int) int {
 }
 
 // Unrank returns the rank-th vector of the enumeration (0-based) without
-// walking the sequence. Like the legacy homogeneous Unrank, the enumeration
-// is descending lexicographic, so each position is resolved by peeling off
-// suffix-count blocks of the candidate values from the current class cap
-// downward. This random access is what gives every combination a stable
-// index whatever order a strategy visits it in.
+// walking the sequence. The enumeration is descending lexicographic, so
+// each position is resolved by peeling off suffix-count blocks of the
+// candidate values from the current class cap downward. This random access
+// is what gives every combination a stable index whatever order a strategy
+// visits it in.
 func (sp *Space) Unrank(rank int) ([]int, error) {
 	if total := sp.Count(); rank < 0 || rank >= total {
 		return nil, fmt.Errorf("vscale: rank %d outside [0,%d)", rank, total)
@@ -438,8 +438,9 @@ func (sp *Space) Frontier() *Frontier {
 // SampledFrontier streams a seed-deterministic uniform sample of budget
 // distinct combinations in ascending enumeration-index order, unranking each
 // on demand. A budget of zero or beyond the space size yields the whole
-// enumeration. The draw sequence matches the legacy NewSampledFrontier for
-// uniform spaces, so sampled results are stable across the generalization.
+// enumeration. The draw sequence is a pure function of (Count, budget,
+// seed), and the package tests pin it, so seed-keyed sampled results stay
+// stable.
 func (sp *Space) SampledFrontier(budget int, seed int64) (*Frontier, error) {
 	total := sp.Count()
 	if budget <= 0 || budget >= total {

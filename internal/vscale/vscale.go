@@ -221,23 +221,6 @@ func AllByPower(p *arch.Platform) ([][]int, error) {
 	return out, nil
 }
 
-// Unrank returns the rank-th vector of the Fig. 5 enumeration (0-based)
-// without walking the sequence: the enumeration is exactly descending
-// lexicographic order over non-increasing vectors, so each position is
-// resolved by peeling off suffix-count blocks of the candidate values from
-// the current maximum downward. This is the random access that gives every
-// combination a stable index — the Sampled exploration strategy draws
-// indices and unranks them, and a combination's mapper seed is derived from
-// this index whatever order it is visited in. It is the uniform special
-// case of Space.Unrank.
-func Unrank(cores, levels, rank int) ([]int, error) {
-	sp, err := UniformSpace(cores, levels)
-	if err != nil {
-		return nil, err
-	}
-	return sp.Unrank(rank)
-}
-
 // Combo is one design-space point of a Frontier stream: the per-core
 // scaling vector and its stable Fig. 5 enumeration index. The index is the
 // combination's identity across iteration orders — deterministic per-index
@@ -265,31 +248,6 @@ func (f *Frontier) Next() (Combo, bool) { return f.next() }
 // Size returns the number of combinations the frontier will yield.
 func (f *Frontier) Size() int { return f.size }
 
-// NewFrontier streams the full Fig. 5 enumeration in enumeration order
-// (all-slowest first), with Combo.Index equal to the stream position — the
-// uniform special case of Space.Frontier.
-func NewFrontier(cores, levels int) (*Frontier, error) {
-	sp, err := UniformSpace(cores, levels)
-	if err != nil {
-		return nil, err
-	}
-	return sp.Frontier(), nil
-}
-
-// NewSampledFrontier streams a seed-deterministic uniform sample of `budget`
-// distinct combinations in ascending enumeration-index order, unranking each
-// on demand — random access into spaces too large to enumerate. A budget of
-// zero or beyond the space size yields the whole enumeration. It is the
-// uniform special case of Space.SampledFrontier (identical draw sequence for
-// the same seed).
-func NewSampledFrontier(cores, levels, budget int, seed int64) (*Frontier, error) {
-	sp, err := UniformSpace(cores, levels)
-	if err != nil {
-		return nil, err
-	}
-	return sp.SampledFrontier(budget, seed)
-}
-
 // rankedNode is one frontier entry of the ranked generation heap. rank is
 // the vector's stable enumeration index, computed once at generation; it
 // deduplicates lattice paths and orders weight ties without re-ranking or
@@ -312,36 +270,3 @@ func (h rankedHeap) Less(i, j int) bool {
 func (h rankedHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 func (h *rankedHeap) Push(x any)   { *h = append(*h, x.(rankedNode)) }
 func (h *rankedHeap) Pop() any     { old := *h; n := len(old); v := old[n-1]; *h = old[:n-1]; return v }
-
-// NewRankedFrontier streams the enumeration in ascending total weight,
-// where a vector's weight is Σ_c levelWeight[s_c-1] (pass per-level dynamic
-// power for cheapest-first order). Generation is lazy best-first search over
-// the speed-up lattice from the all-slowest vector: no up-front
-// materialization or sort, at the cost of a heap plus a visited set that
-// grow with the number of combinations actually consumed. Ties are emitted
-// in ascending enumeration-index order. levelWeight must be non-increasing
-// in the level coefficient, i.e. levelWeight[0] (s=1, fastest) is the
-// largest. It is the uniform special case of Space.RankedFrontier.
-func NewRankedFrontier(cores int, levelWeight []float64) (*Frontier, error) {
-	sp, err := UniformSpace(cores, len(levelWeight))
-	if err != nil {
-		return nil, err
-	}
-	weight := make([][]float64, cores)
-	for c := range weight {
-		weight[c] = levelWeight
-	}
-	return sp.RankedFrontier(weight)
-}
-
-// Rank is the inverse of Unrank: the 0-based index of a canonical
-// (non-increasing, entries ≥ 1) scaling vector within the Fig. 5
-// enumeration for a platform with the given number of DVS levels. It is
-// the uniform special case of Space.Rank.
-func Rank(s []int, levels int) (int, error) {
-	sp, err := UniformSpace(len(s), levels)
-	if err != nil {
-		return 0, fmt.Errorf("vscale: %v is not a canonical scaling vector for a %d-level table: %w", s, levels, err)
-	}
-	return sp.Rank(s)
-}
