@@ -15,7 +15,6 @@ import (
 	"seadopt/internal/sched"
 	"seadopt/internal/sim"
 	"seadopt/internal/taskgraph"
-	"seadopt/internal/vscale"
 )
 
 // Re-exported model types. The implementation lives in internal packages;
@@ -290,11 +289,6 @@ type OptimizeOptions struct {
 	// spans. Telemetry is observe-only — the chosen Design/frontier is
 	// byte-identical with Stats set or nil.
 	Stats *ExploreStats
-	// WarmFrontier warm-starts OptimizePareto's frontier-dominance pruning
-	// with a prior run's frontier over the same problem whose options
-	// differed at most in Objectives. The returned frontier is
-	// byte-identical to a cold run. Ignored by the scalar optimizations.
-	WarmFrontier []WarmPoint
 	// Reuse shares probe verdicts, the bounds precompute and pooled
 	// evaluators across optimizations of the same workload (see
 	// ExploreReuse). Nil gives each call a private bundle, shared only by
@@ -302,11 +296,6 @@ type OptimizeOptions struct {
 	// it.
 	Reuse *ExploreReuse
 }
-
-// WarmPoint is one member of a prior result offered as a warm-start seed:
-// combination index plus realized makespan and Γ (power is recomputed by
-// the engine).
-type WarmPoint = mapping.WarmPoint
 
 // ExploreReuse bundles cross-run shared state — probe trajectory cache,
 // bounds precompute, evaluator pool — for explorations over the same graph
@@ -342,7 +331,6 @@ func (o OptimizeOptions) mappingConfig() mapping.Config {
 		Objectives:        o.Objectives,
 		DiscardPerScaling: true,
 		Reuse:             o.Reuse,
-		WarmFrontier:      o.WarmFrontier,
 	}
 }
 
@@ -448,14 +436,14 @@ func (s *System) OptimizeParetoContext(ctx context.Context, opts OptimizeOptions
 }
 
 // Distributed sharded exploration: the combination enumeration partitions
-// into contiguous rank ranges explored by peer workers (in-process,
-// sibling processes, or HTTP peers), with cross-shard bound facts keeping
-// remote pruning tight. The merged Design/frontier and Progress stream
-// are byte-identical to the single-node Optimize/OptimizePareto run.
+// into contiguous rank ranges explored by peer workers (in-process or HTTP
+// peers), with the scalar dominance threshold shared as facts. The merged
+// Design/frontier and Progress stream are byte-identical to the
+// single-node Optimize/OptimizePareto run.
 type (
 	// ShardRange is one contiguous [Lo,Hi) slice of the enumeration.
 	ShardRange = mapping.ShardRange
-	// ShardFact is one cross-shard bound tightening.
+	// ShardFact is one cross-shard scalar threshold tightening.
 	ShardFact = mapping.Fact
 	// ShardFactBoard is the coordinator's fact bus.
 	ShardFactBoard = mapping.FactBoard
@@ -467,18 +455,15 @@ type (
 	ShardRunner = mapping.ShardRunner
 )
 
-// NewShardFactBoard returns an empty fact bus for a coordinator run.
-var NewShardFactBoard = mapping.NewFactBoard
-
 // ShardRanges splits an enumeration of total combinations into n
 // contiguous near-equal ranges.
 var ShardRanges = mapping.ShardRanges
 
 // RunShard is the worker side of the distributed exploration: it explores
-// req.Range of this system under opts, publishing bound facts to (and
-// pruning against) board, and returns the record stream the coordinator
-// merges. Progress/Stats callbacks are coordinator concerns and are
-// ignored here.
+// req.Range of this system under opts, a scalar shard publishing threshold
+// facts to (and pruning against) board — nil gives it a private one — and
+// returns the record stream the coordinator merges. Progress/Stats
+// callbacks are coordinator concerns and are ignored here.
 func (s *System) RunShard(ctx context.Context, opts OptimizeOptions, req ShardRequest, board *ShardFactBoard) (*ShardResult, error) {
 	cfg := opts.mappingConfig()
 	return mapping.ExploreShard(ctx, s.Graph, s.Platform, mapping.SEAMapper(cfg), cfg, req, board)
@@ -512,29 +497,6 @@ func (s *System) OptimizeShardedParetoContext(ctx context.Context, opts Optimize
 		out[i] = &Design{Scaling: d.Scaling, Mapping: d.Mapping, Eval: d.Eval}
 	}
 	return out, nil
-}
-
-// WarmPoints converts a realized frontier into WarmPoint seeds for later
-// Pareto runs over the same workload and deadline (OptimizeOptions.
-// WarmFrontier). Members that miss their deadline — the degenerate
-// best-effort frontier — are not sound dominance ghosts and are left out.
-func (s *System) WarmPoints(frontier []*Design) []WarmPoint {
-	sp, err := vscale.PlatformSpace(s.Platform)
-	if err != nil {
-		return nil
-	}
-	var pts []WarmPoint
-	for _, d := range frontier {
-		if !d.Eval.MeetsDeadline {
-			continue
-		}
-		rank, err := sp.Rank(d.Scaling)
-		if err != nil {
-			continue
-		}
-		pts = append(pts, WarmPoint{Combination: rank, Makespan: d.Eval.TMSeconds, Gamma: d.Eval.Gamma})
-	}
-	return pts
 }
 
 // SweepPoint is one problem variant of a batch sweep: a deadline plus the
@@ -576,11 +538,12 @@ type SweepOptions struct {
 	// sweep allocates a private one.
 	Options OptimizeOptions
 	// NoWarmStart disables the incumbent pre-seeding of scalar points (the
-	// Ranked pass) and the frontier ghost chaining of Pareto points. Shared
-	// probe/bounds/evaluator reuse stays on — it is verdict-preserving by
-	// construction. With NoWarmStart the whole per-point event stream
-	// (including the Pruned/Skipped split) is byte-identical to independent
-	// cold runs; without it, only the per-point Design/frontier is.
+	// Ranked pass). Pareto points never take seeds from other points, and
+	// shared probe/bounds/evaluator reuse stays on — it is
+	// verdict-preserving by construction. With NoWarmStart the whole
+	// per-point event stream (including the Pruned/Skipped split) is
+	// byte-identical to independent cold runs; without it, only the
+	// per-point Design/frontier is.
 	NoWarmStart bool
 	// PointProgress, when non-nil, receives every point's exploration
 	// progress, tagged with the point index. Called on the sweeping
@@ -635,12 +598,6 @@ func (s *System) OptimizeSweepContext(ctx context.Context, points []SweepPoint, 
 	}
 
 	bnb := base.Strategy == "" || base.Strategy == StrategyBranchAndBound
-	// ghostsAt chains Pareto warm-start within the sweep: the frontier of
-	// an earlier Pareto point seeds the dominance ghosts of later Pareto
-	// points at the SAME deadline (identical mapper inputs, possibly
-	// different objectives — exactly the soundness contract of
-	// WarmFrontier).
-	ghostsAt := make(map[float64][]WarmPoint)
 
 	results := make([]SweepPointResult, len(points))
 	for i, pt := range points {
@@ -649,7 +606,6 @@ func (s *System) OptimizeSweepContext(ctx context.Context, points []SweepPoint, 
 		}
 		popt := base
 		popt.DeadlineSec = pt.DeadlineSec
-		popt.WarmFrontier = nil
 		cfg := popt.mappingConfig()
 		cfg.Telemetry = tel
 		if o.PointProgress != nil {
@@ -659,9 +615,6 @@ func (s *System) OptimizeSweepContext(ctx context.Context, points []SweepPoint, 
 		results[i] = SweepPointResult{Point: i, Spec: pt}
 		if pt.Pareto {
 			cfg.Objectives = pt.Objectives
-			if !o.NoWarmStart {
-				cfg.WarmFrontier = ghostsAt[pt.DeadlineSec]
-			}
 			frontier, err := mapping.ExploreParetoContext(ctx, s.Graph, s.Platform, mapping.SEAMapper(cfg), cfg)
 			if err != nil {
 				return nil, err
@@ -671,9 +624,6 @@ func (s *System) OptimizeSweepContext(ctx context.Context, points []SweepPoint, 
 				out[j] = &Design{Scaling: d.Scaling, Mapping: d.Mapping, Eval: d.Eval}
 			}
 			results[i].Frontier = out
-			if !o.NoWarmStart {
-				ghostsAt[pt.DeadlineSec] = append(ghostsAt[pt.DeadlineSec], s.WarmPoints(out)...)
-			}
 		} else {
 			if !o.NoWarmStart && bnb {
 				// The ranked pass finds the global minimum probe-feasible

@@ -53,7 +53,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		ranked    = fs.Bool("ranked", false, "seed the bnb incumbent via a ranked (cheapest-nominal-first) pass before the stream; same answer, often much faster")
 		dlSweep   = fs.String("deadline-sweep", "", "evaluate a lo:hi:step deadline sweep (seconds) over one shared reuse layer instead of a single run; honors -pareto/-objectives per point")
 		sweepSpec = fs.String("sweep-spec", "", "JSON sweep-spec file {\"deadlines\":[..],\"point_mode\":\"scalar|pareto\",\"objective_sets\":[..],\"no_warm_start\":false}; overrides -deadline-sweep/-pareto/-objectives")
-		coldSweep = fs.Bool("cold-sweep", false, "run sweep points without warm-starting (same designs, byte-identical per-point progress to independent runs)")
+		coldSweep = fs.Bool("cold-sweep", false, "run scalar sweep points without the ranked seeding (same designs, byte-identical per-point progress to independent runs)")
 		paretoRun = fs.Bool("pareto", false, "return the Pareto frontier of feasible designs instead of the single minimum-power one")
 		objs      = fs.String("objectives", "", "pareto objectives, comma-separated subset of power,makespan,gamma (default all three)")
 		progress  = fs.Bool("progress", false, "print one line per resolved scaling combination")
@@ -304,12 +304,43 @@ type sweepParams struct {
 
 // sweepSpecDoc is the -sweep-spec file format: the deadline points, the
 // per-point reduction, optional Pareto objective sets to cross the deadlines
-// with, and whether to disable warm-starting.
+// with, and whether to disable the ranked seeding of scalar points.
 type sweepSpecDoc struct {
 	Deadlines     []float64 `json:"deadlines"`
 	PointMode     string    `json:"point_mode"`
 	ObjectiveSets []string  `json:"objective_sets"`
 	NoWarmStart   bool      `json:"no_warm_start"`
+}
+
+// decodeSweepSpec parses a -sweep-spec document and checks it by the rule a
+// mode=sweep job passes (ingest.Options.Validate): at least one deadline,
+// none negative, a scalar or pareto point mode, and valid objective sets,
+// only with pareto points. objSets is nil for scalar points and holds at
+// least the default set for pareto points.
+func decodeSweepSpec(data []byte) (deadlines []float64, objSets []seadopt.ParetoObjectives, cold bool, err error) {
+	var doc sweepSpecDoc
+	if err := ingest.DecodeStrict(data, &doc); err != nil {
+		return nil, nil, false, err
+	}
+	o := ingest.Options{Mode: ingest.ModeSweep, SweepDeadlines: doc.Deadlines,
+		SweepPointMode: doc.PointMode, SweepObjectiveSets: doc.ObjectiveSets}
+	if err := o.Validate(); err != nil {
+		return nil, nil, false, err
+	}
+	if pm, _ := ingest.ParseMode(doc.PointMode); pm == ingest.ModePareto {
+		sets := doc.ObjectiveSets
+		if len(sets) == 0 {
+			sets = []string{""}
+		}
+		for _, set := range sets {
+			obj, err := seadopt.ParseParetoObjectives(set)
+			if err != nil {
+				return nil, nil, false, err
+			}
+			objSets = append(objSets, obj)
+		}
+	}
+	return doc.Deadlines, objSets, doc.NoWarmStart, nil
 }
 
 // parseDeadlineRange expands a lo:hi:step spec into an inclusive deadline
@@ -353,58 +384,31 @@ func parseDeadlineRange(spec string) ([]float64, error) {
 func runSweep(sys *seadopt.System, graphName, platformDesc string, opts seadopt.OptimizeOptions,
 	p sweepParams, stdout, narration io.Writer) (int, error) {
 	var deadlines []float64
-	pareto := p.pareto
-	var objSets []seadopt.ParetoObjectives
+	var objSets []seadopt.ParetoObjectives // nil: scalar points
 	cold := p.cold
 	if p.specFile != "" {
 		data, err := os.ReadFile(p.specFile)
 		if err != nil {
 			return 1, err
 		}
-		var doc sweepSpecDoc
-		if err := ingest.DecodeStrict(data, &doc); err != nil {
-			return 1, fmt.Errorf("parsing sweep spec %s: %w", p.specFile, err)
+		var specCold bool
+		if deadlines, objSets, specCold, err = decodeSweepSpec(data); err != nil {
+			return 1, fmt.Errorf("sweep spec %s: %w", p.specFile, err)
 		}
-		deadlines = doc.Deadlines
-		switch doc.PointMode {
-		case "", "scalar":
-			pareto = false
-			if len(doc.ObjectiveSets) > 0 {
-				return 1, fmt.Errorf("sweep spec objective_sets need point_mode \"pareto\"")
-			}
-		case "pareto":
-			pareto = true
-			sets := doc.ObjectiveSets
-			if len(sets) == 0 {
-				sets = []string{""}
-			}
-			for _, s := range sets {
-				o, err := seadopt.ParseParetoObjectives(s)
-				if err != nil {
-					return 1, err
-				}
-				objSets = append(objSets, o)
-			}
-		default:
-			return 1, fmt.Errorf("sweep spec point_mode %q (want scalar or pareto)", doc.PointMode)
-		}
-		cold = cold || doc.NoWarmStart
+		cold = cold || specCold
 	} else {
 		var err error
 		deadlines, err = parseDeadlineRange(p.rangeSpec)
 		if err != nil {
 			return 1, err
 		}
-		if pareto {
+		if p.pareto {
 			objSets = []seadopt.ParetoObjectives{p.objectives}
 		}
 	}
-	if len(deadlines) == 0 {
-		return 1, fmt.Errorf("sweep has no deadline points")
-	}
 	var points []seadopt.SweepPoint
 	for _, d := range deadlines {
-		if pareto {
+		if objSets != nil {
 			for _, o := range objSets {
 				points = append(points, seadopt.SweepPoint{DeadlineSec: d, Pareto: true, Objectives: o})
 			}

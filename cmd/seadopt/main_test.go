@@ -8,6 +8,11 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"seadopt/internal/faults"
+	"seadopt/internal/ingest"
+	"seadopt/internal/mapping"
+	"seadopt/internal/pareto"
 )
 
 // -update regenerates the golden files from the current output:
@@ -186,6 +191,75 @@ func TestCLISweepSpecJSON(t *testing.T) {
 			t.Errorf("point %d has no frontier", pt.Point)
 		}
 	}
+}
+
+// TestCLISweepSpecRejectedBeforeBanner: a -sweep-spec that a mode=sweep
+// job would fail validation with exits 1 naming the fault before the
+// sweep banner, with nothing run.
+func TestCLISweepSpecRejectedBeforeBanner(t *testing.T) {
+	for _, doc := range []string{
+		`{"deadlines": [-1, 10]}`,
+		`{"deadlines": []}`,
+		`{"deadlines": [10], "point_mode": "sweep"}`,
+		`{"deadlines": [10], "objective_sets": ["power"]}`,
+		`{"deadlines": [10], "point_mode": "pareto", "objective_sets": ["nonsense"]}`,
+		`{"deadlines": [10], "unknown": 1}`,
+	} {
+		spec := filepath.Join(t.TempDir(), "sweep.json")
+		if err := os.WriteFile(spec, []byte(doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		stdout, stderr, code := runCLI(t, "-graph", "mpeg2", "-sweep-spec", spec, "-inject=false")
+		if code != 1 || !strings.Contains(stderr, "seadopt: sweep spec") {
+			t.Errorf("spec %s: exit code %d, stderr %q; want 1 naming the sweep spec", doc, code, stderr)
+		}
+		if strings.Contains(stdout, "sweeping") {
+			t.Errorf("spec %s: the sweep started before the spec was refused:\n%s", doc, stdout)
+		}
+	}
+}
+
+// FuzzSweepSpec holds decodeSweepSpec to the engine: every spec it accepts
+// yields at least one deadline, and every point it expands to passes the
+// engine's own configuration check, so an accepted spec never fails after
+// the sweep banner; objective sets come only with pareto points.
+func FuzzSweepSpec(f *testing.F) {
+	for _, doc := range []string{
+		`{"deadlines": [14, 14.581], "point_mode": "pareto", "objective_sets": ["", "power,makespan"]}`,
+		`{"deadlines": [13, 15], "point_mode": "scalar", "no_warm_start": true}`,
+		`{"deadlines": [-1, 10]}`,
+		`{"deadlines": [0], "point_mode": "frontier", "objective_sets": ["gamma"]}`,
+		`{"deadlines": [1e308], "objective_sets": []}`,
+	} {
+		f.Add([]byte(doc))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		deadlines, objSets, _, err := decodeSweepSpec(data)
+		if err != nil {
+			return
+		}
+		if len(deadlines) == 0 {
+			t.Fatalf("accepted %q with no deadline", data)
+		}
+		var doc sweepSpecDoc
+		if err := json.Unmarshal(data, &doc); err != nil {
+			t.Fatalf("accepted %q, which encoding/json refuses: %v", data, err)
+		}
+		if pm, _ := ingest.ParseMode(doc.PointMode); (pm == ingest.ModePareto) != (objSets != nil) {
+			t.Fatalf("accepted %q: point mode %q with %d objective sets", data, doc.PointMode, len(objSets))
+		}
+		for _, d := range deadlines {
+			cfg := mapping.Config{DeadlineSec: d, SER: faults.NewSERModel(faults.DefaultSER)}
+			if err := cfg.Validate(); err != nil {
+				t.Fatalf("accepted %q, but the engine refuses deadline %v: %v", data, d, err)
+			}
+			for _, o := range objSets {
+				if _, err := pareto.NewFold[struct{}](o); err != nil {
+					t.Fatalf("accepted %q, but the engine refuses objectives %v: %v", data, o, err)
+				}
+			}
+		}
+	})
 }
 
 // TestCLIErrors: flag and input mistakes exit 1 with a message, without

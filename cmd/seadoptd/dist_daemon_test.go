@@ -7,7 +7,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"os"
 	"os/exec"
@@ -218,19 +217,6 @@ func mpeg2Env(t *testing.T, extra map[string]any) []byte {
 	return env
 }
 
-// freeAddr reserves an ephemeral port and releases it for the daemon that
-// needs to know its own address (-advertise) before binding.
-func freeAddr(t *testing.T) string {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	ln.Close()
-	return addr
-}
-
 // TestDistributedDaemons boots a coordinator and two worker seadoptd
 // processes on ephemeral ports, runs MPEG-2 scalar and Pareto jobs through
 // the coordinator, and asserts the result bytes equal a single-node
@@ -240,8 +226,7 @@ func TestDistributedDaemons(t *testing.T) {
 	single := spawnDaemon(t, "-addr", "127.0.0.1:0", "-workers", "1", "-drain-timeout", "10s")
 	w1 := spawnDaemon(t, "-addr", "127.0.0.1:0", "-workers", "1", "-drain-timeout", "10s")
 	w2 := spawnDaemon(t, "-addr", "127.0.0.1:0", "-workers", "1", "-drain-timeout", "10s")
-	coordAddr := freeAddr(t)
-	coord := spawnDaemon(t, "-addr", coordAddr, "-advertise", "http://"+coordAddr,
+	coord := spawnDaemon(t, "-addr", "127.0.0.1:0",
 		"-peer", w1.base, "-peer", w2.base, "-workers", "1", "-drain-timeout", "10s")
 
 	for _, tc := range []struct {

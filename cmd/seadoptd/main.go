@@ -18,7 +18,6 @@
 //	GET    /healthz               liveness (503 while draining) + build info
 //	GET    /metrics               Prometheus text metrics (incl. latency histograms)
 //	POST   /internal/v1/shard     execute one exploration shard for a peer coordinator
-//	POST   /internal/v1/exchange  exchange bound-tightening facts while shards run
 //
 // With -store DIR the daemon journals every accepted job and result to an
 // append-only store, so a crash-and-restart against the same directory
@@ -80,10 +79,9 @@ func run(ctx context.Context, args []string, ready func(addr string)) error {
 		objectives   = fs.String("objectives", "", "default pareto objectives for jobs that don't set them: comma-separated subset of power,makespan,gamma")
 		drainTimeout = fs.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight jobs")
 		pprofOn      = fs.Bool("pprof", false, "expose net/http/pprof profiling endpoints under /debug/pprof/ (off by default; enable only on trusted networks)")
-		storeDir     = fs.String("store", "", "directory for the durable job store; submitted jobs, results and warm-start seeds survive a crash-and-restart against the same directory (empty = in-memory only)")
+		storeDir     = fs.String("store", "", "directory for the durable job store; submitted jobs and results survive a crash-and-restart against the same directory (empty = in-memory only)")
 		shards       = fs.Int("shards", 0, "shard count for distributed jobs (0 = one embedded shard plus one per -peer)")
-		advertise    = fs.String("advertise", "", "this daemon's own base URL as reachable by peers, for the shard fact exchange (empty disables bound sharing; results stay byte-identical)")
-		rateLimit    = fs.Float64("rate-limit", 0, "per-client submissions per second before 429 (0 = unlimited)")
+		rateLimit    = fs.Float64("rate-limit", 0, "submissions per second per client IP before 429 (0 = unlimited)")
 		rateBurst    = fs.Int("rate-burst", 0, "rate-limit token-bucket burst (0 = max(1, ceil(rate-limit)))")
 		maxBody      = fs.Int64("max-body-bytes", 0, "maximum submission payload before 413 (0 = 16 MiB)")
 		logFormat    = fs.String("log-format", "text", "structured log format: text or json")
@@ -146,7 +144,6 @@ func run(ctx context.Context, args []string, ready func(addr string)) error {
 		StoreDir:          *storeDir,
 		Peers:             peers,
 		Shards:            *shards,
-		AdvertiseURL:      *advertise,
 		RateLimit:         *rateLimit,
 		RateBurst:         *rateBurst,
 		MaxBodyBytes:      *maxBody,

@@ -474,8 +474,8 @@ func EncodingKey(enc []byte) string {
 
 // canonicalFingerprint is the workload-only slice of the canonical problem:
 // graph and platform, no options. Its own version tag moves independently of
-// problemKeyVersion, since it only gates warm-start and probe reuse, never
-// result-cache identity. Graph stays null; Fingerprint splices the graph
+// problemKeyVersion, since it only gates probe reuse, never result-cache
+// identity. Graph stays null; Fingerprint splices the graph
 // document in.
 type canonicalFingerprint struct {
 	V        int               `json:"v"`
@@ -488,9 +488,9 @@ const fingerprintVersion = 1
 // Fingerprint is the content identity of the problem's workload alone —
 // graph and platform, no options — in the form "fp-sha256:<hex>". Problems
 // sharing a fingerprint describe the same hardware running the same
-// application under different optimization options; the service's
-// warm-start registry keys on it, so a prior result can seed a
-// fingerprint-matching submission whose deadline or objectives differ.
+// application under different optimization options. ProbeKey extends it
+// with the options the probe depends on, and the service shares one reuse
+// bundle among the submissions of one ProbeKey.
 func (p *Problem) Fingerprint() (string, error) {
 	if p.Graph == nil || p.Platform == nil {
 		return "", fmt.Errorf("ingest: problem needs both a graph and a platform")

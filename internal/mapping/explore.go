@@ -227,7 +227,7 @@ func explorePareto(ctx context.Context, g *taskgraph.Graph, p *arch.Platform,
 	// per-combination list on top of it.
 	cfg.DiscardPerScaling = true
 	prune := cfg.Strategy.withDefault() != StrategyExhaustive
-	fold, err := newParetoFold(g, p, cfg, prune)
+	fold, err := newParetoFold(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -245,11 +245,8 @@ func explorePareto(ctx context.Context, g *taskgraph.Graph, p *arch.Platform,
 	// provably infeasible, so they cannot change that). When every
 	// combination was resolved — no skip can fire against an empty frontier
 	// — the embedded scalar fold already walked the exhaustive acceptance
-	// sequence. Warm ghosts CAN skip against an empty realized frontier, so
-	// a ghost-seeded run always takes the fallback (in practice unreachable:
-	// ghosts exist only when the warm source found a feasible frontier at
-	// this deadline, which this run then refinds).
-	if prunedCount == 0 && fold.ghosts.Size() == 0 {
+	// sequence.
+	if prunedCount == 0 {
 		return []*Design{fold.scalar.best}, nil
 	}
 	best, _, err := leastInfeasible(ctx, g, p, mapper, cfg, run)
@@ -304,11 +301,11 @@ type outcome struct {
 // dispatcher and worker goroutines concurrently; confirmSkip, fold and
 // annotate run only on the fold goroutine, in visit order.
 //
-// Every external bound reaches a fold through its own monotone state — the
-// scalar incumbent board, the Pareto ghost frontier — whether it comes from
-// the ranked seed, the warm frontier, or a shard's facts from earlier
-// positions. dispatchSkip and confirmSkip read that same state, so every
-// dispatch-time skip stays reproducible at fold time.
+// Every external bound reaches the scalar fold through its monotone
+// incumbent board, whether it comes from the ranked seed or a shard's facts
+// from earlier positions; the Pareto fold prunes against its own realized
+// frontier only. dispatchSkip and confirmSkip read that same state, so
+// every dispatch-time skip stays reproducible at fold time.
 type streamFold interface {
 	// dispatchSkip is the opportunistic pre-mapper dominance test. It must
 	// be monotone with respect to the fold's published state: once true for
@@ -471,7 +468,7 @@ func (s *scalarFold) seed(nominal float64) {
 }
 
 // listen makes s a shard's fold over a range starting at global position
-// lo: its tightenings go to facts, and every scalar fact derived before lo
+// lo: its tightenings go to facts, and every fact derived before lo
 // lowers the board exactly as a folded incumbent would. Such a position
 // precedes every position of the range, so the dominance argument is the
 // one for a seeded incumbent. Facts from the range itself or later are
@@ -479,7 +476,7 @@ func (s *scalarFold) seed(nominal float64) {
 func (s *scalarFold) listen(facts *FactBoard, lo int) {
 	s.facts, s.lo = facts, lo
 	facts.Subscribe(func(f Fact) {
-		if !f.Pareto && f.Pos < lo {
+		if f.Pos < lo {
 			s.board.publish(f.Nominal)
 		}
 	})
@@ -557,13 +554,15 @@ func (s *scalarFold) annotate(ev *Progress) { ev.Best = s.best }
 // non-dominated frontier over the configured objectives. Dominance skipping
 // tests a combination's admissible objective lower bound — exact nominal
 // power, the metrics.Bounds T_M lower bound, zero Γ — against the frontier
-// and the ghost frontier: a strictly dominated bound proves the realized
-// vector is dominated too, and pareto.Fold's eviction discipline keeps the
-// verdict monotone, so dispatch-time skips are always reproducible at fold
-// time. The mutex makes the dispatcher's opportunistic reads safe against
-// fold-goroutine and fact writes.
+// folded so far: a strictly dominated bound proves the realized vector is
+// dominated too, and pareto.Fold's eviction discipline keeps the verdict
+// monotone, so dispatch-time skips are always reproducible at fold time.
+// Only the run's own frontier prunes: with Γ active no realized vector
+// (Γ > 0 at any nonzero SER) dominates a bound's zero Γ, so points from
+// outside the run could prune little beyond single-objective power or
+// makespan runs. The mutex makes the dispatcher's opportunistic reads safe
+// against fold-goroutine writes.
 type paretoFold struct {
-	objectives  pareto.Objectives
 	deadlineSec float64
 
 	// scalar mirrors the step-3 acceptance walk over every resolved
@@ -572,95 +571,27 @@ type paretoFold struct {
 	scalar *scalarFold
 
 	tel *Telemetry // admission event sink; nil when detached
-	// facts, when set, receives every admission as a Pareto Fact at global
-	// position lo+pos (a shard's fold; see listen).
-	facts *FactBoard
-	lo    int
 
-	mu sync.RWMutex
-	// ghosts holds realized objective vectors this run is known to reach or
-	// be dominated by: the warm-start frontier (a prior fingerprint-matching
-	// run over identical mapper inputs — deadline, seed, SER, budgets —
-	// differing at most in active objectives, so each ghost is exactly what
-	// this run realizes at that combination) and, in a shard, admissions
-	// from positions before its range. A bound strictly dominated by a
-	// ghost is as provably irrelevant as one dominated by a folded member.
-	// Points are only ever offered, and pareto.Fold evicts a point only for
-	// one that dominates it, so the test stays monotone.
-	ghosts   *pareto.Fold[struct{}]
+	mu       sync.RWMutex
 	fold_    *pareto.Fold[*Design]
 	admitted bool // whether annotate's outcome joined the frontier
 }
 
-// newParetoFold builds the frontier fold and, under pruning
-// branch-and-bound, its warm-start ghosts: Config.WarmFrontier re-validated
-// against this run. Each ghost's power is recomputed as the combination's
-// nominal power by this engine's own cursor — never taken from the caller —
-// and points whose makespan misses this run's deadline are dropped (they
-// cannot be members of any frontier this run produces).
-func newParetoFold(g *taskgraph.Graph, p *arch.Platform, cfg Config, prune bool) (*paretoFold, error) {
+// newParetoFold builds the frontier fold over cfg's objectives.
+func newParetoFold(cfg Config) (*paretoFold, error) {
 	f, err := pareto.NewFold[*Design](cfg.Objectives)
-	if err != nil {
-		return nil, err
-	}
-	ghosts, err := pareto.NewFold[struct{}](cfg.Objectives)
 	if err != nil {
 		return nil, err
 	}
 	// The embedded scalar fold tracks only the degenerate all-infeasible
 	// verdict; it stays detached from telemetry so its internal acceptance
 	// walk does not masquerade as incumbent events in a Pareto run.
-	pf := &paretoFold{
-		objectives:  cfg.Objectives,
+	return &paretoFold{
 		deadlineSec: cfg.DeadlineSec,
 		scalar:      newScalarFold(false, nil),
 		tel:         cfg.Telemetry,
-		ghosts:      ghosts,
 		fold_:       f,
-	}
-	if !prune || len(cfg.WarmFrontier) == 0 || cfg.Strategy.withDefault() != StrategyBranchAndBound {
-		return pf, nil
-	}
-	space, err := vscale.PlatformSpace(p)
-	if err != nil {
-		return nil, err
-	}
-	cursor := cfg.Reuse.boundsFor(g, p, cfg.Iterations).Cursor()
-	for _, wp := range cfg.WarmFrontier {
-		if wp.Combination < 0 || wp.Combination >= space.Count() {
-			continue
-		}
-		if cfg.DeadlineSec > 0 && wp.Makespan > cfg.DeadlineSec {
-			continue
-		}
-		scaling, err := space.Unrank(wp.Combination)
-		if err != nil {
-			continue
-		}
-		if _, err := cursor.Advance(scaling); err != nil {
-			return nil, err
-		}
-		ghosts.Offer(pareto.Vector{Power: cursor.NominalPower(), Makespan: wp.Makespan, Gamma: wp.Gamma},
-			wp.Combination, struct{}{})
-	}
-	return pf, nil
-}
-
-// listen makes p a shard's fold over a range starting at global position
-// lo: its admissions go to facts, and every Pareto fact derived before lo
-// joins the ghost frontier — a realized vector at a position preceding the
-// range dominates exactly as a folded member would. Facts from the range
-// itself or later are ignored.
-func (p *paretoFold) listen(facts *FactBoard, lo int) {
-	p.facts, p.lo = facts, lo
-	facts.Subscribe(func(f Fact) {
-		if f.Pareto && f.Pos < lo {
-			p.mu.Lock()
-			p.ghosts.Offer(pareto.Vector{Power: f.Nominal, Makespan: f.Makespan, Gamma: f.Gamma},
-				f.Pos, struct{}{})
-			p.mu.Unlock()
-		}
-	})
+	}, nil
 }
 
 // dispatchSkip tests the combination's admissible objective lower bound: no
@@ -670,7 +601,7 @@ func (p *paretoFold) dispatchSkip(o *outcome) bool {
 	lb := pareto.Vector{Power: o.nominal, Makespan: o.tmLB}
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	return p.ghosts.DominatedBound(lb) || p.fold_.DominatedBound(lb)
+	return p.fold_.DominatedBound(lb)
 }
 
 // register: the Pareto fold has no in-flight cancellation — a frontier
@@ -701,15 +632,8 @@ func (p *paretoFold) fold(o *outcome) {
 	p.admitted = p.fold_.Offer(v, o.idx, o.design)
 	size := p.fold_.Size()
 	p.mu.Unlock()
-	if !p.admitted {
-		return
-	}
-	if p.tel != nil {
+	if p.admitted && p.tel != nil {
 		p.tel.event(EventAdmitted, o.pos, o.idx, o.nominal, size)
-	}
-	if p.facts != nil {
-		p.facts.Publish(Fact{Pos: p.lo + o.pos, Pareto: true,
-			Nominal: o.nominal, Makespan: ev.TMSeconds, Gamma: ev.Gamma})
 	}
 }
 

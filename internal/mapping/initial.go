@@ -89,15 +89,6 @@ type Config struct {
 	// passes. See Reuse for the sharing contract. Results are
 	// byte-identical with or without it.
 	Reuse *Reuse
-	// WarmFrontier offers a prior fingerprint-matching Pareto run's
-	// frontier as warm-start dominance ghosts to ExploreParetoContext under
-	// StrategyBranchAndBound. Sound only when that run used identical
-	// mapper inputs (graph, platform, deadline, SER, seed, budgets) and
-	// differed at most in Objectives: each point's vector must be exactly
-	// what this run realizes at that combination. The frontier returned is
-	// then byte-identical to a cold run. Points missing this run's deadline
-	// are dropped defensively. Ignored by the scalar fold.
-	WarmFrontier []WarmPoint
 	// Telemetry, when non-nil, collects observe-only instrumentation —
 	// per-phase busy clocks, verdict counters, probe-cache and evaluator
 	// stats, incumbent/bound events and per-worker spans — snapshotted via

@@ -300,17 +300,6 @@ func (en *probeEntry) step(mc *MapContext, sc *comboScratch) error {
 	return nil
 }
 
-// WarmPoint is one member of a prior exploration's result offered as a
-// warm-start seed: the combination's stable enumeration index plus the
-// realized makespan and Γ of its optimized design. Power is deliberately
-// absent — the engine recomputes the combination's nominal power itself, so
-// a caller cannot desynchronize the dominance arithmetic.
-type WarmPoint struct {
-	Combination int
-	Makespan    float64
-	Gamma       float64
-}
-
 // Reuse bundles the state an exploration can share with related
 // explorations over the same workload: the probe trajectory cache, the
 // metrics.Bounds precompute (read-only after construction) and a pool of

@@ -25,12 +25,13 @@ package mapping
 // single-node run therefore holds BY CONSTRUCTION: shard-side skips and
 // cross-shard bound facts can only save work, never change the answer.
 //
-// While shards run, bound tightenings travel between them as Facts on a
-// FactBoard: a shard's fold publishes every probed-feasible incumbent that
-// lowers its threshold (scalar) and every frontier admission (Pareto), and
-// takes in the facts derived at global positions BEFORE its own range —
-// those positions precede every position of the shard, so the dominance
-// argument is the same as against a locally folded incumbent.
+// While scalar shards run, threshold tightenings travel between them as
+// Facts on a FactBoard: a shard's fold publishes every probed-feasible
+// incumbent that lowers its threshold, and takes in the facts derived at
+// global positions BEFORE its own range — those positions precede every
+// position of the shard, so the dominance argument is the same as against
+// a locally folded incumbent. A Pareto shard prunes against the frontier
+// of its own range only.
 
 import (
 	"context"
@@ -72,33 +73,27 @@ func ShardRanges(total, n int) []ShardRange {
 	return out
 }
 
-// Fact is one cross-shard pruning fact: a dominance threshold (scalar) or
-// a realized frontier vector (Pareto) derived at global position Pos.
-// Receivers apply only facts with Pos below their own range (Pos -1 marks
-// the coordinator's pre-stream incumbent seed, below every range), so the
-// soundness argument is positional, independent of arrival order.
+// Fact is one cross-shard pruning fact: the scalar dominance threshold
+// derived at global position Pos. Receivers apply only facts with Pos below
+// their own range (Pos -1 marks the coordinator's ranked incumbent seed,
+// below every range), so the soundness argument is positional, independent
+// of arrival order.
 type Fact struct {
 	// Pos is the global enumeration position the fact was derived at;
-	// -1 for the coordinator's ranked/warm incumbent seed.
+	// -1 for the coordinator's ranked incumbent seed.
 	Pos int `json:"pos"`
-	// Pareto distinguishes frontier-admission facts from scalar
-	// dominance-threshold facts.
-	Pareto bool `json:"pareto,omitempty"`
-	// Nominal is the scaling's nominal power: the scalar dominance
-	// threshold, or the Pareto vector's power component.
+	// Nominal is the dominance threshold: a probed-feasible scaling's
+	// nominal power.
 	Nominal float64 `json:"nominal"`
-	// Makespan and Gamma complete the realized objective vector of a
-	// Pareto admission fact.
-	Makespan float64 `json:"makespan,omitempty"`
-	Gamma    float64 `json:"gamma,omitempty"`
 }
 
-// FactBoard is the coordinator-owned fact bus: shards publish bound
-// tightenings and subscribe to everyone else's. Facts are deduplicated,
-// delivery order is unordered (facts are monotone accumulators), and
-// subscribers first replay every fact already published. Safe for
-// concurrent use; subscriber callbacks run outside the board lock and
-// must be safe to call from multiple goroutines.
+// FactBoard is the coordinator-owned fact bus of one sharded pass: the
+// in-process shards publish threshold tightenings and subscribe to each
+// other's, and a remote shard's request carries the facts already published
+// when it is sent. Facts are deduplicated, delivery order is unordered
+// (facts are monotone accumulators), and subscribers first replay every
+// fact already published. Safe for concurrent use; subscriber callbacks run
+// outside the board lock and must be safe to call from multiple goroutines.
 type FactBoard struct {
 	mu    sync.Mutex
 	facts []Fact
@@ -112,8 +107,7 @@ func NewFactBoard() *FactBoard {
 }
 
 // Publish records a fact and notifies subscribers; duplicate facts are
-// dropped (reporting false), which keeps coordinator↔peer relays from
-// echoing forever.
+// dropped, reporting false.
 func (b *FactBoard) Publish(f Fact) bool {
 	b.mu.Lock()
 	if _, dup := b.seen[f]; dup {
@@ -132,7 +126,8 @@ func (b *FactBoard) Publish(f Fact) bool {
 }
 
 // Since returns the facts published at or after cursor position n, plus
-// the next cursor — the poll interface the HTTP fact exchange uses.
+// the next cursor; Since(0) is the snapshot a remote shard's InitialFacts
+// carry.
 func (b *FactBoard) Since(n int) ([]Fact, int) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -188,8 +183,9 @@ type ShardRequest struct {
 	// Pareto selects the frontier fold (with its embedded scalar walk)
 	// instead of the scalar incumbent fold.
 	Pareto bool `json:"pareto,omitempty"`
-	// InitialFacts seeds the worker's fact state for transports without a
-	// live board at request time; ExploreShard republishes them locally.
+	// InitialFacts seeds a scalar worker's threshold for transports without
+	// a live board (a remote peer gets the coordinator's standing
+	// threshold); ExploreShard republishes them locally.
 	InitialFacts []Fact `json:"initial_facts,omitempty"`
 }
 
@@ -200,8 +196,8 @@ type ShardResult struct {
 	Records []*ShardRecord `json:"records"`
 }
 
-// ShardRunner executes one shard request — in this process, in a sibling
-// process, or on an HTTP peer — against a live fact board.
+// ShardRunner executes one shard request — in this process or on an HTTP
+// peer — against the pass's fact board.
 type ShardRunner func(ctx context.Context, req ShardRequest, board *FactBoard) (*ShardResult, error)
 
 // InProcRunner returns a ShardRunner executing shards embedded in the
@@ -241,11 +237,12 @@ func rangeComboSource(space *vscale.Space, lo, hi int) (*comboSource, error) {
 var errSampledShard = errors.New("mapping: sharded exploration requires a contiguous enumeration strategy")
 
 // ExploreShard is the worker side of the distributed exploration: it runs
-// the ordinary streaming core over req.Range with the scalar or Pareto fold,
-// publishing the fold's bound tightenings to board and pruning against the
-// facts there derived before the range, and returns the record stream for
-// the coordinator's replay. req.InitialFacts are published to board first;
-// a nil board gives the shard a private one. Progress, telemetry and
+// the ordinary streaming core over req.Range with the scalar or Pareto fold
+// and returns the record stream for the coordinator's replay. A scalar
+// shard publishes its threshold tightenings to board and prunes against the
+// facts there derived before the range; req.InitialFacts are published to
+// board first, and a nil board gives the shard a private one. A Pareto
+// shard prunes against its own frontier only. Progress, telemetry and
 // ranked seeding are coordinator concerns and are forced off here.
 func ExploreShard(ctx context.Context, g *taskgraph.Graph, p *arch.Platform,
 	mapper MapperFunc, cfg Config, req ShardRequest, board *FactBoard) (*ShardResult, error) {
@@ -274,26 +271,25 @@ func ExploreShard(ctx context.Context, g *taskgraph.Graph, p *arch.Platform,
 	if err != nil {
 		return nil, err
 	}
-	if board == nil {
-		board = NewFactBoard()
-	}
 	prune := !req.NoPrune && strategy != StrategyExhaustive
 	opts := coreOptions{prune: prune, source: src, records: make([]*ShardRecord, hi-lo)}
 	var fold streamFold
 	if req.Pareto {
-		pf, err := newParetoFold(g, p, cfg, prune)
+		pf, err := newParetoFold(cfg)
 		if err != nil {
 			return nil, err
 		}
-		pf.listen(board, lo)
 		fold, opts.computeBounds = pf, true
 	} else {
+		if board == nil {
+			board = NewFactBoard()
+		}
 		sf := newScalarFold(prune, nil)
 		sf.listen(board, lo)
+		for _, f := range req.InitialFacts {
+			board.Publish(f)
+		}
 		fold, opts.computeBounds = sf, prune && cfg.DeadlineSec > 0
-	}
-	for _, f := range req.InitialFacts {
-		board.Publish(f)
 	}
 	if _, _, err := exploreCore(ctx, g, p, mapper, cfg, fold, opts); err != nil {
 		return nil, err
@@ -475,7 +471,8 @@ func replay(ctx context.Context, g *taskgraph.Graph, p *arch.Platform, mapper Ma
 // coordinator's Reuse bundle), each pass fanning the ranges out over a
 // fresh fact board and merging the records through the authoritative
 // replay. The scalar fold's standing threshold — the ranked seed, the only
-// bound known before position 0 — reaches the shards as a Pos -1 fact.
+// bound known before position 0 — reaches the shards as a Pos -1 fact; a
+// Pareto pass publishes none.
 func shardedPass(g *taskgraph.Graph, p *arch.Platform, mapper MapperFunc,
 	cfg Config, runners []ShardRunner) (passFunc, error) {
 	if len(runners) == 0 {
@@ -519,11 +516,11 @@ func shardedPass(g *taskgraph.Graph, p *arch.Platform, mapper MapperFunc,
 
 // ExploreSharded is the distributed counterpart of ExploreContext: the
 // enumeration is partitioned into one contiguous shard per runner, shards
-// run concurrently (exchanging bound facts), and the coordinator merges
-// their records through the authoritative single-node replay. The chosen
-// Design, perScaling list and Progress stream are byte-identical to
-// ExploreContext at any shard count, runner mix and parallelism. Nil
-// runner entries run their shard embedded in this process.
+// run concurrently (in-process ones sharing threshold facts), and the
+// coordinator merges their records through the authoritative single-node
+// replay. The chosen Design, perScaling list and Progress stream are
+// byte-identical to ExploreContext at any shard count, runner mix and
+// parallelism. Nil runner entries run their shard embedded in this process.
 func ExploreSharded(ctx context.Context, g *taskgraph.Graph, p *arch.Platform,
 	mapper MapperFunc, cfg Config, runners []ShardRunner) (best *Design, perScaling []*Design, err error) {
 	cfg.Telemetry = nil

@@ -4,12 +4,10 @@ import (
 	"context"
 	"fmt"
 	"reflect"
-	"strings"
 	"testing"
 
 	"seadopt/internal/arch"
 	"seadopt/internal/metrics"
-	"seadopt/internal/pareto"
 	"seadopt/internal/taskgraph"
 	"seadopt/internal/vscale"
 )
@@ -373,61 +371,46 @@ func TestExploreShardAppliesOnlyEarlierFacts(t *testing.T) {
 	lo := total / 2
 	rng := ShardRange{Lo: lo, Hi: total}
 
-	for _, leg := range []struct {
-		name           string
-		pareto         bool
-		earlier, inner Fact
-	}{
-		{"scalar", false, Fact{Pos: lo - 1, Nominal: nominal}, Fact{Pos: lo, Nominal: nominal}},
-		{"pareto", true, Fact{Pos: -1, Pareto: true, Nominal: nominal}, Fact{Pos: lo, Pareto: true, Nominal: nominal}},
-	} {
-		t.Run(leg.name, func(t *testing.T) {
-			c := base
-			if leg.pareto {
-				c.Objectives = pareto.ObjPower
+	t.Run("scalar", func(t *testing.T) {
+		earlierFact, innerFact := Fact{Pos: lo - 1, Nominal: nominal}, Fact{Pos: lo, Nominal: nominal}
+		run := func(facts ...Fact) *ShardResult {
+			t.Helper()
+			req := ShardRequest{Range: rng, InitialFacts: facts}
+			res, err := ExploreShard(context.Background(), g, p, SEAMapper(base), base, req, NewFactBoard())
+			if err != nil {
+				t.Fatal(err)
 			}
-			run := func(facts ...Fact) *ShardResult {
-				t.Helper()
-				req := ShardRequest{Range: rng, Pareto: leg.pareto, InitialFacts: facts}
-				res, err := ExploreShard(context.Background(), g, p, SEAMapper(c), c, req, NewFactBoard())
-				if err != nil {
-					t.Fatal(err)
-				}
-				return res
-			}
-			free := run()
-			freeSkips, _ := shardSkips(free)
+			return res
+		}
+		free := run()
+		freeSkips, _ := shardSkips(free)
 
-			earlier := run(leg.earlier)
-			earlierSkips, earlierMapped := shardSkips(earlier)
-			if earlierSkips <= freeSkips {
-				t.Errorf("fact at position %d: %d skipped records, want more than the fact-free %d",
-					leg.earlier.Pos, earlierSkips, freeSkips)
-			}
-			if !leg.pareto && earlierMapped != 0 {
-				t.Errorf("fact at position %d: %d skipped records carry a Mapping, want 0 (the threshold stands from the first position)",
-					leg.earlier.Pos, earlierMapped)
-			}
+		earlier := run(earlierFact)
+		earlierSkips, earlierMapped := shardSkips(earlier)
+		if earlierSkips <= freeSkips {
+			t.Errorf("fact at position %d: %d skipped records, want more than the fact-free %d",
+				earlierFact.Pos, earlierSkips, freeSkips)
+		}
+		if earlierMapped != 0 {
+			t.Errorf("fact at position %d: %d skipped records carry a Mapping, want 0 (the threshold stands from the first position)",
+				earlierFact.Pos, earlierMapped)
+		}
 
-			inner := run(leg.inner)
-			if !reflect.DeepEqual(shardVerdicts(inner), shardVerdicts(free)) {
-				innerSkips, _ := shardSkips(inner)
-				t.Errorf("fact at the range's own position %d changed the records (%d skipped, fact-free %d)",
-					leg.inner.Pos, innerSkips, freeSkips)
-			}
-			t.Logf("skipped: fact-free %d, earlier fact %d", freeSkips, earlierSkips)
-		})
-	}
+		inner := run(innerFact)
+		if !reflect.DeepEqual(shardVerdicts(inner), shardVerdicts(free)) {
+			innerSkips, _ := shardSkips(inner)
+			t.Errorf("fact at the range's own position %d changed the records (%d skipped, fact-free %d)",
+				innerFact.Pos, innerSkips, freeSkips)
+		}
+		t.Logf("skipped: fact-free %d, earlier fact %d", freeSkips, earlierSkips)
+	})
 }
 
 // TestShardedWarmStartMatchesSingleNode extends sharded ≡ single-node to
 // warm-started runs, the inputs the service shards for fingerprint-matching
 // jobs: a scalar ranked walk over the reuse bundle a cold single-node run
-// primed, and Pareto WarmFrontier ghosts taken from a cold single-node run.
-// The Design or frontier and the whole Progress stream must equal the warm
-// single-node run at shard counts 1/2/4 and Parallelism 1/4. The Pareto leg
-// runs power-only on the input of TestParetoBnBPrunesAndSkips, where the
-// ghosts add skips.
+// primed. The Design and the whole Progress stream must equal the warm
+// single-node run at shard counts 1/2/4 and Parallelism 1/4.
 func TestShardedWarmStartMatchesSingleNode(t *testing.T) {
 	t.Run("scalar", func(t *testing.T) {
 		for _, w := range shardWorkloads(t) {
@@ -469,75 +452,6 @@ func TestShardedWarmStartMatchesSingleNode(t *testing.T) {
 					}
 				}
 			})
-		}
-	})
-
-	t.Run("pareto", func(t *testing.T) {
-		g := taskgraph.MustRandom(taskgraph.DefaultRandomConfig(30), 8)
-		p := plat(3)
-		base := cfg(taskgraph.RandomDeadline(30)*0.5, 1)
-		base.SearchMoves = 120
-		base.Objectives = pareto.ObjPower
-
-		skips := func(events []string) int {
-			n := 0
-			for _, e := range events {
-				if strings.Contains(e, "skipped=true") {
-					n++
-				}
-			}
-			return n
-		}
-		var coldEvents []string
-		cc := base
-		captureProgress(&cc, &coldEvents)
-		cold, err := ExplorePareto(g, p, SEAMapper(cc), cc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		space, err := vscale.PlatformSpace(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, d := range cold {
-			rank, err := space.Rank(d.Scaling)
-			if err != nil {
-				t.Fatal(err)
-			}
-			base.WarmFrontier = append(base.WarmFrontier,
-				WarmPoint{Combination: rank, Makespan: d.Eval.TMSeconds, Gamma: d.Eval.Gamma})
-		}
-
-		var want capturedRun
-		cw := base
-		captureProgress(&cw, &want.events)
-		warm, err := ExplorePareto(g, p, SEAMapper(cw), cw)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want.frontier = strings.Split(frontierFingerprint(warm), " | ")
-		if frontierFingerprint(warm) != frontierFingerprint(cold) {
-			t.Fatalf("warm single-node frontier diverged from cold:\n  cold: %s\n  warm: %s",
-				frontierFingerprint(cold), frontierFingerprint(warm))
-		}
-		if skips(want.events) <= skips(coldEvents) {
-			t.Fatalf("warm ghosts skipped %d combinations, cold %d: the ghosts never engaged",
-				skips(want.events), skips(coldEvents))
-		}
-		for _, shards := range []int{1, 2, 4} {
-			for _, par := range []int{1, 4} {
-				c := base
-				c.Parallelism = par
-				var got capturedRun
-				captureProgress(&c, &got.events)
-				frontier, err := ExploreShardedPareto(context.Background(), g, p, SEAMapper(c), c,
-					make([]ShardRunner, shards))
-				if err != nil {
-					t.Fatalf("shards=%d par=%d: %v", shards, par, err)
-				}
-				got.frontier = strings.Split(frontierFingerprint(frontier), " | ")
-				assertRunsEqual(t, fmt.Sprintf("shards=%d par=%d", shards, par), want, got)
-			}
 		}
 	})
 }

@@ -40,10 +40,10 @@ type bucket struct {
 	last   time.Time
 }
 
-// rateLimiterMaxClients is a hard cap on the client table. The client
-// picks its own X-Client-Id, so the table is an LRU: a burst of new ids
-// evicts the least recently seen clients in O(1) each, and a forgotten
-// client returns with a full bucket.
+// rateLimiterMaxClients is a hard cap on the client table. A client may
+// hold many addresses (an IPv6 prefix, say), so the table is an LRU: a
+// burst of new hosts evicts the least recently seen clients in O(1) each,
+// and a forgotten client returns with a full bucket.
 const rateLimiterMaxClients = 8192
 
 func newRateLimiter(rate, burst float64, now func() time.Time) *rateLimiter {
@@ -74,12 +74,10 @@ func (l *rateLimiter) allow(key string) (bool, time.Duration) {
 	return false, time.Duration(wait * float64(time.Second))
 }
 
-// clientKey identifies the submitting client for rate limiting: an explicit
-// X-Client-Id header, else the remote address without the ephemeral port.
+// clientKey identifies the submitting client for rate limiting: the remote
+// address without the ephemeral port. No request header counts, since a
+// client that named itself anew on every request would never be limited.
 func clientKey(r *http.Request) string {
-	if id := r.Header.Get("X-Client-Id"); id != "" {
-		return id
-	}
 	if host, _, err := net.SplitHostPort(r.RemoteAddr); err == nil {
 		return host
 	}

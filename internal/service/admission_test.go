@@ -5,74 +5,96 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 )
 
 // postRaw fires one submission and returns the response (caller closes).
-func postRaw(t *testing.T, base string, body []byte, clientID string) *http.Response {
+func postRaw(t *testing.T, base string, body []byte) *http.Response {
 	t.Helper()
-	req, err := http.NewRequest(http.MethodPost, base+"/v1/jobs", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if clientID != "" {
-		req.Header.Set("X-Client-Id", clientID)
-	}
-	resp, err := http.DefaultClient.Do(req)
+	resp, err := http.Post(base+"/v1/jobs", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return resp
 }
 
+// postFrom serves one submission from remoteAddr, naming the client clientID
+// in X-Client-Id when non-empty, through h and returns the recorded
+// response.
+func postFrom(h http.Handler, remoteAddr string, body []byte, clientID string) *httptest.ResponseRecorder {
+	req := httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader(body))
+	req.RemoteAddr = remoteAddr
+	req.Header.Set("Content-Type", "application/json")
+	if clientID != "" {
+		req.Header.Set("X-Client-Id", clientID)
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	return rec
+}
+
+// accepted reports whether a submission was taken: queued (202) or answered
+// from the cache (200).
+func accepted(code int) bool { return code == http.StatusAccepted || code == http.StatusOK }
+
 // TestRateLimitReturns429: with a 1/s limit and burst 1, the second
-// submission in the same instant gets 429 with a Retry-After; after the
-// bucket refills it is accepted again. Limits are per client key, so a
-// distinct X-Client-Id is unaffected.
+// submission from one host in the same instant gets 429 with a
+// Retry-After, whatever its source port; after the bucket refills it is
+// accepted again. Limits are per remote host, so a second host is
+// unaffected.
 func TestRateLimitReturns429(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(1_700_000_000, 0)}
-	_, ts := newHTTPServer(t, Config{Workers: 1, RateLimit: 1, RateBurst: 1, Now: clk.Now})
+	s, ts := newHTTPServer(t, Config{Workers: 1, RateLimit: 1, RateBurst: 1, Now: clk.Now})
+	h := s.Handler()
 	body := mpeg2Envelope(t)
 
-	resp := postRaw(t, ts.URL, body, "alice")
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted && resp.StatusCode != http.StatusOK {
-		t.Fatalf("first submission: %d", resp.StatusCode)
+	if rec := postFrom(h, "192.0.2.1:40001", body, ""); !accepted(rec.Code) {
+		t.Fatalf("first submission: %d", rec.Code)
 	}
 
-	resp = postRaw(t, ts.URL, body, "alice")
-	raw, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("second submission: %d, want 429: %s", resp.StatusCode, raw)
+	rec := postFrom(h, "192.0.2.1:40002", body, "")
+	if rec.Code != http.StatusTooManyRequests {
+		t.Fatalf("second submission: %d, want 429: %s", rec.Code, rec.Body)
 	}
-	if ra := resp.Header.Get("Retry-After"); ra != "1" {
+	if ra := rec.Header().Get("Retry-After"); ra != "1" {
 		t.Fatalf("429 Retry-After %q, want \"1\"", ra)
 	}
-	if !strings.Contains(string(raw), "rate") {
-		t.Fatalf("429 body does not explain the rejection: %s", raw)
+	if !strings.Contains(rec.Body.String(), "rate") {
+		t.Fatalf("429 body does not explain the rejection: %s", rec.Body)
 	}
 
-	// A different client is not affected by alice's bucket.
-	resp = postRaw(t, ts.URL, body, "bob")
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted && resp.StatusCode != http.StatusOK {
-		t.Fatalf("distinct client: %d, want accepted", resp.StatusCode)
+	// A different host is not affected by the first host's bucket.
+	if rec := postFrom(h, "192.0.2.2:40001", body, ""); !accepted(rec.Code) {
+		t.Fatalf("distinct host: %d, want accepted", rec.Code)
 	}
 
 	// After the advertised wait the bucket has a token again.
 	clk.Advance(time.Second)
-	resp = postRaw(t, ts.URL, body, "alice")
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted && resp.StatusCode != http.StatusOK {
-		t.Fatalf("post-refill submission: %d, want accepted", resp.StatusCode)
+	if rec := postFrom(h, "192.0.2.1:40003", body, ""); !accepted(rec.Code) {
+		t.Fatalf("post-refill submission: %d, want accepted", rec.Code)
 	}
 
 	if got := metricValue(t, ts.URL, `seadoptd_rejected_total{reason="rate_limit"}`); got != 1 {
 		t.Fatalf("rejected_total{rate_limit} = %d, want 1", got)
+	}
+}
+
+// TestRateLimitIgnoresClientID: the limiter keys on the remote host alone,
+// so a client that names itself anew with each request is still limited:
+// of two submissions from one address with different X-Client-Id values at
+// one clock instant, under a 1/s limit with burst 1, the second gets 429.
+func TestRateLimitIgnoresClientID(t *testing.T) {
+	clk := &fakeClock{t: time.Unix(1_700_000_000, 0)}
+	h := newTestServer(t, Config{Workers: 1, RateLimit: 1, RateBurst: 1, Now: clk.Now}).Handler()
+	body := mpeg2Envelope(t)
+	if rec := postFrom(h, "192.0.2.1:40001", body, "id-1"); !accepted(rec.Code) {
+		t.Fatalf("first submission: %d", rec.Code)
+	}
+	if rec := postFrom(h, "192.0.2.1:40001", body, "id-2"); rec.Code != http.StatusTooManyRequests {
+		t.Fatalf("second submission under a fresh X-Client-Id: %d, want 429: %s", rec.Code, rec.Body)
 	}
 }
 
@@ -92,13 +114,13 @@ func TestQueueFullReturns503(t *testing.T) {
 
 	// Seed 1 occupies the worker, seed 2 fills the queue, seed 3 overflows.
 	for i, seed := range []int{1, 2} {
-		resp := postRaw(t, ts.URL, envelope(seed), "")
+		resp := postRaw(t, ts.URL, envelope(seed))
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusAccepted {
 			t.Fatalf("submission %d: %d", i, resp.StatusCode)
 		}
 	}
-	resp := postRaw(t, ts.URL, envelope(3), "")
+	resp := postRaw(t, ts.URL, envelope(3))
 	raw, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
@@ -116,7 +138,7 @@ func TestQueueFullReturns503(t *testing.T) {
 // 413 before any parsing, and counted under payload_too_large.
 func TestPayloadTooLargeReturns413(t *testing.T) {
 	_, ts := newHTTPServer(t, Config{Workers: 1, MaxBodyBytes: 64 << 10})
-	resp := postRaw(t, ts.URL, bytes.Repeat([]byte("x"), 128<<10), "")
+	resp := postRaw(t, ts.URL, bytes.Repeat([]byte("x"), 128<<10))
 	raw, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
@@ -126,7 +148,7 @@ func TestPayloadTooLargeReturns413(t *testing.T) {
 		t.Fatalf("rejected_total{payload_too_large} = %d, want 1", got)
 	}
 	// A normally-sized submission still goes through.
-	resp = postRaw(t, ts.URL, mpeg2Envelope(t), "")
+	resp = postRaw(t, ts.URL, mpeg2Envelope(t))
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("normal submission under a body cap: %d", resp.StatusCode)

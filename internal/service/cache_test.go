@@ -2,7 +2,6 @@ package service
 
 import (
 	"fmt"
-	"slices"
 	"testing"
 
 	"seadopt"
@@ -61,26 +60,27 @@ func TestLRUCacheDisabled(t *testing.T) {
 	}
 }
 
-// TestWarmRegistryEviction: at capacity the next new key evicts the least
-// recently used one, and reading a key's frontier marks it used.
+// TestWarmRegistryEviction: the warm-start registry (the shared reuse
+// bundles) holds at most its capacity; at capacity the next new key evicts
+// the least recently used one, and reading a key's bundle marks it used.
+// An evicted key comes back with a fresh bundle.
 func TestWarmRegistryEviction(t *testing.T) {
-	point := func(c int) []seadopt.WarmPoint {
-		return []seadopt.WarmPoint{{Combination: c, Makespan: float64(c), Gamma: 1}}
+	r := newReuseRegistry(2)
+	a, b := r.Get("a"), r.Get("b")
+	if a == b {
+		t.Fatal("two keys share one bundle")
 	}
-	r := newWarmRegistry(2)
-	r.RecordFrontier("a", point(1))
-	r.RecordFrontier("b", point(2))
-	if got := r.Frontier("a"); !slices.Equal(got, point(1)) {
-		t.Fatalf("frontier for a = %v, want %v", got, point(1))
+	if got := r.Get("a"); got != a {
+		t.Fatal("a's bundle changed below capacity")
 	}
 	// a was just read, so b is the least recently used key.
-	r.RecordFrontier("c", point(3))
-	if got := r.Frontier("b"); got != nil {
-		t.Fatalf("least recently used key b survived with frontier %v", got)
-	}
-	for key, want := range map[string][]seadopt.WarmPoint{"a": point(1), "c": point(3)} {
-		if got := r.Frontier(key); !slices.Equal(got, want) {
-			t.Fatalf("frontier for %s = %v, want %v", key, got, want)
+	c := r.Get("c")
+	for key, want := range map[string]*seadopt.ExploreReuse{"a": a, "c": c} {
+		if got := r.Get(key); got != want {
+			t.Fatalf("bundle for %s changed after evicting b", key)
 		}
+	}
+	if got := r.Get("b"); got == b {
+		t.Fatal("least recently used key b survived")
 	}
 }

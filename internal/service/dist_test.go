@@ -2,43 +2,13 @@ package service
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"seadopt/internal/taskgraph"
 )
-
-// newCoordinator boots a coordinator server whose AdvertiseURL points back
-// at its own ephemeral endpoint, so peer workers can reach its fact
-// exchange. The handler indirection exists because the URL is only known
-// after the listener binds, but Config is fixed at construction.
-func newCoordinator(t *testing.T, cfg Config) (*Server, *httptest.Server) {
-	t.Helper()
-	var h atomic.Pointer[http.Handler]
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		(*h.Load()).ServeHTTP(w, r)
-	}))
-	cfg.AdvertiseURL = ts.URL
-	s, err := NewServer(cfg)
-	if err != nil {
-		ts.Close()
-		t.Fatal(err)
-	}
-	handler := s.Handler()
-	h.Store(&handler)
-	t.Cleanup(func() {
-		ts.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
-		defer cancel()
-		_ = s.Close(ctx)
-	})
-	return s, ts
-}
 
 // runToDone submits over HTTP, waits for done, and returns the final
 // status plus the complete SSE progress stream.
@@ -84,7 +54,7 @@ func TestDistributedScalarMatchesSingleNode(t *testing.T) {
 
 	w1, ts1 := newHTTPServer(t, Config{Workers: 1})
 	w2, ts2 := newHTTPServer(t, Config{Workers: 1})
-	_, coord := newCoordinator(t, Config{Workers: 1, Peers: []string{ts1.URL, ts2.URL}})
+	_, coord := newHTTPServer(t, Config{Workers: 1, Peers: []string{ts1.URL, ts2.URL}})
 	got, gotEv := runToDone(t, coord.URL, mpeg2Envelope(t))
 	assertSameRun(t, "distributed scalar", got, want, gotEv, wantEv)
 
@@ -117,7 +87,7 @@ func TestDistributedParetoMatchesSingleNode(t *testing.T) {
 
 	w1, ts1 := newHTTPServer(t, Config{Workers: 1})
 	w2, ts2 := newHTTPServer(t, Config{Workers: 1})
-	_, coord := newCoordinator(t, Config{Workers: 1, Peers: []string{ts1.URL, ts2.URL}})
+	_, coord := newHTTPServer(t, Config{Workers: 1, Peers: []string{ts1.URL, ts2.URL}})
 	got, gotEv := runToDone(t, coord.URL, body)
 	assertSameRun(t, "distributed pareto", got, want, gotEv, wantEv)
 
@@ -150,7 +120,7 @@ func TestDistributedFourShards(t *testing.T) {
 
 	_, ts1 := newHTTPServer(t, Config{Workers: 1})
 	_, ts2 := newHTTPServer(t, Config{Workers: 1})
-	_, coord := newCoordinator(t, Config{Workers: 1, Shards: 4, Peers: []string{ts1.URL, ts2.URL}})
+	_, coord := newHTTPServer(t, Config{Workers: 1, Shards: 4, Peers: []string{ts1.URL, ts2.URL}})
 	got, gotEv := runToDone(t, coord.URL, env)
 	assertSameRun(t, "four shards", got, want, gotEv, wantEv)
 }
@@ -167,7 +137,7 @@ func TestDistributedPeerFallback(t *testing.T) {
 	deadURL := dead.URL
 	dead.Close()
 
-	_, coord := newCoordinator(t, Config{Workers: 1, Peers: []string{deadURL}})
+	_, coord := newHTTPServer(t, Config{Workers: 1, Peers: []string{deadURL}})
 	got, gotEv := runToDone(t, coord.URL, mpeg2Envelope(t))
 	assertSameRun(t, "dead peer fallback", got, want, gotEv, wantEv)
 }
@@ -176,7 +146,7 @@ func TestDistributedPeerFallback(t *testing.T) {
 // strategies never shard — they run single-node even on a coordinator.
 func TestDistributedIneligibleJobsRunLocal(t *testing.T) {
 	_, ts1 := newHTTPServer(t, Config{Workers: 1})
-	coordSrv, coord := newCoordinator(t, Config{Workers: 1, Peers: []string{ts1.URL}})
+	coordSrv, coord := newHTTPServer(t, Config{Workers: 1, Peers: []string{ts1.URL}})
 
 	body := mpeg2Envelope(t)
 	body = bytes.Replace(body, []byte(`"options":{`), []byte(`"options":{"baseline":"reg",`), 1)

@@ -157,10 +157,8 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	// Peer-to-peer distributed exploration (see dist.go): workers execute
-	// shard ranges for coordinators, coordinators serve the fact exchange
-	// their remote shards prune against.
+	// shard ranges for coordinators.
 	mux.HandleFunc("POST /internal/v1/shard", s.handleShard)
-	mux.HandleFunc("POST /internal/v1/exchange", s.handleExchange)
 	return s.instrument(mux)
 }
 

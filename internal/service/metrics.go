@@ -48,7 +48,6 @@ func renderMetrics(w io.Writer, m Metrics) {
 	gauge("seadoptd_result_cache_size", "Results currently held by the LRU result cache.", int64(m.CacheEntries))
 	counter("seadoptd_result_cache_evictions_total", "Results dropped from the LRU result cache by its capacity bound.", m.CacheEvictions)
 	counter("seadoptd_sweep_points_total", "Sweep points evaluated by batch (mode=sweep) jobs.", m.SweepPoints)
-	counter("seadoptd_warm_starts_total", "Pareto engine executions seeded from a fingerprint-matching prior frontier.", m.WarmStarts)
 	counter("seadoptd_sharded_executions_total", "Engine executions fanned out over distributed shards.", m.ShardedExecutions)
 	counter("seadoptd_shards_served_total", "Shard ranges executed on behalf of a remote coordinator.", m.ShardsServed)
 	counter("seadoptd_store_appends_total", "Records appended and fsynced to the durable job journal.", m.StoreAppends)

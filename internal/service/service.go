@@ -121,8 +121,7 @@ type Config struct {
 	// Submissions that do name a platform are unaffected.
 	DefaultPlatform *arch.Platform
 	// StoreDir, when non-empty, enables the durable job store: every
-	// accepted submission, terminal outcome and Pareto warm-start seed is
-	// appended (and fsynced) to an append-only journal under this
+	// accepted submission and terminal outcome is appended (and fsynced) to an append-only journal under this
 	// directory before it is acknowledged, and a restarting daemon
 	// replays the journal — finished results are served byte-identically
 	// from it, and jobs that were queued or running at the crash are
@@ -134,21 +133,18 @@ type Config struct {
 	// combination space is split into contiguous rank ranges: one runs
 	// embedded in this process, the rest POST to the peers' internal
 	// shard endpoint (falling back to embedded execution when a peer is
-	// unreachable). The merged result is byte-identical to a single-node
-	// run. Empty disables distribution.
+	// unreachable). A peer's request carries the coordinator's standing
+	// scalar threshold; peers exchange nothing while they run. The merged
+	// result is byte-identical to a single-node run. Empty disables
+	// distribution.
 	Peers []string
 	// Shards overrides the shard count for distributed jobs; 0 selects
 	// len(Peers)+1 (one embedded shard plus one per peer).
 	Shards int
-	// AdvertiseURL is this server's own base URL as reachable by its
-	// peers; workers poll it to exchange bound-tightening facts so remote
-	// shards prune against the global best. Empty disables the fact
-	// exchange (shards then prune only locally — results are still
-	// byte-identical, just slower).
-	AdvertiseURL string
-	// RateLimit caps per-client submissions per second (clients are keyed
-	// by X-Client-Id, falling back to the remote address); breaches get
-	// 429 with a Retry-After. 0 disables rate limiting.
+	// RateLimit caps per-client submissions per second, a client being the
+	// request's remote host (request headers do not count: a client could
+	// name itself anew on every request); breaches get 429 with a
+	// Retry-After. 0 disables rate limiting.
 	RateLimit float64
 	// RateBurst is the token-bucket burst size; 0 selects
 	// max(1, ceil(RateLimit)).
@@ -403,10 +399,8 @@ type Server struct {
 	// advance a fake clock.
 	hookExecute func(*flight)
 
-	// Cross-job acceleration registries: shared engine reuse bundles by
-	// ProbeKey, Pareto warm-start seeds by problem Fingerprint.
+	// Cross-job acceleration: shared engine reuse bundles by ProbeKey.
 	reuses *reuseRegistry
-	warm   *warmRegistry
 
 	// Durable job store (nil when StoreDir is empty). recoverySec is how
 	// long the boot's journal replay and recovery took; it is written
@@ -416,11 +410,6 @@ type Server struct {
 
 	// Admission control (nil when RateLimit is 0).
 	limiter *rateLimiter
-
-	// Distributed exploration: live fact-exchange boards by session
-	// token, served to polling peer workers.
-	exchanges exchangeTable
-	shardSeq  atomic.Int64
 
 	cacheHits    atomic.Int64
 	docHits      atomic.Int64 // cache hits answered by document (submitByDocument)
@@ -433,7 +422,6 @@ type Server struct {
 	paretoJobs   atomic.Int64 // pareto-mode engine executions
 	frontierSize atomic.Int64 // frontier size of the latest finished pareto job
 	sweepPoints  atomic.Int64 // sweep points evaluated by batch jobs
-	warmStarts   atomic.Int64 // Pareto executions seeded from a prior frontier
 	shardedExecs atomic.Int64 // engine executions fanned out over shards
 	shardsServed atomic.Int64 // shard requests this server executed for peers
 
@@ -484,7 +472,6 @@ func newServer(cfg Config) (*Server, error) {
 		flights:       make(map[string]*flight),
 		cache:         newLRU[*cacheEntry](cfg.CacheEntries),
 		reuses:        newReuseRegistry(32),
-		warm:          newWarmRegistry(128),
 		queueWaitHist: newHistogram(latencyBuckets()),
 		execHist:      newHistogram(latencyBuckets()),
 		httpHists:     make(map[string]*histogram),
@@ -507,11 +494,12 @@ func newServer(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// recover replays the journal into the in-memory state: warm-start seeds
-// reload, finished results reinstall into the cache and their job records,
-// and jobs without a terminal outcome are re-enqueued under their original
-// IDs (re-running deterministically to the same bytes). No worker runs yet,
-// so recovery is single-threaded.
+// recover replays the journal into the in-memory state: finished results
+// reinstall into the cache and their job records, and jobs without a
+// terminal outcome are re-enqueued under their original IDs (re-running
+// deterministically to the same bytes). Record kinds older journals hold
+// ("hint", "frontier") are skipped. No worker runs yet, so recovery is
+// single-threaded.
 func (s *Server) recover(recs []storeRecord) {
 	type jobRec struct {
 		rec      *storeRecord
@@ -544,8 +532,6 @@ func (s *Server) recover(recs []storeRecord) {
 			if jr, ok := jobs[rec.ID]; ok {
 				jr.canceled = rec
 			}
-		case "frontier":
-			s.warm.RecordFrontier(rec.Key, fromStorePoints(rec.Points))
 		}
 	}
 	s.mu.Lock()
@@ -1089,24 +1075,12 @@ func (s *Server) execute(f *flight) (*cacheEntry, error) {
 	// telemetry is per-process, so sharded flights carry no stats snapshot
 	// (their /stats endpoint answers 409) — the result and progress bytes
 	// are still identical to a single-node run.
-	runners, shardCleanup := s.shardRunnersFor(f, sys, opts, mode)
+	runners := s.shardRunnersFor(f, sys, opts, mode)
 	if runners != nil {
-		defer shardCleanup()
 		e.stats, opts.Stats = nil, nil
 	}
 	s.engineExecs.Add(1)
 	if mode == ingest.ModePareto {
-		// Warm-start from a fingerprint-matching prior frontier at this
-		// deadline whose objectives differed. The engine re-validates the
-		// ghosts against this run, so the result bytes are identical to a
-		// cold run — only pruning gets ahead of itself.
-		fp, warmable := warmFingerprint(p)
-		key := warmParetoKey(fp, o)
-		if warmable && opts.Strategy == seadopt.StrategyBranchAndBound {
-			if opts.WarmFrontier = s.warm.Frontier(key); len(opts.WarmFrontier) > 0 {
-				s.warmStarts.Add(1)
-			}
-		}
 		s.paretoJobs.Add(1)
 		var frontier []*seadopt.Design
 		if runners != nil {
@@ -1116,9 +1090,6 @@ func (s *Server) execute(f *flight) (*cacheEntry, error) {
 		}
 		if err != nil {
 			return nil, err
-		}
-		if warmable {
-			s.recordFrontier(key, sys, frontier)
 		}
 		s.frontierSize.Store(int64(len(frontier)))
 		if e.result, e.summary, err = marshalFrontier(frontier, opts.Objectives); err != nil {
@@ -1337,7 +1308,6 @@ type Metrics struct {
 	ParetoExecutions     int64            `json:"pareto_executions"`
 	ParetoFrontierSize   int64            `json:"pareto_frontier_size"`
 	SweepPoints          int64            `json:"sweep_points"`
-	WarmStarts           int64            `json:"warm_starts"`
 	ShardedExecutions    int64            `json:"sharded_executions"`
 	ShardsServed         int64            `json:"shards_served"`
 	StoreAppends         int64            `json:"store_appends"`
@@ -1386,7 +1356,6 @@ func (s *Server) Metrics() Metrics {
 		ParetoExecutions:     s.paretoJobs.Load(),
 		ParetoFrontierSize:   s.frontierSize.Load(),
 		SweepPoints:          s.sweepPoints.Load(),
-		WarmStarts:           s.warmStarts.Load(),
 		ShardedExecutions:    s.shardedExecs.Load(),
 		ShardsServed:         s.shardsServed.Load(),
 		Rejected: map[string]int64{

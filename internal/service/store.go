@@ -11,13 +11,11 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"seadopt"
 )
 
 // This file is the service's durability layer: an append-only JSONL journal
-// under Config.StoreDir that records every accepted submission, every
-// terminal outcome and every Pareto warm-start seed. Each append is fsynced
+// under Config.StoreDir that records every accepted submission and every
+// terminal outcome. Each append is fsynced
 // before the triggering operation acknowledges, so a daemon that is
 // SIGKILLed and restarted against the same directory loses no accepted job:
 // finished results (and their exact bytes) are served from the journal, and
@@ -31,13 +29,6 @@ import (
 // storeJournalName is the journal file inside Config.StoreDir.
 const storeJournalName = "journal.jsonl"
 
-// storeWarmPoint mirrors seadopt.WarmPoint with a stable wire encoding.
-type storeWarmPoint struct {
-	Combination int     `json:"c"`
-	Makespan    float64 `json:"tm"`
-	Gamma       float64 `json:"gamma"`
-}
-
 // storeRecord is one journal line. Kind selects which fields are meaningful:
 //
 //	job      ID, Key, Graph, Priority, At, and either Problem (canonical
@@ -45,32 +36,32 @@ type storeWarmPoint struct {
 //	         State done (recovery reads the bytes from the key's result)
 //	result   ID, Key, State (done/failed/canceled), Result, Summary, Total, Error, At
 //	cancel   ID, At
-//	frontier Key (warm registry key), Points
 //
-// Journals written before scalar jobs walked ranked also hold "hint"
-// records (a scalar winner's combination rank); recovery skips them like
-// any other kind it does not know.
+// Older journals also hold "hint" records (a scalar winner's combination
+// rank, written before scalar jobs walked ranked) and "frontier" records (a
+// Pareto result's members as warm-start seeds, written before Pareto runs
+// pruned against their own frontier only); recovery skips them like any
+// other kind it does not know.
 type storeRecord struct {
-	Kind     string           `json:"kind"`
-	ID       string           `json:"id,omitempty"`
-	Key      string           `json:"key,omitempty"`
-	Graph    string           `json:"graph,omitempty"`
-	Priority int              `json:"priority,omitempty"`
-	Problem  json.RawMessage  `json:"problem,omitempty"`
-	At       time.Time        `json:"at,omitzero"`
-	State    State            `json:"state,omitempty"`
-	Result   json.RawMessage  `json:"result,omitempty"`
-	Summary  string           `json:"summary,omitempty"`
-	Total    int              `json:"total,omitempty"`
-	Error    string           `json:"error,omitempty"`
-	Points   []storeWarmPoint `json:"points,omitempty"`
+	Kind     string          `json:"kind"`
+	ID       string          `json:"id,omitempty"`
+	Key      string          `json:"key,omitempty"`
+	Graph    string          `json:"graph,omitempty"`
+	Priority int             `json:"priority,omitempty"`
+	Problem  json.RawMessage `json:"problem,omitempty"`
+	At       time.Time       `json:"at,omitzero"`
+	State    State           `json:"state,omitempty"`
+	Result   json.RawMessage `json:"result,omitempty"`
+	Summary  string          `json:"summary,omitempty"`
+	Total    int             `json:"total,omitempty"`
+	Error    string          `json:"error,omitempty"`
 }
 
 // jobStore owns the journal file handle. Appends are serialized by its own
 // mutex. Submit, Cancel and run also hold the Server's mutex across their
 // appends, fsync included: journal order must be the order in which jobs
 // were accepted and finished, since recovery rebuilds the job order and the
-// ID sequence from it. Warm-start frontier appends run outside it.
+// ID sequence from it.
 type jobStore struct {
 	mu sync.Mutex
 	f  *os.File
@@ -157,20 +148,4 @@ func (st *jobStore) Close() error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	return st.f.Close()
-}
-
-func toStorePoints(points []seadopt.WarmPoint) []storeWarmPoint {
-	out := make([]storeWarmPoint, len(points))
-	for i, p := range points {
-		out[i] = storeWarmPoint{Combination: p.Combination, Makespan: p.Makespan, Gamma: p.Gamma}
-	}
-	return out
-}
-
-func fromStorePoints(points []storeWarmPoint) []seadopt.WarmPoint {
-	out := make([]seadopt.WarmPoint, len(points))
-	for i, p := range points {
-		out[i] = seadopt.WarmPoint{Combination: p.Combination, Makespan: p.Makespan, Gamma: p.Gamma}
-	}
-	return out
 }

@@ -147,102 +147,136 @@ func journalRecord(t *testing.T, dir, id string) storeRecord {
 // with.
 var legacyJournalPath = filepath.Join("testdata", "legacy_journal.jsonl")
 
-// TestStoreReplaysLegacyJournal boots a server on a legacy journal:
-// recovery restores its jobs and cache entries and skips its "hint"
-// records, a resubmission is answered from the recovered cache with the
-// bytes a fresh server computes, and the next scalar job journals no hint.
+// frontierJournalPath holds a journal written while Pareto runs took
+// warm-start seeds from earlier frontiers: a Fig. 8 Pareto job (seed 3, all
+// objectives) and a power-only Pareto job at the same deadline, each
+// journaled with its job, result and "frontier" record (the frontier's
+// deadline-meeting members as seeds; the second job ran seeded from the
+// first's).
+var frontierJournalPath = filepath.Join("testdata", "frontier_journal.jsonl")
+
+// TestStoreReplaysLegacyJournal boots a server on each journal an older
+// version wrote: recovery restores its jobs and cache entries and skips
+// the record kind it no longer writes, a resubmission is answered from the
+// recovered cache with the bytes a fresh server computes, and the next job
+// journals no record of that kind.
 func TestStoreReplaysLegacyJournal(t *testing.T) {
-	legacy, err := os.ReadFile(legacyJournalPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs, err := replayJournal(legacyJournalPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	results := make(map[string]storeRecord)
-	hints := 0
-	for _, rec := range recs {
-		switch rec.Kind {
-		case "result":
-			results[rec.ID] = rec
-		case "hint":
-			hints++
-		}
-	}
-	if hints == 0 || len(results) != 2 {
-		t.Fatalf("legacy journal holds %d hint and %d result records, want some and 2", hints, len(results))
-	}
-
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, storeJournalName), legacy, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s := newStoreServer(t, dir, Config{Workers: 1})
-	// Each job and the job whose result record holds its bytes; j-000002
-	// is the by-key hit.
-	for id, from := range map[string]string{"j-000001": "j-000001", "j-000002": "j-000001", "j-000003": "j-000003"} {
-		got, err := s.Job(id)
-		if err != nil {
-			t.Fatalf("recovery lost job %s: %v", id, err)
-		}
-		if got.State != StateDone || got.CacheHit != (id != from) || !bytes.Equal(got.Result, results[from].Result) {
-			t.Fatalf("job %s recovered as %s (cache hit %v, bytes equal %v)",
-				id, got.State, got.CacheHit, bytes.Equal(got.Result, results[from].Result))
-		}
-	}
-
-	// The recovered cache answers both problems; a fresh server computes
-	// the same bytes.
-	for _, scale := range []float64{1, 1.25} {
-		p := fig8Problem(2, "")
+	scaled := func(p *ingest.Problem, scale float64) *ingest.Problem {
 		p.Options.DeadlineSec *= scale
-		st, err := s.Submit(p, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !st.CacheHit {
-			t.Fatalf("deadline ×%g: resubmission after recovery missed the cache", scale)
-		}
-		fresh := runJobs(t, p).Result
-		if !bytes.Equal(st.Result, fresh) {
-			t.Fatalf("deadline ×%g: recovered bytes differ from a fresh run:\n%s\nvs\n%s", scale, st.Result, fresh)
-		}
+		return p
 	}
-	if execs := s.Metrics().EngineExecutions; execs != 0 {
-		t.Fatalf("recovered server ran the engine %d times for journaled results", execs)
-	}
+	powerOnly := fig8Problem(3, ingest.ModePareto)
+	powerOnly.Options.Objectives = "power"
+	for _, tc := range []struct {
+		name, path string
+		skipped    string            // the record kind recovery skips
+		from       map[string]string // job ID → ID of the result record holding its bytes
+		resubmit   []*ingest.Problem // problems the recovered cache answers
+		next       *ingest.Problem   // a new job after recovery
+	}{
+		{
+			name: "hint", path: legacyJournalPath, skipped: "hint",
+			// j-000002 is the by-key hit.
+			from:     map[string]string{"j-000001": "j-000001", "j-000002": "j-000001", "j-000003": "j-000003"},
+			resubmit: []*ingest.Problem{fig8Problem(2, ""), scaled(fig8Problem(2, ""), 1.25)},
+			next:     scaled(fig8Problem(2, ""), 1.5),
+		},
+		{
+			name: "frontier", path: frontierJournalPath, skipped: "frontier",
+			from:     map[string]string{"j-000001": "j-000001", "j-000002": "j-000002"},
+			resubmit: []*ingest.Problem{fig8Problem(3, ingest.ModePareto), powerOnly},
+			next:     scaled(fig8Problem(3, ingest.ModePareto), 1.25),
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			legacy, err := os.ReadFile(tc.path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			recs, err := replayJournal(tc.path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			results := make(map[string]storeRecord)
+			skipped := 0
+			for _, rec := range recs {
+				switch rec.Kind {
+				case "result":
+					results[rec.ID] = rec
+				case tc.skipped:
+					skipped++
+				}
+			}
+			if skipped == 0 || len(results) != 2 {
+				t.Fatalf("journal holds %d %s and %d result records, want some and 2", skipped, tc.skipped, len(results))
+			}
 
-	// A new scalar job appends its job and result records, and no hint.
-	p := fig8Problem(2, "")
-	p.Options.DeadlineSec *= 1.5
-	st, err := s.Submit(p, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitState(t, s, st.ID, StateDone)
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	defer cancel()
-	if err := s.Close(ctx); err != nil {
-		t.Fatal(err)
-	}
-	journal, err := os.ReadFile(filepath.Join(dir, storeJournalName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.HasPrefix(journal, legacy) {
-		t.Fatal("recovery rewrote the legacy journal")
-	}
-	var kinds []string
-	for _, line := range bytes.Split(bytes.TrimSpace(journal[len(legacy):]), []byte("\n")) {
-		var rec storeRecord
-		if err := json.Unmarshal(line, &rec); err != nil {
-			t.Fatal(err)
-		}
-		kinds = append(kinds, rec.Kind)
-	}
-	if want := []string{"job", "job", "job", "result"}; !slices.Equal(kinds, want) {
-		t.Fatalf("records appended after recovery: %v, want %v", kinds, want)
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, storeJournalName), legacy, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			s := newStoreServer(t, dir, Config{Workers: 1})
+			for id, from := range tc.from {
+				got, err := s.Job(id)
+				if err != nil {
+					t.Fatalf("recovery lost job %s: %v", id, err)
+				}
+				if got.State != StateDone || got.CacheHit != (id != from) || !bytes.Equal(got.Result, results[from].Result) {
+					t.Fatalf("job %s recovered as %s (cache hit %v, bytes equal %v)",
+						id, got.State, got.CacheHit, bytes.Equal(got.Result, results[from].Result))
+				}
+			}
+
+			// The recovered cache answers every problem; a fresh server
+			// computes the same bytes.
+			for i, p := range tc.resubmit {
+				st, err := s.Submit(p, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !st.CacheHit {
+					t.Fatalf("problem %d: resubmission after recovery missed the cache", i)
+				}
+				fresh := runJobs(t, p).Result
+				if !bytes.Equal(st.Result, fresh) {
+					t.Fatalf("problem %d: recovered bytes differ from a fresh run:\n%s\nvs\n%s", i, st.Result, fresh)
+				}
+			}
+			if execs := s.Metrics().EngineExecutions; execs != 0 {
+				t.Fatalf("recovered server ran the engine %d times for journaled results", execs)
+			}
+
+			// A new job appends its job and result records, and nothing of
+			// the skipped kind.
+			st, err := s.Submit(tc.next, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitState(t, s, st.ID, StateDone)
+			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+			defer cancel()
+			if err := s.Close(ctx); err != nil {
+				t.Fatal(err)
+			}
+			journal, err := os.ReadFile(filepath.Join(dir, storeJournalName))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.HasPrefix(journal, legacy) {
+				t.Fatal("recovery rewrote the legacy journal")
+			}
+			var kinds []string
+			for _, line := range bytes.Split(bytes.TrimSpace(journal[len(legacy):]), []byte("\n")) {
+				var rec storeRecord
+				if err := json.Unmarshal(line, &rec); err != nil {
+					t.Fatal(err)
+				}
+				kinds = append(kinds, rec.Kind)
+			}
+			if want := []string{"job", "job", "job", "result"}; !slices.Equal(kinds, want) {
+				t.Fatalf("records appended after recovery: %v, want %v", kinds, want)
+			}
+		})
 	}
 }
 
@@ -669,9 +703,9 @@ func fig8Problem(seed int64, mode string) *ingest.Problem {
 	}
 }
 
-// realJournal runs a store-backed server through every record kind — a
-// canceled job, a finished scalar job and its by-key cache hit, a finished
-// Pareto job — and returns the journal it wrote.
+// realJournal runs a store-backed server through every record kind it
+// writes — a canceled job, a finished scalar job and its by-key cache hit,
+// a finished Pareto job — and returns the journal it wrote.
 func realJournal(f *testing.F) []byte {
 	dir := f.TempDir()
 	s, err := NewServer(Config{Workers: 1, StoreDir: dir})
@@ -717,7 +751,7 @@ func realJournal(f *testing.F) []byte {
 			kinds[rec.Kind] = true
 		}
 	}
-	for _, kind := range []string{"job", "by-key hit", "result", "cancel", "frontier"} {
+	for _, kind := range []string{"job", "by-key hit", "result", "cancel"} {
 		if !kinds[kind] {
 			f.Fatalf("seed journal has no %s record:\n%s", kind, data)
 		}
@@ -733,11 +767,16 @@ func FuzzReplayJournal(f *testing.F) {
 	journal := realJournal(f)
 	f.Add(journal)
 	f.Add(append(append([]byte(nil), journal...), `{"kind":"result","id":"j-0000`...))
-	legacy, err := os.ReadFile(legacyJournalPath) // holds "hint" records
-	if err != nil {
-		f.Fatal(err)
+	for _, path := range []string{
+		legacyJournalPath,   // holds "hint" records
+		frontierJournalPath, // holds "frontier" records
+	} {
+		old, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(old)
 	}
-	f.Add(legacy)
 	// One directory for every input: a fresh randomly named one per input
 	// would vary the paths, and so the coverage, from run to run.
 	dir := filepath.Join(f.TempDir(), "store")

@@ -106,18 +106,6 @@ func (s *Server) executeSweep(f *flight, opts seadopt.OptimizeOptions) (*cacheEn
 			return nil, err
 		}
 		s.sweepPoints.Add(int64(len(res)))
-		// Register every Pareto point's frontier in the cross-job warm
-		// registry under this platform's own fingerprint, so a later Pareto
-		// submission of the same workload and deadline — on the primary or
-		// any sweep platform — warm-starts from it exactly as it would from a
-		// prior single-point job.
-		if fp, ok := warmFingerprint(&pp); pareto && ok {
-			for _, r := range res {
-				po := o
-				po.DeadlineSec = r.Spec.DeadlineSec
-				s.recordFrontier(warmParetoKey(fp, po), sys, r.Frontier)
-			}
-		}
 		for j, r := range res {
 			pj := sweepPointJSON{
 				Point:       base + j + 1,

@@ -296,7 +296,6 @@ func TestCacheEvictionMetrics(t *testing.T) {
 		"seadoptd_result_cache_size 1",
 		"seadoptd_result_cache_evictions_total 1",
 		"seadoptd_sweep_points_total 0",
-		"seadoptd_warm_starts_total",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("metrics output missing %q", want)

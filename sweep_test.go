@@ -158,9 +158,9 @@ func TestSweepColdByteIdenticalAcrossParallelism(t *testing.T) {
 }
 
 // TestSweepWarmStartSameResults drops NoWarmStart: scalar points pre-seed
-// their incumbent via the ranked pass and Pareto points chain frontier
-// ghosts, which may change the pruned/skipped split — but every returned
-// Design and frontier must still be byte-identical to cold runs.
+// their incumbent via the ranked pass, which may change the pruned/skipped
+// split — but every returned Design and frontier must still be
+// byte-identical to cold runs.
 func TestSweepWarmStartSameResults(t *testing.T) {
 	sys, err := NewARM7System(MPEG2(), 4, 3)
 	if err != nil {
