@@ -437,16 +437,13 @@ func (s *System) OptimizeParetoContext(ctx context.Context, opts OptimizeOptions
 
 // Distributed sharded exploration: the combination enumeration partitions
 // into contiguous rank ranges explored by peer workers (in-process or HTTP
-// peers), with the scalar dominance threshold shared as facts. The merged
-// Design/frontier and Progress stream are byte-identical to the
-// single-node Optimize/OptimizePareto run.
+// peers). Every shard takes one self-contained request, a scalar one
+// carrying the coordinator's standing dominance threshold, and shares
+// nothing while it runs. The merged Design/frontier and Progress stream are
+// byte-identical to the single-node Optimize/OptimizePareto run.
 type (
 	// ShardRange is one contiguous [Lo,Hi) slice of the enumeration.
 	ShardRange = mapping.ShardRange
-	// ShardFact is one cross-shard scalar threshold tightening.
-	ShardFact = mapping.Fact
-	// ShardFactBoard is the coordinator's fact bus.
-	ShardFactBoard = mapping.FactBoard
 	// ShardRequest asks a worker to explore one range.
 	ShardRequest = mapping.ShardRequest
 	// ShardResult is a worker's per-combination record stream.
@@ -455,18 +452,13 @@ type (
 	ShardRunner = mapping.ShardRunner
 )
 
-// ShardRanges splits an enumeration of total combinations into n
-// contiguous near-equal ranges.
-var ShardRanges = mapping.ShardRanges
-
 // RunShard is the worker side of the distributed exploration: it explores
-// req.Range of this system under opts, a scalar shard publishing threshold
-// facts to (and pruning against) board — nil gives it a private one — and
-// returns the record stream the coordinator merges. Progress/Stats
-// callbacks are coordinator concerns and are ignored here.
-func (s *System) RunShard(ctx context.Context, opts OptimizeOptions, req ShardRequest, board *ShardFactBoard) (*ShardResult, error) {
+// req.Range of this system under opts, a scalar shard starting from
+// req.Threshold, and returns the record stream the coordinator merges.
+// Progress/Stats callbacks are coordinator concerns and are ignored here.
+func (s *System) RunShard(ctx context.Context, opts OptimizeOptions, req ShardRequest) (*ShardResult, error) {
 	cfg := opts.mappingConfig()
-	return mapping.ExploreShard(ctx, s.Graph, s.Platform, mapping.SEAMapper(cfg), cfg, req, board)
+	return mapping.ExploreShard(ctx, s.Graph, s.Platform, mapping.SEAMapper(cfg), cfg, req)
 }
 
 // OptimizeShardedContext is OptimizeContext distributed over len(runners)

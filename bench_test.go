@@ -405,9 +405,10 @@ func benchSystem(b *testing.B, sys *System, opts OptimizeOptions) {
 // the byte-identical replay). Per-shard parallelism is pinned to 1 so the
 // SingleNode/TwoShard ratio isolates the sharding machinery itself: on a
 // multi-core host the two shards overlap and the ratio approaches 2, and
-// on any host it must not fall materially below 1 — the records, the fact
-// board and the authoritative replay are required to stay overhead-neutral
-// relative to a single-node walk of the same exhaustive enumeration.
+// on any host it must not fall materially below 1 — the records, the
+// shard requests and the authoritative replay are required to stay
+// overhead-neutral relative to a single-node walk of the same exhaustive
+// enumeration.
 func BenchmarkDist16Core(b *testing.B) {
 	g, dl := bench16Graph(b)
 	sys, err := NewARM7System(g, 16, 3)

@@ -18,6 +18,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -355,6 +356,9 @@ func parseDeadlineRange(spec string) ([]float64, error) {
 		v, err := strconv.ParseFloat(s, 64)
 		if err != nil {
 			return nil, fmt.Errorf("-deadline-sweep %q: %q is not a number", spec, s)
+		}
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("-deadline-sweep %q: %s %q is not finite", spec, [3]string{"lo", "hi", "step"}[i], s)
 		}
 		vals[i] = v
 	}

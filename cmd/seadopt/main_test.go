@@ -290,6 +290,24 @@ func TestCLIErrors(t *testing.T) {
 	}
 }
 
+// TestCLIDeadlineSweepNonFinite: a NaN or infinite bound or step is refused
+// by name, before the range is expanded.
+func TestCLIDeadlineSweepNonFinite(t *testing.T) {
+	for _, tc := range []struct{ spec, want string }{
+		{"0.5:NaN:0.1", `hi "NaN" is not finite`},
+		{"0.07:0.07:Inf", `step "Inf" is not finite`},
+		{"-Inf:0.07:0.01", `lo "-Inf" is not finite`},
+	} {
+		_, stderr, code := runCLI(t, "-graph", "fig8", "-deadline-sweep", tc.spec)
+		if code != 1 {
+			t.Errorf("-deadline-sweep %s: exit code %d, want 1", tc.spec, code)
+		}
+		if !strings.Contains(stderr, tc.want) {
+			t.Errorf("-deadline-sweep %s: stderr %q does not say %s", tc.spec, stderr, tc.want)
+		}
+	}
+}
+
 // TestCLIInfeasibleExitCode: an impossible deadline exits 2 and warns.
 func TestCLIInfeasibleExitCode(t *testing.T) {
 	_, stderr, code := runCLI(t, "-graph", "fig8", "-deadline", "0.000001", "-inject=false")

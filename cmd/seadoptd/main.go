@@ -80,7 +80,7 @@ func run(ctx context.Context, args []string, ready func(addr string)) error {
 		drainTimeout = fs.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight jobs")
 		pprofOn      = fs.Bool("pprof", false, "expose net/http/pprof profiling endpoints under /debug/pprof/ (off by default; enable only on trusted networks)")
 		storeDir     = fs.String("store", "", "directory for the durable job store; submitted jobs and results survive a crash-and-restart against the same directory (empty = in-memory only)")
-		shards       = fs.Int("shards", 0, "shard count for distributed jobs (0 = one embedded shard plus one per -peer)")
+		shards       = fs.Int("shards", 0, "shard count for distributed jobs (0 or less = one embedded shard plus one per -peer)")
 		rateLimit    = fs.Float64("rate-limit", 0, "submissions per second per client IP before 429 (0 = unlimited)")
 		rateBurst    = fs.Int("rate-burst", 0, "rate-limit token-bucket burst (0 = max(1, ceil(rate-limit)))")
 		maxBody      = fs.Int64("max-body-bytes", 0, "maximum submission payload before 413 (0 = 16 MiB)")

@@ -302,8 +302,8 @@ type outcome struct {
 // annotate run only on the fold goroutine, in visit order.
 //
 // Every external bound reaches the scalar fold through its monotone
-// incumbent board, whether it comes from the ranked seed or a shard's facts
-// from earlier positions; the Pareto fold prunes against its own realized
+// incumbent board as a seed: the ranked pass's, or on a shard the
+// coordinator's threshold; the Pareto fold prunes against its own realized
 // frontier only. dispatchSkip and confirmSkip read that same state, so
 // every dispatch-time skip stays reproducible at fold time.
 type streamFold interface {
@@ -337,13 +337,12 @@ type streamFold interface {
 // read by the dispatcher, the workers and the fold alike, and tracks
 // in-flight work so newly dominated combinations are cancelled promptly. The
 // board holds the *minimum* nominal power of any probed-feasible design the
-// fold has accepted, seeded or learned from an earlier shard — strictly
-// monotone non-increasing, even when the fold's current incumbent drifts
-// within the nominal-power tolerance band to a numerically higher value on a
-// Γ tie-break. That monotonicity is what makes every opportunistic
-// dispatch-time skip reproducible by the fold-time rule: a combination
-// dominated against an older (larger-or-equal) threshold is dominated
-// against every later one.
+// fold has accepted or been seeded with — strictly monotone non-increasing,
+// even when the fold's current incumbent drifts within the nominal-power
+// tolerance band to a numerically higher value on a Γ tie-break. That
+// monotonicity is what makes every opportunistic dispatch-time skip
+// reproducible by the fold-time rule: a combination dominated against an
+// older (larger-or-equal) threshold is dominated against every later one.
 type incumbentBoard struct {
 	mu       sync.Mutex
 	probed   bool
@@ -377,7 +376,7 @@ func (b *incumbentBoard) shouldSkip(nominal float64) bool {
 }
 
 // hasProbed reports whether any probed-feasible nominal has been published
-// (folded, seeded or learned from a fact). Monotone: once true, always true.
+// (folded or seeded). Monotone: once true, always true.
 func (b *incumbentBoard) hasProbed() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -441,10 +440,6 @@ type scalarFold struct {
 	prune bool
 	board *incumbentBoard
 	tel   *Telemetry // incumbent/bound event sink; nil when detached
-	// facts, when set, receives every tightening of the board as a Fact at
-	// global position lo+pos (a shard's fold; see listen).
-	facts *FactBoard
-	lo    int
 
 	best        *Design
 	bestNominal float64 // the incumbent's own nominal (acceptance rule)
@@ -465,21 +460,6 @@ func (s *scalarFold) seed(nominal float64) {
 	if s.tel != nil {
 		s.tel.event(EventBound, -1, -1, nominal, 0)
 	}
-}
-
-// listen makes s a shard's fold over a range starting at global position
-// lo: its tightenings go to facts, and every fact derived before lo
-// lowers the board exactly as a folded incumbent would. Such a position
-// precedes every position of the range, so the dominance argument is the
-// one for a seeded incumbent. Facts from the range itself or later are
-// ignored.
-func (s *scalarFold) listen(facts *FactBoard, lo int) {
-	s.facts, s.lo = facts, lo
-	facts.Subscribe(func(f Fact) {
-		if f.Pos < lo {
-			s.board.publish(f.Nominal)
-		}
-	})
 }
 
 func (s *scalarFold) dispatchSkip(o *outcome) bool {
@@ -511,9 +491,9 @@ func (s *scalarFold) mapperSkippable() bool {
 // confirmSkip applies the authoritative branch-and-bound verdict. The
 // dominance threshold is the board's — monotone non-increasing — not the
 // incumbent's own nominal, which can drift upward within the tolerance band
-// on Γ tie-breaks. Without facts only the fold goroutine writes the board,
-// so the verdict is a pure function of the fold state. The second branch
-// mirrors mapperSkippable: with a probed incumbent standing, a
+// on Γ tie-breaks. Once the walk starts only the fold goroutine writes the
+// board, so the verdict is a pure function of the fold state. The second
+// branch mirrors mapperSkippable: with a probed incumbent standing, a
 // probe-infeasible combination is irrelevant whether or not its mapper
 // happened to run.
 func (s *scalarFold) confirmSkip(o *outcome) bool {
@@ -542,9 +522,6 @@ func (s *scalarFold) fold(o *outcome) {
 		if tightened {
 			s.tel.event(EventBound, o.pos, o.idx, o.nominal, 0)
 		}
-	}
-	if tightened && s.facts != nil {
-		s.facts.Publish(Fact{Pos: s.lo + o.pos, Nominal: o.nominal})
 	}
 }
 

@@ -23,20 +23,21 @@ package mapping
 //
 // Byte-identity of the merged Design/frontier and Progress stream with a
 // single-node run therefore holds BY CONSTRUCTION: shard-side skips and
-// cross-shard bound facts can only save work, never change the answer.
+// the threshold a shard starts from can only save work, never change the
+// answer.
 //
-// While scalar shards run, threshold tightenings travel between them as
-// Facts on a FactBoard: a shard's fold publishes every probed-feasible
-// incumbent that lowers its threshold, and takes in the facts derived at
-// global positions BEFORE its own range — those positions precede every
-// position of the shard, so the dominance argument is the same as against
-// a locally folded incumbent. A Pareto shard prunes against the frontier
-// of its own range only.
+// Every shard, embedded or remote, takes one self-contained ShardRequest
+// and shares nothing while it runs. A scalar shard starts from the
+// coordinator's standing dominance threshold (ShardRequest.Threshold: the
+// ranked pass's seed, the lowest nominal power of any probe-feasible
+// combination, which no shard can lower) and otherwise prunes against its
+// own range; a Pareto shard prunes against its own frontier only.
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 
 	"seadopt/internal/arch"
@@ -73,85 +74,6 @@ func ShardRanges(total, n int) []ShardRange {
 	return out
 }
 
-// Fact is one cross-shard pruning fact: the scalar dominance threshold
-// derived at global position Pos. Receivers apply only facts with Pos below
-// their own range (Pos -1 marks the coordinator's ranked incumbent seed,
-// below every range), so the soundness argument is positional, independent
-// of arrival order.
-type Fact struct {
-	// Pos is the global enumeration position the fact was derived at;
-	// -1 for the coordinator's ranked incumbent seed.
-	Pos int `json:"pos"`
-	// Nominal is the dominance threshold: a probed-feasible scaling's
-	// nominal power.
-	Nominal float64 `json:"nominal"`
-}
-
-// FactBoard is the coordinator-owned fact bus of one sharded pass: the
-// in-process shards publish threshold tightenings and subscribe to each
-// other's, and a remote shard's request carries the facts already published
-// when it is sent. Facts are deduplicated, delivery order is unordered
-// (facts are monotone accumulators), and subscribers first replay every
-// fact already published. Safe for concurrent use; subscriber callbacks run
-// outside the board lock and must be safe to call from multiple goroutines.
-type FactBoard struct {
-	mu    sync.Mutex
-	facts []Fact
-	seen  map[Fact]struct{}
-	subs  []func(Fact)
-}
-
-// NewFactBoard returns an empty fact bus.
-func NewFactBoard() *FactBoard {
-	return &FactBoard{seen: make(map[Fact]struct{})}
-}
-
-// Publish records a fact and notifies subscribers; duplicate facts are
-// dropped, reporting false.
-func (b *FactBoard) Publish(f Fact) bool {
-	b.mu.Lock()
-	if _, dup := b.seen[f]; dup {
-		b.mu.Unlock()
-		return false
-	}
-	b.seen[f] = struct{}{}
-	b.facts = append(b.facts, f)
-	subs := make([]func(Fact), len(b.subs))
-	copy(subs, b.subs)
-	b.mu.Unlock()
-	for _, fn := range subs {
-		fn(f)
-	}
-	return true
-}
-
-// Since returns the facts published at or after cursor position n, plus
-// the next cursor; Since(0) is the snapshot a remote shard's InitialFacts
-// carry.
-func (b *FactBoard) Since(n int) ([]Fact, int) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if n < 0 {
-		n = 0
-	}
-	if n > len(b.facts) {
-		n = len(b.facts)
-	}
-	return append([]Fact(nil), b.facts[n:]...), len(b.facts)
-}
-
-// Subscribe registers fn for every future fact and replays the already
-// published ones, so late subscribers miss nothing.
-func (b *FactBoard) Subscribe(fn func(Fact)) {
-	b.mu.Lock()
-	b.subs = append(b.subs, fn)
-	replay := append([]Fact(nil), b.facts...)
-	b.mu.Unlock()
-	for _, f := range replay {
-		fn(f)
-	}
-}
-
 // ShardRecord is one combination's resolution inside a shard: the skip
 // verdict the shard's fold reached, the probe verdict where the shard ran
 // it, and the realized mapping where a design was produced. The
@@ -183,29 +105,29 @@ type ShardRequest struct {
 	// Pareto selects the frontier fold (with its embedded scalar walk)
 	// instead of the scalar incumbent fold.
 	Pareto bool `json:"pareto,omitempty"`
-	// InitialFacts seeds a scalar worker's threshold for transports without
-	// a live board (a remote peer gets the coordinator's standing
-	// threshold); ExploreShard republishes them locally.
-	InitialFacts []Fact `json:"initial_facts,omitempty"`
+	// Threshold is the coordinator's standing scalar dominance threshold,
+	// a probe-feasible combination's nominal power; a scalar shard seeds its
+	// fold with it. 0 means none.
+	Threshold float64 `json:"threshold,omitempty"`
 }
 
-// ShardResult is a worker's record stream: one entry per range position
-// (records[i] resolves rank Range.Lo+i), nil for bound-pruned positions.
+// ShardResult is a worker's record stream: one entry per position of the
+// request's range (Records[i] resolves rank Range.Lo+i), nil for
+// bound-pruned positions.
 type ShardResult struct {
-	Range   ShardRange     `json:"range"`
 	Records []*ShardRecord `json:"records"`
 }
 
-// ShardRunner executes one shard request — in this process or on an HTTP
-// peer — against the pass's fact board.
-type ShardRunner func(ctx context.Context, req ShardRequest, board *FactBoard) (*ShardResult, error)
+// ShardRunner executes one shard request, in this process or on an HTTP
+// peer.
+type ShardRunner func(ctx context.Context, req ShardRequest) (*ShardResult, error)
 
 // InProcRunner returns a ShardRunner executing shards embedded in the
 // calling process over the given workload; cfg's Reuse bundle, when set, is
 // shared with the coordinator (the sharded entry points always set one).
 func InProcRunner(g *taskgraph.Graph, p *arch.Platform, mapper MapperFunc, cfg Config) ShardRunner {
-	return func(ctx context.Context, req ShardRequest, board *FactBoard) (*ShardResult, error) {
-		return ExploreShard(ctx, g, p, mapper, cfg, req, board)
+	return func(ctx context.Context, req ShardRequest) (*ShardResult, error) {
+		return ExploreShard(ctx, g, p, mapper, cfg, req)
 	}
 }
 
@@ -239,13 +161,15 @@ var errSampledShard = errors.New("mapping: sharded exploration requires a contig
 // ExploreShard is the worker side of the distributed exploration: it runs
 // the ordinary streaming core over req.Range with the scalar or Pareto fold
 // and returns the record stream for the coordinator's replay. A scalar
-// shard publishes its threshold tightenings to board and prunes against the
-// facts there derived before the range; req.InitialFacts are published to
-// board first, and a nil board gives the shard a private one. A Pareto
-// shard prunes against its own frontier only. Progress, telemetry and
-// ranked seeding are coordinator concerns and are forced off here.
+// shard's fold is seeded with req.Threshold, when set, and otherwise prunes
+// against its own range; a Pareto shard prunes against its own frontier
+// only. Progress, telemetry and ranked seeding are coordinator concerns and
+// are forced off here.
 func ExploreShard(ctx context.Context, g *taskgraph.Graph, p *arch.Platform,
-	mapper MapperFunc, cfg Config, req ShardRequest, board *FactBoard) (*ShardResult, error) {
+	mapper MapperFunc, cfg Config, req ShardRequest) (*ShardResult, error) {
+	if t := req.Threshold; t < 0 || math.IsNaN(t) || math.IsInf(t, 0) {
+		return nil, fmt.Errorf("mapping: shard threshold %v is not a finite non-negative nominal power", t)
+	}
 	cfg.Progress = nil
 	cfg.Telemetry = nil
 	cfg.DiscardPerScaling = true
@@ -281,27 +205,23 @@ func ExploreShard(ctx context.Context, g *taskgraph.Graph, p *arch.Platform,
 		}
 		fold, opts.computeBounds = pf, true
 	} else {
-		if board == nil {
-			board = NewFactBoard()
-		}
 		sf := newScalarFold(prune, nil)
-		sf.listen(board, lo)
-		for _, f := range req.InitialFacts {
-			board.Publish(f)
+		if req.Threshold > 0 {
+			sf.seed(req.Threshold)
 		}
 		fold, opts.computeBounds = sf, prune && cfg.DeadlineSec > 0
 	}
 	if _, _, err := exploreCore(ctx, g, p, mapper, cfg, fold, opts); err != nil {
 		return nil, err
 	}
-	return &ShardResult{Range: req.Range, Records: opts.records}, nil
+	return &ShardResult{Records: opts.records}, nil
 }
 
 // runShards fans base out over the ranges, one runner per range, and
 // assembles the global record array (indexed by enumeration rank). The
 // first real failure cancels the remaining shards.
 func runShards(ctx context.Context, base ShardRequest, ranges []ShardRange,
-	runners []ShardRunner, board *FactBoard, total int) ([]*ShardRecord, error) {
+	runners []ShardRunner, total int) ([]*ShardRecord, error) {
 	if len(ranges) != len(runners) {
 		return nil, fmt.Errorf("mapping: %d shard ranges for %d runners", len(ranges), len(runners))
 	}
@@ -316,7 +236,7 @@ func runShards(ctx context.Context, base ShardRequest, ranges []ShardRange,
 			defer wg.Done()
 			req := base
 			req.Range = ranges[i]
-			res, err := runners[i](wctx, req, board)
+			res, err := runners[i](wctx, req)
 			if err != nil {
 				errs[i] = err
 				cancel()
@@ -468,11 +388,10 @@ func replay(ctx context.Context, g *taskgraph.Graph, p *arch.Platform, mapper Ma
 
 // shardedPass returns the pass of a sharded exploration: one contiguous
 // range per runner (nil runners run embedded in this process, sharing the
-// coordinator's Reuse bundle), each pass fanning the ranges out over a
-// fresh fact board and merging the records through the authoritative
-// replay. The scalar fold's standing threshold — the ranked seed, the only
-// bound known before position 0 — reaches the shards as a Pos -1 fact; a
-// Pareto pass publishes none.
+// coordinator's Reuse bundle), each pass fanning the ranges out and merging
+// the records through the authoritative replay. Every shard request of a
+// scalar pass carries the fold's standing threshold, the ranked seed and
+// the only bound known before position 0; a Pareto pass sends none.
 func shardedPass(g *taskgraph.Graph, p *arch.Platform, mapper MapperFunc,
 	cfg Config, runners []ShardRunner) (passFunc, error) {
 	if len(runners) == 0 {
@@ -496,17 +415,16 @@ func shardedPass(g *taskgraph.Graph, p *arch.Platform, mapper MapperFunc,
 	}
 	return func(ctx context.Context, g *taskgraph.Graph, p *arch.Platform, mapper MapperFunc,
 		cfg Config, fold streamFold, opts coreOptions) ([]*Design, int, error) {
-		board := NewFactBoard()
 		req := ShardRequest{NoPrune: !opts.prune}
 		switch f := fold.(type) {
 		case *paretoFold:
 			req.Pareto = true
 		case *scalarFold:
 			if nominal, seeded := f.board.threshold(); seeded {
-				board.Publish(Fact{Pos: -1, Nominal: nominal})
+				req.Threshold = nominal
 			}
 		}
-		records, err := runShards(ctx, req, ranges, resolved, board, total)
+		records, err := runShards(ctx, req, ranges, resolved, total)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -516,7 +434,7 @@ func shardedPass(g *taskgraph.Graph, p *arch.Platform, mapper MapperFunc,
 
 // ExploreSharded is the distributed counterpart of ExploreContext: the
 // enumeration is partitioned into one contiguous shard per runner, shards
-// run concurrently (in-process ones sharing threshold facts), and the
+// run concurrently from the coordinator's standing threshold, and the
 // coordinator merges their records through the authoritative single-node
 // replay. The chosen Design, perScaling list and Progress stream are
 // byte-identical to ExploreContext at any shard count, runner mix and

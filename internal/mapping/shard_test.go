@@ -2,12 +2,18 @@ package mapping
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
+	"math"
 	"reflect"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"seadopt/internal/arch"
 	"seadopt/internal/metrics"
+	"seadopt/internal/sched"
 	"seadopt/internal/taskgraph"
 	"seadopt/internal/vscale"
 )
@@ -167,8 +173,9 @@ func assertStringsEqual(t *testing.T, label string, want, got []string) {
 }
 
 // TestShardedStrategiesAndSeeding covers the remaining coordinator paths:
-// the exhaustive strategy (no pruning anywhere) and the ranked-seeded
-// branch-and-bound (the seed travels to shards as a Pos -1 fact).
+// the exhaustive strategy (no pruning anywhere, no threshold) and the
+// ranked-seeded branch-and-bound (every shard request carries the seed as
+// its Threshold).
 func TestShardedStrategiesAndSeeding(t *testing.T) {
 	g := taskgraph.MPEG2()
 	p := plat(4)
@@ -184,6 +191,20 @@ func TestShardedStrategiesAndSeeding(t *testing.T) {
 			base.SearchMoves = 150
 			base.DiscardPerScaling = false
 			mode.mutate(&base)
+			// The threshold every shard request must carry: the ranked
+			// pass's seed, none without one.
+			var wantThreshold float64
+			if base.Ranked {
+				_, sc, err := setup(context.Background(), base, false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				nominal, seeded, err := probeSeedWaves(context.Background(), g, p, sc)
+				if err != nil || !seeded {
+					t.Fatalf("ranked seed: seeded=%v err=%v", seeded, err)
+				}
+				wantThreshold = nominal
+			}
 
 			var wantEvents []string
 			cs := base
@@ -196,10 +217,30 @@ func TestShardedStrategiesAndSeeding(t *testing.T) {
 			var gotEvents []string
 			cd := base
 			captureProgress(&cd, &gotEvents)
-			gotBest, _, err := ExploreSharded(context.Background(), g, p, SEAMapper(cd), cd,
-				make([]ShardRunner, 3))
+			cd.Reuse = NewReuse() // shared with the shards, as nil runners share it
+			var mu sync.Mutex
+			var thresholds []float64
+			embedded := InProcRunner(g, p, SEAMapper(cd), cd)
+			runners := make([]ShardRunner, 3)
+			for i := range runners {
+				runners[i] = func(ctx context.Context, req ShardRequest) (*ShardResult, error) {
+					mu.Lock()
+					thresholds = append(thresholds, req.Threshold)
+					mu.Unlock()
+					return embedded(ctx, req)
+				}
+			}
+			gotBest, _, err := ExploreSharded(context.Background(), g, p, SEAMapper(cd), cd, runners)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if len(thresholds) != len(runners) {
+				t.Errorf("%d shard requests, want %d", len(thresholds), len(runners))
+			}
+			for i, th := range thresholds {
+				if th != wantThreshold {
+					t.Errorf("shard request %d: threshold %v, want %v", i, th, wantThreshold)
+				}
 			}
 			if designFingerprint(gotBest) != designFingerprint(wantBest) {
 				t.Errorf("best diverged:\n  single: %s\n  sharded: %s",
@@ -275,57 +316,6 @@ func TestShardRanges(t *testing.T) {
 	}
 }
 
-// TestFactBoard pins dedup, Since cursors and subscriber replay.
-func TestFactBoard(t *testing.T) {
-	b := NewFactBoard()
-	f1 := Fact{Pos: -1, Nominal: 2.5}
-	f2 := Fact{Pos: 3, Nominal: 1.5}
-	if !b.Publish(f1) {
-		t.Fatal("first publish rejected")
-	}
-	if b.Publish(f1) {
-		t.Fatal("duplicate accepted")
-	}
-	var seen []Fact
-	b.Subscribe(func(f Fact) { seen = append(seen, f) })
-	if len(seen) != 1 || seen[0] != f1 {
-		t.Fatalf("replay = %v", seen)
-	}
-	if !b.Publish(f2) {
-		t.Fatal("second publish rejected")
-	}
-	if len(seen) != 2 || seen[1] != f2 {
-		t.Fatalf("live delivery = %v", seen)
-	}
-	facts, next := b.Since(0)
-	if len(facts) != 2 || next != 2 {
-		t.Fatalf("Since(0) = %v, %d", facts, next)
-	}
-	facts, next = b.Since(2)
-	if len(facts) != 0 || next != 2 {
-		t.Fatalf("Since(2) = %v, %d", facts, next)
-	}
-}
-
-// shardVerdicts projects a shard result onto its timing-independent part:
-// each position's verdict, plus the probe hints and mapping of folded
-// positions. A skipped record's hints depend on whether its mapper ran
-// before the incumbent reached the worker, so they are left out.
-func shardVerdicts(res *ShardResult) []ShardRecord {
-	out := make([]ShardRecord, len(res.Records))
-	for i, r := range res.Records {
-		switch {
-		case r == nil:
-			out[i] = ShardRecord{Idx: -1}
-		case r.Skipped:
-			out[i] = ShardRecord{Idx: r.Idx, Skipped: true}
-		default:
-			out[i] = *r
-		}
-	}
-	return out
-}
-
 // shardSkips counts the skipped records of a shard result and, of those,
 // the ones carrying a Mapping (the mapper ran before the skip was decided).
 func shardSkips(res *ShardResult) (skipped, mapped int) {
@@ -340,13 +330,15 @@ func shardSkips(res *ShardResult) (skipped, mapped int) {
 	return skipped, mapped
 }
 
-// TestExploreShardAppliesOnlyEarlierFacts pins the shard-side fact rule the
-// coordinator's byte-identity cannot see: the replay is authoritative, so a
-// shard that ignored facts, or applied one derived inside its own range,
-// would still merge to identical bytes and only do different work. On the
-// upper half of the §V 20-task, 3-core space, a fact from a position before
-// the range must add skips, and a fact at the range's first position must
-// change no verdict.
+// TestExploreShardAppliesOnlyEarlierFacts pins the shard-side use of the
+// coordinator's threshold, which the coordinator's byte-identity cannot
+// see: the replay is authoritative, so a shard that ignored its threshold
+// would still merge to identical bytes and only do more work. The only fact
+// a shard applies is its request's Threshold, which the coordinator knew
+// before position 0. On the upper half of the §V 20-task, 3-core space, the
+// single-node design's nominal power as the threshold must add skips, and
+// since the threshold stands from the range's first position, no skipped
+// record may carry a Mapping.
 func TestExploreShardAppliesOnlyEarlierFacts(t *testing.T) {
 	g := taskgraph.MustRandom(taskgraph.DefaultRandomConfig(20), 3)
 	p := plat(3)
@@ -368,42 +360,103 @@ func TestExploreShardAppliesOnlyEarlierFacts(t *testing.T) {
 		t.Fatal(err)
 	}
 	total := space.Count()
-	lo := total / 2
-	rng := ShardRange{Lo: lo, Hi: total}
+	rng := ShardRange{Lo: total / 2, Hi: total}
 
 	t.Run("scalar", func(t *testing.T) {
-		earlierFact, innerFact := Fact{Pos: lo - 1, Nominal: nominal}, Fact{Pos: lo, Nominal: nominal}
-		run := func(facts ...Fact) *ShardResult {
+		run := func(threshold float64) *ShardResult {
 			t.Helper()
-			req := ShardRequest{Range: rng, InitialFacts: facts}
-			res, err := ExploreShard(context.Background(), g, p, SEAMapper(base), base, req, NewFactBoard())
+			req := ShardRequest{Range: rng, Threshold: threshold}
+			res, err := ExploreShard(context.Background(), g, p, SEAMapper(base), base, req)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return res
 		}
-		free := run()
-		freeSkips, _ := shardSkips(free)
-
-		earlier := run(earlierFact)
-		earlierSkips, earlierMapped := shardSkips(earlier)
-		if earlierSkips <= freeSkips {
-			t.Errorf("fact at position %d: %d skipped records, want more than the fact-free %d",
-				earlierFact.Pos, earlierSkips, freeSkips)
+		freeSkips, _ := shardSkips(run(0))
+		seededSkips, seededMapped := shardSkips(run(nominal))
+		if seededSkips <= freeSkips {
+			t.Errorf("threshold %v: %d skipped records, want more than the unseeded %d",
+				nominal, seededSkips, freeSkips)
 		}
-		if earlierMapped != 0 {
-			t.Errorf("fact at position %d: %d skipped records carry a Mapping, want 0 (the threshold stands from the first position)",
-				earlierFact.Pos, earlierMapped)
+		if seededMapped != 0 {
+			t.Errorf("threshold %v: %d skipped records carry a Mapping, want 0 (the threshold stands from the first position)",
+				nominal, seededMapped)
 		}
-
-		inner := run(innerFact)
-		if !reflect.DeepEqual(shardVerdicts(inner), shardVerdicts(free)) {
-			innerSkips, _ := shardSkips(inner)
-			t.Errorf("fact at the range's own position %d changed the records (%d skipped, fact-free %d)",
-				innerFact.Pos, innerSkips, freeSkips)
-		}
-		t.Logf("skipped: fact-free %d, earlier fact %d", freeSkips, earlierSkips)
+		t.Logf("skipped: unseeded %d, seeded %d", freeSkips, seededSkips)
 	})
+}
+
+// TestExploreShardRefusesBadThreshold: a threshold is a probe-feasible
+// combination's nominal power, so a shard refuses a negative or non-finite
+// one rather than prune against it.
+func TestExploreShardRefusesBadThreshold(t *testing.T) {
+	g := taskgraph.Fig8()
+	p := plat(3)
+	base := cfg(taskgraph.Fig8Deadline, 1)
+	base.SearchMoves = 100
+	for _, th := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		req := ShardRequest{Range: ShardRange{Lo: 0, Hi: 1}, Threshold: th}
+		res, err := ExploreShard(context.Background(), g, p, SEAMapper(base), base, req)
+		if err == nil || !strings.Contains(err.Error(), "threshold") {
+			t.Errorf("threshold %v: result %v, error %v; want an error naming the threshold", th, res, err)
+		}
+	}
+}
+
+// shardCountWorkloads are the mapper-count workloads: MPEG-2 and Fig. 8 on
+// their paper platforms, and three §V 20-task and three §V 40-task graphs on
+// 16 cores × 3 levels.
+func shardCountWorkloads() []shardWorkload {
+	p16 := plat(16)
+	out := []shardWorkload{
+		{"mpeg2", taskgraph.MPEG2(), plat(4), taskgraph.MPEG2Deadline, taskgraph.MPEG2Frames},
+		{"fig8", taskgraph.Fig8(), plat(3), taskgraph.Fig8Deadline, 1},
+	}
+	for _, n := range []int{20, 40} {
+		for seed := int64(1); seed <= 3; seed++ {
+			out = append(out, shardWorkload{fmt.Sprintf("random%d-%d", n, seed),
+				taskgraph.MustRandom(taskgraph.DefaultRandomConfig(n), seed), p16, taskgraph.RandomDeadline(n), 1})
+		}
+	}
+	return out
+}
+
+// countingMapper wraps SEAMapper(c), counting its calls in n.
+func countingMapper(c Config, n *atomic.Int64) MapperFunc {
+	inner := SEAMapper(c)
+	return func(mc *MapContext) (sched.Mapping, *metrics.Evaluation, error) {
+		n.Add(1)
+		return inner(mc)
+	}
+}
+
+// TestShardedRankedMapsNoMoreThanSingleNode: the ranked seed is the lowest
+// nominal power of any probe-feasible combination and every shard starts
+// from it, so at Parallelism 1 a sharded ranked run calls the mapper no more
+// often than the single-node run.
+func TestShardedRankedMapsNoMoreThanSingleNode(t *testing.T) {
+	for _, w := range shardCountWorkloads() {
+		t.Run(w.name, func(t *testing.T) {
+			base := cfg(w.deadline, w.iters)
+			base.SearchMoves = 200
+			base.Parallelism = 1
+			base.Ranked = true
+			var single atomic.Int64
+			if _, _, err := ExploreContext(context.Background(), w.g, w.p, countingMapper(base, &single), base); err != nil {
+				t.Fatal(err)
+			}
+			for _, shards := range []int{2, 4} {
+				var sharded atomic.Int64
+				if _, _, err := ExploreSharded(context.Background(), w.g, w.p, countingMapper(base, &sharded), base,
+					make([]ShardRunner, shards)); err != nil {
+					t.Fatalf("shards=%d: %v", shards, err)
+				}
+				if sharded.Load() > single.Load() {
+					t.Errorf("shards=%d: %d mapper runs, single-node %d", shards, sharded.Load(), single.Load())
+				}
+			}
+		})
+	}
 }
 
 // TestShardedWarmStartMatchesSingleNode extends sharded ≡ single-node to
@@ -452,6 +505,106 @@ func TestShardedWarmStartMatchesSingleNode(t *testing.T) {
 					}
 				}
 			})
+		}
+	})
+}
+
+// FuzzShardReplay feeds the coordinator untrusted peer records: the second
+// range of a 2-shard MPEG-2 or Fig. 8 run is answered by a JSON-decoded
+// ShardResult. Whatever the records claim, ExploreSharded must not panic,
+// and a Design it returns must carry the evaluation of its own mapping at
+// its own scaling. The seeds are the honest stream and its corruptions: a
+// wrong record count, a wrong Idx, a mapping of the wrong length, an
+// out-of-range core, Probed without a mapping, and all-nil records.
+func FuzzShardReplay(f *testing.F) {
+	type replayWorkload struct {
+		g *taskgraph.Graph
+		p *arch.Platform
+		c Config
+	}
+	workload := func(fig8 bool) replayWorkload {
+		if fig8 {
+			c := cfg(taskgraph.Fig8Deadline, 1)
+			c.SearchMoves = 100
+			return replayWorkload{taskgraph.Fig8(), plat(3), c}
+		}
+		c := cfg(taskgraph.MPEG2Deadline, taskgraph.MPEG2Frames)
+		c.SearchMoves = 100
+		return replayWorkload{taskgraph.MPEG2(), plat(4), c}
+	}
+	secondRange := func(p *arch.Platform) ShardRange {
+		space, err := vscale.PlatformSpace(p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return ShardRanges(space.Count(), 2)[1]
+	}
+	for _, fig8 := range []bool{false, true} {
+		w := workload(fig8)
+		honest, err := ExploreShard(context.Background(), w.g, w.p, SEAMapper(w.c), w.c,
+			ShardRequest{Range: secondRange(w.p)})
+		if err != nil {
+			f.Fatal(err)
+		}
+		mapped := -1
+		for i, r := range honest.Records {
+			if r != nil && r.Mapping != nil {
+				mapped = i
+				break
+			}
+		}
+		if mapped < 0 {
+			f.Fatal("honest stream holds no mapping")
+		}
+		add := func(mutate func(res *ShardResult)) {
+			data, err := json.Marshal(honest)
+			if err != nil {
+				f.Fatal(err)
+			}
+			var res ShardResult
+			if err := json.Unmarshal(data, &res); err != nil {
+				f.Fatal(err)
+			}
+			mutate(&res)
+			if data, err = json.Marshal(&res); err != nil {
+				f.Fatal(err)
+			}
+			f.Add(fig8, data)
+		}
+		add(func(*ShardResult) {})
+		add(func(res *ShardResult) { res.Records = res.Records[:len(res.Records)-1] })
+		add(func(res *ShardResult) { res.Records[mapped].Idx++ })
+		add(func(res *ShardResult) {
+			m := res.Records[mapped].Mapping
+			res.Records[mapped].Mapping = m[:len(m)-1]
+		})
+		add(func(res *ShardResult) { res.Records[mapped].Mapping[0] = w.p.Cores() })
+		add(func(res *ShardResult) {
+			*res.Records[mapped] = ShardRecord{Idx: res.Records[mapped].Idx, Probed: true, ProbeKnown: true}
+		})
+		add(func(res *ShardResult) { clear(res.Records) })
+	}
+	f.Fuzz(func(t *testing.T, fig8 bool, data []byte) {
+		var peer ShardResult
+		if err := json.Unmarshal(data, &peer); err != nil {
+			return
+		}
+		w := workload(fig8)
+		runners := []ShardRunner{nil, func(context.Context, ShardRequest) (*ShardResult, error) {
+			return &peer, nil
+		}}
+		best, _, err := ExploreSharded(context.Background(), w.g, w.p, SEAMapper(w.c), w.c, runners)
+		if err != nil {
+			return
+		}
+		fresh, err := metrics.Evaluate(w.g, w.p, best.Mapping, best.Scaling, w.c.SER,
+			metrics.Options{Iterations: w.c.Iterations, DeadlineSec: w.c.DeadlineSec})
+		if err != nil {
+			t.Fatalf("returned design %s does not evaluate: %v", designFingerprint(best), err)
+		}
+		if !reflect.DeepEqual(fresh, best.Eval) {
+			t.Fatalf("returned design %s carries an evaluation other than its own (fresh gamma=%x power=%x tm=%x)",
+				designFingerprint(best), fresh.Gamma, fresh.PowerW, fresh.TMSeconds)
 		}
 	})
 }

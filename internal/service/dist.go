@@ -17,14 +17,14 @@ import (
 // enumeration into contiguous rank ranges: one range runs embedded, the
 // rest POST to peer seadoptd processes as self-contained shard requests
 // (the problem travels as its canonical encoding, so the worker provably
-// solves the exact problem the coordinator hashed). A peer's request carries
-// the facts the coordinator's board holds when it is sent — for a scalar
-// job the ranked pass's threshold, since every scalar branch-and-bound job
-// walks ranked — and the peer prunes against those and its own range only.
-// The coordinator then merges the shard records through the engine's
-// authoritative single-node replay: the merged Design or frontier and the
-// Progress stream are byte-identical to a single-node run (see
-// internal/mapping/shard.go for the replay contract).
+// solves the exact problem the coordinator hashed). A peer's request is the
+// one an embedded shard takes: for a scalar job it carries the
+// coordinator's standing threshold (the ranked pass's seed, since every
+// scalar branch-and-bound job walks ranked), and the peer prunes against
+// that and its own range only. The coordinator then merges the shard
+// records through the engine's authoritative single-node replay: the merged
+// Design or frontier and the Progress stream are byte-identical to a
+// single-node run (see internal/mapping/shard.go for the replay contract).
 //
 // Failure posture: a peer that is unreachable or answers non-200 costs
 // nothing but time — the coordinator re-runs that shard embedded.
@@ -33,7 +33,7 @@ import (
 type shardCallRequest struct {
 	// Problem is the canonical problem encoding (ingest.CanonicalEncoding).
 	Problem json.RawMessage `json:"problem"`
-	// Req is the shard work order: range, fold selection, seed facts.
+	// Req is the shard work order: range, fold selection, threshold.
 	Req seadopt.ShardRequest `json:"req"`
 }
 
@@ -88,7 +88,7 @@ func (s *Server) shardRunnersFor(f *flight, sys *seadopt.System, opts seadopt.Op
 // same range — byte-identical, just local.
 func (s *Server) peerRunner(peer string, enc []byte,
 	sys *seadopt.System, opts seadopt.OptimizeOptions) seadopt.ShardRunner {
-	return func(ctx context.Context, req seadopt.ShardRequest, board *seadopt.ShardFactBoard) (*seadopt.ShardResult, error) {
+	return func(ctx context.Context, req seadopt.ShardRequest) (*seadopt.ShardResult, error) {
 		embedded := func(reason string, err error) (*seadopt.ShardResult, error) {
 			if ctx.Err() != nil {
 				return nil, ctx.Err()
@@ -98,11 +98,8 @@ func (s *Server) peerRunner(peer string, enc []byte,
 				args = append(args, "error", err.Error())
 			}
 			s.cfg.Logger.Warn("peer shard fell back to embedded execution", args...)
-			return sys.RunShard(ctx, opts, req, board)
+			return sys.RunShard(ctx, opts, req)
 		}
-		// Seed the worker with everything the board holds already: the
-		// coordinator's ranked incumbent fact in particular.
-		req.InitialFacts, _ = board.Since(0)
 		body, err := json.Marshal(shardCallRequest{Problem: enc, Req: req})
 		if err != nil {
 			return embedded("encode", err)
@@ -162,8 +159,8 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	s.shardsServed.Add(1)
 	s.cfg.Logger.Info("shard request",
 		"graph", p.Graph.Name(), "range_lo", creq.Req.Range.Lo, "range_hi", creq.Req.Range.Hi,
-		"pareto", creq.Req.Pareto, "initial_facts", len(creq.Req.InitialFacts))
-	res, err := sys.RunShard(r.Context(), opts, creq.Req, nil)
+		"pareto", creq.Req.Pareto, "threshold", creq.Req.Threshold)
+	res, err := sys.RunShard(r.Context(), opts, creq.Req)
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, err)
 		return

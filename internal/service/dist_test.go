@@ -125,6 +125,22 @@ func TestDistributedFourShards(t *testing.T) {
 	assertSameRun(t, "four shards", got, want, gotEv, wantEv)
 }
 
+// TestDistributedNegativeShards: a negative shard count is clamped to 0
+// like the other counts, so a coordinator with a peer runs its default plan
+// (one embedded shard plus one per peer) rather than panicking the worker.
+func TestDistributedNegativeShards(t *testing.T) {
+	_, single := newHTTPServer(t, Config{Workers: 1})
+	want, wantEv := runToDone(t, single.URL, mpeg2Envelope(t))
+
+	w1, ts1 := newHTTPServer(t, Config{Workers: 1})
+	_, coord := newHTTPServer(t, Config{Workers: 1, Shards: -1, Peers: []string{ts1.URL}})
+	got, gotEv := runToDone(t, coord.URL, mpeg2Envelope(t))
+	assertSameRun(t, "negative shards", got, want, gotEv, wantEv)
+	if served := w1.Metrics().ShardsServed; served != 1 {
+		t.Fatalf("peer served %d shards, want 1", served)
+	}
+}
+
 // TestDistributedPeerFallback: a coordinator whose only peer is
 // unreachable falls back to embedded execution of the remote shards — the
 // job still finishes with single-node bytes.

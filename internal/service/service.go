@@ -138,8 +138,9 @@ type Config struct {
 	// result is byte-identical to a single-node run. Empty disables
 	// distribution.
 	Peers []string
-	// Shards overrides the shard count for distributed jobs; 0 selects
-	// len(Peers)+1 (one embedded shard plus one per peer).
+	// Shards overrides the shard count for distributed jobs; 0 (or a
+	// negative count) selects len(Peers)+1 (one embedded shard plus one per
+	// peer).
 	Shards int
 	// RateLimit caps per-client submissions per second, a client being the
 	// request's remote host (request headers do not count: a client could
@@ -173,6 +174,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 1024
+	}
+	if c.Shards < 0 {
+		c.Shards = 0
 	}
 	if c.EngineParallelism <= 0 {
 		c.EngineParallelism = runtime.GOMAXPROCS(0)
