@@ -528,9 +528,8 @@ func printExploreStats(w io.Writer, st *seadopt.ExploreStats) {
 	fmt.Fprintf(w, "  combinations: %d total = %d evaluated + %d pruned + %d skipped (mapper ran %d, spared %d)\n",
 		st.Combos.Total, st.Combos.Evaluated, st.Combos.Pruned, st.Combos.Skipped,
 		st.Combos.MapperRuns, st.Combos.MapperSpared)
-	fmt.Fprintf(w, "  probe cache: %d hits / %d misses (%.0f%% hit rate)  delta evals: %d patched / %d rescheduled\n",
-		st.ProbeCache.Hits, st.ProbeCache.Misses, 100*st.ProbeCache.HitRate(),
-		st.Eval.DeltaPatched, st.Eval.DeltaRescheduled)
+	fmt.Fprintf(w, "  probe cache: %d hits / %d misses (%.0f%% hit rate)\n",
+		st.ProbeCache.Hits, st.ProbeCache.Misses, 100*st.ProbeCache.HitRate())
 	fmt.Fprintf(w, "  makespan calls: %d (%d tasks dispatched)  evaluations: %d\n",
 		st.Eval.Makespans, st.Eval.MakespanDispatches, st.Eval.Evaluations)
 	for _, ws := range st.Workers {

@@ -196,7 +196,7 @@ func exploreScalar(ctx context.Context, g *taskgraph.Graph, p *arch.Platform,
 	prune := strategy != StrategyExhaustive
 	fold := newScalarFold(prune, cfg.Telemetry)
 	if prune && strategy == StrategyBranchAndBound && cfg.Ranked {
-		nominal, seeded, err := probeSeedWaves(ctx, g, p, cfg)
+		nominal, seeded, err := probeRankedStream(ctx, g, p, cfg)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -675,38 +675,43 @@ func newComboSource(p *arch.Platform, cfg Config, strategy Strategy) (*comboSour
 	return &comboSource{size: space.Count(), next: it.Next}, nil
 }
 
-// probeSeedWaves is the ranked pass of Config.Ranked, the scalar fold's
+// probeRankedStream is the ranked pass of Config.Ranked, the scalar fold's
 // incumbent-seeding pass. It walks the combination space in ascending
-// nominal power (vscale.RankedFrontier over the per-level f·V² terms); the
-// calling goroutine advances the walk and the bounds cursor and drops
-// bound-infeasible combinations, exactly as the stream's dispatcher would
-// prune them. Each wave of up to Config.Parallelism surviving candidates (0
-// selects GOMAXPROCS; never more than the space holds) is probed
-// concurrently, one goroutine per candidate, candidate i on worker i, until
-// a wave holds a probe-feasible combination. At Parallelism 1 a wave is one
-// candidate, so the probe sequence is exactly the serial walk's.
+// nominal power (vscale.RankedFrontier over the per-level f·V² terms) as one
+// claim stream shared by up to Config.Parallelism long-lived workers (0
+// selects GOMAXPROCS; never more than the space holds). A worker claims the
+// next surviving candidate — it advances the walk and the bounds cursor and
+// drops bound-infeasible combinations, exactly as the stream's dispatcher
+// would prune them, all under one mutex — probes it, records the verdict and
+// claims again, so no worker ever waits for another worker's climb. Once a
+// feasible verdict or an error is recorded, or ctx is cancelled, nothing
+// more is claimed, and the pass returns after every claimed probe has
+// finished. At Parallelism 1 the stream is exactly the serial walk.
 //
-// The wave's lowest-ranked feasible candidate is the walk's first, so its
-// nominal power is, by the walk order, the minimum nominal of any
-// probe-feasible combination — the serial walk's answer at any Parallelism.
-// That value pre-seeds the branch-and-bound dominance threshold, so the
-// lexicographic stream skips beyond-band combinations from its very first
-// position instead of waiting for the incumbent to stream by. The pass only
-// trusts this run's own probe verdicts, so seeding is sound: the Design
-// stays byte-identical to a cold, unseeded run, and only the Pruned/Skipped
-// split of Progress may differ. ok is false when nothing probe-feasible
-// exists; the stream then runs unseeded and the usual degenerate fallback
-// applies.
+// Claims form a prefix of the walk, so the lowest-ranked feasible claim is
+// the serial walk's answer at any Parallelism: the walk's first
+// probe-feasible combination, whose nominal power is, by the walk order, the
+// minimum nominal of any probe-feasible combination. That value pre-seeds
+// the branch-and-bound dominance threshold, so the lexicographic stream
+// skips beyond-band combinations from its very first position instead of
+// waiting for the incumbent to stream by. The pass only trusts this run's
+// own probe verdicts, so seeding is sound: the Design stays byte-identical
+// to a cold, unseeded run, and only the Pruned/Skipped split of Progress may
+// differ. ok is false when nothing probe-feasible exists; the stream then
+// runs unseeded and the usual degenerate fallback applies.
 //
-// A wave never cancels a probe: through the ProbeCache a verdict is a pure
-// function of (combination, seed, deadline), so a probe past the pass's
-// answer only adds a cache entry, which the main stream reuses. Waves
-// rather than a free-running pool keep the work deterministic at a given
-// Parallelism: the pass probes the serial walk's candidates plus the unused
-// tail of its last wave. Cancelling ctx stops every climb and leaves its
-// cache entry resumable. Each probe is recorded as a "rank" WorkerSpan on
-// its worker's telemetry row.
-func probeSeedWaves(ctx context.Context, g *taskgraph.Graph, p *arch.Platform, cfg Config) (nominal float64, ok bool, err error) {
+// The one cost is surplus probes: besides the serial walk's candidates, the
+// pass probes every candidate claimed after the answer but before its
+// verdict was recorded. How many that is depends on timing; each was
+// claimed while the answer's own climb ran, at most workers−1 are still in
+// flight when it lands, and the pass then waits at most one climb for them.
+// No probe is cancelled: through the ProbeCache a verdict is a pure function
+// of (combination, seed, deadline), so a surplus probe only adds a cache
+// entry, which the main stream reuses — cancelled, its climb would be
+// resumed by the main stream instead. Cancelling ctx stops every climb and
+// leaves its cache entry resumable. Each probe is recorded as a "rank"
+// WorkerSpan on its worker's telemetry row, from its claim to its verdict.
+func probeRankedStream(ctx context.Context, g *taskgraph.Graph, p *arch.Platform, cfg Config) (nominal float64, ok bool, err error) {
 	tel := cfg.Telemetry
 	if tel != nil {
 		start := tel.now()
@@ -747,92 +752,111 @@ func probeSeedWaves(ctx context.Context, g *taskgraph.Graph, p *arch.Platform, c
 		// Rows must exist before any worker records on its own.
 		tel.growWorkers(workers)
 	}
-	// Worker w is built by the first goroutine that probes on row w, so each
-	// evaluator is allocated on its own goroutine; later waves reuse it.
-	probers := make([]*comboWorker, workers)
-	defer func() {
-		for _, wk := range probers {
-			if wk != nil {
-				wk.close(tel)
-			}
-		}
-	}()
 
-	// A candidate is one combination of a wave: its stable enumeration
-	// index, its scaling vector, the nominal power the bounds cursor gave it
-	// and, once the wave has run, the probe's verdict.
-	type candidate struct {
-		idx      int
-		scaling  []int
+	// The claim stream: verdicts holds one entry per claim, in ranked order
+	// (the nominal power the bounds cursor gave the candidate and, once its
+	// probe has run, the verdict); stop ends the claims; walkErr is why the
+	// walk itself stopped early, ranked after every claim.
+	type verdict struct {
 		nominal  float64
 		feasible bool
 		err      error
 	}
 	cursor := cfg.Reuse.boundsFor(g, p, cfg.Iterations).Cursor()
-	wave := make([]candidate, workers)
-	var wg sync.WaitGroup
-	for {
-		n := 0
-		for n < workers {
-			combo, more := fr.Next()
+	var (
+		mu       sync.Mutex
+		verdicts []verdict
+		stop     bool
+		walkErr  error
+	)
+	// claim takes the next surviving candidate, or reports that claims are
+	// over. at is the claim time, the start of the probe's rank span.
+	claim := func() (rank int, combo vscale.Combo, at int64, ok bool) {
+		mu.Lock()
+		defer mu.Unlock()
+		for !stop {
+			c, more := fr.Next()
 			if !more {
 				break
 			}
-			if err := ctx.Err(); err != nil {
-				return 0, false, err
+			if walkErr = ctx.Err(); walkErr != nil {
+				break
 			}
-			if _, err := cursor.Advance(combo.Scaling); err != nil {
-				return 0, false, err
+			if _, walkErr = cursor.Advance(c.Scaling); walkErr != nil {
+				break
 			}
 			if cfg.DeadlineSec > 0 && cursor.TMLowerBound() > cfg.DeadlineSec*(1+1e-9) {
 				continue // provably infeasible; the stream will bound-prune it too
 			}
-			wave[n] = candidate{idx: combo.Index, scaling: combo.Scaling, nominal: cursor.NominalPower()}
-			n++
+			verdicts = append(verdicts, verdict{nominal: cursor.NominalPower()})
+			if tel != nil {
+				at = tel.now()
+			}
+			return len(verdicts) - 1, c, at, true
 		}
-		if n == 0 {
-			return 0, false, nil
+		stop = true
+		return 0, vscale.Combo{}, 0, false
+	}
+	// record files a claim's verdict; a feasible one or an error ends the
+	// claims. at is the record time, the end of the probe's rank span.
+	record := func(rank int, feasible bool, err error) (at int64) {
+		mu.Lock()
+		defer mu.Unlock()
+		if tel != nil {
+			at = tel.now()
 		}
-		for w := range n {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				c := &wave[w]
-				if probers[w] == nil {
-					if probers[w], c.err = newComboWorker(g, p, cfg); c.err != nil {
-						return
-					}
-				}
-				mc := probers[w].mc
-				if c.err = mc.bind(ctx, c.scaling, c.idx, cfg.Seed); c.err != nil {
+		verdicts[rank].feasible, verdicts[rank].err = feasible, err
+		stop = stop || feasible || err != nil
+		return at
+	}
+
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// A build error is the verdict of the worker's first claim.
+			wk, err := newComboWorker(g, p, cfg)
+			if err == nil {
+				defer wk.close(tel)
+			}
+			for {
+				rank, c, start, ok := claim()
+				if !ok {
 					return
 				}
-				var t0 int64
-				if tel != nil {
-					t0 = tel.now()
+				var feasible bool
+				if err == nil {
+					err = wk.mc.bind(ctx, c.Scaling, c.Index, cfg.Seed)
 				}
-				var hit bool
-				_, c.feasible, hit, c.err = cfg.Reuse.probe.feasibleAtScaling(mc, c.idx, cfg)
-				if tel != nil {
-					t1 := tel.now()
-					tel.observeProbe(t1-t0, hit)
-					tel.workerSpan(w, t0, t1, c.idx, "rank")
+				if err == nil {
+					var t0 int64
+					if tel != nil {
+						t0 = tel.now()
+					}
+					var hit bool
+					_, feasible, hit, err = cfg.Reuse.probe.feasibleAtScaling(wk.mc, c.Index, cfg)
+					if tel != nil {
+						tel.observeProbe(tel.now()-t0, hit)
+					}
 				}
-			}()
-		}
-		wg.Wait()
-		for _, c := range wave[:n] {
-			if c.err != nil {
-				return 0, false, c.err
+				end := record(rank, feasible, err)
+				if tel != nil {
+					tel.workerSpan(w, start, end, c.Index, "rank")
+				}
 			}
-			if c.feasible {
-				return c.nominal, true, nil
-			}
+		}()
+	}
+	wg.Wait()
+	for _, v := range verdicts {
+		if v.err != nil {
+			return 0, false, v.err
 		}
-		if n < workers {
-			return 0, false, nil
+		if v.feasible {
+			return v.nominal, true, nil
 		}
 	}
+	return 0, false, walkErr
 }
 
 // comboWorker is one engine worker's private state: an evaluator borrowed

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -162,9 +163,9 @@ func TestExploreCancellation(t *testing.T) {
 		}
 	}
 
-	// Ranked: cancelled during the seed pass's probe waves, the call
-	// returns promptly, no prober outlives it, and the partly climbed cache
-	// entries resume to the cold run's Design.
+	// Ranked: cancelled during the seed pass's claim stream, the call
+	// returns promptly, no prober outlives it or records anything after it,
+	// and the partly climbed cache entries resume to the cold run's Design.
 	rg, rp, rc := rankedWorkload16(t, false)
 	coldBest, _, err := Explore(rg, rp, SEAMapper(rc), rc)
 	if err != nil {
@@ -186,21 +187,29 @@ func TestExploreCancellation(t *testing.T) {
 		if elapsed := ctx.sinceTrip(); elapsed > 5*time.Second {
 			t.Errorf("ranked parallelism %d: cancellation took %v, want prompt return", par, elapsed)
 		}
-		if passes := tel.Stats().Passes; passes != 0 {
-			t.Errorf("ranked parallelism %d: cancellation landed after the seed pass (%d stream passes)", par, passes)
+		st := tel.Stats()
+		if st.Passes != 0 {
+			t.Errorf("ranked parallelism %d: cancellation landed after the seed pass (%d stream passes)", par, st.Passes)
 		}
 		// A prober runs its deferred wg.Done before it returns, so it may
 		// still be on a stack for a moment after the call; poll briefly.
 		stacks := make([]byte, 1<<20)
 		for deadline := time.Now().Add(time.Second); ; time.Sleep(10 * time.Millisecond) {
 			s := string(stacks[:runtime.Stack(stacks, true)])
-			if !strings.Contains(s, "probeSeedWaves") {
+			if !strings.Contains(s, "probeRankedStream") {
 				break
 			}
 			if time.Now().After(deadline) {
 				t.Errorf("ranked parallelism %d: a prober outlived the cancelled call:\n%s", par, s)
 				break
 			}
+		}
+		// A prober that outlived the call only briefly still shows: its
+		// span, probe count or evaluator counters land after the snapshot
+		// (and race with it under -race).
+		if after := tel.Stats(); !reflect.DeepEqual(after.Workers, st.Workers) ||
+			after.ProbeCache != st.ProbeCache || after.Eval != st.Eval {
+			t.Errorf("ranked parallelism %d: a prober recorded work after the cancelled call returned", par)
 		}
 		c.Telemetry = nil
 		best, _, err := Explore(rg, rp, SEAMapper(c), c)

@@ -44,10 +44,10 @@ type Config struct {
 	// Seed drives the (deterministic) random neighborhood generation.
 	Seed int64
 	// Parallelism bounds the Explore worker pool: each worker maps one
-	// scaling combination at a time on its own reusable evaluator, and the
-	// incumbent-seeding pass (Ranked) probes in waves of this many
-	// combinations. 0 selects GOMAXPROCS; 1 runs sequentially.
-	// Results are identical at any setting.
+	// scaling combination at a time on its own reusable evaluator, and in
+	// the incumbent-seeding pass (Ranked) each worker probes the next
+	// unclaimed combination of the ranked walk. 0 selects GOMAXPROCS; 1 runs
+	// sequentially. Results are identical at any setting.
 	Parallelism int
 	// Progress, when non-nil, receives one callback per resolved scaling
 	// combination, in visit order. Callbacks run on the exploring
@@ -64,15 +64,16 @@ type Config struct {
 	// Ranked makes StrategyBranchAndBound seed its dominance incumbent
 	// before the deterministic stream starts: a pass walks combinations in
 	// ascending nominal power (vscale.RankedFrontier), prunes
-	// bound-infeasible ones, and probes the rest, in concurrent waves of
-	// Parallelism, until the first probe-feasible combination; its nominal
-	// power — the minimum of any probe-feasible combination, whatever the
-	// wave size — becomes the dominance threshold from position zero. The
-	// fold order stays the descending-lexicographic enumeration, so the
-	// chosen Design, perScaling and the Progress stream remain
-	// deterministic (and the Design byte-identical to StrategyExhaustive);
-	// only the Pruned/Skipped split can differ from an unseeded run.
-	// Requires StrategyBranchAndBound; ignored by the Pareto fold.
+	// bound-infeasible ones, and probes the rest, Parallelism workers each
+	// claiming the next one, until a probe-feasible combination is found;
+	// the lowest-ranked one's nominal power — the minimum of any
+	// probe-feasible combination, at any Parallelism — becomes the
+	// dominance threshold from position zero. The fold order stays the
+	// descending-lexicographic enumeration, so the chosen Design,
+	// perScaling and the Progress stream remain deterministic (and the
+	// Design byte-identical to StrategyExhaustive); only the Pruned/Skipped
+	// split can differ from an unseeded run. Requires
+	// StrategyBranchAndBound; ignored by the Pareto fold.
 	Ranked bool
 	// Objectives selects the objective components of the Pareto fold
 	// (ExploreParetoContext); 0 selects pareto.DefaultObjectives (power,

@@ -159,8 +159,7 @@ func TestRankedSkipsAtLeastAsMuch(t *testing.T) {
 // two-level plus 2 four-level cores, 150 combinations), ideal or behind the
 // XY mesh, with the deadline at 1.2× the makespan the mapper reaches with
 // every core at its fastest level. The graph seeds put the ranked walk's
-// first probe-feasible combination after at least four infeasible probes,
-// second in its wave of two.
+// first probe-feasible combination after at least four infeasible probes.
 func rankedWorkload16(t *testing.T, mesh bool) (*taskgraph.Graph, *arch.Platform, Config) {
 	t.Helper()
 	seed := int64(11)
@@ -186,21 +185,23 @@ func rankedWorkload16(t *testing.T, mesh bool) (*taskgraph.Graph, *arch.Platform
 }
 
 // TestRankedParallelMatchesSequential is the sequential oracle of the
-// ranked pass's probe waves. On the 16-core flagship shape, ideal and behind
-// an XY mesh, the Design, the whole Progress stream (the Pruned/Skipped
-// split included) and the seeded nominal power (the index −1 bound event)
-// are identical at Parallelism 1, 2, 4 and GOMAXPROCS. The serial walk's
-// first feasible probe sits second in its wave of two, so a wave must settle
-// on a candidate other than its first. A parallel pass probes the serial
-// walk's candidates plus the unused tail of its last wave, so the probe
-// cache misses exactly that tail more than the serial pass.
+// ranked pass's claim stream. On the 16-core flagship shape, ideal and
+// behind an XY mesh, the Design, the whole Progress stream (the
+// Pruned/Skipped split included) and the seeded nominal power (the index −1
+// bound event) are identical at Parallelism 1, 2, 4 and GOMAXPROCS. The
+// serial walk's first feasible probe is its k-th, after at least four
+// infeasible ones, so parallel workers hold claims on both sides of it. A
+// parallel pass probes those k candidates plus the surplus claimed before
+// the answer's verdict was recorded: at least k rank probes, each a probe
+// cache miss the serial pass does not make, and none claimed (its span's
+// start) after the answer's verdict was recorded (that span's end).
 func TestRankedParallelMatchesSequential(t *testing.T) {
 	type run struct {
-		design    string
-		progress  []string
-		seeded    string // nominal power of the index −1 bound event
-		rankSpans int
-		misses    int64
+		design   string
+		progress []string
+		seeded   string       // nominal power of the index −1 bound event
+		rank     []WorkerSpan // the ranked pass's probes, row by row
+		misses   int64
 	}
 	for _, mesh := range []bool{false, true} {
 		g, p, base := rankedWorkload16(t, mesh)
@@ -225,7 +226,7 @@ func TestRankedParallelMatchesSequential(t *testing.T) {
 			for _, ws := range st.Workers {
 				for _, sp := range ws.Spans {
 					if sp.Kind == "rank" {
-						r.rankSpans++
+						r.rank = append(r.rank, sp)
 					}
 				}
 			}
@@ -234,18 +235,20 @@ func TestRankedParallelMatchesSequential(t *testing.T) {
 		}
 
 		seq := runAt(1)
-		// The serial walk stops at its first feasible probe, the k-th.
-		k := seq.rankSpans
+		// The serial walk stops at its first feasible probe, the k-th: the
+		// answer.
+		k := len(seq.rank)
 		if seq.seeded == "" {
 			t.Fatalf("mesh=%v: the ranked pass seeded nothing", mesh)
 		}
-		if k < 5 || (k-1)%2 == 0 {
-			t.Fatalf("mesh=%v: the first feasible probe is the %d-th; the workload must put it after at least 4 infeasible ones, second in a wave of two", mesh, k)
+		if k < 5 {
+			t.Fatalf("mesh=%v: the first feasible probe is the %d-th; the workload must put it after at least 4 infeasible ones", mesh, k)
 		}
+		answer := seq.rank[k-1].Combination
 		for _, par := range []int{2, 4, runtime.GOMAXPROCS(0)} {
 			got := runAt(par)
 			if got.design != seq.design {
-				t.Errorf("mesh=%v par=%d: design diverged:\n  serial: %s\n  waves:  %s", mesh, par, seq.design, got.design)
+				t.Errorf("mesh=%v par=%d: design diverged:\n  serial: %s\n  stream: %s", mesh, par, seq.design, got.design)
 			}
 			if got.seeded != seq.seeded {
 				t.Errorf("mesh=%v par=%d: seeded nominal %s, serial %s", mesh, par, got.seeded, seq.seeded)
@@ -255,18 +258,33 @@ func TestRankedParallelMatchesSequential(t *testing.T) {
 			}
 			for i := range seq.progress {
 				if got.progress[i] != seq.progress[i] {
-					t.Errorf("mesh=%v par=%d: progress[%d] diverged:\n  serial: %s\n  waves:  %s",
+					t.Errorf("mesh=%v par=%d: progress[%d] diverged:\n  serial: %s\n  stream: %s",
 						mesh, par, i, seq.progress[i], got.progress[i])
 					break
 				}
 			}
-			probes := (k + par - 1) / par * par
-			if got.rankSpans != probes {
-				t.Errorf("mesh=%v par=%d: %d seed probes, want %d (%d serial, in waves of %d)", mesh, par, got.rankSpans, probes, k, par)
+			probes := len(got.rank)
+			if probes < k {
+				t.Errorf("mesh=%v par=%d: %d seed probes, fewer than the serial walk's %d", mesh, par, probes, k)
 			}
-			if want := seq.misses + int64(probes-k); got.misses != want {
-				t.Errorf("mesh=%v par=%d: %d probe cache misses, want %d (serial %d + a %d-probe wave tail)",
-					mesh, par, got.misses, want, seq.misses, probes-k)
+			if surplus := int64(probes - k); got.misses-seq.misses != surplus {
+				t.Errorf("mesh=%v par=%d: %d probe cache misses, serial %d: want the %d surplus probes more",
+					mesh, par, got.misses, seq.misses, surplus)
+			}
+			var recorded []int64 // the answer's record time; probed exactly once
+			for _, sp := range got.rank {
+				if sp.Combination == answer {
+					recorded = append(recorded, sp.EndNanos)
+				}
+			}
+			if len(recorded) != 1 {
+				t.Fatalf("mesh=%v par=%d: the answer, combination %d, was probed %d times, want once", mesh, par, answer, len(recorded))
+			}
+			for _, sp := range got.rank {
+				if sp.StartNanos > recorded[0] {
+					t.Errorf("mesh=%v par=%d: combination %d claimed at %d ns, after the answer's verdict was recorded at %d ns",
+						mesh, par, sp.Combination, sp.StartNanos, recorded[0])
+				}
 			}
 		}
 	}

@@ -217,11 +217,47 @@ func ExploreShard(ctx context.Context, g *taskgraph.Graph, p *arch.Platform,
 	return &ShardResult{Records: opts.records}, nil
 }
 
+// CheckShardResult reports whether res has the shape of an answer to a
+// shard over rng of the problem on graph g and platform p: one record per
+// position of the range, each nil or carrying its position's enumeration
+// index, and every shipped mapping placing each task of g on a core of p.
+// The replay takes a well-shaped result's records as hints; a malformed
+// result is refused whole.
+func CheckShardResult(res *ShardResult, rng ShardRange, g *taskgraph.Graph, p *arch.Platform) error {
+	if res == nil {
+		return fmt.Errorf("mapping: shard [%d,%d) returned no result", rng.Lo, rng.Hi)
+	}
+	if want := rng.Hi - rng.Lo; len(res.Records) != want {
+		return fmt.Errorf("mapping: shard [%d,%d) returned %d records, want %d",
+			rng.Lo, rng.Hi, len(res.Records), want)
+	}
+	tasks, cores := g.N(), p.Cores()
+	for j, r := range res.Records {
+		switch {
+		case r == nil:
+		case r.Idx != rng.Lo+j:
+			return fmt.Errorf("mapping: shard [%d,%d) record %d carries index %d", rng.Lo, rng.Hi, j, r.Idx)
+		case r.Mapping != nil && len(r.Mapping) != tasks:
+			return fmt.Errorf("mapping: shard [%d,%d) record %d maps %d tasks, graph has %d",
+				rng.Lo, rng.Hi, j, len(r.Mapping), tasks)
+		default:
+			for task, c := range r.Mapping {
+				if c < 0 || c >= cores {
+					return fmt.Errorf("mapping: shard [%d,%d) record %d maps task %d to core %d outside [0,%d)",
+						rng.Lo, rng.Hi, j, task, c, cores)
+				}
+			}
+		}
+	}
+	return nil
+}
+
 // runShards fans base out over the ranges, one runner per range, and
-// assembles the global record array (indexed by enumeration rank). The
-// first real failure cancels the remaining shards.
-func runShards(ctx context.Context, base ShardRequest, ranges []ShardRange,
-	runners []ShardRunner, total int) ([]*ShardRecord, error) {
+// assembles the global record array (indexed by enumeration rank). A
+// runner's failure or malformed result (CheckShardResult) fails the pass;
+// the first real failure cancels the remaining shards.
+func runShards(ctx context.Context, g *taskgraph.Graph, p *arch.Platform, base ShardRequest,
+	ranges []ShardRange, runners []ShardRunner, total int) ([]*ShardRecord, error) {
 	if len(ranges) != len(runners) {
 		return nil, fmt.Errorf("mapping: %d shard ranges for %d runners", len(ranges), len(runners))
 	}
@@ -237,29 +273,13 @@ func runShards(ctx context.Context, base ShardRequest, ranges []ShardRange,
 			req := base
 			req.Range = ranges[i]
 			res, err := runners[i](wctx, req)
+			if err == nil {
+				err = CheckShardResult(res, ranges[i], g, p)
+			}
 			if err != nil {
 				errs[i] = err
 				cancel()
 				return
-			}
-			want := ranges[i].Hi - ranges[i].Lo
-			if res == nil || len(res.Records) != want {
-				got := 0
-				if res != nil {
-					got = len(res.Records)
-				}
-				errs[i] = fmt.Errorf("mapping: shard [%d,%d) returned %d records, want %d",
-					ranges[i].Lo, ranges[i].Hi, got, want)
-				cancel()
-				return
-			}
-			for j, r := range res.Records {
-				if r != nil && r.Idx != ranges[i].Lo+j {
-					errs[i] = fmt.Errorf("mapping: shard [%d,%d) record %d carries index %d",
-						ranges[i].Lo, ranges[i].Hi, j, r.Idx)
-					cancel()
-					return
-				}
 			}
 			copy(records[ranges[i].Lo:ranges[i].Hi], res.Records)
 		}(i)
@@ -424,7 +444,7 @@ func shardedPass(g *taskgraph.Graph, p *arch.Platform, mapper MapperFunc,
 				req.Threshold = nominal
 			}
 		}
-		records, err := runShards(ctx, req, ranges, resolved, total)
+		records, err := runShards(ctx, g, p, req, ranges, resolved, total)
 		if err != nil {
 			return nil, 0, err
 		}

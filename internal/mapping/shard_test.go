@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -199,7 +200,7 @@ func TestShardedStrategiesAndSeeding(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				nominal, seeded, err := probeSeedWaves(context.Background(), g, p, sc)
+				nominal, seeded, err := probeRankedStream(context.Background(), g, p, sc)
 				if err != nil || !seeded {
 					t.Fatalf("ranked seed: seeded=%v err=%v", seeded, err)
 				}
@@ -509,13 +510,78 @@ func TestShardedWarmStartMatchesSingleNode(t *testing.T) {
 	})
 }
 
+// TestCheckShardResult holds the shape check to the records an honest
+// shard returns: the honest stream and its all-nil form pass, and each
+// malformed shape — no result, one record too few or too many, a record at
+// another index, a mapping of the wrong length, a core outside the platform
+// on either side — is refused.
+func TestCheckShardResult(t *testing.T) {
+	g, p := taskgraph.MPEG2(), plat(4)
+	c := cfg(taskgraph.MPEG2Deadline, taskgraph.MPEG2Frames)
+	c.SearchMoves = 100
+	rng := ShardRanges(15, 2)[1]
+	honest, err := ExploreShard(context.Background(), g, p, SEAMapper(c), c, ShardRequest{Range: rng})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mapped := -1
+	for i, r := range honest.Records {
+		if r != nil && r.Mapping != nil {
+			mapped = i
+			break
+		}
+	}
+	if mapped < 0 {
+		t.Fatal("honest stream holds no mapping")
+	}
+	corrupt := func(mutate func(res *ShardResult)) *ShardResult {
+		res := &ShardResult{Records: make([]*ShardRecord, len(honest.Records))}
+		for i, r := range honest.Records {
+			if r != nil {
+				cp := *r
+				cp.Mapping = slices.Clone(r.Mapping)
+				res.Records[i] = &cp
+			}
+		}
+		mutate(res)
+		return res
+	}
+	for _, tc := range []struct {
+		name string
+		res  *ShardResult
+		ok   bool
+	}{
+		{"honest", honest, true},
+		{"all nil", &ShardResult{Records: make([]*ShardRecord, rng.Hi-rng.Lo)}, true},
+		{"no result", nil, false},
+		{"one record short", corrupt(func(res *ShardResult) { res.Records = res.Records[1:] }), false},
+		{"one record over", corrupt(func(res *ShardResult) { res.Records = append(res.Records, nil) }), false},
+		{"wrong index", corrupt(func(res *ShardResult) { res.Records[mapped].Idx++ }), false},
+		{"short mapping", corrupt(func(res *ShardResult) {
+			m := res.Records[mapped].Mapping
+			res.Records[mapped].Mapping = m[:len(m)-1]
+		}), false},
+		{"long mapping", corrupt(func(res *ShardResult) {
+			res.Records[mapped].Mapping = append(res.Records[mapped].Mapping, 0)
+		}), false},
+		{"empty mapping", corrupt(func(res *ShardResult) { res.Records[mapped].Mapping = []int{} }), false},
+		{"core past the platform", corrupt(func(res *ShardResult) { res.Records[mapped].Mapping[0] = p.Cores() }), false},
+		{"negative core", corrupt(func(res *ShardResult) { res.Records[mapped].Mapping[g.N()-1] = -1 }), false},
+	} {
+		if err := CheckShardResult(tc.res, rng, g, p); (err == nil) != tc.ok {
+			t.Errorf("%s: CheckShardResult = %v, want ok=%v", tc.name, err, tc.ok)
+		}
+	}
+}
+
 // FuzzShardReplay feeds the coordinator untrusted peer records: the second
 // range of a 2-shard MPEG-2 or Fig. 8 run is answered by a JSON-decoded
 // ShardResult. Whatever the records claim, ExploreSharded must not panic,
-// and a Design it returns must carry the evaluation of its own mapping at
-// its own scaling. The seeds are the honest stream and its corruptions: a
-// wrong record count, a wrong Idx, a mapping of the wrong length, an
-// out-of-range core, Probed without a mapping, and all-nil records.
+// it may fail only on a result CheckShardResult refuses, and a Design it
+// returns must carry the evaluation of its own mapping at its own scaling.
+// The seeds are the honest stream and its corruptions: a wrong record
+// count, a wrong Idx, a mapping of the wrong length, an out-of-range core,
+// Probed without a mapping, and all-nil records.
 func FuzzShardReplay(f *testing.F) {
 	type replayWorkload struct {
 		g *taskgraph.Graph
@@ -539,10 +605,12 @@ func FuzzShardReplay(f *testing.F) {
 		}
 		return ShardRanges(space.Count(), 2)[1]
 	}
+	peerRange := map[bool]ShardRange{}
 	for _, fig8 := range []bool{false, true} {
 		w := workload(fig8)
+		peerRange[fig8] = secondRange(w.p)
 		honest, err := ExploreShard(context.Background(), w.g, w.p, SEAMapper(w.c), w.c,
-			ShardRequest{Range: secondRange(w.p)})
+			ShardRequest{Range: peerRange[fig8]})
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -595,6 +663,9 @@ func FuzzShardReplay(f *testing.F) {
 		}}
 		best, _, err := ExploreSharded(context.Background(), w.g, w.p, SEAMapper(w.c), w.c, runners)
 		if err != nil {
+			if CheckShardResult(&peer, peerRange[fig8], w.g, w.p) == nil {
+				t.Fatalf("a well-shaped peer result failed the replay: %v", err)
+			}
 			return
 		}
 		fresh, err := metrics.Evaluate(w.g, w.p, best.Mapping, best.Scaling, w.c.SER,

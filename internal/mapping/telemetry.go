@@ -55,7 +55,8 @@ type ExploreEvent struct {
 // mapper ran, "skip" when the combination resolved without it (probe-proved
 // irrelevant or cancelled as dominated mid-flight), and "rank" for a
 // feasibility probe of the incumbent-seeding pass (Config.Ranked), which
-// runs on the same worker rows before the stream.
+// runs on the same worker rows before the stream; a "rank" span runs from
+// the worker's claim of the combination to its recorded verdict.
 type WorkerSpan struct {
 	StartNanos  int64  `json:"start_ns"`
 	EndNanos    int64  `json:"end_ns"`

@@ -184,19 +184,16 @@ func TestTelemetryAccounting(t *testing.T) {
 			seq.Combos, par.Combos)
 	}
 	// streamSpans counts the "map" and "skip" spans, and rankRows the
-	// worker rows carrying the ranked pass's "rank" spans.
-	spans := func(st *ExploreStats) (streamSpans int64, rankRows int) {
-		for _, ws := range st.Workers {
-			rank := false
+	// ranked pass's "rank" spans on each worker row.
+	spans := func(st *ExploreStats) (streamSpans int64, rankRows []int) {
+		rankRows = make([]int, len(st.Workers))
+		for w, ws := range st.Workers {
 			for _, sp := range ws.Spans {
 				if sp.Kind == "rank" {
-					rank = true
+					rankRows[w]++
 				} else {
 					streamSpans++
 				}
-			}
-			if rank {
-				rankRows++
 			}
 		}
 		return streamSpans, rankRows
@@ -207,12 +204,26 @@ func TestTelemetryAccounting(t *testing.T) {
 		t.Errorf("worker combination sum %d outside [MapperRuns %d, Total %d]",
 			parCombos, par.Combos.MapperRuns, par.Combos.Total)
 	}
-	// The ranked pass probes in waves across the worker rows, ahead of a
+	// The ranked pass's workers claim its probes from one stream, so one
+	// worker may take every claim; its "rank" spans sit only on the rows of
+	// its 4 workers, at least as many as the serial walk probes, ahead of a
 	// stream whose spans keep the same bounds.
+	sum := func(rows []int) (n int) {
+		for _, r := range rows {
+			n += r
+		}
+		return n
+	}
+	_, serialRows := spans(statsAt(1, true))
 	ranked := statsAt(4, true)
 	streamSpans, rankRows := spans(ranked)
-	if rankRows < 2 {
-		t.Errorf("ranked pass recorded \"rank\" spans on %d worker rows at parallelism 4, want several", rankRows)
+	for w, n := range rankRows {
+		if n > 0 && w >= 4 {
+			t.Errorf("ranked pass recorded %d \"rank\" spans on worker row %d, past its 4 workers", n, w)
+		}
+	}
+	if serial, got := sum(serialRows), sum(rankRows); serial == 0 || got < serial {
+		t.Errorf("ranked pass recorded %d \"rank\" spans at parallelism 4 and %d serially: want some, and at least the serial walk's", got, serial)
 	}
 	if streamSpans > ranked.Combos.Total || streamSpans < ranked.Combos.MapperRuns {
 		t.Errorf("ranked run: %d map/skip spans outside [MapperRuns %d, Total %d]",

@@ -10,6 +10,7 @@ import (
 
 	"seadopt"
 	"seadopt/internal/ingest"
+	"seadopt/internal/mapping"
 )
 
 // This file is the service's distributed-exploration layer. A coordinator
@@ -26,8 +27,9 @@ import (
 // Design or frontier and the Progress stream are byte-identical to a
 // single-node run (see internal/mapping/shard.go for the replay contract).
 //
-// Failure posture: a peer that is unreachable or answers non-200 costs
-// nothing but time — the coordinator re-runs that shard embedded.
+// Failure posture: a peer that is unreachable, answers non-200 or answers a
+// malformed result (mapping.CheckShardResult) costs nothing but time — the
+// coordinator re-runs that shard embedded.
 
 // shardCallRequest is the wire form of POST /internal/v1/shard.
 type shardCallRequest struct {
@@ -84,8 +86,9 @@ func (s *Server) shardRunnersFor(f *flight, sys *seadopt.System, opts seadopt.Op
 }
 
 // peerRunner returns a ShardRunner that POSTs the shard to a peer seadoptd.
-// Any transport or protocol failure falls back to embedded execution of the
-// same range — byte-identical, just local.
+// Any transport or protocol failure, or a result of the wrong shape, falls
+// back to embedded execution of the same range — byte-identical, just
+// local.
 func (s *Server) peerRunner(peer string, enc []byte,
 	sys *seadopt.System, opts seadopt.OptimizeOptions) seadopt.ShardRunner {
 	return func(ctx context.Context, req seadopt.ShardRequest) (*seadopt.ShardResult, error) {
@@ -122,8 +125,8 @@ func (s *Server) peerRunner(peer string, enc []byte,
 		if err := json.NewDecoder(resp.Body).Decode(&cres); err != nil {
 			return embedded("decode", err)
 		}
-		if cres.Result == nil {
-			return embedded("empty result", nil)
+		if err := mapping.CheckShardResult(cres.Result, req.Range, sys.Graph, sys.Platform); err != nil {
+			return embedded("malformed result", err)
 		}
 		return cres.Result, nil
 	}

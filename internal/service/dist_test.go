@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 
+	"seadopt/internal/mapping"
 	"seadopt/internal/taskgraph"
 )
 
@@ -142,11 +144,14 @@ func TestDistributedNegativeShards(t *testing.T) {
 }
 
 // TestDistributedPeerFallback: a coordinator whose only peer is
-// unreachable falls back to embedded execution of the remote shards — the
-// job still finishes with single-node bytes.
+// unreachable, or answers a result of the wrong shape, falls back to
+// embedded execution of the remote shards — the job still finishes with
+// single-node bytes.
 func TestDistributedPeerFallback(t *testing.T) {
 	_, single := newHTTPServer(t, Config{Workers: 1})
 	want, wantEv := runToDone(t, single.URL, mpeg2Envelope(t))
+	pareto := bytes.Replace(mpeg2Envelope(t), []byte(`"options":{`), []byte(`"options":{"mode":"pareto",`), 1)
+	wantPareto, wantParetoEv := runToDone(t, single.URL, pareto)
 
 	// A listener that is immediately closed: connections are refused.
 	dead := httptest.NewServer(http.NotFoundHandler())
@@ -156,6 +161,74 @@ func TestDistributedPeerFallback(t *testing.T) {
 	_, coord := newHTTPServer(t, Config{Workers: 1, Peers: []string{deadURL}})
 	got, gotEv := runToDone(t, coord.URL, mpeg2Envelope(t))
 	assertSameRun(t, "dead peer fallback", got, want, gotEv, wantEv)
+
+	// Peers that answer 200 with a result of the wrong shape for the range
+	// they were sent, to a scalar and a Pareto job. A malformed mapping sits
+	// on every record, claiming a feasible probe, so the Pareto replay
+	// reaches it on the frontier members of the peer's ranges.
+	tasks, cores := taskgraph.MPEG2().N(), 4
+	records := func(rng mapping.ShardRange, assign func() []int) *mapping.ShardResult {
+		res := &mapping.ShardResult{Records: make([]*mapping.ShardRecord, rng.Hi-rng.Lo)}
+		for j := range res.Records {
+			res.Records[j] = &mapping.ShardRecord{Idx: rng.Lo + j, Probed: true, ProbeKnown: true, Mapping: assign()}
+		}
+		return res
+	}
+	for _, leg := range []struct {
+		name   string
+		answer func(rng mapping.ShardRange) *mapping.ShardResult
+	}{
+		{"no result", func(mapping.ShardRange) *mapping.ShardResult { return nil }},
+		{"record count", func(rng mapping.ShardRange) *mapping.ShardResult {
+			return &mapping.ShardResult{Records: make([]*mapping.ShardRecord, rng.Hi-rng.Lo+1)}
+		}},
+		{"record index", func(rng mapping.ShardRange) *mapping.ShardResult {
+			res := &mapping.ShardResult{Records: make([]*mapping.ShardRecord, rng.Hi-rng.Lo)}
+			res.Records[0] = &mapping.ShardRecord{Idx: rng.Hi}
+			return res
+		}},
+		{"short mapping", func(rng mapping.ShardRange) *mapping.ShardResult {
+			return records(rng, func() []int { return make([]int, tasks-1) })
+		}},
+		{"core outside the platform", func(rng mapping.ShardRange) *mapping.ShardResult {
+			return records(rng, func() []int {
+				m := make([]int, tasks)
+				m[tasks-1] = cores
+				return m
+			})
+		}},
+		{"negative core", func(rng mapping.ShardRange) *mapping.ShardResult {
+			return records(rng, func() []int {
+				m := make([]int, tasks)
+				m[0] = -1
+				return m
+			})
+		}},
+	} {
+		t.Run(leg.name, func(t *testing.T) {
+			var answered atomic.Int64
+			peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				var creq shardCallRequest
+				if r.URL.Path != "/internal/v1/shard" || json.NewDecoder(r.Body).Decode(&creq) != nil {
+					http.Error(w, "not a shard request", http.StatusBadRequest)
+					return
+				}
+				answered.Add(1)
+				writeJSON(w, http.StatusOK, shardCallResponse{Result: leg.answer(creq.Req.Range)})
+			}))
+			defer peer.Close()
+			// Four shards: the peer answers three of the four ranges of
+			// each job.
+			_, coord := newHTTPServer(t, Config{Workers: 1, Shards: 4, Peers: []string{peer.URL}})
+			got, gotEv := runToDone(t, coord.URL, mpeg2Envelope(t))
+			assertSameRun(t, leg.name+" scalar", got, want, gotEv, wantEv)
+			got, gotEv = runToDone(t, coord.URL, pareto)
+			assertSameRun(t, leg.name+" pareto", got, wantPareto, gotEv, wantParetoEv)
+			if n := answered.Load(); n != 6 {
+				t.Fatalf("the peer answered %d shard requests, want 6", n)
+			}
+		})
+	}
 }
 
 // TestDistributedIneligibleJobsRunLocal: sweeps, baselines and sampled
