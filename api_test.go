@@ -136,9 +136,9 @@ func TestNewARM7System(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sys.Platform.Cores() != 3 || sys.Platform.NumLevels() != 3 {
+	if sys.Platform.Cores() != 3 || sys.Platform.CoreNumLevels(0) != 3 {
 		t.Errorf("platform shape wrong: %d cores, %d levels",
-			sys.Platform.Cores(), sys.Platform.NumLevels())
+			sys.Platform.Cores(), sys.Platform.CoreNumLevels(0))
 	}
 	if _, err := NewARM7System(nil, 3, 3); err == nil {
 		t.Error("nil graph accepted")
@@ -271,6 +271,56 @@ func TestEvaluateSimulateInjectConsistency(t *testing.T) {
 	}
 }
 
+// TestSimulateRefusesTimeBeyondRange: the cycle-level simulator keeps time
+// in int64 femtoseconds (±9 223 s). A run that fits keeps its exact
+// makespan; one that would pass the range is refused with an error naming
+// it, where it used to deadlock (10 000 s) or wrap to a wrong makespan with
+// no error (20 000 s read 1 553.26 s).
+func TestSimulateRefusesTimeBeyondRange(t *testing.T) {
+	for _, tc := range []struct {
+		cycles   int64
+		wantSecs float64 // list-schedule makespan
+		fits     bool
+	}{
+		{9e11, 9000, true},
+		{1e12, 10000, false},
+		{2e12, 20000, false},
+	} {
+		b := NewGraphBuilder("long", NewRegisterInventory())
+		a := b.AddTask("a", tc.cycles)
+		b.AddEdge(a, b.AddTask("b", 1000), 10)
+		g, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys, err := NewARM7System(g, 2, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scaling := []int{2, 2}
+		d, err := sys.MapAtScaling(scaling, OptimizeOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := d.Eval.MakespanSec; math.Abs(got-tc.wantSecs) > 1e-3 {
+			t.Fatalf("%d cycles: list schedule %v s, want %v s", tc.cycles, got, tc.wantSecs)
+		}
+		r, err := sys.Simulate(d.Mapping, scaling, 1)
+		if !tc.fits {
+			if err == nil || !strings.Contains(err.Error(), "±9223 s range") {
+				t.Errorf("%d cycles: Simulate = %v, %v; want an error naming the ±9223 s range", tc.cycles, r, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%d cycles: %v", tc.cycles, err)
+		}
+		if math.Abs(r.MakespanSec-d.Eval.MakespanSec)/d.Eval.MakespanSec > 1e-9 {
+			t.Errorf("%d cycles: simulated makespan %v s, list schedule %v s", tc.cycles, r.MakespanSec, d.Eval.MakespanSec)
+		}
+	}
+}
+
 func TestScalingCombinations(t *testing.T) {
 	sys, err := NewARM7System(MPEG2(), 4, 3)
 	if err != nil {
@@ -315,7 +365,7 @@ func TestStatsAndCustomPlatform(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Cores() != 2 || p.NumLevels() != 2 {
+	if p.Cores() != 2 || p.CoreNumLevels(0) != 2 {
 		t.Errorf("custom platform shape wrong")
 	}
 	if _, err := NewCustomPlatform(2, 90, 180); err == nil {

@@ -142,7 +142,7 @@ func TestAnnealRespectsDeadlinePressure(t *testing.T) {
 	g := taskgraph.MustRandom(taskgraph.DefaultRandomConfig(24), 6)
 	p := plat(4)
 	scaling := []int{1, 1, 1, 1}
-	serial, err := metrics.Evaluate(g, p, sched.NewMapping(g.N()), scaling,
+	serial, err := metrics.Evaluate(g, p, make(sched.Mapping, g.N()), scaling,
 		faults.NewSERModel(faults.DefaultSER), metrics.Options{Iterations: 1})
 	if err != nil {
 		t.Fatal(err)

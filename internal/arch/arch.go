@@ -340,16 +340,6 @@ func (p *Platform) Cores() int { return p.cores }
 // platform model).
 func (p *Platform) Homogeneous() bool { return p.numClasses == 1 }
 
-// NumLevels returns the number of DVS levels of the single shared table of a
-// homogeneous platform. It panics on a heterogeneous platform, where no such
-// single count exists; use CoreNumLevels or LevelCounts there.
-func (p *Platform) NumLevels() int {
-	if !p.Homogeneous() {
-		panic("arch: NumLevels on a heterogeneous platform; use CoreNumLevels(core)")
-	}
-	return len(p.types[p.coreType[0]].Levels)
-}
-
 // CoreNumLevels returns the number of DVS levels of core i's table.
 func (p *Platform) CoreNumLevels(i int) int {
 	return len(p.types[p.coreType[i]].Levels)
@@ -373,18 +363,6 @@ func (p *Platform) LevelCounts() []int {
 func (p *Platform) SymmetryClasses() []int {
 	return append([]int(nil), p.classes...)
 }
-
-// Types returns a copy of the platform's processor types.
-func (p *Platform) Types() []ProcType {
-	out := make([]ProcType, len(p.types))
-	for i, t := range p.types {
-		out[i] = ProcType{Name: t.Name, Levels: append([]Level(nil), t.Levels...)}
-	}
-	return out
-}
-
-// CoreTypes returns the per-core indices into Types.
-func (p *Platform) CoreTypes() []int { return append([]int(nil), p.coreType...) }
 
 // TypeName returns the processor-type name of core i.
 func (p *Platform) TypeName(i int) string { return p.types[p.coreType[i]].Name }
@@ -415,26 +393,6 @@ func (p *Platform) CoreLevel(i, s int) (Level, error) {
 // MustCoreLevel is CoreLevel but panics on out-of-range arguments.
 func (p *Platform) MustCoreLevel(i, s int) Level {
 	l, err := p.CoreLevel(i, s)
-	if err != nil {
-		panic(err)
-	}
-	return l
-}
-
-// Level returns the operating point for scaling coefficient s (1-based) of
-// the single shared table of a homogeneous platform. Heterogeneous platforms
-// have no core-independent operating points; use CoreLevel there.
-func (p *Platform) Level(s int) (Level, error) {
-	if !p.Homogeneous() {
-		return Level{}, fmt.Errorf("arch: Level(s) on a heterogeneous platform; use CoreLevel(core, s)")
-	}
-	return p.CoreLevel(0, s)
-}
-
-// MustLevel is Level but panics on out-of-range s or a heterogeneous
-// platform.
-func (p *Platform) MustLevel(s int) Level {
-	l, err := p.Level(s)
 	if err != nil {
 		panic(err)
 	}

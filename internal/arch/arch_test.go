@@ -97,17 +97,17 @@ func TestNewPlatformValidation(t *testing.T) {
 
 func TestPlatformAccessors(t *testing.T) {
 	p := MustNewPlatform(4, ARM7Levels3())
-	if p.Cores() != 4 || p.NumLevels() != 3 {
-		t.Fatalf("Cores=%d NumLevels=%d", p.Cores(), p.NumLevels())
+	if p.Cores() != 4 || p.CoreNumLevels(0) != 3 {
+		t.Fatalf("Cores=%d CoreNumLevels(0)=%d", p.Cores(), p.CoreNumLevels(0))
 	}
-	if l := p.MustLevel(2); !almostEqual(l.Vdd, 0.58, 0.005) {
-		t.Errorf("Level(2).Vdd = %v", l.Vdd)
+	if l := p.MustCoreLevel(0, 2); !almostEqual(l.Vdd, 0.58, 0.005) {
+		t.Errorf("CoreLevel(0, 2).Vdd = %v", l.Vdd)
 	}
-	if _, err := p.Level(0); err == nil {
-		t.Error("Level(0) accepted")
+	if _, err := p.CoreLevel(0, 0); err == nil {
+		t.Error("CoreLevel(0, 0) accepted")
 	}
-	if _, err := p.Level(4); err == nil {
-		t.Error("Level(4) accepted")
+	if _, err := p.CoreLevel(0, 4); err == nil {
+		t.Error("CoreLevel(0, 4) accepted")
 	}
 	if got := p.MaxPowerScaling(); len(got) != 4 || got[0] != 1 {
 		t.Errorf("MaxPowerScaling = %v", got)
@@ -117,7 +117,7 @@ func TestPlatformAccessors(t *testing.T) {
 	}
 	levels := p.Levels(0)
 	levels[0].FreqMHz = 0 // must not corrupt the platform
-	if p.MustLevel(1).FreqMHz != 200 {
+	if p.MustCoreLevel(0, 1).FreqMHz != 200 {
 		t.Error("Levels() leaked internal state")
 	}
 }
@@ -140,7 +140,7 @@ func TestDynamicPowerEq5(t *testing.T) {
 	scaling := []int{2, 2, 3, 2}
 	var want float64
 	for _, s := range scaling {
-		l := p.MustLevel(s)
+		l := p.MustCoreLevel(0, s)
 		want += l.FreqHz() * l.Vdd * l.Vdd
 	}
 	want *= 47e-12
@@ -207,10 +207,10 @@ func TestDynamicPowerErrors(t *testing.T) {
 func TestMustLevelPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("MustLevel(99) should panic")
+			t.Fatal("MustCoreLevel(0, 99) should panic")
 		}
 	}()
-	MustNewPlatform(2, ARM7Levels3()).MustLevel(99)
+	MustNewPlatform(2, ARM7Levels3()).MustCoreLevel(0, 99)
 }
 
 func TestLevelsFromFrequencies(t *testing.T) {
@@ -298,16 +298,6 @@ func TestHeterogeneousPlatform(t *testing.T) {
 	if err := p.ValidScaling([]int{1, 1, 3, 1}); err == nil {
 		t.Error("core 2 scaling 3 accepted on a 2-level table")
 	}
-	// The shared-table accessors refuse heterogeneous platforms.
-	if _, err := p.Level(1); err == nil {
-		t.Error("Level(s) accepted on a heterogeneous platform")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("NumLevels should panic on a heterogeneous platform")
-		}
-	}()
-	_ = p.NumLevels()
 }
 
 func TestHeterogeneousDynamicPower(t *testing.T) {
@@ -351,7 +341,7 @@ func TestHeterogeneousValidation(t *testing.T) {
 	if !p.Homogeneous() {
 		t.Errorf("identical tables should collapse to one class: %v", p.SymmetryClasses())
 	}
-	if p.NumLevels() != 3 {
-		t.Errorf("NumLevels = %d", p.NumLevels())
+	if p.CoreNumLevels(0) != 3 {
+		t.Errorf("CoreNumLevels(0) = %d", p.CoreNumLevels(0))
 	}
 }

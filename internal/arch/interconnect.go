@@ -64,7 +64,7 @@ type Interconnect struct {
 	// covering all cores. Routers exist at every grid slot, so XY routing
 	// is well-defined even when the last row is partially populated.
 	meshHeight int
-	// rowRecip is ⌈2³²/MeshWidth⌉, derived with meshHeight, so Route finds
+	// rowRecip is ⌈2³²/MeshWidth⌉, derived with meshHeight, so route finds
 	// a core's row without a hardware division (see row).
 	rowRecip uint64
 }
@@ -211,31 +211,6 @@ func (ic *Interconnect) route(a, b int) (first0, step0, first1, step1, n0, hops 
 	return 4*(ay*w+ax) - sx, 4 + 8*sx, 4*(ay*w+bx) + 2 - sy, (4 + 8*sy) * w, n0, hops
 }
 
-// Route is the path Reserve walks for a transfer, for inspection: see
-// Interconnect.Route.
-type Route struct {
-	first0, step0, first1, step1, n0, hops int
-}
-
-// Route returns the path Reserve walks for a transfer from core a to core
-// b of the platform: the link ids PathLinks lists, held arithmetically.
-func (ic *Interconnect) Route(a, b int) Route {
-	var r Route
-	r.first0, r.step0, r.first1, r.step1, r.n0, r.hops = ic.route(a, b)
-	return r
-}
-
-// Hops returns the number of links on the route.
-func (r Route) Hops() int { return r.hops }
-
-// Link returns the route's i-th link id, 0 ≤ i < Hops().
-func (r Route) Link(i int) int {
-	if i < r.n0 {
-		return r.first0 + i*r.step0
-	}
-	return r.first1 + (i-r.n0)*r.step1
-}
-
 // Reserve applies the fabric's cut-through channel reservation to a
 // transfer from core a to core b issued at now, and returns its arrival
 // time. The transfer starts once every link on its route is free of
@@ -293,9 +268,6 @@ func (ic *Interconnect) TransferSeconds(a, b int, cycles int64) float64 {
 func (ic *Interconnect) MinTransferSeconds(cycles int64) float64 {
 	return ic.HopLatencySec + ic.MessageBits(cycles)/ic.BandwidthBps
 }
-
-// MeshHeight returns the mesh's derived row count (0 for a bus).
-func (ic *Interconnect) MeshHeight() int { return ic.meshHeight }
 
 func abs(x int) int {
 	if x < 0 {

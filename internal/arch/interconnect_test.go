@@ -32,8 +32,8 @@ func TestInterconnectNormalization(t *testing.T) {
 	if ic.MeshWidth != 3 {
 		t.Fatalf("MeshWidth = %d, want ceil(sqrt(6)) = 3", ic.MeshWidth)
 	}
-	if ic.MeshHeight() != 2 {
-		t.Fatalf("MeshHeight = %d, want 2", ic.MeshHeight())
+	if ic.meshHeight != 2 {
+		t.Fatalf("meshHeight = %d, want 2", ic.meshHeight)
 	}
 	if got := ic.NumLinks(); got != 4*3*2 {
 		t.Fatalf("NumLinks = %d, want 24", got)

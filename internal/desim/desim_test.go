@@ -1,6 +1,9 @@
 package desim
 
 import (
+	"fmt"
+	"math"
+	"strings"
 	"testing"
 )
 
@@ -12,17 +15,69 @@ func TestTimeConversions(t *testing.T) {
 		t.Errorf("FromSeconds(2.5) = %v", FromSeconds(2.5))
 	}
 	// ARM7 DVS periods are exact in femtoseconds.
-	if got := PeriodOf(200e6); got != 5*Nanosecond {
-		t.Errorf("PeriodOf(200MHz) = %v, want 5ns", got)
+	for _, tc := range []struct {
+		hz   float64
+		want Time
+	}{{200e6, 5 * Nanosecond}, {100e6, 10 * Nanosecond}, {200e6 / 3, 15 * Nanosecond}} {
+		if got, err := PeriodOf(tc.hz); err != nil || got != tc.want {
+			t.Errorf("PeriodOf(%g) = %v, %v; want %v", tc.hz, got, err, tc.want)
+		}
 	}
-	if got := PeriodOf(100e6); got != 10*Nanosecond {
-		t.Errorf("PeriodOf(100MHz) = %v, want 10ns", got)
+	for _, hz := range []float64{0, -5, math.NaN()} {
+		if _, err := PeriodOf(hz); err == nil {
+			t.Errorf("PeriodOf(%g) accepted a non-positive frequency", hz)
+		}
 	}
-	if got := PeriodOf(200e6 / 3); got != 15*Nanosecond {
-		t.Errorf("PeriodOf(66.7MHz) = %v, want 15ns", got)
+}
+
+// TestTimeRange holds every conversion and the kernel to ±MaxTime: a value
+// beyond it is an error, never a wrapped Time.
+func TestTimeRange(t *testing.T) {
+	if MaxTime.Seconds() < 9223 || MaxTime.Seconds() > 9224 {
+		t.Fatalf("MaxTime = %v s, want about 9223 s", MaxTime.Seconds())
 	}
-	if PeriodOf(0) != 0 || PeriodOf(-5) != 0 {
-		t.Error("non-positive frequency should give zero period")
+	inRange := func(what string, got Time, err error, want Time) {
+		t.Helper()
+		if err != nil || got != want {
+			t.Errorf("%s = %v, %v; want %v", what, got, err, want)
+		}
+	}
+	refused := func(what string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), "9223 s") {
+			t.Errorf("%s: error %v, want one naming the ±9223 s range", what, err)
+		}
+	}
+	got, err := ToTime(9000)
+	inRange("ToTime(9000)", got, err, 9000*Second)
+	got, err = ToTime(-9000)
+	inRange("ToTime(-9000)", got, err, -9000*Second)
+	for _, s := range []float64{9224, -9224, math.Inf(1), math.NaN(), MaxTime.Seconds()} {
+		_, err := ToTime(s)
+		refused(fmt.Sprintf("ToTime(%g)", s), err)
+	}
+	_, err = PeriodOf(1e-4) // 10⁴ s
+	refused("PeriodOf(1e-4 Hz)", err)
+
+	got, err = Mul(900e9, 10*Nanosecond)
+	inRange("Mul(9e11, 10ns)", got, err, 9000*Second)
+	_, err = Mul(1e12, 10*Nanosecond)
+	refused("Mul(1e12, 10ns)", err)
+	_, err = Mul(2e12, 10*Nanosecond) // wraps to 1553.26 s unchecked
+	refused("Mul(2e12, 10ns)", err)
+	got, err = Sum(MaxTime-2, 1, 1)
+	inRange("Sum(MaxTime-2, 1, 1)", got, err, MaxTime)
+	_, err = Sum(MaxTime-1, 1, 1)
+	refused("Sum(MaxTime-1, 1, 1)", err)
+
+	k := NewKernel()
+	if err := k.After(9000*Second, func() {}); err != nil {
+		t.Fatal(err)
+	}
+	k.Run()
+	refused("After past MaxTime", k.After(300*Second, func() {}))
+	if err := k.After(MaxTime-k.Now(), func() {}); err != nil {
+		t.Errorf("After up to MaxTime: %v", err)
 	}
 }
 
@@ -87,25 +142,6 @@ func TestEventsCanScheduleEvents(t *testing.T) {
 	}
 }
 
-func TestRunUntil(t *testing.T) {
-	k := NewKernel()
-	fired := 0
-	for i := Time(10); i <= 100; i += 10 {
-		_ = k.At(i, func() { fired++ })
-	}
-	k.RunUntil(50)
-	if fired != 5 {
-		t.Errorf("fired %d events by t=50, want 5", fired)
-	}
-	if k.Pending() != 5 {
-		t.Errorf("pending = %d, want 5", k.Pending())
-	}
-	k.Run()
-	if fired != 10 {
-		t.Errorf("fired %d events total", fired)
-	}
-}
-
 func TestStepOnEmpty(t *testing.T) {
 	k := NewKernel()
 	if k.Step() {
@@ -113,97 +149,5 @@ func TestStepOnEmpty(t *testing.T) {
 	}
 	if k.Now() != 0 {
 		t.Error("time moved with no events")
-	}
-}
-
-func TestNotifier(t *testing.T) {
-	k := NewKernel()
-	n := NewNotifier(k)
-	count := 0
-	n.Subscribe(func() { count++ })
-	n.Subscribe(func() { count += 10 })
-	n.Notify()
-	if count != 11 {
-		t.Errorf("count = %d after immediate notify", count)
-	}
-	if err := n.NotifyAfter(100); err != nil {
-		t.Fatal(err)
-	}
-	k.Run()
-	if count != 22 {
-		t.Errorf("count = %d after deferred notify", count)
-	}
-}
-
-func TestSignal(t *testing.T) {
-	k := NewKernel()
-	s := NewSignal(k, 0)
-	changes := 0
-	s.Subscribe(func() { changes++ })
-	s.Write(0) // no change, no notify
-	if changes != 0 || s.Writes() != 0 {
-		t.Error("same-value write notified")
-	}
-	s.Write(7)
-	if s.Read() != 7 || changes != 1 || s.Writes() != 1 {
-		t.Errorf("Read=%d changes=%d", s.Read(), changes)
-	}
-	s.Write(9)
-	if s.Read() != 9 || changes != 2 {
-		t.Errorf("Read=%d changes=%d", s.Read(), changes)
-	}
-}
-
-func TestClock(t *testing.T) {
-	k := NewKernel()
-	c := NewClock(k, 10)
-	edges := 0
-	c.Subscribe(func() { edges++ })
-	if err := c.Start(5); err != nil {
-		t.Fatal(err)
-	}
-	end := k.Run()
-	if edges != 5 || c.Ticks() != 5 {
-		t.Errorf("edges=%d ticks=%d, want 5", edges, c.Ticks())
-	}
-	if end != 50 {
-		t.Errorf("end = %v, want 50", end)
-	}
-	// Restarting after the limit resumes ticking.
-	if err := c.Start(2); err != nil {
-		t.Fatal(err)
-	}
-	k.Run()
-	if c.Ticks() != 7 {
-		t.Errorf("ticks after restart = %d, want 7", c.Ticks())
-	}
-}
-
-func TestClockStop(t *testing.T) {
-	k := NewKernel()
-	c := NewClock(k, 10)
-	_ = c.Start(0)
-	stopAt := Time(35)
-	_ = k.At(stopAt, c.Stop)
-	k.RunUntil(200)
-	// Edges at 10, 20, 30; the stop at 35 kills the one queued for 40.
-	if c.Ticks() != 3 {
-		t.Errorf("ticks = %d, want 3", c.Ticks())
-	}
-	if k.Pending() > 1 {
-		t.Errorf("clock left %d events pending", k.Pending())
-	}
-}
-
-func TestClockUnboundedWithRunUntil(t *testing.T) {
-	k := NewKernel()
-	c := NewClock(k, 7)
-	_ = c.Start(0)
-	k.RunUntil(70)
-	if c.Ticks() != 10 {
-		t.Errorf("ticks = %d, want 10", c.Ticks())
-	}
-	if c.Start(0) != nil {
-		t.Error("Start on live clock should be a no-op, not an error")
 	}
 }

@@ -132,16 +132,6 @@ func measureGamma(g *taskgraph.Graph, p *arch.Platform, d *mapping.Design, cfg C
 	return mean, nil
 }
 
-// Row returns the row for the named experiment, or nil.
-func (r *TableIIResult) Row(name ExperimentName) *TableIIRow {
-	for i := range r.Rows {
-		if r.Rows[i].Name == name {
-			return &r.Rows[i]
-		}
-	}
-	return nil
-}
-
 // table builds the paper-style Table II.
 func (r *TableIIResult) table() *Table {
 	t := &Table{

@@ -106,16 +106,6 @@ func TableIII(cfg Config) (*TableIIIResult, error) {
 	return res, nil
 }
 
-// App returns the row with the given name, or nil.
-func (r *TableIIIResult) App(name string) *TableIIIApp {
-	for i := range r.Apps {
-		if r.Apps[i].Name == name {
-			return &r.Apps[i]
-		}
-	}
-	return nil
-}
-
 // table builds the paper-style Table III.
 func (r *TableIIIResult) table() *Table {
 	headers := []string{"App."}

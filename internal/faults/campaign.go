@@ -3,7 +3,6 @@ package faults
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 )
 
 // ExposureItem describes one block of SEU-exposed storage: Bits of state on
@@ -51,15 +50,6 @@ type Result struct {
 	PerCore []CoreResult
 	// PerLabel counts experienced SEUs by exposure label, for attribution.
 	PerLabel map[string]int64
-}
-
-// TotalInjected returns the number of SEUs injected across all cores.
-func (r *Result) TotalInjected() int64 {
-	var n int64
-	for _, c := range r.PerCore {
-		n += c.Injected
-	}
-	return n
 }
 
 // TotalExperienced returns Γ as measured by the campaign: the number of
@@ -174,31 +164,4 @@ func (c *Campaign) RunRepeated(seed int64, n int) (totals []int64, mean float64,
 		sum += float64(totals[i])
 	}
 	return totals, sum / float64(n), nil
-}
-
-// TopLabels returns the n exposure labels with the most experienced SEUs,
-// most-hit first (ties broken lexicographically), for attribution reports.
-func (r *Result) TopLabels(n int) []string {
-	type lc struct {
-		label string
-		count int64
-	}
-	all := make([]lc, 0, len(r.PerLabel))
-	for l, c := range r.PerLabel {
-		all = append(all, lc{l, c})
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].count != all[j].count {
-			return all[i].count > all[j].count
-		}
-		return all[i].label < all[j].label
-	})
-	if n > len(all) {
-		n = len(all)
-	}
-	out := make([]string, n)
-	for i := 0; i < n; i++ {
-		out[i] = all[i].label
-	}
-	return out
 }

@@ -203,17 +203,6 @@ func TestRunRepeated(t *testing.T) {
 	}
 }
 
-func TestTopLabels(t *testing.T) {
-	r := &Result{PerLabel: map[string]int64{"a": 5, "b": 50, "c": 50, "d": 1}}
-	top := r.TopLabels(3)
-	if len(top) != 3 || top[0] != "b" || top[1] != "c" || top[2] != "a" {
-		t.Errorf("TopLabels = %v", top)
-	}
-	if got := r.TopLabels(99); len(got) != 4 {
-		t.Errorf("TopLabels(99) returned %d labels", len(got))
-	}
-}
-
 func TestZeroLambdaCore(t *testing.T) {
 	c := &Campaign{
 		Items:  []ExposureItem{{Core: 0, Label: "r", Bits: 1 << 20, Cycles: 1 << 20}},

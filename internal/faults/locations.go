@@ -1,7 +1,6 @@
 package faults
 
 import (
-	"fmt"
 	"math/rand"
 	"sort"
 )
@@ -96,29 +95,4 @@ func AttributeToTasks(upsets []Upset, usedBy map[string][]string) []TaskImpact {
 		return out[i].Task < out[j].Task
 	})
 	return out
-}
-
-// Histogram buckets upsets by time into nBuckets equal windows of the
-// per-core horizon, returning per-core bucket counts — the temporal
-// distribution view of a campaign.
-func Histogram(upsets []Upset, horizon []int64, nBuckets int) ([][]int64, error) {
-	if nBuckets < 1 {
-		return nil, fmt.Errorf("faults: non-positive bucket count %d", nBuckets)
-	}
-	cores := len(horizon)
-	out := make([][]int64, cores)
-	for c := range out {
-		out[c] = make([]int64, nBuckets)
-	}
-	for _, u := range upsets {
-		if u.Core < 0 || u.Core >= cores || horizon[u.Core] <= 0 {
-			continue
-		}
-		b := int(u.Cycle * int64(nBuckets) / horizon[u.Core])
-		if b >= nBuckets {
-			b = nBuckets - 1
-		}
-		out[u.Core][b]++
-	}
-	return out, nil
 }

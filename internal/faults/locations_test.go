@@ -104,24 +104,3 @@ func TestAttributeToTasks(t *testing.T) {
 		t.Errorf("TaskA percent = %v, want 75 (3 of 4 upsets)", byTask["TaskA"].Percent)
 	}
 }
-
-func TestHistogram(t *testing.T) {
-	ups := []Upset{
-		{Core: 0, Cycle: 0}, {Core: 0, Cycle: 49}, {Core: 0, Cycle: 50},
-		{Core: 0, Cycle: 99}, {Core: 1, Cycle: 10},
-		{Core: 5, Cycle: 0}, // out of range core: dropped
-	}
-	h, err := Histogram(ups, []int64{100, 100}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h[0][0] != 2 || h[0][1] != 2 {
-		t.Errorf("core0 buckets = %v", h[0])
-	}
-	if h[1][0] != 1 || h[1][1] != 0 {
-		t.Errorf("core1 buckets = %v", h[1])
-	}
-	if _, err := Histogram(ups, []int64{100}, 0); err == nil {
-		t.Error("zero buckets accepted")
-	}
-}

@@ -146,12 +146,12 @@ func FuzzParsePlatformSpec(f *testing.F) {
 		links := ic.NumLinks()
 		for a := 0; a < cores; a++ {
 			for b := 0; b < cores; b++ {
-				r := ic.Route(a, b)
-				if r.Hops() != ic.Hops(a, b) {
-					t.Fatalf("route %d→%d has %d links, Hops %d", a, b, r.Hops(), ic.Hops(a, b))
+				path := ic.PathLinks(a, b, nil)
+				if len(path) != ic.Hops(a, b) {
+					t.Fatalf("route %d→%d has %d links, Hops %d", a, b, len(path), ic.Hops(a, b))
 				}
-				for i := 0; i < r.Hops(); i++ {
-					if l := r.Link(i); l < 0 || l >= links {
+				for _, l := range path {
+					if l < 0 || l >= links {
 						t.Fatalf("route %d→%d crosses link %d outside [0,%d)", a, b, l, links)
 					}
 				}

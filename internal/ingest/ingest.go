@@ -117,16 +117,6 @@ func Detect(data []byte) (Format, error) {
 	return "", fmt.Errorf("ingest: empty task-graph document")
 }
 
-// Parse reads one task graph in the given format from r and returns it
-// validated (acyclic, weakly connected, unique task names).
-func Parse(f Format, r io.Reader) (*taskgraph.Graph, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("ingest: reading task graph: %w", err)
-	}
-	return ParseBytes(f, data)
-}
-
 // ParseBytes is Parse over an in-memory document.
 func ParseBytes(f Format, data []byte) (*taskgraph.Graph, error) {
 	var g *taskgraph.Graph

@@ -121,12 +121,6 @@ func ExploreContext(ctx context.Context, g *taskgraph.Graph, p *arch.Platform,
 	return exploreScalar(ctx, g, p, mapper, cfg, exploreCore)
 }
 
-// ExplorePareto runs the multi-objective design loop with background
-// context; see ExploreParetoContext.
-func ExplorePareto(g *taskgraph.Graph, p *arch.Platform, mapper MapperFunc, cfg Config) ([]*Design, error) {
-	return ExploreParetoContext(context.Background(), g, p, mapper, cfg)
-}
-
 // ExploreParetoContext runs the same streamed design loop as ExploreContext
 // but replaces the scalar step-3 reduction with a multi-objective
 // non-dominated fold: every deadline-feasible resolved combination's

@@ -1,6 +1,7 @@
 package mapping
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"testing"
@@ -165,7 +166,7 @@ func TestHeterogeneousParetoMatchesExhaustive(t *testing.T) {
 
 		exh := base
 		exh.Strategy = StrategyExhaustive
-		wantFrontier, err := ExplorePareto(wl.g, wl.p, SEAMapper(exh), exh)
+		wantFrontier, err := ExploreParetoContext(context.Background(), wl.g, wl.p, SEAMapper(exh), exh)
 		if err != nil {
 			t.Fatalf("%s exhaustive: %v", wl.name, err)
 		}
@@ -176,7 +177,7 @@ func TestHeterogeneousParetoMatchesExhaustive(t *testing.T) {
 			bnb := base
 			bnb.Strategy = StrategyBranchAndBound
 			bnb.Parallelism = par
-			gotFrontier, err := ExplorePareto(wl.g, wl.p, SEAMapper(bnb), bnb)
+			gotFrontier, err := ExploreParetoContext(context.Background(), wl.g, wl.p, SEAMapper(bnb), bnb)
 			if err != nil {
 				t.Fatalf("%s bnb par=%d: %v", wl.name, par, err)
 			}

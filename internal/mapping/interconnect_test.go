@@ -131,7 +131,7 @@ func TestInterconnectParetoMatchesExhaustive(t *testing.T) {
 
 	exh := base
 	exh.Strategy = StrategyExhaustive
-	wantFrontier, err := ExplorePareto(g, p, SEAMapper(exh), exh)
+	wantFrontier, err := ExploreParetoContext(context.Background(), g, p, SEAMapper(exh), exh)
 	if err != nil {
 		t.Fatalf("exhaustive: %v", err)
 	}
@@ -142,7 +142,7 @@ func TestInterconnectParetoMatchesExhaustive(t *testing.T) {
 		bnb := base
 		bnb.Strategy = StrategyBranchAndBound
 		bnb.Parallelism = par
-		gotFrontier, err := ExplorePareto(g, p, SEAMapper(bnb), bnb)
+		gotFrontier, err := ExploreParetoContext(context.Background(), g, p, SEAMapper(bnb), bnb)
 		if err != nil {
 			t.Fatalf("bnb par=%d: %v", par, err)
 		}

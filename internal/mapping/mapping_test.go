@@ -166,7 +166,7 @@ func TestOptimizedMappingFindsFeasibility(t *testing.T) {
 	g := taskgraph.MustRandom(taskgraph.DefaultRandomConfig(20), 4)
 	p := plat(4)
 	scaling := []int{1, 1, 1, 1}
-	all0 := sched.NewMapping(g.N())
+	all0 := make(sched.Mapping, g.N())
 	c := cfg(0, 1)
 	evAll0, err := metrics.Evaluate(g, p, all0, scaling, c.SER, metrics.Options{Iterations: 1})
 	if err != nil {

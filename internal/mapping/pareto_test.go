@@ -1,6 +1,7 @@
 package mapping
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"strings"
@@ -46,7 +47,7 @@ func TestParetoMatchesExhaustive(t *testing.T) {
 
 		exh := base
 		exh.Strategy = StrategyExhaustive
-		wantFrontier, err := ExplorePareto(wl.g, p, SEAMapper(exh), exh)
+		wantFrontier, err := ExploreParetoContext(context.Background(), wl.g, p, SEAMapper(exh), exh)
 		if err != nil {
 			t.Fatalf("%s exhaustive: %v", wl.name, err)
 		}
@@ -57,7 +58,7 @@ func TestParetoMatchesExhaustive(t *testing.T) {
 			bnb := base
 			bnb.Strategy = StrategyBranchAndBound
 			bnb.Parallelism = par
-			gotFrontier, err := ExplorePareto(wl.g, p, SEAMapper(bnb), bnb)
+			gotFrontier, err := ExploreParetoContext(context.Background(), wl.g, p, SEAMapper(bnb), bnb)
 			if err != nil {
 				t.Fatalf("%s bnb par=%d: %v", wl.name, par, err)
 			}
@@ -129,7 +130,7 @@ func TestParetoDeterministicEvents(t *testing.T) {
 				pr.Index, pr.Total, pr.Combination, pr.Scaling, pr.Pruned, pr.Skipped,
 				pr.FrontierSize, pr.Admitted, designFingerprint(pr.Best)))
 		}
-		if _, err := ExplorePareto(g, p, SEAMapper(c), c); err != nil {
+		if _, err := ExploreParetoContext(context.Background(), g, p, SEAMapper(c), c); err != nil {
 			t.Fatal(err)
 		}
 		return out
@@ -161,7 +162,7 @@ func TestParetoContainsScalarOptimum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frontier, err := ExplorePareto(g, p, SEAMapper(c), c)
+	frontier, err := ExploreParetoContext(context.Background(), g, p, SEAMapper(c), c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +198,7 @@ func TestParetoBnBPrunesAndSkips(t *testing.T) {
 
 	exh := base
 	exh.Strategy = StrategyExhaustive
-	want, err := ExplorePareto(g, p, SEAMapper(exh), exh)
+	want, err := ExploreParetoContext(context.Background(), g, p, SEAMapper(exh), exh)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +214,7 @@ func TestParetoBnBPrunesAndSkips(t *testing.T) {
 			skipped++
 		}
 	}
-	got, err := ExplorePareto(g, p, SEAMapper(bnb), bnb)
+	got, err := ExploreParetoContext(context.Background(), g, p, SEAMapper(bnb), bnb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +244,7 @@ func TestParetoImpossibleDeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frontier, err := ExplorePareto(g, p, SEAMapper(base), base)
+	frontier, err := ExploreParetoContext(context.Background(), g, p, SEAMapper(base), base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +262,7 @@ func TestParetoImpossibleDeadline(t *testing.T) {
 	// verdict comes from the embedded scalar fold without a second pass —
 	// and must be byte-identical to the branch-and-bound fallback's.
 	exhPareto := exh
-	exhFrontier, err := ExplorePareto(g, p, SEAMapper(exhPareto), exhPareto)
+	exhFrontier, err := ExploreParetoContext(context.Background(), g, p, SEAMapper(exhPareto), exhPareto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,11 +291,11 @@ func TestParetoObjectiveSubsets(t *testing.T) {
 
 		exh := base
 		exh.Strategy = StrategyExhaustive
-		want, err := ExplorePareto(g, p, SEAMapper(exh), exh)
+		want, err := ExploreParetoContext(context.Background(), g, p, SEAMapper(exh), exh)
 		if err != nil {
 			t.Fatalf("obj %v exhaustive: %v", obj, err)
 		}
-		got, err := ExplorePareto(g, p, SEAMapper(base), base)
+		got, err := ExploreParetoContext(context.Background(), g, p, SEAMapper(base), base)
 		if err != nil {
 			t.Fatalf("obj %v bnb: %v", obj, err)
 		}

@@ -1,6 +1,7 @@
 package mapping
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"testing"
@@ -85,7 +86,7 @@ func TestExploreDeterministicTelemetryPareto(t *testing.T) {
 		c.Telemetry = tel
 		var evs []string
 		c.Progress = func(pr Progress) { evs = append(evs, progressFingerprint(pr)) }
-		frontier, err := ExplorePareto(g, p, SEAMapper(c), c)
+		frontier, err := ExploreParetoContext(context.Background(), g, p, SEAMapper(c), c)
 		if err != nil {
 			t.Fatalf("parallelism %d telemetry=%v: %v", par, tel != nil, err)
 		}

@@ -316,28 +316,15 @@ func (b *Bounds) TMLowerBound(scaling []int) (float64, error) {
 	return b.tmLowerBoundFromHist(cnt), nil
 }
 
-// NominalPower returns the scaling vector's full-utilization dynamic power
-// (eq. 5 with α ≡ 1) — the exact quantity the step-3 acceptance rule ranks
-// feasible scalings by, available without scheduling anything. The value is
-// reduced from the level histogram, so physically equal vectors (any
-// permutation within a symmetry class) produce bit-identical power.
-func (b *Bounds) NominalPower(scaling []int) (float64, error) {
-	cnt, err := b.histogram(scaling)
-	if err != nil {
-		return 0, err
-	}
-	return b.nominalFromHist(cnt), nil
-}
-
 // Cursor maintains the level histogram of a current scaling vector so the
 // bound queries of a combination stream cost O(changed coefficients) float
 // work per step instead of O(cores): Advance diffs the next vector against
 // the current one and moves only the changed counts; NominalPower and
 // TMLowerBound then reduce the histogram in the catalogue's fixed order.
 // Because every value is a pure function of the histogram — not of the
-// update path — a Cursor's answers are bit-identical to the fresh
-// Bounds.TMLowerBound / Bounds.NominalPower calls at the same vector,
-// whatever enumeration order (lexicographic, ranked, sampled) drives it.
+// update path — a Cursor's answers are bit-identical to a fresh reduction
+// of the same vector (Bounds.TMLowerBound for the bound), whatever
+// enumeration order (lexicographic, ranked, sampled) drives it.
 //
 // A Cursor is not safe for concurrent use; the exploration dispatcher owns
 // one.
@@ -410,8 +397,11 @@ func (cu *Cursor) Advance(next []int) (changed int, err error) {
 	return changed, nil
 }
 
-// NominalPower returns the current vector's nominal power; see
-// Bounds.NominalPower.
+// NominalPower returns the current vector's full-utilization dynamic power
+// (eq. 5 with α ≡ 1), the quantity the step-3 acceptance rule ranks
+// feasible scalings by. It is reduced from the level histogram, so
+// physically equal vectors (any permutation within a symmetry class) get
+// bit-identical power.
 func (cu *Cursor) NominalPower() float64 { return cu.b.nominalFromHist(cu.cnt) }
 
 // TMLowerBound returns the current vector's admissible T_M lower bound; see

@@ -75,7 +75,7 @@ func TestTMLowerBoundAdmissible(t *testing.T) {
 						case 0:
 							m = sched.RoundRobin(tc.g.N(), cores)
 						case 1:
-							m = sched.NewMapping(tc.g.N()) // everything on core 0
+							m = make(sched.Mapping, tc.g.N()) // everything on core 0
 						default:
 							m = sched.RandomMapping(rng, tc.g.N(), cores)
 						}

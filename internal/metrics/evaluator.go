@@ -187,12 +187,6 @@ func (e *Evaluator) Graph() *taskgraph.Graph { return e.g }
 // Platform returns the pinned platform.
 func (e *Evaluator) Platform() *arch.Platform { return e.p }
 
-// Options returns the evaluation options.
-func (e *Evaluator) Options() Options { return e.opt }
-
-// SER returns the soft error rate model.
-func (e *Evaluator) SER() faults.SERModel { return e.ser }
-
 // Bind pins the scaling vector for subsequent Evaluate calls, precomputing
 // the per-core λ rates. It invalidates any borrowed Evaluation.
 //

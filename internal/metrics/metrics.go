@@ -89,46 +89,6 @@ func Evaluate(g *taskgraph.Graph, p *arch.Platform, m sched.Mapping, scaling []i
 	return e.Evaluate(m)
 }
 
-// AggregateTM implements the paper's eq. (6) estimate of the multiprocessor
-// execution time in seconds: total busy cycles divided by the aggregate
-// effective frequency Σ_i α_i·f_i. It is reported for comparison with the
-// schedule-based T_M; the two agree exactly for perfectly balanced,
-// fully-utilized designs.
-func AggregateTM(s *sched.Schedule, iterations int) float64 {
-	util := s.Utilization(iterations)
-	var aggHz float64
-	for c := range util {
-		aggHz += util[c] * s.FreqHz(c)
-	}
-	if aggHz <= 0 {
-		return 0
-	}
-	return float64(s.TotalBusyCycles()) / aggHz
-}
-
-// Better reports whether candidate a dominates b under the paper's step-3
-// acceptance rule: both must be evaluated; a wins if it meets the deadline
-// and b does not, or both meet it and a has lower power, or equal power
-// (within tol) and lower Γ.
-func Better(a, b *Evaluation) bool {
-	if a == nil {
-		return false
-	}
-	if b == nil {
-		return true
-	}
-	if a.MeetsDeadline != b.MeetsDeadline {
-		return a.MeetsDeadline
-	}
-	const relTol = 1e-9
-	if diff := a.PowerW - b.PowerW; diff < -relTol*(a.PowerW+b.PowerW) {
-		return true
-	} else if diff > relTol*(a.PowerW+b.PowerW) {
-		return false
-	}
-	return a.Gamma < b.Gamma
-}
-
 // String renders a one-line summary of the evaluation.
 func (ev *Evaluation) String() string {
 	return fmt.Sprintf("P=%.3fmW R=%.1fkb T_M=%.3fs Γ=%.4g deadline=%v",

@@ -75,8 +75,8 @@ func TestGammaHandComputed(t *testing.T) {
 	if ev.PerCore[0].BusyCycles != 1_100_000 || ev.PerCore[1].BusyCycles != 2_100_000 {
 		t.Fatalf("busy cycles = %d,%d", ev.PerCore[0].BusyCycles, ev.PerCore[1].BusyCycles)
 	}
-	lam0 := ser().RatePerSec(p.MustLevel(1).Vdd)
-	lam1 := ser().RatePerSec(p.MustLevel(2).Vdd)
+	lam0 := ser().RatePerSec(p.MustCoreLevel(0, 1).Vdd)
+	lam1 := ser().RatePerSec(p.MustCoreLevel(0, 2).Vdd)
 	// Exposure window is the full T_M for both used cores.
 	want := 1200*ev.TMSeconds*lam0 + 1300*ev.TMSeconds*lam1
 	if math.Abs(ev.Gamma-want) > 1e-9*want {
@@ -164,50 +164,6 @@ func TestMPEG2PipelineFeasibleAtScale2(t *testing.T) {
 	// Γ within an order of magnitude of Table II's ~4e5.
 	if ev.Gamma < 2e4 || ev.Gamma > 4e6 {
 		t.Errorf("Γ = %v wildly off Table II magnitudes", ev.Gamma)
-	}
-}
-
-func TestAggregateTM(t *testing.T) {
-	g := twoTask(t)
-	p := plat(2)
-	s, err := sched.ListSchedule(g, p, sched.Mapping{0, 1}, []int{1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	agg := AggregateTM(s, 1)
-	if agg <= 0 {
-		t.Fatalf("AggregateTM = %v", agg)
-	}
-	// Eq. (6) is total busy cycles over aggregate effective frequency; with
-	// both cores partially utilized it can differ from the makespan but
-	// must stay within the same order of magnitude.
-	ratio := agg / s.MakespanSeconds()
-	if ratio < 0.2 || ratio > 5 {
-		t.Errorf("AggregateTM/makespan = %v, implausible", ratio)
-	}
-}
-
-func TestBetterOrdering(t *testing.T) {
-	mk := func(meets bool, p, g float64) *Evaluation {
-		return &Evaluation{MeetsDeadline: meets, PowerW: p, Gamma: g}
-	}
-	if !Better(mk(true, 5, 5), nil) {
-		t.Error("any evaluation beats nil")
-	}
-	if Better(nil, mk(true, 5, 5)) {
-		t.Error("nil beats nothing")
-	}
-	if !Better(mk(true, 9, 9), mk(false, 1, 1)) {
-		t.Error("deadline-meeting design must win")
-	}
-	if !Better(mk(true, 1, 9), mk(true, 2, 1)) {
-		t.Error("lower power must win")
-	}
-	if !Better(mk(true, 1, 1), mk(true, 1, 2)) {
-		t.Error("equal power: lower Γ must win")
-	}
-	if Better(mk(true, 1, 2), mk(true, 1, 1)) {
-		t.Error("higher Γ won at equal power")
 	}
 }
 

@@ -211,9 +211,6 @@ func NewFold[T any](o Objectives) (*Fold[T], error) {
 	return &Fold[T]{objectives: o}, nil
 }
 
-// Objectives returns the fold's objective selection.
-func (f *Fold[T]) Objectives() Objectives { return f.objectives }
-
 // Offer folds one resolved point into the frontier and reports whether it
 // was admitted. A dominated point is rejected; an exact tie (equal in every
 // active component) resolves to the lowest enumeration index whichever

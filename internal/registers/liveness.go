@@ -15,9 +15,6 @@ type Interval struct {
 // Cycles returns the interval length.
 func (iv Interval) Cycles() int64 { return iv.End - iv.Start }
 
-// Contains reports whether cycle t lies inside the interval.
-func (iv Interval) Contains(t int64) bool { return t >= iv.Start && t < iv.End }
-
 // overlapsOrTouches reports whether two intervals can be merged.
 func (iv Interval) overlapsOrTouches(other Interval) bool {
 	return iv.Start <= other.End && other.Start <= iv.End
@@ -89,46 +86,6 @@ func mergeInto(list []Interval, iv Interval) []Interval {
 	return out
 }
 
-// Horizon returns the last cycle covered by any live interval.
-func (l *Liveness) Horizon() int64 { return l.horizon }
-
-// Cores returns the sorted list of cores with at least one live register.
-func (l *Liveness) Cores() []int {
-	out := make([]int, 0, len(l.cores))
-	for c := range l.cores {
-		out = append(out, c)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// Registers returns the sorted register IDs with live state on core.
-func (l *Liveness) Registers(core int) []string {
-	var out []string
-	for key := range l.spans {
-		if key.core == core {
-			out = append(out, key.reg)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Intervals returns a copy of the merged live intervals for (core, reg).
-func (l *Liveness) Intervals(core int, reg string) []Interval {
-	src := l.spans[coreReg{core, reg}]
-	out := make([]Interval, len(src))
-	copy(out, src)
-	return out
-}
-
-// LiveAt reports whether register reg is live on core at cycle t.
-func (l *Liveness) LiveAt(core int, reg string, t int64) bool {
-	list := l.spans[coreReg{core, reg}]
-	pos := sort.Search(len(list), func(i int) bool { return list[i].End > t })
-	return pos < len(list) && list[pos].Contains(t)
-}
-
 // LiveCycles returns the total number of cycles register reg is live on core.
 func (l *Liveness) LiveCycles(core int, reg string) int64 {
 	var total int64
@@ -154,15 +111,6 @@ func (l *Liveness) Exposure(inv *Inventory, core int) int64 {
 		}
 	}
 	return total
-}
-
-// AvgBitsPerCycle implements eq. (4): the register usage R_i of core i as the
-// average number of live bits per cycle over the window [0, horizon).
-func (l *Liveness) AvgBitsPerCycle(inv *Inventory, core int, horizon int64) float64 {
-	if horizon <= 0 {
-		return 0
-	}
-	return float64(l.Exposure(inv, core)) / float64(horizon)
 }
 
 // Profile buckets a core's live bits over time: the horizon is split into
@@ -201,18 +149,4 @@ func (l *Liveness) Profile(inv *Inventory, core int, horizon int64, nBuckets int
 		}
 	}
 	return out
-}
-
-// LiveBitsAt returns the number of live bits on core at cycle t.
-func (l *Liveness) LiveBitsAt(inv *Inventory, core int, t int64) int64 {
-	var total int64
-	for key := range l.spans {
-		if key.core != core {
-			continue
-		}
-		if l.LiveAt(core, key.reg, t) {
-			total += inv.Bits(key.reg)
-		}
-	}
-	return total
 }

@@ -71,12 +71,6 @@ func (inv *Inventory) MustAdd(id string, bits int64) {
 	}
 }
 
-// Get returns the register with the given ID.
-func (inv *Inventory) Get(id string) (Register, bool) {
-	r, ok := inv.regs[id]
-	return r, ok
-}
-
 // Bits returns the width of register id, or 0 if it does not exist.
 func (inv *Inventory) Bits(id string) int64 {
 	return inv.regs[id].Bits
@@ -140,9 +134,6 @@ func NewSet(ids ...string) Set {
 	}
 	return s
 }
-
-// Add inserts id into the set.
-func (s Set) Add(id string) { s[id] = struct{}{} }
 
 // Has reports membership of id.
 func (s Set) Has(id string) bool {

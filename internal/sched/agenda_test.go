@@ -79,11 +79,11 @@ func matchTokenAgenda(t testing.TB, sch *Scheduler, ref *tokenScheduler, scaling
 	t.Helper()
 	what := func() string {
 		fabric := "ideal"
-		if icn := sch.Platform().Interconnect(); icn != nil {
+		if icn := sch.p.Interconnect(); icn != nil {
 			fabric = fmt.Sprintf("%+v", *icn)
 		}
 		return fmt.Sprintf("graph %q (%d tasks) on %d cores, fabric %s, scaling %v, mapping %v",
-			sch.Graph().Name(), sch.Graph().N(), sch.Platform().Cores(), fabric, scaling, m)
+			sch.g.Name(), sch.g.N(), sch.p.Cores(), fabric, scaling, m)
 	}
 	sameErr := func(stage string, got, want error) bool {
 		t.Helper()
@@ -110,10 +110,10 @@ func matchTokenAgenda(t testing.TB, sch *Scheduler, ref *tokenScheduler, scaling
 	if !bitsEq(got.MakespanSeconds(), want.MakespanSeconds()) {
 		t.Fatalf("%s: makespan %v, reference %v", what(), got.MakespanSeconds(), want.MakespanSeconds())
 	}
-	if !bitsEq(got.CommDelaySeconds(), want.CommDelaySeconds()) {
-		t.Fatalf("%s: comm delay %v, reference %v", what(), got.CommDelaySeconds(), want.CommDelaySeconds())
+	if !bitsEq(got.commDelaySec, want.commDelaySec) {
+		t.Fatalf("%s: comm delay %v, reference %v", what(), got.commDelaySec, want.commDelaySec)
 	}
-	for c := 0; c < want.Cores(); c++ {
+	for c := range want.busyCycles {
 		if got.BusyCycles(c) != want.BusyCycles(c) || !bitsEq(got.BusySeconds(c), want.BusySeconds(c)) {
 			t.Fatalf("%s: core %d busy %d cycles / %v s, reference %d / %v", what(), c,
 				got.BusyCycles(c), got.BusySeconds(c), want.BusyCycles(c), want.BusySeconds(c))

@@ -19,8 +19,7 @@ import (
 //     core's task cycles plus the cycles of every cross-core edge it is an
 //     endpoint of (billed to BOTH endpoints — the producer drives the
 //     transfer, the consumer receives it), with busy seconds consistent at
-//     each core's own clock. CommSeconds reports the same model, so an
-//     externally-constructed schedule cannot silently disagree with it.
+//     each core's own clock.
 //
 // The scheduler produces valid schedules by construction; Validate exists
 // for tests, for externally-constructed schedules, and as an executable
@@ -113,96 +112,4 @@ func (s *Schedule) Validate() error {
 		return fmt.Errorf("sched: makespan %.12f != max slot end %.12f", s.makespan, maxEnd)
 	}
 	return nil
-}
-
-// Slack returns, per task, the amount of time (seconds) the task's
-// completion could slip without extending the makespan, holding everything
-// else fixed: makespan − (start + duration + longest downstream path).
-// Zero-slack tasks form the schedule's critical path.
-func (s *Schedule) Slack() []float64 {
-	g := s.Graph
-	n := g.N()
-	// Longest downstream time from each task's completion to the makespan,
-	// walking the schedule's realized timing in reverse topological order.
-	tail := make([]float64, n)
-	topo := g.TopoOrder()
-	for i := n - 1; i >= 0; i-- {
-		t := topo[i]
-		for _, e := range g.Succs(t) {
-			// Realized gap between this task's end and the successor's end.
-			d := s.Slots[e.To].EndSec - s.Slots[t].EndSec + tail[e.To]
-			if d > tail[t] {
-				tail[t] = d
-			}
-		}
-	}
-	out := make([]float64, n)
-	for t := 0; t < n; t++ {
-		out[t] = s.makespan - s.Slots[t].EndSec - tail[t]
-		if out[t] < 0 {
-			out[t] = 0
-		}
-	}
-	return out
-}
-
-// CriticalTasks returns the tasks with (near-)zero slack, in TaskID order.
-func (s *Schedule) CriticalTasks() []int {
-	slack := s.Slack()
-	var out []int
-	for t, v := range slack {
-		if v <= 1e-9*s.makespan {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
-// LoadImbalance returns max busy seconds minus min busy seconds across
-// cores that host at least one task — a balance diagnostic for mappings.
-func (s *Schedule) LoadImbalance() float64 {
-	used := make(map[int]bool)
-	for _, c := range s.Mapping {
-		used[c] = true
-	}
-	first := true
-	var lo, hi float64
-	for c, b := range s.busySec {
-		if !used[c] {
-			continue
-		}
-		if first {
-			lo, hi = b, b
-			first = false
-			continue
-		}
-		if b < lo {
-			lo = b
-		}
-		if b > hi {
-			hi = b
-		}
-	}
-	return hi - lo
-}
-
-// CommSeconds returns the total cross-core communication busy time of the
-// schedule in seconds under the eq. (7) billing model the scheduler uses:
-// each cross-core edge's cycles are billed to BOTH endpoint cores — the
-// producer drives the transfer, the consumer receives it — so an edge
-// contributes cycles/f_producer + cycles/f_consumer. This is exactly the
-// communication share of Σ_c BusySeconds(c); Validate asserts the per-core
-// billing, so the two views cannot drift apart. (It previously counted
-// each edge once at the slower endpoint's clock, disagreeing with the
-// scheduler's billing.) For the realized network latency — what tokens
-// actually waited, including interconnect queuing — see CommDelaySeconds.
-func (s *Schedule) CommSeconds() float64 {
-	var total float64
-	for _, e := range s.Graph.Edges() {
-		if s.Mapping[e.From] == s.Mapping[e.To] || e.Cycles == 0 {
-			continue
-		}
-		total += float64(e.Cycles)/s.freqHz[s.Mapping[e.From]] + float64(e.Cycles)/s.freqHz[s.Mapping[e.To]]
-	}
-	return total
 }

@@ -61,76 +61,6 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	}
 }
 
-func TestSlackAndCriticalTasks(t *testing.T) {
-	g := taskgraph.Fig8()
-	p := plat(3)
-	s, err := ListSchedule(g, p, Mapping{0, 1, 0, 0, 2, 0}, []int{1, 1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	slack := s.Slack()
-	crit := s.CriticalTasks()
-	if len(crit) == 0 {
-		t.Fatal("no critical tasks found")
-	}
-	// The finishing task always has zero slack.
-	var lastTask taskgraph.TaskID
-	var lastEnd float64
-	for _, slot := range s.Slots {
-		if slot.EndSec > lastEnd {
-			lastEnd = slot.EndSec
-			lastTask = slot.Task
-		}
-	}
-	if slack[lastTask] > 1e-12 {
-		t.Errorf("finishing task %d has slack %v", lastTask, slack[lastTask])
-	}
-	found := false
-	for _, c := range crit {
-		if taskgraph.TaskID(c) == lastTask {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("finishing task not reported critical")
-	}
-	for t2, v := range slack {
-		if v < 0 {
-			t.Errorf("task %d has negative slack %v", t2, v)
-		}
-	}
-}
-
-func TestLoadImbalanceAndComm(t *testing.T) {
-	g := taskgraph.MPEG2()
-	p := plat(4)
-	balanced, err := ListSchedule(g, p, RoundRobin(g.N(), 4), []int{1, 1, 1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	serialish, err := ListSchedule(g, p, Mapping{0, 0, 0, 0, 0, 0, 0, 0, 1, 2, 3}, []int{1, 1, 1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serialish.LoadImbalance() <= balanced.LoadImbalance() {
-		t.Errorf("serial-ish imbalance %v not above round-robin %v",
-			serialish.LoadImbalance(), balanced.LoadImbalance())
-	}
-	// Round-robin cuts every edge of the chain; the clustered mapping cuts 3.
-	if balanced.CommSeconds() <= serialish.CommSeconds() {
-		t.Errorf("round-robin comm %v not above clustered %v",
-			balanced.CommSeconds(), serialish.CommSeconds())
-	}
-	// Same-core mapping has zero comm.
-	mono, err := ListSchedule(g, p, NewMapping(g.N()), []int{1, 1, 1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mono.CommSeconds() != 0 {
-		t.Errorf("single-core comm = %v, want 0", mono.CommSeconds())
-	}
-}
-
 func TestValidateDifferentClockDomains(t *testing.T) {
 	// Cross-core comm at mixed scalings must validate (billed at the slower
 	// endpoint) — regression guard for the clock-domain billing rule.

@@ -78,7 +78,7 @@ func TestInterconnectUncontendedTransfer(t *testing.T) {
 	approx(t, "t1 start", s.Slots[1].StartSec, dur+xfer)
 	approx(t, "t2 start", s.Slots[2].StartSec, 2*dur+2*xfer)
 	approx(t, "makespan", s.MakespanSeconds(), 3*dur+2*xfer)
-	approx(t, "comm delay", s.CommDelaySeconds(), 2*xfer)
+	approx(t, "comm delay", s.commDelaySec, 2*xfer)
 
 	// The fabric shapes timing only: eq. (7) billing matches the ideal
 	// platform's bit for bit.
@@ -110,7 +110,7 @@ func TestBusContentionSerializes(t *testing.T) {
 	// them in issue order (a's successor edges in graph order: b first).
 	approx(t, "b start", s.Slots[1].StartSec, dur+testHopSec+ser)
 	approx(t, "c start", s.Slots[2].StartSec, dur+ser+testHopSec+ser)
-	approx(t, "comm delay", s.CommDelaySeconds(), (testHopSec+ser)+(ser+testHopSec+ser))
+	approx(t, "comm delay", s.commDelaySec, (testHopSec+ser)+(ser+testHopSec+ser))
 
 	// Determinism: the same mapping re-scheduled is bit-identical.
 	again, err := ListSchedule(g, p, Mapping{0, 1, 2}, []int{1, 1, 1})
@@ -189,18 +189,26 @@ func TestCommSecondsMatchesBilling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// CommSeconds is the communication share of the summed busy time:
-	// Σ_c BusySeconds(c) − Σ_t cycles_t / f_mapped(t).
+	// Eq. (7) bills each cross-core edge to both endpoints, so the
+	// communication share of the summed busy time,
+	// Σ_c BusySeconds(c) − Σ_t cycles_t / f_mapped(t), is
+	// Σ_cross-core edges cycles/f_producer + cycles/f_consumer.
 	var taskSec float64
 	for t2 := 0; t2 < g.N(); t2++ {
-		taskSec += float64(g.Task(taskgraph.TaskID(t2)).Cycles) / s.FreqHz(s.Mapping[t2])
+		taskSec += float64(g.Task(taskgraph.TaskID(t2)).Cycles) / s.freqHz[s.Mapping[t2]]
 	}
 	var busy float64
-	for c := 0; c < s.Cores(); c++ {
+	for c := range s.busySec {
 		busy += s.BusySeconds(c)
 	}
-	approx(t, "CommSeconds", s.CommSeconds(), busy-taskSec)
-	if s.CommDelaySeconds() <= 0 {
+	var comm float64
+	for _, e := range g.Edges() {
+		if from, to := s.Mapping[e.From], s.Mapping[e.To]; from != to && e.Cycles > 0 {
+			comm += float64(e.Cycles)/s.freqHz[from] + float64(e.Cycles)/s.freqHz[to]
+		}
+	}
+	approx(t, "comm share of busy time", busy-taskSec, comm)
+	if s.commDelaySec <= 0 {
 		t.Fatal("cross-core schedule reports zero realized comm delay")
 	}
 }

@@ -45,9 +45,6 @@ import (
 // Mapping assigns each task (by TaskID index) to a core index in [0, C).
 type Mapping []int
 
-// NewMapping returns an all-zeroes (all tasks on core 0) mapping for n tasks.
-func NewMapping(n int) Mapping { return make(Mapping, n) }
-
 // Clone returns an independent copy.
 func (m Mapping) Clone() Mapping { return append(Mapping(nil), m...) }
 
@@ -190,15 +187,6 @@ func (s *Schedule) BusyCycles(core int) int64 { return s.busyCycles[core] }
 // BusySeconds returns the busy time of core i in seconds.
 func (s *Schedule) BusySeconds(core int) float64 { return s.busySec[core] }
 
-// TotalBusyCycles returns Σ_i T_i.
-func (s *Schedule) TotalBusyCycles() int64 {
-	var total int64
-	for _, c := range s.busyCycles {
-		total += c
-	}
-	return total
-}
-
 // MaxBusySeconds returns the bottleneck core's busy time in seconds.
 func (s *Schedule) MaxBusySeconds() float64 {
 	best := 0.0
@@ -226,43 +214,6 @@ func (s *Schedule) PipelinedMakespanSeconds(iterations int) float64 {
 	}
 	return bottleneck + fill
 }
-
-// Utilization returns per-core α_i = busy seconds / makespan (clamped to
-// [0,1]) — the activity factors consumed by the eq. (5) power model.
-// The horizon is the pipelined makespan for the given iteration count.
-func (s *Schedule) Utilization(iterations int) []float64 {
-	horizon := s.PipelinedMakespanSeconds(iterations)
-	out := make([]float64, len(s.busySec))
-	if horizon <= 0 {
-		return out
-	}
-	for c, v := range s.busySec {
-		u := v / horizon
-		if u > 1 {
-			u = 1
-		}
-		out[c] = u
-	}
-	return out
-}
-
-// FreqHz returns the operating frequency of core i under this schedule.
-func (s *Schedule) FreqHz(core int) float64 { return s.freqHz[core] }
-
-// CommDelaySeconds returns the summed realized latency of every cross-core
-// transfer of the schedule — the network view of communication cost. Under
-// the ideal fabric each transfer contributes cycles at the slower
-// endpoint's clock; under an interconnect it contributes the actual
-// hops·latency + serialization + queuing delay the transfer incurred.
-// Contrast CommSeconds, the endpoint-occupancy (billing) view.
-func (s *Schedule) CommDelaySeconds() float64 { return s.commDelaySec }
-
-// Interconnect returns the fabric the schedule was timed under (nil =
-// ideal point-to-point links).
-func (s *Schedule) Interconnect() *arch.Interconnect { return s.icn }
-
-// Cores returns the number of platform cores the schedule spans.
-func (s *Schedule) Cores() int { return len(s.busyCycles) }
 
 // Gantt renders an ASCII Gantt chart of the schedule, one row per core,
 // with the given number of character columns.

@@ -169,12 +169,6 @@ func NewScheduler(g *taskgraph.Graph, p *arch.Platform) *Scheduler {
 	return s
 }
 
-// Graph returns the pinned task graph.
-func (s *Scheduler) Graph() *taskgraph.Graph { return s.g }
-
-// Platform returns the pinned platform.
-func (s *Scheduler) Platform() *arch.Platform { return s.p }
-
 // Bind selects the scaling vector for subsequent Schedule calls. It
 // invalidates any borrowed Schedule previously returned.
 func (s *Scheduler) Bind(scaling []int) error {
@@ -258,9 +252,9 @@ func (s *Scheduler) Scaling() []int { return s.scaling }
 //
 // Every pushed event keeps the reference's key, batch and position, so the
 // dispatch sequence is the reference's, and with it every Slot, the
-// makespan, CommDelaySeconds and the fabric's link reservations, which are
-// issued at completions in completion order. The reference's other arrival
-// events only decrement a count.
+// makespan, the realized comm-delay sum and the fabric's link reservations,
+// which are issued at completions in completion order. The reference's
+// other arrival events only decrement a count.
 func (s *Scheduler) Schedule(m Mapping) (*Schedule, error) {
 	if _, err := s.run(m, math.Inf(1), true); err != nil {
 		return nil, err
@@ -270,7 +264,7 @@ func (s *Scheduler) Schedule(m Mapping) (*Schedule, error) {
 
 // MakespanWithin list-schedules m like Schedule but computes only the
 // single-iteration makespan: it skips the eq. (7) busy-cycle billing and
-// the CommDelaySeconds sum, and it stops as soon as the makespan provably
+// the realized comm-delay sum, and it stops as soon as the makespan provably
 // exceeds cutoff. exceeded reports exactly makespan > cutoff. When it is
 // false, makespan is bit-identical to Schedule's MakespanSeconds; when it
 // is true, makespan lies in (cutoff, MakespanSeconds·(1+1e-9)]. Like
@@ -330,7 +324,7 @@ func (s *Scheduler) mappedTails(m Mapping) {
 // run is the one simulation loop behind Schedule and MakespanWithin. It
 // stops once the makespan provably exceeds cutoff (reporting exceeded, with
 // s.out.makespan set to the lower bound that proved it) and, with full set,
-// also sums CommDelaySeconds and bills eq. (7) busy cycles.
+// also sums the realized comm delay and bills eq. (7) busy cycles.
 func (s *Scheduler) run(m Mapping, cutoff float64, full bool) (exceeded bool, err error) {
 	if err := m.Validate(s.g, s.p.Cores()); err != nil {
 		return false, err

@@ -268,20 +268,13 @@ func annealOnce(p Problem) (*Result, error) {
 	return res, nil
 }
 
-// Neighbor draws a random neighboring mapping: either one task moved to a
-// different core or two tasks' cores swapped ("maximum two task movements",
-// Fig. 7 step C). Moves that would empty a core are rejected, preserving the
+// NeighborInto draws a random neighboring mapping of m into dst (which
+// must have len(m)) and returns dst: either one task moved to a different
+// core or two tasks' cores swapped ("maximum two task movements", Fig. 7
+// step C). Moves that would empty a core are rejected, preserving the
 // architecture-allocation premise that every allocated core hosts at least
-// one task (Fig. 6 line 4); swaps preserve it trivially.
-func Neighbor(rng *rand.Rand, m sched.Mapping, cores int) sched.Mapping {
-	return NeighborInto(rng, make(sched.Mapping, len(m)), m, cores, make([]int, cores))
-}
-
-// NeighborInto is the allocation-free core of Neighbor: it writes the
-// neighbor of m into dst (which must have len(m)) using loads (at least
-// cores entries) as per-core load scratch, and returns dst. The random draw
-// sequence is identical to Neighbor's, so swapping one for the other never
-// changes a search trajectory.
+// one task (Fig. 6 line 4); swaps preserve it trivially. loads (at least
+// cores entries) is per-core load scratch, so the draw allocates nothing.
 func NeighborInto(rng *rand.Rand, dst, m sched.Mapping, cores int, loads []int) sched.Mapping {
 	n := len(m)
 	copy(dst, m)

@@ -185,7 +185,7 @@ func TestNeighborInvariants(t *testing.T) {
 		}
 		// Shuffle while preserving the all-cores-used property when n>=cores.
 		rng.Shuffle(n, func(i, j int) { m[i], m[j] = m[j], m[i] })
-		nb := Neighbor(rng, m, cores)
+		nb := NeighborInto(rng, make(sched.Mapping, n), m, cores, make([]int, cores))
 		if len(nb) != n {
 			t.Fatal("neighbor changed length")
 		}
@@ -210,7 +210,7 @@ func TestNeighborInvariants(t *testing.T) {
 func TestNeighborDegenerate(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	m := sched.Mapping{0}
-	nb := Neighbor(rng, m, 1)
+	nb := NeighborInto(rng, make(sched.Mapping, 1), m, 1, make([]int, 1))
 	if len(nb) != 1 || nb[0] != 0 {
 		t.Errorf("degenerate neighbor = %v", nb)
 	}

@@ -32,9 +32,9 @@ func TestWorkConservationAcrossIterations(t *testing.T) {
 			t.Fatalf("iters=%d: %d events, want %d", iters, len(r.Events), g.N()*iters)
 		}
 		for c := 0; c < 4; c++ {
-			if d := math.Abs(r.CoreBusySeconds(c) - ref.CoreBusySeconds(c)); d > 1e-9 {
+			if d := math.Abs(r.coreBusyFs[c].Seconds() - ref.coreBusyFs[c].Seconds()); d > 1e-9 {
 				t.Errorf("iters=%d core %d: busy %v != single-shot %v",
-					iters, c, r.CoreBusySeconds(c), ref.CoreBusySeconds(c))
+					iters, c, r.coreBusyFs[c].Seconds(), ref.coreBusyFs[c].Seconds())
 			}
 		}
 		// Each (task, iteration) instance appears exactly once, on the
@@ -114,13 +114,16 @@ func TestIterationOrdering(t *testing.T) {
 func TestCostShardingExact(t *testing.T) {
 	g := taskgraph.Fig8() // costs are multiples of 600k cycles
 	p := plat(1)
-	m := sched.NewMapping(g.N())
+	m := make(sched.Mapping, g.N())
 	const iters = 7 // does not divide 600k·{4,5,6} evenly in general
 	r, err := Run(g, p, m, []int{1}, Config{Iterations: iters})
 	if err != nil {
 		t.Fatal(err)
 	}
-	period := desim.PeriodOf(p.MustLevel(1).FreqHz())
+	period, err := desim.PeriodOf(p.MustCoreLevel(0, 1).FreqHz())
+	if err != nil {
+		t.Fatal(err)
+	}
 	perTask := make(map[int]desim.Time)
 	for _, ev := range r.Events {
 		perTask[int(ev.Task)] += ev.End - ev.Start

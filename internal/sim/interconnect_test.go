@@ -1,11 +1,14 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"seadopt/internal/arch"
+	"seadopt/internal/registers"
 	"seadopt/internal/sched"
 	"seadopt/internal/taskgraph"
 )
@@ -76,5 +79,40 @@ func TestSimMatchesListScheduleOnFabrics(t *testing.T) {
 				t.Error("interconnect never changed a makespan — fabric path untested")
 			}
 		})
+	}
+}
+
+// TestSimRefusesFabricTimeBeyondRange: a hop latency, a serialization time
+// or a contended arrival beyond desim's ±9223 s range is an error naming
+// the range, never a wrapped time.
+func TestSimRefusesFabricTimeBeyondRange(t *testing.T) {
+	// A four-task chain alternating cores crosses the fabric three times.
+	b := taskgraph.NewBuilder("chain", registers.NewInventory())
+	prev := b.AddTask("t0", 1000)
+	for i := 1; i < 4; i++ {
+		next := b.AddTask(fmt.Sprintf("t%d", i), 1000)
+		b.AddEdge(prev, next, 10)
+		prev = next
+	}
+	g := b.MustBuild()
+	m := sched.Mapping{0, 1, 0, 1}
+	for name, ic := range map[string]arch.Interconnect{
+		"hop latency":   {Topology: arch.TopologyBus, BandwidthBps: 4e9, HopLatencySec: 1e4},
+		"serialization": {Topology: arch.TopologyBus, BandwidthBps: 1e-3, HopLatencySec: 1e-4},
+		"arrivals":      {Topology: arch.TopologyBus, BandwidthBps: 4e9, HopLatencySec: 4000},
+	} {
+		_, err := Run(g, fabricPlat(t, 2, ic), m, []int{1, 1}, Config{})
+		if err == nil || !strings.Contains(err.Error(), "±9223 s range") {
+			t.Errorf("%s: Run error %v, want one naming the ±9223 s range", name, err)
+		}
+	}
+	// Three 3000 s hops stay inside the range and still simulate.
+	ic := arch.Interconnect{Topology: arch.TopologyBus, BandwidthBps: 4e9, HopLatencySec: 3000}
+	r, err := Run(g, fabricPlat(t, 2, ic), m, []int{1, 1}, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.MakespanSec < 9000 {
+		t.Errorf("makespan %v s, want three 3000 s hops", r.MakespanSec)
 	}
 }

@@ -132,7 +132,11 @@ func Run(g *taskgraph.Graph, p *arch.Platform, m sched.Mapping, scaling []int, c
 	}
 	for c, s := range scaling {
 		level := p.MustCoreLevel(c, s)
-		res.periods[c] = desim.PeriodOf(level.FreqHz())
+		period, err := desim.PeriodOf(level.FreqHz())
+		if err != nil {
+			return nil, fmt.Errorf("sim: core %d: %w", c, err)
+		}
+		res.periods[c] = period
 		res.freqHz[c] = level.FreqHz()
 		res.vdd[c] = level.Vdd
 	}
@@ -141,15 +145,33 @@ func Run(g *taskgraph.Graph, p *arch.Platform, m sched.Mapping, scaling []int, c
 
 	// Interconnect state: per-link drain times for arch.Reserve, the
 	// cut-through reservation rule the list scheduler applies in seconds,
-	// here in integer femtoseconds.
+	// here in integer femtoseconds. No link drains after lastArrive, the
+	// latest arrival Reserve has returned.
 	icn := p.Interconnect()
 	var (
-		linkBusy []desim.Time
-		hopFs    desim.Time
+		linkBusy   []desim.Time
+		hopFs      desim.Time
+		lastArrive desim.Time
 	)
 	if icn != nil {
 		linkBusy = make([]desim.Time, icn.NumLinks())
-		hopFs = desim.FromSeconds(icn.HopLatencySec)
+		var err error
+		if hopFs, err = desim.ToTime(icn.HopLatencySec); err != nil {
+			return nil, fmt.Errorf("sim: hop latency: %w", err)
+		}
+	}
+
+	// after schedules fn delay from now unless err (or an earlier error)
+	// is set: a run whose time would leave desim's range schedules nothing
+	// more once a product or sum would, and returns that error.
+	var runErr error
+	after := func(delay desim.Time, err error, fn func()) {
+		if err == nil && runErr == nil {
+			err = k.After(delay, fn)
+		}
+		if err != nil && runErr == nil {
+			runErr = fmt.Errorf("sim: %w", err)
+		}
 	}
 
 	// Per-instance bookkeeping. Instance (t, k) waits on its graph
@@ -187,7 +209,7 @@ func Run(g *taskgraph.Graph, p *arch.Platform, m sched.Mapping, scaling []int, c
 	// visible before a core picks its next task — the same-time batching
 	// semantics of sched.ListSchedule.
 	var dispatch func(core int)
-	deferDispatch := func(core int) { _ = k.After(0, func() { dispatch(core) }) }
+	deferDispatch := func(core int) { after(0, nil, func() { dispatch(core) }) }
 
 	onFinish := func(in instance, core int) {
 		// Successor tokens: same-core (or zero-cost) dependencies release
@@ -210,22 +232,35 @@ func Run(g *taskgraph.Graph, p *arch.Platform, m sched.Mapping, scaling []int, c
 				continue
 			}
 			tgt := target
+			var (
+				delay desim.Time
+				err   error
+			)
 			if icn != nil {
 				// Reserve the XY/bus route and deliver at the (possibly
-				// contended) arrival time.
-				serFs := desim.FromSeconds(icn.MessageBits(commCycles) / icn.BandwidthBps)
-				arrive := arch.Reserve(icn, linkBusy, core, res.Mapping[e.To], k.Now(), hopFs, serFs)
-				// After from inside an event cannot fail: delay >= 0, fn != nil.
-				_ = k.After(arrive-k.Now(), func() { release(tgt) })
-				continue
+				// contended) arrival time. Reserve starts the transfer by
+				// the later of now and lastArrive, and no time it computes
+				// passes that start plus hops·hop + ser: check that first.
+				dst := res.Mapping[e.To]
+				var serFs, path desim.Time
+				if serFs, err = desim.ToTime(icn.MessageBits(commCycles) / icn.BandwidthBps); err == nil {
+					if path, err = desim.Mul(int64(icn.Hops(core, dst)), hopFs); err == nil {
+						_, err = desim.Sum(max(k.Now(), lastArrive), path, serFs)
+					}
+				}
+				if err == nil {
+					arrive := arch.Reserve(icn, linkBusy, core, dst, k.Now(), hopFs, serFs)
+					lastArrive = max(lastArrive, arrive)
+					delay = arrive - k.Now()
+				}
+			} else {
+				slow := res.periods[core]
+				if pd := res.periods[res.Mapping[e.To]]; pd > slow {
+					slow = pd
+				}
+				delay, err = desim.Mul(commCycles, slow)
 			}
-			slow := res.periods[core]
-			if pd := res.periods[res.Mapping[e.To]]; pd > slow {
-				slow = pd
-			}
-			delay := desim.Time(commCycles) * slow
-			// After from inside an event cannot fail: delay >= 0, fn != nil.
-			_ = k.After(delay, func() { release(tgt) })
+			after(delay, err, func() { release(tgt) })
 		}
 		if in.iter+1 < iters {
 			release(instance{in.task, in.iter + 1})
@@ -261,10 +296,10 @@ func Run(g *taskgraph.Graph, p *arch.Platform, m sched.Mapping, scaling []int, c
 		eng.pool = append(eng.pool[:best], eng.pool[best+1:]...)
 		eng.busy = true
 		cycles := share(g.Task(in.task).Cycles, in.iter)
-		dur := desim.Time(cycles) * res.periods[core]
+		dur, err := desim.Mul(cycles, res.periods[core])
 		start := k.Now()
 		res.coreBusyFs[core] += dur
-		_ = k.After(dur, func() {
+		after(dur, err, func() {
 			res.Events = append(res.Events, TaskEvent{
 				Task: in.task, Iteration: in.iter, Core: core,
 				Start: start, End: k.Now(),
@@ -286,6 +321,9 @@ func Run(g *taskgraph.Graph, p *arch.Platform, m sched.Mapping, scaling []int, c
 	}
 
 	end := k.Run()
+	if runErr != nil {
+		return nil, runErr
+	}
 	if len(res.Events) != n*iters {
 		return nil, fmt.Errorf("sim: deadlock — %d of %d task instances executed", len(res.Events), n*iters)
 	}
@@ -295,9 +333,6 @@ func Run(g *taskgraph.Graph, p *arch.Platform, m sched.Mapping, scaling []int, c
 
 // EventsFired exposes the kernel's event count (simulation effort metric).
 func (r *Result) EventsFired() uint64 { return r.kernel.EventsFired() }
-
-// CoreBusySeconds returns the summed execution time of core c.
-func (r *Result) CoreBusySeconds(c int) float64 { return r.coreBusyFs[c].Seconds() }
 
 // Utilization returns per-core busy fraction of the measured makespan.
 func (r *Result) Utilization() []float64 {

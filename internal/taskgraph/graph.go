@@ -374,23 +374,6 @@ func (g *Graph) CriticalPathCycles() int64 {
 	return best
 }
 
-// DescendantsOf returns the set of tasks reachable from id (excluding id).
-func (g *Graph) DescendantsOf(id TaskID) map[TaskID]bool {
-	out := make(map[TaskID]bool)
-	stack := []TaskID{id}
-	for len(stack) > 0 {
-		t := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, e := range g.succ[t] {
-			if !out[e.To] {
-				out[e.To] = true
-				stack = append(stack, e.To)
-			}
-		}
-	}
-	return out
-}
-
 // UnionRegisters returns the union of the register footprints of the given
 // tasks — the per-core register set of eq. (8) when those tasks share a core.
 func (g *Graph) UnionRegisters(ids []TaskID) registers.Set {

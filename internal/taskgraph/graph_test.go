@@ -237,18 +237,6 @@ func TestBLevelsAndCriticalPath(t *testing.T) {
 	}
 }
 
-func TestDescendants(t *testing.T) {
-	g := MPEG2()
-	desc := g.DescendantsOf(0) // t1 reaches everything
-	if len(desc) != g.N()-1 {
-		t.Errorf("descendants of t1 = %d tasks, want %d", len(desc), g.N()-1)
-	}
-	leaf := g.Leaves()[0]
-	if len(g.DescendantsOf(leaf)) != 0 {
-		t.Error("leaf should have no descendants")
-	}
-}
-
 func TestMPEG2MatchesPaper(t *testing.T) {
 	g := MPEG2()
 	if g.N() != 11 {

@@ -26,8 +26,7 @@ func marshalJSONReference(g *Graph) ([]byte, error) {
 	regIDs := g.inventory.IDs()
 	sort.Strings(regIDs)
 	for _, id := range regIDs {
-		r, _ := g.inventory.Get(id)
-		jg.Registers = append(jg.Registers, jsonRegister{ID: r.ID, Bits: r.Bits})
+		jg.Registers = append(jg.Registers, jsonRegister{ID: id, Bits: g.inventory.Bits(id)})
 	}
 	for _, t := range g.tasks {
 		regs := t.Registers.IDs()

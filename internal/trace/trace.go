@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"io"
 
-	"seadopt/internal/sched"
 	"seadopt/internal/sim"
 )
 
@@ -47,28 +46,6 @@ func metadataEvents(title string, scaling []int) []event {
 		})
 	}
 	return evs
-}
-
-// WriteSchedule exports an analytic schedule.
-func WriteSchedule(w io.Writer, s *sched.Schedule) error {
-	doc := document{DisplayTimeUnit: "ms"}
-	doc.TraceEvents = metadataEvents("seadopt schedule: "+s.Graph.Name(), s.Scaling)
-	for _, slot := range s.Slots {
-		task := s.Graph.Task(slot.Task)
-		doc.TraceEvents = append(doc.TraceEvents, event{
-			Name:  task.Name,
-			Phase: "X",
-			TS:    slot.StartSec * 1e6,
-			Dur:   (slot.EndSec - slot.StartSec) * 1e6,
-			PID:   pid,
-			TID:   slot.Core,
-			Args: map[string]any{
-				"task":   int(slot.Task),
-				"cycles": task.Cycles,
-			},
-		})
-	}
-	return json.NewEncoder(w).Encode(doc)
 }
 
 // WriteSimulation exports a cycle-level simulation run, one duration event

@@ -28,45 +28,6 @@ func decode(t *testing.T, data []byte) map[string]any {
 	return doc
 }
 
-func TestWriteSchedule(t *testing.T) {
-	g, p, m, scaling := setup(t)
-	s, err := sched.ListSchedule(g, p, m, scaling)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := WriteSchedule(&buf, s); err != nil {
-		t.Fatal(err)
-	}
-	doc := decode(t, buf.Bytes())
-	events := doc["traceEvents"].([]any)
-	// 1 process_name + 3 thread_name + 6 task slots.
-	if len(events) != 1+3+g.N() {
-		t.Fatalf("got %d events, want %d", len(events), 1+3+g.N())
-	}
-	var durations int
-	for _, e := range events {
-		ev := e.(map[string]any)
-		switch ev["ph"] {
-		case "X":
-			durations++
-			if ev["dur"].(float64) <= 0 {
-				t.Errorf("event %v has non-positive duration", ev["name"])
-			}
-			tid := int(ev["tid"].(float64))
-			if tid < 0 || tid >= 3 {
-				t.Errorf("event on unknown core %d", tid)
-			}
-		case "M":
-		default:
-			t.Errorf("unexpected phase %v", ev["ph"])
-		}
-	}
-	if durations != g.N() {
-		t.Errorf("%d duration events, want %d", durations, g.N())
-	}
-}
-
 func TestWriteSimulation(t *testing.T) {
 	g, p, m, scaling := setup(t)
 	const iters = 4

@@ -130,20 +130,6 @@ func multisetChecked(n, k int) (int, bool) {
 	return res, true
 }
 
-// UniformSpace is the homogeneous space: `cores` identical cores sharing
-// one levels-deep table — the paper's Fig. 5 space.
-func UniformSpace(cores, levels int) (*Space, error) {
-	if cores < 1 || levels < 1 {
-		return nil, fmt.Errorf("vscale: need cores ≥ 1 and levels ≥ 1, got %d, %d", cores, levels)
-	}
-	caps := make([]int, cores)
-	class := make([]int, cores)
-	for i := range caps {
-		caps[i] = levels
-	}
-	return NewSpace(caps, class)
-}
-
 // PlatformSpace derives the combination space of a platform from its
 // per-core level counts and symmetry classes. It errors only when the
 // platform's combination count overflows int — a space nothing could
@@ -151,9 +137,6 @@ func UniformSpace(cores, levels int) (*Space, error) {
 func PlatformSpace(p *arch.Platform) (*Space, error) {
 	return NewSpace(p.LevelCounts(), p.SymmetryClasses())
 }
-
-// Cores returns the number of cores of the space.
-func (sp *Space) Cores() int { return len(sp.caps) }
 
 // Caps returns a copy of the per-core level counts.
 func (sp *Space) Caps() []int { return append([]int(nil), sp.caps...) }
@@ -397,25 +380,6 @@ func (sp *Space) All() [][]int {
 		}
 		cur = next
 	}
-}
-
-// Canonical returns the in-space representative of an arbitrary per-core
-// assignment: within each symmetry class the coefficients are sorted
-// non-increasing (cores of a class are interchangeable); other cores keep
-// their values.
-func (sp *Space) Canonical(s []int) []int {
-	out := append([]int(nil), s...)
-	for _, pos := range sp.classPos {
-		vals := make([]int, len(pos))
-		for i, p := range pos {
-			vals[i] = out[p]
-		}
-		sort.Sort(sort.Reverse(sort.IntSlice(vals)))
-		for i, p := range pos {
-			out[p] = vals[i]
-		}
-	}
-	return out
 }
 
 // Frontier streams the whole enumeration in order, with Combo.Index equal to

@@ -173,7 +173,7 @@ func TestMixedSpaceEnumeration(t *testing.T) {
 	// Every raw combination's canonical form is enumerated.
 	var raw func(i int, cur []int)
 	raw = func(i int, cur []int) {
-		if i == sp.Cores() {
+		if i == len(sp.caps) {
 			if !seen[fmt.Sprint(sp.Canonical(cur))] {
 				t.Fatalf("raw combination %v has no canonical representative (canonical %v)", cur, sp.Canonical(cur))
 			}
@@ -184,7 +184,7 @@ func TestMixedSpaceEnumeration(t *testing.T) {
 			raw(i+1, cur)
 		}
 	}
-	raw(0, make([]int, sp.Cores()))
+	raw(0, make([]int, len(sp.caps)))
 }
 
 // TestMixedSpaceUnrankRankIdentity: Unrank∘Rank is the identity over the

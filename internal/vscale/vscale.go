@@ -17,9 +17,6 @@ package vscale
 
 import (
 	"fmt"
-	"sort"
-
-	"seadopt/internal/arch"
 )
 
 // Valid reports whether s is a well-formed Fig. 5 scaling vector: non-empty,
@@ -111,15 +108,6 @@ func (e *Enumerator) Next() (scaling []int, ok bool) {
 	return append([]int(nil), next...), true
 }
 
-// Reset restarts the enumeration from the all-slowest vector.
-func (e *Enumerator) Reset() {
-	for i := range e.cur {
-		e.cur[i] = e.levels
-	}
-	e.started = false
-	e.done = false
-}
-
 // All returns every vector of the Fig. 5 enumeration in sequence order.
 func All(cores, levels int) ([][]int, error) {
 	e, err := NewEnumerator(cores, levels)
@@ -134,23 +122,6 @@ func All(cores, levels int) ([][]int, error) {
 		}
 		out = append(out, s)
 	}
-}
-
-// Count returns the number of distinct non-increasing scaling vectors:
-// the multiset coefficient C(cores+levels-1, cores). For 4 cores and
-// 3 levels this is 15 (Fig. 5b).
-func Count(cores, levels int) int {
-	// Compute C(cores+levels-1, min(cores, levels-1)) iteratively.
-	n := cores + levels - 1
-	k := cores
-	if levels-1 < k {
-		k = levels - 1
-	}
-	res := 1
-	for i := 1; i <= k; i++ {
-		res = res * (n - k + i) / i
-	}
-	return res
 }
 
 // Exhaustive returns all levels^cores raw combinations (each entry in
@@ -181,44 +152,6 @@ func Exhaustive(cores, levels int) [][]int {
 			return out
 		}
 	}
-}
-
-// Canonical returns the sorted-non-increasing representative of a scaling
-// vector (the Fig. 5 form of an arbitrary per-core assignment).
-func Canonical(scaling []int) []int {
-	out := append([]int(nil), scaling...)
-	sort.Sort(sort.Reverse(sort.IntSlice(out)))
-	return out
-}
-
-// AllByPower returns the scaling enumeration for the platform — Fig. 5 for
-// homogeneous platforms, the mixed-radix Space for heterogeneous ones —
-// sorted by ascending full-utilization dynamic power (the order in which
-// step 1 of Fig. 4 offers combinations to the mapper: cheapest first).
-func AllByPower(p *arch.Platform) ([][]int, error) {
-	sp, err := PlatformSpace(p)
-	if err != nil {
-		return nil, err
-	}
-	combos := sp.All()
-	power := make([]float64, len(combos))
-	for i, s := range combos {
-		pw, err := p.DynamicPower(s, nil)
-		if err != nil {
-			return nil, err
-		}
-		power[i] = pw
-	}
-	idx := make([]int, len(combos))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return power[idx[a]] < power[idx[b]] })
-	out := make([][]int, len(combos))
-	for i, j := range idx {
-		out[i] = combos[j]
-	}
-	return out, nil
 }
 
 // Combo is one design-space point of a Frontier stream: the per-core
