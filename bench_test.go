@@ -13,8 +13,12 @@ package seadopt
 // and see EXPERIMENTS.md for the recorded paper-vs-measured comparison.
 
 import (
+	"cmp"
 	"context"
+	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"seadopt/internal/arch"
@@ -22,7 +26,9 @@ import (
 	"seadopt/internal/faults"
 	"seadopt/internal/mapping"
 	"seadopt/internal/metrics"
+	"seadopt/internal/registers"
 	"seadopt/internal/sched"
+	"seadopt/internal/search"
 	"seadopt/internal/sim"
 	"seadopt/internal/taskgraph"
 )
@@ -146,6 +152,171 @@ func BenchmarkListScheduleRandom100(b *testing.B) {
 		if _, err := sched.ListSchedule(g, p, m, scaling); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// benchMesh is the XY mesh of the bench's flagship_noc workload.
+var benchMesh = arch.Interconnect{Topology: arch.TopologyMesh, BandwidthBps: 4e9, HopLatencySec: 1e-4}
+
+// probeClimbPlatform is the flagship shape: 14 two-level and 2 four-level
+// ARM7 cores, behind benchMesh when noc is set.
+func probeClimbPlatform(b *testing.B, noc bool) *arch.Platform {
+	b.Helper()
+	types := []arch.ProcType{
+		{Name: "eff", Levels: arch.ARM7Levels2()},
+		{Name: "perf", Levels: arch.ARM7Levels4()},
+	}
+	coreTypes := make([]int, 16)
+	coreTypes[14], coreTypes[15] = 1, 1
+	var opts []arch.Option
+	if noc {
+		opts = append(opts, arch.WithInterconnect(benchMesh))
+	}
+	p, err := arch.NewHeterogeneousPlatform(types, coreTypes, opts...)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return p
+}
+
+// probeClimb is one combination's deadline-probe climb: mapping.ProbeMoves
+// neighbours drawn by search.NeighborInto, each scheduled by MakespanWithin
+// against the running minimum and accepted unless it exceeds it, as the
+// probe cache's climb runs them, from the probe's LPT seed.
+type probeClimb struct {
+	sch             *sched.Scheduler
+	seed, cur, next sched.Mapping
+	loads           []int
+	rng             *rand.Rand
+}
+
+func newProbeClimb(b *testing.B, g *taskgraph.Graph, p *arch.Platform, scaling []int) *probeClimb {
+	b.Helper()
+	c := &probeClimb{
+		sch:   sched.NewScheduler(g, p),
+		seed:  make(sched.Mapping, g.N()),
+		cur:   make(sched.Mapping, g.N()),
+		next:  make(sched.Mapping, g.N()),
+		loads: make([]int, p.Cores()),
+		rng:   rand.New(rand.NewSource(0)),
+	}
+	if err := c.sch.Bind(scaling); err != nil {
+		b.Fatal(err)
+	}
+	// LPT: heaviest task first onto the core least loaded in seconds.
+	order := make([]taskgraph.TaskID, g.N())
+	for i := range order {
+		order[i] = taskgraph.TaskID(i)
+	}
+	slices.SortFunc(order, func(x, y taskgraph.TaskID) int {
+		return cmp.Or(cmp.Compare(g.Task(y).Cycles, g.Task(x).Cycles), cmp.Compare(x, y))
+	})
+	loadSec := make([]float64, p.Cores())
+	for _, t := range order {
+		best := 0
+		for core := range loadSec {
+			if loadSec[core] < loadSec[best] {
+				best = core
+			}
+		}
+		c.seed[t] = best
+		loadSec[best] += float64(g.Task(t).Cycles) / p.MustCoreLevel(best, scaling[best]).FreqHz()
+	}
+	return c
+}
+
+// run climbs from the seed and returns the tasks its makespan calls
+// dispatched.
+func (c *probeClimb) run(b *testing.B) (dispatched int) {
+	copy(c.cur, c.seed)
+	c.rng.Seed(1 ^ 0xFEA51B1E)
+	curTM, _, err := c.sch.MakespanWithin(c.cur, math.Inf(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	dispatched += c.sch.Dispatched()
+	for move := 0; move < mapping.ProbeMoves; move++ {
+		nb := search.NeighborInto(c.rng, c.next, c.cur, len(c.loads), c.loads)
+		tm, exceeded, err := c.sch.MakespanWithin(nb, curTM)
+		if err != nil {
+			b.Fatal(err)
+		}
+		dispatched += c.sch.Dispatched()
+		if !exceeded {
+			c.cur, c.next, curTM = nb, c.cur, tm
+		}
+	}
+	return dispatched
+}
+
+// BenchmarkProbeClimb measures the step-1 deadline probe's climb, the bulk
+// of a flagship solve's CPU. One op is one climb on each of four 60-task §V
+// graphs (MaxWidth 16) on the flagship's 14+2-core platform at a mixed
+// scaling, on the ideal fabric or behind benchMesh. Every op repeats
+// the same climbs, so tasks/op (the tasks the makespan calls dispatched)
+// is a fixed count of the work, equal before and after a change that
+// keeps the schedules.
+func BenchmarkProbeClimb(b *testing.B) {
+	for _, fabric := range []string{"ideal", "noc"} {
+		b.Run(fabric, func(b *testing.B) {
+			p := probeClimbPlatform(b, fabric == "noc")
+			scaling := make([]int, p.Cores())
+			for c := range scaling {
+				scaling[c] = 1 + c%2
+			}
+			cfg := taskgraph.DefaultRandomConfig(60)
+			cfg.MaxWidth = 16
+			var climbs []*probeClimb
+			for seed := int64(1); seed <= 4; seed++ {
+				climbs = append(climbs, newProbeClimb(b, taskgraph.MustRandom(cfg, seed), p, scaling))
+			}
+			dispatched := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, c := range climbs {
+					dispatched += c.run(b)
+				}
+			}
+			b.ReportMetric(float64(dispatched)/float64(b.N), "tasks/op")
+		})
+	}
+}
+
+// BenchmarkListScheduleStar4096 measures one Schedule of the MaxTasks star,
+// task 0 feeding the 4095 others over edges of random length, on 16 cores
+// on the ideal fabric and behind benchMesh: the widest agenda a graph can
+// hold, the scheduler's worst case for it.
+func BenchmarkListScheduleStar4096(b *testing.B) {
+	bld := taskgraph.NewBuilder("star", registers.NewInventory())
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < taskgraph.MaxTasks; i++ {
+		bld.AddTask(fmt.Sprintf("t%d", i), 1000*int64(1+rng.Intn(8)))
+	}
+	for i := 1; i < taskgraph.MaxTasks; i++ {
+		bld.AddEdge(0, taskgraph.TaskID(i), 1000*int64(1+rng.Intn(16)))
+	}
+	g := bld.MustBuild()
+	for _, fabric := range []string{"ideal", "mesh"} {
+		b.Run(fabric, func(b *testing.B) {
+			var opts []arch.Option
+			if fabric == "mesh" {
+				opts = append(opts, arch.WithInterconnect(benchMesh))
+			}
+			p := arch.MustNewPlatform(16, arch.ARM7Levels3(), opts...)
+			sch := sched.NewScheduler(g, p)
+			if err := sch.Bind(p.MaxPowerScaling()); err != nil {
+				b.Fatal(err)
+			}
+			m := sched.RoundRobin(g.N(), p.Cores())
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := sch.Schedule(m); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -212,6 +212,7 @@ type Platform struct {
 	cl           float64       // effective switched capacitance (F)
 	baselineBits int64         // per-core baseline SEU-exposed storage
 	icn          *Interconnect // nil = ideal dedicated point-to-point links
+	routes       *Routes       // icn's route table; nil with icn
 }
 
 // Option customizes a Platform.
@@ -312,6 +313,7 @@ func NewHeterogeneousPlatform(types []ProcType, coreTypes []int, opts ...Option)
 			return nil, err
 		}
 		p.icn = ic
+		p.routes = newRoutes(ic, p.cores)
 	}
 	return p, nil
 }
@@ -410,6 +412,10 @@ func (p *Platform) BaselineBits() int64 { return p.baselineBits }
 // links, where a cross-core edge costs its cycle count at the slower
 // endpoint's clock). The returned value is shared and must not be mutated.
 func (p *Platform) Interconnect() *Interconnect { return p.icn }
+
+// Routes returns the route table of the platform's fabric, built once with
+// the platform, or nil for the ideal fabric. It is shared and read-only.
+func (p *Platform) Routes() *Routes { return p.routes }
 
 // ValidScaling reports whether the per-core scaling vector has one in-range
 // coefficient per core (each checked against that core's own table).

@@ -3,7 +3,6 @@ package arch
 import (
 	"fmt"
 	"math"
-	"math/bits"
 )
 
 // Topology names the shape of the on-chip interconnect.
@@ -64,9 +63,6 @@ type Interconnect struct {
 	// covering all cores. Routers exist at every grid slot, so XY routing
 	// is well-defined even when the last row is partially populated.
 	meshHeight int
-	// rowRecip is ⌈2³²/MeshWidth⌉, derived with meshHeight, so route finds
-	// a core's row without a hardware division (see row).
-	rowRecip uint64
 }
 
 // Validate checks the raw (pre-normalization) interconnect parameters.
@@ -116,7 +112,6 @@ func (ic *Interconnect) normalized(cores int) (*Interconnect, error) {
 			return nil, fmt.Errorf("arch: interconnect: mesh width %d exceeds the %d cores", out.MeshWidth, cores)
 		}
 		out.meshHeight = (cores + out.MeshWidth - 1) / out.MeshWidth
-		out.rowRecip = (1<<32 + uint64(out.MeshWidth) - 1) / uint64(out.MeshWidth)
 	}
 	return &out, nil
 }
@@ -140,8 +135,7 @@ func (ic *Interconnect) Hops(a, b int) int {
 		return 1
 	}
 	w := ic.MeshWidth
-	ay, by := ic.row(a), ic.row(b)
-	return max(1, abs(a-ay*w-(b-by*w))+abs(ay-by))
+	return max(1, abs(a%w-b%w)+abs(a/w-b/w))
 }
 
 // PathLinks appends the directed link ids a transfer from core a to core b
@@ -180,35 +174,100 @@ func (ic *Interconnect) PathLinks(a, b int, buf []int) []int {
 	return buf
 }
 
-// row returns the mesh row of core c: ⌊c·⌈2³²/w⌉/2³²⌋ = ⌊c/w⌋ exactly
-// whenever c·w < 2³², which MaxCores guarantees for a platform's fabric.
-func (ic *Interconnect) row(c int) int { return int(uint64(c) * ic.rowRecip >> 32) }
+// Routes is a platform's fabric routes, tabulated once at construction. An
+// XY route from core a to core b is fixed by a's first link id and the grid
+// displacement from a to b, so the table keeps one route per displacement,
+// (2·MeshWidth−1)·(2·meshHeight−1) of them, and each core's key into it; a
+// bus is a one-route table. Reserve walks a route's links and the list
+// scheduler's mapped tails read its hop latency. The table is not part of
+// the Interconnect value, which stays comparable.
+type Routes struct {
+	origin []routeOrigin
+	disp   []route
+	center int
+}
 
-// route returns the links a transfer from core a to core b of the
-// platform reserves, in crossing order, as two arithmetic runs: n0 links
-// from first0 in steps of step0, then the other hops−n0 links from first1
-// in steps of step1. An XY route is its horizontal run followed by its
-// vertical run; a bus route is its one link. These are the ids PathLinks
-// lists, found without a division or a branch on the direction.
-func (ic *Interconnect) route(a, b int) (first0, step0, first1, step1, n0, hops int) {
+// routeOrigin places a core in the route table: the route from core a to
+// core b is disp[origin[b].key−origin[a].key+center], and its link ids
+// count from a's base 4·a (0 on a bus).
+type routeOrigin struct{ key, base int32 }
+
+// route is one tabulated route in crossing order: n0 links from
+// base+off0 in steps of step0 (the horizontal run), then the other
+// hops−n0 links from base+off1 in steps of step1 (the vertical run).
+// hopSec is hops·HopLatencySec.
+type route struct {
+	off0, step0, off1, step1, n0, hops int32
+	hopSec                             float64
+}
+
+// newRoutes tabulates the routes of the normalized fabric ic over cores
+// cores: the link ids PathLinks lists, for every displacement.
+func newRoutes(ic *Interconnect, cores int) *Routes {
+	rt := &Routes{origin: make([]routeOrigin, cores)}
 	if ic.Topology == TopologyBus {
-		return 0, 0, 0, 0, 1, 1
+		rt.disp = []route{{n0: 1, hops: 1, hopSec: ic.HopLatencySec}}
+		return rt
 	}
-	w := ic.MeshWidth
-	ay, by := ic.row(a), ic.row(b)
-	ax, bx := a-ay*w, b-by*w
-	// sx is -1 for a westward run and 0 otherwise; sy likewise northward.
-	dx, dy := bx-ax, by-ay
-	sx, sy := dx>>(bits.UintSize-1), dy>>(bits.UintSize-1)
-	nx := (dx ^ sx) - sx
-	n0, hops = nx, nx+(dy^sy)-sy
-	if hops == 0 {
-		// Same router: the local link east of it, as in PathLinks.
-		n0, hops = 1, 1
+	w, h := ic.MeshWidth, ic.meshHeight
+	span := 2*w - 1
+	rt.disp = make([]route, span*(2*h-1))
+	rt.center = (h-1)*span + w - 1
+	for c := range rt.origin {
+		rt.origin[c] = routeOrigin{key: int32(c/w*span + c%w), base: int32(4 * c)}
 	}
-	// Directions: 0 east, 1 west along row ay; 2 south, 3 north along
-	// column bx.
-	return 4*(ay*w+ax) - sx, 4 + 8*sx, 4*(ay*w+bx) + 2 - sy, (4 + 8*sy) * w, n0, hops
+	// Directions: 0 east, 1 west along a's row; 2 south, 3 north along b's
+	// column, whose first router is a+dx.
+	for dy := 1 - h; dy < h; dy++ {
+		for dx := 1 - w; dx < w; dx++ {
+			r := route{step0: 4, off1: int32(4*dx + 2), step1: int32(4 * w)}
+			if dx < 0 {
+				r.off0, r.step0 = 1, -4
+			}
+			if dy < 0 {
+				r.off1, r.step1 = int32(4*dx+3), int32(-4*w)
+			}
+			n0, hops := abs(dx), abs(dx)+abs(dy)
+			if hops == 0 {
+				// Same router: the local link east of it, as in PathLinks.
+				n0, hops = 1, 1
+			}
+			r.n0, r.hops = int32(n0), int32(hops)
+			r.hopSec = float64(hops) * ic.HopLatencySec
+			rt.disp[rt.center+dy*span+dx] = r
+		}
+	}
+	return rt
+}
+
+// at returns the route from core a to core b and the base its link ids
+// count from.
+func (rt *Routes) at(a, b int) (*route, int) {
+	o := rt.origin[a]
+	return &rt.disp[int(rt.origin[b].key-o.key)+rt.center], int(o.base)
+}
+
+// HopSec returns the hop latency of the route from core a to core b,
+// hops·HopLatencySec: its uncontended transfer time less the
+// serialization.
+func (rt *Routes) HopSec(a, b int) float64 {
+	r, _ := rt.at(a, b)
+	return r.hopSec
+}
+
+// Links appends the link ids of the tabulated route from core a to core b,
+// in crossing order, to buf and returns the extended slice.
+func (rt *Routes) Links(a, b int, buf []int) []int {
+	r, base := rt.at(a, b)
+	l, step := base+int(r.off0), int(r.step0)
+	for k := 0; k < int(r.hops); k++ {
+		if k == int(r.n0) {
+			l, step = base+int(r.off1), int(r.step1)
+		}
+		buf = append(buf, l)
+		l += step
+	}
+	return buf
 }
 
 // Reserve applies the fabric's cut-through channel reservation to a
@@ -222,31 +281,33 @@ func (ic *Interconnect) route(a, b int) (first0, step0, first1, step1, n0, hops 
 // who queues behind whom.
 //
 // It is the one reservation rule of the list scheduler (T = seconds as
-// float64) and the simulator (T = integer femtoseconds).
-func Reserve[T ~float64 | ~int64](ic *Interconnect, busy []T, a, b int, now, hop, ser T) T {
-	first0, step0, first1, step1, n0, hops := ic.route(a, b)
+// float64) and the simulator (T = integer femtoseconds). Each i·hop is
+// rounded on its own, so no architecture fuses it into the sum.
+func Reserve[T ~float64 | ~int64](rt *Routes, busy []T, a, b int, now, hop, ser T) T {
+	r, base := rt.at(a, b)
+	hops, n0 := int(r.hops), int(r.n0)
 	start := now
-	l, step := first0, step0
+	l, step := base+int(r.off0), int(r.step0)
 	var i T
 	for k := 0; k < hops; k++ {
 		if k == n0 {
-			l, step = first1, step1
+			l, step = base+int(r.off1), int(r.step1)
 		}
-		start = max(start, busy[l]-i*hop)
+		start = max(start, busy[l]-T(i*hop))
 		l += step
 		i++
 	}
-	l, step = first0, step0
+	l, step = base+int(r.off0), int(r.step0)
 	i = 0
 	for k := 0; k < hops; k++ {
 		if k == n0 {
-			l, step = first1, step1
+			l, step = base+int(r.off1), int(r.step1)
 		}
-		busy[l] = start + i*hop + ser
+		busy[l] = start + T(i*hop) + ser
 		l += step
 		i++
 	}
-	return start + i*hop + ser
+	return start + T(i*hop) + ser
 }
 
 // MessageBits converts an edge's communication cycle count into message

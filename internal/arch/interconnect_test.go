@@ -1,6 +1,8 @@
 package arch
 
 import (
+	"math"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -151,47 +153,51 @@ func TestInterconnectTiming(t *testing.T) {
 	}
 }
 
-// TestRouteMatchesPathLinks holds the arithmetic route to the explicit XY
-// walk of PathLinks for every core pair, on a bus and on meshes with full
-// and partial last rows (and the default width).
+// TestRouteMatchesPathLinks holds the route table to the explicit XY walk
+// of PathLinks for every ordered core pair, on a bus and on square meshes,
+// meshes with full and partial last rows (and the default width), width 1
+// and width = cores: the table's links in crossing order are PathLinks',
+// their count is Hops, and its hop latency is float64(Hops)·HopLatencySec
+// bit for bit.
 func TestRouteMatchesPathLinks(t *testing.T) {
 	fabrics := []struct {
 		cores int
 		ic    Interconnect
 	}{
-		{5, Interconnect{Topology: TopologyBus, BandwidthBps: 1e9}},
+		{5, Interconnect{Topology: TopologyBus, BandwidthBps: 1e9, HopLatencySec: 3e-5}},
+		{1, Interconnect{Topology: TopologyBus, BandwidthBps: 1e9}},
 		{1, Interconnect{Topology: TopologyMesh, BandwidthBps: 1e9}},
 		{6, Interconnect{Topology: TopologyMesh, BandwidthBps: 1e9, MeshWidth: 3}},
-		{7, Interconnect{Topology: TopologyMesh, BandwidthBps: 1e9, MeshWidth: 3}},
-		{10, Interconnect{Topology: TopologyMesh, BandwidthBps: 1e9, MeshWidth: 4}},
-		{11, Interconnect{Topology: TopologyMesh, BandwidthBps: 1e9}},
-		{5, Interconnect{Topology: TopologyMesh, BandwidthBps: 1e9, MeshWidth: 5}},
-		{5, Interconnect{Topology: TopologyMesh, BandwidthBps: 1e9, MeshWidth: 1}},
+		{7, Interconnect{Topology: TopologyMesh, BandwidthBps: 1e9, MeshWidth: 3, HopLatencySec: 1e-7}},
+		{9, Interconnect{Topology: TopologyMesh, BandwidthBps: 1e9, HopLatencySec: 0.1}},
+		{10, Interconnect{Topology: TopologyMesh, BandwidthBps: 1e9, MeshWidth: 4, HopLatencySec: 1e-4}},
+		{11, Interconnect{Topology: TopologyMesh, BandwidthBps: 1e9, HopLatencySec: 5e-6}},
+		{16, Interconnect{Topology: TopologyMesh, BandwidthBps: 4e9, HopLatencySec: 1e-4}},
+		{5, Interconnect{Topology: TopologyMesh, BandwidthBps: 1e9, MeshWidth: 5, HopLatencySec: 7e-9}},
+		{5, Interconnect{Topology: TopologyMesh, BandwidthBps: 1e9, MeshWidth: 1, HopLatencySec: 1.3e-3}},
+		{64, Interconnect{Topology: TopologyMesh, BandwidthBps: 4e9, HopLatencySec: 1e-4}},
 	}
 	for _, f := range fabrics {
 		p, err := NewPlatform(f.cores, ARM7Levels3(), WithInterconnect(f.ic))
 		if err != nil {
 			t.Fatalf("%d cores on %+v: %v", f.cores, f.ic, err)
 		}
-		ic := p.Interconnect()
+		ic, rt := p.Interconnect(), p.Routes()
 		for a := 0; a < f.cores; a++ {
 			for b := 0; b < f.cores; b++ {
 				want := ic.PathLinks(a, b, nil)
-				r := ic.Route(a, b)
-				got := make([]int, r.Hops())
-				for i := range got {
-					got[i] = r.Link(i)
+				got := rt.Links(a, b, nil)
+				if !slices.Equal(got, want) || len(got) != ic.Hops(a, b) {
+					t.Fatalf("%d cores, width %d: route %d→%d = %v, PathLinks %v, Hops %d", f.cores, ic.MeshWidth, a, b, got, want, ic.Hops(a, b))
 				}
-				if len(got) != len(want) || len(got) != ic.Hops(a, b) {
-					t.Fatalf("%d cores, width %d: Route(%d,%d) = %v, PathLinks %v, Hops %d", f.cores, ic.MeshWidth, a, b, got, want, ic.Hops(a, b))
-				}
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("%d cores, width %d: Route(%d,%d) = %v, PathLinks %v", f.cores, ic.MeshWidth, a, b, got, want)
-					}
+				if got, want := rt.HopSec(a, b), float64(ic.Hops(a, b))*ic.HopLatencySec; math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%d cores, width %d: route %d→%d hop latency %v, want %v", f.cores, ic.MeshWidth, a, b, got, want)
 				}
 			}
 		}
+	}
+	if MustNewPlatform(4, ARM7Levels3()).Routes() != nil {
+		t.Fatal("the ideal fabric grew a route table")
 	}
 }
 
@@ -200,7 +206,8 @@ func TestRouteMatchesPathLinks(t *testing.T) {
 // hop offset, every link then drains at its offset plus the serialization
 // time, and the transfer arrives after all hops.
 func TestReserve(t *testing.T) {
-	ic := meshPlatform(t, 7, 3).Interconnect()
+	p := meshPlatform(t, 7, 3)
+	ic, rt := p.Interconnect(), p.Routes()
 	busyF := make([]float64, ic.NumLinks())
 	refF := make([]float64, ic.NumLinks())
 	busyI := make([]int64, ic.NumLinks())
@@ -218,7 +225,7 @@ func TestReserve(t *testing.T) {
 				refF[l] = start + float64(i)*0.5 + 2
 			}
 			wantF := start + float64(len(path))*0.5 + 2
-			if got := Reserve(ic, busyF, a, b, float64(now), 0.5, 2); got != wantF {
+			if got := Reserve(rt, busyF, a, b, float64(now), 0.5, 2); got != wantF {
 				t.Fatalf("float Reserve %d→%d = %v, want %v", a, b, got, wantF)
 			}
 			startI := int64(now)
@@ -229,7 +236,7 @@ func TestReserve(t *testing.T) {
 				refI[l] = startI + int64(i)*5 + 20
 			}
 			wantI := startI + int64(len(path))*5 + 20
-			if got := Reserve(ic, busyI, a, b, int64(now), 5, 20); got != wantI {
+			if got := Reserve(rt, busyI, a, b, int64(now), 5, 20); got != wantI {
 				t.Fatalf("int Reserve %d→%d = %v, want %v", a, b, got, wantI)
 			}
 		}

@@ -2,8 +2,10 @@ package ingest
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"seadopt/internal/arch"
@@ -143,17 +145,27 @@ func FuzzParsePlatformSpec(f *testing.F) {
 		if ic == nil {
 			return
 		}
-		links := ic.NumLinks()
+		// The route table Reserve walks holds every route PathLinks
+		// spells out, and its hop latency is hops·HopLatencySec bit for bit.
+		links, rt := ic.NumLinks(), p.Routes()
+		var path, tabled []int
 		for a := 0; a < cores; a++ {
 			for b := 0; b < cores; b++ {
-				path := ic.PathLinks(a, b, nil)
-				if len(path) != ic.Hops(a, b) {
-					t.Fatalf("route %d→%d has %d links, Hops %d", a, b, len(path), ic.Hops(a, b))
+				path = ic.PathLinks(a, b, path[:0])
+				hops := ic.Hops(a, b)
+				if len(path) != hops {
+					t.Fatalf("route %d→%d has %d links, Hops %d", a, b, len(path), hops)
 				}
 				for _, l := range path {
 					if l < 0 || l >= links {
 						t.Fatalf("route %d→%d crosses link %d outside [0,%d)", a, b, l, links)
 					}
+				}
+				if tabled = rt.Links(a, b, tabled[:0]); !slices.Equal(tabled, path) {
+					t.Fatalf("route table %d→%d = %v, PathLinks %v", a, b, tabled, path)
+				}
+				if got, want := rt.HopSec(a, b), float64(hops)*ic.HopLatencySec; math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("route table %d→%d hop latency %v, want %v", a, b, got, want)
 				}
 			}
 		}

@@ -205,6 +205,86 @@ func TestScheduleMatchesTokenAgenda(t *testing.T) {
 	}
 }
 
+// starGraph builds a root feeding k children, and with sink set one task
+// joining them all, with task cycles 1000·{1,2,3} and edge cycles
+// 1000·{0,…,3}: a fan-out that puts hundreds of events on the agenda at
+// once, many of them at one timestamp.
+func starGraph(k int, sink bool, rng *rand.Rand) *taskgraph.Graph {
+	b := taskgraph.NewBuilder(fmt.Sprintf("star%d", k), registers.NewInventory())
+	for i := 0; i <= k; i++ {
+		b.AddTask(fmt.Sprintf("t%d", i), 1000*int64(1+rng.Intn(3)))
+	}
+	for i := 1; i <= k; i++ {
+		b.AddEdge(0, taskgraph.TaskID(i), 1000*int64(rng.Intn(4)))
+	}
+	if sink {
+		b.AddTask("sink", 1000)
+		for i := 1; i <= k; i++ {
+			b.AddEdge(taskgraph.TaskID(i), taskgraph.TaskID(k+1), 1000*int64(rng.Intn(4)))
+		}
+	}
+	return b.MustBuild()
+}
+
+// TestScheduleMatchesTokenAgendaOnFanOuts holds the agenda's heap tier to
+// the token-per-edge reference: stars of a few hundred children and §V
+// graphs with 64–256-task layers, on 2–64 cores and every test fabric,
+// pile up more pending events than the sorted front holds, so events spill
+// to the heap and refill the front from it. Every star and three in four
+// schedulers overall must have spilled.
+func TestScheduleMatchesTokenAgendaOnFanOuts(t *testing.T) {
+	legs := 24
+	if testing.Short() {
+		legs = 8
+	}
+	rng := rand.New(rand.NewSource(29))
+	schedules, spilled := 0, 0
+	for leg := 0; leg < legs; leg++ {
+		var g *taskgraph.Graph
+		if leg%2 == 0 {
+			g = starGraph(200+rng.Intn(200), leg%4 == 0, rng)
+		} else {
+			cfg := taskgraph.DefaultRandomConfig(150 + rng.Intn(150))
+			cfg.MaxWidth = 64 + rng.Intn(193)
+			g = taskgraph.MustRandom(cfg, rng.Int63())
+			if leg%4 == 3 {
+				g = coarseCopy(g, rng)
+			}
+		}
+		for fabric := range agendaFabrics {
+			cores := 2 + rng.Intn(63)
+			var perf func(int) bool
+			if rng.Intn(2) == 1 {
+				types := rng.Perm(cores)
+				perf = func(c int) bool { return types[c]%3 == 0 }
+			}
+			p := agendaPlatform(cores, fabric, perf)
+			sch, ref := NewScheduler(g, p), newTokenScheduler(g, p)
+			for d := 0; d < 2; d++ {
+				scaling := p.MaxPowerScaling()
+				if d == 1 {
+					for c := range scaling {
+						scaling[c] = 1 + rng.Intn(p.CoreNumLevels(c))
+					}
+				}
+				matchTokenAgenda(t, sch, ref, scaling, RandomMapping(rng, g.N(), cores))
+				schedules++
+			}
+			// The heap keeps its capacity across calls, so a spill leaves
+			// it non-zero. A star always spills.
+			if cap(sch.heap) > 0 {
+				spilled++
+			} else if leg%2 == 0 {
+				t.Fatalf("graph %q on %d cores, fabric %d: no event reached the heap", g.Name(), cores, fabric)
+			}
+		}
+	}
+	t.Logf("%d schedules; %d of %d schedulers spilled to the heap", schedules, spilled, legs*len(agendaFabrics))
+	if spilled*4 < legs*len(agendaFabrics)*3 {
+		t.Fatalf("only %d of %d schedulers spilled to the heap; the legs no longer exercise it", spilled, legs*len(agendaFabrics))
+	}
+}
+
 // decodeAgendaCase turns fuzz bytes into a small scheduling problem: at most
 // 12 tasks with edges only from lower to higher IDs (a DAG by construction),
 // task cycles 1000·{1,2,3}, edge cycles 1000·{0,1,2,3}, at most 6 cores on

@@ -25,8 +25,8 @@ type agendaEvent struct {
 // agendaLess is the agenda's strict total order: earliest timestamp first,
 // insertion sequence breaking ties. seq is unique, so the minimum is unique
 // and any correct priority queue yields the same event order — the agenda
-// heap below pops events in exactly the sequence a linear min-scan would.
-// The same order ranks a task's inputs: the one that completes them is the
+// below pops events in exactly the sequence a linear min-scan would. The
+// same order ranks a task's inputs: the one that completes them is the
 // maximum.
 func agendaLess(a, b agendaEvent) bool {
 	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
@@ -45,9 +45,10 @@ func agendaLess(a, b agendaEvent) bool {
 // A Scheduler is not safe for concurrent use; the exploration engine gives
 // each worker its own (via metrics.Evaluator).
 type Scheduler struct {
-	g   *taskgraph.Graph
-	p   *arch.Platform
-	icn *arch.Interconnect // nil = ideal point-to-point links
+	g      *taskgraph.Graph
+	p      *arch.Platform
+	icn    *arch.Interconnect // nil = ideal point-to-point links
+	routes *arch.Routes       // icn's route table
 
 	// Graph-constant data, flattened once. Task t's outgoing edges are
 	// entries succOff[t] to succOff[t+1] of succTo and succCycles; succSer
@@ -69,8 +70,8 @@ type Scheduler struct {
 
 	// Scratch reused across Schedule calls. dur is each task's duration on
 	// its mapped core and tail the longest mapped path after it (computed
-	// only under a finite cutoff). agenda is a binary min-heap ordered by
-	// agendaLess. inputs holds, per task, the ready event keyed by its
+	// only under a finite cutoff). The agenda is front[:nfront] over heap
+	// (see push). inputs holds, per task, the ready event keyed by its
 	// latest input delivered so far. linkBusy tracks, per directed fabric
 	// link, when the last reserved transfer drains. dispatched counts the
 	// tasks the last call dispatched.
@@ -78,7 +79,9 @@ type Scheduler struct {
 	tail           []float64
 	remainingPreds []int
 	inputs         []agendaEvent
-	agenda         []agendaEvent
+	front          [frontCap]agendaEvent
+	nfront         int
+	heap           []agendaEvent
 	batch          []agendaEvent
 	pools          [][]taskgraph.TaskID
 	coreBusy       []bool
@@ -108,6 +111,7 @@ func NewScheduler(g *taskgraph.Graph, p *arch.Platform) *Scheduler {
 		g:              g,
 		p:              p,
 		icn:            p.Interconnect(),
+		routes:         p.Routes(),
 		cycles:         i64[:n],
 		preds:          ints[:n],
 		rank:           ints[n : 2*n],
@@ -293,11 +297,13 @@ func (s *Scheduler) Dispatched() int { return s.dispatched }
 // under mapping m: per successor, its duration on its mapped core plus,
 // across cores, the edge's ideal-link cost (cycles at the slower clock) or
 // its uncontended fabric cost hops·HopLatencySec + bits/bandwidth
-// (contention only adds to it). So no schedule of m finishes before
-// start + dur[t] + tail[t] for any task t dispatched at start, up to
-// rounding: the sums here associate differently from the schedule's and
-// the ideal-link cost multiplies by the period where the schedule divides
-// by the frequency, each a few ulps. dur must be set.
+// (contention only adds to it), hops·HopLatencySec read from the route
+// table. So no schedule of m finishes before start + dur[t] + tail[t] for
+// any task t dispatched at start, up to rounding: the sums here associate
+// differently from the schedule's and the ideal-link cost multiplies by
+// the period where the schedule divides by the frequency, each a few ulps.
+// Each product is rounded before it is added (an explicit float64), so no
+// architecture fuses the two. dur must be set.
 func (s *Scheduler) mappedTails(m Mapping) {
 	for i := len(s.topo) - 1; i >= 0; i-- {
 		t := s.topo[i]
@@ -307,10 +313,10 @@ func (s *Scheduler) mappedTails(m Mapping) {
 			to := s.succTo[k]
 			v := s.dur[to] + s.tail[to]
 			if d := m[to]; d != c && s.succCycles[k] != 0 {
-				if s.icn != nil {
-					v += float64(s.icn.Hops(c, d))*s.icn.HopLatencySec + s.succSer[k]
+				if s.routes != nil {
+					v += s.routes.HopSec(c, d) + s.succSer[k]
 				} else {
-					v += float64(s.succCycles[k]) * max(s.period[c], s.period[d])
+					v += float64(float64(s.succCycles[k]) * max(s.period[c], s.period[d]))
 				}
 			}
 			if v > longest {
@@ -352,10 +358,11 @@ func (s *Scheduler) run(m Mapping, cutoff float64, full bool) (exceeded bool, er
 		s.inputs[t] = agendaEvent{seq: -1, task: taskgraph.TaskID(t)}
 		s.dur[t] = float64(s.cycles[t]) / s.freq[m[t]]
 	}
-	s.agenda = s.agenda[:0]
+	s.nfront, s.heap = 0, s.heap[:0]
 	s.dispatched = 0
 	bounded := cutoff < math.Inf(1)
-	limit := cutoff + 1e-9*math.Abs(cutoff)
+	// The tolerance is rounded before the sum, as in mappedTails.
+	limit := cutoff + float64(1e-9*math.Abs(cutoff))
 	if bounded {
 		s.mappedTails(m)
 	}
@@ -385,7 +392,7 @@ func (s *Scheduler) run(m Mapping, cutoff float64, full bool) (exceeded bool, er
 			sc.makespan = end + s.tail[t]
 			return true
 		}
-		s.heapPush(agendaEvent{end, seq, true, t})
+		s.push(agendaEvent{end, seq, true, t})
 		seq++
 		return false
 	}
@@ -413,17 +420,17 @@ func (s *Scheduler) run(m Mapping, cutoff float64, full bool) (exceeded bool, er
 		touch(m[t])
 	}
 
-	for len(s.agenda) > 0 {
-		// Heap pops arrive in (at, seq) order, so the batch is seq-ascending
+	for s.nfront > 0 {
+		// Pops arrive in (at, seq) order, so the batch is seq-ascending
 		// within the timestamp.
-		now := s.agenda[0].at
+		now := s.front[s.nfront-1].at
 		if now > cutoff {
 			sc.makespan = now
 			return true, nil
 		}
 		s.batch = s.batch[:0]
-		for len(s.agenda) > 0 && s.agenda[0].at == now {
-			s.batch = append(s.batch, s.heapPop())
+		for s.nfront > 0 && s.front[s.nfront-1].at == now {
+			s.batch = append(s.batch, s.pop())
 		}
 		popSeq := seq
 		s.touchedList = s.touchedList[:0]
@@ -448,7 +455,7 @@ func (s *Scheduler) run(m Mapping, cutoff float64, full bool) (exceeded bool, er
 						// The transfer rides the shared fabric: reserve the
 						// route's links and deliver at the (possibly
 						// contended) arrival time.
-						in.at = arch.Reserve(s.icn, s.linkBusy, core, dst, now, s.icn.HopLatencySec, s.succSer[k])
+						in.at = arch.Reserve(s.routes, s.linkBusy, core, dst, now, s.icn.HopLatencySec, s.succSer[k])
 						if full {
 							sc.commDelaySec += in.at - now
 						}
@@ -493,7 +500,7 @@ func (s *Scheduler) run(m Mapping, cutoff float64, full bool) (exceeded bool, er
 					copy(s.batch[j+1:], s.batch[j:])
 					s.batch[j] = last
 				default:
-					s.heapPush(last)
+					s.push(last)
 				}
 			}
 		}
@@ -530,48 +537,99 @@ func (s *Scheduler) run(m Mapping, cutoff float64, full bool) (exceeded bool, er
 	return false, nil
 }
 
-// heapPush inserts an event into the agenda min-heap. Hand-rolled rather
-// than container/heap: the interface indirection and per-op allocations of
-// the stdlib adapter are measurable at this call frequency, and the agenda
-// is the scheduler's innermost data structure. Both sifts move a hole
-// instead of swapping, which leaves the same array as swapping would.
-func (s *Scheduler) heapPush(e agendaEvent) {
-	s.agenda = append(s.agenda, e)
-	i := len(s.agenda) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !agendaLess(e, s.agenda[parent]) {
-			break
-		}
-		s.agenda[i] = s.agenda[parent]
-		i = parent
+// frontCap bounds the agenda's sorted front, a power of two (see push). A
+// list schedule's agenda holds a handful of events, nearly in time order,
+// so the front usually holds them all; a wide fan-out spills the rest to
+// the heap behind it.
+const frontCap = 32
+
+// push inserts an event into the agenda: a sorted front of at most
+// frontCap events in descending agendaLess order, so that its last event is
+// the earliest, over a binary min-heap of events that all come after every
+// front event. An event after the front's latest goes to the heap once the
+// heap holds events or the front is full; any other joins the front by
+// insertion, and a full front first moves its latest event to the heap.
+// The front is empty only when the heap is (see pop). So a usual 6–7-event
+// agenda never touches the heap, and a 4095-way fan-out costs
+// O(frontCap + log k) per event. The insertion indexes the front modulo
+// frontCap, which is the identity there and spares the bounds checks.
+func (s *Scheduler) push(e agendaEvent) {
+	n := s.nfront
+	f := &s.front
+	if (n == frontCap || len(s.heap) > 0) && agendaLess(f[0], e) {
+		s.heapPush(e)
+		return
 	}
-	s.agenda[i] = e
+	if n == frontCap {
+		s.heapPush(f[0])
+		copy(f[:], f[1:])
+		n--
+	}
+	s.nfront = n + 1
+	for n > 0 && agendaLess(f[(n-1)&(frontCap-1)], e) {
+		f[n&(frontCap-1)] = f[(n-1)&(frontCap-1)]
+		n--
+	}
+	f[n&(frontCap-1)] = e
 }
 
-// heapPop removes and returns the agenda's (at, seq)-minimum event.
+// pop removes and returns the agenda's (at, seq)-minimum event, the
+// front's last, and refills an emptied front with the heap's earliest
+// events.
+func (s *Scheduler) pop() agendaEvent {
+	s.nfront--
+	e := s.front[s.nfront]
+	if s.nfront == 0 && len(s.heap) > 0 {
+		s.nfront = min(len(s.heap), frontCap)
+		for i := s.nfront - 1; i >= 0; i-- {
+			s.front[i] = s.heapPop()
+		}
+	}
+	return e
+}
+
+// heapPush inserts an event into the agenda's min-heap. Hand-rolled rather
+// than container/heap: the interface indirection and per-op allocations of
+// the stdlib adapter are measurable at this call frequency. Both sifts move
+// a hole instead of swapping, which leaves the same array as swapping
+// would.
+func (s *Scheduler) heapPush(e agendaEvent) {
+	s.heap = append(s.heap, e)
+	i := len(s.heap) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !agendaLess(e, s.heap[parent]) {
+			break
+		}
+		s.heap[i] = s.heap[parent]
+		i = parent
+	}
+	s.heap[i] = e
+}
+
+// heapPop removes and returns the heap's (at, seq)-minimum event.
 func (s *Scheduler) heapPop() agendaEvent {
-	top := s.agenda[0]
-	last := len(s.agenda) - 1
-	e := s.agenda[last]
-	s.agenda = s.agenda[:last]
+	top := s.heap[0]
+	last := len(s.heap) - 1
+	e := s.heap[last]
+	s.heap = s.heap[:last]
 	i := 0
 	for {
 		small := 2*i + 1
 		if small >= last {
 			break
 		}
-		if r := small + 1; r < last && agendaLess(s.agenda[r], s.agenda[small]) {
+		if r := small + 1; r < last && agendaLess(s.heap[r], s.heap[small]) {
 			small = r
 		}
-		if !agendaLess(s.agenda[small], e) {
+		if !agendaLess(s.heap[small], e) {
 			break
 		}
-		s.agenda[i] = s.agenda[small]
+		s.heap[i] = s.heap[small]
 		i = small
 	}
 	if last > 0 {
-		s.agenda[i] = e
+		s.heap[i] = e
 	}
 	return top
 }

@@ -209,10 +209,14 @@ func TestSweepHTTPEndToEnd(t *testing.T) {
 }
 
 // runJobs submits problems one after another to a fresh server, each after
-// the previous one finished, and returns the last job's final status.
+// the previous one finished, and returns the last job's final status. The
+// engine runs at Parallelism 1, where the ranked pass probes exactly the
+// serial walk: above 1 its workers may also claim combinations ranked
+// after the answer, depending on timing, so a follow-up job could probe one
+// that the first job never did.
 func runJobs(t *testing.T, problems ...*ingest.Problem) JobStatus {
 	t.Helper()
-	s := newTestServer(t, Config{Workers: 1})
+	s := newTestServer(t, Config{Workers: 1, EngineParallelism: 1})
 	var last JobStatus
 	for _, p := range problems {
 		st, err := s.Submit(p, 0)

@@ -145,9 +145,9 @@ func Run(g *taskgraph.Graph, p *arch.Platform, m sched.Mapping, scaling []int, c
 
 	// Interconnect state: per-link drain times for arch.Reserve, the
 	// cut-through reservation rule the list scheduler applies in seconds,
-	// here in integer femtoseconds. No link drains after lastArrive, the
-	// latest arrival Reserve has returned.
-	icn := p.Interconnect()
+	// here in integer femtoseconds over the platform's route table. No link
+	// drains after lastArrive, the latest arrival Reserve has returned.
+	icn, routes := p.Interconnect(), p.Routes()
 	var (
 		linkBusy   []desim.Time
 		hopFs      desim.Time
@@ -249,7 +249,7 @@ func Run(g *taskgraph.Graph, p *arch.Platform, m sched.Mapping, scaling []int, c
 					}
 				}
 				if err == nil {
-					arrive := arch.Reserve(icn, linkBusy, core, dst, k.Now(), hopFs, serFs)
+					arrive := arch.Reserve(routes, linkBusy, core, dst, k.Now(), hopFs, serFs)
 					lastArrive = max(lastArrive, arrive)
 					delay = arrive - k.Now()
 				}

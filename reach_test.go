@@ -41,8 +41,10 @@ import (
 // pointer receiver and no type parameters.
 var reachAllowlist = map[string]string{
 	"internal/arch.(*Interconnect).PathLinks": "the reference XY/bus route as a link list: " +
-		"TestRouteMatchesPathLinks holds the arithmetic route Reserve walks to it, and sched's " +
-		"token-per-edge reference (transferArrival) and ingest's FuzzParsePlatformSpec walk it",
+		"TestRouteMatchesPathLinks and ingest's FuzzParsePlatformSpec hold the route table " +
+		"Reserve walks to it, and sched's token-per-edge reference (transferArrival) walks it",
+	"internal/arch.(*Routes).Links": "observer: lists a route-table entry's links for " +
+		"TestRouteMatchesPathLinks and ingest's FuzzParsePlatformSpec to compare with PathLinks",
 	"internal/arch.(*Interconnect).TransferSeconds": "the uncontended transfer time that " +
 		"sched.(*Schedule).Validate takes as its precedence floor; TestInterconnectTiming pins it",
 	"internal/arch.(*Platform).Homogeneous": "observer: TestHeterogeneousPlatform, " +
