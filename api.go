@@ -195,8 +195,8 @@ const (
 	// but proves most combinations irrelevant without mapping them:
 	// scalings whose admissible best-case makespan misses the deadline are
 	// pruned, scalings dominated on nominal power by a resolved feasible
-	// incumbent are skipped (including cancelling in-flight work). The
-	// chosen Design is byte-identical to StrategyExhaustive.
+	// incumbent are skipped. The chosen Design is byte-identical to
+	// StrategyExhaustive.
 	StrategyBranchAndBound = mapping.StrategyBranchAndBound
 	// StrategyExhaustive maps every combination — the reference behavior
 	// the paper tables are regenerated under.
@@ -260,8 +260,8 @@ type OptimizeOptions struct {
 	// once: 0 selects GOMAXPROCS, 1 runs sequentially.
 	Parallelism int
 	// Progress, when non-nil, is called once per resolved scaling
-	// combination, in enumeration order. It runs on the optimizing
-	// goroutine; keep it fast.
+	// combination: one call at a time, in visit order, on an engine
+	// goroutine (the caller's at Parallelism 1); keep it fast.
 	Progress func(ExploreProgress)
 	// Strategy selects the exploration walk: "" or StrategyBranchAndBound
 	// (default; provably the same design as exhaustive, much faster on
@@ -316,21 +316,18 @@ func (o OptimizeOptions) mappingConfig() mapping.Config {
 		ser = 0
 	}
 	return mapping.Config{
-		SER:         faults.NewSERModel(ser),
-		DeadlineSec: o.DeadlineSec,
-		Iterations:  o.StreamIterations,
-		SearchMoves: o.SearchMoves,
-		Seed:        o.Seed,
-		Parallelism: o.Parallelism,
-		Progress:    o.Progress,
-		Strategy:    o.Strategy,
-		// The facade returns only the chosen design; don't retain one
-		// Design per combination on large platforms.
-		SampleBudget:      o.SampleBudget,
-		Ranked:            o.Ranked,
-		Objectives:        o.Objectives,
-		DiscardPerScaling: true,
-		Reuse:             o.Reuse,
+		SER:          faults.NewSERModel(ser),
+		DeadlineSec:  o.DeadlineSec,
+		Iterations:   o.StreamIterations,
+		SearchMoves:  o.SearchMoves,
+		Seed:         o.Seed,
+		Parallelism:  o.Parallelism,
+		Progress:     o.Progress,
+		Strategy:     o.Strategy,
+		SampleBudget: o.SampleBudget,
+		Ranked:       o.Ranked,
+		Objectives:   o.Objectives,
+		Reuse:        o.Reuse,
 	}
 }
 
@@ -391,7 +388,7 @@ func (s *System) Optimize(opts OptimizeOptions) (*Design, error) {
 func (s *System) OptimizeContext(ctx context.Context, opts OptimizeOptions) (*Design, error) {
 	cfg := opts.mappingConfig()
 	snap := opts.telemetry(&cfg)
-	best, _, err := mapping.ExploreContext(ctx, s.Graph, s.Platform, mapping.SEAMapper(cfg), cfg)
+	best, err := mapping.ExploreContext(ctx, s.Graph, s.Platform, mapping.SEAMapper(cfg), cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -468,7 +465,7 @@ func (s *System) RunShard(ctx context.Context, opts OptimizeOptions, req ShardRe
 // OptimizeOptions.Stats is ignored (telemetry stays per-process).
 func (s *System) OptimizeShardedContext(ctx context.Context, opts OptimizeOptions, runners []ShardRunner) (*Design, error) {
 	cfg := opts.mappingConfig()
-	best, _, err := mapping.ExploreSharded(ctx, s.Graph, s.Platform, mapping.SEAMapper(cfg), cfg, runners)
+	best, err := mapping.ExploreSharded(ctx, s.Graph, s.Platform, mapping.SEAMapper(cfg), cfg, runners)
 	if err != nil {
 		return nil, err
 	}
@@ -538,8 +535,9 @@ type SweepOptions struct {
 	// per-point Design/frontier is.
 	NoWarmStart bool
 	// PointProgress, when non-nil, receives every point's exploration
-	// progress, tagged with the point index. Called on the sweeping
-	// goroutine, points in order.
+	// progress, tagged with the point index: one call at a time, points in
+	// order and each point's events in visit order, on an engine goroutine
+	// (the caller's at Parallelism 1).
 	PointProgress func(point int, ev ExploreProgress)
 }
 
@@ -624,7 +622,7 @@ func (s *System) OptimizeSweepContext(ctx context.Context, points []SweepPoint, 
 				// pay only the ranked walk plus an already-pruned stream.
 				cfg.Ranked = true
 			}
-			best, _, err := mapping.ExploreContext(ctx, s.Graph, s.Platform, mapping.SEAMapper(cfg), cfg)
+			best, err := mapping.ExploreContext(ctx, s.Graph, s.Platform, mapping.SEAMapper(cfg), cfg)
 			if err != nil {
 				return nil, err
 			}
@@ -677,7 +675,7 @@ func (s *System) OptimizeBaselineContext(ctx context.Context, obj BaselineObject
 		Moves:       cfg.SearchMoves,
 		Seed:        cfg.Seed,
 	}
-	best, _, err := mapping.ExploreContext(ctx, s.Graph, s.Platform, anneal.Mapper(acfg), cfg)
+	best, err := mapping.ExploreContext(ctx, s.Graph, s.Platform, anneal.Mapper(acfg), cfg)
 	if err != nil {
 		return nil, err
 	}

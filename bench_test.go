@@ -640,6 +640,31 @@ func BenchmarkExplore16CoreBnB(b *testing.B) {
 	benchStrategy(b, g, 16, dl, 1, StrategyBranchAndBound)
 }
 
+// BenchmarkBaseline16Core runs the 16-core workload through the
+// MinimizeRegTime baseline as seadoptd runs a baseline job by default:
+// plain (unranked) branch-and-bound, the default search budget, and the
+// simulated-annealing mapper, which polls its context between moves.
+func BenchmarkBaseline16Core(b *testing.B) {
+	g, dl := bench16Graph(b)
+	sys, err := NewARM7System(g, 16, 3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := OptimizeOptions{
+		DeadlineSec:      dl,
+		StreamIterations: 1,
+		Seed:             1,
+		Strategy:         StrategyBranchAndBound,
+	}
+	ctx := context.Background()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sys.OptimizeBaselineContext(ctx, MinimizeRegTime, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // bench64System is the 64-core flagship workload of BENCH_scale.json: a
 // heterogeneous platform of 56 two-level efficiency cores plus 8 four-level
 // performance cores (C(57,1)·C(11,3) = 57·165 = 9405 combinations, 61× the

@@ -64,18 +64,18 @@
 // OptimizeOptions.Strategy selects the walk. The default,
 // StrategyBranchAndBound, prunes combinations whose admissible best-case
 // makespan already misses the deadline and skips combinations whose nominal
-// power is dominated by a resolved feasible incumbent (cancelling dominated
-// in-flight work); because both rules discard only provably losing
-// combinations — with a deterministic exhaustive fallback when no feasible
-// design exists at all — it returns a byte-identical Design to
-// StrategyExhaustive, the map-everything reference the paper tables are
-// regenerated under. StrategySampled instead maps a seed-deterministic
-// uniform sample of SampleBudget combinations: it is exact only in the
-// trivial sense of being deterministic — its answer is the best design
-// within the sample, with no optimality claim outside it — so reach for it
-// only when the space is too large for the exact strategies, and never for
-// regenerating paper results. Pruned/skipped combinations surface in
-// ExploreProgress with their Pruned/Skipped flags set and a nil Design.
+// power is dominated by a resolved feasible incumbent; because both rules
+// discard only provably losing combinations — with a deterministic
+// exhaustive fallback when no feasible design exists at all — it returns a
+// byte-identical Design to StrategyExhaustive, the map-everything reference
+// the paper tables are regenerated under. StrategySampled instead maps a
+// seed-deterministic uniform sample of SampleBudget combinations: it is
+// exact only in the trivial sense of being deterministic — its answer is
+// the best design within the sample, with no optimality claim outside it —
+// so reach for it only when the space is too large for the exact
+// strategies, and never for regenerating paper results. Pruned/skipped
+// combinations surface in ExploreProgress with their Pruned/Skipped flags
+// set and a nil Design.
 //
 // # Objectives and Pareto exploration
 //

@@ -179,12 +179,14 @@ func TestMapperAdapterInExplore(t *testing.T) {
 		Iterations:  1,
 		SearchMoves: 100,
 	}
-	best, per, err := mapping.Explore(g, p, Mapper(c), mcfg)
+	explored := 0
+	mcfg.Progress = func(mapping.Progress) { explored++ }
+	best, err := mapping.Explore(g, p, Mapper(c), mcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(per) != 10 { // C(3+3-1,3) = 10 combos for 3 cores / 3 levels
-		t.Fatalf("explored %d scalings, want 10", len(per))
+	if explored != 10 { // C(3+3-1,3) = 10 combos for 3 cores / 3 levels
+		t.Fatalf("explored %d scalings, want 10", explored)
 	}
 	if !best.Eval.MeetsDeadline {
 		t.Error("no feasible design found for the Fig. 8 example")

@@ -105,7 +105,6 @@ type event struct {
 	at  Time
 	seq uint64 // FIFO tie break for equal timestamps
 	fn  func()
-	idx int
 }
 
 type eventHeap []*event
@@ -117,15 +116,8 @@ func (h eventHeap) Less(i, j int) bool {
 	}
 	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].idx, h[j].idx = i, j
-}
-func (h *eventHeap) Push(x any) {
-	e := x.(*event)
-	e.idx = len(*h)
-	*h = append(*h, e)
-}
+func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
 func (h *eventHeap) Pop() any {
 	old := *h
 	n := len(old)

@@ -57,7 +57,7 @@ func Fig10(cfg Config) (*Fig10Result, error) {
 			Reuse:       mapping.NewReuse(),
 			Strategy:    mapping.StrategyExhaustive, // paper tables stay exhaustive
 		}
-		best4, _, err := mapping.Explore(g, p, mapping.SEAMapper(mcfg), mcfg)
+		best4, err := mapping.Explore(g, p, mapping.SEAMapper(mcfg), mcfg)
 		if err != nil {
 			return nil, fmt.Errorf("expt: fig10 exp4 %d cores: %w", cores, err)
 		}
@@ -68,7 +68,7 @@ func Fig10(cfg Config) (*Fig10Result, error) {
 			Iterations:  1,
 			Moves:       cfg.AnnealMoves,
 		}
-		best3, _, err := mapping.Explore(g, p, anneal.Mapper(acfg), mcfg)
+		best3, err := mapping.Explore(g, p, anneal.Mapper(acfg), mcfg)
 		if err != nil {
 			return nil, fmt.Errorf("expt: fig10 exp3 %d cores: %w", cores, err)
 		}
@@ -146,7 +146,7 @@ func Fig11(cfg Config) (*Fig11Result, error) {
 			Parallelism: cfg.Parallelism,
 			Strategy:    mapping.StrategyExhaustive, // paper tables stay exhaustive
 		}
-		best, _, err := mapping.Explore(g, p, mapping.SEAMapper(mcfg), mcfg)
+		best, err := mapping.Explore(g, p, mapping.SEAMapper(mcfg), mcfg)
 		if err != nil {
 			return nil, fmt.Errorf("expt: fig11 %d levels: %w", nLevels, err)
 		}

@@ -97,7 +97,7 @@ func TableII(cfg Config) (*TableIIResult, error) {
 	mcfg.Reuse = mapping.NewReuse()
 	res := &TableIIResult{}
 	for _, exp := range expMappers(cfg, mcfg) {
-		best, _, err := mapping.Explore(g, p, exp.fn, mcfg)
+		best, err := mapping.Explore(g, p, exp.fn, mcfg)
 		if err != nil {
 			return nil, fmt.Errorf("expt: %s: %w", exp.name, err)
 		}

@@ -91,7 +91,7 @@ func TableIII(cfg Config) (*TableIIIResult, error) {
 				Parallelism: cfg.Parallelism,
 				Strategy:    mapping.StrategyExhaustive, // paper tables stay exhaustive
 			}
-			best, _, err := mapping.Explore(wl.graph, p, mapping.SEAMapper(mcfg), mcfg)
+			best, err := mapping.Explore(wl.graph, p, mapping.SEAMapper(mcfg), mcfg)
 			if err != nil {
 				return nil, fmt.Errorf("expt: table3 %s/%d cores: %w", wl.name, cores, err)
 			}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"seadopt/internal/arch"
 	"seadopt/internal/metrics"
@@ -53,8 +54,8 @@ type Progress struct {
 	// fold's result — dominated on nominal power by a feasible incumbent,
 	// probe-infeasible while a probed incumbent stands (scalar fold), or
 	// bound-dominated by the frontier (Pareto fold) — so the mapper was
-	// skipped or cancelled, or its design discarded. Design is nil for
-	// skipped combinations.
+	// skipped or its design discarded. Design is nil for skipped
+	// combinations.
 	Skipped bool
 	// Design is the combination's optimized design; nil when Pruned or
 	// Skipped.
@@ -75,7 +76,7 @@ type Progress struct {
 
 // Explore runs the outer design loop of Fig. 4 with background context; see
 // ExploreContext.
-func Explore(g *taskgraph.Graph, p *arch.Platform, mapper MapperFunc, cfg Config) (best *Design, perScaling []*Design, err error) {
+func Explore(g *taskgraph.Graph, p *arch.Platform, mapper MapperFunc, cfg Config) (*Design, error) {
 	return ExploreContext(context.Background(), g, p, mapper, cfg)
 }
 
@@ -91,32 +92,27 @@ func Explore(g *taskgraph.Graph, p *arch.Platform, mapper MapperFunc, cfg Config
 // admissible bound proves infeasible and skips combinations that provably
 // cannot change the verdict — dominated on nominal power by a resolved
 // feasible incumbent, or probe-infeasible while any probed incumbent stands
-// — cancelling dominated in-flight work, and returns a byte-identical best
-// Design; StrategySampled maps a budgeted
-// random portfolio. With Config.Ranked, branch-and-bound first locates a
-// feasible incumbent by walking combinations in ascending nominal power, so
-// the dominance threshold is in force from the very first combination of
-// the deterministic stream. The enumeration is never materialized:
-// combinations stream through a bounded reorder window, so memory is
-// O(workers), not O(combinations).
-//
-// perScaling lists one Design per visited combination in visit order, for
-// the experiment harness; entries are nil for pruned/skipped combinations,
-// and the whole list is omitted under Config.DiscardPerScaling. (The paper
-// tables use StrategyExhaustive, where every entry is populated.)
+// — and returns a byte-identical best Design; StrategySampled maps a
+// budgeted random portfolio. With Config.Ranked, branch-and-bound first
+// locates a feasible incumbent by walking combinations in ascending nominal
+// power, so the dominance threshold is in force from the very first
+// combination of the deterministic stream. The enumeration is never
+// materialized: combinations stream through a bounded reorder window, so
+// memory is O(workers), not O(combinations). Config.Progress receives every
+// visited combination's Design (nil when pruned or skipped) in visit order.
 //
 // Combinations are independent, so they fan out over a bounded worker pool
 // (Config.Parallelism workers; 0 selects GOMAXPROCS). Each worker owns one
 // reusable metrics.Evaluator rebound per combination, and each combination
 // derives its own seed from (Config.Seed, enumeration index), so the chosen
-// best design, the perScaling order and every Progress callback are
-// identical at any parallelism. Cancelling ctx stops the workers promptly
-// and returns ctx.Err().
+// best design and every Progress callback are identical at any
+// parallelism. Cancelling ctx stops the workers promptly and returns
+// ctx.Err().
 func ExploreContext(ctx context.Context, g *taskgraph.Graph, p *arch.Platform,
-	mapper MapperFunc, cfg Config) (best *Design, perScaling []*Design, err error) {
-	ctx, cfg, err = setup(ctx, cfg, false)
+	mapper MapperFunc, cfg Config) (*Design, error) {
+	ctx, cfg, err := setup(ctx, cfg, false)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	return exploreScalar(ctx, g, p, mapper, cfg, exploreCore)
 }
@@ -178,37 +174,37 @@ func setup(ctx context.Context, cfg Config, frontier bool) (context.Context, Con
 // the whole combination source on this node, or a sharded pass (the shards,
 // then the replay of their records). exploreCore is the local pass.
 type passFunc func(ctx context.Context, g *taskgraph.Graph, p *arch.Platform, mapper MapperFunc,
-	cfg Config, fold streamFold, opts coreOptions) (perScaling []*Design, prunedCount int, err error)
+	cfg Config, fold streamFold, opts coreOptions) (prunedCount int, err error)
 
 // exploreScalar is the scalar driver behind ExploreContext and
 // ExploreSharded: it seeds the fold's dominance threshold under
 // branch-and-bound (Ranked), runs one pass, and takes the
 // all-infeasible fallback when nothing feasible was found.
 func exploreScalar(ctx context.Context, g *taskgraph.Graph, p *arch.Platform,
-	mapper MapperFunc, cfg Config, run passFunc) (best *Design, perScaling []*Design, err error) {
+	mapper MapperFunc, cfg Config, run passFunc) (*Design, error) {
 	strategy := cfg.Strategy.withDefault()
 	prune := strategy != StrategyExhaustive
 	fold := newScalarFold(prune, cfg.Telemetry)
 	if prune && strategy == StrategyBranchAndBound && cfg.Ranked {
 		nominal, seeded, err := probeRankedStream(ctx, g, p, cfg)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if seeded {
 			fold.seed(nominal)
 		}
 	}
-	perScaling, prunedCount, err := run(ctx, g, p, mapper, cfg, fold, coreOptions{
+	prunedCount, err := run(ctx, g, p, mapper, cfg, fold, coreOptions{
 		computeBounds: prune && cfg.DeadlineSec > 0,
 		prune:         prune,
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if prunedCount > 0 && (fold.best == nil || !fold.best.Eval.MeetsDeadline) {
 		return leastInfeasible(ctx, g, p, mapper, cfg, run)
 	}
-	return fold.best, perScaling, nil
+	return fold.best, nil
 }
 
 // explorePareto is the Pareto driver behind ExploreParetoContext and
@@ -217,9 +213,6 @@ func exploreScalar(ctx context.Context, g *taskgraph.Graph, p *arch.Platform,
 // verdict as a single-entry frontier.
 func explorePareto(ctx context.Context, g *taskgraph.Graph, p *arch.Platform,
 	mapper MapperFunc, cfg Config, run passFunc) ([]*Design, error) {
-	// The frontier owns per-combination Designs; never retain the full
-	// per-combination list on top of it.
-	cfg.DiscardPerScaling = true
 	prune := cfg.Strategy.withDefault() != StrategyExhaustive
 	fold, err := newParetoFold(cfg)
 	if err != nil {
@@ -228,7 +221,7 @@ func explorePareto(ctx context.Context, g *taskgraph.Graph, p *arch.Platform,
 	// T_M lower bounds feed both deadline pruning and the frontier's
 	// bound-dominance test, so the Pareto fold takes them under every
 	// strategy (the exhaustive reference ignores them).
-	_, prunedCount, err := run(ctx, g, p, mapper, cfg, fold, coreOptions{computeBounds: true, prune: prune})
+	prunedCount, err := run(ctx, g, p, mapper, cfg, fold, coreOptions{computeBounds: true, prune: prune})
 	if err != nil {
 		return nil, err
 	}
@@ -243,7 +236,7 @@ func explorePareto(ctx context.Context, g *taskgraph.Graph, p *arch.Platform,
 	if prunedCount == 0 {
 		return []*Design{fold.scalar.best}, nil
 	}
-	best, _, err := leastInfeasible(ctx, g, p, mapper, cfg, run)
+	best, err := leastInfeasible(ctx, g, p, mapper, cfg, run)
 	if err != nil {
 		return nil, err
 	}
@@ -259,59 +252,47 @@ func explorePareto(ctx context.Context, g *taskgraph.Graph, p *arch.Platform,
 // byte for byte. Progress was already emitted by the first pass and is not
 // replayed.
 func leastInfeasible(ctx context.Context, g *taskgraph.Graph, p *arch.Platform,
-	mapper MapperFunc, cfg Config, run passFunc) (best *Design, perScaling []*Design, err error) {
+	mapper MapperFunc, cfg Config, run passFunc) (*Design, error) {
 	cfg.Progress = nil
 	fold := newScalarFold(false, cfg.Telemetry)
-	perScaling, _, err = run(ctx, g, p, mapper, cfg, fold, coreOptions{})
-	if err != nil {
-		return nil, nil, err
+	if _, err := run(ctx, g, p, mapper, cfg, fold, coreOptions{}); err != nil {
+		return nil, err
 	}
-	return fold.best, perScaling, nil
+	return fold.best, nil
 }
 
-// errDominated is the cancellation cause of in-flight mapper work made
-// irrelevant by a resolved feasible incumbent with lower nominal power.
-var errDominated = errors.New("mapping: combination dominated by resolved incumbent")
-
-// outcome is one resolved combination flowing from the dispatcher/workers
-// into the ordered reduction.
+// outcome is one resolved combination on its way from a claim (and, when
+// it needs the mapper, a worker) into the ordered reduction.
 type outcome struct {
 	pos        int   // visit position (fold order)
 	idx        int   // stable Fig. 5 enumeration index
-	scaling    []int // slab-pooled; released by the reduction
+	scaling    []int // borrowed (a reorder ring slot's slab): valid until pos folds
 	nominal    float64
 	tmLB       float64 // admissible T_M lower bound (zero unless computed)
 	pruned     bool    // bound-proved infeasible; mapper never ran
-	skipCand   bool    // mapper skipped/cancelled as irrelevant (fold confirms)
+	skipCand   bool    // resolved without a design as irrelevant (fold confirms)
 	design     *Design
 	probed     bool // probe verdict: a feasible mapping exists at this scaling
-	probeKnown bool // the probe actually ran (false for dispatch-time skips)
+	probeKnown bool // the probe actually ran (false for claim-time skips)
 	err        error
 }
 
 // streamFold is the step-3 reduction plugged into the shared streaming core.
 // The scalar single-best fold and the Pareto non-dominated fold both
-// implement it. dispatchSkip, register and unregister may be called from the
-// dispatcher and worker goroutines concurrently; confirmSkip, fold and
-// annotate run only on the fold goroutine, in visit order.
+// implement it. The stream's lock orders every call but one:
+// mapperSkippable is what workers read mid-combination, outside the lock.
+// The shard replay makes every call on its one goroutine.
 //
 // Every external bound reaches the scalar fold through its monotone
-// incumbent board as a seed: the ranked pass's, or on a shard the
+// dominance threshold as a seed: the ranked pass's, or on a shard the
 // coordinator's threshold; the Pareto fold prunes against its own realized
 // frontier only. dispatchSkip and confirmSkip read that same state, so
-// every dispatch-time skip stays reproducible at fold time.
+// every claim-time skip stays reproducible at fold time.
 type streamFold interface {
-	// dispatchSkip is the opportunistic pre-mapper dominance test. It must
-	// be monotone with respect to the fold's published state: once true for
-	// an outcome, confirmSkip must reproduce the verdict at fold time.
+	// dispatchSkip is the claim-time pre-mapper dominance test. It must be
+	// monotone with respect to the fold's state: once true for an outcome,
+	// confirmSkip must reproduce the verdict at fold time.
 	dispatchSkip(o *outcome) bool
-	// register atomically re-checks dispatchSkip and, where the fold
-	// supports dominance cancellation, makes the combination's in-flight
-	// mapper work cancellable. It reports false when the combination should
-	// be skipped without running the mapper.
-	register(o *outcome, cancel context.CancelCauseFunc) bool
-	// unregister retires a combination's cancellation handle.
-	unregister(pos int)
 	// mapperSkippable reports whether a probe-infeasible combination's
 	// mapper run is provably irrelevant to the fold's result, so the worker
 	// may skip it after the probe. Like dispatchSkip it must be monotone:
@@ -327,32 +308,6 @@ type streamFold interface {
 	annotate(ev *Progress)
 }
 
-// incumbentBoard holds the scalar reduction's monotone dominance threshold,
-// read by the dispatcher, the workers and the fold alike, and tracks
-// in-flight work so newly dominated combinations are cancelled promptly. The
-// board holds the *minimum* nominal power of any probed-feasible design the
-// fold has accepted or been seeded with — strictly monotone non-increasing,
-// even when the fold's current incumbent drifts within the nominal-power
-// tolerance band to a numerically higher value on a Γ tie-break. That
-// monotonicity is what makes every opportunistic dispatch-time skip
-// reproducible by the fold-time rule: a combination dominated against an
-// older (larger-or-equal) threshold is dominated against every later one.
-type incumbentBoard struct {
-	mu       sync.Mutex
-	probed   bool
-	nominal  float64
-	inflight map[int]inflightEntry
-}
-
-type inflightEntry struct {
-	nominal float64
-	cancel  context.CancelCauseFunc
-}
-
-func newIncumbentBoard() *incumbentBoard {
-	return &incumbentBoard{inflight: make(map[int]inflightEntry)}
-}
-
 // dominatedNominal mirrors betterDesign's nominal-power tolerance: true when
 // nominal is strictly worse than bestNominal beyond the relative band, i.e.
 // the combination can lose on power but never tie into the Γ tie-break.
@@ -361,79 +316,25 @@ func dominatedNominal(nominal, bestNominal float64) bool {
 	return nominal-bestNominal > rel*(nominal+bestNominal)
 }
 
-// shouldSkip reports whether a combination with this nominal power is
-// already provably dominated.
-func (b *incumbentBoard) shouldSkip(nominal float64) bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.probed && dominatedNominal(nominal, b.nominal)
-}
-
-// hasProbed reports whether any probed-feasible nominal has been published
-// (folded or seeded). Monotone: once true, always true.
-func (b *incumbentBoard) hasProbed() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.probed
-}
-
-// threshold returns the dominance threshold, and whether one stands.
-func (b *incumbentBoard) threshold() (nominal float64, probed bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.nominal, b.probed
-}
-
-// publish lowers the dominance threshold to a probed-feasible nominal and
-// cancels newly dominated in-flight work (the early exit: outstanding
-// higher-position combinations that can no longer win stop burning mapper
-// budget). It reports whether the threshold moved: a nominal at or above it
-// (a within-tolerance Γ tie-break winner) leaves it untouched.
-func (b *incumbentBoard) publish(nominal float64) bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.probed && nominal >= b.nominal {
-		return false
-	}
-	b.probed = true
-	b.nominal = nominal
-	for pos, e := range b.inflight {
-		if dominatedNominal(e.nominal, nominal) {
-			e.cancel(errDominated)
-			delete(b.inflight, pos)
-		}
-	}
-	return true
-}
-
-// registerUnlessSkipped atomically consults the incumbent and, when the
-// combination is not already dominated, registers it as cancellable
-// in-flight work. It reports false when the combination should be skipped
-// without running the mapper.
-func (b *incumbentBoard) registerUnlessSkipped(pos int, nominal float64, cancel context.CancelCauseFunc) bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.probed && dominatedNominal(nominal, b.nominal) {
-		return false
-	}
-	b.inflight[pos] = inflightEntry{nominal: nominal, cancel: cancel}
-	return true
-}
-
-func (b *incumbentBoard) unregister(pos int) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	delete(b.inflight, pos)
-}
-
 // scalarFold is the classic step-3 acceptance walk: keep the single
 // deadline-meeting design with minimum nominal power, tie-broken by Γ and
-// measured power, with the incumbent board driving branch-and-bound
-// dominance skips and in-flight cancellation.
+// measured power, with a dominance threshold driving branch-and-bound skips.
+//
+// The threshold is the *minimum* nominal power of any probed-feasible design
+// the fold has accepted or been seeded with — strictly monotone
+// non-increasing, even when the incumbent drifts within the nominal-power
+// tolerance band to a numerically higher value on a Γ tie-break. That
+// monotonicity is what makes every claim-time skip reproducible by the
+// fold-time rule: a combination dominated against an older
+// (larger-or-equal) threshold is dominated against every later one.
 type scalarFold struct {
 	prune bool
-	board *incumbentBoard
 	tel   *Telemetry // incumbent/bound event sink; nil when detached
+
+	threshold float64 // the dominance threshold, once probed is set
+	// probed reports that a threshold stands. Monotone: once set, always
+	// set. It is the one field workers read outside the stream's lock.
+	probed atomic.Bool
 
 	best        *Design
 	bestNominal float64 // the incumbent's own nominal (acceptance rule)
@@ -441,7 +342,19 @@ type scalarFold struct {
 }
 
 func newScalarFold(prune bool, tel *Telemetry) *scalarFold {
-	return &scalarFold{prune: prune, board: newIncumbentBoard(), tel: tel}
+	return &scalarFold{prune: prune, tel: tel}
+}
+
+// lower lowers the dominance threshold to a probed-feasible nominal. It
+// reports whether the threshold moved: a nominal at or above it (a
+// within-tolerance Γ tie-break winner) leaves it untouched.
+func (s *scalarFold) lower(nominal float64) bool {
+	if s.probed.Load() && nominal >= s.threshold {
+		return false
+	}
+	s.threshold = nominal
+	s.probed.Store(true)
+	return true
 }
 
 // seed pre-publishes a realizable probed-feasible nominal as the dominance
@@ -450,46 +363,32 @@ func newScalarFold(prune bool, tel *Telemetry) *scalarFold {
 // first hit), so every beyond-band skip it causes discards a provably
 // non-winning combination.
 func (s *scalarFold) seed(nominal float64) {
-	s.board.publish(nominal)
+	s.lower(nominal)
 	if s.tel != nil {
 		s.tel.event(EventBound, -1, -1, nominal, 0)
 	}
 }
 
 func (s *scalarFold) dispatchSkip(o *outcome) bool {
-	return s.prune && s.board.shouldSkip(o.nominal)
-}
-
-func (s *scalarFold) register(o *outcome, cancel context.CancelCauseFunc) bool {
-	if !s.prune {
-		return true
-	}
-	return s.board.registerUnlessSkipped(o.pos, o.nominal, cancel)
-}
-
-func (s *scalarFold) unregister(pos int) {
-	if s.prune {
-		s.board.unregister(pos)
-	}
+	return s.prune && s.probed.Load() && dominatedNominal(o.nominal, s.threshold)
 }
 
 // mapperSkippable: once any probed-feasible incumbent stands (folded or
 // seeded), a probe-infeasible combination can never displace it — the
 // acceptance walk prefers probed designs outright — so its mapper run is
-// irrelevant to the scalar verdict. The board's probed flag is monotone, so
-// confirmSkip reproduces every worker-time verdict.
+// irrelevant to the scalar verdict. probed is monotone, so confirmSkip
+// reproduces every worker-time verdict.
 func (s *scalarFold) mapperSkippable() bool {
-	return s.prune && s.board.hasProbed()
+	return s.prune && s.probed.Load()
 }
 
 // confirmSkip applies the authoritative branch-and-bound verdict. The
-// dominance threshold is the board's — monotone non-increasing — not the
-// incumbent's own nominal, which can drift upward within the tolerance band
-// on Γ tie-breaks. Once the walk starts only the fold goroutine writes the
-// board, so the verdict is a pure function of the fold state. The second
-// branch mirrors mapperSkippable: with a probed incumbent standing, a
-// probe-infeasible combination is irrelevant whether or not its mapper
-// happened to run.
+// dominance threshold is monotone non-increasing, unlike the incumbent's own
+// nominal, which can drift upward within the tolerance band on Γ
+// tie-breaks, and only the fold moves it once the walk starts, so the
+// verdict is a pure function of the fold state. The second branch mirrors
+// mapperSkippable: with a probed incumbent standing, a probe-infeasible
+// combination is irrelevant whether or not its mapper happened to run.
 func (s *scalarFold) confirmSkip(o *outcome) bool {
 	return s.dispatchSkip(o) || (o.probeKnown && !o.probed && s.mapperSkippable())
 }
@@ -510,7 +409,7 @@ func (s *scalarFold) fold(o *outcome) {
 	s.best = o.design
 	s.bestNominal = o.nominal
 	s.bestProbed = o.probed
-	tightened := o.probed && s.board.publish(o.nominal)
+	tightened := o.probed && s.lower(o.nominal)
 	if s.tel != nil {
 		s.tel.event(EventIncumbent, o.pos, o.idx, o.nominal, 0)
 		if tightened {
@@ -527,12 +426,11 @@ func (s *scalarFold) annotate(ev *Progress) { ev.Best = s.best }
 // power, the metrics.Bounds T_M lower bound, zero Γ — against the frontier
 // folded so far: a strictly dominated bound proves the realized vector is
 // dominated too, and pareto.Fold's eviction discipline keeps the verdict
-// monotone, so dispatch-time skips are always reproducible at fold time.
+// monotone, so claim-time skips are always reproducible at fold time.
 // Only the run's own frontier prunes: with Γ active no realized vector
 // (Γ > 0 at any nonzero SER) dominates a bound's zero Γ, so points from
 // outside the run could prune little beyond single-objective power or
-// makespan runs. The mutex makes the dispatcher's opportunistic reads safe
-// against fold-goroutine writes.
+// makespan runs.
 type paretoFold struct {
 	deadlineSec float64
 
@@ -543,7 +441,6 @@ type paretoFold struct {
 
 	tel *Telemetry // admission event sink; nil when detached
 
-	mu       sync.RWMutex
 	fold_    *pareto.Fold[*Design]
 	admitted bool // whether annotate's outcome joined the frontier
 }
@@ -569,20 +466,8 @@ func newParetoFold(cfg Config) (*paretoFold, error) {
 // mapping at this scaling can realize a vector below it in any component
 // (the Γ lower bound is zero).
 func (p *paretoFold) dispatchSkip(o *outcome) bool {
-	lb := pareto.Vector{Power: o.nominal, Makespan: o.tmLB}
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return p.fold_.DominatedBound(lb)
+	return p.fold_.DominatedBound(pareto.Vector{Power: o.nominal, Makespan: o.tmLB})
 }
-
-// register: the Pareto fold has no in-flight cancellation — a frontier
-// admission rarely dominates outstanding work outright (its Γ lower bound
-// is zero) — so registration is just a last-moment skip check.
-func (p *paretoFold) register(o *outcome, _ context.CancelCauseFunc) bool {
-	return !p.dispatchSkip(o)
-}
-
-func (p *paretoFold) unregister(int) {}
 
 // mapperSkippable: never. The frontier admits any deadline-feasible realized
 // design, and the mapper can find feasibility the probe's hill climb missed,
@@ -599,12 +484,9 @@ func (p *paretoFold) fold(o *outcome) {
 		return // only deadline-feasible designs trade off on the frontier
 	}
 	v := pareto.Vector{Power: o.nominal, Makespan: ev.TMSeconds, Gamma: ev.Gamma}
-	p.mu.Lock()
 	p.admitted = p.fold_.Offer(v, o.idx, o.design)
-	size := p.fold_.Size()
-	p.mu.Unlock()
 	if p.admitted && p.tel != nil {
-		p.tel.event(EventAdmitted, o.pos, o.idx, o.nominal, size)
+		p.tel.event(EventAdmitted, o.pos, o.idx, o.nominal, p.fold_.Size())
 	}
 }
 
@@ -631,7 +513,7 @@ func (p *paretoFold) frontier() []*Design {
 // scaling space — the Fig. 5 enumeration for homogeneous platforms, the
 // mixed-radix per-core generalization for heterogeneous ones. The scaling
 // view handed out by next is BORROWED: valid only until the following next
-// call (the dispatcher copies it into a pooled slab). Both walks are
+// call (a claim copies it into its reorder ring slot's slab). Both walks are
 // bit-identical to the legacy homogeneous stream on homogeneous platforms,
 // so combination indices (and with them mapper seeds and cache identities)
 // are stable across the generalization.
@@ -672,12 +554,13 @@ func newComboSource(p *arch.Platform, cfg Config, strategy Strategy) (*comboSour
 // probeRankedStream is the ranked pass of Config.Ranked, the scalar fold's
 // incumbent-seeding pass. It walks the combination space in ascending
 // nominal power (vscale.RankedFrontier over the per-level f·V² terms) as one
-// claim stream shared by up to Config.Parallelism long-lived workers (0
-// selects GOMAXPROCS; never more than the space holds). A worker claims the
-// next surviving candidate — it advances the walk and the bounds cursor and
-// drops bound-infeasible combinations, exactly as the stream's dispatcher
-// would prune them, all under one mutex — probes it, records the verdict and
-// claims again, so no worker ever waits for another worker's climb. Once a
+// claim stream shared by up to Config.Parallelism long-lived workers, the
+// calling goroutine included (0 selects GOMAXPROCS; never more than the
+// space holds). A worker claims the next surviving candidate — it advances
+// the walk and the bounds cursor and drops bound-infeasible combinations,
+// exactly as the stream's claims prune them, all under one mutex — probes
+// it, records the verdict and claims again, so no worker ever waits for
+// another worker's climb. Once a
 // feasible verdict or an error is recorded, or ctx is cancelled, nothing
 // more is claimed, and the pass returns after every claimed probe has
 // finished. At Parallelism 1 the stream is exactly the serial walk.
@@ -737,11 +620,7 @@ func probeRankedStream(ctx context.Context, g *taskgraph.Graph, p *arch.Platform
 		return 0, false, fmt.Errorf("mapping: ranked incumbent seeding: %w", err)
 	}
 
-	workers := cfg.Parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	workers = max(min(workers, space.Count()), 1)
+	workers := poolSize(cfg.Parallelism, space.Count())
 	if tel != nil {
 		// Rows must exist before any worker records on its own.
 		tel.growWorkers(workers)
@@ -804,44 +683,38 @@ func probeRankedStream(ctx context.Context, g *taskgraph.Graph, p *arch.Platform
 		return at
 	}
 
-	var wg sync.WaitGroup
-	for w := range workers {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// A build error is the verdict of the worker's first claim.
-			wk, err := newComboWorker(g, p, cfg)
+	runWorkers(workers, func(w int) {
+		// A build error is the verdict of the worker's first claim.
+		wk, err := newComboWorker(g, p, cfg)
+		if err == nil {
+			defer wk.close(tel)
+		}
+		for {
+			rank, c, start, ok := claim()
+			if !ok {
+				return
+			}
+			var feasible bool
 			if err == nil {
-				defer wk.close(tel)
+				err = wk.mc.bind(ctx, c.Scaling, c.Index, cfg.Seed)
 			}
-			for {
-				rank, c, start, ok := claim()
-				if !ok {
-					return
-				}
-				var feasible bool
-				if err == nil {
-					err = wk.mc.bind(ctx, c.Scaling, c.Index, cfg.Seed)
-				}
-				if err == nil {
-					var t0 int64
-					if tel != nil {
-						t0 = tel.now()
-					}
-					var hit bool
-					_, feasible, hit, err = cfg.Reuse.probe.feasibleAtScaling(wk.mc, c.Index, cfg)
-					if tel != nil {
-						tel.observeProbe(tel.now()-t0, hit)
-					}
-				}
-				end := record(rank, feasible, err)
+			if err == nil {
+				var t0 int64
 				if tel != nil {
-					tel.workerSpan(w, start, end, c.Index, "rank")
+					t0 = tel.now()
+				}
+				var hit bool
+				_, feasible, hit, err = cfg.Reuse.probe.feasibleAtScaling(wk.mc, c.Index, cfg)
+				if tel != nil {
+					tel.observeProbe(tel.now()-t0, hit)
 				}
 			}
-		}()
-	}
-	wg.Wait()
+			end := record(rank, feasible, err)
+			if tel != nil {
+				tel.workerSpan(w, start, end, c.Index, "rank")
+			}
+		}
+	})
 	for _, v := range verdicts {
 		if v.err != nil {
 			return 0, false, v.err
@@ -851,6 +724,30 @@ func probeRankedStream(ctx context.Context, g *taskgraph.Graph, p *arch.Platform
 		}
 	}
 	return 0, false, walkErr
+}
+
+// poolSize is the worker count of a pass over n combinations: parallelism
+// workers (0 selects GOMAXPROCS), never more than n and at least one.
+func poolSize(parallelism, n int) int {
+	if parallelism <= 0 {
+		parallelism = runtime.GOMAXPROCS(0)
+	}
+	return max(min(parallelism, n), 1)
+}
+
+// runWorkers runs work on workers 0..n-1, worker 0 on the calling goroutine,
+// and returns once every worker has.
+func runWorkers(n int, work func(w int)) {
+	var wg sync.WaitGroup
+	for w := 1; w < n; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work(w)
+		}()
+	}
+	work(0)
+	wg.Wait()
 }
 
 // comboWorker is one engine worker's private state: an evaluator borrowed
@@ -904,49 +801,44 @@ type coreOptions struct {
 	records []*ShardRecord
 }
 
-// exploreCore is the streaming work loop shared by every strategy and fold:
-// a dispatcher walks the combination source under a bounded reorder window,
-// workers map combinations concurrently, and the calling goroutine folds
-// outcomes in visit order (the deterministic ordered reduction). With
-// opts.prune set, the dispatcher applies the branch-and-bound rules ahead of
-// the mapper and the reduction applies them authoritatively at fold time, so
-// the pruned and skipped markers — like everything else in the event stream
-// — are a pure function of the configuration.
+// exploreCore is the streaming work loop shared by every strategy and fold,
+// on the ranked pass's claim protocol: up to Config.Parallelism workers,
+// worker 0 on the calling goroutine, claim visit positions under one mutex,
+// map outside it, and file each outcome back under it, where every complete
+// prefix folds in visit order (the deterministic ordered reduction). A claim
+// advances the combination source and the bounds cursor and, with
+// opts.prune set, resolves bound-prunes and dispatch-skips on the spot, so
+// only combinations that need the mapper leave the lock. The fold is
+// current at every claim, so a claim-time skip test sees every incumbent
+// folded so far, and the reduction re-applies the branch-and-bound rules
+// authoritatively at fold time, so the pruned and skipped markers — like
+// everything else in the event stream — are a pure function of the
+// configuration. At Parallelism 1 each position folds before the next is
+// claimed, so the work done (mapper runs, probes) is one too.
 //
-// Per-combination state is recycled: scaling vectors live in a slab pool
-// bounded by the reorder window, the reduction ring holds outcomes by value,
-// and the Progress event struct is reused across callbacks (hence the
-// borrowed-event contract on Progress). Nominal power and the T_M lower
-// bound are maintained by a metrics.Cursor, so the dispatcher's per-step
-// bound work is O(changed coefficients) — and because both are pure
-// functions of the level histogram, every strategy (exhaustive,
-// branch-and-bound, sampled, ranked-seeded) sees bit-identical values for
-// the same combination.
+// Claims stay fewer than window positions ahead of the fold, so the reorder
+// ring holds at most window outcomes, by value, each slot with its own
+// scaling slab, and the Progress event struct is reused across callbacks
+// (hence the borrowed-event contract on Progress). Nominal power and the
+// T_M lower bound are maintained by a metrics.Cursor, so a claim's bound
+// work is O(changed coefficients) — and because both are pure functions of
+// the level histogram, every strategy (exhaustive, branch-and-bound,
+// sampled, ranked-seeded) sees bit-identical values for the same
+// combination. An error or a cancelled ctx stops the claims, an error also
+// cancels every worker's context to abort the combinations still being
+// mapped, and the call returns once every claimed combination has finished.
 func exploreCore(ctx context.Context, g *taskgraph.Graph, p *arch.Platform,
-	mapper MapperFunc, cfg Config, fold streamFold, opts coreOptions) (perScaling []*Design, prunedCount int, err error) {
+	mapper MapperFunc, cfg Config, fold streamFold, opts coreOptions) (prunedCount int, err error) {
 	strategy := cfg.Strategy.withDefault()
 	src := opts.source
 	if src == nil {
-		src, err = newComboSource(p, cfg, strategy)
-		if err != nil {
-			return nil, 0, err
+		if src, err = newComboSource(p, cfg, strategy); err != nil {
+			return 0, err
 		}
 	}
 	total := src.size
-	workers := cfg.Parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > total {
-		workers = total
-	}
-	window := 4 * workers
-	if window < 16 {
-		window = 16
-	}
-	if window > total {
-		window = total
-	}
+	workers := poolSize(cfg.Parallelism, total)
+	window := min(max(4*workers, 16), total)
 	cores := p.Cores()
 	tel := cfg.Telemetry
 	var t0 int64
@@ -959,278 +851,191 @@ func exploreCore(ctx context.Context, g *taskgraph.Graph, p *arch.Platform,
 		tel.addBounds(tel.now() - t0)
 	}
 
-	// Slab pool for per-combination scaling vectors: the token window bounds
-	// outcomes in flight, so at most `window` slabs circulate — taken by the
-	// dispatcher, released by the reduction once the combination's Progress
-	// callback has returned.
-	slabs := make(chan []int, window)
-	getSlab := func() []int {
-		select {
-		case s := <-slabs:
-			return s
-		default:
-			return make([]int, cores)
+	// Each worker maps under a context of its own, so the probe's and the
+	// mappers' per-move polls never contend across workers; the first
+	// failure cancels them all, so the combinations still being mapped
+	// abort instead of running to their end.
+	wctx := make([]context.Context, workers)
+	cancels := make([]context.CancelFunc, workers)
+	for w := range wctx {
+		wctx[w], cancels[w] = context.WithCancel(ctx)
+	}
+	cancel := func() {
+		for _, c := range cancels {
+			c()
 		}
 	}
-	putSlab := func(s []int) {
-		if s == nil {
+	defer cancel()
+	// The stream's state, all under mu: ring and filed are the reorder
+	// ring, claimed and folded count positions, stop ends the claims, and
+	// firstErr is the lowest-positioned failure.
+	var (
+		mu        sync.Mutex
+		foldMoved = sync.NewCond(&mu)
+		ring      = make([]outcome, window)
+		filed     = make([]bool, window)
+		slabs     = make([]int, window*cores)
+		claimed   int
+		folded    int
+		stop      bool
+		firstErr  error
+		errPos    = total
+	)
+	red := newReduction(cfg, fold, total, opts.records)
+	fail := func(pos int, err error) {
+		// Combinations aborted by cancel report context.Canceled; the
+		// failure that cancelled them is the verdict.
+		if !errors.Is(err, context.Canceled) && pos < errPos {
+			firstErr, errPos = err, pos
+		}
+		stop = true
+		cancel()
+		foldMoved.Broadcast()
+	}
+	// file stores a finished position and folds every complete prefix.
+	file := func(o *outcome) {
+		if o.err != nil {
+			fail(o.pos, o.err)
 			return
 		}
-		select {
-		case slabs <- s:
-		default:
+		ring[o.pos%window], filed[o.pos%window] = *o, true
+		for folded < total && filed[folded%window] {
+			var ft0 int64
+			if tel != nil {
+				ft0 = tel.now()
+			}
+			d := &ring[folded%window]
+			filed[folded%window] = false
+			// Authoritative branch-and-bound verdict, decided on the
+			// deterministic fold state alone.
+			skipped := opts.prune && !d.pruned && fold.confirmSkip(d)
+			if d.skipCand && !skipped && !d.pruned {
+				// A claim-time skip the fold cannot reproduce would break
+				// determinism; by the fold's monotonicity this is
+				// unreachable, so fail loudly rather than silently diverge.
+				fail(folded, fmt.Errorf("mapping: internal error: combination %d skipped against a weaker incumbent", d.idx))
+				break
+			}
+			red.resolve(folded, d, skipped)
+			d.design = nil
+			if tel != nil {
+				tel.addFold(tel.now() - ft0)
+			}
+			folded++
 		}
+		foldMoved.Broadcast()
 	}
-
-	wctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	jobs := make(chan outcome) // combinations headed for a worker
-	// The results buffer is deliberately smaller than the reorder window:
-	// once a worker runs more than one mapper ahead of the fold it blocks
-	// here, yielding to the reducer — otherwise on a single CPU the
-	// dispatcher/worker ping-pong can starve the fold for the whole run
-	// and the incumbent is never published in time to skip anything.
-	results := make(chan outcome, workers)
-	tokens := make(chan struct{}, window) // reorder-window backpressure
-	for i := 0; i < window; i++ {
-		tokens <- struct{}{}
-	}
-
-	var producers sync.WaitGroup
-
-	// Workers: map one combination at a time on a private evaluator and a
-	// private reused MapContext, under a per-combination cancellable context
-	// so dominated work can be abandoned mid-search.
-	for w := 0; w < workers; w++ {
-		producers.Add(1)
-		go func(w int) {
-			defer producers.Done()
-			wk, evErr := newComboWorker(g, p, cfg)
-			if evErr == nil {
-				defer wk.close(tel)
+	// claim takes the next position that needs the mapper, filing the ones
+	// it resolves itself, or reports that claims are over.
+	claim := func() (outcome, bool) {
+		for !stop && claimed < total {
+			if claimed-folded >= window {
+				foldMoved.Wait()
+				continue
 			}
-			skippable := fold.mapperSkippable
-			for o := range jobs {
-				if evErr != nil {
-					o.err = evErr
-					results <- o
-					continue
-				}
-				jctx, jcancel := context.WithCancelCause(wctx)
-				if opts.prune && !fold.register(&o, jcancel) {
-					// Atomic check-and-register: no window between
-					// consulting the fold state and becoming cancellable.
-					jcancel(nil)
-					o.skipCand = true
-					results <- o
-					continue
-				}
-				var spanStart int64
-				if tel != nil {
-					spanStart = tel.now()
-				}
-				o.design, o.probed, o.probeKnown, o.skipCand, o.err = exploreCombo(jctx, wk.mc, mapper, o.scaling, o.idx, cfg, skippable)
-				if opts.prune {
-					fold.unregister(o.pos)
-				}
-				if o.err != nil && context.Cause(jctx) == errDominated {
-					// The incumbent made this combination irrelevant while
-					// it was being mapped; the fold confirms the skip.
-					o.err, o.design = nil, nil
-					o.skipCand = true
-				}
-				jcancel(nil)
-				if tel != nil {
-					kind := "map"
-					if o.design == nil {
-						kind = "skip"
-					}
-					tel.workerSpan(w, spanStart, tel.now(), o.idx, kind)
-				}
-				results <- o
+			if ctx.Err() != nil {
+				stop = true
+				break
 			}
-		}(w)
-	}
-
-	// Dispatcher: streams the combination source in visit order, resolving
-	// the cheap outcomes (bound-pruned, already-dominated) inline via the
-	// bound cursor and handing the rest to the workers. The token channel
-	// caps dispatched-but-unfolded combinations at the window size, so the
-	// reduction's reorder buffer — and with it the whole exploration —
-	// needs O(workers) memory however large the enumeration is.
-	producers.Add(1)
-	go func() {
-		defer producers.Done()
-		defer close(jobs)
-		for pos := 0; ; pos++ {
-			// Enumeration-phase clock: only the dispatcher's own work is
-			// timed; waiting on the token window or a worker slot is idle
-			// backpressure, not enumeration.
 			var et0 int64
 			if tel != nil {
 				et0 = tel.now()
 			}
 			scaling, idx, more := src.next()
-			if tel != nil {
-				tel.addEnum(tel.now() - et0)
-			}
 			if !more {
-				return
+				fail(claimed, fmt.Errorf("mapping: internal error: combination source ended after %d of %d", claimed, total))
+				break
 			}
-			select {
-			case <-tokens:
-			case <-wctx.Done():
-				return
+			slot := claimed % window
+			o := outcome{pos: claimed, idx: idx, scaling: slabs[slot*cores : (slot+1)*cores]}
+			claimed++
+			if _, o.err = cursor.Advance(scaling); o.err != nil {
+				file(&o)
+				break
 			}
-			if tel != nil {
-				et0 = tel.now()
-			}
-			o := outcome{pos: pos, idx: idx}
-			if _, err := cursor.Advance(scaling); err != nil {
-				o.err = err
-				results <- o
-				continue
-			}
-			slab := getSlab()
-			copy(slab, scaling)
-			o.scaling = slab
+			copy(o.scaling, scaling)
 			o.nominal = cursor.NominalPower()
 			if opts.computeBounds {
 				o.tmLB = cursor.TMLowerBound()
 				// Prune only beyond a safety band: the bound is exact
 				// mathematics but inexact floats.
-				if opts.prune && cfg.DeadlineSec > 0 && o.tmLB > cfg.DeadlineSec*(1+1e-9) {
-					o.pruned = true
-					if tel != nil {
-						tel.addEnum(tel.now() - et0)
-					}
-					results <- o
-					continue
-				}
+				o.pruned = opts.prune && cfg.DeadlineSec > 0 && o.tmLB > cfg.DeadlineSec*(1+1e-9)
 			}
-			if opts.prune && fold.dispatchSkip(&o) {
-				o.skipCand = true
-				if tel != nil {
-					tel.addEnum(tel.now() - et0)
-				}
-				results <- o
-				continue
-			}
+			o.skipCand = !o.pruned && opts.prune && fold.dispatchSkip(&o)
 			if tel != nil {
 				tel.addEnum(tel.now() - et0)
 			}
-			select {
-			case jobs <- o:
-			case <-wctx.Done():
+			if !o.pruned && !o.skipCand {
+				return o, true
+			}
+			file(&o)
+		}
+		return outcome{}, false
+	}
+
+	runWorkers(workers, func(w int) {
+		wk, wkErr := newComboWorker(g, p, cfg)
+		if wkErr == nil {
+			defer wk.close(tel)
+		}
+		skippable := fold.mapperSkippable
+		mu.Lock()
+		defer mu.Unlock()
+		for {
+			o, ok := claim()
+			if !ok {
 				return
 			}
-		}
-	}()
-	go func() {
-		producers.Wait()
-		close(results)
-	}()
-
-	// Deterministic ordered reduction: outcomes are folded in visit order
-	// as soon as their prefix is complete, so the acceptance walk, the
-	// pruned/skipped verdicts and the Progress stream never depend on
-	// worker timing. pending is a by-value reorder ring of at most window
-	// entries.
-	pending := make([]outcome, window)
-	havePending := make([]bool, window)
-	next := 0
-	var firstErr error
-	firstErrPos := total
-	red := newReduction(cfg, fold, total, opts.records)
-	for o := range results {
-		if o.err != nil {
-			// Keep the lowest-positioned real failure as the verdict
-			// (jobs aborted by the internal cancel report the context
-			// error), then cancel either way: an errored position can
-			// never fold, so without cancellation the dispatcher would
-			// wait on its window token forever.
-			putSlab(o.scaling)
-			if !errors.Is(o.err, context.Canceled) && o.pos < firstErrPos {
-				firstErr, firstErrPos = o.err, o.pos
-			}
-			cancel()
-			continue
-		}
-		pending[o.pos%window] = o
-		havePending[o.pos%window] = true
-		for next < total && havePending[next%window] && pending[next%window].pos == next {
-			d := &pending[next%window]
-			havePending[next%window] = false
-			var ft0 int64
-			if tel != nil {
-				ft0 = tel.now()
-			}
-
-			// Authoritative branch-and-bound verdict, decided on the
-			// deterministic fold state alone.
-			skipped := opts.prune && !d.pruned && fold.confirmSkip(d)
-			if d.skipCand && !skipped && !d.pruned {
-				// A dispatch-time skip the fold cannot reproduce would
-				// break determinism; by the fold's monotonicity this is
-				// unreachable, so fail loudly rather than silently diverge.
-				if firstErr == nil || next < firstErrPos {
-					firstErr = fmt.Errorf("mapping: internal error: combination %d skipped against a weaker incumbent", d.idx)
-					firstErrPos = next
-					cancel()
+			mu.Unlock()
+			if o.err = wkErr; o.err == nil {
+				var start int64
+				if tel != nil {
+					start = tel.now()
 				}
-				break
+				o.design, o.probed, o.probeKnown, o.skipCand, o.err = exploreCombo(wctx[w], wk.mc, mapper, o.scaling, o.idx, cfg, skippable)
+				if tel != nil {
+					kind := "map"
+					if o.skipCand {
+						kind = "skip"
+					}
+					tel.workerSpan(w, start, tel.now(), o.idx, kind)
+				}
 			}
-			red.resolve(next, d, skipped)
-			putSlab(d.scaling)
-			d.scaling = nil
-			d.design = nil
-			if tel != nil {
-				tel.addFold(tel.now() - ft0)
-			}
-			next++
-			tokens <- struct{}{}
+			mu.Lock()
+			file(&o)
 		}
-	}
+	})
 	if err := ctx.Err(); err != nil {
-		return nil, 0, err
+		return 0, err
 	}
 	if firstErr != nil {
-		return nil, 0, firstErr
+		return 0, firstErr
 	}
-	if next != total {
-		// Only reachable if a worker swallowed a cancellation without a
-		// parent-context error; treat it as cancellation.
-		return nil, 0, context.Canceled
+	if folded != total {
+		// Only a mapper that reports cancellation unprompted gets here.
+		return 0, context.Canceled
 	}
-	return red.perScaling, red.pruned, nil
+	return red.pruned, nil
 }
 
 // reduction is the per-position bookkeeping of the ordered reduction,
 // shared by exploreCore and the shard replay. Every resolved position
-// appends to perScaling, counts toward the pruned total, records its
-// telemetry verdict and, in a shard, its ShardRecord, folds when neither
-// pruned nor skipped, and reaches the Progress callback through the one
-// event reused across every callback (hence the borrowed-event contract on
-// Progress).
+// counts toward the pruned total, records its telemetry verdict and, in a
+// shard, its ShardRecord, folds when neither pruned nor skipped, and
+// reaches the Progress callback through the one event reused across every
+// callback (hence the borrowed-event contract on Progress).
 type reduction struct {
-	fold       streamFold
-	progress   func(Progress)
-	tel        *Telemetry
-	total      int
-	keep       bool           // retain perScaling
-	records    []*ShardRecord // nil unless a shard records its verdicts
-	perScaling []*Design
-	pruned     int
-	ev         Progress
+	fold     streamFold
+	progress func(Progress)
+	tel      *Telemetry
+	total    int
+	records  []*ShardRecord // nil unless a shard records its verdicts
+	pruned   int
+	ev       Progress
 }
 
 func newReduction(cfg Config, fold streamFold, total int, records []*ShardRecord) *reduction {
-	r := &reduction{fold: fold, progress: cfg.Progress, tel: cfg.Telemetry, total: total,
-		keep: !cfg.DiscardPerScaling, records: records}
-	if r.keep {
-		r.perScaling = make([]*Design, 0, total)
-	}
-	return r
+	return &reduction{fold: fold, progress: cfg.Progress, tel: cfg.Telemetry, total: total, records: records}
 }
 
 // resolve applies the verdict of the outcome at visit position pos:
@@ -1251,9 +1056,6 @@ func (r *reduction) resolve(pos int, o *outcome, skipped bool) {
 	}
 	if r.tel != nil {
 		r.tel.comboVerdict(kind, pos, o.idx, o.nominal)
-	}
-	if r.keep {
-		r.perScaling = append(r.perScaling, d)
 	}
 	if r.records != nil && !o.pruned {
 		rec := &ShardRecord{Idx: o.idx, Skipped: skipped, Probed: o.probed, ProbeKnown: o.probeKnown}

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"seadopt/internal/arch"
 	"seadopt/internal/metrics"
 	"seadopt/internal/sched"
 	"seadopt/internal/taskgraph"
@@ -19,7 +20,7 @@ import (
 
 // designFingerprint renders everything that identifies a design byte-for-
 // byte: scaling, mapping and the Γ/power/T_M of its evaluation. Pruned and
-// skipped perScaling entries are nil and fingerprint as such.
+// skipped combinations have no design and fingerprint as "nil".
 func designFingerprint(d *Design) string {
 	if d == nil {
 		return "nil"
@@ -28,9 +29,48 @@ func designFingerprint(d *Design) string {
 		d.Scaling, d.Mapping, d.Eval.Gamma, d.Eval.PowerW, d.Eval.TMSeconds)
 }
 
+// designRecord is what recordDesigns fills: each visit position's Design
+// (nil when pruned or skipped) at its Index, and how many Progress events
+// each position received.
+type designRecord struct {
+	per        []*Design
+	deliveries []int
+}
+
+// recordDesigns chains a recorder onto c.Progress. Set any other Progress
+// callback first.
+func recordDesigns(c *Config) *designRecord {
+	r := &designRecord{}
+	prev := c.Progress
+	c.Progress = func(ev Progress) {
+		if prev != nil {
+			prev(ev)
+		}
+		if r.per == nil {
+			r.per = make([]*Design, ev.Total)
+			r.deliveries = make([]int, ev.Total)
+		}
+		r.per[ev.Index] = ev.Design
+		r.deliveries[ev.Index]++
+	}
+	return r
+}
+
+// designs returns the recorded per-position designs, one per visit
+// position, after checking that every position was reported exactly once.
+func (r *designRecord) designs(t *testing.T) []*Design {
+	t.Helper()
+	for i, n := range r.deliveries {
+		if n != 1 {
+			t.Errorf("visit position %d of %d reported %d times, want once", i, len(r.deliveries), n)
+		}
+	}
+	return r.per
+}
+
 // TestExploreDeterministicAcrossParallelism is the engine's core contract:
-// the same seed yields a byte-identical best design and perScaling list at
-// parallelism 1, 4 and NumCPU.
+// the same seed yields a byte-identical best design and per-combination
+// designs at parallelism 1, 4 and NumCPU.
 func TestExploreDeterministicAcrossParallelism(t *testing.T) {
 	g := taskgraph.MPEG2()
 	p := plat(4)
@@ -44,12 +84,13 @@ func TestExploreDeterministicAcrossParallelism(t *testing.T) {
 	runAt := func(par int) run {
 		c := base
 		c.Parallelism = par
-		best, per, err := Explore(g, p, SEAMapper(c), c)
+		per := recordDesigns(&c)
+		best, err := Explore(g, p, SEAMapper(c), c)
 		if err != nil {
 			t.Fatalf("parallelism %d: %v", par, err)
 		}
 		r := run{best: designFingerprint(best)}
-		for _, d := range per {
+		for _, d := range per.designs(t) {
 			r.per = append(r.per, designFingerprint(d))
 		}
 		return r
@@ -63,15 +104,48 @@ func TestExploreDeterministicAcrossParallelism(t *testing.T) {
 				par, ref.best, got.best)
 		}
 		if len(got.per) != len(ref.per) {
-			t.Fatalf("parallelism %d: perScaling has %d entries, want %d",
+			t.Fatalf("parallelism %d: %d combination designs, want %d",
 				par, len(got.per), len(ref.per))
 		}
 		for i := range ref.per {
 			if got.per[i] != ref.per[i] {
-				t.Errorf("parallelism %d: perScaling[%d] diverged:\n  seq: %s\n  par: %s",
+				t.Errorf("parallelism %d: design %d diverged:\n  seq: %s\n  par: %s",
 					par, i, ref.per[i], got.per[i])
 			}
 		}
+	}
+}
+
+// TestSequentialWorkDeterministic: at Parallelism 1 every position folds
+// before the next is claimed, so the stream's work, not only its result, is
+// a pure function of the configuration. Under plain branch-and-bound on
+// MPEG-2 the mapper runs for exactly the combinations the fold evaluates,
+// and on the 16-core §V workload of BenchmarkExplore16CoreBnB (40 tasks,
+// graph seed 7, half the default deadline) two runs on fresh Reuse bundles
+// report identical verdict, evaluator and probe-cache counters.
+func TestSequentialWorkDeterministic(t *testing.T) {
+	statsOf := func(g *taskgraph.Graph, p *arch.Platform, c Config) *ExploreStats {
+		c.Parallelism = 1
+		c.SearchMoves = 200
+		c.Reuse = NewReuse()
+		c.Telemetry = NewTelemetry()
+		if _, err := Explore(g, p, SEAMapper(c), c); err != nil {
+			t.Fatal(err)
+		}
+		return c.Telemetry.Stats()
+	}
+
+	st := statsOf(taskgraph.MPEG2(), plat(4), cfg(taskgraph.MPEG2Deadline, taskgraph.MPEG2Frames))
+	if st.Combos.MapperRuns != st.Combos.Evaluated {
+		t.Errorf("MPEG-2: %d mapper runs for %d evaluated combinations", st.Combos.MapperRuns, st.Combos.Evaluated)
+	}
+
+	g := taskgraph.MustRandom(taskgraph.DefaultRandomConfig(40), 7)
+	c := cfg(taskgraph.RandomDeadline(40)*0.5, 1)
+	first, second := statsOf(g, plat(16), c), statsOf(g, plat(16), c)
+	if first.Combos != second.Combos || first.Eval != second.Eval || first.ProbeCache != second.ProbeCache {
+		t.Errorf("16-core runs did different work:\n  first:  %+v %+v %+v\n  second: %+v %+v %+v",
+			first.Combos, first.Eval, first.ProbeCache, second.Combos, second.Eval, second.ProbeCache)
 	}
 }
 
@@ -86,7 +160,7 @@ func TestExploreBaselineDeterministicAcrossParallelism(t *testing.T) {
 	runAt := func(par int) string {
 		c := base
 		c.Parallelism = par
-		best, _, err := Explore(g, p, SEAMapper(c), c)
+		best, err := Explore(g, p, SEAMapper(c), c)
 		if err != nil {
 			t.Fatalf("parallelism %d: %v", par, err)
 		}
@@ -124,7 +198,7 @@ func TestExploreProgressOrdered(t *testing.T) {
 				t.Error("nil design in evaluated progress event")
 			}
 		}
-		if _, _, err := Explore(g, p, SEAMapper(c), c); err != nil {
+		if _, err := Explore(g, p, SEAMapper(c), c); err != nil {
 			t.Fatal(err)
 		}
 		if len(seen) != 15 {
@@ -153,7 +227,7 @@ func TestExploreCancellation(t *testing.T) {
 			cancel()
 		}()
 		start := time.Now()
-		_, _, err := ExploreContext(ctx, g, p, SEAMapper(c), c)
+		_, err := ExploreContext(ctx, g, p, SEAMapper(c), c)
 		elapsed := time.Since(start)
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("parallelism %d: err = %v, want context.Canceled", par, err)
@@ -167,7 +241,7 @@ func TestExploreCancellation(t *testing.T) {
 	// returns promptly, no prober outlives it or records anything after it,
 	// and the partly climbed cache entries resume to the cold run's Design.
 	rg, rp, rc := rankedWorkload16(t, false)
-	coldBest, _, err := Explore(rg, rp, SEAMapper(rc), rc)
+	coldBest, err := Explore(rg, rp, SEAMapper(rc), rc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +254,7 @@ func TestExploreCancellation(t *testing.T) {
 		// The probe's climb polls the context once per move, so the
 		// 1000th poll falls inside the ranked pass's first probes.
 		ctx := newTripCtx(1000)
-		_, _, err := ExploreContext(ctx, rg, rp, SEAMapper(c), c)
+		_, err := ExploreContext(ctx, rg, rp, SEAMapper(c), c)
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("ranked parallelism %d: err = %v, want context.Canceled", par, err)
 		}
@@ -212,7 +286,7 @@ func TestExploreCancellation(t *testing.T) {
 			t.Errorf("ranked parallelism %d: a prober recorded work after the cancelled call returned", par)
 		}
 		c.Telemetry = nil
-		best, _, err := Explore(rg, rp, SEAMapper(c), c)
+		best, err := Explore(rg, rp, SEAMapper(c), c)
 		if err != nil {
 			t.Fatalf("ranked parallelism %d: rerun: %v", par, err)
 		}
@@ -272,7 +346,7 @@ func TestExplorePreCancelled(t *testing.T) {
 		}
 		return nil, nil, mc.Ctx.Err()
 	}
-	if _, _, err := ExploreContext(ctx, g, p, mapper, c); !errors.Is(err, context.Canceled) {
+	if _, err := ExploreContext(ctx, g, p, mapper, c); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if called {
@@ -281,7 +355,8 @@ func TestExplorePreCancelled(t *testing.T) {
 }
 
 // TestExploreMapperErrorPropagates: a mapper failure surfaces as an error
-// naming the scaling, at any parallelism.
+// naming the scaling, at any parallelism, and aborts the combinations still
+// being mapped.
 func TestExploreMapperErrorPropagates(t *testing.T) {
 	g := taskgraph.MPEG2()
 	p := plat(4)
@@ -292,9 +367,43 @@ func TestExploreMapperErrorPropagates(t *testing.T) {
 		mapper := func(mc *MapContext) (sched.Mapping, *metrics.Evaluation, error) {
 			return nil, nil, boom
 		}
-		_, _, err := ExploreContext(context.Background(), g, p, mapper, c)
+		_, err := ExploreContext(context.Background(), g, p, mapper, c)
 		if !errors.Is(err, boom) {
 			t.Errorf("parallelism %d: err = %v, want wrapped mapper error", par, err)
+		}
+	}
+
+	// A failure aborts the combinations still being mapped: the first mapper
+	// call fails once every other worker is inside a mapper that ends only
+	// with its context, so the call returns promptly, with the failure, only
+	// if the failure cancels them.
+	for _, par := range []int{2, 4} {
+		c := cfg(taskgraph.MPEG2Deadline, taskgraph.MPEG2Frames)
+		c.Parallelism = par
+		c.Strategy = StrategyExhaustive
+		var calls, blocked atomic.Int32
+		mapper := func(mc *MapContext) (sched.Mapping, *metrics.Evaluation, error) {
+			if calls.Add(1) == 1 {
+				for deadline := time.Now().Add(5 * time.Second); blocked.Load() < int32(par-1) && time.Now().Before(deadline); {
+					time.Sleep(time.Millisecond)
+				}
+				return nil, nil, boom
+			}
+			blocked.Add(1)
+			select {
+			case <-mc.Ctx.Done():
+				return nil, nil, mc.Ctx.Err()
+			case <-time.After(10 * time.Second):
+				return nil, nil, errors.New("mapper ran on after another combination failed")
+			}
+		}
+		start := time.Now()
+		_, err := ExploreContext(context.Background(), g, p, mapper, c)
+		if !errors.Is(err, boom) {
+			t.Errorf("parallelism %d, in-flight mappers: err = %v, want wrapped mapper error", par, err)
+		}
+		if elapsed := time.Since(start); elapsed > 8*time.Second {
+			t.Errorf("parallelism %d: the failure took %v to return, want the in-flight mappers aborted", par, elapsed)
 		}
 	}
 }
@@ -308,7 +417,7 @@ func TestProbeCacheShared(t *testing.T) {
 	c.SearchMoves = 60
 	c.Strategy = StrategyExhaustive // probe must run at every scaling
 	c.Reuse = NewReuse()
-	best1, _, err := Explore(g, p, SEAMapper(c), c)
+	best1, err := Explore(g, p, SEAMapper(c), c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +425,7 @@ func TestProbeCacheShared(t *testing.T) {
 	if cached != 15 {
 		t.Fatalf("probe cache holds %d scalings after one explore, want 15", cached)
 	}
-	best2, _, err := Explore(g, p, SEAMapper(c), c)
+	best2, err := Explore(g, p, SEAMapper(c), c)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,7 +56,7 @@ func TestHeterogeneousExploreCoversSpace(t *testing.T) {
 		}
 		got = append(got, append([]int(nil), pr.Scaling...))
 	}
-	if _, _, err := Explore(g, p, SEAMapper(c), c); err != nil {
+	if _, err := Explore(g, p, SEAMapper(c), c); err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != len(want) || len(got) != 24 {
@@ -92,7 +92,8 @@ func TestHeterogeneousBnBMatchesExhaustive(t *testing.T) {
 
 		exh := base
 		exh.Strategy = StrategyExhaustive
-		wantBest, wantPer, err := Explore(wl.g, wl.p, SEAMapper(exh), exh)
+		wantPer := recordDesigns(&exh)
+		wantBest, err := Explore(wl.g, wl.p, SEAMapper(exh), exh)
 		if err != nil {
 			t.Fatalf("%s exhaustive: %v", wl.name, err)
 		}
@@ -108,7 +109,8 @@ func TestHeterogeneousBnBMatchesExhaustive(t *testing.T) {
 					avoided++
 				}
 			}
-			gotBest, gotPer, err := Explore(wl.g, wl.p, SEAMapper(bnb), bnb)
+			gotPer := recordDesigns(&bnb)
+			gotBest, err := Explore(wl.g, wl.p, SEAMapper(bnb), bnb)
 			if err != nil {
 				t.Fatalf("%s bnb par=%d: %v", wl.name, par, err)
 			}
@@ -116,19 +118,7 @@ func TestHeterogeneousBnBMatchesExhaustive(t *testing.T) {
 				t.Errorf("%s par=%d: designs diverged:\n  exhaustive: %s\n  bnb:        %s",
 					wl.name, par, want, got)
 			}
-			if len(gotPer) != len(wantPer) {
-				t.Errorf("%s par=%d: perScaling has %d entries, exhaustive %d",
-					wl.name, par, len(gotPer), len(wantPer))
-			}
-			for i := range gotPer {
-				if gotPer[i] == nil {
-					continue
-				}
-				if g, w := designFingerprint(gotPer[i]), designFingerprint(wantPer[i]); g != w {
-					t.Errorf("%s par=%d: perScaling[%d] diverged:\n  exhaustive: %s\n  bnb:        %s",
-						wl.name, par, i, w, g)
-				}
-			}
+			assertDesignsMatch(t, fmt.Sprintf("%s par=%d", wl.name, par), wantPer.designs(t), gotPer.designs(t))
 			if avoided == 0 {
 				t.Errorf("%s par=%d: branch-and-bound avoided nothing on the mixed platform", wl.name, par)
 			}
@@ -206,12 +196,14 @@ func TestHomogeneousViaHeterogeneousPath(t *testing.T) {
 	c.SearchMoves = 150
 
 	run := func(p *arch.Platform) (string, []string) {
-		best, per, err := Explore(g, p, SEAMapper(c), c)
+		c := c
+		per := recordDesigns(&c)
+		best, err := Explore(g, p, SEAMapper(c), c)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var pf []string
-		for _, d := range per {
+		for _, d := range per.designs(t) {
 			pf = append(pf, designFingerprint(d))
 		}
 		return designFingerprint(best), pf
@@ -241,7 +233,7 @@ func TestHeterogeneousSampledDeterministic(t *testing.T) {
 		c.Parallelism = par
 		var combos []int
 		c.Progress = func(pr Progress) { combos = append(combos, pr.Combination) }
-		best, _, err := Explore(g, p, SEAMapper(c), c)
+		best, err := Explore(g, p, SEAMapper(c), c)
 		if err != nil {
 			t.Fatal(err)
 		}

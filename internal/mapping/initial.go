@@ -43,15 +43,17 @@ type Config struct {
 	SearchMoves int
 	// Seed drives the (deterministic) random neighborhood generation.
 	Seed int64
-	// Parallelism bounds the Explore worker pool: each worker maps one
-	// scaling combination at a time on its own reusable evaluator, and in
-	// the incumbent-seeding pass (Ranked) each worker probes the next
-	// unclaimed combination of the ranked walk. 0 selects GOMAXPROCS; 1 runs
-	// sequentially. Results are identical at any setting.
+	// Parallelism bounds the Explore worker pool, the calling goroutine
+	// included: each worker maps the next unclaimed combination of the
+	// stream on its own reusable evaluator, and in the incumbent-seeding
+	// pass (Ranked) probes the next unclaimed combination of the ranked
+	// walk. 0 selects GOMAXPROCS; 1 runs sequentially. Results are
+	// identical at any setting.
 	Parallelism int
 	// Progress, when non-nil, receives one callback per resolved scaling
-	// combination, in visit order. Callbacks run on the exploring
-	// goroutine; keep them fast.
+	// combination. Callbacks arrive one at a time, in visit order, on an
+	// engine goroutine (the caller's at Parallelism 1). They run under the
+	// lock the workers claim combinations under, so keep them fast.
 	Progress func(Progress)
 	// Strategy selects how Explore walks the scaling enumeration: "" or
 	// StrategyBranchAndBound (default, provably the same answer as
@@ -69,20 +71,16 @@ type Config struct {
 	// the lowest-ranked one's nominal power — the minimum of any
 	// probe-feasible combination, at any Parallelism — becomes the
 	// dominance threshold from position zero. The fold order stays the
-	// descending-lexicographic enumeration, so the chosen Design,
-	// perScaling and the Progress stream remain deterministic (and the
-	// Design byte-identical to StrategyExhaustive); only the Pruned/Skipped
-	// split can differ from an unseeded run. Requires
-	// StrategyBranchAndBound; ignored by the Pareto fold.
+	// descending-lexicographic enumeration, so the chosen Design and the
+	// Progress stream remain deterministic (and the Design byte-identical
+	// to StrategyExhaustive); only the Pruned/Skipped split can differ from
+	// an unseeded run. Requires StrategyBranchAndBound; ignored by the
+	// Pareto fold.
 	Ranked bool
 	// Objectives selects the objective components of the Pareto fold
 	// (ExploreParetoContext); 0 selects pareto.DefaultObjectives (power,
 	// makespan and Γ). Ignored by the scalar fold.
 	Objectives pareto.Objectives
-	// DiscardPerScaling suppresses the perScaling return of Explore so
-	// huge enumerations don't retain one Design per combination; callers
-	// that only need the best design (the facade, the service) set it.
-	DiscardPerScaling bool
 	// Reuse shares bounds precompute, probe cache and pooled evaluators
 	// across explorations of the same workload (a sweep's points, the four
 	// experiments of Table II, or fingerprint-matching service jobs). Nil

@@ -63,7 +63,9 @@ func TestInterconnectBnBMatchesExhaustive(t *testing.T) {
 
 		exh := base
 		exh.Strategy = StrategyExhaustive
-		wantBest, wantPer, err := Explore(wl.g, wl.p, SEAMapper(exh), exh)
+		rec := exh
+		wantPer := recordDesigns(&rec)
+		wantBest, err := Explore(wl.g, wl.p, SEAMapper(rec), rec)
 		if err != nil {
 			t.Fatalf("%s exhaustive: %v", wl.name, err)
 		}
@@ -75,7 +77,7 @@ func TestInterconnectBnBMatchesExhaustive(t *testing.T) {
 		if wl.name == "random20-mesh" {
 			ideal = heteroPlat(t, 2, 1)
 		}
-		idealBest, _, err := Explore(wl.g, ideal, SEAMapper(exh), exh)
+		idealBest, err := Explore(wl.g, ideal, SEAMapper(exh), exh)
 		if err != nil {
 			t.Fatalf("%s ideal: %v", wl.name, err)
 		}
@@ -93,7 +95,8 @@ func TestInterconnectBnBMatchesExhaustive(t *testing.T) {
 					avoided++
 				}
 			}
-			gotBest, gotPer, err := Explore(wl.g, wl.p, SEAMapper(bnb), bnb)
+			gotPer := recordDesigns(&bnb)
+			gotBest, err := Explore(wl.g, wl.p, SEAMapper(bnb), bnb)
 			if err != nil {
 				t.Fatalf("%s bnb par=%d: %v", wl.name, par, err)
 			}
@@ -101,19 +104,7 @@ func TestInterconnectBnBMatchesExhaustive(t *testing.T) {
 				t.Errorf("%s par=%d: designs diverged:\n  exhaustive: %s\n  bnb:        %s",
 					wl.name, par, want, got)
 			}
-			if len(gotPer) != len(wantPer) {
-				t.Errorf("%s par=%d: perScaling has %d entries, exhaustive %d",
-					wl.name, par, len(gotPer), len(wantPer))
-			}
-			for i := range gotPer {
-				if gotPer[i] == nil {
-					continue
-				}
-				if g, w := designFingerprint(gotPer[i]), designFingerprint(wantPer[i]); g != w {
-					t.Errorf("%s par=%d: perScaling[%d] diverged:\n  exhaustive: %s\n  bnb:        %s",
-						wl.name, par, i, w, g)
-				}
-			}
+			assertDesignsMatch(t, fmt.Sprintf("%s par=%d", wl.name, par), wantPer.designs(t), gotPer.designs(t))
 			if avoided == 0 {
 				t.Errorf("%s par=%d: branch-and-bound avoided nothing on the contended platform", wl.name, par)
 			}
@@ -153,28 +144,24 @@ func TestInterconnectParetoMatchesExhaustive(t *testing.T) {
 }
 
 // TestInterconnectShardedMatchesSingleNode: distributing a contended-fabric
-// exploration over shards changes nothing — best design, perScaling list
-// and Progress stream stay byte-identical across shard counts and
-// parallelism, scalar and Pareto alike.
+// exploration over shards changes nothing — best design and Progress stream
+// (each combination's design included) stay byte-identical across shard
+// counts and parallelism, scalar and Pareto alike.
 func TestInterconnectShardedMatchesSingleNode(t *testing.T) {
 	g := taskgraph.MustRandom(taskgraph.DefaultRandomConfig(20), 3)
 	p := icnPlat(t, 1, 1, testMeshFabric)
 	base := cfg(taskgraph.RandomDeadline(20)*0.5, 1)
 	base.SearchMoves = 120
-	base.DiscardPerScaling = false
 
 	single := func() capturedRun {
 		c := base
 		var r capturedRun
 		captureProgress(&c, &r.events)
-		best, per, err := ExploreContext(context.Background(), g, p, SEAMapper(c), c)
+		best, err := ExploreContext(context.Background(), g, p, SEAMapper(c), c)
 		if err != nil {
 			t.Fatalf("single-node: %v", err)
 		}
 		r.best = designFingerprint(best)
-		for _, d := range per {
-			r.per = append(r.per, designFingerprint(d))
-		}
 		return r
 	}()
 
@@ -184,15 +171,12 @@ func TestInterconnectShardedMatchesSingleNode(t *testing.T) {
 			c.Parallelism = par
 			var r capturedRun
 			captureProgress(&c, &r.events)
-			best, per, err := ExploreSharded(context.Background(), g, p, SEAMapper(c), c,
+			best, err := ExploreSharded(context.Background(), g, p, SEAMapper(c), c,
 				make([]ShardRunner, shards))
 			if err != nil {
 				t.Fatalf("shards=%d par=%d: %v", shards, par, err)
 			}
 			r.best = designFingerprint(best)
-			for _, d := range per {
-				r.per = append(r.per, designFingerprint(d))
-			}
 			assertRunsEqual(t, fmt.Sprintf("shards=%d par=%d", shards, par), single, r)
 		}
 	}

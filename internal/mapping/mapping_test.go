@@ -254,10 +254,12 @@ func TestExploreMPEG2(t *testing.T) {
 	c := cfg(taskgraph.MPEG2Deadline, taskgraph.MPEG2Frames)
 	c.SearchMoves = 400
 	c.Strategy = StrategyExhaustive // the test inspects every per-scaling design
-	best, per, err := Explore(g, p, SEAMapper(c), c)
+	rec := recordDesigns(&c)
+	best, err := Explore(g, p, SEAMapper(c), c)
 	if err != nil {
 		t.Fatal(err)
 	}
+	per := rec.designs(t)
 	if len(per) != 15 {
 		t.Fatalf("explored %d scalings, want 15 (Fig. 5b)", len(per))
 	}
@@ -301,7 +303,7 @@ func TestExploreImpossibleDeadline(t *testing.T) {
 	p := plat(2)
 	c := cfg(1e-9, 1) // nanosecond deadline: nothing is feasible
 	c.SearchMoves = 100
-	best, _, err := Explore(g, p, SEAMapper(c), c)
+	best, err := Explore(g, p, SEAMapper(c), c)
 	if err != nil {
 		t.Fatal(err)
 	}

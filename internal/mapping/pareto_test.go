@@ -158,7 +158,7 @@ func TestParetoContainsScalarOptimum(t *testing.T) {
 	c := cfg(taskgraph.MPEG2Deadline, taskgraph.MPEG2Frames)
 	c.SearchMoves = 150
 
-	scalarBest, _, err := Explore(g, p, SEAMapper(c), c)
+	scalarBest, err := Explore(g, p, SEAMapper(c), c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestParetoImpossibleDeadline(t *testing.T) {
 
 	exh := base
 	exh.Strategy = StrategyExhaustive
-	wantBest, _, err := Explore(g, p, SEAMapper(exh), exh)
+	wantBest, err := Explore(g, p, SEAMapper(exh), exh)
 	if err != nil {
 		t.Fatal(err)
 	}

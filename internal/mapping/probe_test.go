@@ -197,7 +197,7 @@ func TestProbeCacheConcurrentSharingNoDuplicateWork(t *testing.T) {
 	runOne := func(c Config, reuse *Reuse) (string, metrics.EvalStats) {
 		c.Reuse = reuse
 		c.Telemetry = NewTelemetry()
-		best, _, err := Explore(g, p, SEAMapper(c), c)
+		best, err := Explore(g, p, SEAMapper(c), c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -220,7 +220,7 @@ func TestProbeCacheConcurrentSharingNoDuplicateWork(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			best, _, err := Explore(g, p, SEAMapper(cfgs[i]), cfgs[i])
+			best, err := Explore(g, p, SEAMapper(cfgs[i]), cfgs[i])
 			if err != nil {
 				t.Error(err)
 				return

@@ -24,9 +24,8 @@ func progressWorkload() (cfgOut Config, run func(testing.TB, Config)) {
 	c.SearchMoves = 40
 	c.Parallelism = 1
 	c.Strategy = StrategyExhaustive
-	c.DiscardPerScaling = true
 	return c, func(t testing.TB, c Config) {
-		if _, _, err := Explore(g, p, SEAMapper(c), c); err != nil {
+		if _, err := Explore(g, p, SEAMapper(c), c); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -73,11 +73,10 @@ func TestRankedMatchesExhaustive(t *testing.T) {
 		}
 		base := cfg(wl.deadline, wl.iters)
 		base.SearchMoves = wl.moves
-		base.DiscardPerScaling = true
 
 		exh := base
 		exh.Strategy = StrategyExhaustive
-		wantBest, _, err := Explore(wl.g, wl.p, SEAMapper(exh), exh)
+		wantBest, err := Explore(wl.g, wl.p, SEAMapper(exh), exh)
 		if err != nil {
 			t.Fatalf("%s exhaustive: %v", wl.name, err)
 		}
@@ -96,7 +95,7 @@ func TestRankedMatchesExhaustive(t *testing.T) {
 					evaluated++
 				}
 			}
-			gotBest, _, err := Explore(wl.g, wl.p, SEAMapper(ranked), ranked)
+			gotBest, err := Explore(wl.g, wl.p, SEAMapper(ranked), ranked)
 			if err != nil {
 				t.Fatalf("%s ranked par=%d: %v", wl.name, par, err)
 			}
@@ -124,7 +123,6 @@ func TestRankedSkipsAtLeastAsMuch(t *testing.T) {
 	p := plat64(t)
 	base := cfg(dl, 1)
 	base.SearchMoves = 12
-	base.DiscardPerScaling = true
 	base.Strategy = StrategyBranchAndBound
 
 	count := func(ranked bool) (evaluated, avoided int) {
@@ -137,7 +135,7 @@ func TestRankedSkipsAtLeastAsMuch(t *testing.T) {
 				evaluated++
 			}
 		}
-		if _, _, err := Explore(g, p, SEAMapper(c), c); err != nil {
+		if _, err := Explore(g, p, SEAMapper(c), c); err != nil {
 			t.Fatal(err)
 		}
 		return
@@ -180,7 +178,6 @@ func rankedWorkload16(t *testing.T, mesh bool) (*taskgraph.Graph, *arch.Platform
 	}
 	c.DeadlineSec = fastest.TMSeconds * 1.2
 	c.Ranked = true
-	c.DiscardPerScaling = true
 	return g, p, c
 }
 
@@ -212,7 +209,7 @@ func TestRankedParallelMatchesSequential(t *testing.T) {
 			c.Telemetry = tel
 			var r run
 			c.Progress = func(pr Progress) { r.progress = append(r.progress, progressFingerprint(pr)) }
-			best, _, err := Explore(g, p, SEAMapper(c), c)
+			best, err := Explore(g, p, SEAMapper(c), c)
 			if err != nil {
 				t.Fatalf("mesh=%v par=%d: %v", mesh, par, err)
 			}

@@ -172,7 +172,6 @@ func ExploreShard(ctx context.Context, g *taskgraph.Graph, p *arch.Platform,
 	}
 	cfg.Progress = nil
 	cfg.Telemetry = nil
-	cfg.DiscardPerScaling = true
 	cfg.Ranked = false
 	ctx, cfg, err := setup(ctx, cfg, req.Pareto)
 	if err != nil {
@@ -211,7 +210,7 @@ func ExploreShard(ctx context.Context, g *taskgraph.Graph, p *arch.Platform,
 		}
 		fold, opts.computeBounds = sf, prune && cfg.DeadlineSec > 0
 	}
-	if _, _, err := exploreCore(ctx, g, p, mapper, cfg, fold, opts); err != nil {
+	if _, err := exploreCore(ctx, g, p, mapper, cfg, fold, opts); err != nil {
 		return nil, err
 	}
 	return &ShardResult{Records: opts.records}, nil
@@ -341,16 +340,16 @@ func realizeDesign(ctx context.Context, mc *MapContext, mapper MapperFunc,
 // scalar or Pareto — replayed in global rank order over the shard records,
 // with exploreCore's deadline pruning and fold-time skip rule.
 func replay(ctx context.Context, g *taskgraph.Graph, p *arch.Platform, mapper MapperFunc,
-	cfg Config, fold streamFold, records []*ShardRecord, opts coreOptions) (perScaling []*Design, prunedCount int, err error) {
+	cfg Config, fold streamFold, records []*ShardRecord, opts coreOptions) (prunedCount int, err error) {
 	space, err := vscale.PlatformSpace(p)
 	if err != nil {
-		return nil, 0, err
+		return 0, err
 	}
 	it := space.Iter()
 	cursor := cfg.Reuse.boundsFor(g, p, cfg.Iterations).Cursor()
 	wk, err := newComboWorker(g, p, cfg)
 	if err != nil {
-		return nil, 0, err
+		return 0, err
 	}
 	defer wk.close(nil)
 	mc := wk.mc
@@ -362,11 +361,11 @@ func replay(ctx context.Context, g *taskgraph.Graph, p *arch.Platform, mapper Ma
 		}
 		if pos&0xff == 0 {
 			if err := ctx.Err(); err != nil {
-				return nil, 0, err
+				return 0, err
 			}
 		}
 		if _, err := cursor.Advance(scaling); err != nil {
-			return nil, 0, err
+			return 0, err
 		}
 		o := outcome{pos: pos, idx: idx, scaling: scaling, nominal: cursor.NominalPower()}
 		if opts.computeBounds {
@@ -385,25 +384,25 @@ func replay(ctx context.Context, g *taskgraph.Graph, p *arch.Platform, mapper Ma
 				// the coordinator's dominance band disagrees — decide with
 				// the probe, exactly as the single-node worker would have.
 				if err := mc.bind(ctx, scaling, idx, cfg.Seed); err != nil {
-					return nil, 0, err
+					return 0, err
 				}
 				_, feasible, _, err := cfg.Reuse.probe.feasibleAtScaling(mc, idx, cfg)
 				if err != nil {
-					return nil, 0, err
+					return 0, err
 				}
 				o.probed, o.probeKnown = feasible, true
 				skipped = fold.confirmSkip(&o)
 			}
 			if !skipped {
 				if o.design, o.probed, err = realizeDesign(ctx, mc, mapper, scaling, idx, cfg, rec); err != nil {
-					return nil, 0, err
+					return 0, err
 				}
 				o.probeKnown = true
 			}
 		}
 		red.resolve(pos, &o, skipped)
 	}
-	return red.perScaling, red.pruned, nil
+	return red.pruned, nil
 }
 
 // shardedPass returns the pass of a sharded exploration: one contiguous
@@ -434,19 +433,19 @@ func shardedPass(g *taskgraph.Graph, p *arch.Platform, mapper MapperFunc,
 		resolved[i] = r
 	}
 	return func(ctx context.Context, g *taskgraph.Graph, p *arch.Platform, mapper MapperFunc,
-		cfg Config, fold streamFold, opts coreOptions) ([]*Design, int, error) {
+		cfg Config, fold streamFold, opts coreOptions) (int, error) {
 		req := ShardRequest{NoPrune: !opts.prune}
 		switch f := fold.(type) {
 		case *paretoFold:
 			req.Pareto = true
 		case *scalarFold:
-			if nominal, seeded := f.board.threshold(); seeded {
-				req.Threshold = nominal
+			if f.probed.Load() {
+				req.Threshold = f.threshold
 			}
 		}
 		records, err := runShards(ctx, g, p, req, ranges, resolved, total)
 		if err != nil {
-			return nil, 0, err
+			return 0, err
 		}
 		return replay(ctx, g, p, mapper, cfg, fold, records, opts)
 	}, nil
@@ -456,19 +455,19 @@ func shardedPass(g *taskgraph.Graph, p *arch.Platform, mapper MapperFunc,
 // enumeration is partitioned into one contiguous shard per runner, shards
 // run concurrently from the coordinator's standing threshold, and the
 // coordinator merges their records through the authoritative single-node
-// replay. The chosen Design, perScaling list and Progress stream are
-// byte-identical to ExploreContext at any shard count, runner mix and
-// parallelism. Nil runner entries run their shard embedded in this process.
+// replay. The chosen Design and Progress stream are byte-identical to
+// ExploreContext at any shard count, runner mix and parallelism. Nil runner
+// entries run their shard embedded in this process.
 func ExploreSharded(ctx context.Context, g *taskgraph.Graph, p *arch.Platform,
-	mapper MapperFunc, cfg Config, runners []ShardRunner) (best *Design, perScaling []*Design, err error) {
+	mapper MapperFunc, cfg Config, runners []ShardRunner) (*Design, error) {
 	cfg.Telemetry = nil
-	ctx, cfg, err = setup(ctx, cfg, false)
+	ctx, cfg, err := setup(ctx, cfg, false)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	run, err := shardedPass(g, p, mapper, cfg, runners)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	return exploreScalar(ctx, g, p, mapper, cfg, run)
 }

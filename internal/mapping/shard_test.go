@@ -47,9 +47,10 @@ func shardWorkloads(t *testing.T) []shardWorkload {
 	}
 }
 
+// capturedRun is one run's result and Progress stream; each event's
+// fingerprint carries the combination's design.
 type capturedRun struct {
 	best     string
-	per      []string
 	frontier []string
 	events   []string
 }
@@ -59,28 +60,24 @@ func captureProgress(c *Config, events *[]string) {
 }
 
 // TestShardedScalarMatchesSingleNode is the tentpole property: the merged
-// Design, perScaling list and Progress stream of a sharded run are
-// byte-identical to the single-node run, across shard counts 1/2/4 and
-// parallelism 1/4/GOMAXPROCS, for every exemplar workload.
+// Design and Progress stream (each combination's design included) of a
+// sharded run are byte-identical to the single-node run, across shard
+// counts 1/2/4 and parallelism 1/4/GOMAXPROCS, for every exemplar workload.
 func TestShardedScalarMatchesSingleNode(t *testing.T) {
 	for _, w := range shardWorkloads(t) {
 		t.Run(w.name, func(t *testing.T) {
 			base := cfg(w.deadline, w.iters)
 			base.SearchMoves = 200
-			base.DiscardPerScaling = false
 
 			single := func() capturedRun {
 				c := base
 				var r capturedRun
 				captureProgress(&c, &r.events)
-				best, per, err := ExploreContext(context.Background(), w.g, w.p, SEAMapper(c), c)
+				best, err := ExploreContext(context.Background(), w.g, w.p, SEAMapper(c), c)
 				if err != nil {
 					t.Fatalf("single-node: %v", err)
 				}
 				r.best = designFingerprint(best)
-				for _, d := range per {
-					r.per = append(r.per, designFingerprint(d))
-				}
 				return r
 			}()
 
@@ -90,15 +87,12 @@ func TestShardedScalarMatchesSingleNode(t *testing.T) {
 					c.Parallelism = par
 					var r capturedRun
 					captureProgress(&c, &r.events)
-					best, per, err := ExploreSharded(context.Background(), w.g, w.p, SEAMapper(c), c,
+					best, err := ExploreSharded(context.Background(), w.g, w.p, SEAMapper(c), c,
 						make([]ShardRunner, shards))
 					if err != nil {
 						t.Fatalf("shards=%d par=%d: %v", shards, par, err)
 					}
 					r.best = designFingerprint(best)
-					for _, d := range per {
-						r.per = append(r.per, designFingerprint(d))
-					}
 					assertRunsEqual(t, fmt.Sprintf("shards=%d par=%d", shards, par), single, r)
 				}
 			}
@@ -154,7 +148,6 @@ func assertRunsEqual(t *testing.T, label string, want, got capturedRun) {
 	if got.best != want.best {
 		t.Errorf("%s: best diverged:\n  single: %s\n  sharded: %s", label, want.best, got.best)
 	}
-	assertStringsEqual(t, label+": perScaling", want.per, got.per)
 	assertStringsEqual(t, label+": frontier", want.frontier, got.frontier)
 	assertStringsEqual(t, label+": progress", want.events, got.events)
 }
@@ -190,7 +183,6 @@ func TestShardedStrategiesAndSeeding(t *testing.T) {
 		t.Run(mode.name, func(t *testing.T) {
 			base := cfg(taskgraph.MPEG2Deadline, taskgraph.MPEG2Frames)
 			base.SearchMoves = 150
-			base.DiscardPerScaling = false
 			mode.mutate(&base)
 			// The threshold every shard request must carry: the ranked
 			// pass's seed, none without one.
@@ -210,7 +202,7 @@ func TestShardedStrategiesAndSeeding(t *testing.T) {
 			var wantEvents []string
 			cs := base
 			captureProgress(&cs, &wantEvents)
-			wantBest, _, err := ExploreContext(context.Background(), g, p, SEAMapper(cs), cs)
+			wantBest, err := ExploreContext(context.Background(), g, p, SEAMapper(cs), cs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -231,7 +223,7 @@ func TestShardedStrategiesAndSeeding(t *testing.T) {
 					return embedded(ctx, req)
 				}
 			}
-			gotBest, _, err := ExploreSharded(context.Background(), g, p, SEAMapper(cd), cd, runners)
+			gotBest, err := ExploreSharded(context.Background(), g, p, SEAMapper(cd), cd, runners)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -261,11 +253,11 @@ func TestShardedImpossibleDeadline(t *testing.T) {
 	base := cfg(1e-9, taskgraph.MPEG2Frames)
 	base.SearchMoves = 100
 
-	wantBest, _, err := ExploreContext(context.Background(), g, p, SEAMapper(base), base)
+	wantBest, err := ExploreContext(context.Background(), g, p, SEAMapper(base), base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotBest, _, err := ExploreSharded(context.Background(), g, p, SEAMapper(base), base,
+	gotBest, err := ExploreSharded(context.Background(), g, p, SEAMapper(base), base,
 		make([]ShardRunner, 2))
 	if err != nil {
 		t.Fatal(err)
@@ -347,7 +339,7 @@ func TestExploreShardAppliesOnlyEarlierFacts(t *testing.T) {
 	base.SearchMoves = 200
 	base.Parallelism = 1
 
-	best, _, err := Explore(g, p, SEAMapper(base), base)
+	best, err := Explore(g, p, SEAMapper(base), base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -443,12 +435,12 @@ func TestShardedRankedMapsNoMoreThanSingleNode(t *testing.T) {
 			base.Parallelism = 1
 			base.Ranked = true
 			var single atomic.Int64
-			if _, _, err := ExploreContext(context.Background(), w.g, w.p, countingMapper(base, &single), base); err != nil {
+			if _, err := ExploreContext(context.Background(), w.g, w.p, countingMapper(base, &single), base); err != nil {
 				t.Fatal(err)
 			}
 			for _, shards := range []int{2, 4} {
 				var sharded atomic.Int64
-				if _, _, err := ExploreSharded(context.Background(), w.g, w.p, countingMapper(base, &sharded), base,
+				if _, err := ExploreSharded(context.Background(), w.g, w.p, countingMapper(base, &sharded), base,
 					make([]ShardRunner, shards)); err != nil {
 					t.Fatalf("shards=%d: %v", shards, err)
 				}
@@ -472,7 +464,7 @@ func TestShardedWarmStartMatchesSingleNode(t *testing.T) {
 				base := cfg(w.deadline, w.iters)
 				base.SearchMoves = 200
 				base.Reuse = NewReuse()
-				cold, _, err := Explore(w.g, w.p, SEAMapper(base), base)
+				cold, err := Explore(w.g, w.p, SEAMapper(base), base)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -481,7 +473,7 @@ func TestShardedWarmStartMatchesSingleNode(t *testing.T) {
 				var want capturedRun
 				cw := base
 				captureProgress(&cw, &want.events)
-				warm, _, err := Explore(w.g, w.p, SEAMapper(cw), cw)
+				warm, err := Explore(w.g, w.p, SEAMapper(cw), cw)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -496,7 +488,7 @@ func TestShardedWarmStartMatchesSingleNode(t *testing.T) {
 						c.Parallelism = par
 						var got capturedRun
 						captureProgress(&c, &got.events)
-						best, _, err := ExploreSharded(context.Background(), w.g, w.p, SEAMapper(c), c,
+						best, err := ExploreSharded(context.Background(), w.g, w.p, SEAMapper(c), c,
 							make([]ShardRunner, shards))
 						if err != nil {
 							t.Fatalf("shards=%d par=%d: %v", shards, par, err)
@@ -661,7 +653,7 @@ func FuzzShardReplay(f *testing.F) {
 		runners := []ShardRunner{nil, func(context.Context, ShardRequest) (*ShardResult, error) {
 			return &peer, nil
 		}}
-		best, _, err := ExploreSharded(context.Background(), w.g, w.p, SEAMapper(w.c), w.c, runners)
+		best, err := ExploreSharded(context.Background(), w.g, w.p, SEAMapper(w.c), w.c, runners)
 		if err != nil {
 			if CheckShardResult(&peer, peerRange[fig8], w.g, w.p) == nil {
 				t.Fatalf("a well-shaped peer result failed the replay: %v", err)

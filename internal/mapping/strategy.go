@@ -15,8 +15,7 @@ const (
 	// combination cannot win: scalings whose best-case makespan already
 	// misses the deadline are pruned, and scalings whose nominal power is
 	// dominated by a resolved feasible incumbent at a lower enumeration
-	// index are skipped, with outstanding dominated work cancelled in
-	// flight. The chosen Design is provably byte-identical to
+	// index are skipped. The chosen Design is provably byte-identical to
 	// StrategyExhaustive whenever any deadline-meeting design exists; if
 	// none does, the engine deterministically falls back to an exhaustive
 	// pass so the degenerate all-infeasible verdict matches too.

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"seadopt/internal/taskgraph"
+	"seadopt/internal/vscale"
 )
 
 func TestParseStrategy(t *testing.T) {
@@ -62,7 +63,8 @@ func TestBranchAndBoundMatchesExhaustive(t *testing.T) {
 
 		exh := base
 		exh.Strategy = StrategyExhaustive
-		wantBest, wantPer, err := Explore(wl.g, p, SEAMapper(exh), exh)
+		wantPer := recordDesigns(&exh)
+		wantBest, err := Explore(wl.g, p, SEAMapper(exh), exh)
 		if err != nil {
 			t.Fatalf("%s exhaustive: %v", wl.name, err)
 		}
@@ -80,7 +82,8 @@ func TestBranchAndBoundMatchesExhaustive(t *testing.T) {
 					evaluated++
 				}
 			}
-			gotBest, gotPer, err := Explore(wl.g, p, SEAMapper(bnb), bnb)
+			gotPer := recordDesigns(&bnb)
+			gotBest, err := Explore(wl.g, p, SEAMapper(bnb), bnb)
 			if err != nil {
 				t.Fatalf("%s bnb par=%d: %v", wl.name, par, err)
 			}
@@ -88,21 +91,7 @@ func TestBranchAndBoundMatchesExhaustive(t *testing.T) {
 				t.Errorf("%s par=%d: designs diverged:\n  exhaustive: %s\n  bnb:        %s",
 					wl.name, par, want, got)
 			}
-			if len(gotPer) != len(wantPer) {
-				t.Errorf("%s par=%d: perScaling has %d entries, exhaustive %d",
-					wl.name, par, len(gotPer), len(wantPer))
-			}
-			// Every design bnb did evaluate matches its exhaustive twin
-			// byte for byte (stable combination index ⇒ same seed).
-			for i := range gotPer {
-				if gotPer[i] == nil {
-					continue
-				}
-				if g, w := designFingerprint(gotPer[i]), designFingerprint(wantPer[i]); g != w {
-					t.Errorf("%s par=%d: perScaling[%d] diverged:\n  exhaustive: %s\n  bnb:        %s",
-						wl.name, par, i, w, g)
-				}
-			}
+			assertDesignsMatch(t, fmt.Sprintf("%s par=%d", wl.name, par), wantPer.designs(t), gotPer.designs(t))
 			if avoided == 0 {
 				t.Errorf("%s par=%d: branch-and-bound avoided nothing (evaluated %d) — pruning never engaged",
 					wl.name, par, evaluated)
@@ -129,7 +118,7 @@ func TestBranchAndBoundDeterministicEvents(t *testing.T) {
 				pr.Index, pr.Total, pr.Combination, pr.Scaling, pr.Pruned, pr.Skipped,
 				designFingerprint(pr.Best)))
 		}
-		if _, _, err := Explore(g, p, SEAMapper(c), c); err != nil {
+		if _, err := Explore(g, p, SEAMapper(c), c); err != nil {
 			t.Fatal(err)
 		}
 		return out
@@ -159,7 +148,7 @@ func TestBranchAndBoundImpossibleDeadline(t *testing.T) {
 
 	exh := base
 	exh.Strategy = StrategyExhaustive
-	wantBest, _, err := Explore(g, p, SEAMapper(exh), exh)
+	wantBest, err := Explore(g, p, SEAMapper(exh), exh)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +163,9 @@ func TestBranchAndBoundImpossibleDeadline(t *testing.T) {
 			pruned++
 		}
 	}
-	gotBest, per, err := Explore(g, p, SEAMapper(bnb), bnb)
+	tel := NewTelemetry()
+	bnb.Telemetry = tel
+	gotBest, err := Explore(g, p, SEAMapper(bnb), bnb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,12 +175,14 @@ func TestBranchAndBoundImpossibleDeadline(t *testing.T) {
 	if got, want := designFingerprint(gotBest), designFingerprint(wantBest); got != want {
 		t.Errorf("fallback diverged from exhaustive:\n  exhaustive: %s\n  bnb:        %s", want, got)
 	}
-	// The fallback re-explores exhaustively, so perScaling is fully
-	// populated despite the first pass pruning combinations.
-	for i, d := range per {
-		if d == nil {
-			t.Errorf("perScaling[%d] nil after all-infeasible fallback", i)
-		}
+	// The fallback re-explores the whole space, so the verdicts of both
+	// passes cover it twice despite the first pass pruning combinations.
+	space, err := vscale.PlatformSpace(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := tel.Stats().Combos.Total, int64(2*space.Count()); got != want {
+		t.Errorf("Combos.Total = %d after the all-infeasible fallback, want %d (two passes)", got, want)
 	}
 }
 
@@ -214,7 +207,7 @@ func TestSampledStrategy(t *testing.T) {
 			}
 			combos = append(combos, pr.Combination)
 		}
-		best, _, err := Explore(g, p, SEAMapper(c), c)
+		best, err := Explore(g, p, SEAMapper(c), c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -236,12 +229,12 @@ func TestSampledStrategy(t *testing.T) {
 	exh := cfg(taskgraph.MPEG2Deadline, taskgraph.MPEG2Frames)
 	exh.SearchMoves = 120
 	exh.Strategy = StrategyExhaustive
-	_, per, err := Explore(g, p, SEAMapper(exh), exh)
-	if err != nil {
+	rec := recordDesigns(&exh)
+	if _, err := Explore(g, p, SEAMapper(exh), exh); err != nil {
 		t.Fatal(err)
 	}
+	per := rec.designs(t)
 	smp := base
-	smp.DiscardPerScaling = false
 	var sampledDesigns []*Design
 	var sampledCombos []int
 	smp.Progress = func(pr Progress) {
@@ -250,7 +243,7 @@ func TestSampledStrategy(t *testing.T) {
 			sampledCombos = append(sampledCombos, pr.Combination)
 		}
 	}
-	if _, _, err := Explore(g, p, SEAMapper(smp), smp); err != nil {
+	if _, err := Explore(g, p, SEAMapper(smp), smp); err != nil {
 		t.Fatal(err)
 	}
 	if len(sampledDesigns) == 0 {
@@ -264,30 +257,22 @@ func TestSampledStrategy(t *testing.T) {
 	}
 }
 
-// TestDiscardPerScaling: the flag suppresses the per-combination list while
-// leaving the chosen design untouched.
-func TestDiscardPerScaling(t *testing.T) {
-	g := taskgraph.Fig8()
-	p := plat(3)
-	c := cfg(taskgraph.Fig8Deadline, 1)
-	c.SearchMoves = 80
-	c.Strategy = StrategyExhaustive
-	withList, per, err := Explore(g, p, SEAMapper(c), c)
-	if err != nil {
-		t.Fatal(err)
+// assertDesignsMatch compares a pruning run's per-combination designs with
+// the exhaustive run's: one entry per combination, and every design the
+// pruning run evaluated matches its exhaustive twin byte for byte (stable
+// combination index ⇒ same seed).
+func assertDesignsMatch(t *testing.T, label string, exhaustive, got []*Design) {
+	t.Helper()
+	if len(got) != len(exhaustive) {
+		t.Errorf("%s: %d combination designs, exhaustive %d", label, len(got), len(exhaustive))
+		return
 	}
-	if len(per) == 0 {
-		t.Fatal("exhaustive run returned no perScaling list")
-	}
-	c.DiscardPerScaling = true
-	withoutList, per2, err := Explore(g, p, SEAMapper(c), c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if per2 != nil {
-		t.Errorf("DiscardPerScaling still returned %d entries", len(per2))
-	}
-	if designFingerprint(withList) != designFingerprint(withoutList) {
-		t.Error("DiscardPerScaling changed the chosen design")
+	for i, d := range got {
+		if d == nil {
+			continue
+		}
+		if g, w := designFingerprint(d), designFingerprint(exhaustive[i]); g != w {
+			t.Errorf("%s: design %d diverged:\n  exhaustive: %s\n  pruned run: %s", label, i, w, g)
+		}
 	}
 }

@@ -52,11 +52,11 @@ type ExploreEvent struct {
 }
 
 // WorkerSpan is one combination a worker processed: Kind is "map" when the
-// mapper ran, "skip" when the combination resolved without it (probe-proved
-// irrelevant or cancelled as dominated mid-flight), and "rank" for a
-// feasibility probe of the incumbent-seeding pass (Config.Ranked), which
-// runs on the same worker rows before the stream; a "rank" span runs from
-// the worker's claim of the combination to its recorded verdict.
+// mapper ran, "skip" when the probe proved the mapper run irrelevant (the
+// worker then skipped it), and "rank" for a feasibility probe of the
+// incumbent-seeding pass (Config.Ranked), which runs on the same worker rows
+// before the stream; a "rank" span runs from the worker's claim of the
+// combination to its recorded verdict.
 type WorkerSpan struct {
 	StartNanos  int64  `json:"start_ns"`
 	EndNanos    int64  `json:"end_ns"`
@@ -78,9 +78,10 @@ type WorkerStats struct {
 
 // PhaseStats is the per-component busy-clock breakdown of an exploration.
 // The phases are independent clocks, not disjoint wall segments: probe and
-// mapper time accrue concurrently on every worker, while bounds, ranked
-// seed, enumeration and fold are timed on one goroutine. Their sum therefore
-// exceeds the wall clock whenever Parallelism > 1.
+// mapper time accrue concurrently on every worker, while bounds and ranked
+// seed are timed on the calling goroutine and enumeration and fold under the
+// stream's lock. Their sum therefore exceeds the wall clock whenever
+// Parallelism > 1.
 type PhaseStats struct {
 	// BoundsNanos is the admissible-bound precompute (metrics.NewBounds).
 	BoundsNanos int64 `json:"bounds_ns"`
@@ -88,7 +89,7 @@ type PhaseStats struct {
 	// Config.Ranked ascending-nominal walk. Its probes run on the worker
 	// rows and also accrue to ProbeNanos.
 	RankedSeedNanos int64 `json:"ranked_seed_ns"`
-	// EnumerationNanos is the dispatcher's walk of the combination source:
+	// EnumerationNanos is the claims' walk of the combination source:
 	// cursor advances, bound pruning and dispatch-skip tests.
 	EnumerationNanos int64 `json:"enumeration_ns"`
 	// ProbeNanos is worker time in the shared feasibility probe.
@@ -163,13 +164,13 @@ type ExploreStats struct {
 // stream are byte-identical with telemetry attached or not, at any
 // Parallelism. Hot-path recording is allocation-free after warm-up:
 // single-writer counters are plain fields ordered by the core's own
-// happens-before edges (channel close / WaitGroup), cross-worker sums are
-// atomics, and events/spans append into capped slices.
+// happens-before edges (the stream's lock, WaitGroup), cross-worker sums
+// are atomics, and events/spans append into capped slices.
 type Telemetry struct {
 	startOnce sync.Once
 	base      time.Time
 
-	// Fold/setup-goroutine state (single writer at any moment; reads
+	// Setup and stream-lock state (single writer at any moment; reads
 	// happen after the run's happens-before edges).
 	strategy    Strategy
 	parallelism int
@@ -180,9 +181,7 @@ type Telemetry struct {
 	combos      ComboStats
 	events      []ExploreEvent
 	eventsDrop  int64
-
-	// Dispatcher-goroutine state.
-	enumNanos int64
+	enumNanos   int64
 
 	// Cross-goroutine sums.
 	probeNanos  atomic.Int64
@@ -277,8 +276,8 @@ func (t *Telemetry) workerSpan(w int, startNs, endNs int64, combination int, kin
 }
 
 // comboVerdict records one fold-time verdict; kind is EventPruned,
-// EventSkipped or "" for an evaluated combination. Runs on the fold
-// goroutine, so the counter sequence is deterministic.
+// EventSkipped or "" for an evaluated combination. Runs in visit order
+// under the stream's lock, so the counter sequence is deterministic.
 func (t *Telemetry) comboVerdict(kind string, index, combination int, nominal float64) {
 	t.combos.Total++
 	switch kind {

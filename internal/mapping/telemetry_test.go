@@ -20,7 +20,7 @@ func progressFingerprint(ev Progress) string {
 
 // TestExploreDeterministicTelemetryOnOff is the observability contract:
 // attaching a Telemetry collector changes nothing observable — the chosen
-// design, the perScaling list and the whole Progress stream are
+// design, the per-combination designs and the whole Progress stream are
 // byte-identical with telemetry on or off, at parallelism 1, 4 and NumCPU.
 func TestExploreDeterministicTelemetryOnOff(t *testing.T) {
 	g := taskgraph.MPEG2()
@@ -38,12 +38,13 @@ func TestExploreDeterministicTelemetryOnOff(t *testing.T) {
 		c.Telemetry = tel
 		var evs []string
 		c.Progress = func(pr Progress) { evs = append(evs, progressFingerprint(pr)) }
-		best, per, err := Explore(g, p, SEAMapper(c), c)
+		per := recordDesigns(&c)
+		best, err := Explore(g, p, SEAMapper(c), c)
 		if err != nil {
 			t.Fatalf("parallelism %d telemetry=%v: %v", par, tel != nil, err)
 		}
 		r := run{best: designFingerprint(best), prog: evs}
-		for _, d := range per {
+		for _, d := range per.designs(t) {
 			r.per = append(r.per, designFingerprint(d))
 		}
 		return r
@@ -57,7 +58,7 @@ func TestExploreDeterministicTelemetryOnOff(t *testing.T) {
 				par, ref.best, got.best)
 		}
 		if fmt.Sprint(got.per) != fmt.Sprint(ref.per) {
-			t.Errorf("parallelism %d with telemetry: perScaling diverged", par)
+			t.Errorf("parallelism %d with telemetry: per-combination designs diverged", par)
 		}
 		if len(got.prog) != len(ref.prog) {
 			t.Fatalf("parallelism %d with telemetry: %d progress events, want %d",
@@ -125,7 +126,7 @@ func TestTelemetryAccounting(t *testing.T) {
 		c.Ranked = ranked
 		tel := NewTelemetry()
 		c.Telemetry = tel
-		if _, _, err := Explore(g, p, SEAMapper(c), c); err != nil {
+		if _, err := Explore(g, p, SEAMapper(c), c); err != nil {
 			t.Fatalf("parallelism %d: %v", par, err)
 		}
 		return tel.Stats()
@@ -199,8 +200,9 @@ func TestTelemetryAccounting(t *testing.T) {
 		}
 		return streamSpans, rankRows
 	}
-	// Workers only see dispatched combinations (the dispatcher resolves
-	// pruned/skipped ones itself), and every mapper run rode a worker span.
+	// Workers only see claimed combinations that need the mapper (a claim
+	// resolves pruned/skipped ones itself), and every mapper run rode a
+	// worker span.
 	if parCombos, _ := spans(par); parCombos > par.Combos.Total || parCombos < par.Combos.MapperRuns {
 		t.Errorf("worker combination sum %d outside [MapperRuns %d, Total %d]",
 			parCombos, par.Combos.MapperRuns, par.Combos.Total)
@@ -230,7 +232,8 @@ func TestTelemetryAccounting(t *testing.T) {
 		t.Errorf("ranked run: %d map/skip spans outside [MapperRuns %d, Total %d]",
 			streamSpans, ranked.Combos.MapperRuns, ranked.Combos.Total)
 	}
-	// Incumbent events are decided on the fold goroutine: identical streams.
+	// Incumbent events are decided by the fold, in visit order under the
+	// stream's lock: identical streams.
 	kinds := func(st *ExploreStats) string {
 		s := ""
 		for _, ev := range st.Events {
@@ -254,7 +257,7 @@ func TestTelemetryAccumulatesAcrossPasses(t *testing.T) {
 	c.SearchMoves = 100
 	tel := NewTelemetry()
 	c.Telemetry = tel
-	best, _, err := Explore(g, p, SEAMapper(c), c)
+	best, err := Explore(g, p, SEAMapper(c), c)
 	if err != nil {
 		t.Fatal(err)
 	}

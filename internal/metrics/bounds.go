@@ -326,8 +326,8 @@ func (b *Bounds) TMLowerBound(scaling []int) (float64, error) {
 // of the same vector (Bounds.TMLowerBound for the bound), whatever
 // enumeration order (lexicographic, ranked, sampled) drives it.
 //
-// A Cursor is not safe for concurrent use; the exploration dispatcher owns
-// one.
+// A Cursor is not safe for concurrent use; an exploration's claim stream
+// owns one and advances it under its lock.
 type Cursor struct {
 	b       *Bounds
 	scaling []int

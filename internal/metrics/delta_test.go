@@ -77,7 +77,7 @@ func randScaling(rng *rand.Rand, p *arch.Platform) []int {
 // TestCursorMatchesFreshBounds drives a Cursor down a random walk of
 // scaling vectors — single-core nudges, multi-core jumps, occasional
 // Resets — and demands bit-equality with fresh Bounds queries at every
-// step. This is the property that lets the dispatcher's O(changed) bound
+// step. This is the property that lets a claim's O(changed) bound
 // probe replace the O(cores) recomputation without perturbing one pruning
 // decision.
 func TestCursorMatchesFreshBounds(t *testing.T) {

@@ -196,8 +196,8 @@ type Entry[T any] struct {
 // Fold is a deterministic streaming non-dominated fold: Offer points in
 // visit order, read the frontier back with Entries. The zero value is not
 // usable; construct with NewFold. Fold is not safe for concurrent use — the
-// exploration engine confines it to the fold goroutine and publishes
-// snapshots through its own synchronization.
+// exploration engine offers to it in visit order under its stream's lock,
+// and nothing reads it outside that lock.
 type Fold[T any] struct {
 	objectives Objectives
 	entries    []Entry[T]

@@ -1,6 +1,9 @@
 package registers
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // Accessors and oracles that only this package's tests use.
 
@@ -9,12 +12,23 @@ func (iv Interval) Contains(t int64) bool { return t >= iv.Start && t < iv.End }
 
 // Cores returns the sorted list of cores with at least one live register.
 func (l *Liveness) Cores() []int {
-	out := make([]int, 0, len(l.cores))
-	for c := range l.cores {
-		out = append(out, c)
+	var out []int
+	for key := range l.spans {
+		if !slices.Contains(out, key.core) {
+			out = append(out, key.core)
+		}
 	}
 	sort.Ints(out)
 	return out
+}
+
+// horizon returns the latest End of any live interval (0 when none).
+func (l *Liveness) horizon() int64 {
+	var h int64
+	for _, list := range l.spans {
+		h = max(h, list[len(list)-1].End)
+	}
+	return h
 }
 
 // Registers returns the sorted register IDs with live state on core.

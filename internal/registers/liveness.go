@@ -34,17 +34,12 @@ type coreReg struct {
 // by the cycle-level simulator and consumed by the fault injector and by the
 // eq. (4) average-usage metric.
 type Liveness struct {
-	spans   map[coreReg][]Interval
-	horizon int64 // latest End observed
-	cores   map[int]struct{}
+	spans map[coreReg][]Interval
 }
 
 // NewLiveness returns an empty liveness trace.
 func NewLiveness() *Liveness {
-	return &Liveness{
-		spans: make(map[coreReg][]Interval),
-		cores: make(map[int]struct{}),
-	}
+	return &Liveness{spans: make(map[coreReg][]Interval)}
 }
 
 // MarkLive records that register reg is live on core during [start, end).
@@ -59,10 +54,6 @@ func (l *Liveness) MarkLive(core int, reg string, start, end int64) error {
 	}
 	key := coreReg{core, reg}
 	l.spans[key] = mergeInto(l.spans[key], Interval{start, end})
-	if end > l.horizon {
-		l.horizon = end
-	}
-	l.cores[core] = struct{}{}
 	return nil
 }
 

@@ -155,8 +155,8 @@ func TestLivenessMergeAdjacent(t *testing.T) {
 	if l.LiveCycles(0, "r") != 40 {
 		t.Errorf("LiveCycles = %d, want 40", l.LiveCycles(0, "r"))
 	}
-	if l.horizon != 40 {
-		t.Errorf("horizon = %d, want 40", l.horizon)
+	if h := l.horizon(); h != 40 {
+		t.Errorf("horizon = %d, want 40", h)
 	}
 }
 

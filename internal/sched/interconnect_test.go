@@ -78,7 +78,8 @@ func TestInterconnectUncontendedTransfer(t *testing.T) {
 	approx(t, "t1 start", s.Slots[1].StartSec, dur+xfer)
 	approx(t, "t2 start", s.Slots[2].StartSec, 2*dur+2*xfer)
 	approx(t, "makespan", s.MakespanSeconds(), 3*dur+2*xfer)
-	approx(t, "comm delay", s.commDelaySec, 2*xfer)
+	approx(t, "t0→t1 transfer", s.Slots[1].StartSec-s.Slots[0].EndSec, xfer)
+	approx(t, "t1→t2 transfer", s.Slots[2].StartSec-s.Slots[1].EndSec, xfer)
 
 	// The fabric shapes timing only: eq. (7) billing matches the ideal
 	// platform's bit for bit.
@@ -110,7 +111,8 @@ func TestBusContentionSerializes(t *testing.T) {
 	// them in issue order (a's successor edges in graph order: b first).
 	approx(t, "b start", s.Slots[1].StartSec, dur+testHopSec+ser)
 	approx(t, "c start", s.Slots[2].StartSec, dur+ser+testHopSec+ser)
-	approx(t, "comm delay", s.commDelaySec, (testHopSec+ser)+(ser+testHopSec+ser))
+	approx(t, "a→b transfer", s.Slots[1].StartSec-s.Slots[0].EndSec, testHopSec+ser)
+	approx(t, "a→c transfer", s.Slots[2].StartSec-s.Slots[0].EndSec, ser+testHopSec+ser)
 
 	// Determinism: the same mapping re-scheduled is bit-identical.
 	again, err := ListSchedule(g, p, Mapping{0, 1, 2}, []int{1, 1, 1})
@@ -208,7 +210,19 @@ func TestCommSecondsMatchesBilling(t *testing.T) {
 		}
 	}
 	approx(t, "comm share of busy time", busy-taskSec, comm)
-	if s.commDelaySec <= 0 {
-		t.Fatal("cross-core schedule reports zero realized comm delay")
+	// Each cross-core edge of the chain delays its consumer by the transfer
+	// at the slower endpoint's clock.
+	crossed := 0
+	for _, e := range g.Edges() {
+		from, to := s.Mapping[e.From], s.Mapping[e.To]
+		if from == to || e.Cycles == 0 {
+			continue
+		}
+		crossed++
+		approx(t, "transfer", s.Slots[e.To].StartSec-s.Slots[e.From].EndSec,
+			float64(e.Cycles)/min(s.freqHz[from], s.freqHz[to]))
+	}
+	if crossed == 0 {
+		t.Fatal("no cross-core transfer in the schedule")
 	}
 }

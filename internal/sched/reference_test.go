@@ -122,7 +122,6 @@ func (s *tokenScheduler) schedule(m Mapping) (*Schedule, error) {
 	sc := &s.out
 	copy(sc.Mapping, m)
 	sc.makespan = 0
-	sc.commDelaySec = 0
 	for i := range s.linkBusy {
 		s.linkBusy[i] = 0
 	}
@@ -210,16 +209,13 @@ func (s *tokenScheduler) schedule(m Mapping) (*Schedule, error) {
 						continue
 					}
 					if s.icn != nil {
-						arrive := s.transferArrival(core, m[edge.To], edge.Cycles, now)
-						sc.commDelaySec += arrive - now
-						push(arrive, false, edge.To)
+						push(s.transferArrival(core, m[edge.To], edge.Cycles, now), false, edge.To)
 						continue
 					}
 					fSlow := s.freq[core]
 					if fd := s.freq[m[edge.To]]; fd < fSlow {
 						fSlow = fd
 					}
-					sc.commDelaySec += float64(edge.Cycles) / fSlow
 					push(now+float64(edge.Cycles)/fSlow, false, edge.To)
 				}
 			} else {

@@ -146,13 +146,12 @@ type Schedule struct {
 	Mapping Mapping
 	Scaling []int
 
-	Slots        []Slot  // indexed by TaskID
-	busyCycles   []int64 // eq. (7) T_i per core, in that core's cycles
-	busySec      []float64
-	makespan     float64
-	freqHz       []float64
-	commDelaySec float64            // summed realized transfer latency
-	icn          *arch.Interconnect // fabric the timing was produced under
+	Slots      []Slot  // indexed by TaskID
+	busyCycles []int64 // eq. (7) T_i per core, in that core's cycles
+	busySec    []float64
+	makespan   float64
+	freqHz     []float64
+	icn        *arch.Interconnect // fabric the timing was produced under
 }
 
 // ListSchedule schedules g under mapping on the platform with the per-core

@@ -330,7 +330,7 @@ func (s *Scheduler) mappedTails(m Mapping) {
 // run is the one simulation loop behind Schedule and MakespanWithin. It
 // stops once the makespan provably exceeds cutoff (reporting exceeded, with
 // s.out.makespan set to the lower bound that proved it) and, with full set,
-// also sums the realized comm delay and bills eq. (7) busy cycles.
+// also bills eq. (7) busy cycles.
 func (s *Scheduler) run(m Mapping, cutoff float64, full bool) (exceeded bool, err error) {
 	if err := m.Validate(s.g, s.p.Cores()); err != nil {
 		return false, err
@@ -344,7 +344,6 @@ func (s *Scheduler) run(m Mapping, cutoff float64, full bool) (exceeded bool, er
 	sc := &s.out
 	copy(sc.Mapping, m)
 	sc.makespan = 0
-	sc.commDelaySec = 0
 	clear(s.linkBusy)
 	for c := 0; c < cores; c++ {
 		sc.busyCycles[c] = 0
@@ -456,9 +455,6 @@ func (s *Scheduler) run(m Mapping, cutoff float64, full bool) (exceeded bool, er
 						// route's links and deliver at the (possibly
 						// contended) arrival time.
 						in.at = arch.Reserve(s.routes, s.linkBusy, core, dst, now, s.icn.HopLatencySec, s.succSer[k])
-						if full {
-							sc.commDelaySec += in.at - now
-						}
 						// to cannot start before this input arrives, and
 						// contention may have delayed it past the
 						// uncontended cost mappedTails assumed.
@@ -473,11 +469,7 @@ func (s *Scheduler) run(m Mapping, cutoff float64, full bool) (exceeded bool, er
 						if fd := s.freq[dst]; fd < fSlow {
 							fSlow = fd
 						}
-						delay := float64(s.succCycles[k]) / fSlow
-						if full {
-							sc.commDelaySec += delay
-						}
-						in.at = now + delay
+						in.at = now + float64(s.succCycles[k])/fSlow
 					}
 					in.seq = seq
 					seq++

@@ -28,7 +28,7 @@ func exploreStats(t *testing.T) *mapping.ExploreStats {
 		Parallelism: 4,
 		Telemetry:   tel,
 	}
-	if _, _, err := mapping.Explore(g, p, mapping.SEAMapper(cfg), cfg); err != nil {
+	if _, err := mapping.Explore(g, p, mapping.SEAMapper(cfg), cfg); err != nil {
 		t.Fatal(err)
 	}
 	return tel.Stats()
