@@ -42,9 +42,11 @@
 // bounded worker pool sized by OptimizeOptions.Parallelism (0 selects
 // GOMAXPROCS, 1 runs sequentially). Each worker reuses one evaluator —
 // schedule buffers, register-pressure bitsets, per-core metric rows — across
-// the thousands of candidate mappings it scores, and every combination
-// derives its own seed from (Seed, combination index), so the chosen design
-// is byte-identical at any parallelism:
+// the thousands of candidate mappings it scores. The mapper scores a
+// candidate on T_M, R, Γ and the deadline verdict alone, and evaluates only
+// the design it returns in full (per-core rows, utilization, eq. (5)
+// power). Every combination derives its own seed from (Seed, combination
+// index), so the chosen design is byte-identical at any parallelism:
 //
 //	design, err := sys.Optimize(seadopt.OptimizeOptions{
 //		DeadlineSec: seadopt.MPEG2Deadline,

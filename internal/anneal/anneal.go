@@ -106,22 +106,22 @@ func (c Config) Validate() error {
 }
 
 // cost extracts the objective value with deadline penalty.
-func cost(obj Objective, deadline float64, ev *metrics.Evaluation) float64 {
+func cost(obj Objective, deadline float64, sc metrics.Score) float64 {
 	var v float64
 	switch obj {
 	case ObjectiveRegisterUsage:
-		v = float64(ev.TotalRegBits)
+		v = float64(sc.TotalRegBits)
 	case ObjectiveMakespan:
-		v = ev.TMSeconds
+		v = sc.TMSeconds
 	case ObjectiveRegTimeProduct:
-		v = float64(ev.TotalRegBits) * ev.TMSeconds
+		v = float64(sc.TotalRegBits) * sc.TMSeconds
 	case ObjectiveGamma:
-		v = ev.Gamma
+		v = sc.Gamma
 	}
-	if deadline > 0 && ev.TMSeconds > deadline {
+	if deadline > 0 && sc.TMSeconds > deadline {
 		// Penalize in proportion to the violation so downhill moves toward
 		// feasibility are visible to the annealer.
-		v *= 1 + 10*(ev.TMSeconds-deadline)/deadline
+		v *= 1 + 10*(sc.TMSeconds-deadline)/deadline
 	}
 	return v
 }
@@ -169,11 +169,8 @@ func AnnealEval(ctx context.Context, e *metrics.Evaluator, cfg Config, seed int6
 		InitialTempFrac: cfg.InitialTempFrac,
 		FinalTempFrac:   cfg.FinalTempFrac,
 		Evaluator:       e,
-		Objective: func(ev *metrics.Evaluation) search.Cost {
-			return search.Cost{
-				Value:    cost(cfg.Objective, cfg.DeadlineSec, ev),
-				Feasible: ev.MeetsDeadline,
-			}
+		Objective: func(sc metrics.Score) float64 {
+			return cost(cfg.Objective, cfg.DeadlineSec, sc)
 		},
 	})
 	if err != nil {

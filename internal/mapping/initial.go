@@ -154,6 +154,16 @@ func (c Config) Validate() error {
 // not chosen spill into the queue for later cores; any tasks left when the
 // loop ends are assigned to the last core.
 func InitialSEAMapping(g *taskgraph.Graph, p *arch.Platform, scaling []int, cfg Config) (sched.Mapping, error) {
+	prof := registers.NewProfile(g.Inventory(), g.N(), func(t int) registers.Set {
+		return g.Task(taskgraph.TaskID(t)).Registers
+	})
+	return initialSEAMapping(g, p, scaling, cfg, prof)
+}
+
+// initialSEAMapping is InitialSEAMapping over g's compiled register
+// footprints, so a core's register set is one bitmask and a candidate's
+// union width one pass over it.
+func initialSEAMapping(g *taskgraph.Graph, p *arch.Platform, scaling []int, cfg Config, prof *registers.Profile) (sched.Mapping, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -209,15 +219,24 @@ func InitialSEAMapping(g *taskgraph.Graph, p *arch.Platform, scaling []int, cfg 
 
 	deadline := cfg.DeadlineSec
 
+	// L: unmapped dependents of the current task, scored by the SEUs they
+	// would add if mapped here (line 5).
+	type cand struct {
+		id    taskgraph.TaskID
+		score float64
+		sec   float64
+	}
+	var l []cand
+	coreSet := make([]uint64, prof.Words())
 	for core := 0; core < cores-1; core++ {
 		t, ok := popQueue()
 		if !ok {
 			break
 		}
 		assign(t, core)
-		coreSet := g.Task(t).Registers.Clone()
+		clear(coreSet)
+		prof.Or(coreSet, int(t))
 		coreSec := float64(g.Task(t).Cycles) / freq[core]
-		inv := g.Inventory()
 
 		for {
 			// Stop when the core is full (busy time at the deadline) or
@@ -229,19 +248,12 @@ func InitialSEAMapping(g *taskgraph.Graph, p *arch.Platform, scaling []int, cfg 
 			if unmapped <= cores-1-core {
 				break
 			}
-			// L: unmapped dependents of the current task, scored by the
-			// SEUs they would add if mapped here (line 5).
-			type cand struct {
-				id    taskgraph.TaskID
-				score float64
-				sec   float64
-			}
-			var l []cand
+			l = l[:0]
 			for _, e := range g.Succs(t) {
 				if m[e.To] >= 0 {
 					continue
 				}
-				newBits := inv.SetBits(registers.Union(coreSet, g.Task(e.To).Registers))
+				newBits := prof.UnionBits(coreSet, int(e.To))
 				newSec := coreSec + float64(g.Task(e.To).Cycles)/freq[core]
 				l = append(l, cand{
 					id:    e.To,
@@ -277,7 +289,7 @@ func InitialSEAMapping(g *taskgraph.Graph, p *arch.Platform, scaling []int, cfg 
 					break
 				}
 				assign(next, core)
-				coreSet.UnionWith(g.Task(next).Registers)
+				prof.Or(coreSet, int(next))
 				coreSec = nextSec
 				t = next
 				continue
@@ -294,7 +306,7 @@ func InitialSEAMapping(g *taskgraph.Graph, p *arch.Platform, scaling []int, cfg 
 			}
 			// Lines 9-10: map the min-SEU dependent, spill the rest.
 			assign(best.id, core)
-			coreSet.UnionWith(g.Task(best.id).Registers)
+			prof.Or(coreSet, int(best.id))
 			coreSec = best.sec
 			for _, c := range l[1:] {
 				pushQueue(c.id)

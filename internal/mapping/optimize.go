@@ -95,7 +95,7 @@ func MapOnce(ctx context.Context, g *taskgraph.Graph, p *arch.Platform,
 // (InitialSEAMapping followed by OptimizedMapping) as a MapperFunc.
 func SEAMapper(cfg Config) MapperFunc {
 	return func(mc *MapContext) (sched.Mapping, *metrics.Evaluation, error) {
-		init, err := InitialSEAMapping(mc.Graph, mc.Platform, mc.Scaling, cfg)
+		init, err := initialSEAMapping(mc.Graph, mc.Platform, mc.Scaling, cfg, mc.Eval.Profile())
 		if err != nil {
 			return nil, nil, err
 		}
@@ -155,14 +155,14 @@ func optimizedMapping(mc *MapContext, initial sched.Mapping, cfg Config) (*metri
 		Moves:       annealMoves,
 		Seed:        mc.Seed ^ 0x5EAD0,
 		Evaluator:   mc.Eval,
-		Objective: func(ev *metrics.Evaluation) search.Cost {
-			v := ev.Gamma
-			if cfg.DeadlineSec > 0 && !ev.MeetsDeadline {
+		Objective: func(sc metrics.Score) float64 {
+			v := sc.Gamma
+			if cfg.DeadlineSec > 0 && !sc.MeetsDeadline {
 				// Proportional penalty keeps the gradient toward
 				// feasibility visible (Fig. 7 steps B-C).
-				v *= 1 + 10*(ev.TMSeconds-cfg.DeadlineSec)/cfg.DeadlineSec
+				v *= 1 + 10*(sc.TMSeconds-cfg.DeadlineSec)/cfg.DeadlineSec
 			}
-			return search.Cost{Value: v, Feasible: ev.MeetsDeadline}
+			return v
 		},
 	})
 	if err != nil {
@@ -177,10 +177,11 @@ func optimizedMapping(mc *MapContext, initial sched.Mapping, cfg Config) (*metri
 
 // polishGamma runs first-improvement descent over single-task relocations
 // (every-core-used invariant preserved), bounded by an evaluation budget.
-// The returned evaluation is owned by the caller.
+// Candidates are scored, and only the returned design is evaluated in
+// full. The returned evaluation is owned by the caller.
 func polishGamma(mc *MapContext, m sched.Mapping, cfg Config, budget int) (*metrics.Evaluation, error) {
 	e := mc.Eval
-	best, err := e.Evaluate(m)
+	best, err := e.Score(m)
 	if err != nil {
 		return nil, err
 	}
@@ -219,17 +220,17 @@ func polishGamma(mc *MapContext, m sched.Mapping, cfg Config, budget int) (*metr
 					continue
 				}
 				cur[t] = c
-				ev, err := e.Evaluate(cur)
+				sc, err := e.Score(cur)
 				if err != nil {
 					return nil, err
 				}
 				budget--
-				better := ev.MeetsDeadline && (!bestFeasible || ev.Gamma < bestGamma)
-				if !better && !bestFeasible && ev.TMSeconds < bestTM {
+				better := sc.MeetsDeadline && (!bestFeasible || sc.Gamma < bestGamma)
+				if !better && !bestFeasible && sc.TMSeconds < bestTM {
 					better = true // still hunting feasibility
 				}
 				if better {
-					bestGamma, bestTM, bestFeasible = ev.Gamma, ev.TMSeconds, ev.MeetsDeadline
+					bestGamma, bestTM, bestFeasible = sc.Gamma, sc.TMSeconds, sc.MeetsDeadline
 					copy(bestM, cur)
 					loads[home]--
 					loads[c]++

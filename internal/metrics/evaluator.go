@@ -3,27 +3,33 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"math/bits"
 
 	"seadopt/internal/arch"
 	"seadopt/internal/faults"
+	"seadopt/internal/registers"
 	"seadopt/internal/sched"
 	"seadopt/internal/taskgraph"
 )
 
 // Evaluator is the reusable form of Evaluate: it pins a (graph, platform)
 // pair — and, after Bind, a scaling vector — and amortizes every
-// per-evaluation allocation across calls. The mapper searches evaluate
+// per-evaluation allocation across calls. The mapper searches score
 // thousands of candidate mappings per scaling combination; with an
 // Evaluator each of those calls reuses
 //
 //   - the list scheduler's agenda, ready pools and output arrays
 //     (sched.Scheduler),
 //   - a bitset register-pressure profile: task footprints are compiled once
-//     into word-packed bitmasks over the inventory, so the per-core R_i of
-//     eq. (8) is a handful of ORs and popcounts instead of map unions,
+//     into word-packed bitmasks over the inventory (registers.Profile), so
+//     the per-core R_i of eq. (8) is a handful of ORs and popcounts instead
+//     of map unions,
 //   - the per-core metric rows and utilization scratch of the Evaluation
 //     itself.
+//
+// Evaluation comes in two stages. Score is what a mapper's objective
+// reads for every candidate: T_M, R, Γ and the deadline verdict. Evaluate
+// adds the report of the design a mapper returns: the full schedule with
+// its eq. (7) billing, the per-core rows and the eq. (5) power.
 //
 // The *Evaluation returned by Evaluate is BORROWED: it is valid only until
 // the next Evaluate or Bind call on this Evaluator. Callers that keep an
@@ -40,9 +46,7 @@ type Evaluator struct {
 	sch *sched.Scheduler
 
 	// Graph-constant register pressure profile.
-	words    int        // words per bitmask
-	taskMask [][]uint64 // per-task footprint over inventory indices
-	regBits  []int64    // width of inventory register i, by index
+	prof *registers.Profile
 
 	// Per-core scratch.
 	coreMask    [][]uint64
@@ -72,8 +76,9 @@ type Evaluator struct {
 // plain fields because an Evaluator is single-goroutine by contract;
 // aggregate across workers with Merge.
 type EvalStats struct {
-	// Evaluations counts full metric evaluations (Evaluate and
-	// EvaluateDelta's re-schedule path).
+	// Evaluations counts candidate evaluations: one per Score or Evaluate
+	// call and per EvaluateDelta re-schedule. A mapper scores each
+	// candidate once and evaluates the design it returns once more.
 	Evaluations int64 `json:"evaluations"`
 	// Makespans counts makespan-only evaluations (the probe fast path).
 	Makespans int64 `json:"makespans"`
@@ -131,27 +136,10 @@ func NewEvaluator(g *taskgraph.Graph, p *arch.Platform, ser faults.SERModel, opt
 	}
 	n := g.N()
 	cores := p.Cores()
-	inv := g.Inventory()
-	ids := inv.IDs()
-	index := make(map[string]int, len(ids))
-	regBits := make([]int64, len(ids))
-	for i, id := range ids {
-		index[id] = i
-		regBits[i] = inv.Bits(id)
-	}
-	words := (len(ids) + 63) / 64
-	if words == 0 {
-		words = 1
-	}
-	taskMask := make([][]uint64, n)
-	maskBacking := make([]uint64, n*words)
-	for t := 0; t < n; t++ {
-		taskMask[t] = maskBacking[t*words : (t+1)*words : (t+1)*words]
-		for id := range g.Task(taskgraph.TaskID(t)).Registers {
-			i := index[id]
-			taskMask[t][i/64] |= 1 << (i % 64)
-		}
-	}
+	prof := registers.NewProfile(g.Inventory(), n, func(t int) registers.Set {
+		return g.Task(taskgraph.TaskID(t)).Registers
+	})
+	words := prof.Words()
 	coreMask := make([][]uint64, cores)
 	coreBacking := make([]uint64, cores*words)
 	for c := 0; c < cores; c++ {
@@ -163,9 +151,7 @@ func NewEvaluator(g *taskgraph.Graph, p *arch.Platform, ser faults.SERModel, opt
 		ser:          ser,
 		opt:          opt,
 		sch:          sched.NewScheduler(g, p),
-		words:        words,
-		taskMask:     taskMask,
-		regBits:      regBits,
+		prof:         prof,
 		coreMask:     coreMask,
 		coreLoads:    make([]int, cores),
 		coreRegBits:  make([]int64, cores),
@@ -186,6 +172,10 @@ func (e *Evaluator) Graph() *taskgraph.Graph { return e.g }
 
 // Platform returns the pinned platform.
 func (e *Evaluator) Platform() *arch.Platform { return e.p }
+
+// Profile returns the graph's compiled register footprints. It is
+// read-only and may be shared.
+func (e *Evaluator) Profile() *registers.Profile { return e.prof }
 
 // Bind pins the scaling vector for subsequent Evaluate calls, precomputing
 // the per-core λ rates. It invalidates any borrowed Evaluation.
@@ -337,7 +327,7 @@ func (e *Evaluator) Makespan(m sched.Mapping) (tmSeconds float64, meetsDeadline 
 	if err != nil {
 		return 0, false, err
 	}
-	return tm, e.opt.DeadlineSec <= 0 || tm <= e.opt.DeadlineSec, nil
+	return tm, e.meets(tm), nil
 }
 
 // MakespanWithin is Makespan for callers that only need to compare T_M
@@ -359,20 +349,101 @@ func (e *Evaluator) MakespanWithin(m sched.Mapping, cutoff float64) (tmSeconds f
 	}
 	e.stats.Makespans++
 	e.haveEval = false
-	if e.opt.Iterations <= 1 {
-		tmSeconds, exceeded, err = e.sch.MakespanWithin(m, cutoff)
-	} else {
-		var s *sched.Schedule
-		if s, err = e.sch.Schedule(m); err == nil {
-			tmSeconds = s.PipelinedMakespanSeconds(e.opt.Iterations)
-			exceeded = tmSeconds > cutoff
-		}
-	}
-	if err != nil {
+	if tmSeconds, exceeded, err = e.makespan(m, cutoff); err != nil {
 		return 0, false, err
 	}
 	e.stats.MakespanDispatches += int64(e.sch.Dispatched())
 	return tmSeconds, exceeded, nil
+}
+
+// makespan schedules m and returns its T_M and whether it exceeds cutoff,
+// as MakespanWithin describes.
+func (e *Evaluator) makespan(m sched.Mapping, cutoff float64) (tm float64, exceeded bool, err error) {
+	if e.opt.Iterations <= 1 {
+		return e.sch.MakespanWithin(m, cutoff)
+	}
+	s, err := e.sch.Schedule(m)
+	if err != nil {
+		return 0, false, err
+	}
+	tm = s.PipelinedMakespanSeconds(e.opt.Iterations)
+	return tm, tm > cutoff, nil
+}
+
+// Score is the part of an evaluation that a mapper's objective reads: T_M,
+// R, Γ and the deadline verdict, each bit-identical to the same field of
+// Evaluate's Evaluation of the same mapping.
+type Score struct {
+	TMSeconds     float64 // deadline-relevant T_M (pipelined if Iterations>1)
+	TotalRegBits  int64   // R = Σ_i R_i, eq. (8)
+	Gamma         float64 // eq. (3), expected SEUs experienced
+	MeetsDeadline bool
+}
+
+// Score schedules m at the bound scaling and returns its T_M, R, Γ and
+// deadline verdict without the report Evaluate adds (per-core rows,
+// utilization, power). With Iterations ≤ 1 the schedule skips the eq. (7)
+// billing, as Makespan does; with Iterations > 1 the pipelined T_M needs
+// the billed busy time, so the full schedule runs.
+//
+// Every call counts in EvalStats.Evaluations. Like Makespan, it reuses the
+// scheduler's borrowed buffers: a subsequent EvaluateDelta is an error
+// until the next full Evaluate.
+func (e *Evaluator) Score(m sched.Mapping) (Score, error) {
+	if !e.bound {
+		return Score{}, fmt.Errorf("metrics: Score called before Bind")
+	}
+	e.stats.Evaluations++
+	e.haveEval = false
+	tm, _, err := e.makespan(m, math.Inf(1))
+	if err != nil {
+		return Score{}, err
+	}
+	sc := Score{TMSeconds: tm, MeetsDeadline: e.meets(tm)}
+	e.profile(m)
+	for c := range e.coreLoads {
+		rb, _, _, g := e.coreGamma(c, tm)
+		sc.TotalRegBits += rb
+		sc.Gamma += g
+	}
+	return sc, nil
+}
+
+// profile sets the per-core task loads of m and their register pressure:
+// OR the footprint bitmasks of the tasks on each core, then sum the widths
+// of the set bits (eq. 8).
+func (e *Evaluator) profile(m sched.Mapping) {
+	for c, row := range e.coreMask {
+		e.coreLoads[c] = 0
+		clear(row)
+	}
+	for t, c := range m {
+		e.coreLoads[c]++
+		e.prof.Or(e.coreMask[c], t)
+	}
+	for c, row := range e.coreMask {
+		var rb int64
+		if e.coreLoads[c] > 0 {
+			rb = e.prof.Bits(row)
+		}
+		e.coreRegBits[c] = rb
+	}
+}
+
+// coreGamma returns core c's eq. (3) term over a run of T_M tm, with its
+// inputs: allocated register state persists for the whole run, so a loaded
+// core exposes its registers and baseline storage for tm and an idle core
+// nothing. Score and Evaluate both sum it in core order.
+func (e *Evaluator) coreGamma(c int, tm float64) (regBits, baselineBits int64, exposureSec, gamma float64) {
+	if e.coreLoads[c] > 0 {
+		regBits, baselineBits, exposureSec = e.coreRegBits[c], e.baselineBits, tm
+	}
+	return regBits, baselineBits, exposureSec, float64(regBits+baselineBits) * exposureSec * e.lambdaSec[c]
+}
+
+// meets is the deadline verdict of a T_M.
+func (e *Evaluator) meets(tm float64) bool {
+	return e.opt.DeadlineSec <= 0 || tm <= e.opt.DeadlineSec
 }
 
 // evaluate is the shared implementation of Evaluate and EvaluateDelta's
@@ -389,7 +460,6 @@ func (e *Evaluator) evaluate(m sched.Mapping, reuseProfile bool) (*Evaluation, e
 	if err != nil {
 		return nil, err
 	}
-	cores := e.p.Cores()
 
 	ev := &e.ev
 	ev.Schedule = s
@@ -402,43 +472,14 @@ func (e *Evaluator) evaluate(m sched.Mapping, reuseProfile bool) (*Evaluation, e
 	ev.PowerW = 0
 
 	if !reuseProfile {
-		// Per-core register pressure: OR the footprint bitmasks of the
-		// tasks on each core, then sum the widths of the set bits (eq. 8).
 		// The profile depends only on the mapping, so EvaluateDelta's
 		// re-schedule path keeps it.
-		for c := 0; c < cores; c++ {
-			e.coreLoads[c] = 0
-			row := e.coreMask[c]
-			for w := range row {
-				row[w] = 0
-			}
-		}
-		for t, c := range m {
-			e.coreLoads[c]++
-			row := e.coreMask[c]
-			for w, word := range e.taskMask[t] {
-				row[w] |= word
-			}
-		}
-		for c := 0; c < cores; c++ {
-			var rb int64
-			if e.coreLoads[c] > 0 {
-				for w, word := range e.coreMask[c] {
-					base := w * 64
-					for word != 0 {
-						i := bits.TrailingZeros64(word)
-						rb += e.regBits[base+i]
-						word &= word - 1
-					}
-				}
-			}
-			e.coreRegBits[c] = rb
-		}
+		e.profile(m)
 		e.lastM = append(e.lastM[:0], m...)
 	}
 
 	horizon := ev.TMSeconds
-	for c := 0; c < cores; c++ {
+	for c := range ev.PerCore {
 		cm := &ev.PerCore[c]
 		*cm = CoreMetrics{
 			Core:         c,
@@ -455,12 +496,7 @@ func (e *Evaluator) evaluate(m sched.Mapping, reuseProfile bool) (*Evaluation, e
 			}
 		}
 		e.util[c] = cm.Utilization
-		if e.coreLoads[c] > 0 {
-			cm.RegBits = e.coreRegBits[c]
-			cm.BaselineBits = e.baselineBits
-			cm.ExposureSec = ev.TMSeconds
-		}
-		cm.Gamma = float64(cm.RegBits+cm.BaselineBits) * cm.ExposureSec * cm.LambdaPerSec
+		cm.RegBits, cm.BaselineBits, cm.ExposureSec, cm.Gamma = e.coreGamma(c, ev.TMSeconds)
 		ev.TotalRegBits += cm.RegBits
 		ev.Gamma += cm.Gamma
 	}
@@ -470,7 +506,7 @@ func (e *Evaluator) evaluate(m sched.Mapping, reuseProfile bool) (*Evaluation, e
 		return nil, err
 	}
 	ev.PowerW = pw
-	ev.MeetsDeadline = e.opt.DeadlineSec <= 0 || ev.TMSeconds <= e.opt.DeadlineSec
+	ev.MeetsDeadline = e.meets(ev.TMSeconds)
 	e.haveEval = true
 	return ev, nil
 }

@@ -83,3 +83,22 @@ func (l *Liveness) LiveBitsAt(inv *Inventory, core int, t int64) int64 {
 
 // Add inserts id into the set.
 func (s Set) Add(id string) { s[id] = struct{}{} }
+
+// Clone returns an independent copy of the set.
+func (s Set) Clone() Set {
+	out := make(Set, len(s))
+	for id := range s {
+		out[id] = struct{}{}
+	}
+	return out
+}
+
+// Union returns a new set holding the union of the operands: the map-set
+// oracle of Profile's bitmask unions.
+func Union(sets ...Set) Set {
+	out := make(Set)
+	for _, s := range sets {
+		out.UnionWith(s)
+	}
+	return out
+}

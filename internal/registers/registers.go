@@ -9,17 +9,19 @@
 // shared by tasks mapped to different cores is *duplicated* on every such
 // core, which is the mechanism behind the paper's R-versus-T_M trade-off.
 //
-// The package provides three building blocks:
+// The package provides four building blocks:
 //
 //   - Inventory: the catalogue of register resources and their widths.
-//   - Set: a set of register IDs, with the union/intersection operations the
-//     mapping algorithms need.
+//   - Set: a set of register IDs (a task's footprint).
+//   - Profile: task footprints compiled to bitmasks over an inventory, the
+//     form the mapper and the evaluator union and measure eq. (8) in.
 //   - Liveness: cycle-resolved live intervals per (core, register), produced
 //     by the cycle-level simulator and consumed by the fault injector.
 package registers
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 )
 
@@ -144,29 +146,11 @@ func (s Set) Has(id string) bool {
 // Len returns the number of IDs in the set.
 func (s Set) Len() int { return len(s) }
 
-// Clone returns an independent copy of the set.
-func (s Set) Clone() Set {
-	out := make(Set, len(s))
-	for id := range s {
-		out[id] = struct{}{}
-	}
-	return out
-}
-
 // UnionWith adds every member of other to s, in place.
 func (s Set) UnionWith(other Set) {
 	for id := range other {
 		s[id] = struct{}{}
 	}
-}
-
-// Union returns a new set holding the union of the operands.
-func Union(sets ...Set) Set {
-	out := make(Set)
-	for _, s := range sets {
-		out.UnionWith(s)
-	}
-	return out
 }
 
 // Intersect returns a new set holding the intersection of a and b.
@@ -201,4 +185,76 @@ func (s Set) Equal(other Set) bool {
 		}
 	}
 	return true
+}
+
+// Profile is a table of register footprints compiled to word-packed
+// bitmasks over an inventory: bit i of a mask stands for the i-th register
+// in insertion order. A union of footprints is then a few ORs and its width
+// in bits (eq. (8)'s |·|) a walk over the set bits, with no map and no
+// allocation. A Profile is read-only after NewProfile, so goroutines may
+// share one; the masks they OR into are their own.
+type Profile struct {
+	words int      // words per mask
+	masks []uint64 // footprint t at masks[t*words : (t+1)*words]
+	bits  []int64  // width of the i-th register
+}
+
+// NewProfile compiles footprints 0..n-1, each a subset of inv, into a
+// Profile.
+func NewProfile(inv *Inventory, n int, footprint func(i int) Set) *Profile {
+	index := make(map[string]int, len(inv.order))
+	widths := make([]int64, len(inv.order))
+	for i, id := range inv.order {
+		index[id] = i
+		widths[i] = inv.regs[id].Bits
+	}
+	words := max((len(widths)+63)/64, 1)
+	masks := make([]uint64, n*words)
+	for t := 0; t < n; t++ {
+		row := masks[t*words : (t+1)*words]
+		for id := range footprint(t) {
+			i := index[id]
+			row[i/64] |= 1 << (i % 64)
+		}
+	}
+	return &Profile{words: words, masks: masks, bits: widths}
+}
+
+// Words returns the length of a mask.
+func (p *Profile) Words() int { return p.words }
+
+// Or adds footprint t to mask.
+func (p *Profile) Or(mask []uint64, t int) {
+	for w, word := range p.masks[t*p.words : (t+1)*p.words] {
+		mask[w] |= word
+	}
+}
+
+// Bits returns the summed width of the registers in mask.
+func (p *Profile) Bits(mask []uint64) int64 {
+	var total int64
+	for w, word := range mask {
+		total += p.wordBits(w, word)
+	}
+	return total
+}
+
+// UnionBits returns the summed width of the registers in mask ∪ footprint
+// t, leaving mask as it is.
+func (p *Profile) UnionBits(mask []uint64, t int) int64 {
+	var total int64
+	for w, word := range p.masks[t*p.words : (t+1)*p.words] {
+		total += p.wordBits(w, word|mask[w])
+	}
+	return total
+}
+
+// wordBits sums the widths of the registers set in word w of a mask.
+func (p *Profile) wordBits(w int, word uint64) int64 {
+	var total int64
+	for word != 0 {
+		total += p.bits[w*64+bits.TrailingZeros64(word)]
+		word &= word - 1
+	}
+	return total
 }

@@ -1,6 +1,7 @@
 package registers
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -300,5 +301,51 @@ func TestLivenessProfile(t *testing.T) {
 	}
 	if l.Profile(inv, 0, 0, 2) != nil || l.Profile(inv, 0, 100, 0) != nil {
 		t.Error("degenerate profiles should be nil")
+	}
+}
+
+// TestProfileMatchesSets holds Profile's bitmask unions to the map sets:
+// for random footprints over inventories on both sides of a word boundary,
+// the width of an OR of masks must equal the width of the union of the
+// sets, and UnionBits must measure one more footprint without changing
+// the mask.
+func TestProfileMatchesSets(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for _, size := range []int{1, 63, 64, 65, 130, 300} {
+		inv := NewInventory()
+		ids := make([]string, size)
+		for i := range ids {
+			ids[i] = fmt.Sprintf("r%d", i)
+			inv.MustAdd(ids[i], 1+rng.Int63n(4096))
+		}
+		sets := make([]Set, 12)
+		for i := range sets {
+			sets[i] = NewSet()
+			for k := rng.Intn(size/2 + 2); k > 0; k-- {
+				sets[i].Add(ids[rng.Intn(size)])
+			}
+		}
+		prof := NewProfile(inv, len(sets), func(i int) Set { return sets[i] })
+		for trial := 0; trial < 50; trial++ {
+			mask := make([]uint64, prof.Words())
+			union := NewSet()
+			for _, i := range rng.Perm(len(sets))[:rng.Intn(len(sets))] {
+				prof.Or(mask, i)
+				union = Union(union, sets[i])
+			}
+			if got, want := prof.Bits(mask), inv.SetBits(union); got != want {
+				t.Fatalf("size %d: Bits = %d, SetBits of the union = %d", size, got, want)
+			}
+			before := append([]uint64(nil), mask...)
+			next := rng.Intn(len(sets))
+			if got, want := prof.UnionBits(mask, next), inv.SetBits(Union(union, sets[next])); got != want {
+				t.Fatalf("size %d: UnionBits = %d, want %d", size, got, want)
+			}
+			for w := range mask {
+				if mask[w] != before[w] {
+					t.Fatalf("size %d: UnionBits changed the mask", size)
+				}
+			}
+		}
 	}
 }

@@ -49,13 +49,12 @@ type Problem struct {
 	// starts from the r-th entry of {Initial, AltInitials...} (wrapping).
 	AltInitials []sched.Mapping
 	// Evaluator and Objective form the engine path shared by the proposed
-	// mapper and the Exp:1-3 baselines: candidates are scheduled and
-	// assessed on the reusable Evaluator (no per-move allocation) and the
-	// Objective maps the borrowed evaluation to a search cost. The
-	// evaluation passed to Objective is only valid for the duration of the
-	// call.
+	// mapper and the Exp:1-3 baselines: each candidate is scored on the
+	// reusable Evaluator (T_M, R, Γ and the deadline verdict, no per-move
+	// allocation), Objective maps the score to the value to minimize, and
+	// the verdict sets Cost.Feasible.
 	Evaluator *metrics.Evaluator
-	Objective func(ev *metrics.Evaluation) Cost
+	Objective func(sc metrics.Score) float64
 	// Evaluate scores a candidate mapping directly; it is used when
 	// Evaluator is nil (custom or toy objectives). It is called once per
 	// move plus once for the initial mapping.
@@ -105,11 +104,11 @@ func Anneal(p Problem) (*Result, error) {
 		}
 		ev, obj := p.Evaluator, p.Objective
 		p.Evaluate = func(m sched.Mapping) (Cost, error) {
-			e, err := ev.Evaluate(m)
+			sc, err := ev.Score(m)
 			if err != nil {
 				return Cost{}, err
 			}
-			return obj(e), nil
+			return Cost{Value: obj(sc), Feasible: sc.MeetsDeadline}, nil
 		}
 	}
 	if len(p.Initial) == 0 {

@@ -169,9 +169,15 @@ func TestEndToEndConcurrentClients(t *testing.T) {
 	}
 
 	var result []byte
-	var key string
+	var key, streamed string
 	for _, id := range ids {
 		st := waitJobHTTP(t, ts.URL, id, StateDone)
+		// A submission that lands after the one engine execution finished
+		// is a cache hit, which has no exploration to replay; stream a job
+		// that ran the engine or coalesced onto it.
+		if streamed == "" && !st.CacheHit {
+			streamed = id
+		}
 		if key == "" {
 			key = st.Key
 		} else if st.Key != key {
@@ -193,7 +199,10 @@ func TestEndToEndConcurrentClients(t *testing.T) {
 
 	// SSE: the progress stream replays every scaling combination in
 	// enumeration order, then a terminal done event.
-	events, done := readSSE(t, ts.URL, ids[0])
+	if streamed == "" {
+		t.Fatal("every submission was a cache hit, yet the engine executed once")
+	}
+	events, done := readSSE(t, ts.URL, streamed)
 	if len(events) == 0 {
 		t.Fatal("no SSE progress events")
 	}

@@ -266,8 +266,8 @@ func TestMPEG2MatchesPaper(t *testing.T) {
 	}
 	// Duplication across the {t5,t6} | {t7,t8} cut: registers used on both
 	// sides get a copy on each core. Must be ≈14.4 kbit (6.4 + 8).
-	left := registers.Union(t5, t6)
-	right := registers.Union(t7, t8)
+	left := g.UnionRegisters([]TaskID{4, 5})
+	right := g.UnionRegisters([]TaskID{6, 7})
 	if got := inv.SharedBits(left, right); got != 6554+8*Kb {
 		t.Errorf("cut duplication = %d bits, want %d (≈14.4 kbit)", got, 6554+8*Kb)
 	}
