@@ -436,8 +436,11 @@ func (s *System) OptimizeParetoContext(ctx context.Context, opts OptimizeOptions
 // into contiguous rank ranges explored by peer workers (in-process or HTTP
 // peers). Every shard takes one self-contained request, a scalar one
 // carrying the coordinator's standing dominance threshold, and shares
-// nothing while it runs. The merged Design/frontier and Progress stream are
-// byte-identical to the single-node Optimize/OptimizePareto run.
+// nothing while it runs. The coordinator merges the shards' records in one
+// more streaming pass that takes them as hints (internal/mapping/shard.go
+// states what a record is trusted with); with honest shards the merged
+// Design/frontier and Progress stream are byte-identical to the single-node
+// Optimize/OptimizePareto run.
 type (
 	// ShardRange is one contiguous [Lo,Hi) slice of the enumeration.
 	ShardRange = mapping.ShardRange

@@ -572,12 +572,13 @@ func benchSystem(b *testing.B, sys *System, opts OptimizeOptions) {
 
 // BenchmarkDist16Core is the BENCH_dist.json measurement: the 16-core §V
 // workload explored single-node versus fanned out over two contiguous
-// shards (both embedded in this process, run concurrently, merged through
-// the byte-identical replay). Per-shard parallelism is pinned to 1 so the
-// SingleNode/TwoShard ratio isolates the sharding machinery itself: on a
-// multi-core host the two shards overlap and the ratio approaches 2, and
-// on any host it must not fall materially below 1 — the records, the
-// shard requests and the authoritative replay are required to stay
+// shards (both embedded in this process, run concurrently, merged by the
+// coordinator's streaming pass over their records). Per-shard parallelism
+// is pinned to 1 so the SingleNode/TwoShard ratio isolates the sharding
+// machinery itself: on a multi-core host the two shards overlap and the
+// ratio approaches 2, and on any host it must not fall materially below 1
+// — the records, the shard requests and the merge pass, which evaluates
+// each shipped mapping and never re-searches, are required to stay
 // overhead-neutral relative to a single-node walk of the same exhaustive
 // enumeration.
 func BenchmarkDist16Core(b *testing.B) {

@@ -51,7 +51,10 @@ func main() {
 	}
 
 	// Boot the service core in-process, exactly as cmd/seadoptd does.
-	svc := service.New(service.Config{Workers: 2})
+	svc, err := service.NewServer(service.Config{Workers: 2})
+	if err != nil {
+		log.Fatal(err)
+	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)

@@ -63,14 +63,17 @@ type Config struct {
 	Iterations  int // stream iterations for T_M semantics
 	Moves       int // annealing steps; zero selects DefaultMoves
 	Seed        int64
-	// InitialTempFrac sets T0 as a fraction of the initial cost
-	// (default 0.2); FinalTempFrac sets the end temperature (default 1e-4).
-	InitialTempFrac float64
-	FinalTempFrac   float64
 }
 
 // DefaultMoves is the annealing budget when Config.Moves is zero.
 const DefaultMoves = 4000
+
+// The baselines' cooling schedule: the start and end temperatures as
+// multiples of the sampled mean neighbor delta (search.Problem).
+const (
+	initialTempFrac = 0.2
+	finalTempFrac   = 1e-4
+)
 
 func (c Config) withDefaults() Config {
 	if c.Moves == 0 {
@@ -78,12 +81,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Iterations < 1 {
 		c.Iterations = 1
-	}
-	if c.InitialTempFrac <= 0 {
-		c.InitialTempFrac = 0.2
-	}
-	if c.FinalTempFrac <= 0 {
-		c.FinalTempFrac = 1e-4
 	}
 	return c
 }
@@ -166,8 +163,8 @@ func AnnealEval(ctx context.Context, e *metrics.Evaluator, cfg Config, seed int6
 		Initial:         sched.RoundRobin(e.Graph().N(), e.Platform().Cores()),
 		Moves:           cfg.Moves,
 		Seed:            seed ^ 0xA22EA1,
-		InitialTempFrac: cfg.InitialTempFrac,
-		FinalTempFrac:   cfg.FinalTempFrac,
+		InitialTempFrac: initialTempFrac,
+		FinalTempFrac:   finalTempFrac,
 		Evaluator:       e,
 		Objective: func(sc metrics.Score) float64 {
 			return cost(cfg.Objective, cfg.DeadlineSec, sc)

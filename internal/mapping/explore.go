@@ -172,14 +172,17 @@ func setup(ctx context.Context, cfg Config, frontier bool) (context.Context, Con
 
 // passFunc runs one pass of the enumeration through fold: exploreCore over
 // the whole combination source on this node, or a sharded pass (the shards,
-// then the replay of their records). exploreCore is the local pass.
+// then an exploreCore pass that takes their records as hints). exploreCore
+// is the local pass.
 type passFunc func(ctx context.Context, g *taskgraph.Graph, p *arch.Platform, mapper MapperFunc,
 	cfg Config, fold streamFold, opts coreOptions) (prunedCount int, err error)
 
 // exploreScalar is the scalar driver behind ExploreContext and
 // ExploreSharded: it seeds the fold's dominance threshold under
 // branch-and-bound (Ranked), runs one pass, and takes the
-// all-infeasible fallback when nothing feasible was found.
+// all-infeasible fallback when nothing feasible was found or the fold holds
+// no design (a seeded fold ends empty only when shard records claim the
+// seed's combination probe-infeasible).
 func exploreScalar(ctx context.Context, g *taskgraph.Graph, p *arch.Platform,
 	mapper MapperFunc, cfg Config, run passFunc) (*Design, error) {
 	strategy := cfg.Strategy.withDefault()
@@ -201,7 +204,7 @@ func exploreScalar(ctx context.Context, g *taskgraph.Graph, p *arch.Platform,
 	if err != nil {
 		return nil, err
 	}
-	if prunedCount > 0 && (fold.best == nil || !fold.best.Eval.MeetsDeadline) {
+	if fold.best == nil || (prunedCount > 0 && !fold.best.Eval.MeetsDeadline) {
 		return leastInfeasible(ctx, g, p, mapper, cfg, run)
 	}
 	return fold.best, nil
@@ -281,7 +284,6 @@ type outcome struct {
 // The scalar single-best fold and the Pareto non-dominated fold both
 // implement it. The stream's lock orders every call but one:
 // mapperSkippable is what workers read mid-combination, outside the lock.
-// The shard replay makes every call on its one goroutine.
 //
 // Every external bound reaches the scalar fold through its monotone
 // dominance threshold as a seed: the ranked pass's, or on a shard the
@@ -799,6 +801,20 @@ type coreOptions struct {
 	// records, when non-nil, receives one ShardRecord per visit position
 	// (nil for bound-pruned positions): the shard worker's record stream.
 	records []*ShardRecord
+	// hints, when non-nil, holds the shards' records by stable enumeration
+	// index: the coordinator's merge pass. A hint's probe verdict stands in
+	// for the probe and its mapping for the mapper (exploreCombo), and a
+	// position its shard resolved without a design is decided at the fold
+	// head (exploreCore's claim).
+	hints []*ShardRecord
+}
+
+// hint returns the shard record of combination idx, nil outside the merge.
+func (o coreOptions) hint(idx int) *ShardRecord {
+	if o.hints == nil {
+		return nil
+	}
+	return o.hints[idx]
 }
 
 // exploreCore is the streaming work loop shared by every strategy and fold,
@@ -827,6 +843,11 @@ type coreOptions struct {
 // combination. An error or a cancelled ctx stops the claims, an error also
 // cancels every worker's context to abort the combinations still being
 // mapped, and the call returns once every claimed combination has finished.
+//
+// Every resolved position counts toward the pruned total, records its
+// telemetry verdict and, in a shard, its ShardRecord, folds when neither
+// pruned nor skipped, and reaches the Progress callback through the one
+// event reused across every callback.
 func exploreCore(ctx context.Context, g *taskgraph.Graph, p *arch.Platform,
 	mapper MapperFunc, cfg Config, fold streamFold, opts coreOptions) (prunedCount int, err error) {
 	strategy := cfg.Strategy.withDefault()
@@ -880,8 +901,9 @@ func exploreCore(ctx context.Context, g *taskgraph.Graph, p *arch.Platform,
 		stop      bool
 		firstErr  error
 		errPos    = total
+		pruned    int
+		ev        Progress
 	)
-	red := newReduction(cfg, fold, total, opts.records)
 	fail := func(pos int, err error) {
 		// Combinations aborted by cancel report context.Canceled; the
 		// failure that cancelled them is the verdict.
@@ -916,7 +938,41 @@ func exploreCore(ctx context.Context, g *taskgraph.Graph, p *arch.Platform,
 				fail(folded, fmt.Errorf("mapping: internal error: combination %d skipped against a weaker incumbent", d.idx))
 				break
 			}
-			red.resolve(folded, d, skipped)
+			kind := ""
+			var design *Design
+			switch {
+			case d.pruned:
+				kind = EventPruned
+				pruned++
+			case skipped:
+				kind = EventSkipped
+			default:
+				design = d.design
+			}
+			if tel != nil {
+				tel.comboVerdict(kind, folded, d.idx, d.nominal)
+			}
+			if opts.records != nil && !d.pruned {
+				// A skipped position whose mapper ran keeps its mapping, so
+				// a coordinator whose tolerance band disagrees evaluates it
+				// instead of re-mapping.
+				rec := &ShardRecord{Idx: d.idx, Probed: d.probed, ProbeKnown: d.probeKnown}
+				if d.design != nil {
+					rec.Mapping = append([]int(nil), d.design.Mapping...)
+				}
+				opts.records[folded] = rec
+			}
+			scaling := d.scaling
+			if design != nil {
+				fold.fold(d)
+				scaling = design.Scaling
+			}
+			if cfg.Progress != nil {
+				ev = Progress{Index: folded, Total: total, Combination: d.idx, Scaling: scaling,
+					Pruned: d.pruned, Skipped: skipped, Design: design}
+				fold.annotate(&ev)
+				cfg.Progress(ev)
+			}
 			d.design = nil
 			if tel != nil {
 				tel.addFold(tel.now() - ft0)
@@ -965,6 +1021,20 @@ func exploreCore(ctx context.Context, g *taskgraph.Graph, p *arch.Platform,
 			if tel != nil {
 				tel.addEnum(tel.now() - et0)
 			}
+			if h := opts.hint(idx); h != nil && h.Mapping == nil && opts.prune && !o.pruned && !o.skipCand {
+				// The shard resolved this position without a design. An
+				// honest shard's verdict reproduces once every earlier
+				// position has folded, so decide it at the fold head rather
+				// than map what the fold is about to skip.
+				for !stop && folded < o.pos {
+					foldMoved.Wait()
+				}
+				if stop {
+					break
+				}
+				o.probed, o.probeKnown = h.Probed, h.ProbeKnown
+				o.skipCand = fold.confirmSkip(&o)
+			}
 			if !o.pruned && !o.skipCand {
 				return o, true
 			}
@@ -992,7 +1062,8 @@ func exploreCore(ctx context.Context, g *taskgraph.Graph, p *arch.Platform,
 				if tel != nil {
 					start = tel.now()
 				}
-				o.design, o.probed, o.probeKnown, o.skipCand, o.err = exploreCombo(wctx[w], wk.mc, mapper, o.scaling, o.idx, cfg, skippable)
+				o.probeKnown = true
+				o.design, o.probed, o.skipCand, o.err = exploreCombo(wctx[w], wk.mc, mapper, o.scaling, o.idx, cfg, skippable, opts.hint(o.idx))
 				if tel != nil {
 					kind := "map"
 					if o.skipCand {
@@ -1015,66 +1086,7 @@ func exploreCore(ctx context.Context, g *taskgraph.Graph, p *arch.Platform,
 		// Only a mapper that reports cancellation unprompted gets here.
 		return 0, context.Canceled
 	}
-	return red.pruned, nil
-}
-
-// reduction is the per-position bookkeeping of the ordered reduction,
-// shared by exploreCore and the shard replay. Every resolved position
-// counts toward the pruned total, records its telemetry verdict and, in a
-// shard, its ShardRecord, folds when neither pruned nor skipped, and
-// reaches the Progress callback through the one event reused across every
-// callback (hence the borrowed-event contract on Progress).
-type reduction struct {
-	fold     streamFold
-	progress func(Progress)
-	tel      *Telemetry
-	total    int
-	records  []*ShardRecord // nil unless a shard records its verdicts
-	pruned   int
-	ev       Progress
-}
-
-func newReduction(cfg Config, fold streamFold, total int, records []*ShardRecord) *reduction {
-	return &reduction{fold: fold, progress: cfg.Progress, tel: cfg.Telemetry, total: total, records: records}
-}
-
-// resolve applies the verdict of the outcome at visit position pos:
-// pruned (o.pruned), skipped, or folded. A skipped position whose mapper
-// ran keeps its mapping in the shard record, so a coordinator whose
-// tolerance band disagrees re-evaluates it instead of re-mapping.
-func (r *reduction) resolve(pos int, o *outcome, skipped bool) {
-	kind := ""
-	var d *Design
-	switch {
-	case o.pruned:
-		kind = EventPruned
-		r.pruned++
-	case skipped:
-		kind = EventSkipped
-	default:
-		d = o.design
-	}
-	if r.tel != nil {
-		r.tel.comboVerdict(kind, pos, o.idx, o.nominal)
-	}
-	if r.records != nil && !o.pruned {
-		rec := &ShardRecord{Idx: o.idx, Skipped: skipped, Probed: o.probed, ProbeKnown: o.probeKnown}
-		if o.design != nil {
-			rec.Mapping = append([]int(nil), o.design.Mapping...)
-		}
-		r.records[pos] = rec
-	}
-	scaling := o.scaling
-	if d != nil {
-		r.fold.fold(o)
-		scaling = d.Scaling
-	}
-	if r.progress != nil {
-		r.ev = Progress{Index: pos, Total: r.total, Combination: o.idx, Scaling: scaling,
-			Pruned: o.pruned, Skipped: skipped, Design: d}
-		r.fold.annotate(&r.ev)
-		r.progress(r.ev)
-	}
+	return pruned, nil
 }
 
 // exploreCombo runs one scaling combination on a worker's reused MapContext:
@@ -1090,13 +1102,18 @@ func (r *reduction) resolve(pos int, o *outcome, skipped bool) {
 // candidate (skipped true, design nil).
 // The probe itself is cached by combination index, so reordering it ahead
 // of the mapper changes no verdict, only how often the mapper runs.
+//
+// In the coordinator's merge, hint is the shard's record of the combination
+// (nil elsewhere): its probe verdict, when known, stands in for the probe
+// and its mapping for the mapper. The mapping is evaluated here, and probed
+// derives from that evaluation as it does for the mapper's designs.
 func exploreCombo(ctx context.Context, mc *MapContext, mapper MapperFunc,
-	scaling []int, idx int, cfg Config, skippable func() bool) (d *Design, probed, probeKnown, skipped bool, err error) {
+	scaling []int, idx int, cfg Config, skippable func() bool, hint *ShardRecord) (d *Design, probed, skipped bool, err error) {
 	if err := ctx.Err(); err != nil {
-		return nil, false, false, false, err
+		return nil, false, false, err
 	}
 	if err := mc.bind(ctx, scaling, idx, cfg.Seed); err != nil {
-		return nil, false, false, false, err
+		return nil, false, false, err
 	}
 	// Step 1's feasibility decision is mapper-independent: a common
 	// deadline probe decides which scalings are candidates, so every
@@ -1106,33 +1123,49 @@ func exploreCombo(ctx context.Context, mc *MapContext, mapper MapperFunc,
 	// the probe's mapping is the design at this scaling.
 	tel := cfg.Telemetry
 	var t0 int64
-	if tel != nil {
-		t0 = tel.now()
-	}
-	probeEv, probedFeasible, probeHit, err := cfg.Reuse.probe.feasibleAtScaling(mc, idx, cfg)
-	if tel != nil {
-		tel.observeProbe(tel.now()-t0, probeHit)
-	}
-	if err != nil {
-		return nil, false, false, false, err
+	var probeEv *metrics.Evaluation
+	probedFeasible := false
+	if hint != nil && hint.ProbeKnown {
+		probedFeasible = hint.Probed
+	} else {
+		if tel != nil {
+			t0 = tel.now()
+		}
+		var probeHit bool
+		probeEv, probedFeasible, probeHit, err = cfg.Reuse.probe.feasibleAtScaling(mc, idx, cfg)
+		if tel != nil {
+			tel.observeProbe(tel.now()-t0, probeHit)
+		}
+		if err != nil {
+			return nil, false, false, err
+		}
 	}
 	if !probedFeasible && skippable != nil && skippable() {
 		if tel != nil {
 			tel.mapperSpared()
 		}
-		return nil, false, true, true, nil
+		return nil, false, true, nil
 	}
-	if tel != nil {
-		t0 = tel.now()
+	var m sched.Mapping
+	var ev *metrics.Evaluation
+	if hint != nil && hint.Mapping != nil {
+		if ev, err = mc.Eval.Evaluate(sched.Mapping(hint.Mapping)); err != nil {
+			return nil, false, false, err
+		}
+		ev, m = ev.Clone(), append(sched.Mapping(nil), hint.Mapping...)
+	} else {
+		if tel != nil {
+			t0 = tel.now()
+		}
+		m, ev, err = mapper(mc)
+		if tel != nil {
+			tel.observeMapper(tel.now() - t0)
+		}
+		if err != nil {
+			return nil, false, false, fmt.Errorf("mapping: scaling %v: %w", scaling, err)
+		}
 	}
-	m, ev, err := mapper(mc)
-	if tel != nil {
-		tel.observeMapper(tel.now() - t0)
-	}
-	if err != nil {
-		return nil, false, false, false, fmt.Errorf("mapping: scaling %v: %w", scaling, err)
-	}
-	if probedFeasible && !ev.MeetsDeadline {
+	if probeEv != nil && !ev.MeetsDeadline {
 		// Clone: the cache owns probeEv, and Explore calls sharing the
 		// cache must not hand out aliased mutable Designs.
 		ev = probeEv.Clone()
@@ -1140,14 +1173,13 @@ func exploreCombo(ctx context.Context, mc *MapContext, mapper MapperFunc,
 	}
 	probed = probedFeasible && ev.MeetsDeadline
 	d = &Design{Scaling: append([]int(nil), scaling...), Mapping: m, Eval: ev}
-	return d, probed, true, false, nil
+	return d, probed, false, nil
 }
 
 // bind points mc at combination idx: it binds the evaluator to scaling and
 // sets Ctx, Scaling and the combination's stream seed, comboSeed(seed, idx).
 // Every engine path that probes or maps a combination binds through here,
-// so the ranked pass, the stream and the replay probe a combination under
-// one seed.
+// so the ranked pass and the stream probe a combination under one seed.
 func (mc *MapContext) bind(ctx context.Context, scaling []int, idx int, seed int64) error {
 	if err := mc.Eval.Bind(scaling); err != nil {
 		return err

@@ -6,24 +6,35 @@ package mapping
 // Rank/Unrank (vscale.Space), so it partitions into contiguous [Lo,Hi)
 // shards that peer workers explore independently. Each worker runs the
 // ordinary streaming core restricted to its range, with the ordinary scalar
-// or Pareto fold, and returns a compact per-combination record stream (skip
-// verdicts plus realized mappings); the coordinator then REPLAYS the exact
-// single-node fold in global rank order, treating the records as an
-// accelerator, not an authority:
+// or Pareto fold, and returns one record per position: the probe verdict
+// where it probed, and the mapping where it produced a design. The
+// coordinator then merges the records in one more exploreCore pass over the
+// whole enumeration, with the records as hints (coreOptions.hints): a
+// hint's probe verdict stands in for the probe and its mapping for the
+// mapper, and every other decision is the coordinator's own. A position its
+// shard resolved without a design is decided when the fold reaches it, so
+// with honest shards the coordinator never runs the mapper.
 //
-//   - prune verdicts are recomputed from the coordinator's own bound
-//     cursor (a pure function of the combination);
-//   - dominance/skip verdicts are re-decided by the coordinator's own
-//     fold state, consulting the shared feasibility probe when a record
-//     lacks the probe verdict the single-node rule needs;
-//   - folded designs are re-evaluated from the recorded mapping, and any
-//     position the shards skipped but the coordinator's authoritative
-//     rule wants to fold is recomputed outright via exploreCombo (designs
-//     are pure functions of (graph, platform, Config, index)).
+// Trust model. Records are untrusted input. CheckShardResult refuses a
+// malformed result whole: a wrong record count or index, a mapping of the
+// wrong length or off the platform, or a probe-feasible claim without a
+// mapping. Of a well-shaped record:
 //
-// Byte-identity of the merged Design/frontier and Progress stream with a
-// single-node run therefore holds BY CONSTRUCTION: shard-side skips and
-// the threshold a shard starts from can only save work, never change the
+//   - bound prunes, dominance skips and the Progress stream come from the
+//     coordinator's own bound cursor and fold, in global rank order;
+//   - a shipped mapping is evaluated by the coordinator, and the design's
+//     probed flag derives from that evaluation, so a Probed flag can never
+//     pass a deadline-missing design off as probe-feasible;
+//   - a probe verdict and a shipped mapping are taken on trust: checking
+//     the one costs the probe, the other the mapper. A false verdict can
+//     hide its combination (a false "infeasible" is skipped once a probed
+//     incumbent stands) and, like a worse mapping, can change which design
+//     wins; the result is still a design whose evaluation is its own
+//     (TestShardedLyingPeer, FuzzShardReplay).
+//
+// With honest records the merged Design or frontier and the Progress stream
+// are byte-identical to a single-node run: shard-side skips and the
+// threshold a shard starts from can only save work, never change the
 // answer.
 //
 // Every shard, embedded or remote, takes one self-contained ShardRequest
@@ -41,7 +52,6 @@ import (
 	"sync"
 
 	"seadopt/internal/arch"
-	"seadopt/internal/sched"
 	"seadopt/internal/taskgraph"
 	"seadopt/internal/vscale"
 )
@@ -74,15 +84,13 @@ func ShardRanges(total, n int) []ShardRange {
 	return out
 }
 
-// ShardRecord is one combination's resolution inside a shard: the skip
-// verdict the shard's fold reached, the probe verdict where the shard ran
-// it, and the realized mapping where a design was produced. The
-// coordinator treats all of it as hints — anything missing is recomputed.
+// ShardRecord is one combination's resolution inside a shard: the probe
+// verdict where the shard ran it, and the realized mapping where a design
+// was produced. The coordinator's merge takes it as a hint; anything
+// missing is recomputed.
 type ShardRecord struct {
 	// Idx is the combination's stable global enumeration index.
 	Idx int `json:"idx"`
-	// Skipped marks a fold-time dominance skip (as opposed to a design).
-	Skipped bool `json:"skipped,omitempty"`
 	// Probed/ProbeKnown carry the shard's feasibility-probe verdict;
 	// ProbeKnown is false for dispatch-time skips that never probed.
 	Probed     bool `json:"probed,omitempty"`
@@ -160,7 +168,7 @@ var errSampledShard = errors.New("mapping: sharded exploration requires a contig
 
 // ExploreShard is the worker side of the distributed exploration: it runs
 // the ordinary streaming core over req.Range with the scalar or Pareto fold
-// and returns the record stream for the coordinator's replay. A scalar
+// and returns the record stream the coordinator merges. A scalar
 // shard's fold is seeded with req.Threshold, when set, and otherwise prunes
 // against its own range; a Pareto shard prunes against its own frontier
 // only. Progress, telemetry and ranked seeding are coordinator concerns and
@@ -219,9 +227,10 @@ func ExploreShard(ctx context.Context, g *taskgraph.Graph, p *arch.Platform,
 // CheckShardResult reports whether res has the shape of an answer to a
 // shard over rng of the problem on graph g and platform p: one record per
 // position of the range, each nil or carrying its position's enumeration
-// index, and every shipped mapping placing each task of g on a core of p.
-// The replay takes a well-shaped result's records as hints; a malformed
-// result is refused whole.
+// index, every shipped mapping placing each task of g on a core of p, and
+// every probe-feasible claim shipping its mapping. The merge takes a
+// well-shaped result's records as hints; a malformed result is refused
+// whole.
 func CheckShardResult(res *ShardResult, rng ShardRange, g *taskgraph.Graph, p *arch.Platform) error {
 	if res == nil {
 		return fmt.Errorf("mapping: shard [%d,%d) returned no result", rng.Lo, rng.Hi)
@@ -239,6 +248,9 @@ func CheckShardResult(res *ShardResult, rng ShardRange, g *taskgraph.Graph, p *a
 		case r.Mapping != nil && len(r.Mapping) != tasks:
 			return fmt.Errorf("mapping: shard [%d,%d) record %d maps %d tasks, graph has %d",
 				rng.Lo, rng.Hi, j, len(r.Mapping), tasks)
+		case r.Probed && r.Mapping == nil:
+			return fmt.Errorf("mapping: shard [%d,%d) record %d claims a feasible probe without a mapping",
+				rng.Lo, rng.Hi, j)
 		default:
 			for task, c := range r.Mapping {
 				if c < 0 || c >= cores {
@@ -307,110 +319,13 @@ func runShards(ctx context.Context, g *taskgraph.Graph, p *arch.Platform, base S
 
 func errorsIsCanceled(err error) bool { return errors.Is(err, context.Canceled) }
 
-// realizeDesign materializes the design of a position the authoritative
-// replay wants to fold: re-evaluate the recorded mapping when the shard
-// shipped one (bit-identical to the worker's evaluation of the same
-// mapping), otherwise recompute the combination outright, never skipping
-// the mapper, exactly as a pruning-free single-node worker would.
-func realizeDesign(ctx context.Context, mc *MapContext, mapper MapperFunc,
-	scaling []int, idx int, cfg Config, rec *ShardRecord) (*Design, bool, error) {
-	if rec != nil && rec.Mapping != nil {
-		if err := mc.Eval.Bind(scaling); err != nil {
-			return nil, false, err
-		}
-		ev, err := mc.Eval.Evaluate(sched.Mapping(rec.Mapping))
-		if err != nil {
-			return nil, false, err
-		}
-		d := &Design{
-			Scaling: append([]int(nil), scaling...),
-			Mapping: append(sched.Mapping(nil), rec.Mapping...),
-			Eval:    ev.Clone(),
-		}
-		return d, rec.Probed, nil
-	}
-	d, probed, _, _, err := exploreCombo(ctx, mc, mapper, scaling, idx, cfg, nil)
-	if err != nil {
-		return nil, false, err
-	}
-	return d, probed, nil
-}
-
-// replay is the coordinator's authoritative merge: the single-node fold —
-// scalar or Pareto — replayed in global rank order over the shard records,
-// with exploreCore's deadline pruning and fold-time skip rule.
-func replay(ctx context.Context, g *taskgraph.Graph, p *arch.Platform, mapper MapperFunc,
-	cfg Config, fold streamFold, records []*ShardRecord, opts coreOptions) (prunedCount int, err error) {
-	space, err := vscale.PlatformSpace(p)
-	if err != nil {
-		return 0, err
-	}
-	it := space.Iter()
-	cursor := cfg.Reuse.boundsFor(g, p, cfg.Iterations).Cursor()
-	wk, err := newComboWorker(g, p, cfg)
-	if err != nil {
-		return 0, err
-	}
-	defer wk.close(nil)
-	mc := wk.mc
-	red := newReduction(cfg, fold, space.Count(), nil)
-	for pos := 0; ; pos++ {
-		scaling, idx, more := it.Next()
-		if !more {
-			break
-		}
-		if pos&0xff == 0 {
-			if err := ctx.Err(); err != nil {
-				return 0, err
-			}
-		}
-		if _, err := cursor.Advance(scaling); err != nil {
-			return 0, err
-		}
-		o := outcome{pos: pos, idx: idx, scaling: scaling, nominal: cursor.NominalPower()}
-		if opts.computeBounds {
-			o.tmLB = cursor.TMLowerBound()
-			o.pruned = opts.prune && cfg.DeadlineSec > 0 && o.tmLB > cfg.DeadlineSec*(1+1e-9)
-		}
-		skipped := false
-		if !o.pruned {
-			rec := records[idx]
-			if rec != nil {
-				o.probed, o.probeKnown = rec.Probed, rec.ProbeKnown
-			}
-			skipped = opts.prune && fold.confirmSkip(&o)
-			if opts.prune && !skipped && !o.probeKnown && fold.mapperSkippable() {
-				// The record is a dispatch-time skip that never probed, but
-				// the coordinator's dominance band disagrees — decide with
-				// the probe, exactly as the single-node worker would have.
-				if err := mc.bind(ctx, scaling, idx, cfg.Seed); err != nil {
-					return 0, err
-				}
-				_, feasible, _, err := cfg.Reuse.probe.feasibleAtScaling(mc, idx, cfg)
-				if err != nil {
-					return 0, err
-				}
-				o.probed, o.probeKnown = feasible, true
-				skipped = fold.confirmSkip(&o)
-			}
-			if !skipped {
-				if o.design, o.probed, err = realizeDesign(ctx, mc, mapper, scaling, idx, cfg, rec); err != nil {
-					return 0, err
-				}
-				o.probeKnown = true
-			}
-		}
-		red.resolve(pos, &o, skipped)
-	}
-	return red.pruned, nil
-}
-
 // shardedPass returns the pass of a sharded exploration: one contiguous
 // range per runner (nil runners run embedded in this process, sharing the
-// coordinator's Reuse bundle), each pass fanning the ranges out and merging
-// the records through the authoritative replay. Every shard request of a
-// scalar pass carries the fold's standing threshold, the ranked seed and
-// the only bound known before position 0; a Pareto pass sends none.
+// coordinator's Reuse bundle), each pass fanning the ranges out and then
+// running exploreCore over the whole enumeration with the records as hints.
+// Every shard request of a scalar pass carries the fold's standing
+// threshold, the ranked seed and the only bound known before position 0; a
+// Pareto pass sends none.
 func shardedPass(g *taskgraph.Graph, p *arch.Platform, mapper MapperFunc,
 	cfg Config, runners []ShardRunner) (passFunc, error) {
 	if len(runners) == 0 {
@@ -447,17 +362,19 @@ func shardedPass(g *taskgraph.Graph, p *arch.Platform, mapper MapperFunc,
 		if err != nil {
 			return 0, err
 		}
-		return replay(ctx, g, p, mapper, cfg, fold, records, opts)
+		opts.hints = records
+		return exploreCore(ctx, g, p, mapper, cfg, fold, opts)
 	}, nil
 }
 
 // ExploreSharded is the distributed counterpart of ExploreContext: the
 // enumeration is partitioned into one contiguous shard per runner, shards
 // run concurrently from the coordinator's standing threshold, and the
-// coordinator merges their records through the authoritative single-node
-// replay. The chosen Design and Progress stream are byte-identical to
-// ExploreContext at any shard count, runner mix and parallelism. Nil runner
-// entries run their shard embedded in this process.
+// coordinator merges their records in a streaming pass of its own that
+// takes them as hints. With honest shards the chosen Design and Progress
+// stream are byte-identical to ExploreContext at any shard count, runner
+// mix and parallelism. Nil runner entries run their shard embedded in this
+// process.
 func ExploreSharded(ctx context.Context, g *taskgraph.Graph, p *arch.Platform,
 	mapper MapperFunc, cfg Config, runners []ShardRunner) (*Design, error) {
 	cfg.Telemetry = nil

@@ -309,29 +309,16 @@ func TestShardRanges(t *testing.T) {
 	}
 }
 
-// shardSkips counts the skipped records of a shard result and, of those,
-// the ones carrying a Mapping (the mapper ran before the skip was decided).
-func shardSkips(res *ShardResult) (skipped, mapped int) {
-	for _, r := range res.Records {
-		if r != nil && r.Skipped {
-			skipped++
-			if r.Mapping != nil {
-				mapped++
-			}
-		}
-	}
-	return skipped, mapped
-}
-
 // TestExploreShardAppliesOnlyEarlierFacts pins the shard-side use of the
 // coordinator's threshold, which the coordinator's byte-identity cannot
-// see: the replay is authoritative, so a shard that ignored its threshold
-// would still merge to identical bytes and only do more work. The only fact
-// a shard applies is its request's Threshold, which the coordinator knew
-// before position 0. On the upper half of the §V 20-task, 3-core space, the
-// single-node design's nominal power as the threshold must add skips, and
-// since the threshold stands from the range's first position, no skipped
-// record may carry a Mapping.
+// see: the merge decides every verdict itself, so a shard that ignored its
+// threshold would still merge to identical bytes and only do more work. The
+// only fact a shard applies is its request's Threshold, which the
+// coordinator knew before position 0. On the upper half of the §V 20-task,
+// 3-core space, the single-node design's nominal power as the threshold must
+// save mapper runs, and since the threshold stands from the range's first
+// position, no record whose nominal power lies beyond the threshold's
+// tolerance band may carry a Mapping.
 func TestExploreShardAppliesOnlyEarlierFacts(t *testing.T) {
 	g := taskgraph.MustRandom(taskgraph.DefaultRandomConfig(20), 3)
 	p := plat(3)
@@ -347,35 +334,50 @@ func TestExploreShardAppliesOnlyEarlierFacts(t *testing.T) {
 	if _, err := cursor.Advance(best.Scaling); err != nil {
 		t.Fatal(err)
 	}
-	nominal := cursor.NominalPower()
+	threshold := cursor.NominalPower()
 	space, err := vscale.PlatformSpace(p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	total := space.Count()
 	rng := ShardRange{Lo: total / 2, Hi: total}
+	// nominal[j] is the nominal power of the range's j-th position.
+	it, err := space.IterFrom(rng.Lo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nominal := make([]float64, rng.Hi-rng.Lo)
+	for j := range nominal {
+		scaling, _, _ := it.Next()
+		if _, err := cursor.Advance(scaling); err != nil {
+			t.Fatal(err)
+		}
+		nominal[j] = cursor.NominalPower()
+	}
 
 	t.Run("scalar", func(t *testing.T) {
-		run := func(threshold float64) *ShardResult {
+		run := func(threshold float64) (*ShardResult, int64) {
 			t.Helper()
+			var mapped atomic.Int64
 			req := ShardRequest{Range: rng, Threshold: threshold}
-			res, err := ExploreShard(context.Background(), g, p, SEAMapper(base), base, req)
+			res, err := ExploreShard(context.Background(), g, p, countingMapper(base, &mapped), base, req)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return res
+			return res, mapped.Load()
 		}
-		freeSkips, _ := shardSkips(run(0))
-		seededSkips, seededMapped := shardSkips(run(nominal))
-		if seededSkips <= freeSkips {
-			t.Errorf("threshold %v: %d skipped records, want more than the unseeded %d",
-				nominal, seededSkips, freeSkips)
+		_, free := run(0)
+		res, seeded := run(threshold)
+		if seeded >= free {
+			t.Errorf("threshold %v: %d mapper runs, want fewer than the unseeded %d", threshold, seeded, free)
 		}
-		if seededMapped != 0 {
-			t.Errorf("threshold %v: %d skipped records carry a Mapping, want 0 (the threshold stands from the first position)",
-				nominal, seededMapped)
+		for j, r := range res.Records {
+			if r != nil && r.Mapping != nil && dominatedNominal(nominal[j], threshold) {
+				t.Errorf("threshold %v: record %d (nominal %v, beyond the band) carries a Mapping, want none (the threshold stands from the first position)",
+					threshold, r.Idx, nominal[j])
+			}
 		}
-		t.Logf("skipped: unseeded %d, seeded %d", freeSkips, seededSkips)
+		t.Logf("mapper runs: unseeded %d, seeded %d", free, seeded)
 	})
 }
 
@@ -506,7 +508,7 @@ func TestShardedWarmStartMatchesSingleNode(t *testing.T) {
 // shard returns: the honest stream and its all-nil form pass, and each
 // malformed shape — no result, one record too few or too many, a record at
 // another index, a mapping of the wrong length, a core outside the platform
-// on either side — is refused.
+// on either side, a feasible probe claimed without a mapping — is refused.
 func TestCheckShardResult(t *testing.T) {
 	g, p := taskgraph.MPEG2(), plat(4)
 	c := cfg(taskgraph.MPEG2Deadline, taskgraph.MPEG2Frames)
@@ -559,6 +561,9 @@ func TestCheckShardResult(t *testing.T) {
 		{"empty mapping", corrupt(func(res *ShardResult) { res.Records[mapped].Mapping = []int{} }), false},
 		{"core past the platform", corrupt(func(res *ShardResult) { res.Records[mapped].Mapping[0] = p.Cores() }), false},
 		{"negative core", corrupt(func(res *ShardResult) { res.Records[mapped].Mapping[g.N()-1] = -1 }), false},
+		{"probed without a mapping", corrupt(func(res *ShardResult) {
+			res.Records[mapped] = &ShardRecord{Idx: res.Records[mapped].Idx, Probed: true, ProbeKnown: true}
+		}), false},
 	} {
 		if err := CheckShardResult(tc.res, rng, g, p); (err == nil) != tc.ok {
 			t.Errorf("%s: CheckShardResult = %v, want ok=%v", tc.name, err, tc.ok)
@@ -566,108 +571,337 @@ func TestCheckShardResult(t *testing.T) {
 	}
 }
 
-// FuzzShardReplay feeds the coordinator untrusted peer records: the second
-// range of a 2-shard MPEG-2 or Fig. 8 run is answered by a JSON-decoded
-// ShardResult. Whatever the records claim, ExploreSharded must not panic,
-// it may fail only on a result CheckShardResult refuses, and a Design it
-// returns must carry the evaluation of its own mapping at its own scaling.
-// The seeds are the honest stream and its corruptions: a wrong record
-// count, a wrong Idx, a mapping of the wrong length, an out-of-range core,
-// Probed without a mapping, and all-nil records.
+// FuzzShardReplay feeds the coordinator's merge untrusted peer records: one
+// range of a 2-shard MPEG-2 or Fig. 8 run, plain or ranked branch-and-bound,
+// is answered by a JSON-decoded ShardResult. Whatever the records claim,
+// ExploreSharded must not panic, it may fail only on a result
+// CheckShardResult refuses, and a Design it returns must carry the
+// evaluation of its own mapping at its own scaling. The seeds are the honest
+// stream of either range and its corruptions: a wrong record count, a wrong
+// Idx, a mapping of the wrong length, an out-of-range core, Probed without a
+// mapping, every position claimed probe-infeasible, and all-nil records.
 func FuzzShardReplay(f *testing.F) {
 	type replayWorkload struct {
 		g *taskgraph.Graph
 		p *arch.Platform
 		c Config
 	}
-	workload := func(fig8 bool) replayWorkload {
+	workload := func(fig8, ranked bool) replayWorkload {
+		w := replayWorkload{taskgraph.MPEG2(), plat(4), cfg(taskgraph.MPEG2Deadline, taskgraph.MPEG2Frames)}
 		if fig8 {
-			c := cfg(taskgraph.Fig8Deadline, 1)
-			c.SearchMoves = 100
-			return replayWorkload{taskgraph.Fig8(), plat(3), c}
+			w = replayWorkload{taskgraph.Fig8(), plat(3), cfg(taskgraph.Fig8Deadline, 1)}
 		}
-		c := cfg(taskgraph.MPEG2Deadline, taskgraph.MPEG2Frames)
-		c.SearchMoves = 100
-		return replayWorkload{taskgraph.MPEG2(), plat(4), c}
+		w.c.SearchMoves = 100
+		w.c.Ranked = ranked
+		return w
 	}
-	secondRange := func(p *arch.Platform) ShardRange {
+	// peerRange is the range the peer answers: the first or the second.
+	peerRange := func(p *arch.Platform, first bool) ShardRange {
 		space, err := vscale.PlatformSpace(p)
 		if err != nil {
 			f.Fatal(err)
 		}
-		return ShardRanges(space.Count(), 2)[1]
+		ranges := ShardRanges(space.Count(), 2)
+		if first {
+			return ranges[0]
+		}
+		return ranges[1]
 	}
-	peerRange := map[bool]ShardRange{}
 	for _, fig8 := range []bool{false, true} {
-		w := workload(fig8)
-		peerRange[fig8] = secondRange(w.p)
-		honest, err := ExploreShard(context.Background(), w.g, w.p, SEAMapper(w.c), w.c,
-			ShardRequest{Range: peerRange[fig8]})
-		if err != nil {
-			f.Fatal(err)
-		}
-		mapped := -1
-		for i, r := range honest.Records {
-			if r != nil && r.Mapping != nil {
-				mapped = i
-				break
+		for _, ranked := range []bool{false, true} {
+			for _, first := range []bool{false, true} {
+				w := workload(fig8, ranked)
+				req := ShardRequest{Range: peerRange(w.p, first)}
+				if ranked {
+					_, sc, err := setup(context.Background(), w.c, false)
+					if err != nil {
+						f.Fatal(err)
+					}
+					nominal, seeded, err := probeRankedStream(context.Background(), w.g, w.p, sc)
+					if err != nil {
+						f.Fatal(err)
+					}
+					if seeded {
+						req.Threshold = nominal
+					}
+				}
+				honest, err := ExploreShard(context.Background(), w.g, w.p, SEAMapper(w.c), w.c, req)
+				if err != nil {
+					f.Fatal(err)
+				}
+				mapped := slices.IndexFunc(honest.Records, func(r *ShardRecord) bool { return r != nil && r.Mapping != nil })
+				add := func(mutate func(res *ShardResult)) {
+					data, err := json.Marshal(honest)
+					if err != nil {
+						f.Fatal(err)
+					}
+					var res ShardResult
+					if err := json.Unmarshal(data, &res); err != nil {
+						f.Fatal(err)
+					}
+					mutate(&res)
+					if data, err = json.Marshal(&res); err != nil {
+						f.Fatal(err)
+					}
+					f.Add(fig8, ranked, first, data)
+				}
+				add(func(*ShardResult) {})
+				add(func(res *ShardResult) { res.Records = res.Records[:len(res.Records)-1] })
+				add(func(res *ShardResult) {
+					lie, _ := infeasibleEverywhere(context.Background(), req)
+					res.Records = lie.Records
+				})
+				add(func(res *ShardResult) { clear(res.Records) })
+				if mapped < 0 {
+					continue // a ranked range can resolve without the mapper
+				}
+				add(func(res *ShardResult) { res.Records[mapped].Idx++ })
+				add(func(res *ShardResult) {
+					m := res.Records[mapped].Mapping
+					res.Records[mapped].Mapping = m[:len(m)-1]
+				})
+				add(func(res *ShardResult) { res.Records[mapped].Mapping[0] = w.p.Cores() })
+				add(func(res *ShardResult) {
+					*res.Records[mapped] = ShardRecord{Idx: res.Records[mapped].Idx, Probed: true, ProbeKnown: true}
+				})
 			}
 		}
-		if mapped < 0 {
-			f.Fatal("honest stream holds no mapping")
-		}
-		add := func(mutate func(res *ShardResult)) {
-			data, err := json.Marshal(honest)
-			if err != nil {
-				f.Fatal(err)
-			}
-			var res ShardResult
-			if err := json.Unmarshal(data, &res); err != nil {
-				f.Fatal(err)
-			}
-			mutate(&res)
-			if data, err = json.Marshal(&res); err != nil {
-				f.Fatal(err)
-			}
-			f.Add(fig8, data)
-		}
-		add(func(*ShardResult) {})
-		add(func(res *ShardResult) { res.Records = res.Records[:len(res.Records)-1] })
-		add(func(res *ShardResult) { res.Records[mapped].Idx++ })
-		add(func(res *ShardResult) {
-			m := res.Records[mapped].Mapping
-			res.Records[mapped].Mapping = m[:len(m)-1]
-		})
-		add(func(res *ShardResult) { res.Records[mapped].Mapping[0] = w.p.Cores() })
-		add(func(res *ShardResult) {
-			*res.Records[mapped] = ShardRecord{Idx: res.Records[mapped].Idx, Probed: true, ProbeKnown: true}
-		})
-		add(func(res *ShardResult) { clear(res.Records) })
 	}
-	f.Fuzz(func(t *testing.T, fig8 bool, data []byte) {
+	f.Fuzz(func(t *testing.T, fig8, ranked, first bool, data []byte) {
 		var peer ShardResult
 		if err := json.Unmarshal(data, &peer); err != nil {
 			return
 		}
-		w := workload(fig8)
-		runners := []ShardRunner{nil, func(context.Context, ShardRequest) (*ShardResult, error) {
-			return &peer, nil
-		}}
+		w := workload(fig8, ranked)
+		answer := func(context.Context, ShardRequest) (*ShardResult, error) { return &peer, nil }
+		runners := []ShardRunner{nil, answer}
+		if first {
+			runners = []ShardRunner{answer, nil}
+		}
 		best, err := ExploreSharded(context.Background(), w.g, w.p, SEAMapper(w.c), w.c, runners)
 		if err != nil {
-			if CheckShardResult(&peer, peerRange[fig8], w.g, w.p) == nil {
-				t.Fatalf("a well-shaped peer result failed the replay: %v", err)
+			if CheckShardResult(&peer, peerRange(w.p, first), w.g, w.p) == nil {
+				t.Fatalf("a well-shaped peer result failed the merge: %v", err)
 			}
 			return
 		}
-		fresh, err := metrics.Evaluate(w.g, w.p, best.Mapping, best.Scaling, w.c.SER,
-			metrics.Options{Iterations: w.c.Iterations, DeadlineSec: w.c.DeadlineSec})
-		if err != nil {
-			t.Fatalf("returned design %s does not evaluate: %v", designFingerprint(best), err)
-		}
-		if !reflect.DeepEqual(fresh, best.Eval) {
-			t.Fatalf("returned design %s carries an evaluation other than its own (fresh gamma=%x power=%x tm=%x)",
-				designFingerprint(best), fresh.Gamma, fresh.PowerW, fresh.TMSeconds)
-		}
+		assertOwnEvaluation(t, "merge", w.g, w.p, w.c, best)
 	})
+}
+
+// assertOwnEvaluation fails unless d is a design whose evaluation is a fresh
+// evaluation of its own mapping at its own scaling under c.
+func assertOwnEvaluation(t *testing.T, label string, g *taskgraph.Graph, p *arch.Platform, c Config, d *Design) {
+	t.Helper()
+	if d == nil {
+		t.Fatalf("%s: neither a design nor an error", label)
+	}
+	fresh, err := metrics.Evaluate(g, p, d.Mapping, d.Scaling, c.SER,
+		metrics.Options{Iterations: c.Iterations, DeadlineSec: c.DeadlineSec})
+	if err != nil {
+		t.Fatalf("%s: design %s does not evaluate: %v", label, designFingerprint(d), err)
+	}
+	if !reflect.DeepEqual(fresh, d.Eval) {
+		t.Fatalf("%s: design %s carries an evaluation other than its own", label, designFingerprint(d))
+	}
+}
+
+// infeasibleEverywhere is a lying runner: it claims every position of its
+// range probe-infeasible and ships no mapping.
+func infeasibleEverywhere(_ context.Context, req ShardRequest) (*ShardResult, error) {
+	res := &ShardResult{Records: make([]*ShardRecord, req.Range.Hi-req.Range.Lo)}
+	for j := range res.Records {
+		res.Records[j] = &ShardRecord{Idx: req.Range.Lo + j, ProbeKnown: true}
+	}
+	return res, nil
+}
+
+// TestShardedEmptyRankedFold: a runner that claims probe-infeasible for
+// every position of the range holding the ranked seed's combination leaves
+// the seeded fold without a design, nothing bound-pruned. exploreScalar
+// must then take the all-infeasible fallback rather than return a nil Design:
+// the §V 20-task graph (seed 1) on 3 cores, ranked, with the liar on range 0
+// of 2, 3 and 4 shards.
+func TestShardedEmptyRankedFold(t *testing.T) {
+	g := taskgraph.MustRandom(taskgraph.DefaultRandomConfig(20), 1)
+	p := plat(3)
+	c := cfg(taskgraph.RandomDeadline(20), 1)
+	c.SearchMoves = 100
+	c.Ranked = true
+	for _, shards := range []int{2, 3, 4} {
+		runners := make([]ShardRunner, shards)
+		runners[0] = infeasibleEverywhere
+		best, err := ExploreSharded(context.Background(), g, p, SEAMapper(c), c, runners)
+		if err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
+		}
+		label := fmt.Sprintf("shards=%d", shards)
+		assertOwnEvaluation(t, label, g, p, c, best)
+		if !best.Eval.MeetsDeadline {
+			t.Errorf("%s: design %s misses the deadline", label, designFingerprint(best))
+		}
+	}
+}
+
+// TestShardedLyingPeer pins the trust model of shard records (shard.go's
+// header) on the §V 20-task graph (seed 3), 3 cores, plain
+// branch-and-bound, 2 shards, with shard 0 answered by a peer.
+//
+//   - A Probed flag on a deadline-missing design contradicts the
+//     coordinator's own evaluation of the mapping, so it changes nothing:
+//     the design and the Progress stream equal the single-node run's.
+//   - A probe-infeasible claim and a worse shipped mapping are trusted: on
+//     the single-node answer's combination they can hide it or change the
+//     answer, but the result is still a design whose evaluation is its own.
+func TestShardedLyingPeer(t *testing.T) {
+	g := taskgraph.MustRandom(taskgraph.DefaultRandomConfig(20), 3)
+	p := plat(3)
+	base := cfg(taskgraph.RandomDeadline(20), 1)
+	base.SearchMoves = 100
+
+	var want capturedRun
+	answerIdx := -1
+	cs := base
+	cs.Progress = func(pr Progress) {
+		want.events = append(want.events, shardEventFingerprint(pr))
+		if pr.Design != nil && pr.Design == pr.Best {
+			answerIdx = pr.Combination
+		}
+	}
+	single, err := ExploreContext(context.Background(), g, p, SEAMapper(cs), cs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want.best = designFingerprint(single)
+	space, err := vscale.PlatformSpace(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := ShardRanges(space.Count(), 2)[0]
+	honest, err := ExploreShard(context.Background(), g, p, SEAMapper(base), base,
+		ShardRequest{Range: rng, NoPrune: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// peer answers shard 0 with the honest exhaustive records, rewritten by
+	// lie.
+	peer := func(lie func(r *ShardRecord)) ShardRunner {
+		return func(context.Context, ShardRequest) (*ShardResult, error) {
+			res := &ShardResult{Records: make([]*ShardRecord, len(honest.Records))}
+			for j, r := range honest.Records {
+				cp := *r
+				cp.Mapping = slices.Clone(r.Mapping)
+				lie(&cp)
+				res.Records[j] = &cp
+			}
+			return res, nil
+		}
+	}
+
+	t.Run("probed flag", func(t *testing.T) {
+		lies := 0
+		lie := func(r *ShardRecord) {
+			scaling, err := space.Unrank(r.Idx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ev, err := metrics.Evaluate(g, p, r.Mapping, scaling, base.SER,
+				metrics.Options{Iterations: base.Iterations, DeadlineSec: base.DeadlineSec})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ev.MeetsDeadline {
+				r.Probed, r.ProbeKnown = true, true
+				lies++
+			}
+		}
+		c := base
+		var got capturedRun
+		captureProgress(&c, &got.events)
+		best, err := ExploreSharded(context.Background(), g, p, SEAMapper(c), c, []ShardRunner{peer(lie), nil})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lies == 0 {
+			t.Fatal("shard 0 holds no deadline-missing design to lie about")
+		}
+		got.best = designFingerprint(best)
+		assertRunsEqual(t, "probed flag", want, got)
+	})
+
+	if answerIdx < rng.Lo || answerIdx >= rng.Hi {
+		t.Fatalf("the single-node answer %d lies outside shard 0's range %v", answerIdx, rng)
+	}
+	for _, leg := range []struct {
+		name string
+		lie  func(r *ShardRecord)
+	}{
+		{"hidden answer", func(r *ShardRecord) {
+			if r.Idx == answerIdx {
+				*r = ShardRecord{Idx: r.Idx, ProbeKnown: true}
+			}
+		}},
+		{"worse mapping", func(r *ShardRecord) {
+			if r.Idx == answerIdx {
+				clear(r.Mapping) // every task on core 0
+			}
+		}},
+	} {
+		t.Run(leg.name, func(t *testing.T) {
+			best, err := ExploreSharded(context.Background(), g, p, SEAMapper(base), base,
+				[]ShardRunner{peer(leg.lie), nil})
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertOwnEvaluation(t, leg.name, g, p, base, best)
+			t.Logf("single-node %s, lied to %s", want.best, designFingerprint(best))
+		})
+	}
+}
+
+// TestShardedCoordinatorMapsNothing: honest embedded shards ship a mapping
+// for every position the coordinator's fold resolves with a design, and a
+// position they resolved without one is decided when the fold reaches it,
+// so the coordinator runs the mapper zero times. Plain, ranked and
+// exhaustive scalar runs and Pareto runs, on shardCountWorkloads at 4 shards
+// and Parallelism 1 and 4.
+func TestShardedCoordinatorMapsNothing(t *testing.T) {
+	modes := []struct {
+		name   string
+		pareto bool
+		mutate func(*Config)
+	}{
+		{"plain", false, func(*Config) {}},
+		{"ranked", false, func(c *Config) { c.Ranked = true }},
+		{"exhaustive", false, func(c *Config) { c.Strategy = StrategyExhaustive }},
+		{"pareto", true, func(*Config) {}},
+	}
+	for _, w := range shardCountWorkloads() {
+		t.Run(w.name, func(t *testing.T) {
+			for _, m := range modes {
+				for _, par := range []int{1, 4} {
+					c := cfg(w.deadline, w.iters)
+					c.SearchMoves = 200
+					c.Parallelism = par
+					c.Reuse = NewReuse()
+					m.mutate(&c)
+					embedded := InProcRunner(w.g, w.p, SEAMapper(c), c)
+					runners := []ShardRunner{embedded, embedded, embedded, embedded}
+					var mapped atomic.Int64
+					var err error
+					if m.pareto {
+						_, err = ExploreShardedPareto(context.Background(), w.g, w.p, countingMapper(c, &mapped), c, runners)
+					} else {
+						_, err = ExploreSharded(context.Background(), w.g, w.p, countingMapper(c, &mapped), c, runners)
+					}
+					if err != nil {
+						t.Fatalf("%s par=%d: %v", m.name, par, err)
+					}
+					if n := mapped.Load(); n != 0 {
+						t.Errorf("%s par=%d: the coordinator ran the mapper %d times, want 0", m.name, par, n)
+					}
+				}
+			}
+		})
+	}
 }

@@ -60,13 +60,9 @@ type Problem struct {
 	// move plus once for the initial mapping.
 	Evaluate func(m sched.Mapping) (Cost, error)
 	// Moves is the total step budget (required, > 0), split evenly across
-	// restarts.
+	// DefaultRestarts independent runs.
 	Moves int
 	Seed  int64
-	// Restarts is the number of independent annealing runs (from Initial,
-	// with derived seeds) sharing the move budget; the overall best wins.
-	// Zero selects DefaultRestarts.
-	Restarts int
 	// InitialTempFrac and FinalTempFrac set the geometric cooling schedule
 	// as multiples of the sampled mean neighbor delta |ΔCost| (so the
 	// schedule adapts to the objective's scale — objectives with large
@@ -76,7 +72,9 @@ type Problem struct {
 	FinalTempFrac   float64
 }
 
-// DefaultRestarts is the restart count when Problem.Restarts is zero.
+// DefaultRestarts is the number of independent annealing runs (from
+// Initial and AltInitials, with derived seeds) sharing a Problem's move
+// budget; the overall best wins.
 const DefaultRestarts = 2
 
 // Result carries the incumbent of an annealing run.
@@ -89,7 +87,7 @@ type Result struct {
 
 // Anneal runs simulated annealing over task mappings with the shared
 // move/swap neighborhood (every-core-used invariant preserved). The total
-// move budget is split across Problem.Restarts independent runs and the
+// move budget is split across DefaultRestarts independent runs and the
 // best incumbent across runs is returned.
 func Anneal(p Problem) (*Result, error) {
 	if p.Moves <= 0 {
@@ -117,16 +115,12 @@ func Anneal(p Problem) (*Result, error) {
 	if p.Ctx == nil {
 		p.Ctx = context.Background()
 	}
-	restarts := p.Restarts
-	if restarts <= 0 {
-		restarts = DefaultRestarts
-	}
+	restarts := DefaultRestarts
 	if restarts > p.Moves {
 		restarts = 1
 	}
 	starts := append([]sched.Mapping{p.Initial}, p.AltInitials...)
 	sub := p
-	sub.Restarts = 1
 	sub.Moves = p.Moves / restarts
 	var best *Result
 	for r := 0; r < restarts; r++ {

@@ -137,7 +137,6 @@ func TestAnnealAltInitials(t *testing.T) {
 		Initial:     sched.Mapping{1, 0, 1, 0},
 		AltInitials: []sched.Mapping{target},
 		Moves:       8, // far too few to search; only seeding can win
-		Restarts:    2,
 		Seed:        5,
 		Evaluate:    quadratic(target),
 	})

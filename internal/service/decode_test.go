@@ -230,7 +230,10 @@ func TestRawBodyChainAllocation(t *testing.T) {
 		fmt.Fprintf(&chain, " t%d -> t%d;", i, i+1)
 	}
 	chain.WriteString(" }")
-	s := New(Config{Workers: 1})
+	s, err := NewServer(Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 		defer cancel()

@@ -23,9 +23,10 @@ import (
 // coordinator's standing threshold (the ranked pass's seed, since every
 // scalar branch-and-bound job walks ranked), and the peer prunes against
 // that and its own range only. The coordinator then merges the shard
-// records through the engine's authoritative single-node replay: the merged
-// Design or frontier and the Progress stream are byte-identical to a
-// single-node run (see internal/mapping/shard.go for the replay contract).
+// records in a streaming pass of its own that takes them as hints: the
+// merged Design or frontier and the Progress stream are byte-identical to a
+// single-node run (see internal/mapping/shard.go for the merge and what it
+// trusts a record with).
 //
 // Failure posture: a peer that is unreachable, answers non-200 or answers a
 // malformed result (mapping.CheckShardResult) costs nothing but time — the
@@ -40,7 +41,7 @@ type shardCallRequest struct {
 }
 
 // shardCallResponse is the worker's reply: the record stream the
-// coordinator replays.
+// coordinator merges.
 type shardCallResponse struct {
 	Result *seadopt.ShardResult `json:"result"`
 }

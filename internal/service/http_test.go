@@ -22,7 +22,10 @@ import (
 // newHTTPServer boots the service's HTTP API on an ephemeral port.
 func newHTTPServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
-	s := New(cfg)
+	s, err := NewServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
 		ts.Close()

@@ -436,17 +436,6 @@ type Server struct {
 	rejectedRate     atomic.Int64
 }
 
-// New starts a Server with cfg's worker pool running. It panics if cfg
-// names a StoreDir whose journal cannot be opened; callers enabling the
-// durable store should use NewServer and handle the error.
-func New(cfg Config) *Server {
-	s, err := NewServer(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
 // NewServer starts a Server: it opens (and replays) the durable job store
 // when cfg.StoreDir is set, then starts the worker pool. Jobs that were
 // queued or running when a previous process died are re-enqueued under

@@ -49,7 +49,10 @@ func slowProblem(t *testing.T) *ingest.Problem {
 
 func newTestServer(t *testing.T, cfg Config) *Server {
 	t.Helper()
-	s := New(cfg)
+	s, err := NewServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 		defer cancel()
