@@ -184,8 +184,8 @@ type (
 	ExploreEvent = mapping.ExploreEvent
 	// ExploreWorkerStats is one worker's busy time and combination spans.
 	ExploreWorkerStats = mapping.WorkerStats
-	// EvalStats counts evaluator work (full vs delta re-binds, schedule
-	// patches vs rebuilds).
+	// EvalStats counts evaluator work: evaluations, makespan-only calls
+	// and the tasks those calls dispatched.
 	EvalStats = metrics.EvalStats
 )
 
@@ -570,17 +570,6 @@ func (s *System) OptimizeSweepContext(ctx context.Context, points []SweepPoint, 
 	if base.Reuse == nil {
 		base.Reuse = NewExploreReuse()
 	}
-	// Declare the tightest deadline up front: the first probe of each
-	// combination climbs far enough for every point of the sweep, so later
-	// points probe entirely from cache.
-	minDeadline := 0.0
-	for _, pt := range points {
-		if pt.DeadlineSec > 0 && (minDeadline == 0 || pt.DeadlineSec < minDeadline) {
-			minDeadline = pt.DeadlineSec
-		}
-	}
-	base.Reuse.Probe().EnsureHorizon(minDeadline)
-
 	// One telemetry collector spans the whole sweep, so Stats aggregates
 	// probe hits, evaluator work and phase clocks across the points.
 	var tel *mapping.Telemetry

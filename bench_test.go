@@ -384,79 +384,29 @@ func bench64Workload(b *testing.B) (*taskgraph.Graph, *arch.Platform) {
 	return g, p
 }
 
-// bench64Delta pins an evaluator on the 64-core workload and returns the
-// two scaling vectors the delta benchmarks alternate between. With
-// idleCore set, the toggled core (63) hosts no task, exercising the
-// O(changed) patch path; otherwise core 0 is loaded and the delta
-// re-schedules (but reuses the register-pressure profile).
-func bench64Delta(b *testing.B, idleCore bool) (*metrics.Evaluator, []int, []int) {
-	b.Helper()
+// BenchmarkEvaluateDelta measures EvaluateDelta moving one loaded core by
+// one level on the 64-core workload: a full Bind and Evaluate of the last
+// mapping at each move.
+func BenchmarkEvaluateDelta(b *testing.B) {
 	g, p := bench64Workload(b)
 	e, err := metrics.NewEvaluator(g, p, faults.NewSERModel(faults.DefaultSER),
 		metrics.Options{Iterations: 1, DeadlineSec: taskgraph.RandomDeadline(120) / 15})
 	if err != nil {
 		b.Fatal(err)
 	}
-	usable := 64
-	core := 0
-	if idleCore {
-		usable, core = 63, 63
-	}
-	m := sched.RoundRobin(g.N(), usable)
 	prev := p.MinPowerScaling()
 	next := append([]int(nil), prev...)
-	next[core] = prev[core] - 1 // one level faster on the toggled core
+	next[0] = prev[0] - 1 // one level faster on core 0
 	if err := e.Bind(prev); err != nil {
 		b.Fatal(err)
 	}
-	if _, err := e.Evaluate(m); err != nil {
+	if _, err := e.Evaluate(sched.RoundRobin(g.N(), 64)); err != nil {
 		b.Fatal(err)
 	}
-	return e, prev, next
-}
-
-// BenchmarkEvaluateDelta measures EvaluateDelta moving one *loaded* core by
-// one level on the 64-core workload: the schedule recomputes but the
-// mapping-derived register profile is reused.
-func BenchmarkEvaluateDelta(b *testing.B) {
-	e, prev, next := bench64Delta(b, false)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := e.EvaluateDelta(prev, next); err != nil {
-			b.Fatal(err)
-		}
-		prev, next = next, prev
-	}
-}
-
-// BenchmarkEvaluateDeltaIdle measures the idle-core fast path: the toggled
-// core hosts no task, so the evaluation is patched in O(changed) without
-// re-scheduling.
-func BenchmarkEvaluateDeltaIdle(b *testing.B) {
-	e, prev, next := bench64Delta(b, true)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.EvaluateDelta(prev, next); err != nil {
-			b.Fatal(err)
-		}
-		prev, next = next, prev
-	}
-}
-
-// BenchmarkEvaluateDeltaFullRebind is the non-delta baseline for the two
-// benchmarks above: a full Bind + Evaluate at each move.
-func BenchmarkEvaluateDeltaFullRebind(b *testing.B) {
-	e, prev, next := bench64Delta(b, false)
-	m := sched.RoundRobin(120, 64)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := e.Bind(next); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := e.Evaluate(m); err != nil {
 			b.Fatal(err)
 		}
 		prev, next = next, prev

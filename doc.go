@@ -161,7 +161,7 @@
 // OptimizeOptions.Stats attaches a telemetry collector to any exploration:
 // the run fills the pointed-to ExploreStats with per-phase wall clock
 // (bounds, ranked seeding, enumeration, probe, mapper, fold), combination
-// verdict counters, probe-cache and delta-evaluation hit rates,
+// verdict counters, probe-cache hit rates, evaluator work counts,
 // incumbent/frontier events and per-worker busy spans. Telemetry is
 // observe-only — results and progress are byte-identical with it on or
 // off, at any parallelism. The daemon serves the same snapshot per job

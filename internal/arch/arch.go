@@ -447,7 +447,9 @@ func (p *Platform) DynamicPower(scaling []int, util []float64) (float64, error) 
 		// metrics.Bounds histogram uses — so permutation-equal vectors
 		// produce bit-identical power whatever core order they arrive in,
 		// and the exploration engine's delta-maintained nominal matches
-		// this full computation bit for bit.
+		// this full computation bit for bit. Each product is rounded before
+		// it is added (an explicit float64), here and below, so no
+		// architecture fuses the two.
 		nclass := 0
 		for _, k := range p.classes {
 			if k+1 > nclass {
@@ -474,7 +476,7 @@ func (p *Platform) DynamicPower(scaling []int, util []float64) (float64, error) 
 					continue
 				}
 				l := levels[s]
-				sum += float64(n) * (l.FreqHz() * l.Vdd * l.Vdd)
+				sum += float64(float64(n) * (l.FreqHz() * l.Vdd * l.Vdd))
 			}
 		}
 		return p.cl * sum, nil
@@ -489,7 +491,7 @@ func (p *Platform) DynamicPower(scaling []int, util []float64) (float64, error) 
 				return 0, fmt.Errorf("arch: core %d utilization %v outside [0,1]", i, alpha)
 			}
 		}
-		sum += alpha * l.FreqHz() * l.Vdd * l.Vdd
+		sum += float64(alpha * l.FreqHz() * l.Vdd * l.Vdd)
 	}
 	return p.cl * sum, nil
 }

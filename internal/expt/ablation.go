@@ -87,7 +87,9 @@ func Ablations(cfg Config) (*AblationResult, error) {
 			}
 			var expected float64
 			for _, it := range c.Items {
-				expected += c.Lambda[it.Core] * it.BitCycles()
+				// Round each term (an explicit float64), so no
+				// architecture fuses it into the sum.
+				expected += float64(c.Lambda[it.Core] * it.BitCycles())
 			}
 			if mode == sim.ExposureConservative {
 				row.Conservative = expected

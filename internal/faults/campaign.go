@@ -16,8 +16,10 @@ type ExposureItem struct {
 	Cycles int64 // total live cycles
 }
 
-// BitCycles returns the item's exposure in bit·cycles.
-func (e ExposureItem) BitCycles() float64 { return float64(e.Bits) * float64(e.Cycles) }
+// BitCycles returns the item's exposure in bit·cycles. The product is
+// rounded (an explicit float64), so no architecture fuses it into a
+// caller's sum.
+func (e ExposureItem) BitCycles() float64 { return float64(float64(e.Bits) * float64(e.Cycles)) }
 
 // Campaign is a fault-injection campaign: a set of exposure items, a
 // per-core SEU rate, and the per-core register-space size and time horizon
@@ -105,7 +107,9 @@ func (c *Campaign) Validate() error {
 // λ_core · bits · cycles — the superposition property makes per-item
 // sampling exact. The per-core raw injection count is Poisson with mean
 // λ_core · SpaceBits · HorizonCycles, but never less than the live hits
-// already drawn (an experienced SEU is by definition also injected).
+// already drawn (an experienced SEU is by definition also injected). Each
+// λ product is rounded before it is added or subtracted (an explicit
+// float64), so no architecture fuses the two.
 func (c *Campaign) Run(rng *rand.Rand) (*Result, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
@@ -123,7 +127,7 @@ func (c *Campaign) Run(rng *rand.Rand) (*Result, error) {
 		mean := lam * it.BitCycles()
 		hits := Poisson(rng, mean)
 		perCore[it.Core].Experienced += hits
-		perCore[it.Core].Expected += mean
+		perCore[it.Core].Expected = float64(mean) + perCore[it.Core].Expected
 		liveExposure[it.Core] += it.BitCycles()
 		if hits > 0 {
 			res.PerLabel[it.Label] += hits
@@ -134,7 +138,7 @@ func (c *Campaign) Run(rng *rand.Rand) (*Result, error) {
 		if i < len(c.SpaceBits) && i < len(c.HorizonCycles) && c.SpaceBits[i] > 0 && c.HorizonCycles[i] > 0 {
 			space = float64(c.SpaceBits[i]) * float64(c.HorizonCycles[i])
 		}
-		extraMean := c.Lambda[i]*space - perCore[i].Expected
+		extraMean := float64(c.Lambda[i]*space) - perCore[i].Expected
 		if extraMean < 0 {
 			extraMean = 0
 		}

@@ -35,19 +35,21 @@ func poissonKnuth(rng *rand.Rand, mean float64) int64 {
 	}
 }
 
-// poissonPTRS implements Hörmann's PTRS algorithm.
+// poissonPTRS implements Hörmann's PTRS algorithm. Each product is rounded
+// before it is added or subtracted (an explicit float64), so no
+// architecture fuses the two and a seed draws the same variates everywhere.
 func poissonPTRS(rng *rand.Rand, mean float64) int64 {
 	smu := math.Sqrt(mean)
-	b := 0.931 + 2.53*smu
-	a := -0.059 + 0.02483*b
+	b := 0.931 + float64(2.53*smu)
+	a := -0.059 + float64(0.02483*b)
 	invAlpha := 1.1239 + 1.1328/(b-3.4)
 	vr := 0.9277 - 3.6224/(b-2)
 	logMu := math.Log(mean)
 	for {
-		u := rng.Float64() - 0.5
+		u := float64(rng.Float64()) - 0.5 // Float64 inlines to a product
 		v := rng.Float64()
 		us := 0.5 - math.Abs(u)
-		k := math.Floor((2*a/us+b)*u + mean + 0.43)
+		k := math.Floor(float64((2*a/us+b)*u) + mean + 0.43)
 		if us >= 0.07 && v <= vr {
 			return int64(k)
 		}
@@ -55,7 +57,7 @@ func poissonPTRS(rng *rand.Rand, mean float64) int64 {
 			continue
 		}
 		lg, _ := math.Lgamma(k + 1)
-		if math.Log(v*invAlpha/(a/(us*us)+b)) <= k*logMu-mean-lg {
+		if math.Log(v*invAlpha/(a/(us*us)+b)) <= float64(k*logMu)-mean-lg {
 			return int64(k)
 		}
 	}

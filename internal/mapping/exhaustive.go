@@ -35,25 +35,30 @@ func ExhaustiveMapping(g *taskgraph.Graph, p *arch.Platform, scaling []int, cfg 
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if err := p.ValidScaling(scaling); err != nil {
+	// One evaluator scores every leaf; only the winner is evaluated in full.
+	e, err := metrics.NewEvaluator(g, p, cfg.SER,
+		metrics.Options{Iterations: cfg.Iterations, DeadlineSec: cfg.DeadlineSec})
+	if err != nil {
+		return nil, err
+	}
+	if err := e.Bind(scaling); err != nil {
 		return nil, err
 	}
 	n := g.N()
 	cores := p.Cores()
 
 	// Scaling classes for symmetry reduction.
-	class := make([]int, cores) // scaling value per core
-	copy(class, scaling)
+	class := e.Scaling() // scaling value per core; read-only
 
 	if est := estimateAssignments(n, cores, class); est > MaxExhaustiveEvaluations {
 		return nil, fmt.Errorf("mapping: exhaustive space ≈%d exceeds limit %d (N=%d, C=%d)",
 			est, MaxExhaustiveEvaluations, n, cores)
 	}
 
-	opt := metrics.Options{Iterations: cfg.Iterations, DeadlineSec: cfg.DeadlineSec}
 	m := make(sched.Mapping, n)
 	loads := make([]int, cores)
-	var best *metrics.Evaluation
+	var best sched.Mapping
+	var bestGamma float64
 
 	var dfs func(task int) error
 	dfs = func(task int) error {
@@ -65,14 +70,12 @@ func ExhaustiveMapping(g *taskgraph.Graph, p *arch.Platform, scaling []int, cfg 
 					}
 				}
 			}
-			ev, err := metrics.Evaluate(g, p, m, scaling, cfg.SER, opt)
+			sc, err := e.Score(m)
 			if err != nil {
 				return err
 			}
-			if ev.MeetsDeadline || cfg.DeadlineSec <= 0 {
-				if best == nil || ev.Gamma < best.Gamma {
-					best = ev
-				}
+			if sc.MeetsDeadline && (best == nil || sc.Gamma < bestGamma) {
+				best, bestGamma = append(best[:0], m...), sc.Gamma
 			}
 			return nil
 		}
@@ -111,7 +114,11 @@ func ExhaustiveMapping(g *taskgraph.Graph, p *arch.Platform, scaling []int, cfg 
 	if best == nil {
 		return nil, fmt.Errorf("mapping: no feasible mapping exists at scaling %v", scaling)
 	}
-	return best, nil
+	ev, err := e.Evaluate(best)
+	if err != nil {
+		return nil, err
+	}
+	return ev.Clone(), nil
 }
 
 // estimateAssignments upper-bounds the symmetry-reduced assignment count:

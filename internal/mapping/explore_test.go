@@ -421,7 +421,7 @@ func TestProbeCacheShared(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cached := c.Reuse.Probe().Len()
+	cached := c.Reuse.probe.Len()
 	if cached != 15 {
 		t.Fatalf("probe cache holds %d scalings after one explore, want 15", cached)
 	}
@@ -429,8 +429,8 @@ func TestProbeCacheShared(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Reuse.Probe().Len() != cached {
-		t.Errorf("second explore grew the probe cache to %d entries", c.Reuse.Probe().Len())
+	if c.Reuse.probe.Len() != cached {
+		t.Errorf("second explore grew the probe cache to %d entries", c.Reuse.probe.Len())
 	}
 	if designFingerprint(best1) != designFingerprint(best2) {
 		t.Errorf("shared probe cache changed the result:\n  1st: %s\n  2nd: %s",

@@ -45,33 +45,11 @@ const ProbeMoves = 400
 type ProbeCache struct {
 	mu      sync.Mutex
 	entries map[int]*probeEntry
-	// horizon is the tightest positive deadline the cache expects to serve
-	// (see EnsureHorizon). Entries climb down to it eagerly so later
-	// tighter-deadline calls within the horizon are pure cache hits.
-	horizon float64
 }
 
 // NewProbeCache returns an empty probe cache.
 func NewProbeCache() *ProbeCache {
 	return &ProbeCache{entries: make(map[int]*probeEntry)}
-}
-
-// EnsureHorizon declares that probes at deadline d (seconds, > 0) are
-// expected: entries will climb at least until they can answer d, even when
-// first probed at a looser deadline. A sweep sets the horizon to its minimum
-// positive deadline so point 1 does the whole climb and every later point
-// probes entirely from cache. The horizon only tightens (the minimum of all
-// declared values wins) and never changes any verdict — only when the climb
-// work happens.
-func (pc *ProbeCache) EnsureHorizon(d float64) {
-	if d <= 0 {
-		return
-	}
-	pc.mu.Lock()
-	if pc.horizon == 0 || d < pc.horizon {
-		pc.horizon = d
-	}
-	pc.mu.Unlock()
 }
 
 // Len reports how many combinations have a cached trajectory.
@@ -128,34 +106,17 @@ type probeEntry struct {
 // never depend on timing.
 func (pc *ProbeCache) feasibleAtScaling(mc *MapContext, idx int, cfg Config) (*metrics.Evaluation, bool, bool, error) {
 	pc.mu.Lock()
-	if pc.entries == nil {
-		pc.entries = make(map[int]*probeEntry)
-	}
 	en, existed := pc.entries[idx]
 	if !existed {
 		en = &probeEntry{evals: make(map[probeEvalKey]*metrics.Evaluation)}
 		pc.entries[idx] = en
 	}
-	horizon := pc.horizon
 	pc.mu.Unlock()
 
 	en.mu.Lock()
 	defer en.mu.Unlock()
 
 	deadline := cfg.DeadlineSec
-	// target is how deep the climb must go before this call can return:
-	// deep enough to answer the caller's deadline, and — when a horizon is
-	// declared — deep enough to answer the horizon too, so expected tighter
-	// calls become pure hits. A non-positive deadline is met by any
-	// candidate, so only the horizon can demand climbing.
-	target := 0.0
-	if deadline > 0 {
-		target = deadline
-	}
-	if horizon > 0 && (target <= 0 || horizon < target) {
-		target = horizon
-	}
-
 	sc := mc.scratch
 	if sc == nil {
 		sc = newComboScratch(mc.Graph.N(), mc.Platform.Cores())
@@ -167,7 +128,9 @@ func (pc *ProbeCache) feasibleAtScaling(mc *MapContext, idx int, cfg Config) (*m
 		}
 		worked = true
 	}
-	for target > 0 && !en.exhausted && en.curTM > target {
+	// Climb only as deep as the caller's deadline needs; a non-positive
+	// deadline is met by the seed.
+	for deadline > 0 && !en.exhausted && en.curTM > deadline {
 		if err := mc.Ctx.Err(); err != nil {
 			return nil, false, false, err
 		}
@@ -326,9 +289,6 @@ type Reuse struct {
 func NewReuse() *Reuse {
 	return &Reuse{probe: NewProbeCache()}
 }
-
-// Probe returns the bundle's shared probe cache.
-func (r *Reuse) Probe() *ProbeCache { return r.probe }
 
 // boundsFor returns the shared Bounds precompute, building it on first use.
 // Bounds values are a pure function of (graph, platform, iterations)

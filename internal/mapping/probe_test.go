@@ -92,9 +92,8 @@ func evalFingerprint(ev *metrics.Evaluation) string {
 
 // TestProbeTrajectoryMatchesColdProbe is the trajectory cache's core
 // contract: served at any deadline, in any order — loose to tight, tight to
-// loose, unconstrained in the middle, with or without a declared horizon —
-// every cached verdict and Evaluation is bit-identical to a cold probe run
-// at exactly that deadline.
+// loose, unconstrained in the middle — every cached verdict and Evaluation
+// is bit-identical to a cold probe run at exactly that deadline.
 func TestProbeTrajectoryMatchesColdProbe(t *testing.T) {
 	g := taskgraph.MustRandom(taskgraph.DefaultRandomConfig(16), 9)
 	p := plat(3)
@@ -108,11 +107,8 @@ func TestProbeTrajectoryMatchesColdProbe(t *testing.T) {
 	looseToTight := []float64{d0 * 2, d0, 0, d0 * 0.6, d0 * 0.3, d0 * 0.1}
 	tightToLoose := []float64{d0 * 0.1, d0 * 0.3, d0 * 0.6, 0, d0, d0 * 2}
 
-	check := func(t *testing.T, deadlines []float64, horizon float64) {
+	check := func(t *testing.T, deadlines []float64) {
 		pc := NewProbeCache()
-		if horizon > 0 {
-			pc.EnsureHorizon(horizon)
-		}
 		for _, deadline := range deadlines {
 			c := base
 			c.DeadlineSec = deadline
@@ -169,9 +165,8 @@ func TestProbeTrajectoryMatchesColdProbe(t *testing.T) {
 		}
 	}
 
-	t.Run("LooseToTight", func(t *testing.T) { check(t, looseToTight, 0) })
-	t.Run("TightToLoose", func(t *testing.T) { check(t, tightToLoose, 0) })
-	t.Run("LooseToTightWithHorizon", func(t *testing.T) { check(t, looseToTight, d0*0.1) })
+	t.Run("LooseToTight", func(t *testing.T) { check(t, looseToTight) })
+	t.Run("TightToLoose", func(t *testing.T) { check(t, tightToLoose) })
 }
 
 // TestProbeCacheConcurrentSharingNoDuplicateWork is the sweep/service
@@ -247,7 +242,7 @@ func TestProbeCacheConcurrentSharingNoDuplicateWork(t *testing.T) {
 	}
 
 	// Every combination has exactly one cached trajectory between the runs.
-	if want := 15; shared.Probe().Len() != want {
-		t.Errorf("shared cache holds %d trajectories, want %d", shared.Probe().Len(), want)
+	if want := 15; shared.probe.Len() != want {
+		t.Errorf("shared cache holds %d trajectories, want %d", shared.probe.Len(), want)
 	}
 }

@@ -216,12 +216,14 @@ func (b *Bounds) histogram(scaling []int) ([]int, error) {
 }
 
 // nominalFromHist reduces a level histogram to the vector's nominal power in
-// fixed catalogue order.
+// fixed catalogue order. Each term is rounded before it is added (an
+// explicit float64), so no architecture fuses the two; the same holds for
+// the sums of tmLowerBoundFromHist.
 func (b *Bounds) nominalFromHist(cnt []int) float64 {
 	var sum float64
 	for i, e := range b.entries {
 		if cnt[i] != 0 {
-			sum += float64(cnt[i]) * e.term
+			sum += float64(float64(cnt[i]) * e.term)
 		}
 	}
 	return b.cl * sum
@@ -233,7 +235,7 @@ func (b *Bounds) tmLowerBoundFromHist(cnt []int) float64 {
 	var sumHz float64
 	for i, e := range b.entries {
 		if cnt[i] != 0 {
-			sumHz += float64(cnt[i]) * e.hz
+			sumHz += float64(float64(cnt[i]) * e.hz)
 		}
 	}
 	// Partition walk over the present levels, fastest first: F accumulates
@@ -301,7 +303,7 @@ func (b *Bounds) tmLowerBoundFromHist(cnt []int) float64 {
 		bottleneckLB = partition
 	}
 	f64 := float64(b.iterations)
-	return (1-1/f64)*bottleneckLB + makespanLB/f64
+	return float64((1-1/f64)*bottleneckLB) + makespanLB/f64
 }
 
 // TMLowerBound returns an admissible lower bound on the T_M of every

@@ -1,10 +1,10 @@
 package metrics
 
-// Property tests for the incremental machinery behind branch-and-bound
-// dispatch: the histogram Cursor and Evaluator.EvaluateDelta must be
-// bit-identical to their from-scratch counterparts on every path — that is
-// what lets the explore engine use them without weakening its
-// byte-identical-to-exhaustive guarantee.
+// Property tests for the scaling walks: the histogram Cursor behind
+// branch-and-bound dispatch must be bit-identical to fresh Bounds queries —
+// that is what lets the explore engine use it without weakening its
+// byte-identical-to-exhaustive guarantee — and Evaluator.EvaluateDelta to a
+// full Bind + Evaluate.
 
 import (
 	"fmt"
@@ -176,10 +176,10 @@ func evalFingerprint(ev *Evaluation) string {
 
 // TestEvaluateDeltaMatchesFull walks two evaluators down the same random
 // scaling sequence — one moving by EvaluateDelta, one by full Bind +
-// Evaluate — and demands bit-identical Evaluations at every step, across
-// both delta paths (idle-core patching and the re-schedule with profile
-// reuse). The mapping leaves two cores idle so the fast path actually
-// triggers.
+// Evaluate — and demands bit-identical Evaluations at every step. There is
+// one delta path, a rebind and re-evaluation of the last mapping; the
+// mapping leaves two cores idle so that the walk also covers moves of idle
+// cores only.
 func TestEvaluateDeltaMatchesFull(t *testing.T) {
 	for name, p := range deltaPlatforms(t) {
 		t.Run(name, func(t *testing.T) { testEvaluateDeltaMatchesFull(t, p) })
@@ -209,19 +209,19 @@ func testEvaluateDeltaMatchesFull(t *testing.T, p *arch.Platform) {
 	if _, err := delta.Evaluate(m); err != nil {
 		t.Fatal(err)
 	}
-	idlePathSeen := false
+	idleMoveSeen := false
 	for step := 0; step < 200; step++ {
 		next := append([]int(nil), cur...)
 		switch rng.Intn(3) {
-		case 0: // loaded core: the re-schedule path
+		case 0: // one loaded core
 			c := rng.Intn(p.Cores() - 2)
 			next[c] = 1 + rng.Intn(p.CoreNumLevels(c))
-		case 1: // idle cores only: the O(changed) patch path
+		case 1: // idle cores only
 			for _, c := range []int{8, 9} {
 				next[c] = 1 + rng.Intn(p.CoreNumLevels(c))
 			}
 			if next[8] != cur[8] || next[9] != cur[9] {
-				idlePathSeen = true
+				idleMoveSeen = true
 			}
 		case 2: // mixed jump
 			for i := 0; i < 3; i++ {
@@ -246,8 +246,8 @@ func testEvaluateDeltaMatchesFull(t *testing.T, p *arch.Platform) {
 		}
 		cur = next
 	}
-	if !idlePathSeen {
-		t.Fatal("walk never exercised the idle-core fast path")
+	if !idleMoveSeen {
+		t.Fatal("walk never moved the idle cores alone")
 	}
 
 	// A stale prev is an error, and the failed call must not move the

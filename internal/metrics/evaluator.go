@@ -58,7 +58,6 @@ type Evaluator struct {
 	bound        bool
 	lambdaSec    []float64
 	lambdaCyc    []float64
-	changed      []int // BindDelta scratch
 	nominalHz    float64
 	baselineBits int64
 
@@ -76,9 +75,9 @@ type Evaluator struct {
 // plain fields because an Evaluator is single-goroutine by contract;
 // aggregate across workers with Merge.
 type EvalStats struct {
-	// Evaluations counts candidate evaluations: one per Score or Evaluate
-	// call and per EvaluateDelta re-schedule. A mapper scores each
-	// candidate once and evaluates the design it returns once more.
+	// Evaluations counts candidate evaluations: one per Score, Evaluate
+	// or EvaluateDelta call. A mapper scores each candidate once and
+	// evaluates the design it returns once more.
 	Evaluations int64 `json:"evaluations"`
 	// Makespans counts makespan-only evaluations (the probe fast path).
 	Makespans int64 `json:"makespans"`
@@ -86,14 +85,6 @@ type EvalStats struct {
 	// every task of a call that ran to the end, fewer of one that stopped
 	// once its makespan provably passed the caller's cutoff.
 	MakespanDispatches int64 `json:"makespan_dispatches"`
-	// BindsFull counts first-time scaling binds (O(cores) λ derivation).
-	BindsFull int64 `json:"binds_full"`
-	// BindsDelta counts incremental rebinds (O(changed) λ derivation).
-	BindsDelta int64 `json:"binds_delta"`
-	// DeltaPatched counts EvaluateDelta calls resolved by the O(changed)
-	// idle-core patch; DeltaRescheduled counts the re-schedule fallback.
-	DeltaPatched     int64 `json:"delta_patched"`
-	DeltaRescheduled int64 `json:"delta_rescheduled"`
 }
 
 // Merge accumulates other into s.
@@ -101,10 +92,6 @@ func (s *EvalStats) Merge(other EvalStats) {
 	s.Evaluations += other.Evaluations
 	s.Makespans += other.Makespans
 	s.MakespanDispatches += other.MakespanDispatches
-	s.BindsFull += other.BindsFull
-	s.BindsDelta += other.BindsDelta
-	s.DeltaPatched += other.DeltaPatched
-	s.DeltaRescheduled += other.DeltaRescheduled
 }
 
 // Sub returns the counter difference s - base: the work done since base was
@@ -115,10 +102,6 @@ func (s EvalStats) Sub(base EvalStats) EvalStats {
 		Evaluations:        s.Evaluations - base.Evaluations,
 		Makespans:          s.Makespans - base.Makespans,
 		MakespanDispatches: s.MakespanDispatches - base.MakespanDispatches,
-		BindsFull:          s.BindsFull - base.BindsFull,
-		BindsDelta:         s.BindsDelta - base.BindsDelta,
-		DeltaPatched:       s.DeltaPatched - base.DeltaPatched,
-		DeltaRescheduled:   s.DeltaRescheduled - base.DeltaRescheduled,
 	}
 }
 
@@ -158,7 +141,6 @@ func NewEvaluator(g *taskgraph.Graph, p *arch.Platform, ser faults.SERModel, opt
 		util:         make([]float64, cores),
 		lambdaSec:    make([]float64, cores),
 		lambdaCyc:    make([]float64, cores),
-		changed:      make([]int, 0, cores),
 		nominalHz:    p.NominalHz(),
 		baselineBits: p.BaselineBits(),
 		lastM:        make(sched.Mapping, 0, n),
@@ -177,55 +159,21 @@ func (e *Evaluator) Platform() *arch.Platform { return e.p }
 // read-only and may be shared.
 func (e *Evaluator) Profile() *registers.Profile { return e.prof }
 
-// Bind pins the scaling vector for subsequent Evaluate calls, precomputing
-// the per-core λ rates. It invalidates any borrowed Evaluation.
-//
-// A rebind diffs against the current vector and re-derives the frequency
-// and λ rates of the changed cores only — each rate is a pure per-core
-// function of the operating point, so the delta path is bit-identical to a
-// full bind. Successive vectors of a combination stream differ in a few
-// coefficients, making the rebind O(changed) transcendental math instead of
-// O(cores).
+// Bind pins the scaling vector for subsequent Evaluate calls, deriving
+// every core's frequency and λ rates. It invalidates any borrowed
+// Evaluation. On error the binding is unchanged.
 func (e *Evaluator) Bind(scaling []int) error {
-	if !e.bound {
-		if err := e.sch.Bind(scaling); err != nil {
-			return err
-		}
-		e.bound = true
-		e.haveEval = false
-		e.stats.BindsFull++
-		return e.rebindLambdas(nil)
-	}
-	changed, err := e.sch.BindDelta(scaling, e.changed[:0])
-	e.changed = changed[:0]
-	if err != nil {
+	if err := e.sch.Bind(scaling); err != nil {
 		return err
 	}
+	e.bound = true
 	e.haveEval = false
-	e.stats.BindsDelta++
-	return e.rebindLambdas(changed)
-}
-
-// rebindLambdas re-derives the per-core λ rates for the given cores (nil
-// means all).
-func (e *Evaluator) rebindLambdas(cores []int) error {
-	s := e.sch.Scaling()
-	if cores == nil {
-		for c := range s {
-			e.bindLambda(c, s[c])
-		}
-		return nil
-	}
-	for _, c := range cores {
-		e.bindLambda(c, s[c])
+	for c, s := range e.sch.Scaling() {
+		level := e.p.MustCoreLevel(c, s)
+		e.lambdaSec[c] = e.ser.RatePerSec(level.Vdd)
+		e.lambdaCyc[c] = e.ser.RatePerCycle(level.Vdd, level.FreqHz())
 	}
 	return nil
-}
-
-func (e *Evaluator) bindLambda(c, s int) {
-	level := e.p.MustCoreLevel(c, s)
-	e.lambdaSec[c] = e.ser.RatePerSec(level.Vdd)
-	e.lambdaCyc[c] = e.ser.RatePerCycle(level.Vdd, level.FreqHz())
 }
 
 // Scaling returns the bound scaling vector. The slice is shared; do not
@@ -248,25 +196,12 @@ func (e *Evaluator) SetDeadline(d float64) {
 	e.haveEval = false
 }
 
-// Evaluate schedules m at the bound scaling and evaluates the design point
-// against eqs. (3), (5), (7), (8). The result is borrowed; see the type
-// comment.
-func (e *Evaluator) Evaluate(m sched.Mapping) (*Evaluation, error) {
-	return e.evaluate(m, false)
-}
-
 // EvaluateDelta re-evaluates the mapping of the most recent Evaluate call
-// after moving the bound scaling from prev to next. prev must equal the
-// currently bound vector (the caller names both ends of the move
-// explicitly, so a stale evaluator is an error rather than a silent
-// mis-evaluation). Only the changed cores' frequency and λ terms are
-// re-derived; the mapping-dependent register-pressure profile — which
-// scaling cannot change — is reused outright. When no changed core hosts a
-// task the schedule provably cannot move either (idle cores never appear
-// as an endpoint of a task or a cross-core token, and their power and Γ
-// terms are exactly zero at every level), so the borrowed Evaluation is
-// patched in O(changed); otherwise the schedule is recomputed. Either way
-// the result is bit-identical to a full Bind(next) + Evaluate(mapping).
+// after moving the bound scaling from prev to next: Bind(next), then
+// Evaluate of that mapping. prev must equal the currently bound vector (the
+// caller names both ends of the move explicitly, so a stale evaluator is an
+// error rather than a silent mis-evaluation). A stale prev or an invalid
+// next is an error that leaves the evaluator as it was.
 //
 // The returned Evaluation is borrowed under the usual contract, and the
 // evaluator is left bound to next.
@@ -283,34 +218,10 @@ func (e *Evaluator) EvaluateDelta(prev, next []int) (*Evaluation, error) {
 			return nil, fmt.Errorf("metrics: EvaluateDelta prev %v does not match the bound scaling %v", prev, cur)
 		}
 	}
-	changed, err := e.sch.BindDelta(next, e.changed[:0])
-	e.changed = changed[:0]
-	if err != nil {
+	if err := e.Bind(next); err != nil {
 		return nil, err
 	}
-	scheduleSafe := true
-	for _, c := range changed {
-		e.bindLambda(c, next[c])
-		if e.coreLoads[c] > 0 {
-			scheduleSafe = false
-		}
-	}
-	if !scheduleSafe {
-		// A loaded core moved: timing can change, so re-schedule — but the
-		// register-pressure profile of the unchanged mapping is reused.
-		e.stats.DeltaRescheduled++
-		return e.evaluate(e.lastM, true)
-	}
-	e.stats.DeltaPatched++
-	// Every changed core is idle under the last mapping: the schedule, the
-	// power sum (α = 0 terms are exactly zero at any level) and every Γ
-	// term are untouched; only the idle cores' λ rows need patching.
-	for _, c := range changed {
-		cm := &e.ev.PerCore[c]
-		cm.LambdaPerSec = e.lambdaSec[c]
-		cm.Lambda = e.lambdaCyc[c]
-	}
-	return &e.ev, nil
+	return e.Evaluate(e.lastM)
 }
 
 // Makespan schedules m at the bound scaling and returns only the pipelined
@@ -433,12 +344,14 @@ func (e *Evaluator) profile(m sched.Mapping) {
 // coreGamma returns core c's eq. (3) term over a run of T_M tm, with its
 // inputs: allocated register state persists for the whole run, so a loaded
 // core exposes its registers and baseline storage for tm and an idle core
-// nothing. Score and Evaluate both sum it in core order.
+// nothing. Score and Evaluate both sum it in core order. The term is rounded
+// before it is summed (an explicit float64), so no architecture fuses it
+// into Score's sum and the two sums agree bit for bit.
 func (e *Evaluator) coreGamma(c int, tm float64) (regBits, baselineBits int64, exposureSec, gamma float64) {
 	if e.coreLoads[c] > 0 {
 		regBits, baselineBits, exposureSec = e.coreRegBits[c], e.baselineBits, tm
 	}
-	return regBits, baselineBits, exposureSec, float64(regBits+baselineBits) * exposureSec * e.lambdaSec[c]
+	return regBits, baselineBits, exposureSec, float64(float64(regBits+baselineBits) * exposureSec * e.lambdaSec[c])
 }
 
 // meets is the deadline verdict of a T_M.
@@ -446,11 +359,10 @@ func (e *Evaluator) meets(tm float64) bool {
 	return e.opt.DeadlineSec <= 0 || tm <= e.opt.DeadlineSec
 }
 
-// evaluate is the shared implementation of Evaluate and EvaluateDelta's
-// re-schedule path. With reuseProfile set, m is the mapping of the previous
-// call and the per-core load counts and register-pressure popcounts are
-// reused instead of recomputed.
-func (e *Evaluator) evaluate(m sched.Mapping, reuseProfile bool) (*Evaluation, error) {
+// Evaluate schedules m at the bound scaling and evaluates the design point
+// against eqs. (3), (5), (7), (8). The result is borrowed; see the type
+// comment.
+func (e *Evaluator) Evaluate(m sched.Mapping) (*Evaluation, error) {
 	if !e.bound {
 		return nil, fmt.Errorf("metrics: Evaluate called before Bind")
 	}
@@ -471,12 +383,8 @@ func (e *Evaluator) evaluate(m sched.Mapping, reuseProfile bool) (*Evaluation, e
 	ev.Gamma = 0
 	ev.PowerW = 0
 
-	if !reuseProfile {
-		// The profile depends only on the mapping, so EvaluateDelta's
-		// re-schedule path keeps it.
-		e.profile(m)
-		e.lastM = append(e.lastM[:0], m...)
-	}
+	e.profile(m)
+	e.lastM = append(e.lastM[:0], m...)
 
 	horizon := ev.TMSeconds
 	for c := range ev.PerCore {

@@ -187,41 +187,6 @@ func (s *Scheduler) Bind(scaling []int) error {
 	return nil
 }
 
-// BindDelta rebinds only the cores whose coefficient differs from the
-// currently bound vector, appending their indices to changed (typically a
-// reused buffer) and returning the extended slice. It requires a prior
-// successful Bind; per-core frequency work is done only for the changed
-// cores, so a near-identical successor vector costs O(changed) float math
-// (the diff itself is an O(cores) integer scan). Validation happens before
-// any state is touched, so on error the binding is unchanged. Like Bind, it
-// invalidates any borrowed Schedule.
-func (s *Scheduler) BindDelta(next []int, changed []int) ([]int, error) {
-	if s.freq[0] == 0 {
-		return changed, fmt.Errorf("sched: BindDelta called before Bind")
-	}
-	if len(next) != len(s.scaling) {
-		return changed, fmt.Errorf("sched: scaling vector has %d entries, platform has %d cores", len(next), len(s.scaling))
-	}
-	for c, v := range next {
-		if v == s.scaling[c] {
-			continue
-		}
-		if _, err := s.p.CoreLevel(c, v); err != nil {
-			return changed, err
-		}
-	}
-	for c, v := range next {
-		if v == s.scaling[c] {
-			continue
-		}
-		s.scaling[c] = v
-		s.freq[c] = s.p.MustCoreLevel(c, v).FreqHz()
-		s.period[c] = 1 / s.freq[c]
-		changed = append(changed, c)
-	}
-	return changed, nil
-}
-
 // Scaling returns the bound scaling vector. The slice is shared; do not
 // mutate.
 func (s *Scheduler) Scaling() []int { return s.scaling }

@@ -63,7 +63,9 @@ func (l *rateLimiter) allow(key string) (bool, time.Duration) {
 		l.m.Add(key, b)
 	}
 	if dt := now.Sub(b.last).Seconds(); dt > 0 {
-		b.tokens = math.Min(l.burst, b.tokens+dt*l.rate)
+		// The accrual is rounded (an explicit float64), so no
+		// architecture fuses it into the sum.
+		b.tokens = math.Min(l.burst, b.tokens+float64(dt*l.rate))
 	}
 	b.last = now
 	if b.tokens >= 1 {

@@ -164,8 +164,9 @@ func TestDistributedPeerFallback(t *testing.T) {
 
 	// Peers that answer 200 with a result of the wrong shape for the range
 	// they were sent, to a scalar and a Pareto job. A malformed mapping sits
-	// on every record, claiming a feasible probe, so the Pareto replay
-	// reaches it on the frontier members of the peer's ranges.
+	// on every record, claiming a feasible probe, so a merge that took the
+	// records as hints would reach it on the frontier members of the peer's
+	// ranges; the shape check refuses the result before the merge.
 	tasks, cores := taskgraph.MPEG2().N(), 4
 	records := func(rng mapping.ShardRange, assign func() []int) *mapping.ShardResult {
 		res := &mapping.ShardResult{Records: make([]*mapping.ShardRecord, rng.Hi-rng.Lo)}

@@ -369,8 +369,8 @@ func (q *flightQueue) Pop() any {
 }
 
 // Server is the optimization-as-a-service core: it owns the job table, the
-// flight queue, the worker pool and the result cache. Create one with New
-// and shut it down with Close.
+// flight queue, the worker pool and the result cache. Create one with
+// NewServer and shut it down with Close.
 type Server struct {
 	cfg    Config
 	ctx    context.Context
@@ -1064,10 +1064,10 @@ func (s *Server) execute(f *flight) (*cacheEntry, error) {
 	}
 	// Distributed execution: when peers (or an explicit shard count) are
 	// configured and the job shape is distributable, fan the enumeration out
-	// over shards and merge through the byte-identical replay. Engine
-	// telemetry is per-process, so sharded flights carry no stats snapshot
-	// (their /stats endpoint answers 409) — the result and progress bytes
-	// are still identical to a single-node run.
+	// over shards and fold their records, as hints, on the engine's one
+	// claim stream. Engine telemetry is per-process, so sharded flights
+	// carry no stats snapshot (their /stats endpoint answers 409) — the
+	// result and progress bytes are still identical to a single-node run.
 	runners := s.shardRunnersFor(f, sys, opts, mode)
 	if runners != nil {
 		e.stats, opts.Stats = nil, nil

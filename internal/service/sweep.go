@@ -37,10 +37,8 @@ type sweepPointJSON struct {
 // platform's batch runs over the server's reuse bundle for the probe key of
 // the problem on that platform, the bundle single-point jobs over the same
 // workload share, so a sweep and those jobs never probe a combination
-// twice. OptimizeSweep declares the sweep's tightest deadline as the
-// bundle's probe horizon (ProbeCache.EnsureHorizon), and the horizon only
-// tightens: a later first probe through the bundle may climb deeper than
-// its own deadline needs, which costs time but never changes a verdict.
+// twice. A probe climbs only as deep as its own point's deadline needs, so
+// a sweep leaves the bundle as single jobs at its points would.
 func (s *Server) executeSweep(f *flight, opts seadopt.OptimizeOptions) (*cacheEntry, error) {
 	o := f.problem.Options
 	pointMode, err := ingest.ParseMode(o.SweepPointMode)

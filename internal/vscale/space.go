@@ -492,7 +492,9 @@ func (sp *Space) RankedFrontier(weight [][]float64) (*Frontier, error) {
 					}
 				}
 				if n > 0 {
-					w += float64(n) * col[lvl-1]
+					// Rounded before it is added (an explicit
+					// float64), so no architecture fuses the two.
+					w += float64(float64(n) * col[lvl-1])
 				}
 			}
 		}

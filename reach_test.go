@@ -52,7 +52,7 @@ var reachAllowlist = map[string]string{
 		"TestParsePlatformSpecFacade check how many DVS table classes a spec built",
 	"internal/arch.(*Platform).MinPowerScaling": "the all-slowest start of the Fig. 5(a) walk: " +
 		"TestPlatformAccessors and TestHeterogeneousPlatform pin it, and metrics' " +
-		"TestEvaluateDeltaRequiresEvaluate and the root BenchmarkEvaluateDelta* step from it",
+		"TestEvaluateDeltaRequiresEvaluate and the root BenchmarkEvaluateDelta step from it",
 	"internal/arch.(*Platform).TypeName": "observer: ingest's TestParsePlatformSpec reads the " +
 		"processor-type name a spec gave each core",
 	"internal/arch.MustNewPlatform": "fixture constructor of the test platforms of the root, " +

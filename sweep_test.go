@@ -198,9 +198,11 @@ func TestSweepWarmStartSameResults(t *testing.T) {
 // TestSweepDeadlineOnlyProbeHitRate pins the tentpole's cache economics: in
 // a deadline-only sweep every combination is probed once for the whole
 // batch. Under StrategyExhaustive each of the 8 points probes all 15
-// combinations of the 4-core/3-level space, so exactly 15 probes miss (the
-// first point's, climbing to the sweep's horizon) and the remaining 7×15
-// are pure cache hits.
+// combinations of the 4-core/3-level space. Exactly 15 probes miss, the
+// first point's, and the remaining 7×15 are pure cache hits: on this
+// workload each climb the first point runs stops at a makespan that meets
+// the tightest point's deadline or spends its whole move budget, so no
+// later point climbs further.
 func TestSweepDeadlineOnlyProbeHitRate(t *testing.T) {
 	sys, err := NewARM7System(MPEG2(), 4, 3)
 	if err != nil {
@@ -230,5 +232,59 @@ func TestSweepDeadlineOnlyProbeHitRate(t *testing.T) {
 	if want := int64(7 * combos); stats.ProbeCache.Hits != want {
 		t.Errorf("probe hits = %d, want %d (every later point served from cache)",
 			stats.ProbeCache.Hits, want)
+	}
+}
+
+// TestSweepLeavesBundleAsSingleRun: a sweep through a reuse bundle leaves
+// it as single runs at the same deadlines would. Bundle A serves a
+// one-point sweep at half the §V deadline, bundle B a ranked Optimize at
+// that deadline. A later Optimize at the §V deadline then probes
+// combinations the tight runs pruned, and each climb goes only as deep as
+// the looser deadline needs through either bundle: the same number of
+// makespan calls.
+func TestSweepLeavesBundleAsSingleRun(t *testing.T) {
+	g, err := RandomGraph(DefaultRandomGraphConfig(40), 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := NewARM7System(g, 16, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := RandomGraphDeadline(40)
+	opts := OptimizeOptions{Parallelism: 1, Ranked: true}
+
+	tight := opts
+	tight.DeadlineSec = d / 2
+	swept := opts
+	swept.Reuse = NewExploreReuse()
+	if _, err := sys.OptimizeSweep([]SweepPoint{{DeadlineSec: tight.DeadlineSec}}, SweepOptions{Options: swept}); err != nil {
+		t.Fatal(err)
+	}
+	single := tight
+	single.Reuse = NewExploreReuse()
+	if _, err := sys.Optimize(single); err != nil {
+		t.Fatal(err)
+	}
+
+	loose := func(reuse *ExploreReuse) (*Design, int64) {
+		o := opts
+		o.DeadlineSec = d
+		o.Reuse = reuse
+		var st ExploreStats
+		o.Stats = &st
+		design, err := sys.Optimize(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return design, st.Eval.Makespans
+	}
+	afterSweep, sweepCalls := loose(swept.Reuse)
+	afterSingle, singleCalls := loose(single.Reuse)
+	if sweepCalls != singleCalls {
+		t.Errorf("loose Optimize made %d makespan calls after the sweep, %d after a single run", sweepCalls, singleCalls)
+	}
+	if a, b := sweepFP(afterSweep), sweepFP(afterSingle); a != b {
+		t.Errorf("loose designs diverged:\n  after sweep:  %s\n  after single: %s", a, b)
 	}
 }
