@@ -434,13 +434,14 @@ func (s *System) OptimizeParetoContext(ctx context.Context, opts OptimizeOptions
 
 // Distributed sharded exploration: the combination enumeration partitions
 // into contiguous rank ranges explored by peer workers (in-process or HTTP
-// peers). Every shard takes one self-contained request, a scalar one
-// carrying the coordinator's standing dominance threshold, and shares
-// nothing while it runs. The coordinator merges the shards' records in one
-// more streaming pass that takes them as hints (internal/mapping/shard.go
-// states what a record is trusted with); with honest shards the merged
-// Design/frontier and Progress stream are byte-identical to the single-node
-// Optimize/OptimizePareto run.
+// peers). Every shard takes one self-contained request — a range, a fold
+// and whether to prune — and shares nothing while it runs. The coordinator
+// merges the shards' records in one more streaming pass that takes them as
+// hints (internal/mapping/shard.go states what a record is trusted with);
+// with honest shards the merged Design/frontier and Progress stream are
+// byte-identical to the single-node Optimize/OptimizePareto run. A ranked
+// solve whose ranked pass finds a probe-feasible scaling shards nothing: its
+// main pass resolves on the coordinator, as a single-node run's does.
 type (
 	// ShardRange is one contiguous [Lo,Hi) slice of the enumeration.
 	ShardRange = mapping.ShardRange
@@ -453,9 +454,9 @@ type (
 )
 
 // RunShard is the worker side of the distributed exploration: it explores
-// req.Range of this system under opts, a scalar shard starting from
-// req.Threshold, and returns the record stream the coordinator merges.
-// Progress/Stats callbacks are coordinator concerns and are ignored here.
+// req.Range of this system under opts and returns the record stream the
+// coordinator merges. Progress/Stats callbacks are coordinator concerns and
+// are ignored here.
 func (s *System) RunShard(ctx context.Context, opts OptimizeOptions, req ShardRequest) (*ShardResult, error) {
 	cfg := opts.mappingConfig()
 	return mapping.ExploreShard(ctx, s.Graph, s.Platform, mapping.SEAMapper(cfg), cfg, req)
@@ -465,25 +466,31 @@ func (s *System) RunShard(ctx context.Context, opts OptimizeOptions, req ShardRe
 // contiguous shards; nil runner entries execute their shard embedded in
 // this process. The chosen Design and the Progress stream are
 // byte-identical to OptimizeContext at any shard count and runner mix.
-// OptimizeOptions.Stats is ignored (telemetry stays per-process).
+// OptimizeOptions.Stats receives the coordinator's telemetry: the shards
+// run without a collector.
 func (s *System) OptimizeShardedContext(ctx context.Context, opts OptimizeOptions, runners []ShardRunner) (*Design, error) {
 	cfg := opts.mappingConfig()
+	snap := opts.telemetry(&cfg)
 	best, err := mapping.ExploreSharded(ctx, s.Graph, s.Platform, mapping.SEAMapper(cfg), cfg, runners)
 	if err != nil {
 		return nil, err
 	}
+	snap()
 	return &Design{Scaling: best.Scaling, Mapping: best.Mapping, Eval: best.Eval}, nil
 }
 
 // OptimizeShardedParetoContext is OptimizeParetoContext distributed over
 // len(runners) contiguous shards, with the same byte-identity guarantee
-// for the returned frontier.
+// for the returned frontier and the same telemetry scope as
+// OptimizeShardedContext.
 func (s *System) OptimizeShardedParetoContext(ctx context.Context, opts OptimizeOptions, runners []ShardRunner) ([]*Design, error) {
 	cfg := opts.mappingConfig()
+	snap := opts.telemetry(&cfg)
 	frontier, err := mapping.ExploreShardedPareto(ctx, s.Graph, s.Platform, mapping.SEAMapper(cfg), cfg, runners)
 	if err != nil {
 		return nil, err
 	}
+	snap()
 	out := make([]*Design, len(frontier))
 	for i, d := range frontier {
 		out[i] = &Design{Scaling: d.Scaling, Mapping: d.Mapping, Eval: d.Eval}

@@ -384,3 +384,44 @@ func TestStatsAndCustomPlatform(t *testing.T) {
 		t.Error("degenerate design on custom platform")
 	}
 }
+
+// TestShardedOptimizeFillsStats: the sharded entry points honour
+// OptimizeOptions.Stats with the coordinator's telemetry, whether the run
+// shards (exhaustive, Pareto) or resolves on the coordinator (a seeded
+// ranked walk), and the Design or frontier is the single-node one.
+func TestShardedOptimizeFillsStats(t *testing.T) {
+	sys, err := NewARM7System(MPEG2(), 4, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, opts := range []OptimizeOptions{
+		{DeadlineSec: MPEG2Deadline, StreamIterations: MPEG2Frames, SearchMoves: 100, Seed: 1, Ranked: true},
+		{DeadlineSec: MPEG2Deadline, StreamIterations: MPEG2Frames, SearchMoves: 100, Seed: 1, Strategy: StrategyExhaustive},
+	} {
+		want, err := sys.OptimizeContext(ctx, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st ExploreStats
+		opts.Stats = &st
+		got, err := sys.OptimizeShardedContext(ctx, opts, make([]ShardRunner, 2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Summary() != want.Summary() {
+			t.Errorf("strategy %q ranked=%v: sharded design differs from single-node", opts.Strategy, opts.Ranked)
+		}
+		if st.Combos.Total != 15 {
+			t.Errorf("strategy %q ranked=%v: stats counted %d combinations, want 15", opts.Strategy, opts.Ranked, st.Combos.Total)
+		}
+	}
+	var st ExploreStats
+	opts := OptimizeOptions{DeadlineSec: MPEG2Deadline, StreamIterations: MPEG2Frames, SearchMoves: 100, Seed: 1, Stats: &st}
+	if _, err := sys.OptimizeShardedParetoContext(ctx, opts, make([]ShardRunner, 2)); err != nil {
+		t.Fatal(err)
+	}
+	if st.Combos.Total != 15 {
+		t.Errorf("pareto: stats counted %d combinations, want 15", st.Combos.Total)
+	}
+}

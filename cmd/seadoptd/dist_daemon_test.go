@@ -218,10 +218,12 @@ func mpeg2Env(t *testing.T, extra map[string]any) []byte {
 }
 
 // TestDistributedDaemons boots a coordinator and two worker seadoptd
-// processes on ephemeral ports, runs MPEG-2 scalar and Pareto jobs through
-// the coordinator, and asserts the result bytes equal a single-node
-// daemon's golden bytes, with the shard counters proving the work went
-// remote.
+// processes on ephemeral ports, runs MPEG-2 scalar (default, so ranked, and
+// exhaustive) and Pareto jobs through the coordinator, and asserts the
+// result bytes equal a single-node daemon's golden bytes. The shard
+// counters prove that the exhaustive scalar and the Pareto work went remote
+// and that the ranked scalar job, which resolves on the coordinator, sent
+// the workers nothing.
 func TestDistributedDaemons(t *testing.T) {
 	single := spawnDaemon(t, "-addr", "127.0.0.1:0", "-workers", "1", "-drain-timeout", "10s")
 	w1 := spawnDaemon(t, "-addr", "127.0.0.1:0", "-workers", "1", "-drain-timeout", "10s")
@@ -229,12 +231,32 @@ func TestDistributedDaemons(t *testing.T) {
 	coord := spawnDaemon(t, "-addr", "127.0.0.1:0",
 		"-peer", w1.base, "-peer", w2.base, "-workers", "1", "-drain-timeout", "10s")
 
+	metric := func(base, name string) int {
+		t.Helper()
+		resp, err := http.Get(base + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		var v int
+		if _, err := fmt.Sscanf(firstMatching(body, name), name+" %d", &v); err != nil {
+			t.Fatalf("%s metrics: %v\n%s", base, err, body)
+		}
+		return v
+	}
+	served := func() int {
+		return metric(w1.base, "seadoptd_shards_served_total") + metric(w2.base, "seadoptd_shards_served_total")
+	}
+
 	for _, tc := range []struct {
-		name  string
-		extra map[string]any
+		name   string
+		extra  map[string]any
+		served int // shards the workers have served after this job
 	}{
-		{"scalar", nil},
-		{"pareto", map[string]any{"mode": "pareto"}},
+		{"scalar", nil, 0},
+		{"exhaustive scalar", map[string]any{"strategy": "exhaustive"}, 2},
+		{"pareto", map[string]any{"mode": "pareto"}, 4},
 	} {
 		env := mpeg2Env(t, tc.extra)
 		ref := submitEnvelope(t, single.base, env)
@@ -246,35 +268,12 @@ func TestDistributedDaemons(t *testing.T) {
 			t.Fatalf("%s: distributed result differs from single-node golden:\n%s\nvs\n%s",
 				tc.name, final.Result, golden.Result)
 		}
-	}
-
-	mresp, err := http.Get(coord.base + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(mresp.Body)
-	mresp.Body.Close()
-	if !bytes.Contains(body, []byte("seadoptd_sharded_executions_total 2")) {
-		t.Fatalf("coordinator did not shard both jobs:\n%s",
-			firstMatching(body, "seadoptd_sharded_executions_total"))
-	}
-	var served int
-	for _, w := range []*daemonProc{w1, w2} {
-		resp, err := http.Get(w.base + "/metrics")
-		if err != nil {
-			t.Fatal(err)
+		if n := served(); n != tc.served {
+			t.Fatalf("%s: workers served %d shards in all, want %d", tc.name, n, tc.served)
 		}
-		wb, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		var v int
-		if _, err := fmt.Sscanf(firstMatching(wb, "seadoptd_shards_served_total"),
-			"seadoptd_shards_served_total %d", &v); err != nil {
-			t.Fatalf("worker metrics: %v", err)
-		}
-		served += v
 	}
-	if served != 4 {
-		t.Fatalf("workers served %d shards for 2 sharded jobs × 2 peers, want 4", served)
+	if n := metric(coord.base, "seadoptd_sharded_executions_total"); n != 2 {
+		t.Fatalf("coordinator sharded %d jobs, want 2 (exhaustive scalar and Pareto)", n)
 	}
 
 	coord.terminate()

@@ -154,7 +154,12 @@
 // marshals to a stable wire JSON via encoding/json. cmd/seadoptd serves the
 // whole optimizer as a daemon — job queue, single-flight deduplication,
 // content-addressed result cache, SSE progress — on these two surfaces; the
-// server core lives in internal/service.
+// server core lives in internal/service. A coordinator daemon shards
+// eligible jobs over peer daemons (OptimizeShardedContext on its side,
+// RunShard on theirs): each shard request carries a rank range and a fold,
+// and the merged result is byte-identical to a single-node run. A ranked
+// scalar solve whose ranked pass finds a probe-feasible scaling sends no
+// shard: its main pass resolves on the coordinator.
 //
 // # Observability
 //
@@ -164,8 +169,10 @@
 // verdict counters, probe-cache hit rates, evaluator work counts,
 // incumbent/frontier events and per-worker busy spans. Telemetry is
 // observe-only — results and progress are byte-identical with it on or
-// off, at any parallelism. The daemon serves the same snapshot per job
-// (GET /v1/jobs/{id}/stats), renders it as a perfetto-loadable worker
+// off, at any parallelism. The sharded entry points fill it with the
+// coordinator's telemetry; shards run without a collector. The daemon
+// serves the same snapshot per job (GET /v1/jobs/{id}/stats; 409 for a job
+// whose shards ran), renders it as a perfetto-loadable worker
 // timeline (GET /v1/jobs/{id}/trace, internal/trace), aggregates service
 // latencies into Prometheus histograms on /metrics, and logs structured
 // records via log/slog (-log-format, -log-level).

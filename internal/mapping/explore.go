@@ -180,14 +180,20 @@ type passFunc func(ctx context.Context, g *taskgraph.Graph, p *arch.Platform, ma
 // exploreScalar is the scalar driver behind ExploreContext and
 // ExploreSharded: it seeds the fold's dominance threshold under
 // branch-and-bound (Ranked), runs one pass, and takes the
-// all-infeasible fallback when nothing feasible was found or the fold holds
-// no design (a seeded fold ends empty only when shard records claim the
-// seed's combination probe-infeasible).
+// all-infeasible fallback when nothing feasible was found or every
+// combination was bound-pruned.
+//
+// A seeded pass always runs on this node, whatever run is: the ranked pass
+// has already probed every combination the seed does not dominate, so what
+// is left is probe-cache hits and one mapper run, which a shard would only
+// repeat with a cold cache. Every unseeded pass, the fallback included,
+// goes through run.
 func exploreScalar(ctx context.Context, g *taskgraph.Graph, p *arch.Platform,
 	mapper MapperFunc, cfg Config, run passFunc) (*Design, error) {
 	strategy := cfg.Strategy.withDefault()
 	prune := strategy != StrategyExhaustive
 	fold := newScalarFold(prune, cfg.Telemetry)
+	pass := run
 	if prune && strategy == StrategyBranchAndBound && cfg.Ranked {
 		nominal, seeded, err := probeRankedStream(ctx, g, p, cfg)
 		if err != nil {
@@ -195,9 +201,10 @@ func exploreScalar(ctx context.Context, g *taskgraph.Graph, p *arch.Platform,
 		}
 		if seeded {
 			fold.seed(nominal)
+			pass = exploreCore
 		}
 	}
-	prunedCount, err := run(ctx, g, p, mapper, cfg, fold, coreOptions{
+	prunedCount, err := pass(ctx, g, p, mapper, cfg, fold, coreOptions{
 		computeBounds: prune && cfg.DeadlineSec > 0,
 		prune:         prune,
 	})
@@ -285,11 +292,11 @@ type outcome struct {
 // implement it. The stream's lock orders every call but one:
 // mapperSkippable is what workers read mid-combination, outside the lock.
 //
-// Every external bound reaches the scalar fold through its monotone
-// dominance threshold as a seed: the ranked pass's, or on a shard the
-// coordinator's threshold; the Pareto fold prunes against its own realized
-// frontier only. dispatchSkip and confirmSkip read that same state, so
-// every claim-time skip stays reproducible at fold time.
+// The one external bound is the ranked pass's seed, which reaches the
+// scalar fold through its monotone dominance threshold; a shard's fold and
+// the Pareto fold prune against their own results only. dispatchSkip and
+// confirmSkip read that same state, so every claim-time skip stays
+// reproducible at fold time.
 type streamFold interface {
 	// dispatchSkip is the claim-time pre-mapper dominance test. It must be
 	// monotone with respect to the fold's state: once true for an outcome,
@@ -600,24 +607,8 @@ func probeRankedStream(ctx context.Context, g *taskgraph.Graph, p *arch.Platform
 	if err != nil {
 		return 0, false, err
 	}
-	cores := p.Cores()
-	class := p.SymmetryClasses()
-	weight := make([][]float64, cores)
-	cols := make(map[int][]float64)
-	for c := 0; c < cores; c++ {
-		col, have := cols[class[c]]
-		if !have {
-			levels := p.CoreNumLevels(c)
-			col = make([]float64, levels)
-			for s := 1; s <= levels; s++ {
-				l := p.MustCoreLevel(c, s)
-				col[s-1] = l.FreqHz() * l.Vdd * l.Vdd
-			}
-			cols[class[c]] = col
-		}
-		weight[c] = col
-	}
-	fr, err := space.RankedFrontier(weight)
+	bounds := cfg.Reuse.boundsFor(g, p, cfg.Iterations)
+	fr, err := space.RankedFrontier(bounds.LevelWeights())
 	if err != nil {
 		return 0, false, fmt.Errorf("mapping: ranked incumbent seeding: %w", err)
 	}
@@ -637,7 +628,7 @@ func probeRankedStream(ctx context.Context, g *taskgraph.Graph, p *arch.Platform
 		feasible bool
 		err      error
 	}
-	cursor := cfg.Reuse.boundsFor(g, p, cfg.Iterations).Cursor()
+	cursor := bounds.Cursor()
 	var (
 		mu       sync.Mutex
 		verdicts []verdict
@@ -696,7 +687,7 @@ func probeRankedStream(ctx context.Context, g *taskgraph.Graph, p *arch.Platform
 			if !ok {
 				return
 			}
-			var feasible bool
+			var winner sched.Mapping
 			if err == nil {
 				err = wk.mc.bind(ctx, c.Scaling, c.Index, cfg.Seed)
 			}
@@ -706,12 +697,12 @@ func probeRankedStream(ctx context.Context, g *taskgraph.Graph, p *arch.Platform
 					t0 = tel.now()
 				}
 				var hit bool
-				_, feasible, hit, err = cfg.Reuse.probe.feasibleAtScaling(wk.mc, c.Index, cfg)
+				winner, hit, err = cfg.Reuse.probe.feasibleAtScaling(wk.mc, c.Index, cfg)
 				if tel != nil {
 					tel.observeProbe(tel.now()-t0, hit)
 				}
 			}
-			end := record(rank, feasible, err)
+			end := record(rank, winner != nil, err)
 			if tel != nil {
 				tel.workerSpan(w, start, end, c.Index, "rank")
 			}
@@ -1123,7 +1114,7 @@ func exploreCombo(ctx context.Context, mc *MapContext, mapper MapperFunc,
 	// the probe's mapping is the design at this scaling.
 	tel := cfg.Telemetry
 	var t0 int64
-	var probeEv *metrics.Evaluation
+	var winner sched.Mapping // the probe's mapping, owned by the cache
 	probedFeasible := false
 	if hint != nil && hint.ProbeKnown {
 		probedFeasible = hint.Probed
@@ -1132,13 +1123,14 @@ func exploreCombo(ctx context.Context, mc *MapContext, mapper MapperFunc,
 			t0 = tel.now()
 		}
 		var probeHit bool
-		probeEv, probedFeasible, probeHit, err = cfg.Reuse.probe.feasibleAtScaling(mc, idx, cfg)
+		winner, probeHit, err = cfg.Reuse.probe.feasibleAtScaling(mc, idx, cfg)
 		if tel != nil {
 			tel.observeProbe(tel.now()-t0, probeHit)
 		}
 		if err != nil {
 			return nil, false, false, err
 		}
+		probedFeasible = winner != nil
 	}
 	if !probedFeasible && skippable != nil && skippable() {
 		if tel != nil {
@@ -1165,10 +1157,14 @@ func exploreCombo(ctx context.Context, mc *MapContext, mapper MapperFunc,
 			return nil, false, false, fmt.Errorf("mapping: scaling %v: %w", scaling, err)
 		}
 	}
-	if probeEv != nil && !ev.MeetsDeadline {
-		// Clone: the cache owns probeEv, and Explore calls sharing the
-		// cache must not hand out aliased mutable Designs.
-		ev = probeEv.Clone()
+	if winner != nil && !ev.MeetsDeadline {
+		// The evaluation lives in the evaluator's buffers, which its next
+		// call rewrites, so the design keeps a clone; winner stays the
+		// cache's, unchanged.
+		if ev, err = mc.Eval.Evaluate(winner); err != nil {
+			return nil, false, false, err
+		}
+		ev = ev.Clone()
 		m = ev.Schedule.Mapping
 	}
 	probed = probedFeasible && ev.MeetsDeadline

@@ -38,8 +38,9 @@ const ProbeMoves = 400
 //
 // A cache is shareable across Explore calls that agree on graph and
 // platform content, Config.Seed and Config.Iterations; DeadlineSec and SER
-// may vary freely between calls (per-(deadline, SER) evaluations are
-// memoized per entry). Do not share one across different workloads.
+// may vary freely between calls (a verdict is a mapping, evaluated by the
+// caller under its own deadline and SER when it needs more than the
+// verdict). Do not share one across different workloads.
 // Explorations reach a cache through Config.Reuse; with Reuse nil, each
 // call probes through a private bundle's cache.
 type ProbeCache struct {
@@ -67,14 +68,6 @@ type probeMin struct {
 	m  sched.Mapping // owned copy
 }
 
-// probeEvalKey memoizes the winner's full Evaluation per (deadline, SER):
-// those are the only evaluator inputs that vary across calls sharing a
-// cache, and both affect Evaluation fields (MeetsDeadline, Γ).
-type probeEvalKey struct {
-	deadline float64
-	ser      faults.SERModel
-}
-
 // probeEntry is one combination's resumable probe trajectory. The per-entry
 // mutex gives single-flight semantics: concurrent probes of the same
 // combination serialize, and a resume never re-runs a recorded move, so the
@@ -84,7 +77,6 @@ type probeEntry struct {
 	mu     sync.Mutex
 	seeded bool
 	minima []probeMin
-	evals  map[probeEvalKey]*metrics.Evaluation
 
 	// Resumable climb state; released once the move budget is exhausted.
 	cur       sched.Mapping
@@ -99,16 +91,17 @@ type probeEntry struct {
 // longest-processing-time balanced mapping refined by a short makespan hill
 // climb, with a fixed seed derived from Config.Seed so every experiment
 // sees the same verdict for the same (graph, platform, scaling, deadline).
-// idx is the combination's stable enumeration index (the cache key). On
-// success it returns the feasible mapping's evaluation (owned by the
-// cache; treat as read-only). hit reports whether the verdict was served
-// without running any climb work — telemetry only; verdicts themselves
-// never depend on timing.
-func (pc *ProbeCache) feasibleAtScaling(mc *MapContext, idx int, cfg Config) (*metrics.Evaluation, bool, bool, error) {
+// idx is the combination's stable enumeration index (the cache key). It
+// returns the first recorded mapping that meets the deadline, nil when the
+// climb found none: the winner is owned by the cache and never changes, so
+// callers read it and copy what they keep. hit reports whether the verdict
+// was served without running any climb work — telemetry only; verdicts
+// themselves never depend on timing.
+func (pc *ProbeCache) feasibleAtScaling(mc *MapContext, idx int, cfg Config) (winner sched.Mapping, hit bool, err error) {
 	pc.mu.Lock()
 	en, existed := pc.entries[idx]
 	if !existed {
-		en = &probeEntry{evals: make(map[probeEvalKey]*metrics.Evaluation)}
+		en = &probeEntry{}
 		pc.entries[idx] = en
 	}
 	pc.mu.Unlock()
@@ -124,7 +117,7 @@ func (pc *ProbeCache) feasibleAtScaling(mc *MapContext, idx int, cfg Config) (*m
 	worked := false
 	if !en.seeded {
 		if err := en.seed(mc, sc, cfg); err != nil {
-			return nil, false, false, err
+			return nil, false, err
 		}
 		worked = true
 	}
@@ -132,46 +125,30 @@ func (pc *ProbeCache) feasibleAtScaling(mc *MapContext, idx int, cfg Config) (*m
 	// deadline is met by the seed.
 	for deadline > 0 && !en.exhausted && en.curTM > deadline {
 		if err := mc.Ctx.Err(); err != nil {
-			return nil, false, false, err
+			return nil, false, err
 		}
 		if err := en.step(mc, sc); err != nil {
-			return nil, false, false, err
+			return nil, false, err
 		}
 		worked = true
 	}
 	if en.exhausted && en.cur != nil {
 		en.cur, en.spare, en.rng = nil, nil, nil
 	}
-	hit := existed && !worked
+	hit = existed && !worked
 
 	// Replay the cold probe's early exit: the winner for this deadline is
 	// the first recorded strict minimum meeting it (the seed when the
 	// deadline is unconstrained).
-	var winner sched.Mapping
 	if deadline <= 0 {
-		winner = en.minima[0].m
-	} else {
-		for i := range en.minima {
-			if en.minima[i].tm <= deadline {
-				winner = en.minima[i].m
-				break
-			}
+		return en.minima[0].m, hit, nil
+	}
+	for i := range en.minima {
+		if en.minima[i].tm <= deadline {
+			return en.minima[i].m, hit, nil
 		}
 	}
-	if winner == nil {
-		return nil, false, hit, nil
-	}
-	key := probeEvalKey{deadline: deadline, ser: cfg.SER}
-	if ev, ok := en.evals[key]; ok {
-		return ev, true, hit, nil
-	}
-	ev, err := mc.Eval.Evaluate(winner)
-	if err != nil {
-		return nil, false, false, err
-	}
-	ev = ev.Clone()
-	en.evals[key] = ev
-	return ev, true, hit, nil
+	return nil, hit, nil
 }
 
 // seed builds the LPT seed mapping — heaviest tasks first onto the least-
@@ -215,8 +192,8 @@ func (en *probeEntry) seed(mc *MapContext, sc *comboScratch, cfg Config) error {
 	}
 
 	// The climb needs only each candidate's T_M, so it runs on the
-	// makespan-only evaluation path; the one full Evaluate per (deadline,
-	// SER) happens on the recorded winner. TMSeconds is bit-identical
+	// makespan-only evaluation path; a caller that needs the winner's full
+	// Evaluate runs it on the returned mapping. TMSeconds is bit-identical
 	// between the two paths, so the verdict sequence — and with it every
 	// probe-derived decision — matches the uncached probe exactly.
 	tm, _, err := mc.Eval.Makespan(m)

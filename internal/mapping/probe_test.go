@@ -92,8 +92,9 @@ func evalFingerprint(ev *metrics.Evaluation) string {
 
 // TestProbeTrajectoryMatchesColdProbe is the trajectory cache's core
 // contract: served at any deadline, in any order — loose to tight, tight to
-// loose, unconstrained in the middle — every cached verdict and Evaluation
-// is bit-identical to a cold probe run at exactly that deadline.
+// loose, unconstrained in the middle — every cached verdict, and the
+// Evaluation of every cached winner, is bit-identical to a cold probe run at
+// exactly that deadline.
 func TestProbeTrajectoryMatchesColdProbe(t *testing.T) {
 	g := taskgraph.MustRandom(taskgraph.DefaultRandomConfig(16), 9)
 	p := plat(3)
@@ -137,10 +138,11 @@ func TestProbeTrajectoryMatchesColdProbe(t *testing.T) {
 					Scaling:  eval.Scaling(),
 					Eval:     eval,
 				}
-				got, feasible, _, err := pc.feasibleAtScaling(mc, idx, c)
+				got, _, err := pc.feasibleAtScaling(mc, idx, c)
 				if err != nil {
 					t.Fatal(err)
 				}
+				feasible := got != nil
 
 				if err := oracleEval.Bind(scaling); err != nil {
 					t.Fatal(err)
@@ -153,11 +155,15 @@ func TestProbeTrajectoryMatchesColdProbe(t *testing.T) {
 				if !feasible {
 					continue
 				}
+				gotEv, err := eval.Evaluate(got)
+				if err != nil {
+					t.Fatal(err)
+				}
 				want, err := oracleEval.Evaluate(winner)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if gotFP, wantFP := evalFingerprint(got), evalFingerprint(want); gotFP != wantFP {
+				if gotFP, wantFP := evalFingerprint(gotEv), evalFingerprint(want); gotFP != wantFP {
 					t.Errorf("deadline %g combo %d: cached evaluation diverged:\n  cache: %s\n  cold:  %s",
 						deadline, idx, gotFP, wantFP)
 				}
@@ -244,5 +250,108 @@ func TestProbeCacheConcurrentSharingNoDuplicateWork(t *testing.T) {
 	// Every combination has exactly one cached trajectory between the runs.
 	if want := 15; shared.probe.Len() != want {
 		t.Errorf("shared cache holds %d trajectories, want %d", shared.probe.Len(), want)
+	}
+}
+
+// TestProbeLookupEvaluatesNothing: the probe hands back its winner mapping
+// and leaves the evaluation to its caller. A lookup, cold or served from the
+// cache, makes no full evaluation (the evaluator's Evaluations counter does
+// not move). The one caller that evaluates the winner, exploreCombo when the
+// mapper's own design misses the deadline, hands out a design that shares
+// no memory with the cache: a mapper whose designs always miss the deadline
+// forces that substitution at every probe-feasible combination, and
+// scribbling over the substituted designs leaves a rerun through the same
+// cache unchanged.
+func TestProbeLookupEvaluatesNothing(t *testing.T) {
+	g, p := taskgraph.MPEG2(), plat(4)
+	c := cfg(taskgraph.MPEG2Deadline, taskgraph.MPEG2Frames)
+	c.SearchMoves = 50
+	space, err := vscale.PlatformSpace(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eval, err := metrics.NewEvaluator(g, p, c.SER,
+		metrics.Options{Iterations: c.Iterations, DeadlineSec: c.DeadlineSec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pc := NewProbeCache()
+	feasible := 0
+	for pass := 0; pass < 2; pass++ { // cold, then every lookup a hit
+		for idx := 0; idx < space.Count(); idx++ {
+			scaling, err := space.Unrank(idx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := eval.Bind(scaling); err != nil {
+				t.Fatal(err)
+			}
+			mc := &MapContext{Ctx: context.Background(), Graph: g, Platform: p, Scaling: eval.Scaling(), Eval: eval}
+			before := eval.Stats()
+			winner, _, err := pc.feasibleAtScaling(mc, idx, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := eval.Stats().Sub(before).Evaluations; n != 0 {
+				t.Errorf("pass %d combination %d: the probe made %d full evaluations, want 0", pass, idx, n)
+			}
+			if winner != nil {
+				feasible++
+			}
+		}
+	}
+	if feasible == 0 {
+		t.Fatal("no combination is probe-feasible")
+	}
+
+	// missing evaluates every task on core 0 and reports it late, whatever
+	// its makespan, so exploreCombo substitutes the probe's winner.
+	missing := func(mc *MapContext) (sched.Mapping, *metrics.Evaluation, error) {
+		m := make(sched.Mapping, mc.Graph.N())
+		ev, err := mc.Eval.Evaluate(m)
+		if err != nil {
+			return nil, nil, err
+		}
+		ev = ev.Clone()
+		ev.MeetsDeadline = false
+		return m, ev, nil
+	}
+	c.Strategy = StrategyExhaustive // maps, and so substitutes, every probe-feasible combination
+	c.Reuse = NewReuse()
+	rec := recordDesigns(&c)
+	first, err := Explore(g, p, missing, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var substituted []*Design
+	for _, d := range rec.designs(t) {
+		if d.Eval.MeetsDeadline {
+			substituted = append(substituted, d)
+		}
+	}
+	if len(substituted) == 0 {
+		t.Fatal("no design was substituted by the probe's winner")
+	}
+	for idx, en := range c.Reuse.probe.entries {
+		for _, pm := range en.minima {
+			for _, d := range substituted {
+				if &d.Mapping[0] == &pm.m[0] || &d.Eval.Schedule.Mapping[0] == &pm.m[0] {
+					t.Errorf("combination %d: design %s shares its mapping with the probe cache", idx, designFingerprint(d))
+				}
+			}
+		}
+	}
+	want := designFingerprint(first)
+	for _, d := range substituted {
+		clear(d.Mapping)
+		clear(d.Eval.Schedule.Mapping)
+	}
+	c.Progress = nil
+	again, err := Explore(g, p, missing, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := designFingerprint(again); got != want {
+		t.Errorf("a rerun through the same cache diverged after the substituted designs were overwritten:\n  first: %s\n  rerun: %s", want, got)
 	}
 }

@@ -33,22 +33,21 @@ package mapping
 //     (TestShardedLyingPeer, FuzzShardReplay).
 //
 // With honest records the merged Design or frontier and the Progress stream
-// are byte-identical to a single-node run: shard-side skips and the
-// threshold a shard starts from can only save work, never change the
-// answer.
+// are byte-identical to a single-node run: shard-side skips can only save
+// work, never change the answer.
 //
-// Every shard, embedded or remote, takes one self-contained ShardRequest
-// and shares nothing while it runs. A scalar shard starts from the
-// coordinator's standing dominance threshold (ShardRequest.Threshold: the
-// ranked pass's seed, the lowest nominal power of any probe-feasible
-// combination, which no shard can lower) and otherwise prunes against its
-// own range; a Pareto shard prunes against its own frontier only.
+// Every shard, embedded or remote, takes one self-contained ShardRequest —
+// a range, a fold and NoPrune — and shares nothing while it runs: a scalar
+// shard prunes against its own range, a Pareto shard against its own
+// frontier. Only unseeded passes shard. A ranked solve whose ranked pass
+// found a probe-feasible combination resolves on the coordinator
+// (exploreScalar), since its main pass is probe-cache hits there and cold
+// probes on a peer.
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 
 	"seadopt/internal/arch"
@@ -113,10 +112,6 @@ type ShardRequest struct {
 	// Pareto selects the frontier fold (with its embedded scalar walk)
 	// instead of the scalar incumbent fold.
 	Pareto bool `json:"pareto,omitempty"`
-	// Threshold is the coordinator's standing scalar dominance threshold,
-	// a probe-feasible combination's nominal power; a scalar shard seeds its
-	// fold with it. 0 means none.
-	Threshold float64 `json:"threshold,omitempty"`
 }
 
 // ShardResult is a worker's record stream: one entry per position of the
@@ -168,16 +163,12 @@ var errSampledShard = errors.New("mapping: sharded exploration requires a contig
 
 // ExploreShard is the worker side of the distributed exploration: it runs
 // the ordinary streaming core over req.Range with the scalar or Pareto fold
-// and returns the record stream the coordinator merges. A scalar
-// shard's fold is seeded with req.Threshold, when set, and otherwise prunes
-// against its own range; a Pareto shard prunes against its own frontier
-// only. Progress, telemetry and ranked seeding are coordinator concerns and
-// are forced off here.
+// and returns the record stream the coordinator merges. A scalar shard
+// prunes against its own range, a Pareto shard against its own frontier.
+// Progress, telemetry and ranked seeding are coordinator concerns and are
+// forced off here.
 func ExploreShard(ctx context.Context, g *taskgraph.Graph, p *arch.Platform,
 	mapper MapperFunc, cfg Config, req ShardRequest) (*ShardResult, error) {
-	if t := req.Threshold; t < 0 || math.IsNaN(t) || math.IsInf(t, 0) {
-		return nil, fmt.Errorf("mapping: shard threshold %v is not a finite non-negative nominal power", t)
-	}
 	cfg.Progress = nil
 	cfg.Telemetry = nil
 	cfg.Ranked = false
@@ -212,11 +203,7 @@ func ExploreShard(ctx context.Context, g *taskgraph.Graph, p *arch.Platform,
 		}
 		fold, opts.computeBounds = pf, true
 	} else {
-		sf := newScalarFold(prune, nil)
-		if req.Threshold > 0 {
-			sf.seed(req.Threshold)
-		}
-		fold, opts.computeBounds = sf, prune && cfg.DeadlineSec > 0
+		fold, opts.computeBounds = newScalarFold(prune, nil), prune && cfg.DeadlineSec > 0
 	}
 	if _, err := exploreCore(ctx, g, p, mapper, cfg, fold, opts); err != nil {
 		return nil, err
@@ -323,9 +310,8 @@ func errorsIsCanceled(err error) bool { return errors.Is(err, context.Canceled) 
 // range per runner (nil runners run embedded in this process, sharing the
 // coordinator's Reuse bundle), each pass fanning the ranges out and then
 // running exploreCore over the whole enumeration with the records as hints.
-// Every shard request of a scalar pass carries the fold's standing
-// threshold, the ranked seed and the only bound known before position 0; a
-// Pareto pass sends none.
+// The fold it is handed holds no bound yet, so a request names only the
+// fold and whether to prune.
 func shardedPass(g *taskgraph.Graph, p *arch.Platform, mapper MapperFunc,
 	cfg Config, runners []ShardRunner) (passFunc, error) {
 	if len(runners) == 0 {
@@ -349,15 +335,8 @@ func shardedPass(g *taskgraph.Graph, p *arch.Platform, mapper MapperFunc,
 	}
 	return func(ctx context.Context, g *taskgraph.Graph, p *arch.Platform, mapper MapperFunc,
 		cfg Config, fold streamFold, opts coreOptions) (int, error) {
-		req := ShardRequest{NoPrune: !opts.prune}
-		switch f := fold.(type) {
-		case *paretoFold:
-			req.Pareto = true
-		case *scalarFold:
-			if f.probed.Load() {
-				req.Threshold = f.threshold
-			}
-		}
+		_, pareto := fold.(*paretoFold)
+		req := ShardRequest{NoPrune: !opts.prune, Pareto: pareto}
 		records, err := runShards(ctx, g, p, req, ranges, resolved, total)
 		if err != nil {
 			return 0, err
@@ -369,15 +348,16 @@ func shardedPass(g *taskgraph.Graph, p *arch.Platform, mapper MapperFunc,
 
 // ExploreSharded is the distributed counterpart of ExploreContext: the
 // enumeration is partitioned into one contiguous shard per runner, shards
-// run concurrently from the coordinator's standing threshold, and the
-// coordinator merges their records in a streaming pass of its own that
-// takes them as hints. With honest shards the chosen Design and Progress
-// stream are byte-identical to ExploreContext at any shard count, runner
-// mix and parallelism. Nil runner entries run their shard embedded in this
-// process.
+// run concurrently, and the coordinator merges their records in a
+// streaming pass of its own that takes them as hints. A ranked run whose
+// ranked pass seeds the fold calls no runner: its main pass resolves here,
+// as ExploreContext's does. With honest shards the chosen Design and
+// Progress stream are byte-identical to ExploreContext at any shard count,
+// runner mix and parallelism. Nil runner entries run their shard embedded
+// in this process. Config.Telemetry observes the coordinator's passes; the
+// shards run without it.
 func ExploreSharded(ctx context.Context, g *taskgraph.Graph, p *arch.Platform,
 	mapper MapperFunc, cfg Config, runners []ShardRunner) (*Design, error) {
-	cfg.Telemetry = nil
 	ctx, cfg, err := setup(ctx, cfg, false)
 	if err != nil {
 		return nil, err
@@ -391,10 +371,10 @@ func ExploreSharded(ctx context.Context, g *taskgraph.Graph, p *arch.Platform,
 
 // ExploreShardedPareto is the distributed counterpart of
 // ExploreParetoContext, with the same byte-identity guarantee for the
-// returned frontier and Progress stream.
+// returned frontier and Progress stream and the same telemetry scope as
+// ExploreSharded.
 func ExploreShardedPareto(ctx context.Context, g *taskgraph.Graph, p *arch.Platform,
 	mapper MapperFunc, cfg Config, runners []ShardRunner) ([]*Design, error) {
-	cfg.Telemetry = nil
 	ctx, cfg, err := setup(ctx, cfg, true)
 	if err != nil {
 		return nil, err

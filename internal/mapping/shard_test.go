@@ -4,11 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"math"
 	"reflect"
 	"slices"
-	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -167,36 +164,33 @@ func assertStringsEqual(t *testing.T, label string, want, got []string) {
 }
 
 // TestShardedStrategiesAndSeeding covers the remaining coordinator paths:
-// the exhaustive strategy (no pruning anywhere, no threshold) and the
-// ranked-seeded branch-and-bound (every shard request carries the seed as
-// its Threshold).
+// the exhaustive strategy, which sends every range to a shard, and the
+// ranked-seeded branch-and-bound, whose main pass resolves on the
+// coordinator and sends no shard request at all.
 func TestShardedStrategiesAndSeeding(t *testing.T) {
 	g := taskgraph.MPEG2()
 	p := plat(4)
 	for _, mode := range []struct {
-		name   string
-		mutate func(*Config)
+		name     string
+		mutate   func(*Config)
+		requests int64
 	}{
-		{"exhaustive", func(c *Config) { c.Strategy = StrategyExhaustive }},
-		{"ranked", func(c *Config) { c.Ranked = true }},
+		{"exhaustive", func(c *Config) { c.Strategy = StrategyExhaustive }, 3},
+		{"ranked", func(c *Config) { c.Ranked = true }, 0},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			base := cfg(taskgraph.MPEG2Deadline, taskgraph.MPEG2Frames)
 			base.SearchMoves = 150
 			mode.mutate(&base)
-			// The threshold every shard request must carry: the ranked
-			// pass's seed, none without one.
-			var wantThreshold float64
 			if base.Ranked {
+				// The leg is about a seeded run: require the ranked pass to seed.
 				_, sc, err := setup(context.Background(), base, false)
 				if err != nil {
 					t.Fatal(err)
 				}
-				nominal, seeded, err := probeRankedStream(context.Background(), g, p, sc)
-				if err != nil || !seeded {
+				if _, seeded, err := probeRankedStream(context.Background(), g, p, sc); err != nil || !seeded {
 					t.Fatalf("ranked seed: seeded=%v err=%v", seeded, err)
 				}
-				wantThreshold = nominal
 			}
 
 			var wantEvents []string
@@ -211,35 +205,120 @@ func TestShardedStrategiesAndSeeding(t *testing.T) {
 			cd := base
 			captureProgress(&cd, &gotEvents)
 			cd.Reuse = NewReuse() // shared with the shards, as nil runners share it
-			var mu sync.Mutex
-			var thresholds []float64
-			embedded := InProcRunner(g, p, SEAMapper(cd), cd)
-			runners := make([]ShardRunner, 3)
-			for i := range runners {
-				runners[i] = func(ctx context.Context, req ShardRequest) (*ShardResult, error) {
-					mu.Lock()
-					thresholds = append(thresholds, req.Threshold)
-					mu.Unlock()
-					return embedded(ctx, req)
-				}
-			}
+			var requests atomic.Int64
+			embedded := countingRunner(InProcRunner(g, p, SEAMapper(cd), cd), &requests)
+			runners := []ShardRunner{embedded, embedded, embedded}
 			gotBest, err := ExploreSharded(context.Background(), g, p, SEAMapper(cd), cd, runners)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(thresholds) != len(runners) {
-				t.Errorf("%d shard requests, want %d", len(thresholds), len(runners))
-			}
-			for i, th := range thresholds {
-				if th != wantThreshold {
-					t.Errorf("shard request %d: threshold %v, want %v", i, th, wantThreshold)
-				}
+			if n := requests.Load(); n != mode.requests {
+				t.Errorf("%d shard requests, want %d", n, mode.requests)
 			}
 			if designFingerprint(gotBest) != designFingerprint(wantBest) {
 				t.Errorf("best diverged:\n  single: %s\n  sharded: %s",
 					designFingerprint(wantBest), designFingerprint(gotBest))
 			}
 			assertStringsEqual(t, "progress", wantEvents, gotEvents)
+		})
+	}
+}
+
+// TestShardedOnlyUnseededPassesShard: a ranked run whose ranked pass seeds
+// resolves on the coordinator and calls no runner, while plain, exhaustive
+// and Pareto runs and a ranked run that seeds nothing — at a deadline every
+// probe misses, and at one every combination's bound misses — still send
+// every range of each pass to a shard. Each run's Design or frontier and
+// Progress stream equal the single-node run's at 2 and 4 shards and
+// Parallelism 1 and 4 (4 alone under -short, where CI repeats it). The
+// shards run on private reuse bundles, as remote peers do.
+func TestShardedOnlyUnseededPassesShard(t *testing.T) {
+	pars := []int{1, 4}
+	if testing.Short() {
+		pars = pars[1:]
+	}
+	// tight scales each workload's deadline to one at which the ranked pass
+	// finds nothing probe-feasible while some combinations survive the
+	// bound.
+	tight := map[string]float64{"mpeg2": 0.2, "fig8": 0.8, "randomV": 0.3}
+	for _, w := range shardWorkloads(t) {
+		t.Run(w.name, func(t *testing.T) {
+			for _, m := range []struct {
+				name   string
+				pareto bool
+				local  bool // the ranked pass seeds, so no runner is called
+				mutate func(*Config)
+			}{
+				{"plain", false, false, func(*Config) {}},
+				{"exhaustive", false, false, func(c *Config) { c.Strategy = StrategyExhaustive }},
+				{"pareto", true, false, func(*Config) {}},
+				{"ranked", false, true, func(c *Config) { c.Ranked = true }},
+				{"ranked probe-infeasible", false, false, func(c *Config) { c.Ranked, c.DeadlineSec = true, c.DeadlineSec*tight[w.name] }},
+				{"ranked bound-pruned", false, false, func(c *Config) { c.Ranked, c.DeadlineSec = true, 1e-9 }},
+			} {
+				base := cfg(w.deadline, w.iters)
+				base.SearchMoves = 40
+				m.mutate(&base)
+				if base.Ranked {
+					_, sc, err := setup(context.Background(), base, false)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if _, seeded, err := probeRankedStream(context.Background(), w.g, w.p, sc); err != nil || seeded != m.local {
+						t.Fatalf("%s: the ranked pass seeded=%v (err %v), want %v", m.name, seeded, err, m.local)
+					}
+				}
+				run := func(c Config, runners []ShardRunner) capturedRun {
+					t.Helper()
+					var r capturedRun
+					captureProgress(&c, &r.events)
+					ctx, mapper := context.Background(), SEAMapper(c)
+					var frontier []*Design
+					var err error
+					switch {
+					case m.pareto && runners == nil:
+						frontier, err = ExploreParetoContext(ctx, w.g, w.p, mapper, c)
+					case m.pareto:
+						frontier, err = ExploreShardedPareto(ctx, w.g, w.p, mapper, c, runners)
+					case runners == nil:
+						frontier = make([]*Design, 1)
+						frontier[0], err = ExploreContext(ctx, w.g, w.p, mapper, c)
+					default:
+						frontier = make([]*Design, 1)
+						frontier[0], err = ExploreSharded(ctx, w.g, w.p, mapper, c, runners)
+					}
+					if err != nil {
+						t.Fatalf("%s: %v", m.name, err)
+					}
+					for _, d := range frontier {
+						r.frontier = append(r.frontier, designFingerprint(d))
+					}
+					return r
+				}
+				want := run(base, nil)
+				for _, shards := range []int{2, 4} {
+					for _, par := range pars {
+						c := base
+						c.Parallelism = par
+						var calls atomic.Int64
+						runners := make([]ShardRunner, shards)
+						for i := range runners {
+							// c names no bundle, so each shard call probes on a
+							// private one, as a remote peer on a new fingerprint does.
+							runners[i] = countingRunner(InProcRunner(w.g, w.p, SEAMapper(c), c), &calls)
+						}
+						label := fmt.Sprintf("%s shards=%d par=%d", m.name, shards, par)
+						assertRunsEqual(t, label, want, run(c, runners))
+						n := calls.Load()
+						if m.local && n != 0 {
+							t.Errorf("%s: %d runner calls, want none", label, n)
+						}
+						if !m.local && (n == 0 || n%int64(shards) != 0) {
+							t.Errorf("%s: %d runner calls, want one per range of each pass", label, n)
+						}
+					}
+				}
+			}
 		})
 	}
 }
@@ -309,95 +388,6 @@ func TestShardRanges(t *testing.T) {
 	}
 }
 
-// TestExploreShardAppliesOnlyEarlierFacts pins the shard-side use of the
-// coordinator's threshold, which the coordinator's byte-identity cannot
-// see: the merge decides every verdict itself, so a shard that ignored its
-// threshold would still merge to identical bytes and only do more work. The
-// only fact a shard applies is its request's Threshold, which the
-// coordinator knew before position 0. On the upper half of the §V 20-task,
-// 3-core space, the single-node design's nominal power as the threshold must
-// save mapper runs, and since the threshold stands from the range's first
-// position, no record whose nominal power lies beyond the threshold's
-// tolerance band may carry a Mapping.
-func TestExploreShardAppliesOnlyEarlierFacts(t *testing.T) {
-	g := taskgraph.MustRandom(taskgraph.DefaultRandomConfig(20), 3)
-	p := plat(3)
-	base := cfg(taskgraph.RandomDeadline(20), 1)
-	base.SearchMoves = 200
-	base.Parallelism = 1
-
-	best, err := Explore(g, p, SEAMapper(base), base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cursor := metrics.NewBounds(g, p, base.Iterations).Cursor()
-	if _, err := cursor.Advance(best.Scaling); err != nil {
-		t.Fatal(err)
-	}
-	threshold := cursor.NominalPower()
-	space, err := vscale.PlatformSpace(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := space.Count()
-	rng := ShardRange{Lo: total / 2, Hi: total}
-	// nominal[j] is the nominal power of the range's j-th position.
-	it, err := space.IterFrom(rng.Lo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nominal := make([]float64, rng.Hi-rng.Lo)
-	for j := range nominal {
-		scaling, _, _ := it.Next()
-		if _, err := cursor.Advance(scaling); err != nil {
-			t.Fatal(err)
-		}
-		nominal[j] = cursor.NominalPower()
-	}
-
-	t.Run("scalar", func(t *testing.T) {
-		run := func(threshold float64) (*ShardResult, int64) {
-			t.Helper()
-			var mapped atomic.Int64
-			req := ShardRequest{Range: rng, Threshold: threshold}
-			res, err := ExploreShard(context.Background(), g, p, countingMapper(base, &mapped), base, req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return res, mapped.Load()
-		}
-		_, free := run(0)
-		res, seeded := run(threshold)
-		if seeded >= free {
-			t.Errorf("threshold %v: %d mapper runs, want fewer than the unseeded %d", threshold, seeded, free)
-		}
-		for j, r := range res.Records {
-			if r != nil && r.Mapping != nil && dominatedNominal(nominal[j], threshold) {
-				t.Errorf("threshold %v: record %d (nominal %v, beyond the band) carries a Mapping, want none (the threshold stands from the first position)",
-					threshold, r.Idx, nominal[j])
-			}
-		}
-		t.Logf("mapper runs: unseeded %d, seeded %d", free, seeded)
-	})
-}
-
-// TestExploreShardRefusesBadThreshold: a threshold is a probe-feasible
-// combination's nominal power, so a shard refuses a negative or non-finite
-// one rather than prune against it.
-func TestExploreShardRefusesBadThreshold(t *testing.T) {
-	g := taskgraph.Fig8()
-	p := plat(3)
-	base := cfg(taskgraph.Fig8Deadline, 1)
-	base.SearchMoves = 100
-	for _, th := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
-		req := ShardRequest{Range: ShardRange{Lo: 0, Hi: 1}, Threshold: th}
-		res, err := ExploreShard(context.Background(), g, p, SEAMapper(base), base, req)
-		if err == nil || !strings.Contains(err.Error(), "threshold") {
-			t.Errorf("threshold %v: result %v, error %v; want an error naming the threshold", th, res, err)
-		}
-	}
-}
-
 // shardCountWorkloads are the mapper-count workloads: MPEG-2 and Fig. 8 on
 // their paper platforms, and three §V 20-task and three §V 40-task graphs on
 // 16 cores × 3 levels.
@@ -425,10 +415,18 @@ func countingMapper(c Config, n *atomic.Int64) MapperFunc {
 	}
 }
 
-// TestShardedRankedMapsNoMoreThanSingleNode: the ranked seed is the lowest
-// nominal power of any probe-feasible combination and every shard starts
-// from it, so at Parallelism 1 a sharded ranked run calls the mapper no more
-// often than the single-node run.
+// countingRunner wraps r, counting its calls in n.
+func countingRunner(r ShardRunner, n *atomic.Int64) ShardRunner {
+	return func(ctx context.Context, req ShardRequest) (*ShardResult, error) {
+		n.Add(1)
+		return r(ctx, req)
+	}
+}
+
+// TestShardedRankedMapsNoMoreThanSingleNode: a seeded ranked run resolves on
+// the coordinator as the single node does, and an unseeded one shards, so
+// at Parallelism 1 a sharded ranked run calls the mapper no more often than
+// the single-node run.
 func TestShardedRankedMapsNoMoreThanSingleNode(t *testing.T) {
 	for _, w := range shardCountWorkloads() {
 		t.Run(w.name, func(t *testing.T) {
@@ -573,7 +571,9 @@ func TestCheckShardResult(t *testing.T) {
 
 // FuzzShardReplay feeds the coordinator's merge untrusted peer records: one
 // range of a 2-shard MPEG-2 or Fig. 8 run, plain or ranked branch-and-bound,
-// is answered by a JSON-decoded ShardResult. Whatever the records claim,
+// is answered by a JSON-decoded ShardResult. The ranked leg runs at a
+// deadline at which its ranked pass finds nothing probe-feasible (0.2× for
+// MPEG-2, 0.8× for Fig. 8), since a seeded ranked run never shards. Whatever the records claim,
 // ExploreSharded must not panic, it may fail only on a result
 // CheckShardResult refuses, and a Design it returns must carry the
 // evaluation of its own mapping at its own scaling. The seeds are the honest
@@ -588,8 +588,13 @@ func FuzzShardReplay(f *testing.F) {
 	}
 	workload := func(fig8, ranked bool) replayWorkload {
 		w := replayWorkload{taskgraph.MPEG2(), plat(4), cfg(taskgraph.MPEG2Deadline, taskgraph.MPEG2Frames)}
+		scale := 0.2
 		if fig8 {
 			w = replayWorkload{taskgraph.Fig8(), plat(3), cfg(taskgraph.Fig8Deadline, 1)}
+			scale = 0.8
+		}
+		if ranked {
+			w.c.DeadlineSec *= scale
 		}
 		w.c.SearchMoves = 100
 		w.c.Ranked = ranked
@@ -611,20 +616,16 @@ func FuzzShardReplay(f *testing.F) {
 		for _, ranked := range []bool{false, true} {
 			for _, first := range []bool{false, true} {
 				w := workload(fig8, ranked)
-				req := ShardRequest{Range: peerRange(w.p, first)}
 				if ranked {
 					_, sc, err := setup(context.Background(), w.c, false)
 					if err != nil {
 						f.Fatal(err)
 					}
-					nominal, seeded, err := probeRankedStream(context.Background(), w.g, w.p, sc)
-					if err != nil {
-						f.Fatal(err)
-					}
-					if seeded {
-						req.Threshold = nominal
+					if _, seeded, err := probeRankedStream(context.Background(), w.g, w.p, sc); err != nil || seeded {
+						f.Fatalf("the ranked leg seeds (seeded=%v, err=%v), so it never reaches the merge", seeded, err)
 					}
 				}
+				req := ShardRequest{Range: peerRange(w.p, first)}
 				honest, err := ExploreShard(context.Background(), w.g, w.p, SEAMapper(w.c), w.c, req)
 				if err != nil {
 					f.Fatal(err)
@@ -653,7 +654,7 @@ func FuzzShardReplay(f *testing.F) {
 				})
 				add(func(res *ShardResult) { clear(res.Records) })
 				if mapped < 0 {
-					continue // a ranked range can resolve without the mapper
+					continue // a range can be bound-pruned whole
 				}
 				add(func(res *ShardResult) { res.Records[mapped].Idx++ })
 				add(func(res *ShardResult) {
@@ -717,28 +718,39 @@ func infeasibleEverywhere(_ context.Context, req ShardRequest) (*ShardResult, er
 }
 
 // TestShardedEmptyRankedFold: a runner that claims probe-infeasible for
-// every position of the range holding the ranked seed's combination leaves
-// the seeded fold without a design, nothing bound-pruned. exploreScalar
-// must then take the all-infeasible fallback rather than return a nil Design:
-// the §V 20-task graph (seed 1) on 3 cores, ranked, with the liar on range 0
-// of 2, 3 and 4 shards.
+// every position of the range holding the ranked seed's combination once
+// left the seeded fold without a design. A seeded ranked run now resolves
+// on the coordinator, so the lying runner is never consulted, and the
+// result is the single-node design: the §V 20-task graph (seed 1) on 3
+// cores, ranked, with the liar on range 0 of 2, 3 and 4 shards.
 func TestShardedEmptyRankedFold(t *testing.T) {
 	g := taskgraph.MustRandom(taskgraph.DefaultRandomConfig(20), 1)
 	p := plat(3)
 	c := cfg(taskgraph.RandomDeadline(20), 1)
 	c.SearchMoves = 100
 	c.Ranked = true
+	want, err := ExploreContext(context.Background(), g, p, SEAMapper(c), c)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, shards := range []int{2, 3, 4} {
+		var lies atomic.Int64
 		runners := make([]ShardRunner, shards)
-		runners[0] = infeasibleEverywhere
+		runners[0] = countingRunner(infeasibleEverywhere, &lies)
 		best, err := ExploreSharded(context.Background(), g, p, SEAMapper(c), c, runners)
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
 		label := fmt.Sprintf("shards=%d", shards)
+		if n := lies.Load(); n != 0 {
+			t.Errorf("%s: the lying runner was consulted %d times, want 0", label, n)
+		}
 		assertOwnEvaluation(t, label, g, p, c, best)
 		if !best.Eval.MeetsDeadline {
 			t.Errorf("%s: design %s misses the deadline", label, designFingerprint(best))
+		}
+		if designFingerprint(best) != designFingerprint(want) {
+			t.Errorf("%s: design %s, single-node %s", label, designFingerprint(best), designFingerprint(want))
 		}
 	}
 }
@@ -862,19 +874,22 @@ func TestShardedLyingPeer(t *testing.T) {
 // TestShardedCoordinatorMapsNothing: honest embedded shards ship a mapping
 // for every position the coordinator's fold resolves with a design, and a
 // position they resolved without one is decided when the fold reaches it,
-// so the coordinator runs the mapper zero times. Plain, ranked and
-// exhaustive scalar runs and Pareto runs, on shardCountWorkloads at 4 shards
-// and Parallelism 1 and 4.
+// so the coordinator runs the mapper zero times. Plain and exhaustive
+// scalar runs and Pareto runs, on shardCountWorkloads at 4 shards and
+// Parallelism 1 and 4, each sending one request per range. A ranked run,
+// whose ranked pass seeds on every one of these workloads, sends none and
+// maps exactly as often as the single-node run.
 func TestShardedCoordinatorMapsNothing(t *testing.T) {
 	modes := []struct {
 		name   string
 		pareto bool
+		local  bool // resolves on the coordinator
 		mutate func(*Config)
 	}{
-		{"plain", false, func(*Config) {}},
-		{"ranked", false, func(c *Config) { c.Ranked = true }},
-		{"exhaustive", false, func(c *Config) { c.Strategy = StrategyExhaustive }},
-		{"pareto", true, func(*Config) {}},
+		{"plain", false, false, func(*Config) {}},
+		{"ranked", false, true, func(c *Config) { c.Ranked = true }},
+		{"exhaustive", false, false, func(c *Config) { c.Strategy = StrategyExhaustive }},
+		{"pareto", true, false, func(*Config) {}},
 	}
 	for _, w := range shardCountWorkloads() {
 		t.Run(w.name, func(t *testing.T) {
@@ -883,9 +898,19 @@ func TestShardedCoordinatorMapsNothing(t *testing.T) {
 					c := cfg(w.deadline, w.iters)
 					c.SearchMoves = 200
 					c.Parallelism = par
-					c.Reuse = NewReuse()
 					m.mutate(&c)
-					embedded := InProcRunner(w.g, w.p, SEAMapper(c), c)
+					// The coordinator's mapper runs and shard requests.
+					wantMapped, wantRequests := int64(0), int64(4)
+					if m.local {
+						var single atomic.Int64
+						if _, err := ExploreContext(context.Background(), w.g, w.p, countingMapper(c, &single), c); err != nil {
+							t.Fatal(err)
+						}
+						wantMapped, wantRequests = single.Load(), 0
+					}
+					c.Reuse = NewReuse()
+					var requests atomic.Int64
+					embedded := countingRunner(InProcRunner(w.g, w.p, SEAMapper(c), c), &requests)
 					runners := []ShardRunner{embedded, embedded, embedded, embedded}
 					var mapped atomic.Int64
 					var err error
@@ -897,8 +922,11 @@ func TestShardedCoordinatorMapsNothing(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s par=%d: %v", m.name, par, err)
 					}
-					if n := mapped.Load(); n != 0 {
-						t.Errorf("%s par=%d: the coordinator ran the mapper %d times, want 0", m.name, par, n)
+					if n := requests.Load(); n != wantRequests {
+						t.Errorf("%s par=%d: %d shard requests, want %d", m.name, par, n, wantRequests)
+					}
+					if n := mapped.Load(); n != wantMapped {
+						t.Errorf("%s par=%d: the coordinator ran the mapper %d times, want %d", m.name, par, n, wantMapped)
 					}
 				}
 			}

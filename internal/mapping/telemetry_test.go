@@ -111,6 +111,48 @@ func TestExploreDeterministicTelemetryPareto(t *testing.T) {
 	}
 }
 
+// TestExploreShardedTelemetryOnOff extends the on/off contract to sharded
+// runs: with a collector attached to the coordinator, ExploreSharded's
+// Design and Progress stream equal those of the run without one, plain and
+// ranked, at Parallelism 1 and 4 over 2 embedded shards, and the collector
+// counts every combination of the coordinator's main pass.
+func TestExploreShardedTelemetryOnOff(t *testing.T) {
+	g := taskgraph.MPEG2()
+	p := plat(4)
+	for _, ranked := range []bool{false, true} {
+		runAt := func(par int, tel *Telemetry) (string, []string) {
+			c := cfg(taskgraph.MPEG2Deadline, taskgraph.MPEG2Frames)
+			c.SearchMoves = 300
+			c.Parallelism = par
+			c.Ranked = ranked
+			c.Telemetry = tel
+			var evs []string
+			c.Progress = func(pr Progress) { evs = append(evs, progressFingerprint(pr)) }
+			best, err := ExploreSharded(context.Background(), g, p, SEAMapper(c), c, make([]ShardRunner, 2))
+			if err != nil {
+				t.Fatalf("ranked=%v parallelism %d telemetry=%v: %v", ranked, par, tel != nil, err)
+			}
+			return designFingerprint(best), evs
+		}
+		refBest, refProg := runAt(1, nil)
+		for _, par := range []int{1, 4} {
+			tel := NewTelemetry()
+			best, prog := runAt(par, tel)
+			if best != refBest {
+				t.Errorf("ranked=%v parallelism %d with telemetry: best diverged:\n  off: %s\n  on:  %s",
+					ranked, par, refBest, best)
+			}
+			if fmt.Sprint(prog) != fmt.Sprint(refProg) {
+				t.Errorf("ranked=%v parallelism %d with telemetry: progress stream diverged", ranked, par)
+			}
+			if st := tel.Stats(); st.Combos.Total != int64(len(refProg)) {
+				t.Errorf("ranked=%v parallelism %d: telemetry counted %d combinations, the stream has %d",
+					ranked, par, st.Combos.Total, len(refProg))
+			}
+		}
+	}
+}
+
 // TestTelemetryAccounting checks the snapshot's internal consistency: the
 // verdict counters partition the fold total, phase clocks and worker spans
 // are non-negative and within the wall clock's order of magnitude, and the

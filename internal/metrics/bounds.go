@@ -71,8 +71,9 @@ type Bounds struct {
 	// class-major order — the single reduction order every per-scaling
 	// aggregate (nominal power, Σ f, fastest frequency, partition walk)
 	// is summed in.
-	class   []int   // per-core symmetry class id
-	entryAt [][]int // entryAt[k][s-1] = catalogue index of (class k, level s)
+	class   []int       // per-core symmetry class id
+	entryAt [][]int     // entryAt[k][s-1] = catalogue index of (class k, level s)
+	terms   [][]float64 // terms[k][s-1] = f·V² of (class k, level s)
 	entries []boundEntry
 	byFreq  []int // catalogue indices, frequency descending, index ascending
 	cl      float64
@@ -144,15 +145,18 @@ func NewBounds(g *taskgraph.Graph, p *arch.Platform, iterations int) *Bounds {
 		seen[k] = true
 		for len(b.entryAt) <= k {
 			b.entryAt = append(b.entryAt, nil)
+			b.terms = append(b.terms, nil)
 		}
 		levels := p.CoreNumLevels(c)
 		row := make([]int, levels)
+		terms := make([]float64, levels)
 		for s := 1; s <= levels; s++ {
 			l := p.MustCoreLevel(c, s)
 			row[s-1] = len(b.entries)
-			b.entries = append(b.entries, boundEntry{hz: l.FreqHz(), term: l.FreqHz() * l.Vdd * l.Vdd})
+			terms[s-1] = l.FreqHz() * l.Vdd * l.Vdd
+			b.entries = append(b.entries, boundEntry{hz: l.FreqHz(), term: terms[s-1]})
 		}
-		b.entryAt[k] = row
+		b.entryAt[k], b.terms[k] = row, terms
 	}
 	b.byFreq = make([]int, len(b.entries))
 	for i := range b.byFreq {
@@ -200,6 +204,17 @@ func NewBounds(g *taskgraph.Graph, p *arch.Platform, iterations int) *Bounds {
 		}
 	}
 	return b
+}
+
+// LevelWeights returns each core's f·V² column by level, the nominal-power
+// weights of vscale.RankedFrontier: same-class cores share one column, and
+// the columns are views of the catalogue, so callers must not modify them.
+func (b *Bounds) LevelWeights() [][]float64 {
+	w := make([][]float64, len(b.class))
+	for c, k := range b.class {
+		w[c] = b.terms[k]
+	}
+	return w
 }
 
 // histogram counts the (class, level) assignments of a validated scaling

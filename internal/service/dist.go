@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"seadopt"
 	"seadopt/internal/ingest"
@@ -19,14 +21,19 @@ import (
 // rest POST to peer seadoptd processes as self-contained shard requests
 // (the problem travels as its canonical encoding, so the worker provably
 // solves the exact problem the coordinator hashed). A peer's request is the
-// one an embedded shard takes: for a scalar job it carries the
-// coordinator's standing threshold (the ranked pass's seed, since every
-// scalar branch-and-bound job walks ranked), and the peer prunes against
-// that and its own range only. The coordinator then merges the shard
-// records in a streaming pass of its own that takes them as hints: the
-// merged Design or frontier and the Progress stream are byte-identical to a
-// single-node run (see internal/mapping/shard.go for the merge and what it
-// trusts a record with).
+// one an embedded shard takes, a range, a fold and whether to prune, and
+// the peer prunes against its own range only. The coordinator then merges
+// the shard records in a streaming pass of its own that takes them as
+// hints: the merged Design or frontier and the Progress stream are
+// byte-identical to a single-node run (see internal/mapping/shard.go for
+// the merge and what it trusts a record with).
+//
+// Every scalar branch-and-bound job walks ranked, and a ranked walk that
+// finds a probe-feasible scaling resolves on the coordinator without
+// calling a runner, so such a job is neither counted as sharded nor sent to
+// a peer. A coordinator of an older build may still send a "threshold"
+// member; this build ignores it and walks the range unseeded, which costs
+// the peer work but changes no byte of the merge.
 //
 // Failure posture: a peer that is unreachable, answers non-200 or answers a
 // malformed result (mapping.CheckShardResult) costs nothing but time — the
@@ -36,7 +43,7 @@ import (
 type shardCallRequest struct {
 	// Problem is the canonical problem encoding (ingest.CanonicalEncoding).
 	Problem json.RawMessage `json:"problem"`
-	// Req is the shard work order: range, fold selection, threshold.
+	// Req is the shard work order: range, fold selection, pruning.
 	Req seadopt.ShardRequest `json:"req"`
 }
 
@@ -52,10 +59,13 @@ var distShardClient = &http.Client{}
 
 // shardRunnersFor resolves the shard plan for a flight: nil when the job
 // must run single-node (no peers configured, or an ineligible job shape),
-// else one runner slot per shard — slot 0 nil (embedded), the rest bound
-// to peers round-robin.
+// else one runner per shard — slot 0 embedded, the rest bound to peers
+// round-robin (embedded too when no peer is configured). The engine may
+// call none of them (a seeded ranked scalar job resolves on this node), so
+// the first shard call is what sets sharded, counts the flight as a
+// sharded execution and encodes the problem for the peers.
 func (s *Server) shardRunnersFor(f *flight, sys *seadopt.System, opts seadopt.OptimizeOptions,
-	mode string) []seadopt.ShardRunner {
+	mode string, sharded *atomic.Bool) []seadopt.ShardRunner {
 	n := s.cfg.Shards
 	if n == 0 {
 		n = len(s.cfg.Peers) + 1
@@ -71,26 +81,30 @@ func (s *Server) shardRunnersFor(f *flight, sys *seadopt.System, opts seadopt.Op
 		opts.Strategy == seadopt.StrategySampled {
 		return nil
 	}
-	enc, err := f.problem.CanonicalEncoding()
-	if err != nil {
-		return nil
+	begin := sync.OnceValues(func() ([]byte, error) {
+		sharded.Store(true)
+		s.shardedExecs.Add(1)
+		return f.problem.CanonicalEncoding()
+	})
+	embedded := func(ctx context.Context, req seadopt.ShardRequest) (*seadopt.ShardResult, error) {
+		begin()
+		return sys.RunShard(ctx, opts, req)
 	}
 	runners := make([]seadopt.ShardRunner, n)
-	if len(s.cfg.Peers) > 0 {
-		for i := 1; i < n; i++ {
-			peer := s.cfg.Peers[(i-1)%len(s.cfg.Peers)]
-			runners[i] = s.peerRunner(peer, enc, sys, opts)
+	for i := range runners {
+		runners[i] = embedded
+		if i > 0 && len(s.cfg.Peers) > 0 {
+			runners[i] = s.peerRunner(s.cfg.Peers[(i-1)%len(s.cfg.Peers)], begin, sys, opts)
 		}
 	}
-	s.shardedExecs.Add(1)
 	return runners
 }
 
-// peerRunner returns a ShardRunner that POSTs the shard to a peer seadoptd.
-// Any transport or protocol failure, or a result of the wrong shape, falls
-// back to embedded execution of the same range — byte-identical, just
-// local.
-func (s *Server) peerRunner(peer string, enc []byte,
+// peerRunner returns a ShardRunner that POSTs the shard to a peer seadoptd,
+// with the problem encoding that encode returns. Any transport or protocol
+// failure, or a result of the wrong shape, falls back to embedded execution
+// of the same range — byte-identical, just local.
+func (s *Server) peerRunner(peer string, encode func() ([]byte, error),
 	sys *seadopt.System, opts seadopt.OptimizeOptions) seadopt.ShardRunner {
 	return func(ctx context.Context, req seadopt.ShardRequest) (*seadopt.ShardResult, error) {
 		embedded := func(reason string, err error) (*seadopt.ShardResult, error) {
@@ -103,6 +117,10 @@ func (s *Server) peerRunner(peer string, enc []byte,
 			}
 			s.cfg.Logger.Warn("peer shard fell back to embedded execution", args...)
 			return sys.RunShard(ctx, opts, req)
+		}
+		enc, err := encode()
+		if err != nil {
+			return embedded("encode", err)
 		}
 		body, err := json.Marshal(shardCallRequest{Problem: enc, Req: req})
 		if err != nil {
@@ -163,7 +181,7 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	s.shardsServed.Add(1)
 	s.cfg.Logger.Info("shard request",
 		"graph", p.Graph.Name(), "range_lo", creq.Req.Range.Lo, "range_hi", creq.Req.Range.Hi,
-		"pareto", creq.Req.Pareto, "threshold", creq.Req.Threshold)
+		"pareto", creq.Req.Pareto)
 	res, err := sys.RunShard(r.Context(), opts, creq.Req)
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, err)

@@ -133,10 +133,11 @@ type Config struct {
 	// combination space is split into contiguous rank ranges: one runs
 	// embedded in this process, the rest POST to the peers' internal
 	// shard endpoint (falling back to embedded execution when a peer is
-	// unreachable). A peer's request carries the coordinator's standing
-	// scalar threshold; peers exchange nothing while they run. The merged
-	// result is byte-identical to a single-node run. Empty disables
-	// distribution.
+	// unreachable). A peer's request carries its range and fold; peers
+	// exchange nothing while they run. A ranked scalar job whose ranked
+	// pass finds a probe-feasible scaling resolves here and sends no
+	// shard. The merged result is byte-identical to a single-node run.
+	// Empty disables distribution.
 	Peers []string
 	// Shards overrides the shard count for distributed jobs; 0 (or a
 	// negative count) selects len(Peers)+1 (one embedded shard plus one per
@@ -1065,13 +1066,17 @@ func (s *Server) execute(f *flight) (*cacheEntry, error) {
 	// Distributed execution: when peers (or an explicit shard count) are
 	// configured and the job shape is distributable, fan the enumeration out
 	// over shards and fold their records, as hints, on the engine's one
-	// claim stream. Engine telemetry is per-process, so sharded flights
-	// carry no stats snapshot (their /stats endpoint answers 409) — the
-	// result and progress bytes are still identical to a single-node run.
-	runners := s.shardRunnersFor(f, sys, opts, mode)
-	if runners != nil {
-		e.stats, opts.Stats = nil, nil
-	}
+	// claim stream. Engine telemetry is per-process, so a flight whose
+	// shards ran carries no stats snapshot (its /stats endpoint answers
+	// 409) — the result and progress bytes are still identical to a
+	// single-node run. A flight that ran no shard keeps its stats.
+	var sharded atomic.Bool
+	runners := s.shardRunnersFor(f, sys, opts, mode, &sharded)
+	defer func() {
+		if sharded.Load() {
+			e.stats = nil
+		}
+	}()
 	s.engineExecs.Add(1)
 	if mode == ingest.ModePareto {
 		s.paretoJobs.Add(1)
